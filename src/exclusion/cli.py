@@ -38,6 +38,16 @@ class DomainError(Exception):
     pass
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_shared(p: argparse.ArgumentParser):
     p.add_argument("--model", required=True, choices=m.MODEL_NAMES)
     p.add_argument("--alpha", default="1")
@@ -46,10 +56,10 @@ def _add_shared(p: argparse.ArgumentParser):
     p.add_argument("--delta", default="0")
     p.add_argument("--q", default="2")
     p.add_argument("--kappa", default="3")
-    p.add_argument("--L", type=int, default=2)
+    p.add_argument("--L", type=_positive_int, default=2)
     p.add_argument("--theta", default=None, help="comma list of rationals")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=5)
+    p.add_argument("--samples", type=_positive_int, default=5)
     p.add_argument("--out", default=None)
     p.add_argument("--format", default=None, choices=("csv", "json"))
     p.add_argument("--exact", action="store_true")

@@ -8,6 +8,7 @@ supporting field arithmetic and exact zero tests).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .scalars import Dual, is_zero
@@ -54,10 +55,17 @@ class Matrix:
     def __rmul__(self, other):
         return Matrix([[other * e for e in row] for row in self.a])
 
+    def _same_shape(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs "
+                             f"{other.rows}x{other.cols}")
+
     def __add__(self, other):
+        self._same_shape(other)
         return Matrix([[x + y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)])
 
     def __sub__(self, other):
+        self._same_shape(other)
         return Matrix([[x - y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)])
 
     def __neg__(self):
@@ -82,6 +90,8 @@ class Matrix:
         return [self.a[i][j] for i in range(self.rows)]
 
     def apply(self, vec):
+        if len(vec) != self.cols:
+            raise ValueError(f"vector length {len(vec)} != {self.cols} columns")
         return [sum(self.a[i][j] * vec[j] for j in range(self.cols)) for i in range(self.rows)]
 
     def __repr__(self):
@@ -192,6 +202,8 @@ class SparseMatrix:
 
     @staticmethod
     def from_dense(M: Matrix):
+        if M.rows != M.cols:
+            raise ValueError(f"SparseMatrix is square, got {M.rows}x{M.cols}")
         out = SparseMatrix(M.rows)
         for i in range(M.rows):
             for j in range(M.cols):
@@ -265,6 +277,8 @@ class SparseMatrix:
         return out
 
     def __add__(self, other):
+        if self.dim != other.dim:
+            raise ValueError(f"shape mismatch: dim {self.dim} vs {other.dim}")
         out = SparseMatrix(self.dim)
         out._rows = {r: dict(row) for r, row in self._rows.items()}
         for r, row in other._rows.items():
@@ -280,13 +294,19 @@ class SparseMatrix:
             return NotImplemented
         return self.dim == other.dim and list(self.items()) == list(other.items())
 
+    def _check_vector(self, vec):
+        if len(vec) != self.dim:
+            raise ValueError(f"vector length {len(vec)} != dim {self.dim}")
+
     def apply(self, vec):
+        self._check_vector(vec)
         out = [Fraction(0)] * self.dim
         for r, row in self._rows.items():
             out[r] = sum(v * vec[c] for c, v in row.items())
         return out
 
     def apply_left(self, vec):
+        self._check_vector(vec)
         out = [Fraction(0)] * self.dim
         for r, row in self._rows.items():
             vr = vec[r]
@@ -354,72 +374,203 @@ def embed_local(op: Matrix, first_site: int, length: int) -> SparseMatrix:
 
 
 def exact_nullspace(M) -> list:
-    """Exact basis of the kernel, by sparse rational elimination.
+    """Exact basis of the kernel of a rational matrix, computed modulo primes.
 
-    Pivots are chosen to limit fill-in (shortest row first, then sparsest
-    column), which keeps the very sparse Markov/transfer systems fast; the
-    arithmetic is exact throughout.  Returns a list of length-dim vectors.
+    Each row is scaled by the lcm of its denominators, which keeps the
+    kernel and makes the matrix integral.  Sparse elimination (shortest row
+    first, then sparsest column) runs modulo primes just below 2^61; the
+    first prime's pivot order is replayed at the later ones.  The residues
+    of the kernel basis are combined by the CRT and lifted to rationals by
+    rational reconstruction, until an exact integer matvec shows M v = 0 for
+    every basis vector.
+
+    The result is exact: rank mod p <= rank over Q, so the kernel over Q is
+    never larger than the kernel mod p.  The k certified vectors each carry
+    a 1 at their own free column and 0 at the others, so they are
+    independent, and k = dim ker_p makes them a basis over Q.  A prime at
+    which the rank drops is dropped: either a replayed pivot vanishes, or a
+    later prime finds more pivots and the smaller kernel replaces it.
+
+    Returns one length-dim Fraction vector per free column, in column order.
     """
     if isinstance(M, Matrix):
         M = SparseMatrix.from_dense(M)
-    dim = M.dim
-    rows = [dict(M._rows.get(r, {})) for r in range(dim)]
-    col_count = [0] * dim
-    for row in rows:
-        for c in row:
-            col_count[c] += 1
-    eliminated = [False] * dim
-    pivot_row_of_col = {}
+    rows = _integer_rows(M)
+    order = None
+    modulus = 1
+    for p in _primes():
+        got = _eliminate_mod(rows, M.dim, p, order or ())
+        if got is None:
+            continue
+        pivots, basis = got
+        if order is None or len(pivots) > len(order):
+            order, residues, modulus = pivots, basis, p
+        else:  # CRT: x = r mod modulus and x = s mod p
+            inv = pow(modulus, -1, p)
+            residues = [[r + modulus * ((s - r) * inv % p)
+                         for r, s in zip(rv, sv)]
+                        for rv, sv in zip(residues, basis)]
+            modulus *= p
+        if not residues:
+            return []
+        candidate = _reconstruct(residues, modulus)
+        if candidate is not None and _annihilates(rows, candidate):
+            return candidate
+
+
+def _integer_rows(M: SparseMatrix) -> list:
+    """Rows of M as {col: int}, each scaled by the lcm of its denominators."""
+    out = []
+    for r in range(M.dim):
+        row = M._rows.get(r, {})
+        den = math.lcm(*(v.denominator for v in row.values()))
+        out.append({c: v.numerator * (den // v.denominator)
+                    for c, v in row.items()})
+    return out
+
+
+def _primes():
+    """The primes below 2^61 in decreasing order."""
+    n = (1 << 61) - 1
     while True:
-        best = None
-        for ri in range(dim):
-            if eliminated[ri] or not rows[ri]:
-                continue
-            nnz = len(rows[ri])
-            cj = min(rows[ri], key=lambda c: (col_count[c], c))
-            key = (nnz, col_count[cj], ri)
-            if best is None or key < best[0]:
-                best = (key, ri, cj)
-                if nnz == 1 and col_count[cj] == 1:
-                    break
-        if best is None:
+        if _is_prime(n):
+            yield n
+        n -= 2
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 12 prime bases: exact for n < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _eliminate_mod(rows, dim, p, order):
+    """Kernel basis of the integer rows modulo p, by sparse elimination.
+
+    The pivots (row, col) of ``order`` are taken first; further pivots are
+    chosen by the shortest active row, then its sparsest column, ties to
+    the lowest index.  Returns (pivots, basis), with one residue vector per
+    free column, or None when a pivot of ``order`` vanishes modulo p.
+    """
+    work = [{c: v % p for c, v in row.items() if v % p} for row in rows]
+    active = {r for r in range(dim) if work[r]}
+    col_count = [0] * dim  # entries per column over the active rows
+    for r in active:
+        for c in work[r]:
+            col_count[c] += 1
+    pivots = []
+    upper = []
+    while True:
+        if len(pivots) < len(order):
+            ri, cj = order[len(pivots)]
+            if cj not in work[ri]:
+                return None
+        elif not active:
             break
-        _, ri, cj = best
-        piv = rows[ri][cj]
-        eliminated[ri] = True
-        pivot_row_of_col[cj] = ri
-        for c in rows[ri]:
+        else:
+            ri, cj = _markowitz(work, active, col_count)
+        prow = work[ri]
+        inv = pow(prow[cj], -1, p)
+        prow = {c: v * inv % p for c, v in prow.items()}
+        pivots.append((ri, cj))
+        upper.append((cj, prow))
+        active.discard(ri)
+        for c in prow:
             col_count[c] -= 1
-        rows[ri] = {c: v / piv for c, v in rows[ri].items()}
-        for rk in range(dim):
-            if rk == ri:
-                continue
-            f = rows[rk].get(cj)
+        rest = [(c, v) for c, v in prow.items() if c != cj]
+        for rk in list(active):
+            tgt = work[rk]
+            f = tgt.pop(cj, None)
             if f is None:
                 continue
-            tgt = rows[rk]
-            track = not eliminated[rk]  # counts cover active rows only
-            if track:
-                for c in tgt:
-                    col_count[c] -= 1
-            for c, v in rows[ri].items():
-                nv = tgt.get(c, 0) - f * v
+            col_count[cj] -= 1
+            for c, v in rest:
+                old = tgt.get(c)
+                nv = ((old or 0) - f * v) % p
                 if nv:
                     tgt[c] = nv
+                    if old is None:
+                        col_count[c] += 1
                 else:
-                    tgt.pop(c, None)
-            if track:
-                for c in tgt:
-                    col_count[c] += 1
-    free_cols = [c for c in range(dim) if c not in pivot_row_of_col]
+                    del tgt[c]
+                    col_count[c] -= 1
+            if not tgt:
+                active.discard(rk)
+    pivot_cols = {cj for cj, _ in upper}
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * dim
-        vec[fc] = Fraction(1)
-        for c, ri in pivot_row_of_col.items():
-            vec[c] = -rows[ri].get(fc, Fraction(0))
+    for fc in range(dim):
+        if fc in pivot_cols:
+            continue
+        vec = [0] * dim
+        vec[fc] = 1
+        for cj, prow in reversed(upper):
+            vec[cj] = -sum(v * vec[c] for c, v in prow.items()) % p
         basis.append(vec)
-    return basis
+    return pivots, basis
+
+
+def _markowitz(work, active, col_count):
+    """Pivot of the shortest active row at its sparsest column."""
+    shortest = min(len(work[r]) for r in active)
+    best = None
+    for r in active:
+        row = work[r]
+        if len(row) != shortest:
+            continue
+        c = min(row, key=lambda c: (col_count[c], c))
+        key = (col_count[c], r)
+        if best is None or key < best[0]:
+            best = (key, r, c)
+    return best[1], best[2]
+
+
+def _reconstruct(residues, modulus):
+    """Rational vectors with the given residues, or None if an entry has no
+    reconstruction with numerator and denominator below sqrt(modulus/2)."""
+    bound = math.isqrt(modulus >> 1)
+    out = []
+    for vec in residues:
+        rat = []
+        for u in vec:
+            r0, r1, t0, t1 = modulus, u, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1 = r1, r0 - q * r1
+                t0, t1 = t1, t0 - q * t1
+            if abs(t1) > bound or math.gcd(r1, t1) != 1:
+                return None
+            rat.append(Fraction(r1, t1))
+        out.append(rat)
+    return out
+
+
+def _annihilates(rows, vectors) -> bool:
+    """Exact check that every integer row is orthogonal to every vector."""
+    for vec in vectors:
+        den = math.lcm(*(x.denominator for x in vec))
+        w = [x.numerator * (den // x.denominator) for x in vec]
+        for row in rows:
+            if sum(v * w[c] for c, v in row.items()):
+                return False
+    return True
 
 
 def derivative_at(f, x0) -> Matrix:

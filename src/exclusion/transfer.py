@@ -121,8 +121,16 @@ def markov_from_transfer(model: ModelDescriptor, L: int) -> CheckReport:
 
 
 def lambda_eigenvalue(model: ModelDescriptor, x, thetas) -> Fraction:
-    """Closed-form transfer eigenvalue on the matrix-ansatz eigenvector."""
+    """Closed-form transfer eigenvalue on the matrix-ansatz eigenvector.
+    A pole of the closed form (such as x = 1/q for ASEP) raises PoleError."""
     thetas = [Fraction(t) for t in thetas]
+    try:
+        return _lambda_closed_form(model, x, thetas)
+    except ZeroDivisionError as exc:
+        raise PoleError(f"eigenvalue lambda has a pole at x={x}") from exc
+
+
+def _lambda_closed_form(model: ModelDescriptor, x, thetas) -> Fraction:
     if model.name == m.SSEP:
         al, be, ga, de = model.alpha, model.beta, model.gamma, model.delta
         f_r = ((x + 1) * (de + be) - 1) / (x * (de + be) + 1)

@@ -169,3 +169,30 @@ def test_bench_runs(capsys):
     tasks = {line.split(",")[0] for line in lines[1:]}
     assert {"build_markov", "steady_nullspace", "steady_ansatz",
             "transfer_build", "transfer_commutation"} <= tasks
+
+
+def test_length_below_one_exits_2(capsys):
+    for argv in (("steady", "--model", "asep", "--L", "0"),
+                 ("steady", "--model", "rd", "--L", "0", "--method", "ansatz"),
+                 ("transfer", "--model", "ssep", "--L", "0"),
+                 ("bench", "--model", "tasep", "--L", "-1"),
+                 ("steady", "--model", "asep", "--L", "x")):
+        code, out = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+
+
+def test_verify_samples_below_one_exits_2(capsys):
+    for n in ("0", "-2"):
+        code, out = run(capsys, "verify", "--model", "asep", "--samples", n)
+        assert code == 2
+        assert out == ""
+
+
+def test_asep_eigenvalue_pole_exits_3(capsys):
+    # lambda(x) has a pole at x = 1/q
+    for check in ("eigenvalue", "left-eigenvector"):
+        code, out = run(capsys, "transfer", "--model", "asep", "--q", "2",
+                        "--L", "2", "--check", check, "--x", "1/2")
+        assert code == 3, check
+        assert out == ""

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exclusion as ex
-from exclusion.tensor import Matrix, PoleError, SparseMatrix, derivative_at, \
-    embed_at_positions, embed_local, exact_nullspace, inverse, kron, \
-    partial_trace_first, partial_transpose, permutation_op
+from exclusion.markov import KernelError, steady_state_exact
+from exclusion.tensor import Matrix, PoleError, SparseMatrix, _primes, \
+    derivative_at, embed_at_positions, embed_local, exact_nullspace, inverse, \
+    kron, partial_trace_first, partial_transpose, permutation_op
 
 I2 = Matrix.identity(2)
 I4 = Matrix.identity(4)
@@ -121,6 +122,104 @@ def test_exact_nullspace_residual_is_exact():
     assert all(x == 0 for x in M.apply(v))
 
 
+def block_diagonal(*blocks):
+    out = SparseMatrix(sum(b.dim for b in blocks))
+    shift = 0
+    for b in blocks:
+        for r, c, v in b.items():
+            out.add(shift + r, shift + c, v)
+        shift += b.dim
+    return out
+
+
+def residual_is_zero(M, vec):
+    return all(x == 0 for x in M.apply(vec))
+
+
+def test_exact_nullspace_unlucky_first_prime():
+    # an entry equal to the first prime vanishes modulo it, so the rank
+    # drops there: the kernel must still come out exact over Q
+    p = next(_primes())
+    assert exact_nullspace(Matrix([[p, 0], [0, 1]])) == []
+    assert exact_nullspace(Matrix([[F(1, p), 0], [0, 1]])) == []
+    M = Matrix([[p, -1], [0, 0]])
+    (v,) = exact_nullspace(M)
+    assert v[1] == p * v[0] != 0
+    # modulo p the kernel is 2-dimensional, with free columns {0, 2}
+    M = Matrix([[p, 0, 0], [0, 1, 1], [0, 0, 0]])
+    assert exact_nullspace(M) == [[0, -1, 1]]
+    M = SparseMatrix.from_dense(Matrix([[p, 1, 0], [1, 0, 0], [0, 2, 0]]))
+    (v,) = exact_nullspace(M)
+    assert residual_is_zero(M, v) and v == [0, 0, 1]
+
+
+def test_exact_nullspace_two_dimensional_kernel():
+    a = ex.build_markov(ex.asep(2, F(1, 2), F(2, 3), F(1, 3), F(1, 5)), 2)
+    b = ex.build_markov(ex.rd(3, F(2, 3), F(1, 2), F(1, 5), F(1, 3)), 2)
+    M = block_diagonal(a, b)
+    ker = exact_nullspace(M)
+    assert len(ker) == 2
+    for v in ker:
+        assert residual_is_zero(M, v)
+    # each vector is the steady state of one block, zero on the other
+    (va,), (vb,) = exact_nullspace(a), exact_nullspace(b)
+    assert ker[0] == va + [0] * 4
+    assert ker[1] == [0] * 4 + vb
+    assert exact_nullspace(SparseMatrix(3)) == [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_reducible_chain_raises_kernel_error():
+    a = ex.build_markov(ex.tasep(F(1, 2), F(2, 3)), 2)
+    with pytest.raises(KernelError):
+        steady_state_exact(block_diagonal(a, a))
+
+
+def dense_steady_state(M):
+    """Independent oracle: Gauss-Jordan on M with its last equation
+    replaced by sum(pi) = 1 (the rows of a generator sum to zero)."""
+    n = M.dim
+    a = [[M.get(r, c) for c in range(n)] + [F(0)] for r in range(n - 1)]
+    a.append([F(1)] * n + [F(1)])
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n] for row in a]
+
+
+rates = st.fractions(min_value=F(1, 7), max_value=3, max_denominator=7)
+losses = st.fractions(min_value=0, max_value=3, max_denominator=7)
+
+
+@st.composite
+def models(draw):
+    name = draw(st.sampled_from(["asep", "ssep", "tasep", "rd"]))
+    alpha, beta = draw(rates), draw(rates)
+    if name == "tasep":
+        return ex.tasep(alpha, beta)
+    gamma, delta = draw(losses), draw(losses)
+    if name == "ssep":
+        return ex.ssep(alpha, beta, gamma, delta)
+    if name == "asep":
+        q = draw(rates.filter(lambda q: q != 1))
+        return ex.asep(q, alpha, beta, gamma, delta)
+    kappa = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5)
+                 .filter(lambda k: k not in (0, 1, -1)))
+    return ex.rd(kappa, alpha, beta, gamma, delta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(models(), st.integers(min_value=1, max_value=4))
+def test_steady_state_matches_dense_solve(model, L):
+    M = ex.build_markov(model, L)
+    assert steady_state_exact(M).probabilities() == dense_steady_state(M)
+
+
 def test_derivative_at():
     sq = derivative_at(lambda x: Matrix([[x * x]]), F(3))
     assert sq.a[0][0] == 6
@@ -164,3 +263,30 @@ def test_embed_at_positions_matches_kron_order():
     assert two == kron(A, B)
     swapped = embed_at_positions(kron(A, B), (1, 0), 2).to_dense()
     assert swapped == kron(B, A)
+
+
+def test_matrix_shape_mismatch_raises():
+    with pytest.raises(ValueError):
+        I2 + I4
+    with pytest.raises(ValueError):
+        I4 - I2
+    with pytest.raises(ValueError):
+        Matrix([[1, 2]]) + Matrix([[1], [2]])
+    with pytest.raises(ValueError):
+        Matrix([[1, 2]]).apply([F(1)] * 3)
+
+
+def test_sparse_shape_mismatch_raises():
+    a, b = SparseMatrix.identity(2), SparseMatrix.identity(4)
+    with pytest.raises(ValueError):
+        a + b
+    with pytest.raises(ValueError):
+        b - a
+    with pytest.raises(ValueError):
+        b.apply([F(1)] * 2)
+    with pytest.raises(ValueError):
+        a.apply([F(1)] * 3)
+    with pytest.raises(ValueError):
+        a.apply_left([F(1)] * 3)
+    with pytest.raises(ValueError):  # a tall matrix is not zero-padded
+        exact_nullspace(Matrix([[1, 0], [0, 1], [1, 1]]))

@@ -142,6 +142,11 @@ def test_transfer_pole_names_factor(asep_model):
     assert "factor" in str(err.value)
 
 
+def test_lambda_eigenvalue_pole_raises_pole_error(asep_model):
+    with pytest.raises(PoleError):
+        tr.lambda_eigenvalue(asep_model, 1 / asep_model.q, (F(1),) * 2)
+
+
 def test_rd_inhomogeneous_eigenvector(rd_model):
     import exclusion.ansatz as an
     thetas = (F(3), F(5))
