@@ -13,6 +13,7 @@ TASEP.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -158,7 +159,7 @@ def _scaled_vector(vec):
     for v in vec:
         if v:
             den = _lcm(den, v.denominator)
-    return [int(v * den) for v in vec], den
+    return [v.numerator * (den // v.denominator) for v in vec], den
 
 
 def _scaled_rows(sp: SparseMatrix):
@@ -166,7 +167,8 @@ def _scaled_rows(sp: SparseMatrix):
     for _, row in sp.rows_items():
         for v in row.values():
             den = _lcm(den, v.denominator)
-    rows = {r: {c: int(v * den) for c, v in row.items()}
+    rows = {r: {c: v.numerator * (den // v.denominator)
+                for c, v in row.items()}
             for r, row in sp.rows_items()}
     return rows, den
 
@@ -193,7 +195,10 @@ def _contract_all_words(W, V, site_ops, dim) -> list:
     scaled-integer operators, sharing prefixes; exact, gcd-free."""
     Wi, dW = _scaled_vector(list(W))
     Vi, dV = _scaled_vector(list(V))
-    scaled = [[_scaled_rows(op) for op in ops] for ops in site_ops]
+    # sites often share operators: scale each distinct one once
+    distinct = {id(op): op for ops in site_ops for op in ops}
+    scaled_of = {k: _scaled_rows(op) for k, op in distinct.items()}
+    scaled = [[scaled_of[id(op)] for op in ops] for ops in site_ops]
     out = []
 
     def walk(vec, den, depth):
@@ -654,13 +659,17 @@ def rd_closed_forms(kappa, alpha, beta, gamma, delta, L: int, i: int) -> dict:
 
 
 def rd_profile_rows(kappa, alpha, beta, gamma, delta, L: int,
-                    asymptotics: bool = False):
+                    asymptotics: bool = False, exact: bool = True):
     """All L sites of the closed-form profile.
 
     The per-site phi powers are carried as integers over one shared
     denominator and updated by a small multiplication per site, so the
     exact profile stays quick even at L = 10^4 where the powers are
-    thousands of bits wide.
+    thousands of bits wide.  Each density and current cell is an exact
+    integer quotient n / d: with ``exact`` it is the reduced Fraction(n, d),
+    otherwise the float n / d, which int true division rounds correctly and
+    which therefore equals float(Fraction(n, d)) without reducing the pair.
+    The asymptotic column is a Fraction either way.
     """
     co = rd_boundary_coefficients(kappa, alpha, beta, gamma, delta)
     a, b, c, d, phi = co["a"], co["b"], co["c"], co["d"], co["phi"]
@@ -684,16 +693,18 @@ def rd_profile_rows(kappa, alpha, beta, gamma, delta, L: int,
     A3 = pn ** (L - 1) * pd ** (L - 1)
     A4 = pn ** E
     half = Fraction(1, 2)
-    # fold the constant prefactors into integer numerator/denominator pairs
-    # so each emitted value costs one normalization only
-    dens_den = 2 * P * pd ** E * den.numerator
-    dens_mul = den.denominator
+    # fold the constant prefactors into integer numerator/denominator pairs;
+    # every denominator is made positive, so an exact zero prints as 0, not
+    # as the -0.0 of 0 / (negative int)
+    dens_mul, dens_den = _positive_pair(den.denominator,
+                                        2 * P * pd ** E * den.numerator)
     k_lat = kappa ** 2 / (kappa + 1) / den
     k_eva = -kappa / (kappa + 1) / den
-    lat_mul = k_lat.numerator
-    lat_den = P * pd ** E * pn * k_lat.denominator
-    eva_mul = k_eva.numerator
-    eva_den = P * pd ** E * pn * k_eva.denominator
+    lat_mul, lat_den = _positive_pair(k_lat.numerator,
+                                      P * pd ** E * pn * k_lat.denominator)
+    eva_mul, eva_den = _positive_pair(k_eva.numerator,
+                                      P * pd ** E * pn * k_eva.denominator)
+    quotient = Fraction if exact else operator.truediv
     left_amp = (alpha - gamma) / (2 * kappa + alpha + gamma)
     right_amp = (delta - beta) / (2 * kappa + delta + beta)
     p_up = Fraction(1)      # phi^(i-1), for the asymptotic column
@@ -703,13 +714,15 @@ def rd_profile_rows(kappa, alpha, beta, gamma, delta, L: int,
         t2 = c2 * A2
         t3 = c3 * A3
         t4 = c4 * A4
-        density = half - Fraction((t1 + t2 + t3 + t4) * dens_mul, dens_den)
+        # 1/2 - S m / D = (D - 2 S m) / (2 D)
+        density = quotient(dens_den - 2 * (t1 + t2 + t3 + t4) * dens_mul,
+                           2 * dens_den)
         if i <= L - 1:
             # one phi less on the down-going terms: scale them by pd/pn
             up = (t1 + t2) * pn
             down = (t3 + t4) * pd
-            lat = Fraction((down - up) * lat_mul, lat_den)
-            eva = Fraction((down + up) * eva_mul, eva_den)
+            lat = quotient((down - up) * lat_mul, lat_den)
+            eva = quotient((down + up) * eva_mul, eva_den)
         else:
             lat = eva = None
         row = {"density": density, "current_lat": lat, "current_eva": eva}
@@ -726,6 +739,11 @@ def rd_profile_rows(kappa, alpha, beta, gamma, delta, L: int,
             A4 = A4 * pd // pn
             p_up *= phi
             p_down /= phi
+
+
+def _positive_pair(mul: int, den: int):
+    """(mul, den) with the sign moved so that den > 0."""
+    return (-mul, -den) if den < 0 else (mul, den)
 
 
 def rd_current_balance(kappa, alpha, beta, gamma, delta, L: int, i: int) -> Fraction:

@@ -140,7 +140,16 @@ def _emit(text: str, args):
 def _cell(value, args) -> str:
     if value is None:
         return ""
-    return format_rational(value) if args.exact else float_repr(value)
+    if not args.exact:
+        return float_repr(value)
+    try:
+        return format_rational(value)
+    except ValueError:
+        # int -> str beyond the interpreter's digit limit
+        raise DomainError(
+            f"--exact cell exceeds the int-to-str limit of "
+            f"{sys.get_int_max_str_digits()} digits; drop --exact, or set "
+            f"PYTHONINTMAXSTRDIGITS=0") from None
 
 
 def _report_rows(reports, params):
@@ -290,7 +299,8 @@ def cmd_profile(args) -> int:
     try:
         rows = list(an.rd_profile_rows(model.kappa, model.alpha, model.beta,
                                        model.gamma, model.delta, L,
-                                       asymptotics=args.asymptotics))
+                                       asymptotics=args.asymptotics,
+                                       exact=args.exact))
     except ValueError as exc:
         raise DomainError(str(exc)) from None
     fmt = args.format or "csv"

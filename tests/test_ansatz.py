@@ -6,6 +6,7 @@ import exclusion as ex
 import exclusion.ansatz as an
 import exclusion.markov as mk
 import exclusion.verifier as vf
+from exclusion.scalars import float_repr
 
 
 def dense(sp):
@@ -160,6 +161,37 @@ def test_rd_closed_forms_match_nullspace_exactly():
             if i <= L - 1:
                 assert cf["current_lat"] == obs["current_lat"][i - 1]
                 assert cf["current_eva"] == obs["current_eva"][i - 1]
+
+
+PROFILE_RATES = [(F(1, 2), F(2, 3), F(1, 3), F(1, 5)),
+                 (F(7, 2), F(2, 3), F(1, 3), F(9, 5)),
+                 # alpha = delta, beta = gamma: an exact zero current at the
+                 # middle bond of an even chain
+                 (F(1, 3), F(2, 5), F(2, 5), F(1, 3))]
+
+
+def _printed(row):
+    return {k: None if v is None else float_repr(v) for k, v in row.items()}
+
+
+@pytest.mark.parametrize("kappa", [3, 2, F(1, 2)])
+@pytest.mark.parametrize("rates", PROFILE_RATES)
+def test_rd_profile_rows_match_closed_forms(kappa, rates):
+    # kappa = 1/2 gives phi = -1/3 < 0
+    for L in (2, 3, 7, 40):
+        exact = an.rd_profile_rows(kappa, *rates, L, asymptotics=True)
+        floats = an.rd_profile_rows(kappa, *rates, L, asymptotics=True,
+                                    exact=False)
+        for i, (row, frow) in enumerate(zip(exact, floats), start=1):
+            cf = an.rd_closed_forms(kappa, *rates, L, i)
+            want = {"density": cf["density"],
+                    "current_lat": cf["current_lat"],
+                    "current_eva": cf["current_eva"],
+                    "density_asymptotic": cf["asymptotics"]["density"]}
+            assert row == want, (L, i)
+            assert all(isinstance(v, F) for v in row.values() if v is not None)
+            # the float cells print as the rounded exact value, -0 excluded
+            assert _printed(frow) == _printed(want), (L, i)
 
 
 def test_rd_current_balance_closed_form():

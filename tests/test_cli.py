@@ -1,6 +1,11 @@
+import csv
 import json
+import sys
 from fractions import Fraction as F
 
+import pytest
+
+from exclusion.ansatz import rd_closed_forms
 from exclusion.cli import main
 
 
@@ -141,6 +146,56 @@ def test_transfer_theta_pole_collision_exits_3(capsys):
                   "--L", "2", "--theta", "2,3",
                   "--check", "inhomogeneous-eigenvector")
     assert code == 3
+
+
+@pytest.mark.parametrize("fmt, kappa, rates, L", [
+    ("csv", "2", ("1/2", "2/3", "1/3", "1/5"), 601),
+    # phi = -1/3 and alpha = delta, beta = gamma: current_lat is exactly 0
+    # at the middle bond and must print as 0, not -0
+    ("json", "1/2", ("1/3", "2/5", "2/5", "1/3"), 600),
+])
+def test_profile_float_cells_are_rounded_closed_forms(capsys, fmt, kappa,
+                                                      rates, L):
+    # at L >= 600 the profile's integers are far beyond the float range
+    code, out = run(capsys, "profile", "--model", "rd", "--kappa", kappa,
+                    "--alpha", rates[0], "--beta", rates[1], "--gamma",
+                    rates[2], "--delta", rates[3], "--L", str(L),
+                    "--asymptotics", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        rows = json.loads(out)["profile"]
+    else:
+        rows = list(csv.DictReader(out.splitlines()))
+    assert len(rows) == L
+    zeros = 0
+    for i, row in enumerate(rows, start=1):
+        cf = rd_closed_forms(F(kappa), *map(F, rates), L, i)
+        cf["density_asymptotic"] = cf["asymptotics"]["density"]
+        for col in ("density", "current_lat", "current_eva",
+                    "density_asymptotic"):
+            v = cf[col]
+            assert row[col] == ("" if v is None
+                                else format(float(v), ".17g")), (i, col)
+        zeros += cf["current_lat"] == 0
+    assert zeros == (fmt == "json")
+
+
+def test_exact_beyond_digit_limit_exits_3(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        # the reduced cells here carry about 955 digits
+        code = main(["profile", "--model", "rd", "--kappa", "2",
+                     "--alpha", "1/2", "--beta", "2/3", "--gamma", "1/3",
+                     "--delta", "1/5", "--L", "1000", "--exact"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "640 digits" in captured.err
+    assert "drop --exact" in captured.err
+    assert "PYTHONINTMAXSTRDIGITS=0" in captured.err
 
 
 def test_byte_identical_reruns(tmp_path, capsys):
