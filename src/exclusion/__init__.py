@@ -17,7 +17,8 @@ from .tensor import Matrix, PoleError, SparseMatrix, derivative_at, embed_local,
 from .transfer import TransferSpec, build_transfer, check_commutation, \
     check_crossing_symmetry_t, check_eigenpair, lambda_eigenvalue, \
     markov_from_transfer, ssep_conjugated
-from .ansatz import MPRepresentation, MonodromyRealization, check_gz, check_zf, \
+from .ansatz import MPRepresentation, MonodromyRealization, RDRepresentation, \
+    check_gz, check_zf, \
     inhomogeneous_state, rd_closed_forms, rd_representation, steady_from_ansatz, \
     tasep_representation
 

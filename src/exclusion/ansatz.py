@@ -16,6 +16,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import models as m
 from .markov import Distribution
@@ -47,6 +48,162 @@ class MPRepresentation:
         wv = sum(w * v for w, v in zip(self.W, self.V))
         if wv == 0:
             raise ValueError("degenerate representation: <W|V> = 0")
+
+
+class RDRepresentation:
+    """The RD shift representation on the truncated N (x) N space, held as
+    integer tables over common denominators:
+
+        W[n,m] = Wn[n*N+m] / dW,
+        V[n,m] = Cv[m-n+N-1] Bv[n] / dV,
+        G2[n,m] = g2[n*N+m] / S,   G1, G3 the unit shifts n+1 and m-1.
+
+    The Fraction views W, V and letters are built on first use only; the
+    truncation loops contract the integer tables directly.  (A plain class:
+    a dataclass would cost every CLI start-up its class generation.)
+    """
+    exact_up_to = None   # boundary vectors have infinite tails
+
+    def __init__(self, N, meta, Wn, dW, Cv, Bv, dV, g2, S):
+        self.N, self.meta = N, meta
+        self.Wn, self.dW = Wn, dW
+        self.Cv, self.Bv, self.dV = Cv, Bv, dV
+        self.g2, self.S = g2, S
+        if self._dot_v(Wn) == 0:
+            raise ValueError("degenerate representation: <W|V> = 0")
+
+    @cached_property
+    def _horner(self) -> tuple:
+        """Tables of the row recurrences in _dot_v.  Neighbouring entries of
+        Cv differ by small factors, Cv[u+1] g(u) = Cv[u] f(u) with
+
+            (f(u), g(u)) = (dn pn^u, dd pd^u)     for u >= 0,
+                           (dn pd^-u, dd pn^-u)   for u < 0,
+
+        so sum_u Cv[u] r[u] over u >= 0 (u < 0) is a Horner recurrence
+        that multiplies the running sum by one g(u) (f(u)) per step and
+        each r[u] by a product of f's (g's), times one row factor."""
+        N = self.N
+        dn, dd = self.meta["d"].numerator, self.meta["d"].denominator
+        pn, pd = self.meta["phi"].numerator, self.meta["phi"].denominator
+        emax = N * (N - 1) // 2
+        f_up = [dn ** u * pn ** (u * (u - 1) // 2) for u in range(N)]
+        g_up = [dd * pd ** u for u in range(N)]
+        g_down = [dd ** k * pn ** (k * (k + 1) // 2) for k in range(N)]
+        f_down = [dn * pd ** k for k in range(N)]
+        # Cv[0] over the product of the g (f) steps the recurrence applied
+        k_up = [b * dn ** (N - 1) * dd ** n *
+                pd ** (emax - (N - 1 - n) * (N - 2 - n) // 2)
+                for n, b in enumerate(self.Bv)]
+        k_down = [b * dn ** (N - 1 - n) * dd ** (N - 1) *
+                  pd ** (emax - n * (n + 1) // 2)
+                  for n, b in enumerate(self.Bv)]
+        return f_up, g_up, g_down, f_down, k_up, k_down
+
+    def _dot_v(self, r) -> int:
+        """dV <r|V> = sum_n Bv[n] sum_m Cv[m-n] r[n,m], each row's inner sum
+        split at m = n into two Horner recurrences (see _horner)."""
+        N = self.N
+        f_up, g_up, g_down, f_down, k_up, k_down = self._horner
+        total = 0
+        for n in range(N):
+            row = r[n * N:n * N + N]
+            acc = 0                                  # so g_up[-1] multiplies 0
+            for u, x in enumerate(row[n:]):          # m = n + u
+                acc = acc * g_up[u - 1] + x * f_up[u]
+            total += k_up[n] * acc
+            acc = 0
+            for k in range(1, n + 1):                # m = n - k
+                acc = acc * f_down[k] + row[n - k] * g_down[k]
+            total += k_down[n] * acc
+        return total
+
+    def contract(self, thetas) -> list:
+        """<W| A_1(th_1) ... A_L(th_L) |V> for every choice of component at
+        each site, site 1 most significant, in integers: A(x) = xn/xd G1 +
+        G2 + xd/xn G3 (second component: the shifts negated) is scaled by
+        S xn xd, so that v A = diag +- shift with the stencil
+
+            diag[n,m] = xn xd g2[n,m] v[n,m],
+            shift[n,m] = S (xn^2 v[n+1,m] + xd^2 v[n,m-1]).
+        """
+        den = self.dW * self.dV
+        sites = []
+        for t in thetas:
+            xn, xd = t.numerator, t.denominator
+            g2 = self.g2 if xn * xd == 1 else [xn * xd * g for g in self.g2]
+            sites.append((g2, self.S * xn * xn, self.S * xd * xd))
+            den *= self.S * xn * xd
+        if not sites:
+            return [Fraction(self._dot_v(self.Wn), den)]
+        out = []
+        stack = [(list(self.Wn), 0)]
+        while stack:
+            vec, depth = stack.pop()
+            shift = _rd_stencil(vec, *sites[depth], self.N)
+            if depth + 1 == len(sites):
+                # the last site needs only the two dots
+                dd, ds = self._dot_v(vec), self._dot_v(shift)
+                out += [Fraction(dd + ds, den), Fraction(dd - ds, den)]
+                continue
+            for i, s in enumerate(shift):       # in place: vec + and - shift
+                d = vec[i]
+                vec[i] = d + s
+                shift[i] = d - s
+            stack.append((shift, depth + 1))
+            stack.append((vec, depth + 1))
+        return out
+
+    @cached_property
+    def W(self) -> tuple:
+        return tuple(Fraction(w, self.dW) for w in self.Wn)
+
+    @cached_property
+    def V(self) -> tuple:
+        N = self.N
+        return tuple(Fraction(self.Cv[m - n + N - 1] * self.Bv[n], self.dV)
+                     for n in range(N) for m in range(N))
+
+    @cached_property
+    def letters(self) -> dict:
+        N = self.N
+        G1, G2, G3 = (SparseMatrix(N * N) for _ in range(3))
+        for n in range(N):
+            for mm in range(N):
+                p = n * N + mm
+                G2.add(p, p, Fraction(self.g2[p], self.S))
+                if n + 1 < N:
+                    G1.add((n + 1) * N + mm, p, Fraction(1))
+                if mm - 1 >= 0:
+                    G3.add(n * N + mm - 1, p, Fraction(1))
+        return {"G1": G1, "G2": G2, "G3": G3,
+                "E": G2 + G1 + G3, "D": G2 - G1 - G3}
+
+
+def _rd_stencil(vec, g2, s1, s3, N) -> list:
+    """One scaled site: returns shift and turns vec into diag in place, so
+    that vec A = diag + shift (first component) or diag - shift."""
+    up = vec[N:] + [0] * N                       # v[n+1, m]
+    left = []                                    # v[n, m-1]
+    for row in range(0, N * N, N):
+        left.append(0)
+        left += vec[row:row + N - 1]
+    if s1 == s3:
+        shift = [s1 * (u + v) for u, v in zip(up, left)]
+    else:
+        shift = [s1 * u + s3 * v for u, v in zip(up, left)]
+    for i, g in enumerate(g2):
+        vec[i] *= g
+    return shift
+
+
+def _power_pairs(x: int, y: int, n: int) -> list:
+    """[x^j y^(n-1-j) for j in range(n)], from two power tables."""
+    xs, ys = [1], [1]
+    for _ in range(n - 1):
+        xs.append(xs[-1] * x)
+        ys.append(ys[-1] * y)
+    return [xs[j] * ys[n - 1 - j] for j in range(n)]
 
 
 def tasep_representation(alpha, beta, N: int) -> MPRepresentation:
@@ -90,10 +247,26 @@ def rd_boundary_coefficients(kappa, alpha, beta, gamma, delta) -> dict:
     }
 
 
-def rd_representation(kappa, alpha, beta, gamma, delta, N: int) -> MPRepresentation:
+def rd_representation(kappa, alpha, beta, gamma, delta, N: int) -> RDRepresentation:
     """Three-generator representation G1 = g1 (x) 1, G2 = g2 (x) g2,
     G3 = 1 (x) g3 on a truncated N^2-dimensional tensor space, with the
-    closed-form boundary vectors."""
+    closed-form boundary vectors
+
+        W[n,m] = c^k a^m phi^(k(k-1)/2) / tail[m],   k = n - m,
+        V[n,m] = d^u b^n phi^(u(u-1)/2) / tail[n],   u = m - n,
+        tail[m] = prod_{1<=j<=m} (1 - phi^(2j)).
+
+    With phi = pn/pd (a, b, c, d alike), tail[m] = T[m] / pd^(m(m+1)) for
+    T[m] = prod_{j<=m} (pd^(2j) - pn^(2j)), and U[m] = T[N-1] / T[m] is a
+    product of the last factors.  So W[n,m] = Cw[k] Aw[m] / dW with
+
+        Cw[k] = cn^(N-1+k) cd^(N-1-k) pn^e pd^(emax-e),   e = k(k-1)/2,
+        Aw[m] = an^m ad^(N-1-m) pd^(m(m+1)) U[m],
+        dW = cn^(N-1) cd^(N-1) ad^(N-1) pd^emax T[N-1],
+
+    emax = N(N-1)/2, and V is the mirror image built from d and b: each
+    table entry is one integer product, with no gcd.
+    """
     kappa = Fraction(kappa)
     if kappa in (0, 1, -1):
         raise ValueError("rd representation needs kappa not in {0, 1, -1}")
@@ -107,41 +280,39 @@ def rd_representation(kappa, alpha, beta, gamma, delta, N: int) -> MPRepresentat
                          "degenerate (alpha = gamma or beta = delta)")
     if N < 2:
         raise ValueError("N must be >= 2")
-    dim = N * N
-    G1 = SparseMatrix(dim)
-    G2 = SparseMatrix(dim)
-    G3 = SparseMatrix(dim)
-    for n in range(N):
-        for mm in range(N):
-            p = n * N + mm
-            G2.add(p, p, phi ** (n + mm))
-            if n + 1 < N:
-                G1.add((n + 1) * N + mm, p, Fraction(1))
-            if mm - 1 >= 0:
-                G3.add(n * N + mm - 1, p, Fraction(1))
-    E = G2 + G1 + G3
-    D = G2 - G1 - G3
-    a, b, c, d = co["a"], co["b"], co["c"], co["d"]
-    tail = [Fraction(1)]
-    for k in range(1, N):
-        tail.append(tail[-1] * (1 - phi ** (2 * k)))
-    W = [Fraction(0)] * dim
-    V = [Fraction(0)] * dim
-    for n in range(N):
-        for mm in range(N):
-            u = mm - n
-            W[n * N + mm] = c ** (n - mm) * a ** mm * \
-                phi ** ((n - mm) * (n - mm - 1) // 2) / tail[mm]
-            V[n * N + mm] = d ** u * b ** n * \
-                phi ** (u * (u - 1) // 2) / tail[n]
-    letters = {"G1": G1, "G2": G2, "G3": G3, "E": E, "D": D}
+    pn, pd = phi.numerator, phi.denominator
+    emax = N * (N - 1) // 2
+    # pn^e pd^(emax-e) for e = k(k-1)/2, k = 1-N .. N-1; shared by W and V
+    ph = [pn ** e * pd ** (emax - e)
+          for e in (k * (k - 1) // 2 for k in range(1 - N, N))]
+    U = [1] * N
+    for j in range(N - 1, 0, -1):
+        U[j - 1] = U[j] * (pd ** (2 * j) - pn ** (2 * j))
+    T = U[0]
+    tails = [pd ** (j * (j + 1)) * u for j, u in enumerate(U)]
+
+    def side(x, y):
+        # (C[k + N - 1], A[j], dx^(N-1) dy^(N-1)) for x = c or d, y = a or b
+        C = [h * p for h, p in zip(_power_pairs(x.numerator, x.denominator,
+                                                2 * N - 1), ph)]
+        A = [h * t for h, t in zip(_power_pairs(y.numerator, y.denominator, N),
+                                   tails)]
+        return C, A, (x.numerator * x.denominator * y.denominator) ** (N - 1)
+
+    Cw, Aw, sw = side(co["c"], co["a"])
+    Cv, Bv, sv = side(co["d"], co["b"])
+    Wn = tuple(Cw[n - mm + N - 1] * Aw[mm] for n in range(N) for mm in range(N))
+    g = _power_pairs(pn, pd, 2 * N - 1)     # pn^j pd^(2N-2-j), j = n + m
+    g2 = tuple(g[n + mm] for n in range(N) for mm in range(N))
     meta = {"model": "rd", "kappa": kappa, "alpha": Fraction(alpha),
             "beta": Fraction(beta), "gamma": Fraction(gamma),
             "delta": Fraction(delta), **co}
-    return MPRepresentation(letters, tuple(W), tuple(V), N, None, meta)
+    return RDRepresentation(N, meta, Wn, sw * pd ** emax * T, tuple(Cv),
+                            tuple(Bv), sv * pd ** emax * T, g2,
+                            pd ** (2 * N - 2))
 
 
-def rd_convergence_ok(rep: MPRepresentation, L: int) -> bool:
+def rd_convergence_ok(rep: RDRepresentation, L: int) -> bool:
     """Stolz-Cesaro convergence conditions of the normalization series."""
     a, b, c, d, phi = (rep.meta[k] for k in ("a", "b", "c", "d", "phi"))
     g = 1 - phi * phi
@@ -183,44 +354,41 @@ def _apply_left_int(rows, vec, dim):
     return out
 
 
-def _contract(rep: MPRepresentation, word) -> Fraction:
+def _contract(rep: MPRepresentation | RDRepresentation, word) -> Fraction:
     vec = list(rep.W)
     for letter in word:
         vec = rep.letters[letter].apply_left(vec)
     return sum(v * w for v, w in zip(vec, rep.V))
 
 
-def _contract_all_words(W, V, site_ops, dim) -> list:
-    """<W| X_1 ... X_L |V> for every choice of X_k among each site's two
-    scaled-integer operators, sharing prefixes; exact, gcd-free."""
-    Wi, dW = _scaled_vector(list(W))
-    Vi, dV = _scaled_vector(list(V))
-    # sites often share operators: scale each distinct one once
-    distinct = {id(op): op for ops in site_ops for op in ops}
-    scaled_of = {k: _scaled_rows(op) for k, op in distinct.items()}
-    scaled = [[scaled_of[id(op)] for op in ops] for ops in site_ops]
+def _contract_all_words(rep: MPRepresentation, L: int) -> list:
+    """<W| X_1 ... X_L |V> for every choice of X_k among E and D, sharing
+    prefixes; scaled-integer, gcd-free."""
+    Wi, dW = _scaled_vector(list(rep.W))
+    Vi, dV = _scaled_vector(list(rep.V))
+    ops = [_scaled_rows(rep.letters[k]) for k in ("E", "D")]
     out = []
 
     def walk(vec, den, depth):
-        if depth == len(scaled):
+        if depth == L:
             num = sum(v * w for v, w in zip(vec, Vi))
             out.append(Fraction(num, den * dV))
             return
-        for rows, dl in scaled[depth]:
-            walk(_apply_left_int(rows, vec, dim), den * dl, depth + 1)
+        for rows, dl in ops:
+            walk(_apply_left_int(rows, vec, rep.N), den * dl, depth + 1)
 
     walk(Wi, dW, 0)
     return out
 
 
-def ansatz_weights(rep: MPRepresentation, L: int) -> list:
+def ansatz_weights(rep: MPRepresentation | RDRepresentation, L: int) -> list:
     """<W| prod_i ((1-tau_i) E + tau_i D) |V> over all 2^L configurations."""
-    dim = next(iter(rep.letters.values())).dim
-    ops = [(rep.letters["E"], rep.letters["D"])] * L
-    return _contract_all_words(rep.W, rep.V, ops, dim)
+    if isinstance(rep, RDRepresentation):
+        return rep.contract([Fraction(1)] * L)   # E, D = A(1) components
+    return _contract_all_words(rep, L)
 
 
-def steady_from_ansatz(rep: MPRepresentation, L: int,
+def steady_from_ansatz(rep: MPRepresentation | RDRepresentation, L: int,
                        cap: int = CAP) -> Distribution:
     """Stationary distribution from the representation.  Exact reps are
     contracted directly; approximate (RD) reps run the truncation-doubling
@@ -238,7 +406,7 @@ def steady_from_ansatz(rep: MPRepresentation, L: int,
     return dist
 
 
-def rd_steady_converged(rep: MPRepresentation, L: int, cap: int = CAP):
+def rd_steady_converged(rep: RDRepresentation, L: int, cap: int = CAP):
     """(Distribution, meta) after doubling N until two successive iterates
     agree to relative 1e-12 (rational cross-multiplied comparison)."""
     meta = rep.meta
@@ -276,8 +444,8 @@ class AnsatzVector:
     """Operator-valued two-vector A(x) of the RD representation:
     A = (G1 x + G2 + G3/x, -G1 x + G2 - G3/x)."""
 
-    def __init__(self, rep: MPRepresentation):
-        if "G1" not in rep.letters:
+    def __init__(self, rep: RDRepresentation):
+        if not isinstance(rep, RDRepresentation):
             raise ValueError("ansatz vector requires the RD representation")
         self.rep = rep
 
@@ -295,18 +463,17 @@ class AnsatzVector:
         return G1.scale(Fraction(sign)) + G3.scale(Fraction(-sign))
 
 
-def inhomogeneous_state(rep: MPRepresentation, thetas) -> list:
+def inhomogeneous_state(rep: RDRepresentation, thetas) -> list:
     """The 2^L-component contraction <W| A_1(th_1)...A_L(th_L) |V>."""
     thetas = [Fraction(t) for t in thetas]
     if any(t == 0 for t in thetas):
         raise PoleError("inhomogeneity theta = 0 hits the 1/x term")
-    A = AnsatzVector(rep)
-    dim = next(iter(rep.letters.values())).dim
-    ops = [(A.component(0, t), A.component(1, t)) for t in thetas]
-    return _contract_all_words(rep.W, rep.V, ops, dim)
+    if not isinstance(rep, RDRepresentation):
+        raise ValueError("ansatz vector requires the RD representation")
+    return rep.contract(thetas)
 
 
-def partition_function(rep: MPRepresentation, thetas) -> Fraction:
+def partition_function(rep: RDRepresentation, thetas) -> Fraction:
     """Z_L(theta) = <1|-contraction of the inhomogeneous state."""
     return sum(inhomogeneous_state(rep, thetas))
 
@@ -407,7 +574,7 @@ def check_zf(realization, x1, x2) -> CheckReport:
     return _check_zf_rd(realization, x1, x2)
 
 
-def _check_zf_rd(rep: MPRepresentation, x1, x2) -> CheckReport:
+def _check_zf_rd(rep: RDRepresentation, x1, x2) -> CheckReport:
     model = m.rd(rep.meta["kappa"], rep.meta["alpha"], rep.meta["beta"],
                  rep.meta["gamma"], rep.meta["delta"])
     pts = (x1, x2)
@@ -532,7 +699,7 @@ def check_c_commutation(realization: MonodromyRealization, x1, x2) -> CheckRepor
 
 # --------------------------------------------------------------- GZ relations
 
-def _interior_row_zero(rep: MPRepresentation, vec, margin: int) -> tuple | None:
+def _interior_row_zero(rep: RDRepresentation, vec, margin: int) -> tuple | None:
     """First nonzero interior component of a residual vector, or None."""
     N = rep.N
     cut = N - margin
@@ -544,7 +711,7 @@ def _interior_row_zero(rep: MPRepresentation, vec, margin: int) -> tuple | None:
     return None
 
 
-def check_gz(rep: MPRepresentation, x) -> list:
+def check_gz(rep: RDRepresentation, x) -> list:
     """Boundary reflection relations of the RD representation on interior
     truncation indices, plus their derivative consequences."""
     x = Fraction(x)

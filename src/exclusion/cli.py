@@ -296,13 +296,7 @@ def cmd_profile(args) -> int:
     if co["c"] == 0 or co["d"] == 0:
         raise DomainError("degenerate boundary coefficients: alpha = gamma "
                           "or beta = delta makes c or d vanish")
-    try:
-        rows = list(an.rd_profile_rows(model.kappa, model.alpha, model.beta,
-                                       model.gamma, model.delta, L,
-                                       asymptotics=args.asymptotics,
-                                       exact=args.exact))
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    rows = _profile_rows(model, L, args)
     fmt = args.format or "csv"
     if fmt == "json":
         doc = {"schema": SCHEMA, "model": model.name,
@@ -331,6 +325,18 @@ def cmd_profile(args) -> int:
         wcsv.writerow(row)
     _emit(buf.getvalue(), args)
     return 0
+
+
+def _profile_rows(model, L, args):
+    """The closed-form rows, drawn one at a time as they are formatted; a
+    domain error of the formulas surfaces as a DomainError."""
+    try:
+        yield from an.rd_profile_rows(model.kappa, model.alpha, model.beta,
+                                      model.gamma, model.delta, L,
+                                      asymptotics=args.asymptotics,
+                                      exact=args.exact)
+    except ValueError as exc:
+        raise DomainError(str(exc)) from None
 
 
 def cmd_transfer(args) -> int:
@@ -386,19 +392,15 @@ def cmd_transfer(args) -> int:
 def _inhomogeneous_eigen_reports(model, spec, cap) -> list:
     if model.name != m.RD:
         raise DomainError("inhomogeneous-eigenvector is the RD check")
-    # probe every evaluation point before paying for the convergence loop
-    for theta in spec.thetas:
-        for x in (theta, 1 / theta):
-            tr.build_transfer(spec, x)
-    state, meta = an.rd_inhomogeneous_converged(model, spec.thetas, cap=cap)
+    # build every transfer matrix before paying for the convergence loop, so
+    # that a pole fails fast; the checks below reuse them
+    points = [x for theta in spec.thetas for x in (theta, 1 / theta)]
+    transfers = [tr.build_transfer(spec, x) for x in points]
+    state, _ = an.rd_inhomogeneous_converged(model, spec.thetas, cap=cap)
     tol = Fraction(1, 10 ** 10)
-    reports = []
-    for i, theta in enumerate(spec.thetas):
-        for x in (theta, 1 / theta):
-            rep = tr.check_eigenpair(spec, x, state, side="right",
-                                     eigenvalue=Fraction(1), tolerance=tol)
-            reports.append(rep)
-    return reports
+    return [tr.check_eigenpair(spec, x, state, side="right",
+                               eigenvalue=Fraction(1), tolerance=tol, t=t)
+            for x, t in zip(points, transfers)]
 
 
 def cmd_bench(args) -> int:

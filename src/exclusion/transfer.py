@@ -155,9 +155,11 @@ def _lambda_closed_form(model: ModelDescriptor, x, thetas) -> Fraction:
 
 
 def check_eigenpair(spec: TransferSpec, x, vector, side: str = "right",
-                    eigenvalue=None, tolerance: Fraction | None = None) -> CheckReport:
+                    eigenvalue=None, tolerance: Fraction | None = None,
+                    t: SparseMatrix | None = None) -> CheckReport:
     """t(x) v = lambda v (right) or v^T t(x) = lambda v^T (left), exactly,
-    or within a relative residual when a tolerance is given."""
+    or within a relative residual when a tolerance is given.  t(x) is built
+    here unless the caller passes the one it already built."""
     model = spec.model
     check = f"transfer.eigen_{side}"
     if not any(vector):
@@ -166,8 +168,8 @@ def check_eigenpair(spec: TransferSpec, x, vector, side: str = "right",
     def run():
         lam = eigenvalue if eigenvalue is not None else \
             lambda_eigenvalue(model, x, spec.thetas)
-        t = build_transfer(spec, x)
-        got = t.apply(vector) if side == "right" else t.apply_left(vector)
+        tx = build_transfer(spec, x) if t is None else t
+        got = tx.apply(vector) if side == "right" else tx.apply_left(vector)
         want = [lam * v for v in vector]
         if tolerance is None:
             lhs = Matrix([got])

@@ -1,6 +1,9 @@
 from fractions import Fraction as F
+from itertools import product
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import exclusion as ex
 import exclusion.ansatz as an
@@ -117,6 +120,91 @@ def test_rd_rep_validation():
         an.rd_representation(F(-3), 1, 1, 0, 0, 4)  # |phi| = 2 >= 1
     with pytest.raises(ValueError):
         an.rd_representation(3, 1, 1, 1, 0, 4)  # c = 0 (alpha = gamma)
+
+
+def _closed_form_boundary(co, N):
+    """W[n,m] and V[n,m] entry by entry from the closed forms."""
+    a, b, c, d, phi = (co[k] for k in ("a", "b", "c", "d", "phi"))
+    tail = [prod((1 - phi ** (2 * j) for j in range(1, k + 1)), start=F(1))
+            for k in range(N)]
+    W = [c ** (n - m) * a ** m * phi ** ((n - m) * (n - m - 1) // 2) / tail[m]
+         for n in range(N) for m in range(N)]
+    V = [d ** (m - n) * b ** n * phi ** ((m - n) * (m - n - 1) // 2) / tail[n]
+         for n in range(N) for m in range(N)]
+    return W, V
+
+
+def _oracle_inhomogeneous(rep, thetas):
+    """<W| A_1 ... A_L |V> word by word on the Fraction views."""
+    A = an.AnsatzVector(rep)
+    comps = [[A.component(i, t) for i in (0, 1)] for t in thetas]
+    out = []
+    for word in product((0, 1), repeat=len(thetas)):
+        vec = list(rep.W)
+        for site, i in enumerate(word):
+            vec = comps[site][i].apply_left(vec)
+        out.append(sum(v * w for v, w in zip(vec, rep.V)))
+    return out
+
+
+def _check_integer_tables(rep, L, thetas):
+    N, phi = rep.N, rep.meta["phi"]
+    W, V = _closed_form_boundary(rep.meta, N)
+    assert list(rep.W) == W
+    assert list(rep.V) == V
+    G2 = rep.letters["G2"]
+    assert list(G2.items()) == [(n * N + m, n * N + m, phi ** (n + m))
+                                for n in range(N) for m in range(N)]
+    words = ["".join(w) for w in product("ED", repeat=L)]
+    assert an.ansatz_weights(rep, L) == [an._contract(rep, w) for w in words]
+    assert an.inhomogeneous_state(rep, thetas) == \
+        _oracle_inhomogeneous(rep, thetas)
+
+
+RD_RATES = [(F(1, 2), F(2, 3), F(1, 3), F(1, 5)),
+            (F(3, 2), F(2), F(1, 2), F(1, 3)),
+            (F(1), F(1), F(0), F(0))]
+
+
+@pytest.mark.parametrize("kappa", [3, 2, F(1, 2), F(1, 3), 4])
+@pytest.mark.parametrize("rates", RD_RATES)
+def test_rd_integer_tables_match_fraction_oracle(kappa, rates):
+    # kappa = 1/2 and 1/3 give phi = -1/3 and -1/2; kappa = 4 gives 3/5
+    thetas = (F(3, 2), F(2), F(-1, 3), F(5))
+    for N, L in ((6, 2), (7, 3), (9, 4)):
+        rep = an.rd_representation(kappa, *rates, N)
+        _check_integer_tables(rep, L, thetas[:L])
+
+
+positive = st.fractions(min_value=F(1, 9), max_value=4, max_denominator=9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+       positive, positive, st.fractions(min_value=0, max_value=4,
+                                        max_denominator=9),
+       st.fractions(min_value=0, max_value=4, max_denominator=9),
+       st.integers(min_value=2, max_value=5),
+       st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5)
+                .filter(bool), min_size=1, max_size=3))
+def test_rd_integer_tables_property(kappa, alpha, beta, gamma, delta, N,
+                                    thetas):
+    rates = (kappa, alpha, beta, gamma, delta)
+    try:
+        co = an.rd_boundary_coefficients(*rates)
+    except ZeroDivisionError:
+        return              # kappa = -1, or 2 kappa + alpha + gamma = 0
+    if kappa in (0, 1) or abs(co["phi"]) >= 1 or 0 in (co["c"], co["d"]):
+        with pytest.raises(ValueError):
+            an.rd_representation(*rates, N)
+        return
+    W, V = _closed_form_boundary(co, N)
+    if sum(w * v for w, v in zip(W, V)) == 0:
+        with pytest.raises(ValueError, match=r"<W\|V> = 0"):
+            an.rd_representation(*rates, N)
+        return
+    rep = an.rd_representation(*rates, N)
+    _check_integer_tables(rep, len(thetas), thetas)
 
 
 def test_rd_steady_matches_nullspace():

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import exclusion.ansatz as an
+import exclusion.transfer as tr
 from exclusion.ansatz import rd_closed_forms
 from exclusion.cli import main
 
@@ -123,13 +125,20 @@ def test_transfer_eigenvalue_prints_lambda(capsys):
     assert doc["checks"][0]["status"] == "Pass"
 
 
-def test_transfer_inhomogeneous_eigenvector(capsys):
+def test_transfer_inhomogeneous_eigenvector(capsys, monkeypatch):
+    built = []
+    build = tr.build_transfer
+    monkeypatch.setattr(tr, "build_transfer",
+                        lambda spec, x: built.append(x) or build(spec, x))
     code, out = run(capsys, "transfer", "--model", "rd", "--kappa", "2",
                     "--L", "2", "--theta", "2,5",
                     "--check", "inhomogeneous-eigenvector")
     assert code == 0
     doc = json.loads(out)
     assert all(c["status"] == "Pass" for c in doc["checks"])
+    # t(theta) and t(1/theta) are each built once, for the pole probe and
+    # the check alike
+    assert built == [F(2), F(1, 2), F(5), F(1, 5)]
 
 
 def test_truncation_cap_nonconvergence_exits_3(capsys):
@@ -180,7 +189,16 @@ def test_profile_float_cells_are_rounded_closed_forms(capsys, fmt, kappa,
     assert zeros == (fmt == "json")
 
 
-def test_exact_beyond_digit_limit_exits_3(capsys):
+def test_exact_beyond_digit_limit_exits_3(capsys, monkeypatch):
+    drawn = []
+    rows = an.rd_profile_rows
+
+    def counted(*args, **kwargs):
+        for row in rows(*args, **kwargs):
+            drawn.append(row)
+            yield row
+
+    monkeypatch.setattr(an, "rd_profile_rows", counted)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
@@ -193,9 +211,23 @@ def test_exact_beyond_digit_limit_exits_3(capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
+    # each row is formatted as it is drawn: the first cell fails before the
+    # other 999 rows are reduced
+    assert len(drawn) == 1
     assert "640 digits" in captured.err
     assert "drop --exact" in captured.err
     assert "PYTHONINTMAXSTRDIGITS=0" in captured.err
+
+
+def test_profile_vanishing_denominator_exits_3(capsys, monkeypatch):
+    def vanishing(*args, **kwargs):
+        raise ValueError("vanishing denominator 1 - a b phi^(2L-2)")
+        yield
+
+    monkeypatch.setattr(an, "rd_profile_rows", vanishing)
+    code, out = run(capsys, "profile", "--model", "rd", "--L", "4")
+    assert code == 3
+    assert out == ""
 
 
 def test_byte_identical_reruns(tmp_path, capsys):
