@@ -11,7 +11,7 @@ from .models import ASEP, MODEL_NAMES, RD, SSEP, TASEP, ModelDescriptor, \
     ktilde_from_kbar, local_operators, markov_vector, r_matrix, rd, ssep, tasep
 from .markov import Distribution, KernelError, build_markov, evolve, \
     observables, steady_state_exact
-from .scalars import Dual, Jet, format_rational, parse_rational
+from .scalars import Dual, format_rational, parse_rational
 from .tensor import Matrix, PoleError, SparseMatrix, derivative_at, embed_local, \
     exact_nullspace, kron, partial_trace_first, partial_transpose, permutation_op
 from .transfer import TransferSpec, build_transfer, check_commutation, \

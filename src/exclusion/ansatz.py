@@ -408,7 +408,9 @@ def steady_from_ansatz(rep: MPRepresentation | RDRepresentation, L: int,
 
 def rd_steady_converged(rep: RDRepresentation, L: int, cap: int = CAP):
     """(Distribution, meta) after doubling N until two successive iterates
-    agree to relative 1e-12 (rational cross-multiplied comparison)."""
+    agree to relative 1e-12 (rational cross-multiplied comparison).  The
+    first round, at N = max(L + 4, 6), contracts ``rep`` itself when it was
+    built at that N; every later round builds its own representation."""
     meta = rep.meta
     if not rd_convergence_ok(rep, L):
         raise ValueError("normalization series violates the convergence "
@@ -417,8 +419,12 @@ def rd_steady_converged(rep: RDRepresentation, L: int, cap: int = CAP):
     prev = None
     prev_Z = None
     while N <= cap:
-        cur_rep = rd_representation(meta["kappa"], meta["alpha"], meta["beta"],
-                                    meta["gamma"], meta["delta"], N)
+        if prev is None and rep.N == N:
+            cur_rep = rep
+        else:
+            cur_rep = rd_representation(meta["kappa"], meta["alpha"],
+                                        meta["beta"], meta["gamma"],
+                                        meta["delta"], N)
         weights = ansatz_weights(cur_rep, L)
         Z = sum(weights)
         if Z != 0 and prev is not None and prev_Z != 0:

@@ -4,8 +4,8 @@ For each of ASEP, TASEP, SSEP and the reaction-diffusion (RD) chain this
 module provides the local jump operators (w, B, Bbar), the R-matrix, the
 boundary matrices K / Kbar / Ktilde, crossing data, and the scalar vectors
 of the bulk Markovian property.  All entries are exact rational functions
-of the rates and the spectral parameter; constructors accept Fraction,
-Dual or Jet arguments alike.
+of the rates and the spectral parameter, written in closed form; the
+matrix constructors accept Fraction or Dual arguments alike.
 
 Spectral-parameter bookkeeping differs per model: ASEP, TASEP and RD
 compose arguments multiplicatively (x1/x2, identity point 1) while SSEP is
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .scalars import Dual, Jet, lift_like, rat
+from .scalars import Dual, lift_like, rat
 from .tensor import Matrix, PoleError, inverse, kron, partial_trace_first, \
     partial_transpose, permutation_op
 
@@ -194,8 +194,7 @@ def local_operators(model: ModelDescriptor):
 # ---------------------------------------------------------------- R-matrix
 
 def _nonzero(denom, what, x):
-    # a Dual with vanishing value part is a pole at the evaluation point;
-    # a Jet with vanishing constant term is not (valuation division applies)
+    # a Dual with vanishing value part is a pole at the evaluation point
     bad = (denom.value == 0) if isinstance(denom, Dual) else not denom
     if bad:
         raise PoleError(f"{what} vanishes at x={x}")
@@ -203,7 +202,7 @@ def _nonzero(denom, what, x):
 
 
 def r_matrix(model: ModelDescriptor, x) -> Matrix:
-    """The 4x4 R-matrix at spectral parameter x (exact; Dual/Jet-friendly)."""
+    """The 4x4 R-matrix at spectral parameter x (exact; Dual-friendly)."""
     o = lift_like(1, x)
     z = lift_like(0, x)
     if model.name == ASEP:
@@ -243,8 +242,10 @@ def r_matrix_swapped(model: ModelDescriptor, x) -> Matrix:
 
 def k_matrix(model: ModelDescriptor, kind: str, x) -> Matrix:
     """Boundary matrix of the requested kind: 'K' (left), 'Kbar' (right)
-    or 'Ktilde' (dual).  RD has no closed-form Ktilde; it is produced by the
-    duality map, evaluated through its removable singularities."""
+    or 'Ktilde' (dual), each in closed form.  The RD Ktilde is the reduced
+    form of the crossing expression tr_0(Kbar_0(1/x) R_10(1/(x^2 Q)) P_01)
+    / lambda(x^2), so its removable singularities, the identity point
+    included, need no special evaluation; ktilde_from_kbar checks it."""
     if kind == "K":
         return _k_left(model, x)
     if kind == "Kbar":
@@ -332,48 +333,29 @@ def _k_dual(model: ModelDescriptor, x) -> Matrix:
         pre = (2 * x + 1) / d
         return Matrix([[pre * ((x + 1) * (be - de) + 1) / d2, pre * be],
                        [pre * de, pre * ((x + 1) * (de - be) + 1) / d2]])
-    return _rd_ktilde(model, x)
-
-
-def _rd_ktilde(model: ModelDescriptor, x) -> Matrix:
-    """RD dual boundary matrix via the crossing form of the duality map,
-    evaluated on jets so the removable singularities at lambda(x^2)=0 (in
-    particular the identity point) are crossed exactly."""
-    if isinstance(x, Jet):
-        raise TypeError("jet arguments are internal to the Ktilde evaluation")
-    if isinstance(x, Dual):
-        center, slope = x.value, x.deriv
-    else:
-        center, slope = rat(x), None
+    # u = kappa+1, v = kappa-1; every entry carries F/(2uvx G) with
+    # F = u^2 x^4 - v^2 and G = (beta+delta)(x^2-1) + 2kappa(x^2+1)
+    k = model.kappa
+    center = x.value if isinstance(x, Dual) else x
     if center == 0:
         raise PoleError("Ktilde undefined at x=0 (argument 1/x)")
-    xj = Jet.variable(center, 4)
+    u, v = k + 1, k - 1
+    ux, x2 = u * x, x * x
     try:
-        M = _ktilde_crossing_form(model, xj)
-    except PoleError:
-        raise
-    except ZeroDivisionError as exc:
+        dm = _nonzero(ux * ux - v * v, "(kappa+1)^2 x^2 - (kappa-1)^2", x)
+        dp = _nonzero(ux * ux + v * v, "(kappa+1)^2 x^2 + (kappa-1)^2", x)
+        g = _nonzero((be + de) * (x2 - 1) + 2 * k * (x2 + 1),
+                     "(beta+delta)(x^2-1) + 2kappa(x^2+1)", x)
+    except PoleError as exc:
         raise PoleError(f"dual boundary matrix has a pole at x={center}: "
-                        f"{exc}") from exc
-    if slope is None:
-        return M.map(lambda e: e.value)
-    return M.map(lambda e: Dual(e.value, e.deriv * slope))
-
-
-def _ktilde_crossing_form(model: ModelDescriptor, x) -> Matrix:
-    """tr_0( Kbar_0(1/x) U_1^-1 R_10(cross(x^2)) U_1 P_01 ) / lambda(x^2)."""
-    cross = model.crossing
-    if cross is None:
-        raise UnsupportedError(f"{model.name}: no crossing data")
-    conv = model.convention
-    xx = conv.reflect_compose(x, x)
-    arg = conv.cross_shift(xx, cross.Q)
-    kbar = _k_right(model, conv.invert(x))
-    U1 = kron(cross.U, Matrix.identity(2))
-    big = kron(kbar, Matrix.identity(2)) * inverse(U1) * \
-        r_matrix_swapped(model, arg) * U1 * permutation_op()
-    lam = cross.lam(xx)
-    return partial_trace_first(big).map(lambda e: e / lam)
+                        f"{exc}") from None
+    pre = (ux * ux * x2 - v * v) / (2 * u * v * x * g)
+    s = (be - de) * dm
+    t = 4 * k * u * v * x
+    return Matrix([[pre * (s + t) / dm,
+                    pre * (be * (ux + v) ** 2 - de * (ux - v) ** 2) / dp],
+                   [-pre * (be * (ux - v) ** 2 - de * (ux + v) ** 2) / dp,
+                    -pre * (s - t) / dm]])
 
 
 def ktilde_from_kbar(model: ModelDescriptor, x) -> Matrix:

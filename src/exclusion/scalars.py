@@ -1,12 +1,9 @@
-"""Exact scalar arithmetic: rationals, dual numbers, truncated Taylor jets.
+"""Exact scalar arithmetic: rationals and dual numbers.
 
 Everything on the correctness path is a ``fractions.Fraction``; floats only
 appear when formatting output.  ``Dual`` augments a rational value with a
 first derivative, so evaluating a matrix of rational functions at
-``Dual(x0, 1)`` yields the exact entrywise derivative at ``x0``.  ``Jet`` is
-a truncated Taylor expansion with valuation-aware division, used to evaluate
-expressions through removable singularities (0/0 points of the dual
-reflection map).
+``Dual(x0, 1)`` yields the exact entrywise derivative at ``x0``.
 """
 
 from __future__ import annotations
@@ -158,153 +155,8 @@ class Dual:
         return f"Dual({self.value}, {self.deriv})"
 
 
-class Jet:
-    """Truncated Taylor series sum_k c_k eps^k with exact coefficients.
-
-    Division by a jet whose constant term vanishes is allowed when the
-    numerator shares the valuation; the common eps power cancels and the
-    order drops accordingly.  That is exactly the amount of bookkeeping a
-    removable singularity needs.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        if not self.coeffs:
-            raise ValueError("empty jet")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def value(self) -> Fraction:
-        return self.coeffs[0]
-
-    @property
-    def deriv(self) -> Fraction:
-        if self.order < 1:
-            raise ValueError("jet order too low to carry a derivative")
-        return self.coeffs[1]
-
-    @staticmethod
-    def variable(center, order) -> "Jet":
-        return Jet((Fraction(center), Fraction(1)) + (Fraction(0),) * (order - 1))
-
-    @staticmethod
-    def constant(value, order) -> "Jet":
-        return Jet((Fraction(value),) + (Fraction(0),) * order)
-
-    def _pair(self, other):
-        if isinstance(other, Jet):
-            n = min(self.order, other.order)
-            return self.coeffs[: n + 1], other.coeffs[: n + 1]
-        c = _coerce(other)
-        if c is None:
-            return None
-        return self.coeffs, Jet.constant(c, self.order).coeffs
-
-    def __add__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        a, b = p
-        return Jet(tuple(x + y for x, y in zip(a, b)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        a, b = p
-        return Jet(tuple(x - y for x, y in zip(a, b)))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        a, b = p
-        n = len(a)
-        out = [Fraction(0)] * n
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j in range(n - i):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-        return Jet(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            c = _coerce(other)
-            if c is None:
-                return NotImplemented
-            other = Jet.constant(c, self.order)
-        a, b = self._pair(other)
-        val = next((i for i, c in enumerate(b) if c != 0), None)
-        if val is None:
-            raise ZeroDivisionError("jet division by zero")
-        if val:
-            if any(c != 0 for c in a[:val]):
-                raise ZeroDivisionError(
-                    f"pole: numerator valuation below denominator valuation {val}")
-            a, b = a[val:], b[val:]
-        n = len(a)
-        out = [Fraction(0)] * n
-        for k in range(n):
-            acc = a[k]
-            for i in range(k):
-                acc -= out[i] * b[k - i]
-            out[k] = acc / b[0]
-        return Jet(out)
-
-    def __rtruediv__(self, other):
-        c = _coerce(other)
-        if c is None:
-            return NotImplemented
-        return Jet.constant(c, self.order) / self
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("jet powers are nonnegative integers")
-        out = Jet.constant(1, self.order)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, Jet):
-            n = min(self.order, other.order)
-            return self.coeffs[: n + 1] == other.coeffs[: n + 1]
-        c = _coerce(other)
-        if c is None:
-            return NotImplemented
-        return self.coeffs[0] == c and all(x == 0 for x in self.coeffs[1:])
-
-    def __bool__(self):
-        return any(c != 0 for c in self.coeffs)
-
-    def __repr__(self):
-        return f"Jet{self.coeffs}"
-
-
 def is_zero(x) -> bool:
-    """Exact zero test across Fraction / Dual / Jet entries."""
+    """Exact zero test across Fraction / Dual entries."""
     return not x
 
 
@@ -312,6 +164,4 @@ def lift_like(x, template):
     """Lift a plain rational to the scalar type of ``template``."""
     if isinstance(template, Dual):
         return Dual(x)
-    if isinstance(template, Jet):
-        return Jet.constant(x, template.order)
     return Fraction(x)

@@ -2,7 +2,7 @@
 
 Site ordering follows the probability-vector convention: site 1 is the most
 significant bit of the configuration index, so index 1 is (0,...,0,1).
-All operations are pure; entries may be Fraction, Dual or Jet (any scalar
+All operations are pure; entries may be Fraction or Dual (any scalar
 supporting field arithmetic and exact zero tests).
 """
 

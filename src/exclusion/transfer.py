@@ -1,10 +1,9 @@
 """Double-row transfer matrices with open boundaries.
 
 t(x) is assembled as an ordered sparse product on the (auxiliary (x) chain)
-space of dimension 2^(L+1) and then traced over the auxiliary factor.  The
-plain inhomogeneous form carries no prefactor; the homogeneous "trace"
-form divides by tr Ktilde(identity) (which is 1 for every catalogued model,
-so the two coincide -- both are kept so the convention stays auditable).
+space of dimension 2^(L+1) and then traced over the auxiliary factor.  It
+carries no prefactor: the homogeneous normalization 1/tr Ktilde(identity)
+is 1 for every catalogued model.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ class TransferSpec:
     model: ModelDescriptor
     L: int
     thetas: tuple = None
-    normalization: str = "plain"  # or "trace"
 
     def __post_init__(self):
         if self.L < 1:
@@ -37,8 +35,6 @@ class TransferSpec:
         if len(thetas) != self.L:
             raise ValueError("need one inhomogeneity per site")
         object.__setattr__(self, "thetas", thetas)
-        if self.normalization not in ("plain", "trace"):
-            raise ValueError("normalization is 'plain' or 'trace'")
 
     @property
     def homogeneous(self) -> bool:
@@ -53,7 +49,7 @@ def _factor(what, thunk):
 
 
 def build_transfer(spec: TransferSpec, x) -> SparseMatrix:
-    """t(x) = [norm] tr_0( Ktilde_0(x) R_0L...R_01 K_0(x) R_10...R_L0 )."""
+    """t(x) = tr_0( Ktilde_0(x) R_0L...R_01 K_0(x) R_10...R_L0 )."""
     model, L = spec.model, spec.L
     conv = model.convention
     n = L + 1  # tensor factor 0 is the auxiliary space
@@ -69,12 +65,7 @@ def build_transfer(spec: TransferSpec, x) -> SparseMatrix:
         arg = conv.reflect_compose(x, spec.thetas[j - 1])
         acc = acc * embed_at_positions(
             _factor(f"R_{j}0", lambda: m.r_matrix(model, arg)), (j, 0), n)
-    t = partial_trace_first(acc)
-    if spec.normalization == "trace":
-        trace = _factor("tr Ktilde(1)", lambda: m.k_matrix(
-            model, "Ktilde", model.identity_point)).trace()
-        t = t.scale(1 / trace)
-    return t
+    return partial_trace_first(acc)
 
 
 def _sparse_match(model, check, points, lhs: SparseMatrix,
@@ -106,9 +97,9 @@ def check_commutation(spec: TransferSpec, x, x2) -> CheckReport:
 
 
 def markov_from_transfer(model: ModelDescriptor, L: int) -> CheckReport:
-    """(1/2 rho) t'(identity) = M, with t the homogeneous trace-normalized
-    transfer matrix, differentiated exactly over dual numbers."""
-    spec = TransferSpec(model, L, normalization="trace")
+    """(1/2 rho) t'(identity) = M, with t the homogeneous transfer matrix,
+    differentiated exactly over dual numbers."""
+    spec = TransferSpec(model, L)
     idp = model.identity_point
 
     def run():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import sys
 from fractions import Fraction as F
@@ -283,3 +284,41 @@ def test_asep_eigenvalue_pole_exits_3(capsys):
                         "--L", "2", "--check", check, "--x", "1/2")
         assert code == 3, check
         assert out == ""
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("verify", "--model", "rd", "--kappa", "3", "--alpha", "1/2",
+      "--beta", "2/3", "--gamma", "1/3", "--delta", "1/5", "--seed", "7"),
+     "270d234f193dab95c2f1ffd0e811bd4de2d8a7ab19b9e995ae986f5971db33bf"),
+    (("transfer", "--model", "rd", "--check", "markov-derivative", "--L", "3"),
+     "39242f560c57024797a839d31cb3f6d9da23eac37102f9a185e04a1ae86b0a2b"),
+], ids=["verify-rd", "transfer-rd-markov-derivative"])
+def test_rd_output_bytes_are_pinned(capsys, argv, digest):
+    # digests of the stdout of the series-evaluated RD Ktilde; the closed
+    # form must reproduce it byte for byte
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert _sha256(out) == digest
+
+
+def test_rd_ansatz_steady_reuses_the_rates_representation(capsys, monkeypatch):
+    # the representation steady builds for its rates serves the first
+    # truncation round; the output is unchanged
+    builds = []
+    real = an.rd_representation
+
+    def counted(*args):
+        builds.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(an, "rd_representation", counted)
+    code, out = run(capsys, "steady", "--model", "rd", "--L", "3",
+                    "--method", "ansatz", "--exact")
+    assert code == 0
+    assert builds == [7, 14, 28]  # one build per round, none extra
+    assert _sha256(out) == \
+        "f35011985721851928987bbed536464f970976b2a6956bb70ce384c786eb66a5"

@@ -1,12 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import exclusion as ex
-from exclusion.models import UnsupportedError, lambda_crossing
-from exclusion.scalars import Jet
+from exclusion.models import UnsupportedError, lambda_crossing, r_matrix_swapped
 from exclusion.sampling import sample_points
-from exclusion.tensor import Matrix, PoleError, derivative_at, permutation_op
+from exclusion.scalars import Dual
+from exclusion.tensor import Matrix, PoleError, derivative_at, kron, \
+    partial_trace_first, permutation_op
 
 
 def test_local_operators_ssep_is_swap_minus_identity():
@@ -150,8 +152,8 @@ def test_ktilde_map_unsupported_for_tasep():
 
 
 def test_rd_ktilde_dual_matches_series(rd_model):
-    # dual-number evaluation through the removable singularity at x=1
-    from exclusion.scalars import Dual
+    # dual-number evaluation at the identity point, a removable singularity
+    # of the crossing form
     got = ex.k_matrix(rd_model, "Ktilde", Dual.variable(F(1)))
     plain = ex.k_matrix(rd_model, "Ktilde", F(1))
     assert got.map(lambda e: e.value) == plain
@@ -168,30 +170,99 @@ def test_rd_ktilde_dual_matches_series(rd_model):
             assert abs(float(slope.a[i][jj]) - float(deriv.a[i][jj])) < 0.05
 
 
+def _rd_ktilde_crossing_form(model, x):
+    """Oracle: tr_0(Kbar_0(1/x) R_10(1/(x^2 Q)) P_01) / lambda(x^2), the
+    crossing form of the RD dual matrix (U = 1), evaluated directly.  Only
+    defined at regular points, where no factor has a pole and
+    lambda(x^2) != 0."""
+    xx = x * x
+    big = kron(ex.k_matrix(model, "Kbar", 1 / x), Matrix.identity(2)) * \
+        r_matrix_swapped(model, 1 / (xx * model.crossing.Q)) * permutation_op()
+    lam = lambda_crossing(model, xx)
+    return partial_trace_first(big).map(lambda e: e / lam)
+
+
+def _regular(fn):
+    try:
+        return fn()
+    except (PoleError, ZeroDivisionError):
+        return None
+
+
+_small = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+_rate = st.fractions(min_value=0, max_value=5, max_denominator=7)
+_kappa = _small.filter(lambda k: k not in (0, 1, -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kappa, _rate, _rate, _rate, _rate, _small.filter(lambda x: x != 0))
+@example(F(-3), F(1, 2), F(2, 3), F(1, 3), F(1, 5), F(3))
+@example(F(-1, 2), F(1, 2), F(2, 3), F(1, 3), F(1, 5), F(-3, 2))
+@example(F(1, 3), F(1, 2), F(2, 3), F(1, 3), F(1, 5), F(5, 7))
+def test_rd_ktilde_closed_form_matches_crossing_form(kappa, al, be, ga, de, x):
+    mdl = ex.rd(kappa, al, be, ga, de)
+    want = _regular(lambda: _rd_ktilde_crossing_form(mdl, x))
+    assume(want is not None)
+    assert ex.k_matrix(mdl, "Ktilde", x) == want
+    mapped = _regular(lambda: ex.ktilde_from_kbar(mdl, x))
+    if mapped is not None:
+        assert mapped == want
+
+
+def test_rd_ktilde_pinned_values(rd_model):
+    # values of the series evaluation this closed form replaced
+    assert ex.k_matrix(rd_model, "Ktilde", F(1)) == \
+        Matrix([[F(13, 24), F(13, 120)], [F(1, 40), F(11, 24)]])
+    assert ex.k_matrix(rd_model, "Ktilde", F(-1)) == \
+        Matrix([[F(11, 24), F(1, 40)], [F(13, 120), F(13, 24)]])
+    got = ex.k_matrix(rd_model, "Ktilde", Dual.variable(F(1)))
+    assert got == Matrix([
+        [Dual(F(13, 24), F(23, 27)), Dual(F(13, 120), F(401, 1350))],
+        [Dual(F(1, 40), F(17, 450)), Dual(F(11, 24), F(16, 27))]])
+
+
 def test_rd_ktilde_has_real_pole_at_phi():
     # x^2 = phi^2 is a genuine pole of the RD dual matrix at kappa=3
     with pytest.raises(PoleError):
         ex.k_matrix(ex.rd(3, 1, 1, 0, 0), "Ktilde", F(1, 2))
 
 
+def test_rd_ktilde_poles():
+    kappa = F(2)
+    # beta + delta = 20/3 puts a root of (beta+delta)(x^2-1) + 2kappa(x^2+1)
+    # at x = +-1/2
+    mdl = ex.rd(kappa, 1, 5, F(1, 2), F(5, 3))
+    with pytest.raises(PoleError, match=r"^Ktilde undefined at x=0"):
+        ex.k_matrix(mdl, "Ktilde", F(0))
+    phi = (kappa - 1) / (kappa + 1)
+    for x in (phi, -phi, F(1, 2), F(-1, 2)):
+        for arg in (x, Dual.variable(x)):
+            with pytest.raises(PoleError,
+                               match=rf"^dual boundary matrix has a pole at x={x}"):
+                ex.k_matrix(mdl, "Ktilde", arg)
+
+
+def test_rd_ktilde_vanishes_where_crossing_factors_cancel():
+    # kappa = -3/5: (kappa+1)^2 x^4 = (kappa-1)^2 at x = +-2, where
+    # R(1/(x^2 Q)) and 1/lambda(x^2) have a pole and a double zero; the
+    # product, and so Ktilde, vanishes
+    mdl = ex.rd(F(-3, 5), F(1, 2), F(2, 3), F(1, 3), F(1, 5))
+    for x in (F(2), F(-2)):
+        assert ex.k_matrix(mdl, "Ktilde", x) == Matrix([[0, 0], [0, 0]])
+
+
 def test_asep_scaling_limit_to_ssep():
-    # q = 1 + eps, z = 1 + x eps: the ASEP R-matrix entries converge to the
-    # SSEP ones as eps -> 0, checked on first-order jets
+    # q = 1 + eps, z = 1 + x eps: the ASEP R-matrix converges to the SSEP
+    # one at rate eps; at x = 3 the largest entry distance is 9 eps/(16+12 eps)
     x = F(3)
-    ssep = ex.ssep(1, 1, 1, 1)
-    target = ex.r_matrix(ssep, x)
-    qj = Jet([F(1), F(1), F(0)])
-    zj = Jet([F(1), x, F(0)])
-    d = qj * zj - 1
-    entries = [[1, 0, 0, 0],
-               [0, (zj - 1) * qj / d, (qj - 1) * zj / d, 0],
-               [0, (qj - 1) / d, (zj - 1) / d, 0],
-               [0, 0, 0, 1]]
-    for i in range(4):
-        for j in range(4):
-            e = entries[i][j]
-            val = e.value if isinstance(e, Jet) else F(e)
-            assert val == target.a[i][j]
+    target = ex.r_matrix(ex.ssep(1, 1, 1, 1), x)
+    for k in range(1, 7):
+        eps = F(1, 10 ** k)
+        R = ex.r_matrix(ex.asep(1 + eps, 1, 1, 1, 1), 1 + x * eps)
+        dist = max(abs(R.a[i][j] - target.a[i][j])
+                   for i in range(4) for j in range(4))
+        assert dist == 9 * eps / (16 + 12 * eps)
+        assert 0 < dist <= eps
 
 
 def test_model_constructor_validation():

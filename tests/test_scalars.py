@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from exclusion.scalars import Dual, Jet, float_repr, format_rational, parse_rational
+from exclusion.scalars import Dual, float_repr, format_rational, parse_rational
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -67,32 +67,3 @@ def test_dual_chain_rule(p, q, x0):
     fp = 2 * g0 + p
     assert composed.value == f(g0)
     assert composed.deriv == fp * gp
-
-
-def test_jet_variable_and_division():
-    x = Jet.variable(F(2), 4)
-    y = (x * x - 4) / (x - 2)  # removable singularity: equals x + 2
-    assert y.value == 4
-    assert y.deriv == 1
-
-
-def test_jet_valuation_mismatch_is_pole():
-    x = Jet.variable(F(1), 4)
-    with pytest.raises(ZeroDivisionError):
-        (x + 1) / (x - 1)
-
-
-def test_jet_order_drops_with_valuation():
-    x = Jet.variable(F(0), 3)
-    y = (x * x) / x
-    assert y.order == 2
-    assert y.value == 0 and y.deriv == 1
-
-
-def test_jet_matches_dual_on_regular_functions():
-    def f(s):
-        return (s * s + 1) / (s + 2)
-
-    d = f(Dual.variable(F(5)))
-    j = f(Jet.variable(F(5), 3))
-    assert (d.value, d.deriv) == (j.value, j.deriv)

@@ -11,7 +11,7 @@ from exclusion.tensor import Matrix, PoleError, SparseMatrix
 
 def test_transfer_identity_point_is_identity(all_models):
     for mdl in all_models:
-        spec = tr.TransferSpec(mdl, 1, normalization="trace")
+        spec = tr.TransferSpec(mdl, 1)
         t = tr.build_transfer(spec, mdl.identity_point)
         assert t == SparseMatrix.identity(2)
 
@@ -20,13 +20,6 @@ def test_trace_normalization_is_one(all_models):
     for mdl in all_models:
         kt = ex.k_matrix(mdl, "Ktilde", mdl.identity_point)
         assert kt.trace() == 1
-
-
-def test_homogeneous_equals_inhomogeneous_at_identity_thetas(ssep_model):
-    spec_h = tr.TransferSpec(ssep_model, 2, normalization="trace")
-    spec_i = tr.TransferSpec(ssep_model, 2)
-    assert spec_i.homogeneous
-    assert tr.build_transfer(spec_h, F(3)) == tr.build_transfer(spec_i, F(3))
 
 
 def test_markov_from_transfer(all_models):
