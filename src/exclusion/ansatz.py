@@ -14,17 +14,17 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
 from . import models as m
 from .markov import Distribution
 from .models import ModelDescriptor
-from .scalars import Dual, format_rational
+from .scalars import Dual
 from .tensor import Matrix, PoleError, SparseMatrix, embed_at_positions, \
     value_matrix
-from .verifier import CheckReport, FAIL, PASS, SKIPPED, _fmt_points
+from .verifier import CheckReport, FAIL, compare, guarded
 
 REL_TOL = Fraction(1, 10 ** 12)   # truncation-convergence threshold
 CAP = 256                         # truncation ceiling
@@ -416,6 +416,9 @@ def rd_steady_converged(rep: RDRepresentation, L: int, cap: int = CAP):
         raise ValueError("normalization series violates the convergence "
                          "conditions at this L")
     N = max(L + 4, 6)
+    if N > cap:
+        raise ValueError(f"truncation cap {cap} is below the first round's "
+                         f"N={N}")
     prev = None
     prev_Z = None
     while N <= cap:
@@ -542,6 +545,47 @@ class MonodromyRealization:
         return comps
 
 
+def _rd_model(rep: RDRepresentation) -> ModelDescriptor:
+    meta = rep.meta
+    return m.rd(meta["kappa"], meta["alpha"], meta["beta"], meta["gamma"],
+                meta["delta"])
+
+
+def _r_mix(R: Matrix, prods: dict) -> dict:
+    """{(i, j): sum_kl R[2i+j][2k+l] prods[k, l]}: the R-weighted mix of the
+    component products X_k X_l of an exchange relation."""
+    out = {}
+    for i in (0, 1):
+        for j in (0, 1):
+            terms = [prods[k, l] * c for k in (0, 1) for l in (0, 1)
+                     if (c := R.a[2 * i + j][2 * k + l]) != 0]
+            out[i, j] = sum(terms[1:], terms[0]) if terms else prods[0, 0] * 0
+    return out
+
+
+def _products(X1, X2) -> dict:
+    return {(k, l): X1[k] * X2[l] for k in (0, 1) for l in (0, 1)}
+
+
+def _compare_blocks(model, check, pts, blocks: dict) -> CheckReport:
+    """compare over the components {(i, j): (lhs, rhs)} of a 2 x 2 block
+    operator: the first failing component's report, its witness indexing
+    the block operator (row i h + r, column j h + c for h x h components)."""
+    for (i, j), (lhs, rhs) in blocks.items():
+        rep = compare(model, check, pts, lhs, rhs)
+        if rep.status == FAIL:
+            h = lhs.rows if isinstance(lhs, Matrix) else lhs.dim
+            w = rep.witness
+            return replace(rep, witness={**w, "row": i * h + w["row"],
+                                         "col": j * h + w["col"]})
+    return rep
+
+
+def _exchanged(X1, X2, lhs) -> dict:
+    """The components (i, j) of lhs against those of A_2 A_1, X2[j] X1[i]."""
+    return {(i, j): (lhs[i, j], X2[j] * X1[i]) for i in (0, 1) for j in (0, 1)}
+
+
 def check_zf(realization, x1, x2) -> CheckReport:
     """R_12(c(x1,x2)) A_1(x1) A_2(x2) = A_2(x2) A_1(x1), componentwise.
 
@@ -549,66 +593,25 @@ def check_zf(realization, x1, x2) -> CheckReport:
     truncated letters satisfy it exactly on every stored entry (the shift
     generators never re-enter the truncated block)."""
     if isinstance(realization, MonodromyRealization):
-        model = realization.model
-        pts = (x1, x2)
-        try:
-            X1 = realization.components(x1)
-            X2 = realization.components(x2)
-            R = m.r_matrix(model, model.convention.compose(x1, x2))
-        except (PoleError, ZeroDivisionError) as exc:
-            return CheckReport(model.name, "zf.monodromy", _fmt_points(pts),
-                               SKIPPED, reason=f"pole: {exc}")
-        prod = [[X1[k] * X2[l] for l in (0, 1)] for k in (0, 1)]
-        for i in (0, 1):
-            for j in (0, 1):
-                lhs = None
-                for k in (0, 1):
-                    for l in (0, 1):
-                        coeff = R.a[2 * i + j][2 * k + l]
-                        if coeff == 0:
-                            continue
-                        term = coeff * prod[k][l]
-                        lhs = term if lhs is None else lhs + term
-                rhs = X2[j] * X1[i]
-                if lhs != rhs:
-                    return CheckReport(model.name, "zf.monodromy",
-                                       _fmt_points(pts), FAIL,
-                                       witness={"row": i, "col": j,
-                                                "lhs": "component mismatch",
-                                                "rhs": ""})
-        return CheckReport(model.name, "zf.monodromy", _fmt_points(pts), PASS)
-    return _check_zf_rd(realization, x1, x2)
+        model, check = realization.model, "zf.monodromy"
 
+        def inputs():
+            X1, X2 = realization.components(x1), realization.components(x2)
+            return m.r_matrix(model, model.convention.compose(x1, x2)), X1, X2
+    else:
+        model, check = _rd_model(realization), "zf.representation"
+        A = AnsatzVector(realization)
 
-def _check_zf_rd(rep: RDRepresentation, x1, x2) -> CheckReport:
-    model = m.rd(rep.meta["kappa"], rep.meta["alpha"], rep.meta["beta"],
-                 rep.meta["gamma"], rep.meta["delta"])
-    pts = (x1, x2)
-    A = AnsatzVector(rep)
-    try:
-        R = m.r_matrix(model, Fraction(x1) / Fraction(x2))
-        A1 = [A.component(i, Fraction(x1)) for i in (0, 1)]
-        A2 = [A.component(i, Fraction(x2)) for i in (0, 1)]
-    except (PoleError, ZeroDivisionError) as exc:
-        return CheckReport("rd", "zf.representation", _fmt_points(pts),
-                           SKIPPED, reason=f"pole: {exc}")
-    for i in (0, 1):
-        for j in (0, 1):
-            lhs = None
-            for k in (0, 1):
-                for l in (0, 1):
-                    coeff = R.a[2 * i + j][2 * k + l]
-                    if coeff == 0:
-                        continue
-                    term = (A1[k] * A2[l]).scale(coeff)
-                    lhs = term if lhs is None else lhs + term
-            rhs = A2[j] * A1[i]
-            if lhs != rhs:
-                return CheckReport("rd", "zf.representation", _fmt_points(pts),
-                                   FAIL, witness={"row": i, "col": j,
-                                                  "lhs": "component mismatch",
-                                                  "rhs": ""})
-    return CheckReport("rd", "zf.representation", _fmt_points(pts), PASS)
+        def inputs():
+            R = m.r_matrix(model, Fraction(x1) / Fraction(x2))
+            return R, *([A.component(i, Fraction(x)) for i in (0, 1)]
+                        for x in (x1, x2))
+
+    def run():
+        R, X1, X2 = inputs()
+        lhs = _r_mix(R, _products(X1, X2))
+        return _compare_blocks(model, check, (x1, x2), _exchanged(X1, X2, lhs))
+    return guarded(model, check, (x1, x2), run)
 
 
 def check_zf_twice(realization: MonodromyRealization, x1, x2) -> CheckReport:
@@ -616,171 +619,110 @@ def check_zf_twice(realization: MonodromyRealization, x1, x2) -> CheckReport:
     (R unitarity)."""
     model = realization.model
     conv = model.convention
-    pts = (x1, x2)
-    try:
+
+    def run():
         X1 = realization.components(x1)
         X2 = realization.components(x2)
         R12 = m.r_matrix(model, conv.compose(x1, x2))
         R21 = m.r_matrix_swapped(model, conv.compose(x2, x1))
-    except (PoleError, ZeroDivisionError) as exc:
-        return CheckReport(model.name, "zf.twice", _fmt_points(pts), SKIPPED,
-                           reason=f"pole: {exc}")
-
-    def mix(Rm, blocks):
-        out = {}
-        for i in (0, 1):
-            for j in (0, 1):
-                acc = None
-                for k in (0, 1):
-                    for l in (0, 1):
-                        coeff = Rm.a[2 * i + j][2 * k + l]
-                        if coeff == 0:
-                            continue
-                        term = coeff * blocks[(k, l)]
-                        acc = term if acc is None else acc + term
-                out[(i, j)] = acc
-        return out
-
-    orig = {(k, l): X1[k] * X2[l] for k in (0, 1) for l in (0, 1)}
-    once = mix(R12, orig)     # components of A2(x2) A1(x1)
-    back = mix(R21, once)     # relabeled relation instance swaps them back
-    ok = all(back[(k, l)] == orig[(k, l)] for k in (0, 1) for l in (0, 1))
-    # the swapped product must also match the relation's right-hand side
-    ok = ok and all(once[(i, j)] == X2[j] * X1[i] for i in (0, 1) for j in (0, 1))
-    status = PASS if ok else FAIL
-    return CheckReport(model.name, "zf.twice", _fmt_points(pts), status)
+        orig = _products(X1, X2)
+        once = _r_mix(R12, orig)     # components of A2(x2) A1(x1)
+        back = _r_mix(R21, once)     # relabeled relation instance swaps them back
+        rep = _compare_blocks(model, "zf.twice", (x1, x2),
+                              {kl: (back[kl], orig[kl]) for kl in orig})
+        if rep.status == FAIL:
+            return rep
+        # the swapped product must also match the relation's right-hand side
+        return _compare_blocks(model, "zf.twice", (x1, x2),
+                               _exchanged(X1, X2, once))
+    return guarded(model, "zf.twice", (x1, x2), run)
 
 
 def check_zf_derivative(realization: MonodromyRealization) -> CheckReport:
     """w A_1(1) A_2(1) = (1/rho)(A_1(1) A_2'(1) - A_1'(1) A_2(1))."""
     model = realization.model
     idp = model.identity_point
-    try:
+
+    def run():
         Xd = realization.components(Dual.variable(idp))
-    except (PoleError, ZeroDivisionError) as exc:
-        return CheckReport(model.name, "zf.derivative", _fmt_points((idp,)),
-                           SKIPPED, reason=f"pole: {exc}")
-    X = [value_matrix(B) for B in Xd]
-    Xp = [B.map(lambda e: e.deriv if isinstance(e, Dual) else Fraction(0))
-          for B in Xd]
-    w, _, _ = m.local_operators(model)
-    inv_rho = 1 / model.rho
-    for i in (0, 1):
-        for j in (0, 1):
-            lhs = None
-            for k in (0, 1):
-                for l in (0, 1):
-                    coeff = w.a[2 * i + j][2 * k + l]
-                    if coeff == 0:
-                        continue
-                    term = coeff * (X[k] * X[l])
-                    lhs = term if lhs is None else lhs + term
-            if lhs is None:
-                lhs = Matrix.zeros(X[0].rows, X[0].cols)
-            rhs = inv_rho * (X[i] * Xp[j] - Xp[i] * X[j])
-            if lhs != rhs:
-                return CheckReport(model.name, "zf.derivative",
-                                   _fmt_points((idp,)), FAIL,
-                                   witness={"row": i, "col": j,
-                                            "lhs": "component mismatch",
-                                            "rhs": ""})
-    return CheckReport(model.name, "zf.derivative", _fmt_points((idp,)), PASS)
+        X = [value_matrix(B) for B in Xd]
+        Xp = [B.map(lambda e: e.deriv if isinstance(e, Dual) else Fraction(0))
+              for B in Xd]
+        w, _, _ = m.local_operators(model)
+        lhs = _r_mix(w, _products(X, X))
+        inv_rho = 1 / model.rho
+        return _compare_blocks(model, "zf.derivative", (idp,),
+                               {(i, j): (lhs[i, j],
+                                         inv_rho * (X[i] * Xp[j] - Xp[i] * X[j]))
+                                for i in (0, 1) for j in (0, 1)})
+    return guarded(model, "zf.derivative", (idp,), run)
 
 
 def check_c_commutation(realization: MonodromyRealization, x1, x2) -> CheckReport:
     model = realization.model
-    pts = (x1, x2)
-    try:
+
+    def run():
         X1 = realization.components(x1)
         X2 = realization.components(x2)
-    except (PoleError, ZeroDivisionError) as exc:
-        return CheckReport(model.name, "zf.c_commutation", _fmt_points(pts),
-                           SKIPPED, reason=f"pole: {exc}")
-    C1 = X1[0] + X1[1]
-    C2 = X2[0] + X2[1]
-    ok = C1 * C2 == C2 * C1
-    return CheckReport(model.name, "zf.c_commutation", _fmt_points(pts),
-                       PASS if ok else FAIL)
+        C1 = X1[0] + X1[1]
+        C2 = X2[0] + X2[1]
+        return compare(model, "zf.c_commutation", (x1, x2), C1 * C2, C2 * C1)
+    return guarded(model, "zf.c_commutation", (x1, x2), run)
 
 
 # --------------------------------------------------------------- GZ relations
-
-def _interior_row_zero(rep: RDRepresentation, vec, margin: int) -> tuple | None:
-    """First nonzero interior component of a residual vector, or None."""
-    N = rep.N
-    cut = N - margin
-    for n in range(cut):
-        for mm in range(cut):
-            v = vec[n * N + mm]
-            if v != 0:
-                return (n, mm, v)
-    return None
-
 
 def check_gz(rep: RDRepresentation, x) -> list:
     """Boundary reflection relations of the RD representation on interior
     truncation indices, plus their derivative consequences."""
     x = Fraction(x)
-    model = m.rd(rep.meta["kappa"], rep.meta["alpha"], rep.meta["beta"],
-                 rep.meta["gamma"], rep.meta["delta"])
-    out = []
+    model = _rd_model(rep)
     A = AnsatzVector(rep)
     pts = (x,)
-    try:
+    N = rep.N
+    cut = N - 1
+
+    def interior(check, vec):
+        # the residual must vanish on the interior indices n, m < N - 1
+        got = Matrix([vec[n * N:n * N + cut] for n in range(cut)])
+        return compare(model, check, pts, got, Matrix.zeros(cut, cut))
+
+    def run():
         K = m.k_matrix(model, "K", x)
         Kb = m.k_matrix(model, "Kbar", x)
         Ax = [A.component(i, x) for i in (0, 1)]
         Ainv = [A.component(i, 1 / x) for i in (0, 1)]
-    except (PoleError, ZeroDivisionError) as exc:
-        return [CheckReport("rd", "gz", _fmt_points(pts), SKIPPED,
-                            reason=f"pole: {exc}")]
+        W, V = list(rep.W), list(rep.V)
+        out = []
+        for i in (0, 1):
+            op = Ainv[0].scale(K.a[i][0]) + Ainv[1].scale(K.a[i][1]) - Ax[i]
+            out.append(interior(f"gz.left[{i}]", op.apply_left(W)))
+        for i in (0, 1):
+            op = Ainv[0].scale(Kb.a[i][0]) + Ainv[1].scale(Kb.a[i][1]) - Ax[i]
+            out.append(interior(f"gz.right[{i}]", op.apply(V)))
 
-    def row_residual(op: SparseMatrix):
-        return op.apply_left(list(rep.W))
+        _, B, Bbar = m.local_operators(model)
+        A1 = [A.component(i, Fraction(1)) for i in (0, 1)]
+        Ap = [A.derivative(i) for i in (0, 1)]
+        inv_rho = 1 / model.rho
+        for i in (0, 1):
+            op = A1[0].scale(B.a[i][0]) + A1[1].scale(B.a[i][1]) - \
+                Ap[i].scale(inv_rho)
+            out.append(interior(f"gz.left_derivative[{i}]", op.apply_left(W)))
+        for i in (0, 1):
+            op = A1[0].scale(Bbar.a[i][0]) + A1[1].scale(Bbar.a[i][1]) + \
+                Ap[i].scale(inv_rho)
+            out.append(interior(f"gz.right_derivative[{i}]", op.apply(V)))
 
-    def col_residual(op: SparseMatrix):
-        return op.apply(list(rep.V))
+        # C(x) = A1 + A2 = 2 G2 carries no x-dependence, so the boundary
+        # symmetry <W|C(x) = <W|C(1/x) holds identically; assert it anyway.
+        Cx = Ax[0] + Ax[1]
+        Cinv = Ainv[0] + Ainv[1]
+        out.append(interior("gz.c_symmetry[0]", (Cx - Cinv).apply_left(W)))
+        return out
 
-    for i in (0, 1):
-        op = Ainv[0].scale(K.a[i][0]) + Ainv[1].scale(K.a[i][1]) - Ax[i]
-        bad = _interior_row_zero(rep, row_residual(op), 1)
-        out.append(_gz_report("gz.left", pts, i, bad))
-    for i in (0, 1):
-        op = Ainv[0].scale(Kb.a[i][0]) + Ainv[1].scale(Kb.a[i][1]) - Ax[i]
-        bad = _interior_row_zero(rep, col_residual(op), 1)
-        out.append(_gz_report("gz.right", pts, i, bad))
-
-    _, B, Bbar = m.local_operators(model)
-    A1 = [A.component(i, Fraction(1)) for i in (0, 1)]
-    Ap = [A.derivative(i) for i in (0, 1)]
-    inv_rho = 1 / model.rho
-    for i in (0, 1):
-        op = A1[0].scale(B.a[i][0]) + A1[1].scale(B.a[i][1]) - \
-            Ap[i].scale(inv_rho)
-        bad = _interior_row_zero(rep, row_residual(op), 1)
-        out.append(_gz_report("gz.left_derivative", pts, i, bad))
-    for i in (0, 1):
-        op = A1[0].scale(Bbar.a[i][0]) + A1[1].scale(Bbar.a[i][1]) + \
-            Ap[i].scale(inv_rho)
-        bad = _interior_row_zero(rep, col_residual(op), 1)
-        out.append(_gz_report("gz.right_derivative", pts, i, bad))
-
-    # C(x) = A1 + A2 = 2 G2 carries no x-dependence, so the boundary
-    # symmetry <W|C(x) = <W|C(1/x) holds identically; assert it anyway.
-    Cx = Ax[0] + Ax[1]
-    Cinv = Ainv[0] + Ainv[1]
-    bad = _interior_row_zero(rep, (Cx - Cinv).apply_left(list(rep.W)), 1)
-    out.append(_gz_report("gz.c_symmetry", pts, 0, bad))
-    return out
-
-
-def _gz_report(check, pts, component, bad) -> CheckReport:
-    if bad is None:
-        return CheckReport("rd", f"{check}[{component}]", _fmt_points(pts), PASS)
-    n, mm, v = bad
-    return CheckReport("rd", f"{check}[{component}]", _fmt_points(pts), FAIL,
-                       witness={"row": n, "col": mm,
-                                "lhs": format_rational(v), "rhs": "0"})
+    out = guarded(model, "gz", pts, run)
+    return [out] if isinstance(out, CheckReport) else out
 
 
 # ----------------------------------------------------------- RD closed forms

@@ -227,49 +227,47 @@ def cmd_steady(args) -> int:
     null_dist, ansatz_dist = _steady_distributions(args, model)
     primary = null_dist if null_dist is not None else ansatz_dist
     probs = primary.probabilities()
-    alt = ansatz_dist.probabilities() if (null_dist is not None and
-                                          ansatz_dist is not None) else None
     obs = observables(primary, model)
-    fmt = args.format or "csv"
     L = args.L
-    if fmt == "json":
-        weights = []
-        for i, p in enumerate(probs):
-            row = {"config": _bits(i, L), "weight": _cell(p, args)}
-            if alt is not None:
-                row["weight_ansatz"] = _cell(alt[i], args)
-                row["rel_diff"] = _cell(_rel_diff(p, alt[i]), args)
-            weights.append(row)
-        sites = [{"site": i + 1, "density": _cell(obs["density"][i], args),
-                  "current_lat": _cell(obs["current_lat"][i], args)
-                  if i < L - 1 else "",
-                  "current_eva": _cell(obs["current_eva"][i], args)
-                  if i < L - 1 else ""}
-                 for i in range(L)]
-        doc = {"schema": SCHEMA, "model": model.name,
-               "params": _params_json(model), "L": L, "method": args.method,
-               "weights": weights, "observables": sites}
-        if alt is not None:
-            doc["max_rel_diff"] = _cell(max(_rel_diff(p, a)
-                                            for p, a in zip(probs, alt)), args)
+    header = ["config", "weight"]
+    weights = [[_bits(i, L), _cell(p, args)] for i, p in enumerate(probs)]
+    extra = {}
+    if null_dist is not None and ansatz_dist is not None:
+        alt = ansatz_dist.probabilities()
+        diffs = [_rel_diff(p, a) for p, a in zip(probs, alt)]
+        header += ["weight_ansatz", "rel_diff"]
+        for row, a, d in zip(weights, alt, diffs):
+            row += [_cell(a, args), _cell(d, args)]
+        extra["max_rel_diff"] = _cell(max(diffs), args)
+    sites = [[i + 1, _cell(obs["density"][i], args),
+              _cell(obs["current_lat"][i], args) if i < L - 1 else "",
+              _cell(obs["current_eva"][i], args) if i < L - 1 else ""]
+             for i in range(L)]
+    return _write({"schema": SCHEMA, "model": model.name,
+                   "params": _params_json(model), "L": L,
+                   "method": args.method, "weights": (header, weights),
+                   "observables": (["site", "density", "current_lat",
+                                    "current_eva"], sites), **extra}, args)
+
+
+def _write(doc: dict, args) -> int:
+    """Emit a document of scalar fields and (header, rows) tables.  JSON
+    writes each table as a list of dicts keyed by its header; CSV writes
+    only the tables, in document order, separated by a blank row.  Rows may
+    be drawn lazily: nothing is emitted until every row is formatted."""
+    if (args.format or "csv") == "json":
+        doc = {k: [dict(zip(v[0], row)) for row in v[1]]
+               if isinstance(v, tuple) else v for k, v in doc.items()}
         _emit(json.dumps(doc, indent=2) + "\n", args)
         return 0
     buf = io.StringIO()
     wcsv = csv.writer(buf, lineterminator="\n")
-    header = ["config", "weight"] + (["weight_ansatz", "rel_diff"]
-                                     if alt is not None else [])
-    wcsv.writerow(header)
-    for i, p in enumerate(probs):
-        row = [_bits(i, L), _cell(p, args)]
-        if alt is not None:
-            row += [_cell(alt[i], args), _cell(_rel_diff(p, alt[i]), args)]
-        wcsv.writerow(row)
-    wcsv.writerow([])
-    wcsv.writerow(["site", "density", "current_lat", "current_eva"])
-    for i in range(L):
-        wcsv.writerow([i + 1, _cell(obs["density"][i], args),
-                       _cell(obs["current_lat"][i], args) if i < L - 1 else "",
-                       _cell(obs["current_eva"][i], args) if i < L - 1 else ""])
+    tables = [v for v in doc.values() if isinstance(v, tuple)]
+    for n, (header, rows) in enumerate(tables):
+        if n:
+            wcsv.writerow([])
+        wcsv.writerow(header)
+        wcsv.writerows(rows)
     _emit(buf.getvalue(), args)
     return 0
 
@@ -296,35 +294,14 @@ def cmd_profile(args) -> int:
     if co["c"] == 0 or co["d"] == 0:
         raise DomainError("degenerate boundary coefficients: alpha = gamma "
                           "or beta = delta makes c or d vanish")
-    rows = _profile_rows(model, L, args)
-    fmt = args.format or "csv"
-    if fmt == "json":
-        doc = {"schema": SCHEMA, "model": model.name,
-               "params": _params_json(model), "L": L,
-               "profile": [{"site": i + 1,
-                            "density": _cell(r["density"], args),
-                            "current_lat": _cell(r["current_lat"], args),
-                            "current_eva": _cell(r["current_eva"], args),
-                            **({"density_asymptotic":
-                                _cell(r["density_asymptotic"], args)}
-                               if args.asymptotics else {})}
-                           for i, r in enumerate(rows)]}
-        _emit(json.dumps(doc, indent=2) + "\n", args)
-        return 0
-    buf = io.StringIO()
-    wcsv = csv.writer(buf, lineterminator="\n")
     header = ["site", "density", "current_lat", "current_eva"]
     if args.asymptotics:
         header.append("density_asymptotic")
-    wcsv.writerow(header)
-    for i, r in enumerate(rows):
-        row = [i + 1, _cell(r["density"], args), _cell(r["current_lat"], args),
-               _cell(r["current_eva"], args)]
-        if args.asymptotics:
-            row.append(_cell(r["density_asymptotic"], args))
-        wcsv.writerow(row)
-    _emit(buf.getvalue(), args)
-    return 0
+    rows = ([i + 1] + [_cell(r[k], args) for k in header[1:]]
+            for i, r in enumerate(_profile_rows(model, L, args)))
+    return _write({"schema": SCHEMA, "model": model.name,
+                   "params": _params_json(model), "L": L,
+                   "profile": (header, rows)}, args)
 
 
 def _profile_rows(model, L, args):
@@ -411,8 +388,8 @@ def cmd_bench(args) -> int:
     def timed(task, fn):
         t0 = time.perf_counter()
         fn()
-        rows.append({"task": task, "model": model.name, "L": L,
-                     "seconds": round(time.perf_counter() - t0, 6)})
+        rows.append([task, model.name, L,
+                     round(time.perf_counter() - t0, 6)])
 
     M = build_markov(model, L)
     timed("build_markov", lambda: build_markov(model, L))
@@ -428,18 +405,8 @@ def cmd_bench(args) -> int:
     x, x2 = Fraction(3), Fraction(5)
     timed("transfer_build", lambda: tr.build_transfer(spec, x))
     timed("transfer_commutation", lambda: tr.check_commutation(spec, x, x2))
-    fmt = args.format or "csv"
-    if fmt == "json":
-        _emit(json.dumps({"schema": SCHEMA, "bench": rows}, indent=2) + "\n",
-              args)
-        return 0
-    buf = io.StringIO()
-    wcsv = csv.writer(buf, lineterminator="\n")
-    wcsv.writerow(["task", "model", "L", "seconds"])
-    for r in rows:
-        wcsv.writerow([r["task"], r["model"], r["L"], r["seconds"]])
-    _emit(buf.getvalue(), args)
-    return 0
+    return _write({"schema": SCHEMA,
+                   "bench": (["task", "model", "L", "seconds"], rows)}, args)
 
 
 def main(argv=None) -> int:

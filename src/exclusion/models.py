@@ -233,9 +233,13 @@ def r_matrix(model: ModelDescriptor, x) -> Matrix:
 
 
 def r_matrix_swapped(model: ModelDescriptor, x) -> Matrix:
-    """R21(x) = P R12(x) P."""
-    P = permutation_op()
-    return P * r_matrix(model, x) * P
+    """R21(x) = P R12(x) P: R's entries with both tensor legs of the row
+    and of the column index swapped (01 <-> 10)."""
+    a = r_matrix(model, x).a
+    return Matrix([[a[r][c] for c in _SWAP] for r in _SWAP])
+
+
+_SWAP = (0, 2, 1, 3)   # the index of P e_i
 
 
 # ---------------------------------------------------------------- K-matrices

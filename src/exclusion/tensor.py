@@ -159,25 +159,43 @@ def partial_trace_first(M):
                    for j in range(half)])
 
 
+def _gauss_jordan(rows, ncols) -> tuple:
+    """Gauss-Jordan elimination over the first ncols columns: (the reduced
+    rows, the pivot count)."""
+    a = list(rows)   # rows are replaced below, never changed in place
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(a)) if not is_zero(a[r][col])),
+                   None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        p = a[rank][col]
+        a[rank] = [e / p for e in a[rank]]
+        for r in range(len(a)):
+            if r != rank and not is_zero(a[r][col]):
+                f = a[r][col]
+                a[r] = [e - f * g for e, g in zip(a[r], a[rank])]
+        rank += 1
+    return a, rank
+
+
 def inverse(M: Matrix) -> Matrix:
     """Exact inverse of a small dense matrix by Gauss-Jordan elimination."""
     n = M.rows
     if n != M.cols:
         raise ValueError("inverse of non-square matrix")
-    a = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(M.a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not is_zero(a[r][col])), None)
-        if piv is None:
-            raise PoleError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [e / p for e in a[col]]
-        for r in range(n):
-            if r != col and not is_zero(a[r][col]):
-                f = a[r][col]
-                a[r] = [e - f * g for e, g in zip(a[r], a[col])]
+    a, rank = _gauss_jordan(
+        [row + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+         for i, row in enumerate(M.a)], n)
+    if rank < n:
+        raise PoleError("matrix is singular")
     return Matrix([row[n:] for row in a])
+
+
+def rank(M: Matrix) -> int:
+    """Exact rank of a small dense matrix."""
+    return _gauss_jordan(M.a, M.cols)[1]
 
 
 class SparseMatrix:

@@ -14,10 +14,10 @@ from fractions import Fraction
 from . import models as m
 from .markov import build_markov
 from .models import ModelDescriptor
-from .scalars import Dual, format_rational
+from .scalars import Dual
 from .tensor import Matrix, PoleError, SparseMatrix, embed_at_positions, \
     inverse, partial_trace_first
-from .verifier import CheckReport, FAIL, PASS, SKIPPED, _fmt_points
+from .verifier import CheckReport, compare, guarded, skipped
 
 
 @dataclass(frozen=True)
@@ -68,32 +68,13 @@ def build_transfer(spec: TransferSpec, x) -> SparseMatrix:
     return partial_trace_first(acc)
 
 
-def _sparse_match(model, check, points, lhs: SparseMatrix,
-                  rhs: SparseMatrix) -> CheckReport:
-    diff = lhs - rhs
-    for r, c, v in diff.items():
-        return CheckReport(model.name, check, _fmt_points(points), FAIL,
-                           witness={"row": r, "col": c,
-                                    "lhs": format_rational(lhs.get(r, c)),
-                                    "rhs": format_rational(rhs.get(r, c))})
-    return CheckReport(model.name, check, _fmt_points(points), PASS)
-
-
-def _guard(model, check, points, thunk):
-    try:
-        return thunk()
-    except (PoleError, ZeroDivisionError) as exc:
-        return CheckReport(model.name, check, _fmt_points(points), SKIPPED,
-                           reason=f"pole: {exc}")
-
-
 def check_commutation(spec: TransferSpec, x, x2) -> CheckReport:
     def run():
         t1 = build_transfer(spec, x)
         t2 = build_transfer(spec, x2)
-        return _sparse_match(spec.model, "transfer.commutation", (x, x2),
-                             t1 * t2, t2 * t1)
-    return _guard(spec.model, "transfer.commutation", (x, x2), run)
+        return compare(spec.model, "transfer.commutation", (x, x2),
+                       t1 * t2, t2 * t1)
+    return guarded(spec.model, "transfer.commutation", (x, x2), run)
 
 
 def markov_from_transfer(model: ModelDescriptor, L: int) -> CheckReport:
@@ -106,9 +87,9 @@ def markov_from_transfer(model: ModelDescriptor, L: int) -> CheckReport:
         t = build_transfer(spec, Dual.variable(idp))
         tp = t.map(lambda e: e.deriv if isinstance(e, Dual) else Fraction(0))
         lhs = tp.scale(1 / (2 * model.rho))
-        return _sparse_match(model, "transfer.markov_derivative", (idp,),
-                             lhs, build_markov(model, L))
-    return _guard(model, "transfer.markov_derivative", (idp,), run)
+        return compare(model, "transfer.markov_derivative", (idp,),
+                       lhs, build_markov(model, L))
+    return guarded(model, "transfer.markov_derivative", (idp,), run)
 
 
 def lambda_eigenvalue(model: ModelDescriptor, x, thetas) -> Fraction:
@@ -162,26 +143,13 @@ def check_eigenpair(spec: TransferSpec, x, vector, side: str = "right",
         tx = build_transfer(spec, x) if t is None else t
         got = tx.apply(vector) if side == "right" else tx.apply_left(vector)
         want = [lam * v for v in vector]
-        if tolerance is None:
-            lhs = Matrix([got])
-            rhs = Matrix([want])
-            for j in range(len(vector)):
-                if lhs.a[0][j] != rhs.a[0][j]:
-                    return CheckReport(model.name, check, _fmt_points((x,)), FAIL,
-                                       witness={"row": 0, "col": j,
-                                                "lhs": format_rational(lhs.a[0][j]),
-                                                "rhs": format_rational(rhs.a[0][j])})
-            return CheckReport(model.name, check, _fmt_points((x,)), PASS)
-        scale = max(abs(v) for v in vector)
-        for j in range(len(vector)):
-            if abs(got[j] - want[j]) > tolerance * scale:
-                return CheckReport(model.name, check, _fmt_points((x,)), FAIL,
-                                   witness={"row": 0, "col": j,
-                                            "lhs": format_rational(got[j]),
-                                            "rhs": format_rational(want[j])})
-        return CheckReport(model.name, check, _fmt_points((x,)), PASS)
+        if tolerance is not None:
+            # entries within the relative residual count as equal
+            bound = tolerance * max(abs(v) for v in vector)
+            want = [g if abs(g - w) <= bound else w for g, w in zip(got, want)]
+        return compare(model, check, (x,), got, want)
 
-    return _guard(model, check, (x,), run)
+    return guarded(model, check, (x,), run)
 
 
 def left_eigen_ones(spec: TransferSpec, x) -> CheckReport:
@@ -206,17 +174,17 @@ def check_crossing_symmetry_t(spec: TransferSpec, x) -> CheckReport:
     """SSEP: t(x) = (lambda(x)-1) t(-x-1); ASEP: t(x) = (lambda(x)-1) t(1/qx)."""
     model = spec.model
     if model.name not in (m.SSEP, m.ASEP):
-        return CheckReport(model.name, "transfer.crossing", _fmt_points((x,)),
-                           SKIPPED, reason="no crossing relation for this model")
+        return skipped(model, "transfer.crossing", (x,),
+                       "no crossing relation for this model")
 
     def run():
         lam = lambda_eigenvalue(model, x, spec.thetas)
         partner = -x - 1 if model.name == m.SSEP else 1 / (model.q * x)
         lhs = build_transfer(spec, x)
         rhs = build_transfer(spec, partner).scale(lam - 1)
-        return _sparse_match(model, "transfer.crossing", (x,), lhs, rhs)
+        return compare(model, "transfer.crossing", (x,), lhs, rhs)
 
-    return _guard(model, "transfer.crossing", (x,), run)
+    return guarded(model, "transfer.crossing", (x,), run)
 
 
 def ssep_conjugated(spec: TransferSpec, x) -> list:
@@ -225,8 +193,7 @@ def ssep_conjugated(spec: TransferSpec, x) -> list:
     conjugated transfer matrix."""
     model = spec.model
     if model.name != m.SSEP:
-        return [CheckReport(model.name, "conjugated.ssep", _fmt_points((x,)),
-                            SKIPPED, reason="SSEP only")]
+        return [skipped(model, "conjugated.ssep", (x,), "SSEP only")]
     al, be, ga, de = model.alpha, model.beta, model.gamma, model.delta
     if be + de == 0:
         raise ValueError("Gamma is singular: beta + delta = 0")
@@ -239,16 +206,16 @@ def ssep_conjugated(spec: TransferSpec, x) -> list:
         want = Matrix([[-(x * (al + ga) - 1) / d, 2 * x * (al * be - de * ga) / d],
                        [Fraction(0), Fraction(1)]])
         got = Gi * m.k_matrix(model, "K", x) * Gam
-        return _match_dense(model, "conjugated.D", (x,), got, want)
-    out.append(_guard(model, "conjugated.D", (x,), d_check))
+        return compare(model, "conjugated.D", (x,), got, want)
+    out.append(guarded(model, "conjugated.D", (x,), d_check))
 
     def dtilde_check():
         pre = (2 * x + 1) / (2 * (x + 1) * (x * (de + be) + 1))
         want = Matrix([[pre * (-(x + 1) * (be + de) + 1), Fraction(0)],
                        [Fraction(0), pre * ((x + 1) * (be + de) + 1)]])
         got = Gi * m.k_matrix(model, "Ktilde", x) * Gam
-        return _match_dense(model, "conjugated.Dtilde", (x,), got, want)
-    out.append(_guard(model, "conjugated.Dtilde", (x,), dtilde_check))
+        return compare(model, "conjugated.Dtilde", (x,), got, want)
+    out.append(guarded(model, "conjugated.Dtilde", (x,), dtilde_check))
 
     def scalar_check():
         # <-| ts(x) |-> with |-> the all-occupied basis vector: contract t
@@ -261,24 +228,8 @@ def ssep_conjugated(spec: TransferSpec, x) -> list:
             col = [c * g for c in col for g in (Gam.a[0][1], Gam.a[1][1])]
         tcol = t.apply(col)
         got = sum(r * v for r, v in zip(row, tcol))
-        want = lambda_eigenvalue(model, x, spec.thetas)
-        if got == want:
-            return CheckReport(model.name, "conjugated.scalar",
-                               _fmt_points((x,)), PASS)
-        return CheckReport(model.name, "conjugated.scalar", _fmt_points((x,)),
-                           FAIL, witness={"row": 0, "col": 0,
-                                          "lhs": format_rational(got),
-                                          "rhs": format_rational(want)})
-    out.append(_guard(model, "conjugated.scalar", (x,), scalar_check))
+        return compare(model, "conjugated.scalar", (x,),
+                       [got], [lambda_eigenvalue(model, x, spec.thetas)])
+    out.append(guarded(model, "conjugated.scalar", (x,), scalar_check))
     return out
 
-
-def _match_dense(model, check, points, lhs: Matrix, rhs: Matrix) -> CheckReport:
-    for i in range(lhs.rows):
-        for j in range(lhs.cols):
-            if lhs.a[i][j] != rhs.a[i][j]:
-                return CheckReport(model.name, check, _fmt_points(points), FAIL,
-                                   witness={"row": i, "col": j,
-                                            "lhs": format_rational(lhs.a[i][j]),
-                                            "rhs": format_rational(rhs.a[i][j])})
-    return CheckReport(model.name, check, _fmt_points(points), PASS)

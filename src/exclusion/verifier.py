@@ -15,8 +15,9 @@ from fractions import Fraction
 from . import models as m
 from .models import ModelDescriptor
 from .scalars import format_rational
-from .tensor import Matrix, PoleError, derivative_at, embed_at_positions, inverse, \
-    kron, partial_trace_first, partial_transpose, permutation_op
+from .tensor import Matrix, PoleError, SparseMatrix, derivative_at, \
+    embed_at_positions, inverse, kron, partial_trace_first, partial_transpose, \
+    permutation_op, rank
 
 PASS = "Pass"
 FAIL = "Fail"
@@ -41,26 +42,55 @@ def _fmt_points(points) -> tuple:
     return tuple(format_rational(p) for p in points)
 
 
-def _match(model, check, points, lhs: Matrix, rhs: Matrix) -> CheckReport:
-    for i in range(lhs.rows):
-        for j in range(lhs.cols):
-            if lhs.a[i][j] != rhs.a[i][j]:
-                return CheckReport(model.name, check, _fmt_points(points), FAIL,
-                                   witness={"row": i, "col": j,
-                                            "lhs": format_rational(lhs.a[i][j]),
-                                            "rhs": format_rational(rhs.a[i][j])})
+# ------------------------------------------------------------ report core
+
+def compare(model, check, points, lhs, rhs) -> CheckReport:
+    """Pass when lhs equals rhs entry by entry, else Fail with the first
+    mismatch in row-major order as the witness.  The operands are two dense
+    Matrix, two SparseMatrix (never densified) or two flat sequences, read
+    as row 0; differing shapes raise ValueError."""
+    for r, c, a, b in _mismatches(lhs, rhs):
+        return failed(model, check, points,
+                      {"row": r, "col": c, "lhs": format_rational(a),
+                       "rhs": format_rational(b)})
     return CheckReport(model.name, check, _fmt_points(points), PASS)
 
 
-def _skip(model, check, points, reason) -> CheckReport:
-    return CheckReport(model.name, check, _fmt_points(points), SKIPPED, reason=reason)
+def _mismatches(lhs, rhs):
+    """(row, col, lhs entry, rhs entry) wherever the operands differ."""
+    if isinstance(lhs, SparseMatrix):
+        for r, c, _ in (lhs - rhs).items():
+            yield r, c, lhs.get(r, c), rhs.get(r, c)
+        return
+    if isinstance(lhs, Matrix):
+        lhs._same_shape(rhs)
+        rows = zip(lhs.a, rhs.a)
+    elif len(lhs) != len(rhs):
+        raise ValueError(f"length mismatch: {len(lhs)} vs {len(rhs)}")
+    else:
+        rows = [(lhs, rhs)]
+    for r, (row_a, row_b) in enumerate(rows):
+        for c, (a, b) in enumerate(zip(row_a, row_b)):
+            if a != b:
+                yield r, c, a, b
 
 
-def _guard(model, check, points, thunk):
+def failed(model, check, points, witness) -> CheckReport:
+    return CheckReport(model.name, check, _fmt_points(points), FAIL,
+                       witness=witness)
+
+
+def skipped(model, check, points, reason) -> CheckReport:
+    return CheckReport(model.name, check, _fmt_points(points), SKIPPED,
+                       reason=reason)
+
+
+def guarded(model, check, points, thunk):
+    """thunk(), or Skipped when its evaluation hits a pole."""
     try:
         return thunk()
     except (PoleError, ZeroDivisionError) as exc:
-        return _skip(model, check, points, f"pole: {exc}")
+        return skipped(model, check, points, f"pole: {exc}")
 
 
 I2 = Matrix.identity(2)
@@ -83,9 +113,9 @@ def check_yang_baxter(model: ModelDescriptor, x1, x2, x3) -> CheckReport:
         r23 = embed_at_positions(m.r_matrix(model, conv.compose(x2, x3)), (1, 2), 3)
         lhs = r12 * r13 * r23
         rhs = r23 * r13 * r12
-        return _match(model, "yang_baxter", pts, lhs.to_dense(), rhs.to_dense())
+        return compare(model, "yang_baxter", pts, lhs.to_dense(), rhs.to_dense())
 
-    return _guard(model, "yang_baxter", pts, run)
+    return guarded(model, "yang_baxter", pts, run)
 
 
 # ------------------------------------------------------------ R properties
@@ -96,15 +126,15 @@ def check_r_properties(model: ModelDescriptor, x, x2=None) -> list:
     idp = model.identity_point
     P = permutation_op()
 
-    out.append(_guard(model, "r.regularity", (idp,), lambda: _match(
+    out.append(guarded(model, "r.regularity", (idp,), lambda: compare(
         model, "r.regularity", (idp,), m.r_matrix(model, idp), P)))
 
-    out.append(_guard(model, "r.unitarity", (x,), lambda: _match(
+    out.append(guarded(model, "r.unitarity", (x,), lambda: compare(
         model, "r.unitarity", (x,),
         m.r_matrix(model, x) * m.r_matrix_swapped(model, conv.invert(x)), I4)))
 
     if model.crossing is None:
-        out.append(_skip(model, "r.crossing", (x,), "partial transpose singular"))
+        out.append(skipped(model, "r.crossing", (x,), "partial transpose singular"))
     else:
         def crossing():
             cr = model.crossing
@@ -112,25 +142,24 @@ def check_r_properties(model: ModelDescriptor, x, x2=None) -> list:
             shifted = conv.cross_shift(x, cr.Q)
             lhs = partial_transpose(m.r_matrix(model, x), 2) * U2 * \
                 partial_transpose(m.r_matrix_swapped(model, shifted), 2) * inverse(U2)
-            return _match(model, "r.crossing", (x,), lhs, cr.lam(x) * I4)
-        out.append(_guard(model, "r.crossing", (x,), crossing))
+            return compare(model, "r.crossing", (x,), lhs, cr.lam(x) * I4)
+        out.append(guarded(model, "r.crossing", (x,), crossing))
 
     def local_jump():
         w, _, _ = m.local_operators(model)
         rp = derivative_at(lambda s: m.r_matrix(model, s), idp)
-        return _match(model, "r.local_jump", (idp,), P * rp, model.rho * w)
-    out.append(_guard(model, "r.local_jump", (idp,), local_jump))
+        return compare(model, "r.local_jump", (idp,), P * rp, model.rho * w)
+    out.append(guarded(model, "r.local_jump", (idp,), local_jump))
 
     def markov_left():
         R = m.r_matrix(model, x)
         ones = [Fraction(1)] * 4
-        got = _row_times(ones, R)
-        return _match(model, "r.markov_left", (x,), Matrix([got]), Matrix([ones]))
-    out.append(_guard(model, "r.markov_left", (x,), markov_left))
+        return compare(model, "r.markov_left", (x,), _row_times(ones, R), ones)
+    out.append(guarded(model, "r.markov_left", (x,), markov_left))
 
     if model.name == m.RD:
-        out.append(_skip(model, "r.markov_vector", (x,),
-                         "no scalar Markovian vector for this model"))
+        out.append(skipped(model, "r.markov_vector", (x,),
+                           "no scalar Markovian vector for this model"))
     else:
         y = x2 if x2 is not None else _aux_point(model, x)
 
@@ -139,9 +168,8 @@ def check_r_properties(model: ModelDescriptor, x, x2=None) -> list:
             v2 = m.markov_vector(model, y)
             vv = [v1[0] * v2[0], v1[0] * v2[1], v1[1] * v2[0], v1[1] * v2[1]]
             R = m.r_matrix(model, conv.compose(x, y))
-            return _match(model, "r.markov_vector", (x, y),
-                          Matrix([R.apply(vv)]), Matrix([vv]))
-        out.append(_guard(model, "r.markov_vector", (x, y), markov_vec))
+            return compare(model, "r.markov_vector", (x, y), R.apply(vv), vv)
+        out.append(guarded(model, "r.markov_vector", (x, y), markov_vec))
     return out
 
 
@@ -166,7 +194,7 @@ def check_reflection(model: ModelDescriptor, kind: str, x1, x2,
     pts = (x1, x2)
     name = f"reflection.{kind}"
     if kind == "Ktilde" and model.name == m.TASEP:
-        return _skip(model, name, pts, "partial transpose singular")
+        return skipped(model, name, pts, "partial transpose singular")
 
     def kmat(z):
         return k_fn(z) if k_fn is not None else m.k_matrix(model, kind, z)
@@ -201,32 +229,36 @@ def check_reflection(model: ModelDescriptor, kind: str, x1, x2,
             rhs = m.r_matrix(model, c21) * K1 * inv12 * K2
         else:
             raise ValueError(f"unknown reflection kind {kind!r}")
-        return _match(model, name, pts, lhs, rhs)
+        return compare(model, name, pts, lhs, rhs)
 
-    return _guard(model, name, pts, run)
+    return guarded(model, name, pts, run)
 
 
 # ---------------------------------------------------------- K properties
 
-def check_k_properties(model: ModelDescriptor, kind: str, x, twist=None) -> list:
+def check_k_properties(model: ModelDescriptor, kind: str, x, twist=None,
+                       u_points=None) -> list:
+    """Unitarity, regularity, boundary jump and the Markovian properties of
+    K or Kbar at x.  ``u_points`` are the points of the markov_u solve
+    (x and two auxiliary points), drawn here when absent."""
     conv = model.convention
     idp = model.identity_point
     out = []
     name = f"k.{kind}"
     if kind == "Ktilde":
-        return [_skip(model, f"{name}.properties", (x,),
-                      "dual matrix: covered by the dual reflection checks")]
+        return [skipped(model, f"{name}.properties", (x,),
+                        "dual matrix: covered by the dual reflection checks")]
     if twist is not None:
         if model.name != m.ASEP:
-            return [_skip(model, f"{name}.twisted", (x,), "twist is ASEP-only")]
+            return [skipped(model, f"{name}.twisted", (x,), "twist is ASEP-only")]
         kf = m.general_asep_k(model.alpha, model.gamma, model.q, twist)
     else:
         kf = lambda z: m.k_matrix(model, kind, z)
 
-    out.append(_guard(model, f"{name}.unitarity", (x,), lambda: _match(
+    out.append(guarded(model, f"{name}.unitarity", (x,), lambda: compare(
         model, f"{name}.unitarity", (x,), kf(x) * kf(conv.invert(x)), I2)))
 
-    out.append(_guard(model, f"{name}.regularity", (idp,), lambda: _match(
+    out.append(guarded(model, f"{name}.regularity", (idp,), lambda: compare(
         model, f"{name}.regularity", (idp,), kf(idp), I2)))
 
     def boundary_jump():
@@ -238,47 +270,50 @@ def check_k_properties(model: ModelDescriptor, kind: str, x, twist=None) -> list
             target = Matrix([[-model.alpha, model.gamma / tau],
                              [tau * model.alpha, -model.gamma]])
         kp = derivative_at(kf, idp)
-        return _match(model, f"{name}.boundary_jump", (idp,), kp,
-                      (2 * model.rho * eps) * target)
-    out.append(_guard(model, f"{name}.boundary_jump", (idp,), boundary_jump))
+        return compare(model, f"{name}.boundary_jump", (idp,), kp,
+                       (2 * model.rho * eps) * target)
+    out.append(guarded(model, f"{name}.boundary_jump", (idp,), boundary_jump))
 
     if twist is not None and twist != 1:
-        out.append(_skip(model, f"{name}.markov_left", (x,),
-                         "twisted matrix does not satisfy the Markovian property"))
-        out.append(_skip(model, f"{name}.markov_u", (x,),
-                         "twisted matrix does not satisfy the Markovian property"))
+        out.append(skipped(model, f"{name}.markov_left", (x,),
+                           "twisted matrix does not satisfy the Markovian property"))
+        out.append(skipped(model, f"{name}.markov_u", (x,),
+                           "twisted matrix does not satisfy the Markovian property"))
         return out
 
     def markov_left():
         ones = [Fraction(1), Fraction(1)]
-        got = _row_times(ones, kf(x))
-        return _match(model, f"{name}.markov_left", (x,),
-                      Matrix([got]), Matrix([ones]))
-    out.append(_guard(model, f"{name}.markov_left", (x,), markov_left))
+        return compare(model, f"{name}.markov_left", (x,),
+                       _row_times(ones, kf(x)), ones)
+    out.append(guarded(model, f"{name}.markov_left", (x,), markov_left))
 
     def markov_u():
-        dim = _u_solution_dim(model, kf, x)
-        if dim >= 1:
+        if _u_solution_dim(model, kf, u_points or _u_points(model, x)) >= 1:
             return CheckReport(model.name, f"{name}.markov_u", _fmt_points((x,)),
                                PASS)
-        return CheckReport(model.name, f"{name}.markov_u", _fmt_points((x,)), FAIL,
-                           witness={"row": 0, "col": 0,
-                                    "lhs": "0-dimensional u space", "rhs": ">= 1"})
-    out.append(_guard(model, f"{name}.markov_u", (x,), markov_u))
+        return failed(model, f"{name}.markov_u", (x,),
+                      {"row": 0, "col": 0, "lhs": "0-dimensional u space",
+                       "rhs": ">= 1"})
+    out.append(guarded(model, f"{name}.markov_u", (x,), markov_u))
     return out
 
 
-def _u_solution_dim(model: ModelDescriptor, kf, x) -> int:
+def _u_points(model: ModelDescriptor, x) -> list:
+    """x and two auxiliary points, each compose-safe with the one before."""
+    points = [x]
+    while len(points) < 3:
+        points.append(_aux_point(model, points[-1]))
+    return points
+
+
+def _u_solution_dim(model: ModelDescriptor, kf, points) -> int:
     """Dimension of the space of low-degree vectors u with
-    K(x) u(invert x) = u(x), imposed at x and two auxiliary points."""
+    K(x) u(invert x) = u(x), imposed at each of the points."""
     conv = model.convention
     monomials = [lambda z: 1, lambda z: z]
     if model.name == m.RD:
         monomials.append(lambda z: 1 / z)
     basis = [(comp, mono) for comp in range(2) for mono in monomials]
-    points = [x]
-    while len(points) < 3:
-        points.append(_aux_point(model, points[-1]))
     rows = []
     for p in points:
         K = kf(p)
@@ -291,26 +326,7 @@ def _u_solution_dim(model: ModelDescriptor, kf, x) -> int:
                     val -= mono(p)
                 row.append(val)
             rows.append(row)
-    return _dense_kernel_dim(rows)
-
-
-def _dense_kernel_dim(rows) -> int:
-    ncols = len(rows[0])
-    work = [list(r) for r in rows]
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][col]
-        work[rank] = [e / pv for e in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [e - f * g for e, g in zip(work[r], work[rank])]
-        rank += 1
-    return ncols - rank
+    return len(basis) - rank(Matrix(rows))
 
 
 # ------------------------------------------------- dual-map consistency
@@ -320,23 +336,23 @@ def check_dual_maps(model: ModelDescriptor, x) -> list:
     back to Kbar."""
     out = []
     if model.name == m.TASEP:
-        out.append(_skip(model, "dual.map_vs_catalog", (x,),
-                         "partial transpose singular"))
-        out.append(_skip(model, "dual.roundtrip", (x,),
-                         "partial transpose singular"))
+        out.append(skipped(model, "dual.map_vs_catalog", (x,),
+                           "partial transpose singular"))
+        out.append(skipped(model, "dual.roundtrip", (x,),
+                           "partial transpose singular"))
         return out
 
     def map_vs_catalog():
         lhs = m.ktilde_from_kbar(model, x)
         rhs = m.k_matrix(model, "Ktilde", x)
-        return _match(model, "dual.map_vs_catalog", (x,), lhs, rhs)
-    out.append(_guard(model, "dual.map_vs_catalog", (x,), map_vs_catalog))
+        return compare(model, "dual.map_vs_catalog", (x,), lhs, rhs)
+    out.append(guarded(model, "dual.map_vs_catalog", (x,), map_vs_catalog))
 
     def roundtrip():
         lhs = m.kbar_from_ktilde(model, x)
         rhs = m.k_matrix(model, "Kbar", x)
-        return _match(model, "dual.roundtrip", (x,), lhs, rhs)
-    out.append(_guard(model, "dual.roundtrip", (x,), roundtrip))
+        return compare(model, "dual.roundtrip", (x,), lhs, rhs)
+    out.append(guarded(model, "dual.roundtrip", (x,), roundtrip))
     return out
 
 
@@ -347,7 +363,7 @@ def check_named_symmetries(model: ModelDescriptor, x) -> list:
         return _ssep_symmetries(model, x)
     if model.name == m.ASEP:
         return _asep_symmetries(model, x)
-    return [_skip(model, "symmetry", (x,), "no named symmetry list for this model")]
+    return [skipped(model, "symmetry", (x,), "no named symmetry list for this model")]
 
 
 def _ssep_symmetries(model: ModelDescriptor, x) -> list:
@@ -356,18 +372,18 @@ def _ssep_symmetries(model: ModelDescriptor, x) -> list:
     Vi = inverse(V)
     R = m.r_matrix(model, x)
 
-    out.append(_guard(model, "symmetry.pt", (x,), lambda: _match(
+    out.append(guarded(model, "symmetry.pt", (x,), lambda: compare(
         model, "symmetry.pt", (x,),
         partial_transpose(partial_transpose(R, 1), 2), R)))
-    out.append(_guard(model, "symmetry.swap", (x,), lambda: _match(
+    out.append(guarded(model, "symmetry.swap", (x,), lambda: compare(
         model, "symmetry.swap", (x,), m.r_matrix_swapped(model, x), R)))
 
     def crossing():
         rhs = (x / (x + 1)) * (kron(V, I2) *
                                partial_transpose(m.r_matrix(model, -x - 1), 2) *
                                kron(Vi, I2))
-        return _match(model, "symmetry.crossing", (x,), R, rhs)
-    out.append(_guard(model, "symmetry.crossing", (x,), crossing))
+        return compare(model, "symmetry.crossing", (x,), R, rhs)
+    out.append(guarded(model, "symmetry.crossing", (x,), crossing))
 
     swapped = m.ssep(model.delta, model.gamma, model.beta, model.alpha)
     # K with alpha->delta, gamma->beta
@@ -377,16 +393,16 @@ def _ssep_symmetries(model: ModelDescriptor, x) -> list:
         pre = -(2 * x + 1) / (2 * (x + 1)) * \
             ((x + 1) * (de + be) - 1) / (x * (de + be) + 1)
         rhs = pre * (V * m.k_matrix(swapped, "K", -x - 1).transpose() * Vi)
-        return _match(model, "symmetry.ktilde_crossing", (x,),
-                      m.k_matrix(model, "Ktilde", x), rhs)
-    out.append(_guard(model, "symmetry.ktilde_crossing", (x,), ktilde_crossing))
+        return compare(model, "symmetry.ktilde_crossing", (x,),
+                       m.k_matrix(model, "Ktilde", x), rhs)
+    out.append(guarded(model, "symmetry.ktilde_crossing", (x,), ktilde_crossing))
 
     def duality():
         big = kron(m.k_matrix(model, "Ktilde", x), I2) * \
             m.r_matrix(model, 2 * x) * permutation_op()
-        return _match(model, "symmetry.duality", (x,),
-                      m.k_matrix(swapped, "K", x), partial_trace_first(big))
-    out.append(_guard(model, "symmetry.duality", (x,), duality))
+        return compare(model, "symmetry.duality", (x,),
+                       m.k_matrix(swapped, "K", x), partial_trace_first(big))
+    out.append(guarded(model, "symmetry.duality", (x,), duality))
     return out
 
 
@@ -400,24 +416,24 @@ def _asep_symmetries(model: ModelDescriptor, x) -> list:
     R = m.r_matrix(model, x)
     R21 = m.r_matrix_swapped(model, x)
 
-    out.append(_guard(model, "symmetry.t", (x,), lambda: _match(
+    out.append(guarded(model, "symmetry.t", (x,), lambda: compare(
         model, "symmetry.t", (x,),
         partial_transpose(partial_transpose(R, 1), 2),
         kron(Mq, I2) * R21 * kron(I2, Mi))))
 
-    out.append(_guard(model, "symmetry.p_v", (x,), lambda: _match(
+    out.append(guarded(model, "symmetry.p_v", (x,), lambda: compare(
         model, "symmetry.p_v", (x,), R21, kron(V, V) * R * kron(Vi, Vi))))
-    out.append(_guard(model, "symmetry.p_w", (x,), lambda: _match(
+    out.append(guarded(model, "symmetry.p_w", (x,), lambda: compare(
         model, "symmetry.p_w", (x,), R21, kron(W, W) * R * kron(Wi, Wi))))
-    out.append(_guard(model, "symmetry.z2", (x,), lambda: _match(
+    out.append(guarded(model, "symmetry.z2", (x,), lambda: compare(
         model, "symmetry.z2", (x,), R, kron(Mq, Mq) * R * kron(Mi, Mi))))
 
     def crossing():
         rhs = ((x - 1) / (q * x - 1)) * (
             kron(Mq * V, I2) *
             partial_transpose(m.r_matrix(model, 1 / (q * x)), 2) * kron(Vi, I2))
-        return _match(model, "symmetry.crossing", (x,), R, rhs)
-    out.append(_guard(model, "symmetry.crossing", (x,), crossing))
+        return compare(model, "symmetry.crossing", (x,), R, rhs)
+    out.append(guarded(model, "symmetry.crossing", (x,), crossing))
 
     swapped = m.asep(q, model.beta, model.alpha, model.delta, model.gamma)
     # K with alpha->beta, gamma->delta
@@ -430,17 +446,17 @@ def _asep_symmetries(model: ModelDescriptor, x) -> list:
         lhs = V.transpose() * \
             m.k_matrix(model, "Ktilde", 1 / (q * x)).transpose() * Vi
         rhs = pre * (Mq * W * m.k_matrix(swapped, "K", x) * Wi)
-        return _match(model, "symmetry.ktilde_crossing", (x,), lhs, rhs)
-    out.append(_guard(model, "symmetry.ktilde_crossing", (x,), ktilde_crossing))
+        return compare(model, "symmetry.ktilde_crossing", (x,), lhs, rhs)
+    out.append(guarded(model, "symmetry.ktilde_crossing", (x,), ktilde_crossing))
 
     def duality():
         # multiplicative analog: R(x^2), not the additive-looking R(2x)
         big = kron(m.k_matrix(model, "Ktilde", x), I2) * \
             m.r_matrix(model, x * x) * permutation_op()
         lhs = W * m.k_matrix(swapped, "K", x) * Wi
-        return _match(model, "symmetry.duality", (x,), lhs,
-                      partial_trace_first(big))
-    out.append(_guard(model, "symmetry.duality", (x,), duality))
+        return compare(model, "symmetry.duality", (x,), lhs,
+                       partial_trace_first(big))
+    out.append(guarded(model, "symmetry.duality", (x,), duality))
     return out
 
 
@@ -461,8 +477,9 @@ def run_model_suite(model: ModelDescriptor, points: list,
             reports.append(check_reflection(model, "K", x, x2))
             reports.append(check_reflection(model, "Kbar", x, x2))
             reports.append(check_reflection(model, "Ktilde", x, x2))
-        reports.extend(check_k_properties(model, "K", x))
-        reports.extend(check_k_properties(model, "Kbar", x))
+        u_points = _u_points(model, x)
+        reports.extend(check_k_properties(model, "K", x, u_points=u_points))
+        reports.extend(check_k_properties(model, "Kbar", x, u_points=u_points))
         reports.extend(check_dual_maps(model, x))
         reports.extend(check_named_symmetries(model, x))
         if model.name == m.ASEP and twist is not None:
@@ -470,7 +487,8 @@ def run_model_suite(model: ModelDescriptor, points: list,
             if x2 is not None:
                 rep = check_reflection(model, "K", x, x2, k_fn=kf)
                 reports.append(replace(rep, check="reflection.K_twisted"))
-            for rep in check_k_properties(model, "K", x, twist=twist):
+            for rep in check_k_properties(model, "K", x, twist=twist,
+                                          u_points=u_points):
                 reports.append(replace(rep, check=rep.check.replace(
                     "k.K", "k.K_twisted", 1)))
     return reports

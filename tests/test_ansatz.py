@@ -55,6 +55,17 @@ def test_tasep_ansatz_equals_nullspace():
         assert got.probabilities() == want.probabilities()
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.fractions(min_value=0, max_value=5, max_denominator=9).filter(bool),
+       st.fractions(min_value=0, max_value=5, max_denominator=9).filter(bool),
+       st.integers(1, 4))
+def test_tasep_ansatz_equals_nullspace_at_random_rates(al, be, L):
+    rep = an.tasep_representation(al, be, L + 1)
+    got = an.steady_from_ansatz(rep, L)
+    want = mk.steady_state_exact(ex.build_markov(ex.tasep(al, be), L))
+    assert got.probabilities() == want.probabilities()
+
+
 def test_tasep_truncation_guard():
     rep = an.tasep_representation(1, 1, 3)
     with pytest.raises(ValueError):

@@ -150,6 +150,17 @@ def test_truncation_cap_nonconvergence_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("cap", ["0", "5", "-3"])
+def test_truncation_cap_below_first_round_exits_3(capsys, cap):
+    # at L = 2 the first truncation round is N = 6
+    code = main(["steady", "--model", "rd", "--method", "ansatz", "--L", "2",
+                 f"--truncation-cap={cap}"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert f"truncation cap {cap} is below" in captured.err
+
+
 def test_transfer_theta_pole_collision_exits_3(capsys):
     # at kappa=3 the dual boundary matrix has a genuine pole at x = 1/2
     code, _ = run(capsys, "transfer", "--model", "rd", "--kappa", "3",
@@ -322,3 +333,59 @@ def test_rd_ansatz_steady_reuses_the_rates_representation(capsys, monkeypatch):
     assert builds == [7, 14, 28]  # one build per round, none extra
     assert _sha256(out) == \
         "f35011985721851928987bbed536464f970976b2a6956bb70ce384c786eb66a5"
+
+
+_R = ("--alpha", "1/2", "--beta", "2/3", "--gamma", "1/3", "--delta", "1/5")
+_RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
+       "--gamma", "1/3", "--delta", "1/5", "--L", "2", "--method", "both")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("verify", "--model", "asep", "--q", "3", *_R, "--seed", "5"),
+     "d1c5671a3df77e9d838a28e34dd28572207d5a60f6ffee70ad11ce4fbf2eeb59"),
+    (("verify", "--model", "ssep", *_R, "--seed", "5"),
+     "8a8864c0657a1bac2abcbe85756d6c0f4a84fae5579e119a686da3a5b95040f3"),
+    (("verify", "--model", "tasep", "--alpha", "1/2", "--beta", "2/3",
+      "--seed", "5"),
+     "ddc9cce00a777cd80b0c2a43c93890be42d1edfb60c24d3dae371b99e5e0c661"),
+    (("transfer", "--model", "ssep", *_R, "--L", "3", "--check", "conjugated",
+      "--x", "3"),
+     "80b6c38e0dd4e513a69e64bbb7586a97ca40e9ff31935a986f85e23d821f4ab4"),
+    (("transfer", "--model", "asep", "--q", "3", *_R, "--L", "3",
+      "--check", "crossing", "--x", "3"),
+     "53a01e5597750f9dd761ba8022a8d6b8756ce1c8d07bce70a872995e16bc0aa5"),
+    (("transfer", "--model", "ssep", *_R, "--L", "3", "--theta", "1/2,2/3,3",
+      "--check", "eigenvalue", "--x", "3", "--x2", "5"),
+     "0d150e555ebd08287c76c6c738f1b3199ab32acd40331067f8877a5993402968"),
+    (("steady", *_RD, "--format", "csv"),
+     "24be420dae1873153637ab45a5ea478f19ff0f23aa16b59ea42a6298e359b1d0"),
+    (("steady", *_RD, "--format", "json"),
+     "a394cf0cc0f2dd9a04458a0ee79ec1bd51dbd5677a36d4e1828ec8ef7ee89189"),
+    (("profile", "--model", "rd", *_R, "--L", "12", "--asymptotics",
+      "--format", "csv"),
+     "5f7ee08bfae0461d76344381f6bac0795023acf03cc95d5863a4a1662a983233"),
+    (("profile", "--model", "rd", *_R, "--L", "12", "--asymptotics",
+      "--format", "json"),
+     "a001bcb12f5e027d33bab559c4e3a6f8cf52e2fc25214c170233b7fc6718b88c"),
+], ids=["verify-asep", "verify-ssep", "verify-tasep", "transfer-ssep-conjugated",
+        "transfer-asep-crossing", "transfer-ssep-eigenvalue", "steady-rd-csv",
+        "steady-rd-json", "profile-rd-csv", "profile-rd-json"])
+def test_output_bytes_are_pinned(capsys, argv, digest):
+    # stdout digests of the report, steady and profile writers; any change to
+    # how a check becomes a report or a row becomes a cell shows here
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert _sha256(out) == digest
+
+
+def test_bench_json_keys_and_row_order(capsys):
+    # wall times vary; the document's shape must not
+    code, out = run(capsys, "bench", *_RD[:-2], "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["schema", "bench"]
+    assert [r["task"] for r in doc["bench"]] == [
+        "build_markov", "steady_nullspace", "steady_ansatz", "transfer_build",
+        "transfer_commutation"]
+    assert all(list(r) == ["task", "model", "L", "seconds"]
+               for r in doc["bench"])

@@ -282,3 +282,12 @@ def test_rd_boundary_coefficients():
     assert co["a"] == F(5, 7)
     assert co["c"] == F(-1, 7)
     assert co["phi"] == F(1, 2)
+
+
+def test_r_matrix_swapped_is_p_r_p(all_models):
+    # the entry permutation equals the conjugation by the swap, exactly,
+    # over Fractions and over dual numbers
+    P = permutation_op()
+    for mdl in all_models:
+        for x in (F(3), F(-2, 7), Dual.variable(F(5, 3))):
+            assert r_matrix_swapped(mdl, x) == P * ex.r_matrix(mdl, x) * P

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exclusion as ex
+import exclusion.transfer as tr
 import exclusion.verifier as vf
 from exclusion.sampling import sample_points
-from exclusion.tensor import Matrix
+from exclusion.tensor import Matrix, SparseMatrix
 
 
 def all_pass(reports):
@@ -106,7 +107,8 @@ def test_twisted_k_breaks_markov_property(asep_model):
 def test_k_markov_u_dimension(all_models):
     for mdl in all_models:
         x = sample_points(mdl, 1, seed=9)[0]
-        assert vf._u_solution_dim(mdl, lambda z: ex.k_matrix(mdl, "K", z), x) >= 1
+        assert vf._u_solution_dim(mdl, lambda z: ex.k_matrix(mdl, "K", z),
+                                  vf._u_points(mdl, x)) >= 1
 
 
 def test_named_symmetries(ssep_model, asep_model, rd_model):
@@ -140,6 +142,39 @@ def test_fail_report_carries_witness(ssep_model):
     assert set(rep.witness) == {"row", "col", "lhs", "rhs"}
 
 
+def test_compare_witness_is_the_same_for_dense_sparse_and_row(ssep_model):
+    # one wrong pair, given in each operand form the report core accepts:
+    # the first mismatch in row-major order, in row 0 here
+    good = Matrix([[1, F(1, 2), 0], [0, 3, 0], [F(2, 3), 0, 1]])
+    bad = Matrix([[1, F(5, 2), 0], [0, 3, 7], [F(2, 3), 0, 1]])
+    want = {"row": 0, "col": 1, "lhs": "1/2", "rhs": "5/2"}
+    for lhs, rhs in ((good, bad),
+                     (SparseMatrix.from_dense(good), SparseMatrix.from_dense(bad)),
+                     (good.a[0], bad.a[0])):
+        rep = vf.compare(ssep_model, "wrong", (F(2),), lhs, rhs)
+        assert rep.status == vf.FAIL
+        assert rep.witness == want
+        assert rep.points == ("2",)
+        assert vf.compare(ssep_model, "same", (F(2),), lhs, lhs).status == \
+            vf.PASS
+    # below row 0 the dense and sparse witnesses still agree
+    lower = Matrix([[1, F(1, 2), 0], [0, 3, 7], [F(2, 3), 0, 1]])
+    reports = [vf.compare(ssep_model, "wrong", (), a, b).witness
+               for a, b in ((good, lower), (SparseMatrix.from_dense(good),
+                                            SparseMatrix.from_dense(lower)))]
+    assert reports == [{"row": 1, "col": 2, "lhs": "0", "rhs": "7"}] * 2
+
+
+def test_compare_shape_mismatch_raises(ssep_model):
+    with pytest.raises(ValueError):
+        vf.compare(ssep_model, "c", (), Matrix.identity(2), Matrix.identity(3))
+    with pytest.raises(ValueError):
+        vf.compare(ssep_model, "c", (), [F(1)], [F(1), F(0)])
+    with pytest.raises(ValueError):
+        vf.compare(ssep_model, "c", (), SparseMatrix.identity(2),
+                   SparseMatrix.identity(3))
+
+
 def test_full_suite_no_fail(all_models):
     for mdl in all_models:
         points = sample_points(mdl, 2, seed=1)
@@ -167,3 +202,14 @@ def test_full_suite_no_fail_at_random_rates(name, data):
     reports = vf.run_model_suite(mdl, sample_points(mdl, 3, seed=seed))
     assert not [r for r in reports if r.status == vf.FAIL]
     assert any(r.status == vf.PASS for r in reports)
+
+
+@pytest.mark.parametrize("name", sorted(_MODELS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_markov_from_transfer_at_random_rates(name, data):
+    # (1/2 rho) t'(identity) = M holds at every rate set, not only the fixed one
+    mdl = data.draw(_MODELS[name])
+    L = data.draw(st.integers(1, 3))
+    rep = tr.markov_from_transfer(mdl, L)
+    assert rep.status == vf.PASS, (mdl, L, rep.witness, rep.reason)
