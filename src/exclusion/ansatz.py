@@ -5,9 +5,9 @@ data in the first row/column and basis boundary vectors, which makes every
 word of length <= N-1 exact under truncation.  The reaction-diffusion chain
 carries the three-generator shift representation on a truncated N (x) N
 tensor space; its boundary vectors have infinite tails, so steady-state
-evaluation runs a truncation-doubling convergence loop.  The Zamolodchikov
-relation is also realized exactly on monodromy matrices for ASEP, SSEP and
-TASEP.
+evaluation raises the truncation N by max(4, N // 4) per round until two
+successive iterates agree.  The Zamolodchikov relation is also realized
+exactly on monodromy matrices for ASEP, SSEP and TASEP.
 """
 
 from __future__ import annotations
@@ -391,8 +391,8 @@ def ansatz_weights(rep: MPRepresentation | RDRepresentation, L: int) -> list:
 def steady_from_ansatz(rep: MPRepresentation | RDRepresentation, L: int,
                        cap: int = CAP) -> Distribution:
     """Stationary distribution from the representation.  Exact reps are
-    contracted directly; approximate (RD) reps run the truncation-doubling
-    convergence loop starting from N = L + 4."""
+    contracted directly; approximate (RD) reps run the truncation
+    convergence loop over ``truncation_rounds(L, cap)``."""
     if rep.exact_up_to is not None:
         if L > rep.exact_up_to:
             raise ValueError(f"truncation N={rep.N} is exact only up to "
@@ -406,22 +406,33 @@ def steady_from_ansatz(rep: MPRepresentation | RDRepresentation, L: int,
     return dist
 
 
-def rd_steady_converged(rep: RDRepresentation, L: int, cap: int = CAP):
-    """(Distribution, meta) after doubling N until two successive iterates
-    agree to relative 1e-12 (rational cross-multiplied comparison).  The
-    first round, at N = max(L + 4, 6), contracts ``rep`` itself when it was
-    built at that N; every later round builds its own representation."""
-    meta = rep.meta
-    if not rd_convergence_ok(rep, L):
-        raise ValueError("normalization series violates the convergence "
-                         "conditions at this L")
+def truncation_rounds(L: int, cap: int = CAP):
+    """The truncation Ns of the RD convergence loops at chain length L:
+    N = max(L + 4, 6) first, then N -> N + max(4, N // 4) while N <= cap.
+    The stop typically overshoots the N actually needed by about one step,
+    and all rounds together cost 1.1-1.5x the last one."""
     N = max(L + 4, 6)
     if N > cap:
         raise ValueError(f"truncation cap {cap} is below the first round's "
                          f"N={N}")
-    prev = None
-    prev_Z = None
     while N <= cap:
+        yield N
+        N += max(4, N // 4)
+
+
+def rd_steady_converged(rep: RDRepresentation, L: int, cap: int = CAP):
+    """(Distribution, meta) after raising N over ``truncation_rounds``
+    until two successive iterates agree to relative 1e-12 (rational
+    cross-multiplied comparison).  The first round contracts ``rep``
+    itself when it was built at that N; every later round builds its own
+    representation."""
+    meta = rep.meta
+    if not rd_convergence_ok(rep, L):
+        raise ValueError("normalization series violates the convergence "
+                         "conditions at this L")
+    history = []            # (N, Z) of every round, for the error message
+    prev = None
+    for N in truncation_rounds(L, cap):
         if prev is None and rep.N == N:
             cur_rep = rep
         else:
@@ -430,17 +441,28 @@ def rd_steady_converged(rep: RDRepresentation, L: int, cap: int = CAP):
                                         meta["delta"], N)
         weights = ansatz_weights(cur_rep, L)
         Z = sum(weights)
-        if Z != 0 and prev is not None and prev_Z != 0:
+        prev_N, prev_Z = history[-1] if history else (None, 0)
+        if Z != 0 and prev_Z != 0:
             probs = [w / Z for w in weights]
             prev_probs = [w / prev_Z for w in prev]
             if all(_close(p1, p2) for p1, p2 in zip(prev_probs, probs)) and \
                     _close(prev_Z, Z):
                 return (Distribution(L=L, weights=tuple(weights), Z=Z),
-                        {"N": N, "N_prev": N // 2, "converged": True})
-        prev, prev_Z = weights, Z
-        N *= 2
-    raise ValueError(f"no truncation convergence up to N={cap}; last two "
-                     f"Z values {float(prev_Z)} (N={N // 2}) and earlier")
+                        {"N": N, "N_prev": prev_N, "converged": True})
+        prev = weights
+        history.append((N, Z))
+    raise ValueError(f"no truncation convergence up to N={cap}; "
+                     + _last_rounds(history, "Z"))
+
+
+def _last_rounds(history, what: str) -> str:
+    """The last two rounds' values of a failed convergence loop."""
+    if len(history) == 1:
+        (N, v), = history
+        return f"only one round (N={N}, {what} {float(v)}) fits under the cap"
+    (N1, v1), (N2, v2) = history[-2:]
+    return (f"last two {what} values {float(v1)} (N={N1}) and "
+            f"{float(v2)} (N={N2})")
 
 
 def _close(p1: Fraction, p2: Fraction, tol: Fraction = REL_TOL) -> bool:
@@ -488,13 +510,13 @@ def partition_function(rep: RDRepresentation, thetas) -> Fraction:
 
 
 def rd_inhomogeneous_converged(model, thetas, cap: int = CAP):
-    """(state, meta): the inhomogeneous ansatz state, truncation-doubled
-    until two successive normalized iterates agree to relative 1e-12."""
+    """(state, meta): the inhomogeneous ansatz state, with N raised over
+    ``truncation_rounds`` until two successive max-normalized iterates
+    agree to relative 1e-12."""
     thetas = tuple(Fraction(t) for t in thetas)
-    L = len(thetas)
-    N = max(L + 4, 6)
+    history = []            # (N, max-norm) of every round
     prev = None
-    while N <= cap:
+    for N in truncation_rounds(len(thetas), cap):
         rep = rd_representation(model.kappa, model.alpha, model.beta,
                                 model.gamma, model.delta, N)
         state = inhomogeneous_state(rep, thetas)
@@ -503,11 +525,12 @@ def rd_inhomogeneous_converged(model, thetas, cap: int = CAP):
             raise ValueError("inhomogeneous state vanished under truncation")
         scaled = [s / norm for s in state]
         if prev is not None and all(_close(p, s) for p, s in zip(prev, scaled)):
-            return scaled, {"N": N, "N_prev": N // 2, "converged": True}
+            return scaled, {"N": N, "N_prev": history[-1][0],
+                            "converged": True}
         prev = scaled
-        N *= 2
+        history.append((N, norm))
     raise ValueError(f"no truncation convergence up to N={cap} for the "
-                     "inhomogeneous state")
+                     "inhomogeneous state; " + _last_rounds(history, "norm"))
 
 
 # ------------------------------------------------------- monodromy realization

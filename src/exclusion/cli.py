@@ -214,7 +214,8 @@ def _steady_distributions(args, model):
                 ansatz_dist = an.steady_from_ansatz(rep, L)
             else:
                 rep = an.rd_representation(model.kappa, model.alpha, model.beta,
-                                           model.gamma, model.delta, max(L + 4, 6))
+                                           model.gamma, model.delta,
+                                           next(an.truncation_rounds(L)))
                 ansatz_dist = an.steady_from_ansatz(rep, L,
                                                     cap=args.truncation_cap)
         except ValueError as exc:
@@ -399,7 +400,8 @@ def cmd_bench(args) -> int:
         timed("steady_ansatz", lambda: an.steady_from_ansatz(rep, L))
     if model.name == m.RD:
         rep = an.rd_representation(model.kappa, model.alpha, model.beta,
-                                   model.gamma, model.delta, max(L + 4, 6))
+                                   model.gamma, model.delta,
+                                   next(an.truncation_rounds(L)))
         timed("steady_ansatz", lambda: an.steady_from_ansatz(rep, L))
     spec = tr.TransferSpec(model, min(L, 4))
     x, x2 = Fraction(3), Fraction(5)

@@ -3,7 +3,7 @@ from itertools import product
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import exclusion as ex
 import exclusion.ansatz as an
@@ -226,6 +226,61 @@ def test_rd_steady_matches_nullspace():
         got = an.steady_from_ansatz(rep, L).probabilities()
         want = mk.steady_state_exact(ex.build_markov(mdl, L)).probabilities()
         assert all(abs(g - w) <= tol * abs(w) for g, w in zip(got, want))
+
+
+def test_truncation_rounds_grow_by_a_quarter():
+    assert list(an.truncation_rounds(2, 60)) == [6, 10, 14, 18, 22, 27, 33,
+                                                 41, 51]
+    assert list(an.truncation_rounds(8, 12)) == [12]
+    with pytest.raises(ValueError, match="truncation cap 11 is below"):
+        next(an.truncation_rounds(8, 11))
+
+
+# the rate rows of the "needed N" table in ROADMAP.md: (kappa, rates)
+NEEDED_N_ROWS = [(3, (1, 1, 0, 0)),
+                 (3, (F(1, 2), F(2, 3), F(1, 3), F(1, 5))),
+                 (2, (F(1, 2), F(2, 3), F(1, 3), F(1, 5))),
+                 (F(1, 2), (F(3, 2), 2, F(1, 3), F(1, 5)))]
+
+
+def _assert_ansatz_within_rel_tol(kappa, rates, L):
+    rep = an.rd_representation(kappa, *rates, next(an.truncation_rounds(L)))
+    got = an.steady_from_ansatz(rep, L).probabilities()
+    mdl = ex.rd(kappa, *rates)
+    want = mk.steady_state_exact(ex.build_markov(mdl, L)).probabilities()
+    assert all(abs(g - w) <= an.REL_TOL * abs(w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("kappa, rates", NEEDED_N_ROWS)
+def test_rd_steady_stop_is_within_rel_tol_of_nullspace(kappa, rates):
+    # two successive iterates agreeing to REL_TOL is a sound stop only if
+    # the later one is itself that close to the exact weights
+    for L in (2, 3, 4):
+        _assert_ansatz_within_rel_tol(kappa, rates, L)
+
+
+rate = st.fractions(min_value=0, max_value=3, max_denominator=7)
+in_rate = st.fractions(min_value=F(1, 7), max_value=3, max_denominator=7)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=4)
+       .filter(lambda k: k != 1),
+       in_rate, in_rate, rate, rate, st.integers(2, 4))
+def test_rd_steady_stop_is_within_rel_tol_at_random_rates(kappa, alpha, beta,
+                                                          gamma, delta, L):
+    rates = (alpha, beta, gamma, delta)
+    co = an.rd_boundary_coefficients(kappa, *rates)
+    # |a|, |b|, |c|, |d| <= 3/4 bounds the boundary tails, and so the N
+    # reached and the cost of an example
+    assume(0 not in (co["c"], co["d"]))
+    assume(max(abs(co[k]) for k in "abcd") <= F(3, 4))
+    try:
+        rep = an.rd_representation(kappa, *rates, 6)
+    except ValueError:          # <W|V> = 0
+        assume(False)
+    assume(an.rd_convergence_ok(rep, L))
+    _assert_ansatz_within_rel_tol(kappa, rates, L)
 
 
 def test_rd_convergence_conditions():

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import exclusion as ex
 import exclusion.ansatz as an
 import exclusion.transfer as tr
 from exclusion.ansatz import rd_closed_forms
@@ -316,9 +317,8 @@ def test_rd_output_bytes_are_pinned(capsys, argv, digest):
     assert _sha256(out) == digest
 
 
-def test_rd_ansatz_steady_reuses_the_rates_representation(capsys, monkeypatch):
-    # the representation steady builds for its rates serves the first
-    # truncation round; the output is unchanged
+def _count_rd_builds(monkeypatch) -> list:
+    """The N of every rd_representation built from now on."""
     builds = []
     real = an.rd_representation
 
@@ -327,12 +327,56 @@ def test_rd_ansatz_steady_reuses_the_rates_representation(capsys, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(an, "rd_representation", counted)
+    return builds
+
+
+def _exact_weights_within_rel_tol(out, model, L):
+    # the config,weight block of an --exact steady csv against the nullspace
+    got = [F(row[1]) for row in csv.reader(out.splitlines()[1:2 ** L + 1])]
+    want = ex.steady_state_exact(ex.build_markov(model, L)).probabilities()
+    return all(abs(g - w) <= an.REL_TOL * abs(w) for g, w in zip(got, want))
+
+
+def test_rd_ansatz_steady_reuses_the_rates_representation(capsys, monkeypatch):
+    # the representation steady builds for its rates serves the first
+    # truncation round
+    builds = _count_rd_builds(monkeypatch)
     code, out = run(capsys, "steady", "--model", "rd", "--L", "3",
                     "--method", "ansatz", "--exact")
     assert code == 0
-    assert builds == [7, 14, 28]  # one build per round, none extra
+    assert builds == [7, 11, 15, 19]  # one build per round, none extra
+    assert _exact_weights_within_rel_tol(out, ex.rd(3, 1, 1, 0, 0), 3)
     assert _sha256(out) == \
-        "f35011985721851928987bbed536464f970976b2a6956bb70ce384c786eb66a5"
+        "dfa57a4d1a922624cdc32b9deefb6d5d63d1e6e5383c746144077283808035c9"
+
+
+def test_rd_ansatz_exact_at_the_defaults_fits_the_digit_limit(capsys,
+                                                              monkeypatch):
+    # kappa = 3, L = 2 needs N near 32; a stop at N = 96 gives Z a
+    # 5601-digit denominator, past the limit of an --exact cell
+    builds = _count_rd_builds(monkeypatch)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out = run(capsys, "steady", "--model", "rd", "--L", "2",
+                        "--method", "ansatz", "--exact")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert builds[-1] == 41
+    assert _exact_weights_within_rel_tol(out, ex.rd(3, 1, 1, 0, 0), 2)
+
+
+@pytest.mark.parametrize("cap, rounds", [
+    ("12", "3.2617043950943287 (N=6) and 3.2617043828476113 (N=10)"),
+    ("9", "only one round (N=6, Z 3.2617043950943287) fits under the cap")])
+def test_rd_ansatz_nonconvergence_names_the_last_rounds(capsys, cap, rounds):
+    code = main(["steady", "--model", "rd", "--method", "ansatz", "--L", "2",
+                 "--truncation-cap", cap])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"no truncation convergence up to N={cap}; " in err
+    assert rounds in err
 
 
 _R = ("--alpha", "1/2", "--beta", "2/3", "--gamma", "1/3", "--delta", "1/5")
@@ -358,9 +402,9 @@ _RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
       "--check", "eigenvalue", "--x", "3", "--x2", "5"),
      "0d150e555ebd08287c76c6c738f1b3199ab32acd40331067f8877a5993402968"),
     (("steady", *_RD, "--format", "csv"),
-     "24be420dae1873153637ab45a5ea478f19ff0f23aa16b59ea42a6298e359b1d0"),
+     "c2e327e1c16f221a0fa64ee0ee5eea6f2f87c1a3bf79d17e44f7334528c14a7d"),
     (("steady", *_RD, "--format", "json"),
-     "a394cf0cc0f2dd9a04458a0ee79ec1bd51dbd5677a36d4e1828ec8ef7ee89189"),
+     "c88869e95d67d4642e9f7a2d10f6558040670cffc38a99cc28d5f316e804a506"),
     (("profile", "--model", "rd", *_R, "--L", "12", "--asymptotics",
       "--format", "csv"),
      "5f7ee08bfae0461d76344381f6bac0795023acf03cc95d5863a4a1662a983233"),
@@ -375,7 +419,16 @@ def test_output_bytes_are_pinned(capsys, argv, digest):
     # how a check becomes a report or a row becomes a cell shows here
     code, out = run(capsys, *argv)
     assert code == 0
+    if "both" in argv:      # the RD ansatz stop stays within REL_TOL
+        assert _max_rel_diff(out) <= an.REL_TOL
     assert _sha256(out) == digest
+
+
+def _max_rel_diff(out: str) -> F:
+    if out.startswith("{"):
+        return F(json.loads(out)["max_rel_diff"])
+    weights = out.split("\n\n")[0].splitlines()
+    return max(F(row["rel_diff"]) for row in csv.DictReader(weights))
 
 
 def test_bench_json_keys_and_row_order(capsys):
