@@ -320,8 +320,8 @@ def _profile_rows(model, L, args):
 def cmd_transfer(args) -> int:
     model = _model(args)
     L = args.L
-    if L > 5:
-        raise DomainError("transfer checks capped at L = 5")
+    if L > 5:   # at L = 6 the RD inhomogeneous eigenvector takes ~8 s (2 vCPU)
+        raise DomainError(f"transfer checks capped at L = 5, got L = {L}")
     thetas = _thetas(args, model, L)
     spec = tr.TransferSpec(model, L, thetas)
     try:
@@ -386,10 +386,10 @@ def cmd_bench(args) -> int:
     L = args.L
     rows = []
 
-    def timed(task, fn):
+    def timed(task, fn, size=L):
         t0 = time.perf_counter()
         fn()
-        rows.append([task, model.name, L,
+        rows.append([task, model.name, size,
                      round(time.perf_counter() - t0, 6)])
 
     M = build_markov(model, L)
@@ -405,8 +405,9 @@ def cmd_bench(args) -> int:
         timed("steady_ansatz", lambda: an.steady_from_ansatz(rep, L))
     spec = tr.TransferSpec(model, min(L, 4))
     x, x2 = Fraction(3), Fraction(5)
-    timed("transfer_build", lambda: tr.build_transfer(spec, x))
-    timed("transfer_commutation", lambda: tr.check_commutation(spec, x, x2))
+    timed("transfer_build", lambda: tr.build_transfer(spec, x), spec.L)
+    timed("transfer_commutation", lambda: tr.check_commutation(spec, x, x2),
+          spec.L)
     return _write({"schema": SCHEMA,
                    "bench": (["task", "model", "L", "seconds"], rows)}, args)
 

@@ -3,7 +3,10 @@
 Site ordering follows the probability-vector convention: site 1 is the most
 significant bit of the configuration index, so index 1 is (0,...,0,1).
 All operations are pure; entries may be Fraction or Dual (any scalar
-supporting field arithmetic and exact zero tests).
+supporting field arithmetic and exact zero tests).  A SparseMatrix may also
+hold ints, which products, sums, the embedding and the partial trace keep
+as ints; ``integer_form`` puts rational matrices in that form over one
+common denominator, so exact products take no gcd per entry.
 """
 
 from __future__ import annotations
@@ -239,8 +242,6 @@ class SparseMatrix:
     def add(self, r, c, v):
         if not (0 <= r < self.dim and 0 <= c < self.dim):
             raise IndexError("coordinate out of range")
-        if isinstance(v, int):
-            v = Fraction(v)
         row = self._rows.setdefault(r, {})
         nv = row.get(c, 0) + v
         if is_zero(nv):
@@ -347,19 +348,21 @@ class SparseMatrix:
         return f"SparseMatrix(dim={self.dim}, nnz={self.nnz})"
 
 
-def embed_at_positions(op: Matrix, positions, n_factors) -> SparseMatrix:
+def embed_at_positions(op, positions, n_factors) -> SparseMatrix:
     """Embed an operator acting on the given 0-indexed tensor slots of
-    (C^2)^(x n_factors), identity elsewhere.  ``op`` has dim 2^len(positions)
-    with its tensor legs matching ``positions`` in order."""
+    (C^2)^(x n_factors), identity elsewhere.  ``op`` is a Matrix or a
+    SparseMatrix of dim 2^len(positions), with its tensor legs matching
+    ``positions`` in order; its entries are copied as they are."""
+    if isinstance(op, Matrix):
+        op = SparseMatrix.from_dense(op)
     k = len(positions)
-    if op.rows != 1 << k or op.cols != 1 << k:
+    if op.dim != 1 << k:
         raise ValueError("operator size does not match position count")
     if len(set(positions)) != k or any(not 0 <= p < n_factors for p in positions):
         raise ValueError("bad tensor positions")
     dim = 1 << n_factors
     shifts = [n_factors - 1 - p for p in positions]
-    ent = [(i, j, op.a[i][j]) for i in range(op.rows) for j in range(op.cols)
-           if not is_zero(op.a[i][j])]
+    ent = list(op.items())
     out = SparseMatrix(dim)
     mask = 0
     for s in shifts:
@@ -372,7 +375,7 @@ def embed_at_positions(op: Matrix, positions, n_factors) -> SparseMatrix:
             for t, s in enumerate(shifts):
                 r |= ((i >> (k - 1 - t)) & 1) << s
                 c |= ((j >> (k - 1 - t)) & 1) << s
-            out.add(r, c, v)
+            out._rows.setdefault(r, {})[c] = v  # (base, i, j) -> (r, c) is 1:1
     return out
 
 
@@ -436,15 +439,29 @@ def exact_nullspace(M) -> list:
             return candidate
 
 
+def integer_form(*mats: SparseMatrix) -> tuple:
+    """([N_1, ..., N_k], d) with M_i = N_i / d, where the N_i are integer
+    matrices and d is the lcm of the denominators of every entry of every
+    M_i: one common denominator for all of them."""
+    keys = [(i, r) for i, M in enumerate(mats) for r in M._rows]
+    rows, d = _rows_over_lcm([mats[i]._rows[r] for i, r in keys])
+    out = [SparseMatrix(M.dim) for M in mats]
+    for (i, r), row in zip(keys, rows):
+        out[i]._rows[r] = row
+    return out, d
+
+
 def _integer_rows(M: SparseMatrix) -> list:
     """Rows of M as {col: int}, each scaled by the lcm of its denominators."""
-    out = []
-    for r in range(M.dim):
-        row = M._rows.get(r, {})
-        den = math.lcm(*(v.denominator for v in row.values()))
-        out.append({c: v.numerator * (den // v.denominator)
-                    for c, v in row.items()})
-    return out
+    return [_rows_over_lcm([M._rows.get(r, {})])[0][0] for r in range(M.dim)]
+
+
+def _rows_over_lcm(rows) -> tuple:
+    """(the rows times d, d), d the lcm of the denominators of all entries of
+    the rows ({col: Fraction or int}): the scaled rows hold ints."""
+    d = math.lcm(*(v.denominator for row in rows for v in row.values()))
+    return [{c: v.numerator * (d // v.denominator) for c, v in row.items()}
+            for row in rows], d
 
 
 def _primes():
@@ -598,9 +615,14 @@ def derivative_at(f, x0) -> Matrix:
         M = f(Dual.variable(x0))
     except ZeroDivisionError as exc:
         raise PoleError(f"pole while differentiating at {x0}: {exc}") from exc
-    return M.map(lambda e: e.deriv if isinstance(e, Dual) else Fraction(0))
+    return deriv_matrix(M)
 
 
 def value_matrix(M: Matrix) -> Matrix:
     """Drop derivative parts, keeping exact values."""
     return M.map(lambda e: e.value if isinstance(e, Dual) else e)
+
+
+def deriv_matrix(M: Matrix) -> Matrix:
+    """Drop values, keeping exact first derivatives (0 for a plain rational)."""
+    return M.map(lambda e: e.deriv if isinstance(e, Dual) else Fraction(0))

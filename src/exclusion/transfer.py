@@ -1,9 +1,12 @@
 """Double-row transfer matrices with open boundaries.
 
 t(x) is assembled as an ordered sparse product on the (auxiliary (x) chain)
-space of dimension 2^(L+1) and then traced over the auxiliary factor.  It
-carries no prefactor: the homogeneous normalization 1/tr Ktilde(identity)
-is 1 for every catalogued model.
+space of dimension 2^(L+1) and then traced over the auxiliary factor.  The
+product runs in integers: each local factor is scaled by the lcm of its
+denominators, and the product of those denominators divides the traced
+result once, so no gcd is taken inside the product.  t(x) carries no
+prefactor: the homogeneous normalization 1/tr Ktilde(identity) is 1 for
+every catalogued model.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from . import models as m
 from .markov import build_markov
 from .models import ModelDescriptor
 from .scalars import Dual
-from .tensor import Matrix, PoleError, SparseMatrix, embed_at_positions, \
-    inverse, partial_trace_first
+from .tensor import Matrix, PoleError, SparseMatrix, deriv_matrix, \
+    embed_at_positions, integer_form, inverse, partial_trace_first, value_matrix
 from .verifier import CheckReport, compare, guarded, skipped
 
 
@@ -48,32 +51,61 @@ def _factor(what, thunk):
         raise PoleError(f"transfer factor {what}: {exc}") from exc
 
 
-def build_transfer(spec: TransferSpec, x) -> SparseMatrix:
-    """t(x) = tr_0( Ktilde_0(x) R_0L...R_01 K_0(x) R_10...R_L0 )."""
-    model, L = spec.model, spec.L
-    conv = model.convention
-    n = L + 1  # tensor factor 0 is the auxiliary space
-    acc = embed_at_positions(
-        _factor("Ktilde_0", lambda: m.k_matrix(model, "Ktilde", x)), (0,), n)
+def _local_factors(spec: TransferSpec, x):
+    """(tensor positions, matrix) of the 2L+2 factors of t(x) in product
+    order.  Each is evaluated once, as it is drawn, so a pole is reported
+    for the first factor in that order that has one."""
+    model, conv, L = spec.model, spec.model.convention, spec.L
+    yield (0,), _factor("Ktilde_0", lambda: m.k_matrix(model, "Ktilde", x))
     for j in range(L, 0, -1):
         arg = conv.compose(x, spec.thetas[j - 1])
-        acc = acc * embed_at_positions(
-            _factor(f"R_0{j}", lambda: m.r_matrix(model, arg)), (0, j), n)
-    acc = acc * embed_at_positions(
-        _factor("K_0", lambda: m.k_matrix(model, "K", x)), (0,), n)
+        yield (0, j), _factor(f"R_0{j}", lambda: m.r_matrix(model, arg))
+    yield (0,), _factor("K_0", lambda: m.k_matrix(model, "K", x))
     for j in range(1, L + 1):
         arg = conv.reflect_compose(x, spec.thetas[j - 1])
-        acc = acc * embed_at_positions(
-            _factor(f"R_{j}0", lambda: m.r_matrix(model, arg)), (j, 0), n)
-    return partial_trace_first(acc)
+        yield (j, 0), _factor(f"R_{j}0", lambda: m.r_matrix(model, arg))
+
+
+def build_transfer(spec: TransferSpec, x) -> SparseMatrix:
+    """t(x) = tr_0( Ktilde_0(x) R_0L...R_01 K_0(x) R_10...R_L0 ).
+
+    Each factor F is scaled to integers by the lcm d of its denominators and
+    embedded; the embedded factors are multiplied and the auxiliary space is
+    traced out in integers, and the result is divided by the product of the
+    d once.  At a Dual point x every factor F0 + eps F1 becomes two integer
+    tables over one d, and the pair (A, A') <- (A F0, A' F0 + A F1) is
+    carried: the entries of t are then Duals holding t(x) and t'(x)."""
+    dual = isinstance(x, Dual)
+    n = spec.L + 1  # tensor factor 0 is the auxiliary space
+    acc, den = None, 1
+    for positions, F in _local_factors(spec, x):
+        tables = [value_matrix(F), deriv_matrix(F)] if dual else [F]
+        ints, d = integer_form(*map(SparseMatrix.from_dense, tables))
+        f = [embed_at_positions(t, positions, n) for t in ints]
+        den *= d
+        if acc is None:
+            acc = f
+        elif dual:
+            acc = [acc[0] * f[0], acc[1] * f[0] + acc[0] * f[1]]
+        else:
+            acc = [acc[0] * f[0]]
+    t = [partial_trace_first(a) for a in acc]
+    if not dual:
+        return t[0].map(lambda v: Fraction(v, den))
+    return t[0].map(lambda v: Dual(Fraction(v, den))) + \
+        t[1].map(lambda v: Dual(0, Fraction(v, den)))
 
 
 def check_commutation(spec: TransferSpec, x, x2) -> CheckReport:
+    """[t(x), t(x2)] = 0: both products are taken in integers, over the
+    common denominators d1, d2 of t(x), t(x2), and compared over d1 d2."""
     def run():
-        t1 = build_transfer(spec, x)
-        t2 = build_transfer(spec, x2)
+        (t1,), d1 = integer_form(build_transfer(spec, x))
+        (t2,), d2 = integer_form(build_transfer(spec, x2))
+        d = d1 * d2
         return compare(spec.model, "transfer.commutation", (x, x2),
-                       t1 * t2, t2 * t1)
+                       (t1 * t2).map(lambda v: Fraction(v, d)),
+                       (t2 * t1).map(lambda v: Fraction(v, d)))
     return guarded(spec.model, "transfer.commutation", (x, x2), run)
 
 

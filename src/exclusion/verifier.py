@@ -59,8 +59,17 @@ def compare(model, check, points, lhs, rhs) -> CheckReport:
 def _mismatches(lhs, rhs):
     """(row, col, lhs entry, rhs entry) wherever the operands differ."""
     if isinstance(lhs, SparseMatrix):
-        for r, c, _ in (lhs - rhs).items():
-            yield r, c, lhs.get(r, c), rhs.get(r, c)
+        if lhs.dim != rhs.dim:
+            raise ValueError(f"shape mismatch: dim {lhs.dim} vs {rhs.dim}")
+        # equal rows are skipped by one dict comparison, with no arithmetic
+        rows_a, rows_b = dict(lhs.rows_items()), dict(rhs.rows_items())
+        for r in sorted(rows_a.keys() | rows_b.keys()):
+            row_a, row_b = rows_a.get(r, {}), rows_b.get(r, {})
+            if row_a != row_b:
+                for c in sorted(row_a.keys() | row_b.keys()):
+                    a, b = row_a.get(c, Fraction(0)), row_b.get(c, Fraction(0))
+                    if a != b:
+                        yield r, c, a, b
         return
     if isinstance(lhs, Matrix):
         lhs._same_shape(rhs)

@@ -289,6 +289,15 @@ def test_verify_samples_below_one_exits_2(capsys):
         assert out == ""
 
 
+def test_transfer_above_the_cap_exits_3(capsys):
+    code = main(["transfer", "--model", "ssep", "--L", "6",
+                 "--check", "commutation"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "transfer checks capped at L = 5, got L = 6" in captured.err
+
+
 def test_asep_eigenvalue_pole_exits_3(capsys):
     # lambda(x) has a pole at x = 1/q
     for check in ("eigenvalue", "left-eigenvector"):
@@ -380,6 +389,29 @@ def test_rd_ansatz_nonconvergence_names_the_last_rounds(capsys, cap, rounds):
 
 
 _R = ("--alpha", "1/2", "--beta", "2/3", "--gamma", "1/3", "--delta", "1/5")
+_MODEL_ARGS = {"asep": ("--model", "asep", "--q", "3", *_R),
+               "ssep": ("--model", "ssep", *_R),
+               "tasep": ("--model", "tasep", "--alpha", "1/2", "--beta", "2/3"),
+               "rd": ("--model", "rd", *_R)}
+# taken from the Fraction product chain that the integer assembly replaced
+_TRANSFER_L5_DIGESTS = {
+    ("asep", "commutation"):
+        "538ade2e2ea27889d0c5a272a3b810774c84dab846e5d04d341e7ef67c3298a4",
+    ("ssep", "commutation"):
+        "baaef5956770ebbfd3f7a36a825784932826edc9d8b4cce7e14c0487f8207510",
+    ("tasep", "commutation"):
+        "25bfee572871a0e50f2626c880e938e659511ff4cc12f58116ff9c8100994404",
+    ("rd", "commutation"):
+        "2967e3d0b2f7bf501d79432e393ba16d1d4edf7b702df07d5590ddf5b3cfe332",
+    ("asep", "markov-derivative"):
+        "f1a71e7ce8c8da8ab2665b97fc1a573f25e04a186b0d9432cb63430c94effbc9",
+    ("ssep", "markov-derivative"):
+        "cabd3498a074871fed39010dde5e476301b4e75a267d1fca107fdf4b071c6fa1",
+    ("tasep", "markov-derivative"):
+        "8e837d94a161f407bceea18d2ca6f38df140f7d994d4b013a270796e47a08ae2",
+    ("rd", "markov-derivative"):
+        "714ee5606530f9411b99da983ab5deffd4dec92a8012b262c56976d7d0eba1af",
+}
 _RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
        "--gamma", "1/3", "--delta", "1/5", "--L", "2", "--method", "both")
 
@@ -411,9 +443,12 @@ _RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
     (("profile", "--model", "rd", *_R, "--L", "12", "--asymptotics",
       "--format", "json"),
      "a001bcb12f5e027d33bab559c4e3a6f8cf52e2fc25214c170233b7fc6718b88c"),
+    *[(("transfer", *_MODEL_ARGS[name], "--L", "5", "--check", check), digest)
+      for (name, check), digest in _TRANSFER_L5_DIGESTS.items()],
 ], ids=["verify-asep", "verify-ssep", "verify-tasep", "transfer-ssep-conjugated",
         "transfer-asep-crossing", "transfer-ssep-eigenvalue", "steady-rd-csv",
-        "steady-rd-json", "profile-rd-csv", "profile-rd-json"])
+        "steady-rd-json", "profile-rd-csv", "profile-rd-json",
+        *[f"transfer-{name}-{check}-L5" for name, check in _TRANSFER_L5_DIGESTS]])
 def test_output_bytes_are_pinned(capsys, argv, digest):
     # stdout digests of the report, steady and profile writers; any change to
     # how a check becomes a report or a row becomes a cell shows here
@@ -432,13 +467,17 @@ def _max_rel_diff(out: str) -> F:
 
 
 def test_bench_json_keys_and_row_order(capsys):
-    # wall times vary; the document's shape must not
-    code, out = run(capsys, "bench", *_RD[:-2], "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert list(doc) == ["schema", "bench"]
-    assert [r["task"] for r in doc["bench"]] == [
-        "build_markov", "steady_nullspace", "steady_ansatz", "transfer_build",
-        "transfer_commutation"]
-    assert all(list(r) == ["task", "model", "L", "seconds"]
-               for r in doc["bench"])
+    # wall times vary; the document's shape must not.  The transfer rows run
+    # at min(L, 4) and say so
+    for L, transfer_L in ((2, 2), (5, 4)):
+        code, out = run(capsys, "bench", *_RD[:-4], "--L", str(L),
+                        "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["schema", "bench"]
+        assert [(r["task"], r["L"]) for r in doc["bench"]] == [
+            ("build_markov", L), ("steady_nullspace", L), ("steady_ansatz", L),
+            ("transfer_build", transfer_L),
+            ("transfer_commutation", transfer_L)]
+        assert all(list(r) == ["task", "model", "L", "seconds"]
+                   for r in doc["bench"])

@@ -2,7 +2,10 @@
 package; a rename must fail here rather than silently empty the trace."""
 
 import importlib.util
+import sys
 from pathlib import Path
+
+from exclusion import tensor
 
 TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
 
@@ -21,3 +24,28 @@ def test_every_traced_name_resolves():
                for owner, attr in targets if not callable(getattr(owner, attr, None))]
     assert not missing
     assert callable(getattr(traced.sampling, "model_safe", None))
+
+
+def test_transfer_trace_keeps_its_layers(monkeypatch, capsys):
+    # the integer assembly still builds each transfer matrix through
+    # build_transfer and SparseMatrix products, and evaluates each of the
+    # 2L + 2 local factors of each once (r_matrix 2L, k_matrix 2 times)
+    traced = _load()
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "exclusion" and mod is not None:
+            for key, value in list(vars(mod).items()):
+                if callable(value):     # undone when the test ends
+                    monkeypatch.setattr(mod, key, value)
+    monkeypatch.setattr(tensor.SparseMatrix, "__mul__",
+                        tensor.SparseMatrix.__mul__)
+    tracer = traced.Tracer()
+    tracer.install()
+    code = traced.exclusion.cli.main(["transfer", "--model", "ssep", "--L", "3",
+                                      "--check", "commutation"])
+    assert code == 0
+    assert '"pass": 1' in capsys.readouterr().out
+    calls = {name: agg[0] for name, agg in tracer.names.items()}
+    assert calls["transfer.build_transfer"] == 2
+    assert calls["tensor.sparse_mul"] >= 1
+    assert calls["models.r_matrix"] == 12
+    assert calls["models.k_matrix"] == 4

@@ -1,12 +1,34 @@
+import operator
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import exclusion as ex
 import exclusion.markov as mk
+import exclusion.models as m
 import exclusion.transfer as tr
 import exclusion.verifier as vf
-from exclusion.tensor import Matrix, PoleError, SparseMatrix
+from exclusion.scalars import Dual, format_rational
+from exclusion.tensor import Matrix, PoleError, SparseMatrix, \
+    embed_at_positions, partial_trace_first
+from strategies import MODELS
+
+
+def _oracle_transfer(spec, x):
+    """t(x) as the ordered product of the embedded factors over Fraction (or
+    Dual) entries, traced over the auxiliary space: no integer assembly."""
+    model, conv, L = spec.model, spec.model.convention, spec.L
+    factors = [((0,), m.k_matrix(model, "Ktilde", x))]
+    factors += [((0, j), m.r_matrix(model, conv.compose(x, spec.thetas[j - 1])))
+                for j in range(L, 0, -1)]
+    factors.append(((0,), m.k_matrix(model, "K", x)))
+    factors += [((j, 0), m.r_matrix(model,
+                                    conv.reflect_compose(x, spec.thetas[j - 1])))
+                for j in range(1, L + 1)]
+    return partial_trace_first(reduce(operator.mul, (
+        embed_at_positions(f, positions, L + 1) for positions, f in factors)))
 
 
 def test_transfer_identity_point_is_identity(all_models):
@@ -131,8 +153,27 @@ def test_ssep_conjugated_requires_invertible_gamma():
 def test_transfer_pole_names_factor(asep_model):
     spec = tr.TransferSpec(asep_model, 2)
     with pytest.raises(PoleError) as err:
-        tr.build_transfer(spec, F(1, 2))  # q x = 1 in the R factors
-    assert "factor" in str(err.value)
+        tr.build_transfer(spec, F(1, 2))  # q^2 x^2 = 1 at q = 2
+    assert str(err.value) == \
+        "transfer factor Ktilde_0: q^2 x^2 - 1 vanishes at x=1/2"
+
+
+@pytest.mark.parametrize("thetas, x, message", [
+    # both R_0j have the pole; R_02 comes first in the product
+    ((F(6), F(6)), F(3), "transfer factor R_02: q*x - 1 vanishes at x=1/2"),
+    ((F(1, 6), F(1, 6)), F(3),
+     "transfer factor R_10: q*x - 1 vanishes at x=1/2"),
+    ((F(1, 6), F(1, 6)), Dual(3, 1),
+     "transfer factor R_10: q*x - 1 vanishes at x=Dual(1/2, 1/6)"),
+])
+def test_transfer_pole_is_named_in_product_order(asep_model, thetas, x,
+                                                 message):
+    # q = 2: the factors are evaluated in product order, and the first one
+    # with a pole is named
+    spec = tr.TransferSpec(asep_model, 2, thetas)
+    with pytest.raises(PoleError) as err:
+        tr.build_transfer(spec, x)
+    assert str(err.value) == message
 
 
 def test_lambda_eigenvalue_pole_raises_pole_error(asep_model):
@@ -150,3 +191,56 @@ def test_rd_inhomogeneous_eigenvector(rd_model):
     for x in (F(3), F(1, 3), F(5), F(1, 5)):
         rep = tr.check_eigenpair(spec, x, state, eigenvalue=F(1), tolerance=tol)
         assert rep.status == vf.PASS, (x, rep)
+
+
+_point = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_build_transfer_equals_the_fraction_product(name, data):
+    # the integer assembly gives the same exact t(x), and at the identity
+    # point the same exact derivative, as the Fraction (Dual) product
+    mdl = data.draw(MODELS[name])
+    L = data.draw(st.integers(1, 3))
+    spec = tr.TransferSpec(mdl, L, data.draw(st.lists(_point, min_size=L,
+                                                      max_size=L)))
+    for x in (data.draw(_point), Dual.variable(mdl.identity_point)):
+        try:
+            want = _oracle_transfer(spec, x)
+        except PoleError:
+            with pytest.raises(PoleError):
+                tr.build_transfer(spec, x)
+            continue
+        got = tr.build_transfer(spec, x)
+        assert got == want
+        kind = Dual if isinstance(x, Dual) else F
+        assert all(isinstance(v, kind) for _, _, v in got.items())
+
+
+def test_commutation_fail_witness_is_the_fraction_entry(ssep_model,
+                                                        monkeypatch):
+    # a wrong K breaks the reflection equation, so t(x) and t(x2) no longer
+    # commute; the witness is the first mismatch of the Fraction products
+    real = m.k_matrix
+
+    def wrong_k(model, kind, x):
+        k = real(model, kind, x)
+        if kind != "K":
+            return k
+        return Matrix([[k[0, 0], k[0, 1] + 1], [k[1, 0], k[1, 1]]])
+
+    monkeypatch.setattr(m, "k_matrix", wrong_k)
+    spec = tr.TransferSpec(ssep_model, 2, (F(1, 2), F(2, 3)))
+    x, x2 = F(2), F(7, 3)
+    rep = tr.check_commutation(spec, x, x2)
+    assert rep.status == vf.FAIL
+    t1, t2 = _oracle_transfer(spec, x), _oracle_transfer(spec, x2)
+    lhs, rhs = (t1 * t2).to_dense(), (t2 * t1).to_dense()
+    r, c = next((r, c) for r in range(lhs.rows) for c in range(lhs.cols)
+                if lhs[r, c] != rhs[r, c])
+    assert rep.witness == {"row": r, "col": c,
+                           "lhs": format_rational(lhs[r, c]),
+                           "rhs": format_rational(rhs[r, c])}
+    assert F(rep.witness["lhs"]).denominator > 1

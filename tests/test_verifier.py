@@ -8,6 +8,7 @@ import exclusion.transfer as tr
 import exclusion.verifier as vf
 from exclusion.sampling import sample_points
 from exclusion.tensor import Matrix, SparseMatrix
+from strategies import MODELS
 
 
 def all_pass(reports):
@@ -182,34 +183,23 @@ def test_full_suite_no_fail(all_models):
         assert all(r.status != vf.FAIL for r in reports)
 
 
-_rate = st.fractions(min_value=0, max_value=5, max_denominator=7)
-_q = st.fractions(min_value=0, max_value=5, max_denominator=7).filter(
-    lambda q: q not in (0, 1))
-_kappa = st.fractions(min_value=-6, max_value=6, max_denominator=7).filter(
-    lambda k: k not in (0, 1, -1))  # kappa < 0 and 0 < |kappa| < 1 included
-_MODELS = {"asep": st.builds(ex.asep, _q, _rate, _rate, _rate, _rate),
-           "tasep": st.builds(ex.tasep, _rate, _rate),
-           "ssep": st.builds(ex.ssep, _rate, _rate, _rate, _rate),
-           "rd": st.builds(ex.rd, _kappa, _rate, _rate, _rate, _rate)}
-
-
-@pytest.mark.parametrize("name", sorted(_MODELS))
+@pytest.mark.parametrize("name", sorted(MODELS))
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
 def test_full_suite_no_fail_at_random_rates(name, data):
-    mdl = data.draw(_MODELS[name])
+    mdl = data.draw(MODELS[name])
     seed = data.draw(st.integers(0, 10 ** 6))
     reports = vf.run_model_suite(mdl, sample_points(mdl, 3, seed=seed))
     assert not [r for r in reports if r.status == vf.FAIL]
     assert any(r.status == vf.PASS for r in reports)
 
 
-@pytest.mark.parametrize("name", sorted(_MODELS))
+@pytest.mark.parametrize("name", sorted(MODELS))
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_markov_from_transfer_at_random_rates(name, data):
     # (1/2 rho) t'(identity) = M holds at every rate set, not only the fixed one
-    mdl = data.draw(_MODELS[name])
+    mdl = data.draw(MODELS[name])
     L = data.draw(st.integers(1, 3))
     rep = tr.markov_from_transfer(mdl, L)
     assert rep.status == vf.PASS, (mdl, L, rep.witness, rep.reason)
