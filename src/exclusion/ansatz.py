@@ -12,7 +12,6 @@ exactly on monodromy matrices for ASEP, SSEP and TASEP.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -23,7 +22,7 @@ from .markov import Distribution
 from .models import ModelDescriptor
 from .scalars import Dual
 from .tensor import Matrix, PoleError, SparseMatrix, embed_at_positions, \
-    value_matrix
+    integer_form, integer_vector, value_matrix
 from .verifier import CheckReport, FAIL, compare, guarded
 
 REL_TOL = Fraction(1, 10 ** 12)   # truncation-convergence threshold
@@ -32,16 +31,11 @@ CAP = 256                         # truncation ceiling
 
 @dataclass(frozen=True)
 class MPRepresentation:
-    """Letters-to-matrix map with boundary row/column vectors.
-
-    exact_up_to is the word length for which truncation is exact, or None
-    for representations whose boundary vectors have infinite tails.
-    """
+    """Letters-to-matrix map with boundary row/column vectors."""
     letters: dict
     W: tuple
     V: tuple
     N: int
-    exact_up_to: int | None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -62,8 +56,6 @@ class RDRepresentation:
     truncation loops contract the integer tables directly.  (A plain class:
     a dataclass would cost every CLI start-up its class generation.)
     """
-    exact_up_to = None   # boundary vectors have infinite tails
-
     def __init__(self, N, meta, Wn, dW, Cv, Bv, dV, g2, S):
         self.N, self.meta = N, meta
         self.Wn, self.dW = Wn, dW
@@ -231,7 +223,7 @@ def tasep_representation(alpha, beta, N: int) -> MPRepresentation:
     E.add(0, 0, 1 / alpha - 1)
     D.add(0, 1, (alpha + beta - 1) / (alpha * beta) - 1)
     basis0 = tuple(Fraction(1 if n == 0 else 0) for n in range(N))
-    return MPRepresentation({"E": E, "D": D}, basis0, basis0, N, N - 1,
+    return MPRepresentation({"E": E, "D": D}, basis0, basis0, N,
                             meta={"model": "tasep", "alpha": alpha, "beta": beta})
 
 
@@ -312,46 +304,13 @@ def rd_representation(kappa, alpha, beta, gamma, delta, N: int) -> RDRepresentat
                             pd ** (2 * N - 2))
 
 
-def rd_convergence_ok(rep: RDRepresentation, L: int) -> bool:
-    """Stolz-Cesaro convergence conditions of the normalization series."""
-    a, b, c, d, phi = (rep.meta[k] for k in ("a", "b", "c", "d", "phi"))
+def rd_convergence_ok(co: dict, L: int) -> bool:
+    """Stolz-Cesaro convergence conditions of the normalization series, for
+    the boundary coefficients ``co`` (a representation's meta is one)."""
+    a, b, c, d, phi = (co[k] for k in ("a", "b", "c", "d", "phi"))
     g = 1 - phi * phi
     return abs(b * c * phi ** L / (g * d)) < 1 and \
         abs(a * d * phi ** L / (g * c)) < 1
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
-def _scaled_vector(vec):
-    """(integers, common denominator): gcd-free arithmetic downstream."""
-    den = 1
-    for v in vec:
-        if v:
-            den = _lcm(den, v.denominator)
-    return [v.numerator * (den // v.denominator) for v in vec], den
-
-
-def _scaled_rows(sp: SparseMatrix):
-    den = 1
-    for _, row in sp.rows_items():
-        for v in row.values():
-            den = _lcm(den, v.denominator)
-    rows = {r: {c: v.numerator * (den // v.denominator)
-                for c, v in row.items()}
-            for r, row in sp.rows_items()}
-    return rows, den
-
-
-def _apply_left_int(rows, vec, dim):
-    out = [0] * dim
-    for r, row in rows.items():
-        vr = vec[r]
-        if vr:
-            for c, v in row.items():
-                out[c] += vr * v
-    return out
 
 
 def _contract(rep: MPRepresentation | RDRepresentation, word) -> Fraction:
@@ -363,21 +322,22 @@ def _contract(rep: MPRepresentation | RDRepresentation, word) -> Fraction:
 
 def _contract_all_words(rep: MPRepresentation, L: int) -> list:
     """<W| X_1 ... X_L |V> for every choice of X_k among E and D, sharing
-    prefixes; scaled-integer, gcd-free."""
-    Wi, dW = _scaled_vector(list(rep.W))
-    Vi, dV = _scaled_vector(list(rep.V))
-    ops = [_scaled_rows(rep.letters[k]) for k in ("E", "D")]
+    prefixes, in integers: E, D, W and V over common denominators, divided
+    out once per word."""
+    ops, d = integer_form(rep.letters["E"], rep.letters["D"])
+    W, dW = integer_vector(rep.W)
+    V, dV = integer_vector(rep.V)
+    den = dW * dV * d ** L
     out = []
 
-    def walk(vec, den, depth):
+    def walk(vec, depth):
         if depth == L:
-            num = sum(v * w for v, w in zip(vec, Vi))
-            out.append(Fraction(num, den * dV))
+            out.append(Fraction(sum(v * w for v, w in zip(vec, V)), den))
             return
-        for rows, dl in ops:
-            walk(_apply_left_int(rows, vec, rep.N), den * dl, depth + 1)
+        for op in ops:
+            walk(op.apply_left(vec), depth + 1)
 
-    walk(Wi, dW, 0)
+    walk(W, 0)
     return out
 
 
@@ -390,20 +350,19 @@ def ansatz_weights(rep: MPRepresentation | RDRepresentation, L: int) -> list:
 
 def steady_from_ansatz(rep: MPRepresentation | RDRepresentation, L: int,
                        cap: int = CAP) -> Distribution:
-    """Stationary distribution from the representation.  Exact reps are
-    contracted directly; approximate (RD) reps run the truncation
+    """Stationary distribution from the representation.  A TASEP rep is
+    contracted directly; an RD rep supplies only its rates to the truncation
     convergence loop over ``truncation_rounds(L, cap)``."""
-    if rep.exact_up_to is not None:
-        if L > rep.exact_up_to:
-            raise ValueError(f"truncation N={rep.N} is exact only up to "
-                             f"words of length {rep.exact_up_to}")
-        weights = ansatz_weights(rep, L)
-        Z = sum(weights)
-        if Z == 0:
-            raise ValueError("normalization Z_L = 0")
-        return Distribution(L=L, weights=tuple(weights), Z=Z)
-    dist, _ = rd_steady_converged(rep, L, cap=cap)
-    return dist
+    if isinstance(rep, RDRepresentation):
+        return rd_steady_converged(_rd_model(rep), L, cap=cap)[0]
+    if L > rep.N - 1:
+        raise ValueError(f"truncation N={rep.N} is exact only up to "
+                         f"words of length {rep.N - 1}")
+    weights = ansatz_weights(rep, L)
+    Z = sum(weights)
+    if Z == 0:
+        raise ValueError("normalization Z_L = 0")
+    return Distribution(L=L, weights=tuple(weights), Z=Z)
 
 
 def truncation_rounds(L: int, cap: int = CAP):
@@ -420,26 +379,20 @@ def truncation_rounds(L: int, cap: int = CAP):
         N += max(4, N // 4)
 
 
-def rd_steady_converged(rep: RDRepresentation, L: int, cap: int = CAP):
+def rd_steady_converged(model, L: int, cap: int = CAP):
     """(Distribution, meta) after raising N over ``truncation_rounds``
     until two successive iterates agree to relative 1e-12 (rational
-    cross-multiplied comparison).  The first round contracts ``rep``
-    itself when it was built at that N; every later round builds its own
-    representation."""
-    meta = rep.meta
-    if not rd_convergence_ok(rep, L):
-        raise ValueError("normalization series violates the convergence "
-                         "conditions at this L")
+    cross-multiplied comparison).  Every round builds its own
+    representation of the RD model's rates."""
     history = []            # (N, Z) of every round, for the error message
     prev = None
     for N in truncation_rounds(L, cap):
-        if prev is None and rep.N == N:
-            cur_rep = rep
-        else:
-            cur_rep = rd_representation(meta["kappa"], meta["alpha"],
-                                        meta["beta"], meta["gamma"],
-                                        meta["delta"], N)
-        weights = ansatz_weights(cur_rep, L)
+        rep = rd_representation(model.kappa, model.alpha, model.beta,
+                                model.gamma, model.delta, N)
+        if not history and not rd_convergence_ok(rep.meta, L):
+            raise ValueError("normalization series violates the convergence "
+                             "conditions at this L")
+        weights = ansatz_weights(rep, L)
         Z = sum(weights)
         prev_N, prev_Z = history[-1] if history else (None, 0)
         if Z != 0 and prev_Z != 0:
@@ -818,13 +771,8 @@ def rd_profile_rows(kappa, alpha, beta, gamma, delta, L: int,
         raise ValueError("vanishing denominator 1 - a b phi^(2L-2)")
     pn, pd = phi.numerator, phi.denominator
     E = 2 * L - 2
-    # coefficient scale making every term integral
-    P = (c.denominator * (a * d).denominator * d.denominator *
-         (b * c).denominator)
-    c1 = int(c * P)
-    c2 = int(a * d * P)
-    c3 = int(d * P)
-    c4 = int(b * c * P)
+    # the four coefficients as integers over one scale P
+    (c1, c2, c3, c4), P = integer_vector([c, a * d, d, b * c])
     # A_k = pn^e_k pd^(E - e_k) for e = (i-1, L+i-2, L-i, 2L-i-1)
     A1 = pd ** E
     A2 = pn ** (L - 1) * pd ** (L - 1)

@@ -213,11 +213,8 @@ def _steady_distributions(args, model):
                 rep = an.tasep_representation(model.alpha, model.beta, L + 1)
                 ansatz_dist = an.steady_from_ansatz(rep, L)
             else:
-                rep = an.rd_representation(model.kappa, model.alpha, model.beta,
-                                           model.gamma, model.delta,
-                                           next(an.truncation_rounds(L)))
-                ansatz_dist = an.steady_from_ansatz(rep, L,
-                                                    cap=args.truncation_cap)
+                ansatz_dist, _ = an.rd_steady_converged(
+                    model, L, cap=args.truncation_cap)
         except ValueError as exc:
             raise DomainError(str(exc)) from None
     return null_dist, ansatz_dist
@@ -399,10 +396,7 @@ def cmd_bench(args) -> int:
         rep = an.tasep_representation(model.alpha, model.beta, L + 1)
         timed("steady_ansatz", lambda: an.steady_from_ansatz(rep, L))
     if model.name == m.RD:
-        rep = an.rd_representation(model.kappa, model.alpha, model.beta,
-                                   model.gamma, model.delta,
-                                   next(an.truncation_rounds(L)))
-        timed("steady_ansatz", lambda: an.steady_from_ansatz(rep, L))
+        timed("steady_ansatz", lambda: an.rd_steady_converged(model, L))
     spec = tr.TransferSpec(model, min(L, 4))
     x, x2 = Fraction(3), Fraction(5)
     timed("transfer_build", lambda: tr.build_transfer(spec, x), spec.L)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .models import ModelDescriptor, RD, local_operators
-from .tensor import SparseMatrix, embed_local, exact_nullspace
+from .tensor import SparseMatrix, embed_local, exact_nullspace, \
+    integer_vector
 
 
 class KernelError(ValueError):
@@ -74,11 +75,9 @@ def steady_state_exact(M: SparseMatrix) -> Distribution:
     if nonneg_rates and any(p < 0 for p in probs):
         raise KernelError("internal error: negative stationary weight "
                           "with nonnegative rates")
-    den_lcm = 1
-    for p in probs:
-        den_lcm = den_lcm * p.denominator // math.gcd(den_lcm, p.denominator)
-    weights = tuple(Fraction(p * den_lcm) for p in probs)
-    return Distribution(L=L, weights=weights, Z=Fraction(den_lcm))
+    ints, den = integer_vector(probs)
+    return Distribution(L=L, weights=tuple(map(Fraction, ints)),
+                        Z=Fraction(den))
 
 
 def observables(dist: Distribution, model: ModelDescriptor) -> dict:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def rat(value) -> Fraction:
     """Coerce an int, string like '2/3', or Fraction to an exact rational."""

@@ -4,9 +4,11 @@ Site ordering follows the probability-vector convention: site 1 is the most
 significant bit of the configuration index, so index 1 is (0,...,0,1).
 All operations are pure; entries may be Fraction or Dual (any scalar
 supporting field arithmetic and exact zero tests).  A SparseMatrix may also
-hold ints, which products, sums, the embedding and the partial trace keep
-as ints; ``integer_form`` puts rational matrices in that form over one
-common denominator, so exact products take no gcd per entry.
+hold ints, which products, sums, matvecs, the embedding and the partial
+trace keep as ints.  ``integer_form`` and ``integer_vector`` put rational
+matrices and vectors in that form over one common denominator, so exact
+products take no gcd per entry; they are the package's only scaling of
+rationals to integers.
 """
 
 from __future__ import annotations
@@ -88,9 +90,6 @@ class Matrix:
 
     def map(self, fn):
         return Matrix([[fn(e) for e in row] for row in self.a])
-
-    def col(self, j):
-        return [self.a[i][j] for i in range(self.rows)]
 
     def apply(self, vec):
         if len(vec) != self.cols:
@@ -319,14 +318,14 @@ class SparseMatrix:
 
     def apply(self, vec):
         self._check_vector(vec)
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for r, row in self._rows.items():
             out[r] = sum(v * vec[c] for c, v in row.items())
         return out
 
     def apply_left(self, vec):
         self._check_vector(vec)
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for r, row in self._rows.items():
             vr = vec[r]
             if is_zero(vr):
@@ -449,6 +448,13 @@ def integer_form(*mats: SparseMatrix) -> tuple:
     for (i, r), row in zip(keys, rows):
         out[i]._rows[r] = row
     return out, d
+
+
+def integer_vector(vec) -> tuple:
+    """(ints, d) with vec = ints / d, d the lcm of the denominators of the
+    entries (Fraction or int): the vector twin of integer_form."""
+    (row,), d = _rows_over_lcm([dict(enumerate(vec))])
+    return list(row.values()), d
 
 
 def _integer_rows(M: SparseMatrix) -> list:
@@ -600,8 +606,7 @@ def _reconstruct(residues, modulus):
 def _annihilates(rows, vectors) -> bool:
     """Exact check that every integer row is orthogonal to every vector."""
     for vec in vectors:
-        den = math.lcm(*(x.denominator for x in vec))
-        w = [x.numerator * (den // x.denominator) for x in vec]
+        w, _ = integer_vector(vec)
         for row in rows:
             if sum(v * w[c] for c, v in row.items()):
                 return False

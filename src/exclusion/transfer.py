@@ -19,7 +19,8 @@ from .markov import build_markov
 from .models import ModelDescriptor
 from .scalars import Dual
 from .tensor import Matrix, PoleError, SparseMatrix, deriv_matrix, \
-    embed_at_positions, integer_form, inverse, partial_trace_first, value_matrix
+    embed_at_positions, integer_form, integer_vector, inverse, \
+    partial_trace_first, value_matrix
 from .verifier import CheckReport, compare, guarded, skipped
 
 
@@ -163,7 +164,8 @@ def check_eigenpair(spec: TransferSpec, x, vector, side: str = "right",
                     t: SparseMatrix | None = None) -> CheckReport:
     """t(x) v = lambda v (right) or v^T t(x) = lambda v^T (left), exactly,
     or within a relative residual when a tolerance is given.  t(x) is built
-    here unless the caller passes the one it already built."""
+    here unless the caller passes the one it already built.  The product is
+    taken in integers, over the common denominators of t(x) and v."""
     model = spec.model
     check = f"transfer.eigen_{side}"
     if not any(vector):
@@ -172,8 +174,10 @@ def check_eigenpair(spec: TransferSpec, x, vector, side: str = "right",
     def run():
         lam = eigenvalue if eigenvalue is not None else \
             lambda_eigenvalue(model, x, spec.thetas)
-        tx = build_transfer(spec, x) if t is None else t
-        got = tx.apply(vector) if side == "right" else tx.apply_left(vector)
+        (ti,), d = integer_form(build_transfer(spec, x) if t is None else t)
+        vi, e = integer_vector(vector)
+        got = ti.apply(vi) if side == "right" else ti.apply_left(vi)
+        got = [Fraction(g, d * e) for g in got]
         want = [lam * v for v in vector]
         if tolerance is not None:
             # entries within the relative residual count as equal

@@ -66,6 +66,18 @@ def test_tasep_ansatz_equals_nullspace_at_random_rates(al, be, L):
     assert got.probabilities() == want.probabilities()
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.fractions(min_value=0, max_value=5, max_denominator=9).filter(bool),
+       st.fractions(min_value=0, max_value=5, max_denominator=9).filter(bool),
+       st.integers(1, 4))
+def test_tasep_ansatz_weights_equal_the_word_oracle(al, be, L):
+    # exact weights, not probabilities: a wrong common denominator scales
+    # every weight alike and leaves the probabilities unchanged
+    rep = an.tasep_representation(al, be, L + 1)
+    words = product("ED", repeat=L)   # site 1 most significant, E = 0
+    assert an.ansatz_weights(rep, L) == [an._contract(rep, w) for w in words]
+
+
 def test_tasep_truncation_guard():
     rep = an.tasep_representation(1, 1, 3)
     with pytest.raises(ValueError):
@@ -279,13 +291,13 @@ def test_rd_steady_stop_is_within_rel_tol_at_random_rates(kappa, alpha, beta,
         rep = an.rd_representation(kappa, *rates, 6)
     except ValueError:          # <W|V> = 0
         assume(False)
-    assume(an.rd_convergence_ok(rep, L))
+    assume(an.rd_convergence_ok(rep.meta, L))
     _assert_ansatz_within_rel_tol(kappa, rates, L)
 
 
 def test_rd_convergence_conditions():
     rep = an.rd_representation(3, 1, 1, 0, 0, 6)
-    assert an.rd_convergence_ok(rep, 2)
+    assert an.rd_convergence_ok(rep.meta, 2)
 
 
 def test_rd_ansatz_is_near_stationary():

@@ -359,6 +359,20 @@ def test_rd_ansatz_steady_reuses_the_rates_representation(capsys, monkeypatch):
         "dfa57a4d1a922624cdc32b9deefb6d5d63d1e6e5383c746144077283808035c9"
 
 
+def test_rd_truncation_builds_only_its_rounds(capsys, monkeypatch):
+    # the loop builds every round's representation itself, and nothing
+    # outside it builds one: the library call and bench alike build exactly
+    # truncation_rounds(L) up to the stop
+    builds = _count_rd_builds(monkeypatch)
+    _, meta = an.rd_steady_converged(ex.rd(3, 1, 1, 0, 0), 3)
+    rounds = list(an.truncation_rounds(3))
+    assert builds == rounds[:rounds.index(meta["N"]) + 1] == [7, 11, 15, 19]
+    builds.clear()
+    code, _ = run(capsys, "bench", "--model", "rd", "--L", "3")
+    assert code == 0
+    assert builds == [7, 11, 15, 19]
+
+
 def test_rd_ansatz_exact_at_the_defaults_fits_the_digit_limit(capsys,
                                                               monkeypatch):
     # kappa = 3, L = 2 needs N near 32; a stop at N = 96 gives Z a

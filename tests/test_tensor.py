@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 import exclusion as ex
 from exclusion.markov import KernelError, steady_state_exact
 from exclusion.tensor import Matrix, PoleError, SparseMatrix, _primes, \
-    derivative_at, embed_at_positions, embed_local, exact_nullspace, inverse, \
-    kron, partial_trace_first, partial_transpose, permutation_op
+    derivative_at, embed_at_positions, embed_local, exact_nullspace, \
+    integer_form, integer_vector, inverse, kron, partial_trace_first, \
+    partial_transpose, permutation_op
 
 I2 = Matrix.identity(2)
 I4 = Matrix.identity(4)
@@ -290,3 +291,28 @@ def test_sparse_shape_mismatch_raises():
         a.apply_left([F(1)] * 3)
     with pytest.raises(ValueError):  # a tall matrix is not zero-padded
         exact_nullspace(Matrix([[1, 0], [0, 1], [1, 1]]))
+
+
+def test_integer_vector_scales_by_the_lcm():
+    # zeros, negatives and ints mixed with Fractions; d is lcm(4, 6) = 12,
+    # not the product 24
+    ints, d = integer_vector([F(1, 4), 0, F(-5, 6), 3, F(0), F(-7, 4)])
+    assert (ints, d) == ([3, 0, -10, 36, 0, -21], 12)
+    assert all(type(v) is int for v in ints)
+    assert integer_vector([]) == ([], 1)
+    assert integer_vector([0, -2]) == ([0, -2], 1)
+
+
+def test_integer_matvec_stays_integral():
+    # int operands stay ints through apply/apply_left, and the integer forms
+    # give the Fraction products over d e
+    M = SparseMatrix.from_dense(Matrix([[F(1, 2), 0, F(2, 3)],
+                                        [0, 0, 0],
+                                        [F(-3, 4), 1, 0]]))
+    v = [F(1, 5), F(-2, 3), 7]
+    (Mi,), d = integer_form(M)
+    vi, e = integer_vector(v)
+    for mul in (SparseMatrix.apply, SparseMatrix.apply_left):
+        got = mul(Mi, vi)
+        assert all(type(g) is int for g in got)
+        assert [F(g, d * e) for g in got] == mul(M, v)

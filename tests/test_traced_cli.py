@@ -5,7 +5,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from exclusion import tensor
+from exclusion import ansatz, tensor
 
 TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
 
@@ -26,18 +26,23 @@ def test_every_traced_name_resolves():
     assert callable(getattr(traced.sampling, "model_safe", None))
 
 
+def _undo_on_exit(monkeypatch):
+    """Let monkeypatch restore every function the tracer will replace."""
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "exclusion" and mod is not None:
+            for key, value in list(vars(mod).items()):
+                if callable(value):
+                    monkeypatch.setattr(mod, key, value)
+    monkeypatch.setattr(tensor.SparseMatrix, "__mul__",
+                        tensor.SparseMatrix.__mul__)
+
+
 def test_transfer_trace_keeps_its_layers(monkeypatch, capsys):
     # the integer assembly still builds each transfer matrix through
     # build_transfer and SparseMatrix products, and evaluates each of the
     # 2L + 2 local factors of each once (r_matrix 2L, k_matrix 2 times)
     traced = _load()
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "exclusion" and mod is not None:
-            for key, value in list(vars(mod).items()):
-                if callable(value):     # undone when the test ends
-                    monkeypatch.setattr(mod, key, value)
-    monkeypatch.setattr(tensor.SparseMatrix, "__mul__",
-                        tensor.SparseMatrix.__mul__)
+    _undo_on_exit(monkeypatch)
     tracer = traced.Tracer()
     tracer.install()
     code = traced.exclusion.cli.main(["transfer", "--model", "ssep", "--L", "3",
@@ -49,3 +54,31 @@ def test_transfer_trace_keeps_its_layers(monkeypatch, capsys):
     assert calls["tensor.sparse_mul"] >= 1
     assert calls["models.r_matrix"] == 12
     assert calls["models.k_matrix"] == 4
+
+
+def test_rd_steady_trace_sees_every_build_in_the_loop(monkeypatch, capsys):
+    # every representation is built inside the truncation span, so
+    # final_round_s starts at the last round's build
+    traced = _load()
+    _undo_on_exit(monkeypatch)
+    builds = []
+    real = ansatz.rd_representation
+
+    def recorded(*args):
+        builds.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(ansatz, "rd_representation", recorded)
+    tracer = traced.Tracer()
+    tracer.install()
+    code = traced.exclusion.cli.main(["steady", "--model", "rd", "--L", "3",
+                                      "--method", "ansatz"])
+    assert code == 0
+    capsys.readouterr()
+    calls = {name: agg[0] for name, agg in tracer.names.items()}
+    edges = {edge: agg[0] for edge, agg in tracer.edges.items()}
+    assert calls["ansatz.truncation"] == 1
+    assert tracer.counters["N_final_sum"] == builds[-1]
+    assert edges["ansatz.truncation>ansatz.rd_representation"] == \
+        calls["ansatz.rd_representation"] == len(builds)
+    assert "cli>ansatz.rd_representation" not in edges
