@@ -52,9 +52,10 @@ class RDRepresentation:
         V[n,m] = Cv[m-n+N-1] Bv[n] / dV,
         G2[n,m] = g2[n*N+m] / S,   G1, G3 the unit shifts n+1 and m-1.
 
-    The Fraction views W, V and letters are built on first use only; the
-    truncation loops contract the integer tables directly.  (A plain class:
-    a dataclass would cost every CLI start-up its class generation.)
+    A(x) exists only as the stencil _rd_stencil acting on integer rows: the
+    contraction, the boundary relations and the operators of the exchange
+    relation are all read off it.  (A plain class: a dataclass would cost
+    every CLI start-up its class generation.)
     """
     def __init__(self, N, meta, Wn, dW, Cv, Bv, dV, g2, S):
         self.N, self.meta = N, meta
@@ -122,10 +123,9 @@ class RDRepresentation:
         den = self.dW * self.dV
         sites = []
         for t in thetas:
-            xn, xd = t.numerator, t.denominator
-            g2 = self.g2 if xn * xd == 1 else [xn * xd * g for g in self.g2]
-            sites.append((g2, self.S * xn * xn, self.S * xd * xd))
-            den *= self.S * xn * xd
+            site, scale = self._site(t)
+            sites.append(site)
+            den *= scale
         if not sites:
             return [Fraction(self._dot_v(self.Wn), den)]
         out = []
@@ -146,30 +146,37 @@ class RDRepresentation:
             stack.append((vec, depth + 1))
         return out
 
-    @cached_property
-    def W(self) -> tuple:
-        return tuple(Fraction(w, self.dW) for w in self.Wn)
+    def _site(self, x) -> tuple:
+        """((g2, s1, s3), S xn xd): the stencil arguments and the scale of
+        A(x), x = xn/xd.  1/x has the same scale, with s1 and s3 swapped."""
+        xn, xd = x.numerator, x.denominator
+        g2 = self.g2 if xn * xd == 1 else [xn * xd * g for g in self.g2]
+        return (g2, self.S * xn * xn, self.S * xd * xd), self.S * xn * xd
 
-    @cached_property
-    def V(self) -> tuple:
-        N = self.N
-        return tuple(Fraction(self.Cv[m - n + N - 1] * self.Bv[n], self.dV)
-                     for n in range(N) for m in range(N))
+    def _act(self, u, x) -> tuple:
+        """(<u|A_+(x), <u|A_-(x), scale): both components applied to the
+        integer row u, as integer rows over the scale of _site."""
+        site, scale = self._site(x)
+        diag = list(u)
+        shift = _rd_stencil(diag, *site, self.N)
+        return ([d + s for d, s in zip(diag, shift)],
+                [d - s for d, s in zip(diag, shift)], scale)
 
-    @cached_property
-    def letters(self) -> dict:
-        N = self.N
-        G1, G2, G3 = (SparseMatrix(N * N) for _ in range(3))
-        for n in range(N):
-            for mm in range(N):
-                p = n * N + mm
-                G2.add(p, p, Fraction(self.g2[p], self.S))
-                if n + 1 < N:
-                    G1.add((n + 1) * N + mm, p, Fraction(1))
-                if mm - 1 >= 0:
-                    G3.add(n * N + mm - 1, p, Fraction(1))
-        return {"G1": G1, "G2": G2, "G3": G3,
-                "E": G2 + G1 + G3, "D": G2 - G1 - G3}
+    def components(self, x) -> list:
+        """[A_+(x), A_-(x)] as Fraction operators; row r is <e_r|A(x)."""
+        if x == 0:
+            raise PoleError("A(x) has a 1/x term; x must be nonzero")
+        dim = self.N * self.N
+        out = [SparseMatrix(dim), SparseMatrix(dim)]
+        for r in range(dim):
+            e = [0] * dim
+            e[r] = 1
+            *rows, scale = self._act(e, x)
+            for X, row in zip(out, rows):
+                for c, v in enumerate(row):
+                    if v:
+                        X.add(r, c, Fraction(v, scale))
+        return out
 
 
 def _rd_stencil(vec, g2, s1, s3, N) -> list:
@@ -230,11 +237,18 @@ def tasep_representation(alpha, beta, N: int) -> MPRepresentation:
 def rd_boundary_coefficients(kappa, alpha, beta, gamma, delta) -> dict:
     kappa, alpha, beta, gamma, delta = map(Fraction, (kappa, alpha, beta,
                                                       gamma, delta))
+    left, right = 2 * kappa + alpha + gamma, 2 * kappa + delta + beta
+    for factor, value in (("kappa + 1", kappa + 1),
+                          ("2 kappa + alpha + gamma", left),
+                          ("2 kappa + delta + beta", right)):
+        if value == 0:
+            raise ValueError(f"{factor} = 0: the RD boundary coefficients "
+                             "divide by it")
     return {
-        "a": (2 * kappa - alpha - gamma) / (2 * kappa + alpha + gamma),
-        "c": (gamma - alpha) / (2 * kappa + alpha + gamma),
-        "b": (2 * kappa - delta - beta) / (2 * kappa + delta + beta),
-        "d": (beta - delta) / (2 * kappa + delta + beta),
+        "a": (2 * kappa - alpha - gamma) / left,
+        "c": (gamma - alpha) / left,
+        "b": (2 * kappa - delta - beta) / right,
+        "d": (beta - delta) / right,
         "phi": (kappa - 1) / (kappa + 1),
     }
 
@@ -311,13 +325,6 @@ def rd_convergence_ok(co: dict, L: int) -> bool:
     g = 1 - phi * phi
     return abs(b * c * phi ** L / (g * d)) < 1 and \
         abs(a * d * phi ** L / (g * c)) < 1
-
-
-def _contract(rep: MPRepresentation | RDRepresentation, word) -> Fraction:
-    vec = list(rep.W)
-    for letter in word:
-        vec = rep.letters[letter].apply_left(vec)
-    return sum(v * w for v, w in zip(vec, rep.V))
 
 
 def _contract_all_words(rep: MPRepresentation, L: int) -> list:
@@ -420,31 +427,6 @@ def _last_rounds(history, what: str) -> str:
 
 def _close(p1: Fraction, p2: Fraction, tol: Fraction = REL_TOL) -> bool:
     return abs(p1 - p2) <= tol * abs(p2)
-
-
-# ------------------------------------------------------------ ansatz vector
-
-class AnsatzVector:
-    """Operator-valued two-vector A(x) of the RD representation:
-    A = (G1 x + G2 + G3/x, -G1 x + G2 - G3/x)."""
-
-    def __init__(self, rep: RDRepresentation):
-        if not isinstance(rep, RDRepresentation):
-            raise ValueError("ansatz vector requires the RD representation")
-        self.rep = rep
-
-    def component(self, idx: int, x) -> SparseMatrix:
-        if x == 0:
-            raise PoleError("A(x) has a 1/x term; x must be nonzero")
-        G1, G2, G3 = (self.rep.letters[k] for k in ("G1", "G2", "G3"))
-        sign = 1 if idx == 0 else -1
-        return G1.scale(sign * x) + G2 + G3.scale(sign / x)
-
-    def derivative(self, idx: int) -> SparseMatrix:
-        # d/dx (+- G1 x + G2 +- G3/x) at x = 1
-        G1, G3 = self.rep.letters["G1"], self.rep.letters["G3"]
-        sign = 1 if idx == 0 else -1
-        return G1.scale(Fraction(sign)) + G3.scale(Fraction(-sign))
 
 
 def inhomogeneous_state(rep: RDRepresentation, thetas) -> list:
@@ -566,8 +548,8 @@ def check_zf(realization, x1, x2) -> CheckReport:
     """R_12(c(x1,x2)) A_1(x1) A_2(x2) = A_2(x2) A_1(x1), componentwise.
 
     Exact for the monodromy realization; for the RD representation the
-    truncated letters satisfy it exactly on every stored entry (the shift
-    generators never re-enter the truncated block)."""
+    truncated stencil operators satisfy it exactly on every stored entry
+    (the shift generators never re-enter the truncated block)."""
     if isinstance(realization, MonodromyRealization):
         model, check = realization.model, "zf.monodromy"
 
@@ -576,12 +558,10 @@ def check_zf(realization, x1, x2) -> CheckReport:
             return m.r_matrix(model, model.convention.compose(x1, x2)), X1, X2
     else:
         model, check = _rd_model(realization), "zf.representation"
-        A = AnsatzVector(realization)
 
         def inputs():
             R = m.r_matrix(model, Fraction(x1) / Fraction(x2))
-            return R, *([A.component(i, Fraction(x)) for i in (0, 1)]
-                        for x in (x1, x2))
+            return R, *(realization.components(Fraction(x)) for x in (x1, x2))
 
     def run():
         R, X1, X2 = inputs()
@@ -650,52 +630,64 @@ def check_c_commutation(realization: MonodromyRealization, x1, x2) -> CheckRepor
 
 def check_gz(rep: RDRepresentation, x) -> list:
     """Boundary reflection relations of the RD representation on interior
-    truncation indices, plus their derivative consequences."""
+    truncation indices, plus their derivative consequences.
+
+    Each residual is an integer row over one scale.  A right relation on
+    |V> is the left one at 1/x on the mirror <V'|, V'[n,m] = V[m,n], read
+    back transposed: the swap exchanges G1 and G3 and keeps G2 (g2[n,m]
+    depends on n + m only), so (A(y)|V>)[n,m] = (<V'|A(1/y))[m,n], and
+    A'(1) flips sign."""
     x = Fraction(x)
     model = _rd_model(rep)
-    A = AnsatzVector(rep)
     pts = (x,)
-    N = rep.N
+    N, S = rep.N, rep.S
     cut = N - 1
+    mirror = [rep.Cv[n - mm + N - 1] * rep.Bv[mm]
+              for n in range(N) for mm in range(N)]
 
-    def interior(check, vec):
-        # the residual must vanish on the interior indices n, m < N - 1
-        got = Matrix([vec[n * N:n * N + cut] for n in range(cut)])
-        return compare(model, check, pts, got, Matrix.zeros(cut, cut))
+    def interior(check, row, scale, transposed=False):
+        # the residual row must vanish on the interior indices n, m < N - 1
+        got = Matrix([[Fraction(v, scale) for v in row[n * N:n * N + cut]]
+                      for n in range(cut)])
+        return compare(model, check, pts,
+                       got.transpose() if transposed else got,
+                       Matrix.zeros(cut, cut))
+
+    def relation(family, M, c, mix, sub, scale, transposed):
+        # rows i of M[i][0] mix[0] + M[i][1] mix[1] - c sub[i], over scale
+        (*k, kc), den = integer_vector([*M.a[0], *M.a[1], c])
+        return [interior(f"{family}[{i}]",
+                         [k[2 * i] * p + k[2 * i + 1] * q - kc * s
+                          for p, q, s in zip(*mix, sub[i])],
+                         scale * den, transposed) for i in (0, 1)]
 
     def run():
         K = m.k_matrix(model, "K", x)
         Kb = m.k_matrix(model, "Kbar", x)
-        Ax = [A.component(i, x) for i in (0, 1)]
-        Ainv = [A.component(i, 1 / x) for i in (0, 1)]
-        W, V = list(rep.W), list(rep.V)
-        out = []
-        for i in (0, 1):
-            op = Ainv[0].scale(K.a[i][0]) + Ainv[1].scale(K.a[i][1]) - Ax[i]
-            out.append(interior(f"gz.left[{i}]", op.apply_left(W)))
-        for i in (0, 1):
-            op = Ainv[0].scale(Kb.a[i][0]) + Ainv[1].scale(Kb.a[i][1]) - Ax[i]
-            out.append(interior(f"gz.right[{i}]", op.apply(V)))
-
         _, B, Bbar = m.local_operators(model)
-        A1 = [A.component(i, Fraction(1)) for i in (0, 1)]
-        Ap = [A.derivative(i) for i in (0, 1)]
         inv_rho = 1 / model.rho
-        for i in (0, 1):
-            op = A1[0].scale(B.a[i][0]) + A1[1].scale(B.a[i][1]) - \
-                Ap[i].scale(inv_rho)
-            out.append(interior(f"gz.left_derivative[{i}]", op.apply_left(W)))
-        for i in (0, 1):
-            op = A1[0].scale(Bbar.a[i][0]) + A1[1].scale(Bbar.a[i][1]) + \
-                Ap[i].scale(inv_rho)
-            out.append(interior(f"gz.right_derivative[{i}]", op.apply(V)))
-
+        relations, derivatives = [], []
+        for side, u, du, Km, Bm, y, transposed in (
+                ("left", rep.Wn, rep.dW, K, B, x, False),
+                ("right", mirror, rep.dV, Kb, Bbar, 1 / x, True)):
+            # K-mix of <u|A(1/y) minus <u|A(y), both over the scale of y
+            *sub, scale = rep._act(u, y)
+            *mix, _ = rep._act(u, 1 / y)
+            relations += relation(f"gz.{side}", Km, 1, mix, sub,
+                                  du * scale, transposed)
+            # B-mix of <u|A(1) minus <u|A'(1) / rho, over S
+            *at_one, _ = rep._act(u, Fraction(1))
+            d = _rd_stencil(list(u), rep.g2, S, -S, N)     # S <u|A_+'(1)
+            derivatives += relation(f"gz.{side}_derivative", Bm, inv_rho,
+                                    at_one, [d, [-v for v in d]], du * S,
+                                    transposed)
         # C(x) = A1 + A2 = 2 G2 carries no x-dependence, so the boundary
         # symmetry <W|C(x) = <W|C(1/x) holds identically; assert it anyway.
-        Cx = Ax[0] + Ax[1]
-        Cinv = Ainv[0] + Ainv[1]
-        out.append(interior("gz.c_symmetry[0]", (Cx - Cinv).apply_left(W)))
-        return out
+        *cx, scale = rep._act(rep.Wn, x)
+        *cinv, _ = rep._act(rep.Wn, 1 / x)
+        c_row = [a + b - c - d for a, b, c, d in zip(*cx, *cinv)]
+        return relations + derivatives + [
+            interior("gz.c_symmetry[0]", c_row, rep.dW * scale)]
 
     out = guarded(model, "gz", pts, run)
     return [out] if isinstance(out, CheckReport) else out

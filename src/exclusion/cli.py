@@ -11,6 +11,7 @@ Exit codes: 0 pass, 1 check failure, 2 usage error, 3 domain error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -36,6 +37,18 @@ class UsageError(Exception):
 
 class DomainError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _domain_errors():
+    """Re-raise a library domain error as DomainError: a pole hit as
+    "pole collision: ...", a ValueError (UnsupportedError too) as is."""
+    try:
+        yield
+    except PoleError as exc:
+        raise DomainError(f"pole collision: {exc}") from None
+    except ValueError as exc:
+        raise DomainError(str(exc)) from None
 
 
 def _positive_int(text: str) -> int:
@@ -203,20 +216,15 @@ def _steady_distributions(args, model):
             raise DomainError("ansatz steady state exists for tasep and rd only")
     null_dist = ansatz_dist = None
     if method in ("nullspace", "both"):
-        try:
-            null_dist = steady_state_exact(build_markov(model, L))
-        except KernelError as exc:
-            raise DomainError(str(exc)) from None
+        null_dist = steady_state_exact(build_markov(model, L))
     if method in ("ansatz", "both"):
-        try:
+        with _domain_errors():
             if model.name == m.TASEP:
                 rep = an.tasep_representation(model.alpha, model.beta, L + 1)
                 ansatz_dist = an.steady_from_ansatz(rep, L)
             else:
                 ansatz_dist, _ = an.rd_steady_converged(
                     model, L, cap=args.truncation_cap)
-        except ValueError as exc:
-            raise DomainError(str(exc)) from None
     return null_dist, ansatz_dist
 
 
@@ -287,8 +295,9 @@ def cmd_profile(args) -> int:
     L = args.L
     if L < 2 or L > 10 ** 4:
         raise DomainError("profile needs 2 <= L <= 10^4")
-    co = an.rd_boundary_coefficients(model.kappa, model.alpha, model.beta,
-                                     model.gamma, model.delta)
+    with _domain_errors():
+        co = an.rd_boundary_coefficients(model.kappa, model.alpha, model.beta,
+                                         model.gamma, model.delta)
     if co["c"] == 0 or co["d"] == 0:
         raise DomainError("degenerate boundary coefficients: alpha = gamma "
                           "or beta = delta makes c or d vanish")
@@ -305,20 +314,18 @@ def cmd_profile(args) -> int:
 def _profile_rows(model, L, args):
     """The closed-form rows, drawn one at a time as they are formatted; a
     domain error of the formulas surfaces as a DomainError."""
-    try:
+    with _domain_errors():
         yield from an.rd_profile_rows(model.kappa, model.alpha, model.beta,
                                       model.gamma, model.delta, L,
                                       asymptotics=args.asymptotics,
                                       exact=args.exact)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
 
 
 def cmd_transfer(args) -> int:
     model = _model(args)
     L = args.L
-    if L > 5:   # at L = 6 the RD inhomogeneous eigenvector takes ~8 s (2 vCPU)
-        raise DomainError(f"transfer checks capped at L = 5, got L = {L}")
+    if L > 6:   # at L = 6 the RD inhomogeneous eigenvector takes ~1.7 s
+        raise DomainError(f"transfer checks capped at L = 6, got L = {L}")
     thetas = _thetas(args, model, L)
     spec = tr.TransferSpec(model, L, thetas)
     try:
@@ -327,7 +334,7 @@ def cmd_transfer(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     extra = {}
-    try:
+    with _domain_errors():
         if args.check == "commutation":
             reports = [tr.check_commutation(spec, x, x2)]
         elif args.check == "markov-derivative":
@@ -351,12 +358,6 @@ def cmd_transfer(args) -> int:
         else:
             reports = _inhomogeneous_eigen_reports(model, spec,
                                                    args.truncation_cap)
-    except m.UnsupportedError as exc:
-        raise DomainError(str(exc)) from None
-    except PoleError as exc:
-        raise DomainError(f"pole collision: {exc}") from None
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
     for rep in reports:
         if rep.status == vf.SKIPPED and rep.reason and \
                 rep.reason.startswith("pole"):
@@ -389,19 +390,20 @@ def cmd_bench(args) -> int:
         rows.append([task, model.name, size,
                      round(time.perf_counter() - t0, 6)])
 
-    M = build_markov(model, L)
-    timed("build_markov", lambda: build_markov(model, L))
-    timed("steady_nullspace", lambda: steady_state_exact(M))
-    if model.name == m.TASEP:
-        rep = an.tasep_representation(model.alpha, model.beta, L + 1)
-        timed("steady_ansatz", lambda: an.steady_from_ansatz(rep, L))
-    if model.name == m.RD:
-        timed("steady_ansatz", lambda: an.rd_steady_converged(model, L))
-    spec = tr.TransferSpec(model, min(L, 4))
-    x, x2 = Fraction(3), Fraction(5)
-    timed("transfer_build", lambda: tr.build_transfer(spec, x), spec.L)
-    timed("transfer_commutation", lambda: tr.check_commutation(spec, x, x2),
-          spec.L)
+    with _domain_errors():
+        M = build_markov(model, L)
+        timed("build_markov", lambda: build_markov(model, L))
+        timed("steady_nullspace", lambda: steady_state_exact(M))
+        if model.name == m.TASEP:
+            rep = an.tasep_representation(model.alpha, model.beta, L + 1)
+            timed("steady_ansatz", lambda: an.steady_from_ansatz(rep, L))
+        if model.name == m.RD:
+            timed("steady_ansatz", lambda: an.rd_steady_converged(model, L))
+        spec = tr.TransferSpec(model, min(L, 4))
+        x, x2 = Fraction(3), Fraction(5)
+        timed("transfer_build", lambda: tr.build_transfer(spec, x), spec.L)
+        timed("transfer_commutation",
+              lambda: tr.check_commutation(spec, x, x2), spec.L)
     return _write({"schema": SCHEMA,
                    "bench": (["task", "model", "L", "seconds"], rows)}, args)
 

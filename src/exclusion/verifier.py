@@ -33,10 +33,6 @@ class CheckReport:
     witness: dict | None = None
     reason: str | None = None
 
-    @property
-    def passed(self) -> bool:
-        return self.status != FAIL
-
 
 def _fmt_points(points) -> tuple:
     return tuple(format_rational(p) for p in points)

@@ -8,12 +8,22 @@ from hypothesis import assume, given, settings, strategies as st
 import exclusion as ex
 import exclusion.ansatz as an
 import exclusion.markov as mk
+import exclusion.models as mo
 import exclusion.verifier as vf
-from exclusion.scalars import float_repr
+from exclusion.scalars import float_repr, format_rational
+from exclusion.tensor import Matrix, SparseMatrix
 
 
 def dense(sp):
     return sp.to_dense()
+
+
+def _contract(letters, W, V, word):
+    """<W| X_1 ... X_k |V> word by word, the letters looked up by name."""
+    vec = list(W)
+    for letter in word:
+        vec = letters[letter].apply_left(vec)
+    return sum(v * w for v, w in zip(vec, V))
 
 
 # ----------------------------------------------------------------- TASEP
@@ -75,7 +85,8 @@ def test_tasep_ansatz_weights_equal_the_word_oracle(al, be, L):
     # every weight alike and leaves the probabilities unchanged
     rep = an.tasep_representation(al, be, L + 1)
     words = product("ED", repeat=L)   # site 1 most significant, E = 0
-    assert an.ansatz_weights(rep, L) == [an._contract(rep, w) for w in words]
+    assert an.ansatz_weights(rep, L) == \
+        [_contract(rep.letters, rep.W, rep.V, w) for w in words]
 
 
 def test_tasep_truncation_guard():
@@ -92,10 +103,58 @@ def test_tasep_rep_validation():
 
 
 # ----------------------------------------------------------------- RD rep
+#
+# The package holds the RD representation only as integer tables and the
+# stencil; the tests keep a Fraction oracle written entry by entry, bound to
+# the package by _oracle_letters, which asserts that the oracle A(x) equals
+# the package's stencil operators.
+
+def _oracle_letters(rep, xs=(F(1), F(2), F(-1, 3))):
+    """G1, G2, G3 of the RD representation entry by entry: G2[n,m] =
+    phi^(n+m), G1 and G3 the unit shifts n+1 and m-1; E, D = A(1)."""
+    N, phi = rep.N, rep.meta["phi"]
+    G1, G2, G3 = (SparseMatrix(N * N) for _ in range(3))
+    for n in range(N):
+        for m in range(N):
+            p = n * N + m
+            G2.add(p, p, phi ** (n + m))
+            if n + 1 < N:
+                G1.add((n + 1) * N + m, p, F(1))
+            if m >= 1:
+                G3.add(n * N + m - 1, p, F(1))
+    G = {"G1": G1, "G2": G2, "G3": G3, "E": G2 + G1 + G3, "D": G2 - G1 - G3}
+    # A_+(x) + A_-(x) = 2 G2 and A_+(x) - A_-(x) = 2 (x G1 + G3/x) at two
+    # points fix G1, G2 and G3
+    for x in xs:
+        assert rep.components(x) == [_oracle_component(G, i, x)
+                                     for i in (0, 1)]
+    return G
+
+
+def _oracle_component(G, i, x):
+    """A_+(x) = x G1 + G2 + G3/x (i = 0), A_-(x) = -x G1 + G2 - G3/x."""
+    sign = 1 if i == 0 else -1
+    return G["G1"].scale(sign * x) + G["G2"] + G["G3"].scale(sign / x)
+
+
+def _oracle_derivative(G, i):
+    """A_+'(1) = G1 - G3 and A_-'(1) = G3 - G1."""
+    sign = 1 if i == 0 else -1
+    return G["G1"].scale(F(sign)) + G["G3"].scale(F(-sign))
+
+
+def _boundary_views(rep):
+    """The package's W and V as Fractions, read off its integer tables."""
+    N = rep.N
+    W = [F(w, rep.dW) for w in rep.Wn]
+    V = [F(rep.Cv[m - n + N - 1] * rep.Bv[n], rep.dV)
+         for n in range(N) for m in range(N)]
+    return W, V
+
 
 def test_rd_exchange_relations_exact_on_truncation():
     rep = an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 5)
-    G1, G2, G3 = (rep.letters[k] for k in ("G1", "G2", "G3"))
+    G1, G2, G3 = (_oracle_letters(rep)[k] for k in ("G1", "G2", "G3"))
     phi = rep.meta["phi"]
     assert G1 * G2 == (G2 * G1).scale(1 / phi)
     assert G1 * G3 == G3 * G1
@@ -106,7 +165,7 @@ def test_rd_boundary_vectors_satisfy_recursions():
     rep = an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 6)
     N = rep.N
     a, b, c, d, phi = (rep.meta[k] for k in ("a", "b", "c", "d", "phi"))
-    V, W = rep.V, rep.W
+    W, V = _boundary_views(rep)
     for n in range(1, N - 1):
         for mm in range(N - 1):
             assert V[n * N + mm + 1] == b * V[(n - 1) * N + mm] + \
@@ -123,14 +182,15 @@ def test_rd_boundary_vectors_satisfy_recursions():
 
 def test_rd_boundary_recursion_operators_interior():
     rep = an.rd_representation(3, 1, 1, 0, 0, 6)
-    G1, G2, G3 = (rep.letters[k] for k in ("G1", "G2", "G3"))
+    G1, G2, G3 = (_oracle_letters(rep)[k] for k in ("G1", "G2", "G3"))
     a, b, c, d = (rep.meta[k] for k in ("a", "b", "c", "d"))
-    lhs = (G1 - G2.scale(c) - G3.scale(a)).apply_left(list(rep.W))
+    W, V = _boundary_views(rep)
+    lhs = (G1 - G2.scale(c) - G3.scale(a)).apply_left(W)
     N = rep.N
     for n in range(N - 1):
         for mm in range(N - 1):
             assert lhs[n * N + mm] == 0
-    rhs = (G3 - G1.scale(b) - G2.scale(d)).apply(list(rep.V))
+    rhs = (G3 - G1.scale(b) - G2.scale(d)).apply(V)
     for n in range(N - 1):
         for mm in range(N - 1):
             assert rhs[n * N + mm] == 0
@@ -157,31 +217,29 @@ def _closed_form_boundary(co, N):
     return W, V
 
 
-def _oracle_inhomogeneous(rep, thetas):
-    """<W| A_1 ... A_L |V> word by word on the Fraction views."""
-    A = an.AnsatzVector(rep)
-    comps = [[A.component(i, t) for i in (0, 1)] for t in thetas]
+def _oracle_inhomogeneous(G, W, V, thetas):
+    """<W| A_1 ... A_L |V> word by word on the Fraction oracle."""
+    comps = [[_oracle_component(G, i, t) for i in (0, 1)] for t in thetas]
     out = []
     for word in product((0, 1), repeat=len(thetas)):
-        vec = list(rep.W)
+        vec = list(W)
         for site, i in enumerate(word):
             vec = comps[site][i].apply_left(vec)
-        out.append(sum(v * w for v, w in zip(vec, rep.V)))
+        out.append(sum(v * w for v, w in zip(vec, V)))
     return out
 
 
 def _check_integer_tables(rep, L, thetas):
     N, phi = rep.N, rep.meta["phi"]
     W, V = _closed_form_boundary(rep.meta, N)
-    assert list(rep.W) == W
-    assert list(rep.V) == V
-    G2 = rep.letters["G2"]
-    assert list(G2.items()) == [(n * N + m, n * N + m, phi ** (n + m))
-                                for n in range(N) for m in range(N)]
+    assert _boundary_views(rep) == (W, V)
+    assert [F(g, rep.S) for g in rep.g2] == [phi ** (n + m) for n in range(N)
+                                             for m in range(N)]
+    G = _oracle_letters(rep, thetas)
     words = ["".join(w) for w in product("ED", repeat=L)]
-    assert an.ansatz_weights(rep, L) == [an._contract(rep, w) for w in words]
+    assert an.ansatz_weights(rep, L) == [_contract(G, W, V, w) for w in words]
     assert an.inhomogeneous_state(rep, thetas) == \
-        _oracle_inhomogeneous(rep, thetas)
+        _oracle_inhomogeneous(G, W, V, thetas)
 
 
 RD_RATES = [(F(1, 2), F(2, 3), F(1, 3), F(1, 5)),
@@ -215,7 +273,7 @@ def test_rd_integer_tables_property(kappa, alpha, beta, gamma, delta, N,
     rates = (kappa, alpha, beta, gamma, delta)
     try:
         co = an.rd_boundary_coefficients(*rates)
-    except ZeroDivisionError:
+    except ValueError:
         return              # kappa = -1, or 2 kappa + alpha + gamma = 0
     if kappa in (0, 1) or abs(co["phi"]) >= 1 or 0 in (co["c"], co["d"]):
         with pytest.raises(ValueError):
@@ -489,6 +547,152 @@ def test_gz_with_zero_extraction_rates():
 def test_c_derivative_vanishes():
     # C(x) = 2 G2 for the RD ansatz: C'(1) = 0 identically
     rep = an.rd_representation(3, 1, 1, 0, 0, 5)
-    A = an.AnsatzVector(rep)
-    Cp = A.derivative(0) + A.derivative(1)
+    G = _oracle_letters(rep)
+    Cp = _oracle_derivative(G, 0) + _oracle_derivative(G, 1)
     assert Cp.nnz == 0
+
+
+# ------------------------------------------ RD relation failures and poles
+
+def _doubled(M):
+    return Matrix([[2 * v for v in row] for row in M.a])
+
+
+def _perturb(monkeypatch, target, change):
+    """Replace K, Kbar, B, Bbar or R by change(it) where the package looks
+    them up."""
+    if target in ("K", "Kbar"):
+        k_matrix = mo.k_matrix
+
+        def changed(model, kind, x):
+            K = k_matrix(model, kind, x)
+            return change(K) if kind == target else K
+        monkeypatch.setattr(mo, "k_matrix", changed)
+    elif target in ("B", "Bbar"):
+        local_operators = mo.local_operators
+
+        def changed(model):
+            w, B, Bbar = local_operators(model)
+            return (w, change(B), Bbar) if target == "B" else \
+                (w, B, change(Bbar))
+        monkeypatch.setattr(mo, "local_operators", changed)
+    else:
+        r_matrix = mo.r_matrix
+        monkeypatch.setattr(mo, "r_matrix",
+                            lambda model, x: change(r_matrix(model, x)))
+
+
+def _corner_cancelling(rep, x, target):
+    """change(M) = M + E, with E chosen so that the residuals of the
+    target's relations vanish at the interior corner (0, 0) but not next to
+    it: the witness then lies off the diagonal, where a transposed read of
+    a right relation would show."""
+    G = _oracle_letters(rep)
+    W, V = _closed_form_boundary(rep.meta, rep.N)
+    y = 1 / x if target in ("K", "Kbar") else F(1)
+    t0, t1 = (_oracle_component(G, j, y).apply(V)[0] if "bar" in target
+              else _oracle_component(G, j, y).apply_left(W)[0]
+              for j in (0, 1))
+    return lambda M: M + Matrix([[t1, -t0], [t1, -t0]])
+
+def _oracle_gz_residuals(rep, x):
+    """{check: residual} of check_gz on the Fraction oracle: <W| op for the
+    left relations, op |V> for the right ones."""
+    model = an._rd_model(rep)
+    G = _oracle_letters(rep)
+    W, V = _closed_form_boundary(rep.meta, rep.N)
+    K, Kb = mo.k_matrix(model, "K", x), mo.k_matrix(model, "Kbar", x)
+    _, B, Bbar = mo.local_operators(model)
+    Ax, Ainv, A1 = ([_oracle_component(G, i, y) for i in (0, 1)]
+                    for y in (x, 1 / x, F(1)))
+    Ap = [_oracle_derivative(G, i).scale(1 / model.rho) for i in (0, 1)]
+    minus_Ap = [a.scale(F(-1)) for a in Ap]
+    out = {}   # in report order
+    for family, M, A, sub, on_V in (
+            ("gz.left", K, Ainv, Ax, False), ("gz.right", Kb, Ainv, Ax, True),
+            ("gz.left_derivative", B, A1, Ap, False),
+            ("gz.right_derivative", Bbar, A1, minus_Ap, True)):
+        for i in (0, 1):
+            op = A[0].scale(M.a[i][0]) + A[1].scale(M.a[i][1]) - sub[i]
+            out[f"{family}[{i}]"] = op.apply(V) if on_V else op.apply_left(W)
+    out["gz.c_symmetry[0]"] = (Ax[0] + Ax[1] - Ainv[0] - Ainv[1]).apply_left(W)
+    return out
+
+
+def _first_interior_nonzero(residual, N):
+    for n in range(N - 1):
+        for m in range(N - 1):
+            if residual[n * N + m] != 0:
+                return {"row": n, "col": m,
+                        "lhs": format_rational(residual[n * N + m]),
+                        "rhs": "0"}
+    return None
+
+
+@pytest.mark.parametrize("corner", [False, True])
+@pytest.mark.parametrize("N", [5, 7])
+@pytest.mark.parametrize("target, family", [
+    ("K", "gz.left"), ("Kbar", "gz.right"), ("B", "gz.left_derivative"),
+    ("Bbar", "gz.right_derivative")])
+def test_gz_fails_with_the_oracle_witness(monkeypatch, N, target, family,
+                                          corner):
+    rep = an.rd_representation(3, F(1, 2), F(2, 3), F(1, 3), F(1, 5), N)
+    for x in (F(2), F(-1, 3)):
+        with monkeypatch.context() as mp:
+            _perturb(mp, target, _corner_cancelling(rep, x, target)
+                     if corner else _doubled)
+            residuals = _oracle_gz_residuals(rep, x)
+            reports = an.check_gz(rep, x)
+        assert [r.check for r in reports] == list(residuals)
+        for r in reports:
+            want = _first_interior_nonzero(residuals[r.check], N)
+            assert r.status == (vf.PASS if want is None else vf.FAIL)
+            assert r.witness == want
+            if corner and want is not None:
+                n, m = want["row"], want["col"]
+                assert residuals[r.check][n * N + m] != \
+                    residuals[r.check][m * N + n]
+        assert {r.check for r in reports if r.status == vf.FAIL} == \
+            {f"{family}[0]", f"{family}[1]"}
+
+
+@pytest.mark.parametrize("N", [5, 7])
+def test_zf_representation_fails_with_the_oracle_witness(monkeypatch, N):
+    rep = an.rd_representation(F(1, 2), F(3, 2), 2, F(1, 3), F(1, 5), N)
+    x1, x2 = F(2), F(5, 2)
+    _perturb(monkeypatch, "R", _doubled)
+    report = an.check_zf(rep, x1, x2)
+    G = _oracle_letters(rep)
+    R = mo.r_matrix(an._rd_model(rep), x1 / x2)
+    X1, X2 = ([_oracle_component(G, i, x) for i in (0, 1)] for x in (x1, x2))
+    dim = N * N
+    want = None
+    for i, j in product((0, 1), repeat=2):
+        lhs = SparseMatrix(dim)
+        for k, l in product((0, 1), repeat=2):
+            lhs = lhs + (X1[k] * X2[l]).scale(R.a[2 * i + j][2 * k + l])
+        rhs = X2[j] * X1[i]
+        want = next(({"row": i * dim + r, "col": j * dim + c,
+                      "lhs": format_rational(lhs.get(r, c)),
+                      "rhs": format_rational(rhs.get(r, c))}
+                     for r in range(dim) for c in range(dim)
+                     if lhs.get(r, c) != rhs.get(r, c)), None)
+        if want is not None:
+            break
+    assert want is not None
+    assert (report.check, report.status, report.witness) == \
+        ("zf.representation", vf.FAIL, want)
+
+
+def test_rd_relation_pole_reasons():
+    rep = an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 5)
+    reports = an.check_gz(rep, 0)
+    assert [(r.check, r.status, r.reason) for r in reports] == [
+        ("gz", vf.SKIPPED,
+         "pole: 2x*((x^2-1)(alpha+gamma) + 2kappa(x^2+1)) vanishes at x=0")]
+    for pts, reason in (((0, 3), "pole: A(x) has a 1/x term; x must be "
+                                 "nonzero"),
+                        ((2, 0), "pole: Fraction(1, 0)")):
+        r = an.check_zf(rep, *pts)
+        assert (r.check, r.status, r.reason) == \
+            ("zf.representation", vf.SKIPPED, reason)

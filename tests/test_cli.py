@@ -290,12 +290,54 @@ def test_verify_samples_below_one_exits_2(capsys):
 
 
 def test_transfer_above_the_cap_exits_3(capsys):
-    code = main(["transfer", "--model", "ssep", "--L", "6",
+    code = main(["transfer", "--model", "ssep", "--L", "7",
                  "--check", "commutation"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert "transfer checks capped at L = 5, got L = 6" in captured.err
+    assert "transfer checks capped at L = 6, got L = 7" in captured.err
+
+
+# kappa = -1/2 with alpha = 1, gamma = 0: 2 kappa + alpha + gamma = 0
+VANISHING_LEFT = "2 kappa + alpha + gamma = 0"
+
+
+def test_steady_ansatz_vanishing_boundary_factor_exits_3(capsys):
+    for extra in ((), ("--beta", "0", "--delta", "1")):
+        for method in ("ansatz", "both"):
+            code = main(["steady", "--model", "rd", "--kappa=-1/2",
+                         "--method", method, *extra])
+            captured = capsys.readouterr()
+            assert code == 3, (extra, method)
+            assert captured.out == ""
+            assert VANISHING_LEFT in captured.err
+        # the nullspace does not use the boundary coefficients
+        code, out = run(capsys, "steady", "--model", "rd", "--kappa=-1/2",
+                        "--method", "nullspace", *extra)
+        assert code == 0 and out
+
+
+def test_profile_vanishing_boundary_factor_exits_3(capsys):
+    code = main(["profile", "--model", "rd", "--kappa=-1/2", "--L", "4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert VANISHING_LEFT in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--model", "rd", "--alpha", "1", "--gamma", "1"), "c = 0 or d = 0"),
+    (("--model", "rd", "--kappa", "-3"), "|phi| >= 1"),
+    (("--model", "asep", "--q", "1/3"),
+     "pole collision: transfer factor Ktilde_0"),
+    (("--model", "rd", "--kappa=-1/2"), VANISHING_LEFT)])
+def test_bench_domain_errors_exit_3(capsys, argv, message):
+    code = main(["bench", *argv, "--L", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("domain error: ")
+    assert message in captured.err
 
 
 def test_asep_eigenvalue_pole_exits_3(capsys):
