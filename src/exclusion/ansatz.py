@@ -21,8 +21,8 @@ from . import models as m
 from .markov import Distribution
 from .models import ModelDescriptor
 from .scalars import Dual
-from .tensor import Matrix, PoleError, SparseMatrix, embed_at_positions, \
-    integer_form, integer_vector, value_matrix
+from .tensor import Matrix, PoleError, SparseMatrix, deriv_matrix, \
+    embed_at_positions, integer_form, integer_vector, value_matrix
 from .verifier import CheckReport, FAIL, compare, guarded
 
 REL_TOL = Fraction(1, 10 ** 12)   # truncation-convergence threshold
@@ -355,13 +355,13 @@ def ansatz_weights(rep: MPRepresentation | RDRepresentation, L: int) -> list:
     return _contract_all_words(rep, L)
 
 
-def steady_from_ansatz(rep: MPRepresentation | RDRepresentation, L: int,
-                       cap: int = CAP) -> Distribution:
+def steady_from_ansatz(rep: MPRepresentation | RDRepresentation,
+                       L: int) -> Distribution:
     """Stationary distribution from the representation.  A TASEP rep is
     contracted directly; an RD rep supplies only its rates to the truncation
-    convergence loop over ``truncation_rounds(L, cap)``."""
+    convergence loop over ``truncation_rounds(L)``."""
     if isinstance(rep, RDRepresentation):
-        return rd_steady_converged(_rd_model(rep), L, cap=cap)[0]
+        return rd_steady_converged(_rd_model(rep), L)[0]
     if L > rep.N - 1:
         raise ValueError(f"truncation N={rep.N} is exact only up to "
                          f"words of length {rep.N - 1}")
@@ -425,8 +425,8 @@ def _last_rounds(history, what: str) -> str:
             f"{float(v2)} (N={N2})")
 
 
-def _close(p1: Fraction, p2: Fraction, tol: Fraction = REL_TOL) -> bool:
-    return abs(p1 - p2) <= tol * abs(p2)
+def _close(p1: Fraction, p2: Fraction) -> bool:
+    return abs(p1 - p2) <= REL_TOL * abs(p2)
 
 
 def inhomogeneous_state(rep: RDRepresentation, thetas) -> list:
@@ -602,8 +602,7 @@ def check_zf_derivative(realization: MonodromyRealization) -> CheckReport:
     def run():
         Xd = realization.components(Dual.variable(idp))
         X = [value_matrix(B) for B in Xd]
-        Xp = [B.map(lambda e: e.deriv if isinstance(e, Dual) else Fraction(0))
-              for B in Xd]
+        Xp = [deriv_matrix(B) for B in Xd]
         w, _, _ = m.local_operators(model)
         lhs = _r_mix(w, _products(X, X))
         inv_rho = 1 / model.rho

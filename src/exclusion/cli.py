@@ -61,91 +61,95 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_shared(p: argparse.ArgumentParser):
-    p.add_argument("--model", required=True, choices=m.MODEL_NAMES)
-    p.add_argument("--alpha", default="1")
-    p.add_argument("--beta", default="1")
-    p.add_argument("--gamma", default="0")
-    p.add_argument("--delta", default="0")
-    p.add_argument("--q", default="2")
-    p.add_argument("--kappa", default="3")
-    p.add_argument("--L", type=_positive_int, default=2)
-    p.add_argument("--theta", default=None, help="comma list of rationals")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_positive_int, default=5)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", default=None, choices=("csv", "json"))
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--truncation-cap", type=int, default=an.CAP)
+def _rational(text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+# Every option, by flag.  --q and --kappa have no default here: _model
+# applies it for the one model that has the rate.
+_OPTIONS = {
+    "--model": dict(required=True, choices=m.MODEL_NAMES),
+    "--alpha": dict(type=_rational, default="1"),
+    "--beta": dict(type=_rational, default="1"),
+    "--gamma": dict(type=_rational, default="0"),
+    "--delta": dict(type=_rational, default="0"),
+    "--q": dict(type=_rational), "--kappa": dict(type=_rational),
+    "--out": {},
+    "--L": dict(type=_positive_int, default=2),
+    "--theta": dict(type=lambda text: tuple(map(_rational, text.split(","))),
+                    help="comma list of rationals"),
+    "--seed": dict(type=int, default=0),
+    "--samples": dict(type=_positive_int, default=5),
+    "--format": dict(default="csv", choices=("csv", "json")),
+    "--exact": dict(action="store_true"),
+    "--truncation-cap": dict(type=int, default=an.CAP),
+    "--method": dict(default="nullspace",
+                     choices=("nullspace", "ansatz", "both")),
+    "--asymptotics": dict(action="store_true"),
+    "--check": dict(default="commutation",
+                    choices=("commutation", "markov-derivative", "eigenvalue",
+                             "left-eigenvector", "crossing", "conjugated",
+                             "inhomogeneous-eigenvector")),
+    "--x": dict(type=_rational, default="3"),
+    "--x2": dict(type=_rational, default="5"),
+}
+_COMMON = ("--model", "--alpha", "--beta", "--gamma", "--delta", "--q",
+           "--kappa", "--out")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes _COMMON plus exactly the options it reads."""
     p = argparse.ArgumentParser(prog="exclusion")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, fn in (("verify", cmd_verify), ("steady", cmd_steady),
-                     ("profile", cmd_profile), ("transfer", cmd_transfer),
-                     ("bench", cmd_bench)):
+    for name, fn, own in (
+            ("verify", cmd_verify, ("--seed", "--samples")),
+            ("steady", cmd_steady, ("--L", "--format", "--exact",
+                                    "--truncation-cap", "--method")),
+            ("profile", cmd_profile, ("--L", "--format", "--exact",
+                                      "--asymptotics")),
+            ("transfer", cmd_transfer, ("--L", "--theta", "--seed",
+                                        "--truncation-cap", "--check", "--x",
+                                        "--x2")),
+            ("bench", cmd_bench, ("--L", "--format"))):
         sp = sub.add_parser(name)
-        _add_shared(sp)
+        for flag in _COMMON + own:
+            sp.add_argument(flag, **_OPTIONS[flag])
         sp.set_defaults(fn=fn)
-    for sp_name, sp in sub.choices.items():
-        if sp_name == "steady":
-            sp.add_argument("--method", default="nullspace",
-                            choices=("nullspace", "ansatz", "both"))
-        if sp_name == "profile":
-            sp.add_argument("--asymptotics", action="store_true")
-        if sp_name == "transfer":
-            sp.add_argument("--check", default="commutation",
-                            choices=("commutation", "markov-derivative",
-                                     "eigenvalue", "left-eigenvector",
-                                     "crossing", "conjugated",
-                                     "inhomogeneous-eigenvector"))
-            sp.add_argument("--x", default="3")
-            sp.add_argument("--x2", default="5")
+        if "--format" not in own:   # a check report is a JSON document
+            sp.set_defaults(format="json")
     return p
 
 
-def _rates(args) -> dict:
-    try:
-        out = {k: parse_rational(getattr(args, k))
-               for k in ("alpha", "beta", "gamma", "delta", "q", "kappa")}
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return out
-
-
 def _model(args) -> m.ModelDescriptor:
-    r = _rates(args)
+    for k, owner in (("q", m.ASEP), ("kappa", m.RD)):
+        if getattr(args, k) is not None and args.model != owner:
+            raise UsageError(f"--{k} is a rate of {owner} only")
+    rates = (args.alpha, args.beta, args.gamma, args.delta)
     try:
         if args.model == m.ASEP:
-            return m.asep(r["q"], r["alpha"], r["beta"], r["gamma"], r["delta"])
+            return m.asep(Fraction(2) if args.q is None else args.q, *rates)
         if args.model == m.TASEP:
-            if r["gamma"] != 0 or r["delta"] != 0:
+            if args.gamma != 0 or args.delta != 0:
                 raise UsageError("tasep has no gamma/delta rates")
-            return m.tasep(r["alpha"], r["beta"])
+            return m.tasep(args.alpha, args.beta)
         if args.model == m.SSEP:
-            return m.ssep(r["alpha"], r["beta"], r["gamma"], r["delta"])
-        return m.rd(r["kappa"], r["alpha"], r["beta"], r["gamma"], r["delta"])
+            return m.ssep(*rates)
+        return m.rd(Fraction(3) if args.kappa is None else args.kappa, *rates)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _thetas(args, model, L):
-    if args.theta is None:
-        return None
-    try:
-        parts = [parse_rational(t) for t in args.theta.split(",")]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if len(parts) != L:
-        raise UsageError(f"need {L} inhomogeneities, got {len(parts)}")
-    return tuple(parts)
 
 
 def _emit(text: str, args):
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: "
+                             f"{exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -192,7 +196,7 @@ def _finish_reports(reports, args, model, extra=None) -> int:
            "checks": _report_rows(reports, params)}
     if extra:
         doc.update(extra)
-    _emit(json.dumps(doc, indent=2) + "\n", args)
+    _write(doc, args)
     return 0 if counts["fail"] == 0 else 1
 
 
@@ -261,7 +265,7 @@ def _write(doc: dict, args) -> int:
     writes each table as a list of dicts keyed by its header; CSV writes
     only the tables, in document order, separated by a blank row.  Rows may
     be drawn lazily: nothing is emitted until every row is formatted."""
-    if (args.format or "csv") == "json":
+    if args.format == "json":
         doc = {k: [dict(zip(v[0], row)) for row in v[1]]
                if isinstance(v, tuple) else v for k, v in doc.items()}
         _emit(json.dumps(doc, indent=2) + "\n", args)
@@ -326,13 +330,10 @@ def cmd_transfer(args) -> int:
     L = args.L
     if L > 6:   # at L = 6 the RD inhomogeneous eigenvector takes ~1.7 s
         raise DomainError(f"transfer checks capped at L = 6, got L = {L}")
-    thetas = _thetas(args, model, L)
-    spec = tr.TransferSpec(model, L, thetas)
-    try:
-        x = parse_rational(args.x)
-        x2 = parse_rational(args.x2)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.theta is not None and len(args.theta) != L:
+        raise UsageError(f"need {L} inhomogeneities, got {len(args.theta)}")
+    spec = tr.TransferSpec(model, L, args.theta)
+    x, x2 = args.x, args.x2
     extra = {}
     with _domain_errors():
         if args.check == "commutation":
@@ -358,10 +359,10 @@ def cmd_transfer(args) -> int:
         else:
             reports = _inhomogeneous_eigen_reports(model, spec,
                                                    args.truncation_cap)
-    for rep in reports:
-        if rep.status == vf.SKIPPED and rep.reason and \
-                rep.reason.startswith("pole"):
-            raise DomainError(f"pole collision: {rep.reason}")
+        for rep in reports:     # a pole fails the run, as a raised one does
+            if rep.status == vf.SKIPPED and rep.reason and \
+                    rep.reason.startswith("pole: "):
+                raise PoleError(rep.reason.removeprefix("pole: "))
     return _finish_reports(reports, args, model, extra=extra)
 
 

@@ -28,8 +28,8 @@ class PointSampler:
             num = -num
         return Fraction(num, den)
 
-    def draw(self, predicate, max_tries: int = 5000) -> Fraction:
-        for _ in range(max_tries):
+    def draw(self, predicate) -> Fraction:
+        for _ in range(5000):
             x = self.rational()
             if predicate(x):
                 return x

@@ -214,10 +214,10 @@ class SparseMatrix:
         self._rows = {}
 
     @staticmethod
-    def identity(dim, one=Fraction(1)):
+    def identity(dim):
         out = SparseMatrix(dim)
         for i in range(dim):
-            out._rows[i] = {i: one}
+            out._rows[i] = {i: Fraction(1)}
         return out
 
     @staticmethod

@@ -118,8 +118,7 @@ def markov_from_transfer(model: ModelDescriptor, L: int) -> CheckReport:
 
     def run():
         t = build_transfer(spec, Dual.variable(idp))
-        tp = t.map(lambda e: e.deriv if isinstance(e, Dual) else Fraction(0))
-        lhs = tp.scale(1 / (2 * model.rho))
+        lhs = deriv_matrix(t).scale(1 / (2 * model.rho))
         return compare(model, "transfer.markov_derivative", (idp,),
                        lhs, build_markov(model, L))
     return guarded(model, "transfer.markov_derivative", (idp,), run)

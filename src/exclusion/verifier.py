@@ -22,6 +22,7 @@ from .tensor import Matrix, PoleError, SparseMatrix, derivative_at, \
 PASS = "Pass"
 FAIL = "Fail"
 SKIPPED = "Skipped"
+TWIST = Fraction(2)     # the tau of the suite's twisted ASEP K checks
 
 
 @dataclass(frozen=True)
@@ -467,8 +468,7 @@ def _asep_symmetries(model: ModelDescriptor, x) -> list:
 
 # --------------------------------------------------------------- the suite
 
-def run_model_suite(model: ModelDescriptor, points: list,
-                    twist=Fraction(2)) -> list:
+def run_model_suite(model: ModelDescriptor, points: list) -> list:
     """Every applicable check at the given sample points, in a fixed order."""
     reports = []
     n = len(points)
@@ -487,12 +487,12 @@ def run_model_suite(model: ModelDescriptor, points: list,
         reports.extend(check_k_properties(model, "Kbar", x, u_points=u_points))
         reports.extend(check_dual_maps(model, x))
         reports.extend(check_named_symmetries(model, x))
-        if model.name == m.ASEP and twist is not None:
-            kf = m.general_asep_k(model.alpha, model.gamma, model.q, twist)
+        if model.name == m.ASEP:
+            kf = m.general_asep_k(model.alpha, model.gamma, model.q, TWIST)
             if x2 is not None:
                 rep = check_reflection(model, "K", x, x2, k_fn=kf)
                 reports.append(replace(rep, check="reflection.K_twisted"))
-            for rep in check_k_properties(model, "K", x, twist=twist,
+            for rep in check_k_properties(model, "K", x, twist=TWIST,
                                           u_points=u_points):
                 reports.append(replace(rep, check=rep.check.replace(
                     "k.K", "k.K_twisted", 1)))

@@ -1,8 +1,11 @@
+import argparse
 import csv
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +13,7 @@ import exclusion as ex
 import exclusion.ansatz as an
 import exclusion.transfer as tr
 from exclusion.ansatz import rd_closed_forms
-from exclusion.cli import main
+from exclusion.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -537,3 +540,111 @@ def test_bench_json_keys_and_row_order(capsys):
             ("transfer_commutation", transfer_L)]
         assert all(list(r) == ["task", "model", "L", "seconds"]
                    for r in doc["bench"])
+
+
+def test_transfer_pole_prints_the_bench_message(capsys):
+    # a pole met as a Skipped report and one raised while building t(x)
+    # print the same line
+    errs = []
+    for command in ("transfer", "bench"):
+        code = main([command, "--model", "asep", "--q", "1/3", "--L", "2"])
+        captured = capsys.readouterr()
+        assert code == 3, command
+        assert captured.out == ""
+        errs.append(captured.err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith(
+        "domain error: pole collision: transfer factor Ktilde_0: ")
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    code = main(["steady", "--model", "tasep", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: cannot write --out {path}: ")
+    assert not path.exists()
+
+
+_COMMON_OPTIONS = {"--model", "--alpha", "--beta", "--gamma", "--delta", "--q",
+                   "--kappa", "--out"}
+_OWN_OPTIONS = {
+    "verify": {"--seed", "--samples"},
+    "steady": {"--L", "--format", "--exact", "--truncation-cap", "--method"},
+    "profile": {"--L", "--format", "--exact", "--asymptotics"},
+    "transfer": {"--L", "--theta", "--seed", "--truncation-cap", "--check",
+                 "--x", "--x2"},
+    "bench": {"--L", "--format"},
+}
+# the options every subcommand took before each got only those it reads
+_FORMERLY_SHARED = _COMMON_OPTIONS | {"--L", "--theta", "--seed", "--samples",
+                                      "--format", "--exact", "--truncation-cap"}
+_REMOVED = [(command, flag) for command, own in _OWN_OPTIONS.items()
+            for flag in sorted(_FORMERLY_SHARED - _COMMON_OPTIONS - own)]
+_VALUES = {"--L": "2", "--theta": "2,5", "--seed": "1", "--samples": "2",
+           "--format": "csv", "--truncation-cap": "9", "--exact": None}
+
+
+def _parser_options() -> dict:
+    """Each subcommand's long options, read from the parser itself."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for a in sp._actions for s in a.option_strings
+                   if s != "--help" and s.startswith("--")}
+            for name, sp in sub.choices.items()}
+
+
+def test_each_subcommand_takes_exactly_the_options_it_reads():
+    assert _parser_options() == {name: _COMMON_OPTIONS | own
+                                 for name, own in _OWN_OPTIONS.items()}
+    # 5 x 15 shared options plus 5 subcommand-specific ones before; 60 now
+    assert len(_REMOVED) == 20
+    assert sum(map(len, _parser_options().values())) == 60
+
+
+@pytest.mark.parametrize("command, flag", _REMOVED,
+                         ids=[f"{c}{f}" for c, f in _REMOVED])
+def test_an_option_the_subcommand_does_not_read_exits_2(capsys, command,
+                                                        flag):
+    model = "rd" if command == "profile" else "tasep"
+    value = [] if _VALUES[flag] is None else [_VALUES[flag]]
+    code, out = run(capsys, command, "--model", model, flag, *value)
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag, model", [
+    ("--q", "ssep"), ("--q", "tasep"), ("--q", "rd"),
+    ("--kappa", "asep"), ("--kappa", "ssep"), ("--kappa", "tasep")])
+def test_a_rate_of_another_model_exits_2(capsys, flag, model):
+    owner = "asep" if flag == "--q" else "rd"
+    for command in ("verify", "steady"):
+        code = main([command, "--model", model, flag, "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"usage error: {flag} is a rate of {owner} only\n"
+
+
+def test_model_rates_default_to_q_2_and_kappa_3(capsys):
+    for model, flag, default in (("asep", "--q", "2"), ("rd", "--kappa", "3")):
+        argv = ("steady", "--model", model, "--L", "2", "--exact")
+        assert run(capsys, *argv) == run(capsys, *argv, flag, default)
+
+
+def test_readme_flag_table_matches_the_parser():
+    # README "CLI": one row for the options of every subcommand, then one
+    # row per subcommand
+    lines = (Path(__file__).resolve().parents[1] / "README.md") \
+        .read_text(encoding="utf-8").splitlines()
+    start = lines.index("| subcommand | options |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, cell = [c.strip(" `") for c in line.strip("|").split("|")]
+        table[name] = set(re.findall(r"--[A-Za-z][\w-]*", cell))
+    common = table.pop("every subcommand")
+    assert {name: common | own for name, own in table.items()} == \
+        _parser_options()
