@@ -19,7 +19,7 @@ from .transfer import TransferSpec, build_transfer, check_commutation, \
     markov_from_transfer, ssep_conjugated
 from .ansatz import MPRepresentation, MonodromyRealization, RDRepresentation, \
     check_gz, check_zf, \
-    inhomogeneous_state, rd_closed_forms, rd_representation, steady_from_ansatz, \
-    tasep_representation
+    inhomogeneous_state, rd_closed_forms, rd_representation, steady_ansatz, \
+    steady_from_ansatz, tasep_representation
 
 __version__ = "0.1.0"

@@ -355,13 +355,12 @@ def ansatz_weights(rep: MPRepresentation | RDRepresentation, L: int) -> list:
     return _contract_all_words(rep, L)
 
 
-def steady_from_ansatz(rep: MPRepresentation | RDRepresentation,
-                       L: int) -> Distribution:
-    """Stationary distribution from the representation.  A TASEP rep is
-    contracted directly; an RD rep supplies only its rates to the truncation
-    convergence loop over ``truncation_rounds(L)``."""
+def steady_from_ansatz(rep: MPRepresentation, L: int) -> Distribution:
+    """Stationary distribution contracted from a TASEP representation.  An
+    RD representation is truncated: its steady state is steady_ansatz's."""
     if isinstance(rep, RDRepresentation):
-        return rd_steady_converged(_rd_model(rep), L)[0]
+        raise TypeError("steady_from_ansatz contracts a TASEP representation; "
+                        "the RD steady state is steady_ansatz(model, L)")
     if L > rep.N - 1:
         raise ValueError(f"truncation N={rep.N} is exact only up to "
                          f"words of length {rep.N - 1}")
@@ -370,6 +369,19 @@ def steady_from_ansatz(rep: MPRepresentation | RDRepresentation,
     if Z == 0:
         raise ValueError("normalization Z_L = 0")
     return Distribution(L=L, weights=tuple(weights), Z=Z)
+
+
+def steady_ansatz(model: ModelDescriptor, L: int,
+                  cap: int = CAP) -> Distribution:
+    """The matrix-ansatz stationary distribution: TASEP contracts the DEHP
+    representation at N = L + 1, where it is exact; RD runs the truncation
+    loop ``rd_steady_converged`` up to ``cap``."""
+    if model.name == m.TASEP:
+        rep = tasep_representation(model.alpha, model.beta, L + 1)
+        return steady_from_ansatz(rep, L)
+    if model.name == m.RD:
+        return rd_steady_converged(model, L, cap)[0]
+    raise m.UnsupportedError("ansatz steady state exists for tasep and rd only")
 
 
 def truncation_rounds(L: int, cap: int = CAP):

@@ -26,7 +26,6 @@ from . import verifier as vf
 from .markov import KernelError, build_markov, observables, steady_state_exact
 from .sampling import sample_points
 from .scalars import float_repr, format_rational, parse_rational
-from .tensor import PoleError
 
 SCHEMA = 1
 
@@ -41,11 +40,12 @@ class DomainError(Exception):
 
 @contextlib.contextmanager
 def _domain_errors():
-    """Re-raise a library domain error as DomainError: a pole hit as
-    "pole collision: ...", a ValueError (UnsupportedError too) as is."""
+    """Re-raise a library domain error as DomainError: a pole hit
+    (ZeroDivisionError, PoleError too) as "pole collision: ...", a
+    ValueError (UnsupportedError too) as is."""
     try:
         yield
-    except PoleError as exc:
+    except ZeroDivisionError as exc:
         raise DomainError(f"pole collision: {exc}") from None
     except ValueError as exc:
         raise DomainError(str(exc)) from None
@@ -69,7 +69,8 @@ def _rational(text: str) -> Fraction:
 
 
 # Every option, by flag.  --q and --kappa have no default here: _model
-# applies it for the one model that has the rate.
+# applies it for the one model that has the rate.  --truncation-cap has
+# none either, so that transfer can tell when a check is given it (_cap).
 _OPTIONS = {
     "--model": dict(required=True, choices=m.MODEL_NAMES),
     "--alpha": dict(type=_rational, default="1"),
@@ -85,7 +86,7 @@ _OPTIONS = {
     "--samples": dict(type=_positive_int, default=5),
     "--format": dict(default="csv", choices=("csv", "json")),
     "--exact": dict(action="store_true"),
-    "--truncation-cap": dict(type=int, default=an.CAP),
+    "--truncation-cap": dict(type=int),
     "--method": dict(default="nullspace",
                      choices=("nullspace", "ansatz", "both")),
     "--asymptotics": dict(action="store_true"),
@@ -140,6 +141,10 @@ def _model(args) -> m.ModelDescriptor:
         return m.rd(Fraction(3) if args.kappa is None else args.kappa, *rates)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _cap(args) -> int:
+    return an.CAP if args.truncation_cap is None else args.truncation_cap
 
 
 def _emit(text: str, args):
@@ -216,19 +221,12 @@ def _steady_distributions(args, model):
     if method in ("ansatz", "both"):
         if L > 8:
             raise DomainError("ansatz method capped at L = 8")
-        if model.name not in (m.TASEP, m.RD):
-            raise DomainError("ansatz steady state exists for tasep and rd only")
     null_dist = ansatz_dist = None
     if method in ("nullspace", "both"):
         null_dist = steady_state_exact(build_markov(model, L))
     if method in ("ansatz", "both"):
         with _domain_errors():
-            if model.name == m.TASEP:
-                rep = an.tasep_representation(model.alpha, model.beta, L + 1)
-                ansatz_dist = an.steady_from_ansatz(rep, L)
-            else:
-                ansatz_dist, _ = an.rd_steady_converged(
-                    model, L, cap=args.truncation_cap)
+            ansatz_dist = an.steady_ansatz(model, L, _cap(args))
     return null_dist, ansatz_dist
 
 
@@ -327,6 +325,14 @@ def _profile_rows(model, L, args):
 
 def cmd_transfer(args) -> int:
     model = _model(args)
+    # --x and --x2 stay accepted by every check: perfbench passes both to each
+    if args.theta is not None and args.check == "markov-derivative":
+        raise UsageError("markov-derivative is the homogeneous check: "
+                         "it does not take --theta")
+    if args.truncation_cap is not None and \
+            args.check != "inhomogeneous-eigenvector":
+        raise UsageError("--truncation-cap is read by the "
+                         "inhomogeneous-eigenvector check only")
     L = args.L
     if L > 6:   # at L = 6 the RD inhomogeneous eigenvector takes ~1.7 s
         raise DomainError(f"transfer checks capped at L = 6, got L = {L}")
@@ -336,48 +342,24 @@ def cmd_transfer(args) -> int:
     x, x2 = args.x, args.x2
     extra = {}
     with _domain_errors():
+        if args.check in ("eigenvalue", "left-eigenvector"):
+            lam = tr.lambda_eigenvalue(model, x, spec.thetas)
+            extra["lambda"] = format_rational(lam)
         if args.check == "commutation":
             reports = [tr.check_commutation(spec, x, x2)]
         elif args.check == "markov-derivative":
             reports = [tr.markov_from_transfer(model, L)]
         elif args.check == "eigenvalue":
-            lam = tr.lambda_eigenvalue(model, x, spec.thetas)
-            extra["lambda"] = format_rational(lam)
-            if spec.homogeneous:
-                vec = steady_state_exact(build_markov(model, L)).probabilities()
-            else:
-                vec = tr.eigenvector_from_nullspace(spec, x2)
-            reports = [tr.check_eigenpair(spec, x, vec, side="right")]
+            reports = [tr.check_right_eigenvector(spec, x, x2)]
         elif args.check == "left-eigenvector":
-            lam = tr.lambda_eigenvalue(model, x, spec.thetas)
-            extra["lambda"] = format_rational(lam)
             reports = [tr.left_eigen_ones(spec, x)]
         elif args.check == "crossing":
             reports = [tr.check_crossing_symmetry_t(spec, x)]
         elif args.check == "conjugated":
             reports = tr.ssep_conjugated(spec, x)
         else:
-            reports = _inhomogeneous_eigen_reports(model, spec,
-                                                   args.truncation_cap)
-        for rep in reports:     # a pole fails the run, as a raised one does
-            if rep.status == vf.SKIPPED and rep.reason and \
-                    rep.reason.startswith("pole: "):
-                raise PoleError(rep.reason.removeprefix("pole: "))
+            reports = tr.check_rd_inhomogeneous_eigenvector(spec, _cap(args))
     return _finish_reports(reports, args, model, extra=extra)
-
-
-def _inhomogeneous_eigen_reports(model, spec, cap) -> list:
-    if model.name != m.RD:
-        raise DomainError("inhomogeneous-eigenvector is the RD check")
-    # build every transfer matrix before paying for the convergence loop, so
-    # that a pole fails fast; the checks below reuse them
-    points = [x for theta in spec.thetas for x in (theta, 1 / theta)]
-    transfers = [tr.build_transfer(spec, x) for x in points]
-    state, _ = an.rd_inhomogeneous_converged(model, spec.thetas, cap=cap)
-    tol = Fraction(1, 10 ** 10)
-    return [tr.check_eigenpair(spec, x, state, side="right",
-                               eigenvalue=Fraction(1), tolerance=tol, t=t)
-            for x, t in zip(points, transfers)]
 
 
 def cmd_bench(args) -> int:
@@ -395,11 +377,8 @@ def cmd_bench(args) -> int:
         M = build_markov(model, L)
         timed("build_markov", lambda: build_markov(model, L))
         timed("steady_nullspace", lambda: steady_state_exact(M))
-        if model.name == m.TASEP:
-            rep = an.tasep_representation(model.alpha, model.beta, L + 1)
-            timed("steady_ansatz", lambda: an.steady_from_ansatz(rep, L))
-        if model.name == m.RD:
-            timed("steady_ansatz", lambda: an.rd_steady_converged(model, L))
+        if model.name in (m.TASEP, m.RD):
+            timed("steady_ansatz", lambda: an.steady_ansatz(model, L))
         spec = tr.TransferSpec(model, min(L, 4))
         x, x2 = Fraction(3), Fraction(5)
         timed("transfer_build", lambda: tr.build_transfer(spec, x), spec.L)

@@ -12,7 +12,6 @@ import random
 from fractions import Fraction
 
 from .models import ModelDescriptor, UnsupportedError, k_matrix, r_matrix
-from .tensor import PoleError
 
 MAX_PART = 12
 
@@ -58,7 +57,7 @@ def model_safe(model: ModelDescriptor, x: Fraction) -> bool:
                 return False
             if model.crossing.lam(conv.reflect_compose(x, x)) == 0:
                 return False
-    except (PoleError, ZeroDivisionError):
+    except ZeroDivisionError:
         return False
     except UnsupportedError:
         pass
@@ -73,7 +72,7 @@ def pair_safe(model: ModelDescriptor, x1: Fraction, x2: Fraction) -> bool:
                   conv.reflect_compose(x1, x2),
                   conv.invert(conv.reflect_compose(x1, x2))):
             r_matrix(model, p)
-    except (PoleError, ZeroDivisionError):
+    except ZeroDivisionError:
         return False
     return True
 

@@ -153,11 +153,6 @@ class Dual:
         return f"Dual({self.value}, {self.deriv})"
 
 
-def is_zero(x) -> bool:
-    """Exact zero test across Fraction / Dual entries."""
-    return not x
-
-
 def lift_like(x, template):
     """Lift a plain rational to the scalar type of ``template``."""
     if isinstance(template, Dual):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import Dual, is_zero
+from .scalars import Dual
 
 
 class PoleError(ZeroDivisionError):
@@ -105,11 +105,11 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
     for i in range(A.rows):
         for j in range(A.cols):
             aij = A.a[i][j]
-            if is_zero(aij):
+            if not aij:
                 continue
             for k in range(B.rows):
                 for l in range(B.cols):
-                    if not is_zero(B.a[k][l]):
+                    if B.a[k][l]:
                         out.a[i * B.rows + k][j * B.cols + l] = aij * B.a[k][l]
     return out
 
@@ -167,15 +167,14 @@ def _gauss_jordan(rows, ncols) -> tuple:
     a = list(rows)   # rows are replaced below, never changed in place
     rank = 0
     for col in range(ncols):
-        piv = next((r for r in range(rank, len(a)) if not is_zero(a[r][col])),
-                   None)
+        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
         p = a[rank][col]
         a[rank] = [e / p for e in a[rank]]
         for r in range(len(a)):
-            if r != rank and not is_zero(a[r][col]):
+            if r != rank and a[r][col]:
                 f = a[r][col]
                 a[r] = [e - f * g for e, g in zip(a[r], a[rank])]
         rank += 1
@@ -227,7 +226,7 @@ class SparseMatrix:
         out = SparseMatrix(M.rows)
         for i in range(M.rows):
             for j in range(M.cols):
-                if not is_zero(M.a[i][j]):
+                if M.a[i][j]:
                     out._rows.setdefault(i, {})[j] = M.a[i][j]
         return out
 
@@ -243,7 +242,7 @@ class SparseMatrix:
             raise IndexError("coordinate out of range")
         row = self._rows.setdefault(r, {})
         nv = row.get(c, 0) + v
-        if is_zero(nv):
+        if not nv:
             row.pop(c, None)
             if not row:
                 self._rows.pop(r, None)
@@ -280,7 +279,7 @@ class SparseMatrix:
                         continue
                     for c, w in brow.items():
                         acc[c] = acc.get(c, 0) + v * w
-                acc = {c: v for c, v in acc.items() if not is_zero(v)}
+                acc = {c: v for c, v in acc.items() if v}
                 if acc:
                     out._rows[r] = acc
             return out
@@ -288,7 +287,7 @@ class SparseMatrix:
 
     def scale(self, s):
         out = SparseMatrix(self.dim)
-        if is_zero(s):
+        if not s:
             return out
         for r, row in self._rows.items():
             out._rows[r] = {c: v * s for c, v in row.items()}
@@ -328,7 +327,7 @@ class SparseMatrix:
         out = [0] * self.dim
         for r, row in self._rows.items():
             vr = vec[r]
-            if is_zero(vr):
+            if not vr:
                 continue
             for c, v in row.items():
                 out[c] += vr * v
@@ -338,7 +337,7 @@ class SparseMatrix:
         out = SparseMatrix(self.dim)
         for r, row in self._rows.items():
             nr = {c: fn(v) for c, v in row.items()}
-            nr = {c: v for c, v in nr.items() if not is_zero(v)}
+            nr = {c: v for c, v in nr.items() if v}
             if nr:
                 out._rows[r] = nr
         return out

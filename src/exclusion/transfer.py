@@ -7,6 +7,11 @@ denominators, and the product of those denominators divides the traced
 result once, so no gcd is taken inside the product.  t(x) carries no
 prefactor: the homogeneous normalization 1/tr Ktilde(identity) is 1 for
 every catalogued model.
+
+The checks raise at a pole: build_transfer and lambda_eigenvalue raise
+PoleError, and a partner point such as 1/(q x) at x = 0 raises
+ZeroDivisionError.  A Skipped report means that the model lacks the
+structure checked.
 """
 
 from __future__ import annotations
@@ -15,13 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import models as m
-from .markov import build_markov
+from .ansatz import CAP, rd_inhomogeneous_converged
+from .markov import build_markov, steady_state_exact
 from .models import ModelDescriptor
 from .scalars import Dual
 from .tensor import Matrix, PoleError, SparseMatrix, deriv_matrix, \
-    embed_at_positions, integer_form, integer_vector, inverse, \
-    partial_trace_first, value_matrix
-from .verifier import CheckReport, compare, guarded, skipped
+    embed_at_positions, exact_nullspace, integer_form, integer_vector, \
+    inverse, partial_trace_first, value_matrix
+from .verifier import CheckReport, compare, skipped
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,7 @@ class TransferSpec:
 def _factor(what, thunk):
     try:
         return thunk()
-    except (PoleError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise PoleError(f"transfer factor {what}: {exc}") from exc
 
 
@@ -100,28 +106,22 @@ def build_transfer(spec: TransferSpec, x) -> SparseMatrix:
 def check_commutation(spec: TransferSpec, x, x2) -> CheckReport:
     """[t(x), t(x2)] = 0: both products are taken in integers, over the
     common denominators d1, d2 of t(x), t(x2), and compared over d1 d2."""
-    def run():
-        (t1,), d1 = integer_form(build_transfer(spec, x))
-        (t2,), d2 = integer_form(build_transfer(spec, x2))
-        d = d1 * d2
-        return compare(spec.model, "transfer.commutation", (x, x2),
-                       (t1 * t2).map(lambda v: Fraction(v, d)),
-                       (t2 * t1).map(lambda v: Fraction(v, d)))
-    return guarded(spec.model, "transfer.commutation", (x, x2), run)
+    (t1,), d1 = integer_form(build_transfer(spec, x))
+    (t2,), d2 = integer_form(build_transfer(spec, x2))
+    d = d1 * d2
+    return compare(spec.model, "transfer.commutation", (x, x2),
+                   (t1 * t2).map(lambda v: Fraction(v, d)),
+                   (t2 * t1).map(lambda v: Fraction(v, d)))
 
 
 def markov_from_transfer(model: ModelDescriptor, L: int) -> CheckReport:
     """(1/2 rho) t'(identity) = M, with t the homogeneous transfer matrix,
     differentiated exactly over dual numbers."""
-    spec = TransferSpec(model, L)
     idp = model.identity_point
-
-    def run():
-        t = build_transfer(spec, Dual.variable(idp))
-        lhs = deriv_matrix(t).scale(1 / (2 * model.rho))
-        return compare(model, "transfer.markov_derivative", (idp,),
-                       lhs, build_markov(model, L))
-    return guarded(model, "transfer.markov_derivative", (idp,), run)
+    t = build_transfer(TransferSpec(model, L), Dual.variable(idp))
+    lhs = deriv_matrix(t).scale(1 / (2 * model.rho))
+    return compare(model, "transfer.markov_derivative", (idp,),
+                   lhs, build_markov(model, L))
 
 
 def lambda_eigenvalue(model: ModelDescriptor, x, thetas) -> Fraction:
@@ -159,32 +159,26 @@ def _lambda_closed_form(model: ModelDescriptor, x, thetas) -> Fraction:
 
 
 def check_eigenpair(spec: TransferSpec, x, vector, side: str = "right",
-                    eigenvalue=None, tolerance: Fraction | None = None,
-                    t: SparseMatrix | None = None) -> CheckReport:
+                    eigenvalue=None,
+                    tolerance: Fraction | None = None) -> CheckReport:
     """t(x) v = lambda v (right) or v^T t(x) = lambda v^T (left), exactly,
-    or within a relative residual when a tolerance is given.  t(x) is built
-    here unless the caller passes the one it already built.  The product is
-    taken in integers, over the common denominators of t(x) and v."""
+    or within a relative residual when a tolerance is given.  The product
+    is taken in integers, over the common denominators of t(x) and v."""
     model = spec.model
-    check = f"transfer.eigen_{side}"
     if not any(vector):
         raise ValueError("eigenvector must be nonzero")
-
-    def run():
-        lam = eigenvalue if eigenvalue is not None else \
-            lambda_eigenvalue(model, x, spec.thetas)
-        (ti,), d = integer_form(build_transfer(spec, x) if t is None else t)
-        vi, e = integer_vector(vector)
-        got = ti.apply(vi) if side == "right" else ti.apply_left(vi)
-        got = [Fraction(g, d * e) for g in got]
-        want = [lam * v for v in vector]
-        if tolerance is not None:
-            # entries within the relative residual count as equal
-            bound = tolerance * max(abs(v) for v in vector)
-            want = [g if abs(g - w) <= bound else w for g, w in zip(got, want)]
-        return compare(model, check, (x,), got, want)
-
-    return guarded(model, check, (x,), run)
+    lam = eigenvalue if eigenvalue is not None else \
+        lambda_eigenvalue(model, x, spec.thetas)
+    (ti,), d = integer_form(build_transfer(spec, x))
+    vi, e = integer_vector(vector)
+    got = ti.apply(vi) if side == "right" else ti.apply_left(vi)
+    got = [Fraction(g, d * e) for g in got]
+    want = [lam * v for v in vector]
+    if tolerance is not None:
+        # entries within the relative residual count as equal
+        bound = tolerance * max(abs(v) for v in vector)
+        want = [g if abs(g - w) <= bound else w for g, w in zip(got, want)]
+    return compare(model, f"transfer.eigen_{side}", (x,), got, want)
 
 
 def left_eigen_ones(spec: TransferSpec, x) -> CheckReport:
@@ -193,9 +187,12 @@ def left_eigen_ones(spec: TransferSpec, x) -> CheckReport:
 
 
 def eigenvector_from_nullspace(spec: TransferSpec, x0) -> list:
-    """Exact right eigenvector of t at eigenvalue lambda(x0), via the kernel
-    of t(x0) - lambda(x0) I.  Commutation makes it x-independent."""
-    from .tensor import exact_nullspace
+    """Exact right eigenvector of t: the stationary state of the generator
+    for a homogeneous chain, else the kernel of t(x0) - lambda(x0) I.
+    Commutation makes it x-independent."""
+    if spec.homogeneous:
+        return steady_state_exact(build_markov(spec.model, spec.L)) \
+            .probabilities()
     lam = lambda_eigenvalue(spec.model, x0, spec.thetas)
     t = build_transfer(spec, x0)
     shift = SparseMatrix.identity(t.dim).scale(-lam)
@@ -205,21 +202,36 @@ def eigenvector_from_nullspace(spec: TransferSpec, x0) -> list:
     return kernel[0]
 
 
+def check_right_eigenvector(spec: TransferSpec, x, x0) -> CheckReport:
+    """t(x) v = lambda(x) v for v = eigenvector_from_nullspace(spec, x0)."""
+    return check_eigenpair(spec, x, eigenvector_from_nullspace(spec, x0))
+
+
+def check_rd_inhomogeneous_eigenvector(spec: TransferSpec,
+                                       cap: int = CAP) -> list:
+    """t(theta_j) S = S and t(1/theta_j) S = S, each within relative 1e-10,
+    for the RD inhomogeneous ansatz state S that the truncation loop
+    converges to."""
+    if spec.model.name != m.RD:
+        raise m.UnsupportedError("inhomogeneous-eigenvector is the RD check")
+    state, _ = rd_inhomogeneous_converged(spec.model, spec.thetas, cap=cap)
+    tol = Fraction(1, 10 ** 10)
+    return [check_eigenpair(spec, x, state, eigenvalue=Fraction(1),
+                            tolerance=tol)
+            for theta in spec.thetas for x in (theta, 1 / theta)]
+
+
 def check_crossing_symmetry_t(spec: TransferSpec, x) -> CheckReport:
     """SSEP: t(x) = (lambda(x)-1) t(-x-1); ASEP: t(x) = (lambda(x)-1) t(1/qx)."""
     model = spec.model
     if model.name not in (m.SSEP, m.ASEP):
         return skipped(model, "transfer.crossing", (x,),
                        "no crossing relation for this model")
-
-    def run():
-        lam = lambda_eigenvalue(model, x, spec.thetas)
-        partner = -x - 1 if model.name == m.SSEP else 1 / (model.q * x)
-        lhs = build_transfer(spec, x)
-        rhs = build_transfer(spec, partner).scale(lam - 1)
-        return compare(model, "transfer.crossing", (x,), lhs, rhs)
-
-    return guarded(model, "transfer.crossing", (x,), run)
+    lam = lambda_eigenvalue(model, x, spec.thetas)
+    partner = -x - 1 if model.name == m.SSEP else 1 / (model.q * x)
+    lhs = build_transfer(spec, x)
+    rhs = build_transfer(spec, partner).scale(lam - 1)
+    return compare(model, "transfer.crossing", (x,), lhs, rhs)
 
 
 def ssep_conjugated(spec: TransferSpec, x) -> list:
@@ -234,37 +246,29 @@ def ssep_conjugated(spec: TransferSpec, x) -> list:
         raise ValueError("Gamma is singular: beta + delta = 0")
     Gam = Matrix([[Fraction(-1), be], [Fraction(1), de]])
     Gi = inverse(Gam)
-    out = []
 
-    def d_check():
-        d = x * (al + ga) + 1
-        want = Matrix([[-(x * (al + ga) - 1) / d, 2 * x * (al * be - de * ga) / d],
-                       [Fraction(0), Fraction(1)]])
-        got = Gi * m.k_matrix(model, "K", x) * Gam
-        return compare(model, "conjugated.D", (x,), got, want)
-    out.append(guarded(model, "conjugated.D", (x,), d_check))
+    d = x * (al + ga) + 1
+    want = Matrix([[-(x * (al + ga) - 1) / d, 2 * x * (al * be - de * ga) / d],
+                   [Fraction(0), Fraction(1)]])
+    got = Gi * m.k_matrix(model, "K", x) * Gam
+    out = [compare(model, "conjugated.D", (x,), got, want)]
 
-    def dtilde_check():
-        pre = (2 * x + 1) / (2 * (x + 1) * (x * (de + be) + 1))
-        want = Matrix([[pre * (-(x + 1) * (be + de) + 1), Fraction(0)],
-                       [Fraction(0), pre * ((x + 1) * (be + de) + 1)]])
-        got = Gi * m.k_matrix(model, "Ktilde", x) * Gam
-        return compare(model, "conjugated.Dtilde", (x,), got, want)
-    out.append(guarded(model, "conjugated.Dtilde", (x,), dtilde_check))
+    pre = (2 * x + 1) / (2 * (x + 1) * (x * (de + be) + 1))
+    want = Matrix([[pre * (-(x + 1) * (be + de) + 1), Fraction(0)],
+                   [Fraction(0), pre * ((x + 1) * (be + de) + 1)]])
+    got = Gi * m.k_matrix(model, "Ktilde", x) * Gam
+    out.append(compare(model, "conjugated.Dtilde", (x,), got, want))
 
-    def scalar_check():
-        # <-| ts(x) |-> with |-> the all-occupied basis vector: contract t
-        # against the conjugated boundary vectors instead of conjugating t.
-        t = build_transfer(spec, x)
-        row = [Fraction(1)]
-        col = [Fraction(1)]
-        for _ in range(spec.L):
-            row = [r * g for r in row for g in (Gi.a[1][0], Gi.a[1][1])]
-            col = [c * g for c in col for g in (Gam.a[0][1], Gam.a[1][1])]
-        tcol = t.apply(col)
-        got = sum(r * v for r, v in zip(row, tcol))
-        return compare(model, "conjugated.scalar", (x,),
-                       [got], [lambda_eigenvalue(model, x, spec.thetas)])
-    out.append(guarded(model, "conjugated.scalar", (x,), scalar_check))
+    # <-| ts(x) |-> with |-> the all-occupied basis vector: contract t
+    # against the conjugated boundary vectors instead of conjugating t.
+    t = build_transfer(spec, x)
+    row = [Fraction(1)]
+    col = [Fraction(1)]
+    for _ in range(spec.L):
+        row = [r * g for r in row for g in (Gi.a[1][0], Gi.a[1][1])]
+        col = [c * g for c in col for g in (Gam.a[0][1], Gam.a[1][1])]
+    tcol = t.apply(col)
+    got = sum(r * v for r, v in zip(row, tcol))
+    out.append(compare(model, "conjugated.scalar", (x,),
+                       [got], [lambda_eigenvalue(model, x, spec.thetas)]))
     return out
-

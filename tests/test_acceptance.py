@@ -120,9 +120,7 @@ def test_acceptance_05_ansatz_vs_oracle():
                 bad.append(("tasep", str(al), str(be), L))
     mdl = ex.rd(F(3), **RATES)
     for L in range(2, 7):
-        rep = an.rd_representation(F(3), RATES["alpha"], RATES["beta"],
-                                   RATES["gamma"], RATES["delta"], L + 4)
-        got = an.steady_from_ansatz(rep, L).probabilities()
+        got = an.steady_ansatz(mdl, L).probabilities()
         dist = mk.steady_state_exact(ex.build_markov(mdl, L))
         want = dist.probabilities()
         if not all(abs(g - w) <= REL_10 * abs(w) for g, w in zip(got, want)):

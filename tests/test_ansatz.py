@@ -95,6 +95,19 @@ def test_tasep_truncation_guard():
         an.steady_from_ansatz(rep, 3)
 
 
+def test_steady_ansatz_exists_for_tasep_and_rd_only(asep_model, ssep_model):
+    for mdl in (asep_model, ssep_model):
+        with pytest.raises(mo.UnsupportedError,
+                           match="exists for tasep and rd only"):
+            an.steady_ansatz(mdl, 2)
+
+
+def test_steady_from_ansatz_takes_a_tasep_representation_only():
+    rep = an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 7)
+    with pytest.raises(TypeError, match="steady_ansatz"):
+        an.steady_from_ansatz(rep, 3)
+
+
 def test_tasep_rep_validation():
     with pytest.raises(ValueError):
         an.tasep_representation(0, 1, 4)
@@ -292,8 +305,7 @@ def test_rd_steady_matches_nullspace():
     mdl = ex.rd(3, 1, 1, F(1, 2), F(1, 3))
     tol = F(1, 10 ** 10)
     for L in (2, 3, 4):
-        rep = an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), L + 4)
-        got = an.steady_from_ansatz(rep, L).probabilities()
+        got = an.steady_ansatz(mdl, L).probabilities()
         want = mk.steady_state_exact(ex.build_markov(mdl, L)).probabilities()
         assert all(abs(g - w) <= tol * abs(w) for g, w in zip(got, want))
 
@@ -314,9 +326,8 @@ NEEDED_N_ROWS = [(3, (1, 1, 0, 0)),
 
 
 def _assert_ansatz_within_rel_tol(kappa, rates, L):
-    rep = an.rd_representation(kappa, *rates, next(an.truncation_rounds(L)))
-    got = an.steady_from_ansatz(rep, L).probabilities()
     mdl = ex.rd(kappa, *rates)
+    got = an.steady_ansatz(mdl, L).probabilities()
     want = mk.steady_state_exact(ex.build_markov(mdl, L)).probabilities()
     assert all(abs(g - w) <= an.REL_TOL * abs(w) for g, w in zip(got, want))
 
@@ -361,8 +372,7 @@ def test_rd_convergence_conditions():
 def test_rd_ansatz_is_near_stationary():
     mdl = ex.rd(3, 1, 1, F(1, 2), F(1, 3))
     M = ex.build_markov(mdl, 3)
-    rep = an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 7)
-    probs = an.steady_from_ansatz(rep, 3).probabilities()
+    probs = an.steady_ansatz(mdl, 3).probabilities()
     resid = M.apply(probs)
     assert max(abs(r) for r in resid) <= F(1, 10 ** 10)
 

@@ -648,3 +648,51 @@ def test_readme_flag_table_matches_the_parser():
     common = table.pop("every subcommand")
     assert {name: common | own for name, own in table.items()} == \
         _parser_options()
+
+
+@pytest.mark.filterwarnings("ignore:negative rate")
+@pytest.mark.parametrize("check, argv, line", [
+    ("commutation", ("--model", "asep", "--x2", "1/2"),
+     "transfer factor Ktilde_0: (delta*x+beta)(x-1) + (q-1)x vanishes at "
+     "x=1/2"),
+    ("markov-derivative", ("--model", "asep", "--q", "-1"),
+     "transfer factor Ktilde_0: q^2 x^2 - 1 vanishes at x=Dual(1, 1)"),
+    ("eigenvalue", ("--model", "asep", "--x", "1/2"),
+     "eigenvalue lambda has a pole at x=1/2"),
+    ("left-eigenvector", ("--model", "ssep", "--x", "-1"),
+     "eigenvalue lambda has a pole at x=-1"),
+    # a bare ZeroDivisionError: the partner point 1/(q x) at x = 0
+    ("crossing", ("--model", "asep", "--x", "0"), "Fraction(1, 0)"),
+    # a bare ZeroDivisionError: the closed form of D at x = -1
+    ("conjugated", ("--model", "ssep", "--x", "-1"), "Fraction(1, 0)"),
+    ("inhomogeneous-eigenvector", ("--model", "rd", "--theta", "2,3"),
+     "transfer factor Ktilde_0: dual boundary matrix has a pole at x=1/2: "
+     "(kappa+1)^2 x^2 - (kappa-1)^2 vanishes at x=1/2"),
+])
+def test_a_transfer_pole_exits_3_with_its_message(capsys, check, argv, line):
+    code = main(["transfer", *argv, "--L", "2", "--check", check])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"domain error: pole collision: {line}\n"
+
+
+# (check, option) pairs the check does not read; --x and --x2 stay
+# accepted by every check
+_UNREAD_BY_CHECK = [("markov-derivative", "--theta")] + \
+    [(check, "--truncation-cap") for check in (
+        "commutation", "markov-derivative", "eigenvalue", "left-eigenvector",
+        "crossing", "conjugated")]
+
+
+@pytest.mark.parametrize("check, flag", _UNREAD_BY_CHECK,
+                         ids=[f"{c}{f}" for c, f in _UNREAD_BY_CHECK])
+def test_an_option_the_transfer_check_does_not_read_exits_2(capsys, check,
+                                                            flag):
+    value = "1/2,2/3" if flag == "--theta" else "64"
+    code = main(["transfer", "--model", "ssep", "--L", "2", "--check", check,
+                 flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")

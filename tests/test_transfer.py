@@ -244,3 +244,56 @@ def test_commutation_fail_witness_is_the_fraction_entry(ssep_model,
                            "lhs": format_rational(lhs[r, c]),
                            "rhs": format_rational(rhs[r, c])}
     assert F(rep.witness["lhs"]).denominator > 1
+
+
+# the CLI's default rates: ASEP q = 2 and SSEP, alpha = beta = 1, gamma =
+# delta = 0; ASEP at q = -1 for a pole at the identity point
+_ASEP, _SSEP = ex.asep(2, 1, 1, 0, 0), ex.ssep(1, 1, 0, 0)
+
+
+@pytest.mark.filterwarnings("ignore:negative rate")
+@pytest.mark.parametrize("check, error", [
+    # Ktilde at x = 1/q
+    (lambda: tr.check_commutation(tr.TransferSpec(_ASEP, 2), F(3), F(1, 2)),
+     PoleError),
+    (lambda: tr.markov_from_transfer(ex.asep(-1, 1, 1, 0, 0), 2), PoleError),
+    # lambda at x = 1/q
+    (lambda: tr.check_eigenpair(tr.TransferSpec(_ASEP, 1), F(1, 2),
+                                [F(1), F(1)]), PoleError),
+    (lambda: tr.check_eigenpair(tr.TransferSpec(_SSEP, 1), F(-1), [F(1), F(1)],
+                                eigenvalue=F(1)), PoleError),
+    # the partner point 1/(q x) at x = 0
+    (lambda: tr.check_crossing_symmetry_t(tr.TransferSpec(_ASEP, 2), F(0)),
+     ZeroDivisionError),
+    (lambda: tr.check_crossing_symmetry_t(tr.TransferSpec(_SSEP, 2), F(-1)),
+     PoleError),
+    # the closed form of D at x = -1/(alpha + gamma)
+    (lambda: tr.ssep_conjugated(tr.TransferSpec(_SSEP, 2), F(-1)),
+     ZeroDivisionError),
+], ids=["commutation", "markov-derivative", "eigenpair-lambda",
+        "eigenpair-t", "crossing-partner", "crossing-lambda", "conjugated"])
+def test_transfer_checks_raise_at_a_pole(check, error):
+    with pytest.raises(ZeroDivisionError) as exc:
+        check()
+    assert exc.type is error
+
+
+def test_structural_skips_stay_reports(tasep_model, asep_model):
+    spec = tr.TransferSpec(tasep_model, 2)
+    assert tr.check_crossing_symmetry_t(spec, F(3)).status == vf.SKIPPED
+    conj = tr.ssep_conjugated(tr.TransferSpec(asep_model, 2), F(3))
+    assert [r.status for r in conj] == [vf.SKIPPED]
+
+
+def test_eigenvector_of_a_homogeneous_chain_is_the_stationary_state(
+        asep_model):
+    spec = tr.TransferSpec(asep_model, 3)
+    pi = mk.steady_state_exact(ex.build_markov(asep_model, 3)).probabilities()
+    assert tr.eigenvector_from_nullspace(spec, F(5)) == pi
+    assert tr.check_right_eigenvector(spec, F(3), F(5)).status == vf.PASS
+
+
+def test_rd_inhomogeneous_check_is_the_rd_check(asep_model):
+    spec = tr.TransferSpec(asep_model, 2, (F(2), F(5)))
+    with pytest.raises(m.UnsupportedError, match="is the RD check"):
+        tr.check_rd_inhomogeneous_eigenvector(spec)
