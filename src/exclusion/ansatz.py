@@ -12,7 +12,7 @@ exactly on monodromy matrices for ASEP, SSEP and TASEP.
 
 from __future__ import annotations
 
-import operator
+import decimal
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -27,6 +27,8 @@ from .verifier import CheckReport, FAIL, compare, guarded
 
 REL_TOL = Fraction(1, 10 ** 12)   # truncation-convergence threshold
 CAP = 256                         # truncation ceiling
+PROFILE_DIGITS = 38               # working precision of the float profile
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -754,85 +756,195 @@ def rd_closed_forms(kappa, alpha, beta, gamma, delta, L: int, i: int) -> dict:
 
 def rd_profile_rows(kappa, alpha, beta, gamma, delta, L: int,
                     asymptotics: bool = False, exact: bool = True):
-    """All L sites of the closed-form profile.
+    """All L sites of the closed-form profile, as dicts of its columns.
 
-    The per-site phi powers are carried as integers over one shared
-    denominator and updated by a small multiplication per site, so the
-    exact profile stays quick even at L = 10^4 where the powers are
-    thousands of bits wide.  Each density and current cell is an exact
-    integer quotient n / d: with ``exact`` it is the reduced Fraction(n, d),
-    otherwise the float n / d, which int true division rounds correctly and
-    which therefore equals float(Fraction(n, d)) without reducing the pair.
-    The asymptotic column is a Fraction either way.
+    With den = 1 - a b phi^(2L-2), U = (c + a d phi^(L-1)) / den and
+    V = (d + b c phi^(L-1)) / den, every cell is a signed combination of
+    two terms, U phi^(i-1) and V phi^(L-i) (V phi^(L-i-1) on the bond):
+
+        density     = 1/2 - (U phi^(i-1) + V phi^(L-i)) / 2
+        current_lat = kappa^2/(kappa+1) (V phi^(L-i-1) - U phi^(i-1))
+        current_eva = -kappa/(kappa+1) (U phi^(i-1) + V phi^(L-i-1))
+        asymptotic  = (1 + amp phi^k) / 2,  k = i - 1 or L - i,
+
+    with the left amplitude on the first (L+1)//2 sites and the right one
+    after them.  With phi = pn/pd, S = pd^(L-1), T = pn^(L-1) and an integer
+    scale that clears the denominators of c, a d, d, b c and a b,
+
+        D  = +-scale (S^2 - a b T^2) = +-scale S^2 den > 0,
+        xu = +-scale (c S + a d T),   xv = +-scale (d S + b c T),
+
+    and the two terms times D are the integers
+
+        u_i = xu pn^(i-1) pd^(L-i),   v_i = xv pn^(L-i) pd^(i-1),
+
+    each updated by a small multiplication and an exact small division per
+    site.
+
+    With ``exact`` every cell is the reduced Fraction.  Otherwise every
+    cell, the asymptotic column included, is the float nearest its exact
+    value, certified as follows.  The cell
+    x = K (s0 + t1 + t2) (s0 = 1 or 0, t_j = +-C_j phi^k_j, C_j = U, V or
+    amp) is evaluated in decimal at PROFILE_DIGITS digits with round half
+    even, so each operation has relative error at most
+    u = 10^(1-PROFILE_DIGITS) / 2, and with an unbounded exponent range,
+    so nothing under- or overflows.  C_j, K and phi are rounded once from
+    the exact rationals; phi^k, k <= L - 1, comes from a table built by
+    k - 1 multiplications, so it carries 2k - 1 roundings; and each term,
+    the two additions and the product with K round once.  So every summand
+    of x carries at most N = 2L + 3 factors 1 + delta, |delta| <= u, and
+    (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2002, section 3.1)
+
+        |x~ - x| <= gamma_N |K| (s0 + |t1| + |t2|),
+        gamma_N = N u / (1 - N u).
+
+    The exact |K|, |t_j| exceed the computed ones by at most a factor
+    1 / (1 - gamma_N), so |x~ - x| <= N u / (1 - 2 N u) * |K~| (s0 + |t1~| +
+    |t2~|), which is evaluated rounding upward.  The bracket
+    [x~ - err, x~ + err] is rounded outward.  When it excludes 0 and both
+    ends round to the same float, that float is the correctly rounded x,
+    sign of a value that underflows included (Ziv's rounding test).
+    Otherwise, and always for an exact zero, the cell is the exact integer
+    quotient of that one site, which int true division rounds correctly
+    over a positive denominator; a cell beyond the float range raises
+    OverflowError there, as float() of its Fraction does.
     """
     co = rd_boundary_coefficients(kappa, alpha, beta, gamma, delta)
     a, b, c, d, phi = co["a"], co["b"], co["c"], co["d"], co["phi"]
     kappa = Fraction(kappa)
     alpha, beta, gamma, delta = map(Fraction, (alpha, beta, gamma, delta))
-    den = 1 - a * b * phi ** (2 * L - 2)
-    if den == 0:
-        raise ValueError("vanishing denominator 1 - a b phi^(2L-2)")
     pn, pd = phi.numerator, phi.denominator
-    E = 2 * L - 2
-    # the four coefficients as integers over one scale P
-    (c1, c2, c3, c4), P = integer_vector([c, a * d, d, b * c])
-    # A_k = pn^e_k pd^(E - e_k) for e = (i-1, L+i-2, L-i, 2L-i-1)
-    A1 = pd ** E
-    A2 = pn ** (L - 1) * pd ** (L - 1)
-    A3 = pn ** (L - 1) * pd ** (L - 1)
-    A4 = pn ** E
-    half = Fraction(1, 2)
-    # fold the constant prefactors into integer numerator/denominator pairs;
-    # every denominator is made positive, so an exact zero prints as 0, not
-    # as the -0.0 of 0 / (negative int)
-    dens_mul, dens_den = _positive_pair(den.denominator,
-                                        2 * P * pd ** E * den.numerator)
-    k_lat = kappa ** 2 / (kappa + 1) / den
-    k_eva = -kappa / (kappa + 1) / den
-    lat_mul, lat_den = _positive_pair(k_lat.numerator,
-                                      P * pd ** E * pn * k_lat.denominator)
-    eva_mul, eva_den = _positive_pair(k_eva.numerator,
-                                      P * pd ** E * pn * k_eva.denominator)
-    quotient = Fraction if exact else operator.truediv
-    left_amp = (alpha - gamma) / (2 * kappa + alpha + gamma)
-    right_amp = (delta - beta) / (2 * kappa + delta + beta)
-    p_up = Fraction(1)      # phi^(i-1), for the asymptotic column
-    p_down = phi ** (L - 1)
+    S, T = pd ** (L - 1), pn ** (L - 1)     # phi^(L-1) = T / S
+    (mc, mad, md, mbc, mab), scale = integer_vector([c, a * d, d, b * c,
+                                                     a * b])
+    D = scale * S * S - mab * T * T         # den = D / (scale S^2)
+    if D == 0:
+        raise ValueError("vanishing denominator 1 - a b phi^(2L-2)")
+    sign = 1 if D > 0 else -1
+    D *= sign
+    # U phi^(i-1) = xu pn^(i-1) pd^(L-i) / D = u_i / D, and
+    # V phi^(L-i) = xv pn^(L-i) pd^(i-1) / D = v_i / D
+    xu, xv = sign * (mc * S + mad * T), sign * (md * S + mbc * T)
+    k_lat = kappa ** 2 / (kappa + 1)
+    k_eva = -kappa / (kappa + 1)
+    amps = ((alpha - gamma) / (2 * kappa + alpha + gamma),
+            (delta - beta) / (2 * kappa + delta + beta))
+
+    def cells(u, v, v1):
+        # (numerator, positive denominator) of density, current_lat and
+        # current_eva at a site with terms u, v; v1 = v_(i+1) on its bond
+        return ((D - u - v, 2 * D),
+                (k_lat.numerator * (v1 - u), k_lat.denominator * D),
+                (k_eva.numerator * (u + v1), k_eva.denominator * D))
+
+    def side(i):
+        # (0 or 1 for the left or right amplitude, the power k of phi)
+        return (0, i - 1) if i <= (L + 1) // 2 else (1, L - i)
+
+    def asymptotic(i):
+        j, k = side(i)
+        return (1 + amps[j] * phi ** k) / 2
+
+    if exact:
+        u, v = xu * S, xv * T
+        for i in range(1, L + 1):
+            v1 = v * pd // pn if i < L else 0
+            pairs = cells(u, v, v1)
+            row = {"density": Fraction(*pairs[0]),
+                   "current_lat": Fraction(*pairs[1]) if i < L else None,
+                   "current_eva": Fraction(*pairs[2]) if i < L else None}
+            if asymptotics:
+                row["density_asymptotic"] = asymptotic(i)
+            yield row
+            u, v = u * pn // pd, v1
+        return
+
+    def exact_cell(i, column):
+        # the one exact quotient, for a cell the bracket does not pin
+        v1 = xv * pn ** (L - i - 1) * pd ** i if i < L else 0
+        num, den_ = cells(xu * pn ** (i - 1) * pd ** (L - i),
+                          xv * pn ** (L - i) * pd ** (i - 1), v1)[column]
+        return num / den_
+
+    enc = _Enclosure(L)
+    ctx, rounded = enc.ctx, enc.rounded
+    # the Decimal twins of the exact constants carry a trailing underscore
+    one, zero, half = decimal.Decimal(1), decimal.Decimal(0), \
+        decimal.Decimal("0.5")
+    U_, V_ = enc.rational(xu * S, D), enc.rational(xv * S, D)
+    K_lat, K_eva, phi_ = (enc.rational(q.numerator, q.denominator)
+                          for q in (k_lat, k_eva, phi))
+    amps_ = [enc.rational(q.numerator, q.denominator) for q in amps]
+    P = [one]                  # P[k] ~ phi^k, k = 0 .. L - 1
+    for _ in range(L - 1):
+        P.append(ctx.multiply(P[-1], phi_))
     for i in range(1, L + 1):
-        t1 = c1 * A1
-        t2 = c2 * A2
-        t3 = c3 * A3
-        t4 = c4 * A4
-        # 1/2 - S m / D = (D - 2 S m) / (2 D)
-        density = quotient(dens_den - 2 * (t1 + t2 + t3 + t4) * dens_mul,
-                           2 * dens_den)
-        if i <= L - 1:
-            # one phi less on the down-going terms: scale them by pd/pn
-            up = (t1 + t2) * pn
-            down = (t3 + t4) * pd
-            lat = quotient((down - up) * lat_mul, lat_den)
-            eva = quotient((down + up) * eva_mul, eva_den)
-        else:
-            lat = eva = None
-        row = {"density": density, "current_lat": lat, "current_eva": eva}
-        if asymptotics:
-            if i <= (L + 1) // 2:
-                row["density_asymptotic"] = half * (1 + left_amp * p_up)
-            else:
-                row["density_asymptotic"] = half * (1 + right_amp * p_down)
-        yield row
+        t_up = ctx.multiply(U_, P[i - 1])
+        t_down = ctx.multiply(V_, P[L - i])
+        row = {"density": rounded(half, one, t_up.copy_negate(),
+                                  t_down.copy_negate(),
+                                  lambda: exact_cell(i, 0))}
         if i < L:
-            A1 = A1 * pn // pd
-            A2 = A2 * pn // pd
-            A3 = A3 * pd // pn
-            A4 = A4 * pd // pn
-            p_up *= phi
-            p_down /= phi
+            t_down1 = ctx.multiply(V_, P[L - i - 1])
+            row["current_lat"] = rounded(K_lat, zero, t_down1,
+                                         t_up.copy_negate(),
+                                         lambda: exact_cell(i, 1))
+            row["current_eva"] = rounded(K_eva, zero, t_up, t_down1,
+                                         lambda: exact_cell(i, 2))
+        else:
+            row["current_lat"] = row["current_eva"] = None
+        if asymptotics:
+            j, k = side(i)
+            row["density_asymptotic"] = rounded(
+                half, one, ctx.multiply(amps_[j], P[k]), zero,
+                lambda: float(asymptotic(i)))
+        yield row
 
 
-def _positive_pair(mul: int, den: int):
-    """(mul, den) with the sign moved so that den > 0."""
-    return (-mul, -den) if den < 0 else (mul, den)
+class _Enclosure:
+    """Decimal evaluation of a float profile cell K (s0 + t1 + t2) of an
+    L-site chain, with the error bound of rd_profile_rows."""
+
+    def __init__(self, L: int):
+        n_u = Fraction(2 * L + 3, 2 * 10 ** (PROFILE_DIGITS - 1))    # N u
+        if 2 * n_u >= 1:
+            raise ValueError(f"L = {L} is too long for {PROFILE_DIGITS} "
+                             "digits")
+        self.ctx = decimal.Context(prec=PROFILE_DIGITS, Emin=decimal.MIN_EMIN,
+                                   Emax=decimal.MAX_EMAX)
+        self.up, self.floor = self.ctx.copy(), self.ctx.copy()
+        self.up.rounding = decimal.ROUND_CEILING
+        self.floor.rounding = decimal.ROUND_FLOOR
+        gain = n_u / (1 - 2 * n_u)
+        self.gain = self.up.divide(decimal.Decimal(gain.numerator),
+                                   decimal.Decimal(gain.denominator))
+
+    def rational(self, num: int, den: int):
+        """num / den, rounded once."""
+        return self.ctx.divide(decimal.Decimal(num), decimal.Decimal(den))
+
+    def bracket(self, K, s0, t1, t2) -> tuple:
+        """(lo, hi), rounded outward, around the exact cell."""
+        up = self.up
+        x = self.ctx.multiply(K, self.ctx.add(self.ctx.add(s0, t1), t2))
+        err = up.multiply(self.gain, up.multiply(K.copy_abs(), up.add(
+            up.add(s0, t1.copy_abs()), t2.copy_abs())))
+        return self.floor.subtract(x, err), up.add(x, err)
+
+    def rounded(self, K, s0, t1, t2, fallback):
+        """The float of the cell: pinned by its bracket, else fallback()."""
+        f = self.pinned(*self.bracket(K, s0, t1, t2))
+        return fallback() if f is None else f
+
+    @staticmethod
+    def pinned(lo, hi):
+        """The float of every value in [lo, hi], if the bracket excludes 0
+        and both ends round to the same finite float; else None."""
+        f = float(lo)
+        if (lo > 0 or hi < 0) and f == float(hi) and abs(f) < _INF:
+            return f
+        return None
 
 
 def rd_current_balance(kappa, alpha, beta, gamma, delta, L: int, i: int) -> Fraction:

@@ -8,9 +8,8 @@ result once, so no gcd is taken inside the product.  t(x) carries no
 prefactor: the homogeneous normalization 1/tr Ktilde(identity) is 1 for
 every catalogued model.
 
-The checks raise at a pole: build_transfer and lambda_eigenvalue raise
-PoleError, and a partner point such as 1/(q x) at x = 0 raises
-ZeroDivisionError.  A Skipped report means that the model lacks the
+The checks raise PoleError at a pole, naming the point and the expression
+that vanishes there.  A Skipped report means that the model lacks the
 structure checked.
 """
 
@@ -228,7 +227,11 @@ def check_crossing_symmetry_t(spec: TransferSpec, x) -> CheckReport:
         return skipped(model, "transfer.crossing", (x,),
                        "no crossing relation for this model")
     lam = lambda_eigenvalue(model, x, spec.thetas)
-    partner = -x - 1 if model.name == m.SSEP else 1 / (model.q * x)
+    if model.name == m.SSEP:
+        partner = -x - 1
+    else:
+        partner = 1 / m._nonzero(model.q * x,
+                                 "q*x in the crossing partner 1/(q*x)", x)
     lhs = build_transfer(spec, x)
     rhs = build_transfer(spec, partner).scale(lam - 1)
     return compare(model, "transfer.crossing", (x,), lhs, rhs)
@@ -247,16 +250,18 @@ def ssep_conjugated(spec: TransferSpec, x) -> list:
     Gam = Matrix([[Fraction(-1), be], [Fraction(1), de]])
     Gi = inverse(Gam)
 
+    # K and Ktilde first: they raise, naming the expression, at the poles
+    # of the closed forms of D and Dtilde
+    got = Gi * m.k_matrix(model, "K", x) * Gam
     d = x * (al + ga) + 1
     want = Matrix([[-(x * (al + ga) - 1) / d, 2 * x * (al * be - de * ga) / d],
                    [Fraction(0), Fraction(1)]])
-    got = Gi * m.k_matrix(model, "K", x) * Gam
     out = [compare(model, "conjugated.D", (x,), got, want)]
 
+    got = Gi * m.k_matrix(model, "Ktilde", x) * Gam
     pre = (2 * x + 1) / (2 * (x + 1) * (x * (de + be) + 1))
     want = Matrix([[pre * (-(x + 1) * (be + de) + 1), Fraction(0)],
                    [Fraction(0), pre * ((x + 1) * (be + de) + 1)]])
-    got = Gi * m.k_matrix(model, "Ktilde", x) * Gam
     out.append(compare(model, "conjugated.Dtilde", (x,), got, want))
 
     # <-| ts(x) |-> with |-> the all-occupied basis vector: contract t

@@ -12,6 +12,7 @@ import exclusion.models as mo
 import exclusion.verifier as vf
 from exclusion.scalars import float_repr, format_rational
 from exclusion.tensor import Matrix, SparseMatrix
+from strategies import MODELS
 
 
 def dense(sp):
@@ -426,6 +427,61 @@ def test_rd_profile_rows_match_closed_forms(kappa, rates):
             assert all(isinstance(v, F) for v in row.values() if v is not None)
             # the float cells print as the rounded exact value, -0 excluded
             assert _printed(frow) == _printed(want), (L, i)
+
+
+_COLUMNS = ("density", "current_lat", "current_eva", "density_asymptotic")
+
+
+@settings(max_examples=40, deadline=None)
+@given(MODELS["rd"], st.integers(min_value=2, max_value=300))
+def test_float_profile_cells_are_certified(model, L):
+    # kappa < 0 and 0 < |kappa| < 1 are drawn, so phi < 0 and |phi| > 1 occur
+    assume(model.alpha != model.gamma and model.beta != model.delta)
+    rates = (model.kappa, model.alpha, model.beta, model.gamma, model.delta)
+    try:
+        exact = list(an.rd_profile_rows(*rates, L, asymptotics=True))
+    except ValueError:      # den = 0, or a vanishing boundary factor
+        assume(False)
+    bracket = an._Enclosure.bracket
+    brackets = []
+
+    def recorded(self, *args):
+        brackets.append(bracket(self, *args))
+        return brackets[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(an._Enclosure, "bracket", recorded)
+        floats = list(an.rd_profile_rows(*rates, L, asymptotics=True,
+                                         exact=False))
+    cells = [(row[k], frow[k]) for row, frow in zip(exact, floats)
+             for k in _COLUMNS if row[k] is not None]
+    assert len(floats) == L and len(brackets) == len(cells)
+    for (value, printed), (lo, hi) in zip(cells, brackets):
+        assert isinstance(printed, float)
+        assert format(printed, ".17g") == format(float(value), ".17g")
+        assert F(lo) <= value <= F(hi)
+
+
+def test_an_exact_zero_current_takes_the_exact_quotient(monkeypatch):
+    pinned = an._Enclosure.pinned
+    misses = []
+
+    def counted(lo, hi):
+        f = pinned(lo, hi)
+        if f is None:
+            misses.append((lo, hi))
+        return f
+
+    monkeypatch.setattr(an._Enclosure, "pinned", staticmethod(counted))
+    # the middle bond's current_lat is exactly 0; its bracket straddles 0.
+    # At L = 1500 both ends of that bracket round to a zero float
+    for L in (40, 1500):
+        misses.clear()
+        rows = list(an.rd_profile_rows(F(1, 2), *PROFILE_RATES[2], L,
+                                       exact=False))
+        assert len(misses) == 1, L
+        assert misses[0][0] < 0 < misses[0][1]
+        assert float_repr(rows[L // 2 - 1]["current_lat"]) == "0"
 
 
 def test_rd_current_balance_closed_form():

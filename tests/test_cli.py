@@ -448,6 +448,10 @@ def test_rd_ansatz_nonconvergence_names_the_last_rounds(capsys, cap, rounds):
 
 
 _R = ("--alpha", "1/2", "--beta", "2/3", "--gamma", "1/3", "--delta", "1/5")
+# alpha = delta, beta = gamma: at kappa = 1/2 an even chain carries an exact
+# zero current_lat at its middle bond
+_ZERO_CURRENT = ("--alpha", "1/3", "--beta", "2/5", "--gamma", "2/5",
+                 "--delta", "1/3")
 _MODEL_ARGS = {"asep": ("--model", "asep", "--q", "3", *_R),
                "ssep": ("--model", "ssep", *_R),
                "tasep": ("--model", "tasep", "--alpha", "1/2", "--beta", "2/3"),
@@ -504,10 +508,32 @@ _RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
      "a001bcb12f5e027d33bab559c4e3a6f8cf52e2fc25214c170233b7fc6718b88c"),
     *[(("transfer", *_MODEL_ARGS[name], "--L", "5", "--check", check), digest)
       for (name, check), digest in _TRANSFER_L5_DIGESTS.items()],
+    (("profile", "--model", "rd", "--kappa", "2", "--alpha", "2/3", "--beta",
+      "1/5", "--gamma", "1/2", "--delta", "1/3", "--L", "2000",
+      "--asymptotics", "--format", "json"),
+     "901d1b2985eb182349f11b4917e901dc971d83edd40d32474191af983c2e1bb5"),
+    (("profile", "--model", "rd", "--kappa", "3", "--alpha", "1/5", "--beta",
+      "2/3", "--gamma", "1/2", "--delta", "1/3", "--L", "4000",
+      "--format", "csv"),
+     "c2bc9257b89f37bc92cf6bddcd2d1074ad44e52db0fa47cac6524fb378d59350"),
+    # phi = -1/3, with an exact zero current at the middle bond
+    (("profile", "--model", "rd", "--kappa", "1/2", *_ZERO_CURRENT, "--L",
+      "600", "--asymptotics"),
+     "8b2cd5bba528a3807aa46f80703852445d57ec92b988c84572afc88c34a18179"),
+    # phi = 2
+    (("profile", "--model", "rd", "--kappa=-3", *_R, "--L", "300",
+      "--asymptotics"),
+     "00f43e2dae439a7c41e63669af7f23104eaa91fc25b11b4abadb6a7fcfd20716"),
+    (("profile", "--model", "rd", "--kappa", "2", *_R, "--L", "200",
+      "--exact", "--asymptotics"),
+     "27290e6e895692ef357ebc05cb036af2248cd8eeeae01141bec5312b2a5d0ac3"),
 ], ids=["verify-asep", "verify-ssep", "verify-tasep", "transfer-ssep-conjugated",
         "transfer-asep-crossing", "transfer-ssep-eigenvalue", "steady-rd-csv",
         "steady-rd-json", "profile-rd-csv", "profile-rd-json",
-        *[f"transfer-{name}-{check}-L5" for name, check in _TRANSFER_L5_DIGESTS]])
+        *[f"transfer-{name}-{check}-L5" for name, check in _TRANSFER_L5_DIGESTS],
+        "profile-rd-L2000-json", "profile-rd-L4000-csv",
+        "profile-rd-phi-1/3-L600", "profile-rd-phi2-L300",
+        "profile-rd-exact-L200"])
 def test_output_bytes_are_pinned(capsys, argv, digest):
     # stdout digests of the report, steady and profile writers; any change to
     # how a check becomes a report or a row becomes a cell shows here
@@ -515,6 +541,36 @@ def test_output_bytes_are_pinned(capsys, argv, digest):
     assert code == 0
     if "both" in argv:      # the RD ansatz stop stays within REL_TOL
         assert _max_rel_diff(out) <= an.REL_TOL
+    assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize("kappa, rates, digest", [
+    ("3", _R,
+     "f0c209b114b901636291a0c8f2858215944c3f2a69f0e15512caba6d981abde2"),
+    ("1/2", _ZERO_CURRENT,
+     "12b2b8a95e737902e4941bcd7f7dcbfb748dc6e560d3c86c26c85d2951ec739a"),
+    ("-3", _R,
+     "ee666062dd175193ebe9d5ee31819b1ce4af6d9ff3803800f29061746a9a9c3e"),
+], ids=["phi1/2", "phi-1/3", "phi2"])
+def test_profile_exact_fallback_alone_prints_the_same_bytes(
+        capsys, monkeypatch, kappa, rates, digest):
+    # at 10 digits no bracket is narrow enough to pin a float, so every cell
+    # is the exact quotient of its site; the digests are the 38-digit output
+    monkeypatch.setattr(an, "PROFILE_DIGITS", 10)
+    pinned = an._Enclosure.pinned
+    outcomes = []
+
+    def counted(lo, hi):
+        f = pinned(lo, hi)
+        outcomes.append(f is None)
+        return f
+
+    monkeypatch.setattr(an._Enclosure, "pinned", staticmethod(counted))
+    code, out = run(capsys, "profile", "--model", "rd", f"--kappa={kappa}",
+                    *rates, "--L", "60", "--asymptotics")
+    assert code == 0
+    # 60 densities, 59 bonds with two currents, 60 asymptotic cells
+    assert outcomes == [True] * (60 + 2 * 59 + 60)
     assert _sha256(out) == digest
 
 
@@ -661,13 +717,16 @@ def test_readme_flag_table_matches_the_parser():
      "eigenvalue lambda has a pole at x=1/2"),
     ("left-eigenvector", ("--model", "ssep", "--x", "-1"),
      "eigenvalue lambda has a pole at x=-1"),
-    # a bare ZeroDivisionError: the partner point 1/(q x) at x = 0
-    ("crossing", ("--model", "asep", "--x", "0"), "Fraction(1, 0)"),
-    # a bare ZeroDivisionError: the closed form of D at x = -1
-    ("conjugated", ("--model", "ssep", "--x", "-1"), "Fraction(1, 0)"),
+    ("crossing", ("--model", "asep", "--x", "0"),
+     "q*x in the crossing partner 1/(q*x) vanishes at x=0"),
+    ("conjugated", ("--model", "ssep", "--x", "-1"),
+     "x*(alpha+gamma) + 1 vanishes at x=-1"),
     ("inhomogeneous-eigenvector", ("--model", "rd", "--theta", "2,3"),
      "transfer factor Ktilde_0: dual boundary matrix has a pole at x=1/2: "
      "(kappa+1)^2 x^2 - (kappa-1)^2 vanishes at x=1/2"),
+    # the pole of Dtilde's closed form, where D has none
+    ("conjugated", ("--model", "ssep", "--alpha", "2", "--x", "-1"),
+     "x*(delta+beta) + 1 vanishes at x=-1"),
 ])
 def test_a_transfer_pole_exits_3_with_its_message(capsys, check, argv, line):
     code = main(["transfer", *argv, "--L", "2", "--check", check])

@@ -252,30 +252,27 @@ _ASEP, _SSEP = ex.asep(2, 1, 1, 0, 0), ex.ssep(1, 1, 0, 0)
 
 
 @pytest.mark.filterwarnings("ignore:negative rate")
-@pytest.mark.parametrize("check, error", [
+@pytest.mark.parametrize("check", [
     # Ktilde at x = 1/q
-    (lambda: tr.check_commutation(tr.TransferSpec(_ASEP, 2), F(3), F(1, 2)),
-     PoleError),
-    (lambda: tr.markov_from_transfer(ex.asep(-1, 1, 1, 0, 0), 2), PoleError),
+    lambda: tr.check_commutation(tr.TransferSpec(_ASEP, 2), F(3), F(1, 2)),
+    lambda: tr.markov_from_transfer(ex.asep(-1, 1, 1, 0, 0), 2),
     # lambda at x = 1/q
-    (lambda: tr.check_eigenpair(tr.TransferSpec(_ASEP, 1), F(1, 2),
-                                [F(1), F(1)]), PoleError),
-    (lambda: tr.check_eigenpair(tr.TransferSpec(_SSEP, 1), F(-1), [F(1), F(1)],
-                                eigenvalue=F(1)), PoleError),
+    lambda: tr.check_eigenpair(tr.TransferSpec(_ASEP, 1), F(1, 2),
+                               [F(1), F(1)]),
+    lambda: tr.check_eigenpair(tr.TransferSpec(_SSEP, 1), F(-1), [F(1), F(1)],
+                               eigenvalue=F(1)),
     # the partner point 1/(q x) at x = 0
-    (lambda: tr.check_crossing_symmetry_t(tr.TransferSpec(_ASEP, 2), F(0)),
-     ZeroDivisionError),
-    (lambda: tr.check_crossing_symmetry_t(tr.TransferSpec(_SSEP, 2), F(-1)),
-     PoleError),
-    # the closed form of D at x = -1/(alpha + gamma)
-    (lambda: tr.ssep_conjugated(tr.TransferSpec(_SSEP, 2), F(-1)),
-     ZeroDivisionError),
+    lambda: tr.check_crossing_symmetry_t(tr.TransferSpec(_ASEP, 2), F(0)),
+    lambda: tr.check_crossing_symmetry_t(tr.TransferSpec(_SSEP, 2), F(-1)),
+    # K, and the closed form of D, at x = -1/(alpha + gamma)
+    lambda: tr.ssep_conjugated(tr.TransferSpec(_SSEP, 2), F(-1)),
 ], ids=["commutation", "markov-derivative", "eigenpair-lambda",
         "eigenpair-t", "crossing-partner", "crossing-lambda", "conjugated"])
-def test_transfer_checks_raise_at_a_pole(check, error):
+def test_transfer_checks_raise_at_a_pole(check):
+    # a PoleError, never a bare ZeroDivisionError
     with pytest.raises(ZeroDivisionError) as exc:
         check()
-    assert exc.type is error
+    assert exc.type is PoleError
 
 
 def test_structural_skips_stay_reports(tasep_model, asep_model):
