@@ -13,7 +13,7 @@ exactly on monodromy matrices for ASEP, SSEP and TASEP.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -31,19 +31,16 @@ PROFILE_DIGITS = 38               # working precision of the float profile
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
-class MPRepresentation:
-    """Letters-to-matrix map with boundary row/column vectors."""
-    letters: dict
-    W: tuple
-    V: tuple
-    N: int
-    meta: dict = field(default_factory=dict)
+class MPRepresentation(namedtuple("MPRepresentation", "letters W V N meta")):
+    """Letters-to-matrix map with boundary row/column vectors; meta defaults
+    to a new empty dict."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        wv = sum(w * v for w, v in zip(self.W, self.V))
-        if wv == 0:
+    def __new__(cls, letters, W, V, N, meta=None):
+        if sum(w * v for w, v in zip(W, V)) == 0:
             raise ValueError("degenerate representation: <W|V> = 0")
+        return super().__new__(cls, letters, W, V, N,
+                               {} if meta is None else meta)
 
 
 class RDRepresentation:
@@ -56,8 +53,8 @@ class RDRepresentation:
 
     A(x) exists only as the stencil _rd_stencil acting on integer rows: the
     contraction, the boundary relations and the operators of the exchange
-    relation are all read off it.  (A plain class: a dataclass would cost
-    every CLI start-up its class generation.)
+    relation are all read off it.  (A plain class, not a named tuple like
+    the package's other records: _horner caches on the instance dict.)
     """
     def __init__(self, N, meta, Wn, dW, Cv, Bv, dV, g2, S):
         self.N, self.meta = N, meta
@@ -548,7 +545,7 @@ def _compare_blocks(model, check, pts, blocks: dict) -> CheckReport:
         if rep.status == FAIL:
             h = lhs.rows if isinstance(lhs, Matrix) else lhs.dim
             w = rep.witness
-            return replace(rep, witness={**w, "row": i * h + w["row"],
+            return rep._replace(witness={**w, "row": i * h + w["row"],
                                          "col": j * h + w["col"]})
     return rep
 

@@ -42,13 +42,19 @@ class DomainError(Exception):
 def _domain_errors():
     """Re-raise a library domain error as DomainError: a pole hit
     (ZeroDivisionError, PoleError too) as "pole collision: ...", a
-    ValueError (UnsupportedError too) as is."""
+    ValueError (UnsupportedError too) as is, and an exact value too large
+    for a float (OverflowError) with the float range and --exact named."""
     try:
         yield
     except ZeroDivisionError as exc:
         raise DomainError(f"pole collision: {exc}") from None
     except ValueError as exc:
         raise DomainError(str(exc)) from None
+    except OverflowError as exc:
+        raise DomainError(
+            f"{exc}: a value lies outside the float range "
+            f"(|x| <= {sys.float_info.max:.4g}); --exact prints it as an "
+            f"exact rational") from None
 
 
 def _positive_int(text: str) -> int:

@@ -9,7 +9,7 @@ quarantined floating-point routine, returned as an ApproxDistribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .models import ModelDescriptor, RD, local_operators
@@ -21,12 +21,9 @@ class KernelError(ValueError):
     """The stationary kernel is not one-dimensional."""
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(namedtuple("Distribution", "L weights Z")):
     """Exact stationary weights: probabilities are weights[i] / Z."""
-    L: int
-    weights: tuple
-    Z: Fraction
+    __slots__ = ()
 
     def probability(self, index: int) -> Fraction:
         return self.weights[index] / self.Z
@@ -113,15 +110,11 @@ def observables(dist: Distribution, model: ModelDescriptor) -> dict:
     return {"density": density, "current_lat": lat, "current_eva": eva}
 
 
-@dataclass(frozen=True)
-class ApproxDistribution:
+class ApproxDistribution(namedtuple(
+        "ApproxDistribution", "L probs t order uniformization_rate exact",
+        defaults=(False,))):
     """Floating-point approximation from uniformized evolution. Inexact."""
-    L: int
-    probs: tuple
-    t: float
-    order: int
-    uniformization_rate: float
-    exact: bool = False
+    __slots__ = ()
 
 
 def evolve(dist0, M: SparseMatrix, t, order: int) -> ApproxDistribution:

@@ -15,9 +15,8 @@ additive (x1-x2, identity point 0).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .scalars import Dual, lift_like, rat
 from .tensor import Matrix, PoleError, inverse, kron, partial_trace_first, \
@@ -35,9 +34,10 @@ class UnsupportedError(ValueError):
     """The requested object does not exist for this model."""
 
 
-@dataclass(frozen=True)
-class SpectralConvention:
-    kind: str  # "multiplicative" | "additive"
+class SpectralConvention(namedtuple("SpectralConvention", "kind")):
+    """How spectral parameters compose; kind is "multiplicative" or
+    "additive"."""
+    __slots__ = ()
 
     @property
     def identity_point(self) -> Fraction:
@@ -62,27 +62,21 @@ MULTIPLICATIVE = SpectralConvention("multiplicative")
 ADDITIVE = SpectralConvention("additive")
 
 
-@dataclass(frozen=True)
-class Crossing:
-    U: Matrix
-    Q: Fraction
-    lam: Callable  # scalar function of the spectral parameter
+class Crossing(namedtuple("Crossing", "U Q lam")):
+    """Crossing data: the Matrix U, the Fraction Q, and lam, a scalar
+    function of the spectral parameter."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ModelDescriptor:
-    name: str
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    delta: Fraction
-    q: Optional[Fraction] = None        # ASEP only
-    kappa: Optional[Fraction] = None    # RD only
-    convention: SpectralConvention = MULTIPLICATIVE
-    rho: Fraction = Fraction(1)
-    crossing: Optional[Crossing] = None
-    markov_a: Fraction = Fraction(1)    # gauge constants of v(x)
-    markov_b: Fraction = Fraction(1)
+class ModelDescriptor(namedtuple(
+        "ModelDescriptor", "name alpha beta gamma delta q kappa convention "
+        "rho crossing markov_a markov_b",
+        defaults=(None, None, MULTIPLICATIVE, Fraction(1), None, Fraction(1),
+                  Fraction(1)))):
+    """A model and its rates (Fractions).  q is set for ASEP only and kappa
+    for RD only; crossing is None where the model has no crossing data;
+    markov_a and markov_b are the gauge constants of v(x)."""
+    __slots__ = ()
 
     @property
     def identity_point(self) -> Fraction:

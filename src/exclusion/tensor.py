@@ -393,48 +393,66 @@ def embed_local(op: Matrix, first_site: int, length: int) -> SparseMatrix:
 
 
 def exact_nullspace(M) -> list:
-    """Exact basis of the kernel of a rational matrix, computed modulo primes.
+    """Exact basis of the kernel of a rational matrix, by one elimination
+    modulo a prime and p-adic lifting (Dixon 1982).
 
     Each row is scaled by the lcm of its denominators, which keeps the
     kernel and makes the matrix integral.  Sparse elimination (shortest row
-    first, then sparsest column) runs modulo primes just below 2^61; the
-    first prime's pivot order is replayed at the later ones.  The residues
-    of the kernel basis are combined by the CRT and lifted to rationals by
-    rational reconstruction, until an exact integer matvec shows M v = 0 for
-    every basis vector.
+    first, then sparsest column) runs once modulo a prime p just below
+    2^61 and finds pivot rows R and pivot columns P with A[R,P] invertible
+    modulo p, hence over Q.  For each free column f the solution of
+    A[R,P] x = -A[R,f] is lifted one p-adic digit at a time: the digit is
+    solved modulo p with the stored factors, and the residual is updated by
+    one exact integer matvec over the pivot rows.  After each lift the
+    vectors (1 at f, x on P) are recovered by rational reconstruction and
+    returned once an exact integer matvec shows M v = 0 for every one.
 
     The result is exact: rank mod p <= rank over Q, so the kernel over Q is
     never larger than the kernel mod p.  The k certified vectors each carry
     a 1 at their own free column and 0 at the others, so they are
-    independent, and k = dim ker_p makes them a basis over Q.  A prime at
-    which the rank drops is dropped: either a replayed pivot vanishes, or a
-    later prime finds more pivots and the smaller kernel replaces it.
+    independent, and k = dim ker_p makes them a basis over Q.  By Hadamard's
+    bound and Cramer's rule no numerator or denominator of x exceeds
+    B = prod over R of (isqrt(|row|^2) + 1), so once p^m > 2 (B + 1)^2
+    reconstruction modulo p^m finds x whenever the two ranks agree; a
+    certificate still missing then proves the rank over Q larger, and the
+    next prime is eliminated afresh.
 
     Returns one length-dim Fraction vector per free column, in column order.
     """
     if isinstance(M, Matrix):
         M = SparseMatrix.from_dense(M)
     rows = _integer_rows(M)
-    order = None
-    modulus = 1
     for p in _primes():
-        got = _eliminate_mod(rows, M.dim, p, order or ())
-        if got is None:
-            continue
-        pivots, basis = got
-        if order is None or len(pivots) > len(order):
-            order, residues, modulus = pivots, basis, p
-        else:  # CRT: x = r mod modulus and x = s mod p
-            inv = pow(modulus, -1, p)
-            residues = [[r + modulus * ((s - r) * inv % p)
-                         for r, s in zip(rv, sv)]
-                        for rv, sv in zip(residues, basis)]
-            modulus *= p
-        if not residues:
+        factors = _eliminate_mod(rows, M.dim, p)
+        pivot_rows = [ri for ri, _, _, _, _ in factors]
+        pivot_cols = [cj for _, cj, _, _, _ in factors]
+        free = sorted(set(range(M.dim)).difference(pivot_cols))
+        if not free:
             return []
-        candidate = _reconstruct(residues, modulus)
-        if candidate is not None and _annihilates(rows, candidate):
-            return candidate
+        # x is 1 at f and 0 at the other free columns; the residual of
+        # A[R,P] x = -A[R,f] starts at -A[R,f]
+        solutions = [[0] * M.dim for _ in free]
+        residuals = [[0] * M.dim for _ in free]
+        for f, x, r in zip(free, solutions, residuals):
+            x[f] = 1
+            for ri in pivot_rows:
+                r[ri] = -rows[ri].get(f, 0)
+        height = math.prod(math.isqrt(sum(v * v for v in rows[ri].values()))
+                           + 1 for ri in pivot_rows)
+        limit = 2 * (height + 1) ** 2
+        modulus = 1
+        while modulus <= limit:
+            for x, r in zip(solutions, residuals):
+                y = _solve_mod(factors, r, p)   # 0 off the pivot columns
+                for c in pivot_cols:
+                    x[c] += modulus * y[c]
+                for ri in pivot_rows:
+                    r[ri] = (r[ri] - sum(v * y[c] for c, v in
+                                         rows[ri].items())) // p
+            modulus *= p
+            candidate = _reconstruct(solutions, modulus)
+            if candidate is not None and _annihilates(rows, candidate):
+                return candidate
 
 
 def integer_form(*mats: SparseMatrix) -> tuple:
@@ -502,13 +520,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _eliminate_mod(rows, dim, p, order):
-    """Kernel basis of the integer rows modulo p, by sparse elimination.
+def _eliminate_mod(rows, dim, p) -> list:
+    """LU factors of the integer rows modulo p, by sparse elimination.
 
-    The pivots (row, col) of ``order`` are taken first; further pivots are
-    chosen by the shortest active row, then its sparsest column, ties to
-    the lowest index.  Returns (pivots, basis), with one residue vector per
-    free column, or None when a pivot of ``order`` vanishes modulo p.
+    Each pivot is taken at the shortest active row, at its sparsest column,
+    ties to the lowest index.  Returns one (row, col, inverse, eliminated,
+    upper) per pivot, in elimination order: the inverse of the pivot modulo
+    p, the (row, multiplier) pairs it eliminated, and the (col, value)
+    pairs of its row divided by the pivot, the pivot itself left out.
     """
     work = [{c: v % p for c, v in row.items() if v % p} for row in rows]
     active = {r for r in range(dim) if work[r]}
@@ -516,31 +535,22 @@ def _eliminate_mod(rows, dim, p, order):
     for r in active:
         for c in work[r]:
             col_count[c] += 1
-    pivots = []
-    upper = []
-    while True:
-        if len(pivots) < len(order):
-            ri, cj = order[len(pivots)]
-            if cj not in work[ri]:
-                return None
-        elif not active:
-            break
-        else:
-            ri, cj = _markowitz(work, active, col_count)
-        prow = work[ri]
+    factors = []
+    while active:
+        ri, cj = _markowitz(work, active, col_count)
+        prow, work[ri] = work[ri], None   # freed: factors keeps it as rest
         inv = pow(prow[cj], -1, p)
-        prow = {c: v * inv % p for c, v in prow.items()}
-        pivots.append((ri, cj))
-        upper.append((cj, prow))
         active.discard(ri)
         for c in prow:
             col_count[c] -= 1
-        rest = [(c, v) for c, v in prow.items() if c != cj]
+        rest = [(c, v * inv % p) for c, v in prow.items() if c != cj]
+        eliminated = []
         for rk in list(active):
             tgt = work[rk]
             f = tgt.pop(cj, None)
             if f is None:
                 continue
+            eliminated.append((rk, f))
             col_count[cj] -= 1
             for c, v in rest:
                 old = tgt.get(c)
@@ -554,17 +564,23 @@ def _eliminate_mod(rows, dim, p, order):
                     col_count[c] -= 1
             if not tgt:
                 active.discard(rk)
-    pivot_cols = {cj for cj, _ in upper}
-    basis = []
-    for fc in range(dim):
-        if fc in pivot_cols:
-            continue
-        vec = [0] * dim
-        vec[fc] = 1
-        for cj, prow in reversed(upper):
-            vec[cj] = -sum(v * vec[c] for c, v in prow.items()) % p
-        basis.append(vec)
-    return pivots, basis
+        factors.append((ri, cj, inv, eliminated, rest))
+    return factors
+
+
+def _solve_mod(factors, rhs, p) -> list:
+    """y with A[R,P] y = rhs[R] modulo p and 0 off the pivot columns: the
+    stored row operations applied to rhs (indexed by row), then back
+    substitution through the upper rows."""
+    b = list(rhs)
+    for ri, _, inv, eliminated, _ in factors:
+        t = b[ri] = b[ri] * inv % p
+        for rk, f in eliminated:
+            b[rk] -= f * t
+    y = [0] * len(b)
+    for ri, cj, _, _, upper in reversed(factors):
+        y[cj] = (b[ri] - sum(v * y[c] for c, v in upper)) % p
+    return y
 
 
 def _markowitz(work, active, col_count):

@@ -15,7 +15,7 @@ structure checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import models as m
@@ -29,21 +29,20 @@ from .tensor import Matrix, PoleError, SparseMatrix, deriv_matrix, \
 from .verifier import CheckReport, compare, skipped
 
 
-@dataclass(frozen=True)
-class TransferSpec:
-    model: ModelDescriptor
-    L: int
-    thetas: tuple = None
+class TransferSpec(namedtuple("TransferSpec", "model L thetas")):
+    """A model on L sites with one inhomogeneity per site; thetas defaults
+    to the identity point at every site and is held as Fractions."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.L < 1:
+    def __new__(cls, model, L, thetas=None):
+        if L < 1:
             raise ValueError("L must be >= 1")
-        idp = self.model.identity_point
-        thetas = self.thetas if self.thetas is not None else (idp,) * self.L
+        idp = model.identity_point
+        thetas = thetas if thetas is not None else (idp,) * L
         thetas = tuple(Fraction(t) for t in thetas)
-        if len(thetas) != self.L:
+        if len(thetas) != L:
             raise ValueError("need one inhomogeneity per site")
-        object.__setattr__(self, "thetas", thetas)
+        return super().__new__(cls, model, L, thetas)
 
     @property
     def homogeneous(self) -> bool:

@@ -9,7 +9,7 @@ the gaps stay visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
 from . import models as m
@@ -25,14 +25,12 @@ SKIPPED = "Skipped"
 TWIST = Fraction(2)     # the tau of the suite's twisted ASEP K checks
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    model: str
-    check: str
-    points: tuple
-    status: str
-    witness: dict | None = None
-    reason: str | None = None
+class CheckReport(namedtuple(
+        "CheckReport", "model check points status witness reason",
+        defaults=(None, None))):
+    """One check's outcome: model and check names, the formatted points, the
+    status, and the witness dict of a Fail or the reason of a Skipped."""
+    __slots__ = ()
 
 
 def _fmt_points(points) -> tuple:
@@ -491,9 +489,9 @@ def run_model_suite(model: ModelDescriptor, points: list) -> list:
             kf = m.general_asep_k(model.alpha, model.gamma, model.q, TWIST)
             if x2 is not None:
                 rep = check_reflection(model, "K", x, x2, k_fn=kf)
-                reports.append(replace(rep, check="reflection.K_twisted"))
+                reports.append(rep._replace(check="reflection.K_twisted"))
             for rep in check_k_properties(model, "K", x, twist=TWIST,
                                           u_points=u_points):
-                reports.append(replace(rep, check=rep.check.replace(
+                reports.append(rep._replace(check=rep.check.replace(
                     "k.K", "k.K_twisted", 1)))
     return reports

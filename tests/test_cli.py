@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import re
+import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -244,6 +245,20 @@ def test_profile_vanishing_denominator_exits_3(capsys, monkeypatch):
     code, out = run(capsys, "profile", "--model", "rd", "--L", "4")
     assert code == 3
     assert out == ""
+
+
+def test_profile_beyond_the_float_range_exits_3(capsys):
+    # |phi| = 2: the asymptotic column grows like phi^(L-i) and leaves the
+    # float range near L = 2100; its exact rationals still print
+    argv = ("profile", "--model", "rd", "--kappa=-3", "--L", "2100",
+            "--asymptotics")
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "float range" in captured.err and "--exact" in captured.err
+    code, out = run(capsys, *argv, "--exact")
+    assert code == 0 and out
 
 
 def test_byte_identical_reruns(tmp_path, capsys):
@@ -527,13 +542,21 @@ _RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
     (("profile", "--model", "rd", "--kappa", "2", *_R, "--L", "200",
       "--exact", "--asymptotics"),
      "27290e6e895692ef357ebc05cb036af2248cd8eeeae01141bec5312b2a5d0ac3"),
+    # exact kernels of five (RD) and three (ASEP) p-adic lifts
+    (("steady", "--model", "rd", *_R, "--method", "nullspace", "--exact",
+      "--L", "8"),
+     "853d5adc68b66b8ffc4744e92bfe59dab824d94c7fd66ce2e95f7f475bf027ee"),
+    (("steady", "--model", "asep", "--q", "3", *_R, "--method", "nullspace",
+      "--exact", "--L", "8"),
+     "faf3afd3205b0a0135bfe0a575b1195953eb7b16f7919c465a96718b14b4f305"),
 ], ids=["verify-asep", "verify-ssep", "verify-tasep", "transfer-ssep-conjugated",
         "transfer-asep-crossing", "transfer-ssep-eigenvalue", "steady-rd-csv",
         "steady-rd-json", "profile-rd-csv", "profile-rd-json",
         *[f"transfer-{name}-{check}-L5" for name, check in _TRANSFER_L5_DIGESTS],
         "profile-rd-L2000-json", "profile-rd-L4000-csv",
         "profile-rd-phi-1/3-L600", "profile-rd-phi2-L300",
-        "profile-rd-exact-L200"])
+        "profile-rd-exact-L200", "steady-rd-exact-L8",
+        "steady-asep-exact-L8"])
 def test_output_bytes_are_pinned(capsys, argv, digest):
     # stdout digests of the report, steady and profile writers; any change to
     # how a check becomes a report or a row becomes a cell shows here
@@ -755,3 +778,15 @@ def test_an_option_the_transfer_check_does_not_read_exits_2(capsys, check,
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("usage error: ")
+
+
+def test_import_leaves_out_class_generation_modules():
+    # every CLI process pays its imports: the package's records are named
+    # tuples, so neither dataclasses nor what it pulls in is loaded
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, exclusion.cli; print(sorted(m for m in "
+             "('dataclasses', 'inspect', 'typing') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env={"PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"

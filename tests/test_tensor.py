@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exclusion as ex
+import exclusion.tensor as tensor
 from exclusion.markov import KernelError, steady_state_exact
 from exclusion.tensor import Matrix, PoleError, SparseMatrix, _primes, \
     derivative_at, embed_at_positions, embed_local, exact_nullspace, \
@@ -168,6 +169,93 @@ def test_exact_nullspace_two_dimensional_kernel():
     assert ker[1] == [0] * 4 + vb
     assert exact_nullspace(SparseMatrix(3)) == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+_R = (F(1, 2), F(2, 3), F(1, 3), F(1, 5))
+
+
+@pytest.mark.parametrize("model, L", [
+    (ex.rd(3, *_R), 6), (ex.rd(3, *_R), 7), (ex.asep(3, *_R), 7)],
+    ids=["rd-L6", "rd-L7", "asep-L7"])
+def test_exact_nullspace_eliminates_once(monkeypatch, model, L):
+    # each of these kernels takes three p-adic lifts, and every lift reuses
+    # the one elimination
+    calls = []
+    eliminate = tensor._eliminate_mod
+
+    def counted(*args):
+        calls.append(args[2])
+        return eliminate(*args)
+
+    monkeypatch.setattr(tensor, "_eliminate_mod", counted)
+    M = ex.build_markov(model, L)
+    (v,) = exact_nullspace(M)
+    assert calls == [next(_primes())]
+    assert residual_is_zero(M, v)
+
+
+def rref(rows) -> list:
+    """Independent oracle: the nonzero rows of the reduced row echelon form
+    of Fraction rows, by dense Gauss-Jordan."""
+    a = [list(r) for r in rows]
+    n = len(a[0]) if a else 0
+    top = 0
+    for col in range(n):
+        piv = next((r for r in range(top, len(a)) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[top], a[piv] = a[piv], a[top]
+        a[top] = [x / a[top][col] for x in a[top]]
+        for r in range(len(a)):
+            if r != top and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[top])]
+        top += 1
+    return a[:top]
+
+
+def dense_kernel(rows, n) -> list:
+    """A basis of the kernel read off the RREF: one vector per free column,
+    1 there, 0 at the other free columns."""
+    red = rref(rows)
+    lead = [next(c for c, x in enumerate(r) if x != 0) for r in red]
+    out = []
+    for f in (c for c in range(n) if c not in lead):
+        v = [F(0)] * n
+        v[f] = F(1)
+        for r, c in zip(red, lead):
+            v[c] = -r[f]
+        out.append(v)
+    return out
+
+
+_entries = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exact_nullspace_matches_the_dense_kernel(data):
+    # rows drawn from the span of n - k rows plant a kernel of dimension
+    # >= k; a row times the first prime vanishes modulo it, so that prime
+    # can see a larger kernel than Q does
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    k = data.draw(st.integers(min_value=0, max_value=min(3, n)))
+    span = data.draw(st.lists(st.lists(_entries, min_size=n, max_size=n),
+                              min_size=n - k, max_size=n - k))
+    p = next(_primes())
+    rows = []
+    for _ in range(n):
+        coef = data.draw(st.lists(_entries, min_size=n - k,
+                                  max_size=n - k))
+        row = [sum((c * b[j] for c, b in zip(coef, span)), F(0))
+               for j in range(n)]
+        if data.draw(st.booleans()):
+            row = [p * x for x in row]
+        rows.append(row)
+    ker = exact_nullspace(Matrix(rows))
+    expected = dense_kernel(rows, n)
+    assert len(ker) == len(expected) >= k
+    assert rref(ker) == rref(expected)
 
 
 def test_reducible_chain_raises_kernel_error():
