@@ -797,15 +797,23 @@ def rd_profile_rows(kappa, alpha, beta, gamma, delta, L: int,
         gamma_N = N u / (1 - N u).
 
     The exact |K|, |t_j| exceed the computed ones by at most a factor
-    1 / (1 - gamma_N), so |x~ - x| <= N u / (1 - 2 N u) * |K~| (s0 + |t1~| +
-    |t2~|), which is evaluated rounding upward.  The bracket
-    [x~ - err, x~ + err] is rounded outward.  When it excludes 0 and both
-    ends round to the same float, that float is the correctly rounded x,
-    sign of a value that underflows included (Ziv's rounding test).
-    Otherwise, and always for an exact zero, the cell is the exact integer
-    quotient of that one site, which int true division rounds correctly
-    over a positive denominator; a cell beyond the float range raises
-    OverflowError there, as float() of its Fraction does.
+    1 / (1 - gamma_N) = 1 + gain, gain = N u / (1 - 2 N u), so
+    |x~ - x| <= gain |K~| (s0 + |t1~| + |t2~|).  That is evaluated rounding
+    upward, with gain |K~| rounded up once per column.  Each cell is then
+    proven by exactly one of three certificates:
+
+    - saturation, tried first on both density columns (K = 1/2, s0 = 1):
+      if |t1~| + |t2~|, added rounding up, is below 2^-54 (1 - gain), then
+      |t1 + t2| < (1 + gain)(1 - gain) 2^-54 < 2^-54, so |x - 1/2| < 2^-55
+      and x rounds to 0.5, with no bracket drawn;
+    - the bracket [x~ - err, x~ + err], rounded outward: when it excludes 0
+      and both ends round to the same float, that float is the correctly
+      rounded x, sign of a value that underflows included (Ziv's rounding
+      test);
+    - otherwise, and always for an exact zero, the exact integer quotient
+      of that one site, which int true division rounds correctly over a
+      positive denominator; a cell beyond the float range raises
+      OverflowError there, as float() of its Fraction does.
     """
     co = rd_boundary_coefficients(kappa, alpha, beta, gamma, delta)
     a, b, c, d, phi = co["a"], co["b"], co["c"], co["d"], co["phi"]
@@ -858,14 +866,26 @@ def rd_profile_rows(kappa, alpha, beta, gamma, delta, L: int,
         return
 
     def exact_cell(i, column):
-        # the one exact quotient, for a cell the bracket does not pin
+        # the one exact quotient, for a cell that no certificate pins
+        if column == 3:
+            return float(asymptotic(i))
         v1 = xv * pn ** (L - i - 1) * pd ** i if i < L else 0
         num, den_ = cells(xu * pn ** (i - 1) * pd ** (L - i),
                           xv * pn ** (L - i) * pd ** (i - 1), v1)[column]
         return num / den_
 
     enc = _Enclosure(L)
-    ctx, rounded = enc.ctx, enc.rounded
+    mul, bracket, saturated = enc.ctx.multiply, enc.bracket, enc.saturated
+
+    def rounded(K, gK, s0, t1, t2, i, column):
+        # the float of the cell, pinned by its bracket (Ziv's rounding
+        # test) or else its exact quotient
+        lo, hi = bracket(K, gK, s0, t1, t2)
+        f = float(lo)
+        if (lo > 0 or hi < 0) and f == float(hi) and abs(f) < _INF:
+            return f
+        return exact_cell(i, column)
+
     # the Decimal twins of the exact constants carry a trailing underscore
     one, zero, half = decimal.Decimal(1), decimal.Decimal(0), \
         decimal.Decimal("0.5")
@@ -873,35 +893,40 @@ def rd_profile_rows(kappa, alpha, beta, gamma, delta, L: int,
     K_lat, K_eva, phi_ = (enc.rational(q.numerator, q.denominator)
                           for q in (k_lat, k_eva, phi))
     amps_ = [enc.rational(q.numerator, q.denominator) for q in amps]
+    g_half, g_lat, g_eva = map(enc.column, (half, K_lat, K_eva))
     P = [one]                  # P[k] ~ phi^k, k = 0 .. L - 1
     for _ in range(L - 1):
-        P.append(ctx.multiply(P[-1], phi_))
+        P.append(mul(P[-1], phi_))
     for i in range(1, L + 1):
-        t_up = ctx.multiply(U_, P[i - 1])
-        t_down = ctx.multiply(V_, P[L - i])
-        row = {"density": rounded(half, one, t_up.copy_negate(),
-                                  t_down.copy_negate(),
-                                  lambda: exact_cell(i, 0))}
+        t_up = mul(U_, P[i - 1])
+        t_down = mul(V_, P[L - i])
+        row = {"density": 0.5 if saturated(t_up, t_down) else
+               rounded(half, g_half, one, t_up.copy_negate(),
+                       t_down.copy_negate(), i, 0)}
         if i < L:
-            t_down1 = ctx.multiply(V_, P[L - i - 1])
-            row["current_lat"] = rounded(K_lat, zero, t_down1,
-                                         t_up.copy_negate(),
-                                         lambda: exact_cell(i, 1))
-            row["current_eva"] = rounded(K_eva, zero, t_up, t_down1,
-                                         lambda: exact_cell(i, 2))
+            t_down1 = mul(V_, P[L - i - 1])
+            row["current_lat"] = rounded(K_lat, g_lat, zero, t_down1,
+                                         t_up.copy_negate(), i, 1)
+            row["current_eva"] = rounded(K_eva, g_eva, zero, t_up, t_down1,
+                                         i, 2)
         else:
             row["current_lat"] = row["current_eva"] = None
         if asymptotics:
             j, k = side(i)
-            row["density_asymptotic"] = rounded(
-                half, one, ctx.multiply(amps_[j], P[k]), zero,
-                lambda: float(asymptotic(i)))
+            t = mul(amps_[j], P[k])
+            row["density_asymptotic"] = 0.5 if saturated(t, zero) else \
+                rounded(half, g_half, one, t, zero, i, 3)
         yield row
+
+
+# 2^-54 = 5^54 10^-54: 38 digits, exact from a string at any precision
+_TWO_TO_MINUS_54 = decimal.Decimal(f"{5 ** 54}e-54")
 
 
 class _Enclosure:
     """Decimal evaluation of a float profile cell K (s0 + t1 + t2) of an
-    L-site chain, with the error bound of rd_profile_rows."""
+    L-site chain, with the two certificates of rd_profile_rows: a bracket,
+    and saturation at 1/2."""
 
     def __init__(self, L: int):
         n_u = Fraction(2 * L + 3, 2 * 10 ** (PROFILE_DIGITS - 1))    # N u
@@ -916,32 +941,33 @@ class _Enclosure:
         gain = n_u / (1 - 2 * n_u)
         self.gain = self.up.divide(decimal.Decimal(gain.numerator),
                                    decimal.Decimal(gain.denominator))
+        # |t1~| + |t2~| below this makes |t1 + t2| < 2^-54
+        self.threshold = self.floor.multiply(
+            _TWO_TO_MINUS_54, self.floor.subtract(1, self.gain))
 
     def rational(self, num: int, den: int):
         """num / den, rounded once."""
         return self.ctx.divide(decimal.Decimal(num), decimal.Decimal(den))
 
-    def bracket(self, K, s0, t1, t2) -> tuple:
-        """(lo, hi), rounded outward, around the exact cell."""
-        up = self.up
-        x = self.ctx.multiply(K, self.ctx.add(self.ctx.add(s0, t1), t2))
-        err = up.multiply(self.gain, up.multiply(K.copy_abs(), up.add(
-            up.add(s0, t1.copy_abs()), t2.copy_abs())))
+    def column(self, K):
+        """gain |K~|, rounded up: the bound on the error of a cell of a
+        column K per unit of s0 + |t1~| + |t2~|."""
+        return self.up.multiply(self.gain, K.copy_abs())
+
+    def bracket(self, K, gK, s0, t1, t2) -> tuple:
+        """(lo, hi), rounded outward, around the exact cell; gK is
+        column(K)."""
+        ctx, up = self.ctx, self.up
+        s, m = ctx.add(t1, t2), up.add(t1.copy_abs(), t2.copy_abs())
+        if s0:      # 1 on the density columns, 0 on the currents
+            s, m = ctx.add(s0, s), up.add(s0, m)
+        x, err = ctx.multiply(K, s), up.multiply(gK, m)
         return self.floor.subtract(x, err), up.add(x, err)
 
-    def rounded(self, K, s0, t1, t2, fallback):
-        """The float of the cell: pinned by its bracket, else fallback()."""
-        f = self.pinned(*self.bracket(K, s0, t1, t2))
-        return fallback() if f is None else f
-
-    @staticmethod
-    def pinned(lo, hi):
-        """The float of every value in [lo, hi], if the bracket excludes 0
-        and both ends round to the same finite float; else None."""
-        f = float(lo)
-        if (lo > 0 or hi < 0) and f == float(hi) and abs(f) < _INF:
-            return f
-        return None
+    def saturated(self, t1, t2) -> bool:
+        """Whether the cell (1 + t1 + t2) / 2 is within 2^-55 of 1/2, so
+        that its float is 0.5."""
+        return self.up.add(t1.copy_abs(), t2.copy_abs()) < self.threshold
 
 
 def rd_current_balance(kappa, alpha, beta, gamma, delta, L: int, i: int) -> Fraction:

@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import ansatz as an
 from . import models as m
@@ -266,13 +267,12 @@ def cmd_steady(args) -> int:
 
 def _write(doc: dict, args) -> int:
     """Emit a document of scalar fields and (header, rows) tables.  JSON
-    writes each table as a list of dicts keyed by its header; CSV writes
-    only the tables, in document order, separated by a blank row.  Rows may
-    be drawn lazily: nothing is emitted until every row is formatted."""
+    writes each table as a list of dicts keyed by its header, the bytes of
+    json.dumps(indent=2); CSV writes only the tables, in document order,
+    separated by a blank row.  Rows may be drawn lazily: nothing is emitted
+    until every row is formatted."""
     if args.format == "json":
-        doc = {k: [dict(zip(v[0], row)) for row in v[1]]
-               if isinstance(v, tuple) else v for k, v in doc.items()}
-        _emit(json.dumps(doc, indent=2) + "\n", args)
+        _emit(_json(doc) + "\n", args)
         return 0
     buf = io.StringIO()
     wcsv = csv.writer(buf, lineterminator="\n")
@@ -284,6 +284,38 @@ def _write(doc: dict, args) -> int:
         wcsv.writerows(rows)
     _emit(buf.getvalue(), args)
     return 0
+
+
+def _json(doc: dict) -> str:
+    """json.dumps(doc, indent=2), each table expanded to its list of dicts:
+    scalar fields go through json.dumps, and each table row fills one
+    %-template of its table's keys.  Keys are str, a header's keys are
+    distinct, and a row holds one value per key (else % raises TypeError)."""
+    fields = []
+    for key, value in doc.items():
+        field = "  " + encode_basestring_ascii(key) + ": "
+        if isinstance(value, tuple):
+            fields.append(field + _json_table(*value))
+        else:
+            fields.append(field + _json_value(value, "\n  "))
+    return "{\n" + ",\n".join(fields) + "\n}" if fields else "{}"
+
+
+def _json_table(header, rows) -> str:
+    template = "    {\n" + ",\n".join(
+        "      " + encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+        for k in header) + "\n    }" if header else "    {}"
+    body = ",\n".join(
+        template % tuple([encode_basestring_ascii(v) if type(v) is str
+                          else repr(v) if type(v) is int
+                          else _json_value(v, "\n      ") for v in row])
+        for row in rows)
+    return "[\n" + body + "\n  ]" if body else "[]"
+
+
+def _json_value(value, newline: str) -> str:
+    """json.dumps(value, indent=2), its lines indented to follow newline."""
+    return json.dumps(value, indent=2).replace("\n", newline)
 
 
 def _bits(index: int, L: int) -> str:

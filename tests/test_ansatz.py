@@ -1,3 +1,4 @@
+import decimal
 from fractions import Fraction as F
 from itertools import product
 from math import prod
@@ -12,6 +13,7 @@ import exclusion.models as mo
 import exclusion.verifier as vf
 from exclusion.scalars import float_repr, format_rational
 from exclusion.tensor import Matrix, SparseMatrix
+from certificates import pins, recorded
 from strategies import MODELS
 
 
@@ -442,46 +444,121 @@ def test_float_profile_cells_are_certified(model, L):
         exact = list(an.rd_profile_rows(*rates, L, asymptotics=True))
     except ValueError:      # den = 0, or a vanishing boundary factor
         assume(False)
-    bracket = an._Enclosure.bracket
-    brackets = []
-
-    def recorded(self, *args):
-        brackets.append(bracket(self, *args))
-        return brackets[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(an._Enclosure, "bracket", recorded)
+    with recorded() as certificates:
         floats = list(an.rd_profile_rows(*rates, L, asymptotics=True,
                                          exact=False))
-    cells = [(row[k], frow[k]) for row, frow in zip(exact, floats)
+    cells = [(k, row[k], frow[k]) for row, frow in zip(exact, floats)
              for k in _COLUMNS if row[k] is not None]
-    assert len(floats) == L and len(brackets) == len(cells)
-    for (value, printed), (lo, hi) in zip(cells, brackets):
+    assert len(floats) == L and len(certificates) == len(cells)
+    for (column, value, printed), (kind, *cert) in zip(cells, certificates):
         assert isinstance(printed, float)
         assert format(printed, ".17g") == format(float(value), ".17g")
-        assert F(lo) <= value <= F(hi)
+        if kind == "bracket":
+            lo, hi = cert
+            assert F(lo) <= value <= F(hi)
+        else:       # saturation pins a density within 2^-55 of 1/2
+            assert column in ("density", "density_asymptotic")
+            assert abs(value - F(1, 2)) < F(1, 2 ** 55) and printed == 0.5
 
 
-def test_an_exact_zero_current_takes_the_exact_quotient(monkeypatch):
-    pinned = an._Enclosure.pinned
-    misses = []
-
-    def counted(lo, hi):
-        f = pinned(lo, hi)
-        if f is None:
-            misses.append((lo, hi))
-        return f
-
-    monkeypatch.setattr(an._Enclosure, "pinned", staticmethod(counted))
+def test_an_exact_zero_current_takes_the_exact_quotient():
     # the middle bond's current_lat is exactly 0; its bracket straddles 0.
     # At L = 1500 both ends of that bracket round to a zero float
     for L in (40, 1500):
-        misses.clear()
-        rows = list(an.rd_profile_rows(F(1, 2), *PROFILE_RATES[2], L,
-                                       exact=False))
+        with recorded() as certificates:
+            rows = list(an.rd_profile_rows(F(1, 2), *PROFILE_RATES[2], L,
+                                           exact=False))
+        misses = [(lo, hi) for kind, lo, hi in certificates
+                  if kind == "bracket" and not pins(lo, hi)]
         assert len(misses) == 1, L
         assert misses[0][0] < 0 < misses[0][1]
         assert float_repr(rows[L // 2 - 1]["current_lat"]) == "0"
+
+
+_TWO_TO_MINUS_54 = F(1, 2 ** 54)
+
+
+def _certified(kappa, rates, L):
+    """(column, exact value, float, certificate) of every float cell."""
+    exact = an.rd_profile_rows(kappa, *rates, L, asymptotics=True)
+    with recorded() as certificates:
+        floats = list(an.rd_profile_rows(kappa, *rates, L, asymptotics=True,
+                                         exact=False))
+    cells = [(k, row[k], frow[k]) for row, frow in zip(exact, floats)
+             for k in _COLUMNS if row[k] is not None]
+    assert len(certificates) == len(cells)
+    return [(*cell, cert) for cell, cert in zip(cells, certificates)]
+
+
+def test_saturation_pins_the_bulk_densities():
+    # phi = 1/2: both terms of a density fall below 2^-54 some 55 sites in
+    # from the ends, and amp phi^k as far in from its end
+    L = 1200
+    densities = [c for c in _certified(3, PROFILE_RATES[0], L)
+                 if c[0] in ("density", "density_asymptotic")]
+    saturated = [(value, printed) for _, value, printed, cert in densities
+                 if cert[0] == "saturated"]
+    assert len(densities) == 2 * L
+    assert len(saturated) >= 0.9 * len(densities)
+    for value, printed in saturated:
+        assert abs(value - F(1, 2)) < _TWO_TO_MINUS_54 / 2
+        assert printed == float(value) == 0.5
+
+
+def test_saturation_fires_only_below_the_threshold():
+    # phi = 2: the density terms U phi^(i-1) and V phi^(L-i) are both
+    # small on sites 50..249 only, and amp phi^k never is
+    kappa, rates, L = -3, PROFILE_RATES[0], 300
+    co = an.rd_boundary_coefficients(kappa, *rates)
+    a, b, c, d, phi = (co[k] for k in ("a", "b", "c", "d", "phi"))
+    den = 1 - a * b * phi ** (2 * L - 2)
+    U = (c + a * d * phi ** (L - 1)) / den
+    V = (d + b * c * phi ** (L - 1)) / den
+    fired = {"density": [], "density_asymptotic": []}
+    for column, value, _, cert in _certified(kappa, rates, L):
+        if column in fired:
+            fired[column].append((value, cert[0] == "saturated"))
+    for i, (value, hit) in enumerate(fired["density"], start=1):
+        terms = abs(U * phi ** (i - 1)) + abs(V * phi ** (L - i))
+        assert value == F(1, 2) - (U * phi ** (i - 1) + V * phi ** (L - i)) / 2
+        if hit:
+            assert terms < _TWO_TO_MINUS_54, i
+        elif terms < _TWO_TO_MINUS_54 / 2:
+            pytest.fail(f"site {i}: terms below 2^-55 left to a bracket")
+    hits = [hit for _, hit in fired["density"]]
+    assert 0 < sum(hits) < L
+    for value, hit in fired["density_asymptotic"]:
+        assert not hit and abs(2 * value - 1) >= _TWO_TO_MINUS_54
+
+
+def test_saturation_keeps_its_margin_at_low_precision(monkeypatch):
+    # at 4 digits an L = 60 chain has gain ~ 0.07: a computed term between
+    # 2^-54 (1 - gain) and 2^-54 may stand for an exact one above 2^-54
+    monkeypatch.setattr(an, "PROFILE_DIGITS", 4)
+    enc = an._Enclosure(60)
+    gain = F(enc.gain)
+    assert gain > F(1, 20)
+    to_decimal = decimal.Context(prec=8).divide
+    zero = decimal.Decimal(0)
+    for factor, fires in ((F(99, 100), False),
+                          ((1 - gain) * F(102, 100), False),
+                          ((1 - gain) * F(98, 100), True)):
+        t = _TWO_TO_MINUS_54 * factor
+        t_ = to_decimal(decimal.Decimal(t.numerator),
+                        decimal.Decimal(t.denominator))
+        half_ = to_decimal(t_, decimal.Decimal(2))
+        assert enc.saturated(t_, zero) is fires, factor
+        assert enc.saturated(half_.copy_negate(), half_) is fires, factor
+    # and whole profiles at 5 digits print the 38-digit floats
+    rates = PROFILE_RATES[1]
+    want = list(an.rd_profile_rows(3, *rates, 300, asymptotics=True,
+                                   exact=False))
+    monkeypatch.setattr(an, "PROFILE_DIGITS", 5)
+    cells = _certified(3, rates, 300)
+    assert sum(cert[0] == "saturated" for *_, cert in cells) > 300
+    assert [float_repr(printed) for _, _, printed, _ in cells] == \
+        [float_repr(row[k]) for row in want for k in _COLUMNS
+         if row[k] is not None]
 
 
 def test_rd_current_balance_closed_form():

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import re
 import subprocess
@@ -9,12 +11,14 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import exclusion as ex
 import exclusion.ansatz as an
 import exclusion.transfer as tr
 from exclusion.ansatz import rd_closed_forms
-from exclusion.cli import build_parser, main
+from exclusion.cli import _write, build_parser, main
+from certificates import pins, recorded
 
 
 def run(capsys, *argv):
@@ -542,6 +546,14 @@ _RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
     (("profile", "--model", "rd", "--kappa", "2", *_R, "--L", "200",
       "--exact", "--asymptotics"),
      "27290e6e895692ef357ebc05cb036af2248cd8eeeae01141bec5312b2a5d0ac3"),
+    # the two rd-profile benchmark cells not pinned above; most density
+    # cells are saturated
+    (("profile", "--model", "rd", "--kappa", "3", *_R, "--L", "3000",
+      "--format", "csv", "--asymptotics"),
+     "e87e4f36c71a0533bc27232bae1f6ef638de9c8672f0b59a14fed908198713ac"),
+    (("profile", "--model", "rd", "--kappa", "2", *_R, "--L", "1000",
+      "--format", "json", "--asymptotics"),
+     "a70de72f521e2e992556e229d353b1688cb85ba06229756255f66f0a510b2459"),
     # exact kernels of five (RD) and three (ASEP) p-adic lifts
     (("steady", "--model", "rd", *_R, "--method", "nullspace", "--exact",
       "--L", "8"),
@@ -555,7 +567,8 @@ _RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
         *[f"transfer-{name}-{check}-L5" for name, check in _TRANSFER_L5_DIGESTS],
         "profile-rd-L2000-json", "profile-rd-L4000-csv",
         "profile-rd-phi-1/3-L600", "profile-rd-phi2-L300",
-        "profile-rd-exact-L200", "steady-rd-exact-L8",
+        "profile-rd-exact-L200", "profile-rd-L3000-csv",
+        "profile-rd-L1000-json", "steady-rd-exact-L8",
         "steady-asep-exact-L8"])
 def test_output_bytes_are_pinned(capsys, argv, digest):
     # stdout digests of the report, steady and profile writers; any change to
@@ -580,19 +593,14 @@ def test_profile_exact_fallback_alone_prints_the_same_bytes(
     # at 10 digits no bracket is narrow enough to pin a float, so every cell
     # is the exact quotient of its site; the digests are the 38-digit output
     monkeypatch.setattr(an, "PROFILE_DIGITS", 10)
-    pinned = an._Enclosure.pinned
-    outcomes = []
-
-    def counted(lo, hi):
-        f = pinned(lo, hi)
-        outcomes.append(f is None)
-        return f
-
-    monkeypatch.setattr(an._Enclosure, "pinned", staticmethod(counted))
-    code, out = run(capsys, "profile", "--model", "rd", f"--kappa={kappa}",
-                    *rates, "--L", "60", "--asymptotics")
+    with recorded() as certificates:
+        code, out = run(capsys, "profile", "--model", "rd", f"--kappa={kappa}",
+                        *rates, "--L", "60", "--asymptotics")
     assert code == 0
-    # 60 densities, 59 bonds with two currents, 60 asymptotic cells
+    # 60 densities, 59 bonds with two currents, 60 asymptotic cells; no
+    # term at L = 60 is small enough to saturate
+    outcomes = [kind == "bracket" and not pins(lo, hi)
+                for kind, lo, hi in certificates]
     assert outcomes == [True] * (60 + 2 * 59 + 60)
     assert _sha256(out) == digest
 
@@ -602,6 +610,42 @@ def _max_rel_diff(out: str) -> F:
         return F(json.loads(out)["max_rel_diff"])
     weights = out.split("\n\n")[0].splitlines()
     return max(F(row["rel_diff"]) for row in csv.DictReader(weights))
+
+
+# keys that json escapes, or that a %-template must escape
+_JSON_KEYS = st.one_of(st.sampled_from(["%", "%s", "%%", '"', "\\", "\u00e9",
+                                        "\u2713", "a\nb"]),
+                       st.text(max_size=5))
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+              st.text(max_size=5)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_JSON_KEYS, inner,
+                                            max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def _tables(draw):
+    header = draw(st.lists(_JSON_KEYS, unique=True, max_size=4))
+    row = st.lists(_JSON_VALUES, min_size=len(header), max_size=len(header))
+    return header, draw(st.lists(row, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_JSON_KEYS, st.one_of(_JSON_VALUES, _tables()),
+                       max_size=4))
+def test_json_writer_matches_json_dumps(doc):
+    # the row templates print the bytes of json.dumps over the expanded doc;
+    # rows are drawn lazily, as the profile writer draws them
+    expanded = {k: [dict(zip(v[0], row)) for row in v[1]]
+                if isinstance(v, tuple) else v for k, v in doc.items()}
+    lazy = {k: (v[0], iter(v[1])) if isinstance(v, tuple) else v
+            for k, v in doc.items()}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert _write(lazy, argparse.Namespace(format="json", out=None)) == 0
+    assert out.getvalue() == json.dumps(expanded, indent=2) + "\n"
 
 
 def test_bench_json_keys_and_row_order(capsys):
