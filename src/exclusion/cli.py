@@ -24,7 +24,8 @@ from . import ansatz as an
 from . import models as m
 from . import transfer as tr
 from . import verifier as vf
-from .markov import KernelError, build_markov, observables, steady_state_exact
+from .markov import KernelError, build_markov, integer_markov, observables, \
+    steady_state_exact
 from .sampling import sample_points
 from .scalars import float_repr, format_rational, parse_rational
 
@@ -230,7 +231,7 @@ def _steady_distributions(args, model):
             raise DomainError("ansatz method capped at L = 8")
     null_dist = ansatz_dist = None
     if method in ("nullspace", "both"):
-        null_dist = steady_state_exact(build_markov(model, L))
+        null_dist = steady_state_exact(integer_markov(model, L)[0])
     if method in ("ansatz", "both"):
         with _domain_errors():
             ansatz_dist = an.steady_ansatz(model, L, _cap(args))

@@ -13,8 +13,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .models import ModelDescriptor, RD, local_operators
-from .tensor import SparseMatrix, embed_local, exact_nullspace, \
-    integer_vector
+from .tensor import SparseMatrix, embed_sum, exact_nullspace, \
+    integer_form, integer_vector
 
 
 class KernelError(ValueError):
@@ -41,20 +41,31 @@ class Distribution(namedtuple("Distribution", "L weights Z")):
         return out
 
 
-def build_markov(model: ModelDescriptor, L: int) -> SparseMatrix:
-    """M = B_1 + sum_l w_{l,l+1} + Bbar_L; at L=1 both boundaries act on
-    the single site."""
+def integer_markov(model: ModelDescriptor, L: int) -> tuple:
+    """(N, d) with the generator M = N / d: the local operators over their
+    common denominator d (``integer_form``), embedded and summed as ints.
+    N has the kernel and the signs of M, so ``steady_state_exact`` takes it
+    as it is."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    w, B, Bbar = local_operators(model)
-    M = embed_local(B, 1, L) + embed_local(Bbar, L, L)
-    for site in range(1, L):
-        M = M + embed_local(w, site, L)
-    return M
+    (w, B, Bbar), d = integer_form(
+        *map(SparseMatrix.from_dense, local_operators(model)))
+    terms = [(B, 0), (Bbar, L - 1)] + [(w, site) for site in range(L - 1)]
+    return embed_sum(terms, L), d
+
+
+def build_markov(model: ModelDescriptor, L: int) -> SparseMatrix:
+    """M = B_1 + sum_l w_{l,l+1} + Bbar_L; at L=1 both boundaries act on
+    the single site.  It is ``integer_markov`` divided by d, once per
+    entry."""
+    N, d = integer_markov(model, L)
+    return N.scale(Fraction(1, d))
 
 
 def steady_state_exact(M: SparseMatrix) -> Distribution:
-    """Normalized exact stationary distribution from the kernel of M."""
+    """Normalized exact stationary distribution from the kernel of M.  M
+    may carry any positive scale, such as the int generator of
+    ``integer_markov``."""
     L = M.dim.bit_length() - 1
     if 1 << L != M.dim:
         raise ValueError("dimension is not a power of two")
@@ -82,31 +93,37 @@ def observables(dist: Distribution, model: ModelDescriptor) -> dict:
 
     Lattice current counts right-minus-left hops between i and i+1; the
     evaporation current (pair annihilation minus pair creation) is nonzero
-    only for the RD model.
+    only for the RD model.  The weights are put over one denominator and
+    summed as ints, per site and per bond pattern, by halving the
+    configuration index; each output cell is one Fraction.
     """
     L = dist.L
-    probs = dist.probabilities()
-    density = [Fraction(0)] * L
-    p_pair = [{(0, 0): Fraction(0), (0, 1): Fraction(0),
-               (1, 0): Fraction(0), (1, 1): Fraction(0)} for _ in range(L - 1)]
-    for idx, p in enumerate(probs):
-        if p == 0:
-            continue
-        cfg = dist.config(idx)
-        for i, tau in enumerate(cfg):
-            if tau:
-                density[i] += p
-        for i in range(L - 1):
-            p_pair[i][(cfg[i], cfg[i + 1])] += p
+    weights, d = integer_vector(dist.weights)
+    # a probability is weight * num / den; Z is the sum of the weights
+    # where they come from a kernel, and then its denominator divides d
+    g = math.gcd(d, dist.Z.denominator)
+    num, den = dist.Z.denominator // g, d // g * dist.Z.numerator
+    # totals[s][k]: the weight of the configurations whose index >> s is k
+    totals = [weights]
+    for _ in range(L - 1):
+        last = totals[-1]
+        totals.append([a + b for a, b in zip(last[::2], last[1::2])])
+    density = [Fraction(sum(totals[L - 1 - i][1::2]) * num, den)
+               for i in range(L)]
+    # pairs[i][2 tau_i + tau_{i+1}]: the weight of each bond pattern
+    pairs = [[sum(totals[L - 2 - i][pattern::4]) for pattern in range(4)]
+             for i in range(L - 1)]
     if model.name == RD:
-        hop = model.kappa ** 2
-        lat = [hop * (pp[(1, 0)] - pp[(0, 1)]) for pp in p_pair]
-        eva = [pp[(1, 1)] - pp[(0, 0)] for pp in p_pair]
+        hops = (model.kappa ** 2, model.kappa ** 2)
+        eva = [Fraction((pp[3] - pp[0]) * num, den) for pp in pairs]
     else:
         q_left = model.q if model.name == "asep" else \
-            Fraction(1) if model.name == "ssep" else Fraction(0)
-        lat = [pp[(1, 0)] - q_left * pp[(0, 1)] for pp in p_pair]
+            1 if model.name == "ssep" else 0
+        hops = (1, q_left)
         eva = [Fraction(0)] * (L - 1)
+    (right, left), e = integer_vector(hops)
+    lat = [Fraction((right * pp[2] - left * pp[1]) * num, e * den)
+           for pp in pairs]
     return {"density": density, "current_lat": lat, "current_eva": eva}
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import models as m
 from .ansatz import CAP, rd_inhomogeneous_converged
-from .markov import build_markov, steady_state_exact
+from .markov import build_markov, integer_markov, steady_state_exact
 from .models import ModelDescriptor
 from .scalars import Dual
 from .tensor import Matrix, PoleError, SparseMatrix, deriv_matrix, \
@@ -189,7 +189,7 @@ def eigenvector_from_nullspace(spec: TransferSpec, x0) -> list:
     for a homogeneous chain, else the kernel of t(x0) - lambda(x0) I.
     Commutation makes it x-independent."""
     if spec.homogeneous:
-        return steady_state_exact(build_markov(spec.model, spec.L)) \
+        return steady_state_exact(integer_markov(spec.model, spec.L)[0]) \
             .probabilities()
     lam = lambda_eigenvalue(spec.model, x0, spec.thetas)
     t = build_transfer(spec, x0)

@@ -554,13 +554,18 @@ _RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
     (("profile", "--model", "rd", "--kappa", "2", *_R, "--L", "1000",
       "--format", "json", "--asymptotics"),
      "a70de72f521e2e992556e229d353b1688cb85ba06229756255f66f0a510b2459"),
-    # exact kernels of five (RD) and three (ASEP) p-adic lifts
+    # exact kernels of nine (RD) and six (ASEP) p-adic lifts
     (("steady", "--model", "rd", *_R, "--method", "nullspace", "--exact",
       "--L", "8"),
      "853d5adc68b66b8ffc4744e92bfe59dab824d94c7fd66ce2e95f7f475bf027ee"),
     (("steady", "--model", "asep", "--q", "3", *_R, "--method", "nullspace",
       "--exact", "--L", "8"),
      "faf3afd3205b0a0135bfe0a575b1195953eb7b16f7919c465a96718b14b4f305"),
+    # the eigenvalue check on the unnormalised kernel of t(2) - lambda I,
+    # which eigenvector_from_nullspace returns for an inhomogeneous chain
+    (("transfer", "--model", "asep", "--q", "3", *_R, "--L", "5", "--theta",
+      "2,3,5,7,11", "--check", "eigenvalue", "--x", "2", "--x2", "5"),
+     "5af2a46c12409f8d5e6758da7bb151d7fc8cfa1d85d997554098e20d5db502d3"),
 ], ids=["verify-asep", "verify-ssep", "verify-tasep", "transfer-ssep-conjugated",
         "transfer-asep-crossing", "transfer-ssep-eigenvalue", "steady-rd-csv",
         "steady-rd-json", "profile-rd-csv", "profile-rd-json",
@@ -569,7 +574,7 @@ _RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
         "profile-rd-phi-1/3-L600", "profile-rd-phi2-L300",
         "profile-rd-exact-L200", "profile-rd-L3000-csv",
         "profile-rd-L1000-json", "steady-rd-exact-L8",
-        "steady-asep-exact-L8"])
+        "steady-asep-exact-L8", "transfer-asep-inhomogeneous-eigenvalue-L5"])
 def test_output_bytes_are_pinned(capsys, argv, digest):
     # stdout digests of the report, steady and profile writers; any change to
     # how a check becomes a report or a row becomes a cell shows here

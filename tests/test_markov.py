@@ -131,3 +131,91 @@ def test_evolve_relaxes_to_steady(asep_model):
     out = mk.evolve(start, M, 60, 900)
     l1 = sum(abs(p - float(q)) for p, q in zip(out.probs, d.probabilities()))
     assert l1 < 1e-8
+
+
+def fraction_markov(model, L):
+    """Oracle: the generator as a Fraction sum of embedded local terms."""
+    from exclusion.tensor import embed_local
+    w, B, Bbar = ex.local_operators(model)
+    M = embed_local(B, 1, L) + embed_local(Bbar, L, L)
+    for site in range(1, L):
+        M = M + embed_local(w, site, L)
+    return M
+
+
+_R = (F(1, 2), F(2, 3), F(1, 3), F(1, 5))
+_NEGATIVE = (F(1, 2), F(-2, 3), F(1, 3), F(1, 5))
+
+
+@pytest.mark.filterwarnings("ignore:negative rate")
+@pytest.mark.parametrize("rates", [_R, _NEGATIVE], ids=["rates", "negative"])
+def test_generator_matches_the_fraction_sum(rates):
+    for model in (ex.asep(F(3, 2), *rates), ex.ssep(*rates),
+                  ex.tasep(*rates[:2]), ex.rd(3, *rates),
+                  ex.rd(F(-1, 2), *rates)):
+        for L in range(1, 9):
+            N, d = mk.integer_markov(model, L)
+            assert all(type(v) is int for _, _, v in N.items())
+            M = ex.build_markov(model, L)
+            assert M == fraction_markov(model, L)
+            assert all(v == F(n, d) for (_, _, v), (_, _, n)
+                       in zip(M.items(), N.items()))
+
+
+def fraction_observables(dist, model):
+    """Oracle: densities and currents summed one Fraction probability at a
+    time over the configurations."""
+    L = dist.L
+    density = [F(0)] * L
+    pair = [{(a, b): F(0) for a in (0, 1) for b in (0, 1)}
+            for _ in range(L - 1)]
+    for idx, p in enumerate(dist.probabilities()):
+        cfg = dist.config(idx)
+        for i, tau in enumerate(cfg):
+            if tau:
+                density[i] += p
+        for i in range(L - 1):
+            pair[i][cfg[i], cfg[i + 1]] += p
+    if model.name == "rd":
+        hop = model.kappa ** 2
+        lat = [hop * (pp[1, 0] - pp[0, 1]) for pp in pair]
+        eva = [pp[1, 1] - pp[0, 0] for pp in pair]
+    else:
+        q_left = {"asep": model.q, "ssep": F(1)}.get(model.name, F(0))
+        lat = [pp[1, 0] - q_left * pp[0, 1] for pp in pair]
+        eva = [F(0)] * (L - 1)
+    return {"density": density, "current_lat": lat, "current_eva": eva}
+
+
+def assert_observables_match(dist, model):
+    got = mk.observables(dist, model)
+    assert got == fraction_observables(dist, model)
+    assert all(type(x) is F for cells in got.values() for x in cells)
+
+
+def test_observables_match_the_fraction_sum_on_the_nullspace():
+    for model in (ex.asep(F(3, 2), *_R), ex.ssep(*_R), ex.tasep(*_R[:2]),
+                  ex.rd(3, *_R), ex.rd(F(-1, 2), *_R)):
+        for L in range(1, 8):
+            dist = mk.steady_state_exact(mk.integer_markov(model, L)[0])
+            assert_observables_match(dist, model)
+
+
+def test_observables_match_the_fraction_sum_on_any_weights():
+    # Z is not the sum of the weights, and its denominator does not divide
+    # theirs; a zero and a negative weight are included
+    dist = mk.Distribution(L=3, weights=(F(1, 3), F(0), F(2, 9), F(-5, 7),
+                                         F(4), F(1, 6), F(3, 14), F(7, 5)),
+                           Z=F(-11, 20))
+    for model in (ex.asep(F(3, 2), *_R), ex.tasep(*_R[:2]), ex.rd(3, *_R)):
+        assert_observables_match(dist, model)
+
+
+def test_observables_match_the_fraction_sum_on_the_ansatz():
+    # the RD ansatz carries non-integral weights of many hundred bits
+    from exclusion.ansatz import steady_ansatz
+    for model in (ex.tasep(*_R[:2]), ex.rd(3, 1, 1, 0, 0)):
+        for L in (1, 2, 3, 5):
+            dist = steady_ansatz(model, L)
+            assert_observables_match(dist, model)
+    assert any(w.denominator > 1 for w in dist.weights)

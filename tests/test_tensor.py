@@ -5,11 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 import exclusion as ex
 import exclusion.tensor as tensor
+import exclusion.transfer as tr
 from exclusion.markov import KernelError, steady_state_exact
 from exclusion.tensor import Matrix, PoleError, SparseMatrix, _primes, \
-    derivative_at, embed_at_positions, embed_local, exact_nullspace, \
-    integer_form, integer_vector, inverse, kron, partial_trace_first, \
-    partial_transpose, permutation_op
+    derivative_at, embed_at_positions, embed_local, embed_sum, \
+    exact_nullspace, integer_form, integer_vector, inverse, kron, \
+    partial_trace_first, partial_transpose, permutation_op
 
 I2 = Matrix.identity(2)
 I4 = Matrix.identity(4)
@@ -66,6 +67,20 @@ def test_embed_local():
         embed_local(I2, 4, 3)
     with pytest.raises(ValueError):
         embed_local(w, 3, 3)
+
+
+def test_embed_sum_adds_the_embeddings():
+    w, B, Bbar = ex.local_operators(ex.asep(2, 1, 1, F(1, 2), F(1, 3)))
+    ops, _ = integer_form(*map(SparseMatrix.from_dense, (w, B, Bbar)))
+    wi, Bi, Bbari = ops
+    got = embed_sum([(wi, 1), (Bi, 0), (Bbari, 3), (wi, 1)], 4)
+    want = embed_local(w, 2, 4) + embed_local(B, 1, 4) \
+        + embed_local(Bbar, 4, 4) + embed_local(w, 2, 4)
+    assert got.scale(F(1, 6)) == want       # w, B, Bbar over d = 6
+    assert all(type(v) is int for _, _, v in got.items())
+    for op, first in ((wi, 3), (Bi, 4), (Bi, -1)):
+        with pytest.raises(ValueError):
+            embed_sum([(op, first)], 4)
 
 
 def test_embed_disjoint_supports_commute():
@@ -178,8 +193,8 @@ _R = (F(1, 2), F(2, 3), F(1, 3), F(1, 5))
     (ex.rd(3, *_R), 6), (ex.rd(3, *_R), 7), (ex.asep(3, *_R), 7)],
     ids=["rd-L6", "rd-L7", "asep-L7"])
 def test_exact_nullspace_eliminates_once(monkeypatch, model, L):
-    # each of these kernels takes three p-adic lifts, and every lift reuses
-    # the one elimination
+    # each of these kernels takes five or six p-adic lifts, and every lift
+    # reuses the one elimination
     calls = []
     eliminate = tensor._eliminate_mod
 
@@ -192,6 +207,140 @@ def test_exact_nullspace_eliminates_once(monkeypatch, model, L):
     (v,) = exact_nullspace(M)
     assert calls == [next(_primes())]
     assert residual_is_zero(M, v)
+
+
+def reference_eliminate_mod(rows, dim, p) -> list:
+    """Oracle: the elimination that scans every active row for each pivot,
+    on dicts only, with the pivot rule of tensor._eliminate_mod."""
+    work = [{c: v % p for c, v in row.items() if v % p} for row in rows]
+    active = {r for r in range(dim) if work[r]}
+    col_count = [0] * dim  # entries per column over the active rows
+    for r in active:
+        for c in work[r]:
+            col_count[c] += 1
+    factors = []
+    while active:
+        ri, cj = reference_markowitz(work, active, col_count)
+        prow, work[ri] = work[ri], None
+        inv = pow(prow[cj], -1, p)
+        active.discard(ri)
+        for c in prow:
+            col_count[c] -= 1
+        rest = [(c, v * inv % p) for c, v in prow.items() if c != cj]
+        eliminated = []
+        for rk in list(active):
+            tgt = work[rk]
+            f = tgt.pop(cj, None)
+            if f is None:
+                continue
+            eliminated.append((rk, f))
+            col_count[cj] -= 1
+            for c, v in rest:
+                old = tgt.get(c)
+                nv = ((old or 0) - f * v) % p
+                if nv:
+                    tgt[c] = nv
+                    if old is None:
+                        col_count[c] += 1
+                else:
+                    del tgt[c]
+                    col_count[c] -= 1
+            if not tgt:
+                active.discard(rk)
+        factors.append((ri, cj, inv, eliminated, rest))
+    return factors
+
+
+def reference_markowitz(work, active, col_count):
+    """Pivot of the shortest active row at its sparsest column."""
+    shortest = min(len(work[r]) for r in active)
+    best = None
+    for r in active:
+        row = work[r]
+        if len(row) != shortest:
+            continue
+        c = min(row, key=lambda c: (col_count[c], c))
+        key = (col_count[c], r)
+        if best is None or key < best[0]:
+            best = (key, r, c)
+    return best[1], best[2]
+
+
+def assert_reference_pivots(rows, dim):
+    """The same (row, col, inverse) per pivot as the oracle, and the same
+    eliminated and rest pairs as sets."""
+    p = next(_primes())
+    got = tensor._eliminate_mod(rows, dim, p)
+    want = reference_eliminate_mod(rows, dim, p)
+    assert [(r, c, inv, set(e), set(u)) for r, c, inv, e, u in got] == \
+        [(r, c, inv, set(e), set(u)) for r, c, inv, e, u in want]
+
+
+@pytest.mark.parametrize("model", [
+    ex.asep(3, *_R), ex.ssep(*_R), ex.tasep(*_R[:2]), ex.rd(3, *_R)],
+    ids=["asep", "ssep", "tasep", "rd"])
+def test_pivots_match_the_reference_on_generators(model):
+    for L in range(2, 9):
+        M = ex.build_markov(model, L)
+        assert_reference_pivots(tensor._integer_rows(M), M.dim)
+
+
+def test_pivots_match_the_reference_on_an_eigen_kernel():
+    # the matrix whose raw kernel eigenvector_from_nullspace returns
+    spec = tr.TransferSpec(ex.asep(3, *_R), 4, (2, 3, 5, 7))
+    lam = tr.lambda_eigenvalue(spec.model, F(2), spec.thetas)
+    t = tr.build_transfer(spec, F(2))
+    M = t + SparseMatrix.identity(t.dim).scale(-lam)
+    assert_reference_pivots(tensor._integer_rows(M), M.dim)
+
+
+def test_dense_tail_runs_on_the_rd_generator(monkeypatch):
+    blocks = []
+    dense = tensor._eliminate_dense
+
+    def counted(block, cols, p):
+        blocks.append(len(block))
+        return dense(block, cols, p)
+
+    monkeypatch.setattr(tensor, "_eliminate_dense", counted)
+    M = ex.build_markov(ex.rd(3, *_R), 7)
+    (v,) = exact_nullspace(M)
+    assert len(blocks) == 1 and blocks[0] > 32   # of 128 rows
+    assert residual_is_zero(M, v)
+
+
+def test_dense_block_with_a_zero_mod_p_takes_the_full_rule(monkeypatch):
+    # every entry is nonzero over Q, one is p: the block is dense from the
+    # start, with a zero, so the first pivot needs the rebuilt counts
+    p = next(_primes())
+    rows = [{c: 1 + (3 * r + 5 * c) % 7 for c in range(6)} for r in range(6)]
+    rows[0][0] = p
+    calls = []
+    markowitz = tensor._markowitz
+
+    def counted(*args):
+        calls.append(args[1])
+        return markowitz(*args)
+
+    monkeypatch.setattr(tensor, "_markowitz", counted)
+    assert_reference_pivots(rows, 6)
+    assert calls and all(type(shortest) is dict for shortest in calls)
+
+
+_pivot_entries = st.sampled_from([0] * 6 + [1, -1, 2, 3, -5, 7, 10 ** 12])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pivots_match_the_reference_on_random_matrices(data):
+    # sparse to dense square matrices, some entries the first prime (zero
+    # modulo it); most of them reach the dense tail before they end
+    n = data.draw(st.integers(min_value=2, max_value=14))
+    p = next(_primes())
+    entries = st.one_of(_pivot_entries, st.just(p))
+    rows = [{c: v for c, v in enumerate(data.draw(st.lists(
+        entries, min_size=n, max_size=n))) if v} for _ in range(n)]
+    assert_reference_pivots(rows, n)
 
 
 def rref(rows) -> list:
