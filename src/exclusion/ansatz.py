@@ -12,10 +12,10 @@ exactly on monodromy matrices for ASEP, SSEP and TASEP.
 
 from __future__ import annotations
 
-import decimal
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from math import ldexp
 
 from . import models as m
 from .markov import Distribution
@@ -27,7 +27,7 @@ from .verifier import CheckReport, FAIL, compare, guarded
 
 REL_TOL = Fraction(1, 10 ** 12)   # truncation-convergence threshold
 CAP = 256                         # truncation ceiling
-PROFILE_DIGITS = 38               # working precision of the float profile
+PROFILE_BITS = 100                # mantissa width of the float profile
 _INF = float("inf")
 
 
@@ -780,36 +780,50 @@ def rd_profile_rows(kappa, alpha, beta, gamma, delta, L: int,
 
     With ``exact`` every cell is the reduced Fraction.  Otherwise every
     cell, the asymptotic column included, is the float nearest its exact
-    value, certified as follows.  The cell
-    x = K (s0 + t1 + t2) (s0 = 1 or 0, t_j = +-C_j phi^k_j, C_j = U, V or
-    amp) is evaluated in decimal at PROFILE_DIGITS digits with round half
-    even, so each operation has relative error at most
-    u = 10^(1-PROFILE_DIGITS) / 2, and with an unbounded exponent range,
-    so nothing under- or overflows.  C_j, K and phi are rounded once from
-    the exact rationals; phi^k, k <= L - 1, comes from a table built by
-    k - 1 multiplications, so it carries 2k - 1 roundings; and each term,
-    the two additions and the product with K round once.  So every summand
-    of x carries at most N = 2L + 3 factors 1 + delta, |delta| <= u, and
-    (Higham, "Accuracy and Stability of
-    Numerical Algorithms", 2002, section 3.1)
+    value, certified as follows.  The cell x = K (s0 + t1 + t2) (s0 = 1 or
+    0, t_j = +-C_j phi^k_j, C_j = U, V or amp) is evaluated on W-bit binary
+    mantissas, W = PROFILE_BITS.  C_j, K and |phi| become m 2^e with
+    2^(W-1) <= |m| < 2^W, truncated toward zero from the exact rationals,
+    so each has relative error below u = 2^(1-W) (K = 1/2 is exact).
+    phi^k, k <= L - 1, comes from a table built by k - 1 truncated products
+    of W-bit mantissas, each kept to W bits, so it carries 2k - 1 factors
+    1 + delta, |delta| < u; its sign is set by the parity of k.  A term
+    t_j~ is the exact product of two mantissas.  So every summand of x
+    carries at most 2L - 1 <= N = 2L + 3 such factors, and (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2002, section 3.1)
 
-        |x~ - x| <= gamma_N |K| (s0 + |t1| + |t2|),
+        |K~ (s0 + t1~ + t2~) - x| <= gamma_N |K| (s0 + |t1| + |t2|),
         gamma_N = N u / (1 - N u).
 
     The exact |K|, |t_j| exceed the computed ones by at most a factor
-    1 / (1 - gamma_N) = 1 + gain, gain = N u / (1 - 2 N u), so
-    |x~ - x| <= gain |K~| (s0 + |t1~| + |t2~|).  That is evaluated rounding
-    upward, with gain |K~| rounded up once per column.  Each cell is then
-    proven by exactly one of three certificates:
+    1 / (1 - gamma_N) = 1 + gain, gain = N u / (1 - 2 N u); with 2^c >= 4N
+    and c + 2 <= W, gain <= 4 N 2^-W <= 2^(c-W).  The cell then shifts s0
+    and the terms down to the unit 2^E of the larger term exponent (a
+    term that is exactly 0 has exponent -inf): the larger term stays
+    exact, s0 = 1 is exact for E <= 0 and floors to 0 above, and each of
+    at most two floors costs less than one unit.  With s the sum of the
+    shifted integers and A the sum of their magnitudes, x~ = K~ s at the
+    unit 2^(e_K + E), and
+
+        |x~ - x| <= ((|K~| (A + 2)) >> (W - c)) + 2 |K~| + 1
+
+    units: A + 2 bounds s0 + |t1~| + |t2~| before the floors, so the
+    first term plus 1 bounds gain |K~| (s0 + |t1~| + |t2~|) from above,
+    and 2 |K~| is the cost of the floors.  Each cell is then proven by
+    exactly one of three certificates:
 
     - saturation, tried first on both density columns (K = 1/2, s0 = 1):
-      if |t1~| + |t2~|, added rounding up, is below 2^-54 (1 - gain), then
-      |t1 + t2| < (1 + gain)(1 - gain) 2^-54 < 2^-54, so |x - 1/2| < 2^-55
-      and x rounds to 0.5, with no bracket drawn;
-    - the bracket [x~ - err, x~ + err], rounded outward: when it excludes 0
-      and both ends round to the same float, that float is the correctly
-      rounded x, sign of a value that underflows included (Ziv's rounding
-      test);
+      if both terms have bit_length + exponent <= -56, then
+      |t1~| + |t2~| < 2^-55 and |t1 + t2| < 2^-55 (1 + gain) < 2^-54, so
+      |x - 1/2| < 2^-55 and x rounds to 0.5, with no bracket drawn;
+    - the bracket [x~ - err, x~ + err], integers at one exponent: when it
+      excludes 0 and both ends convert to the same finite float, that
+      float is the correctly rounded x, sign of a value that underflows
+      included (Ziv's rounding test).  m 2^e converts as
+      ldexp(float(m), e) when it lies in the normal range, where float()
+      rounds m half to even and ldexp is exact; as +-0.0 below 2^-1076;
+      and otherwise as the int true division m / 2^-e, which rounds
+      correctly into the subnormals, or +-inf beyond the float range;
     - otherwise, and always for an exact zero, the exact integer quotient
       of that one site, which int true division rounds correctly over a
       positive denominator; a cell beyond the float range raises
@@ -874,100 +888,146 @@ def rd_profile_rows(kappa, alpha, beta, gamma, delta, L: int,
                           xv * pn ** (L - i) * pd ** (i - 1), v1)[column]
         return num / den_
 
+    # a binary twin m 2^e of each exact constant: U, V, the columns K and
+    # the amplitudes truncated once, and P[k] 2^Pe[k] for phi^k
     enc = _Enclosure(L)
-    mul, bracket, saturated = enc.ctx.multiply, enc.bracket, enc.saturated
-
-    def rounded(K, gK, s0, t1, t2, i, column):
-        # the float of the cell, pinned by its bracket (Ziv's rounding
-        # test) or else its exact quotient
-        lo, hi = bracket(K, gK, s0, t1, t2)
-        f = float(lo)
-        if (lo > 0 or hi < 0) and f == float(hi) and abs(f) < _INF:
-            return f
-        return exact_cell(i, column)
-
-    # the Decimal twins of the exact constants carry a trailing underscore
-    one, zero, half = decimal.Decimal(1), decimal.Decimal(0), \
-        decimal.Decimal("0.5")
-    U_, V_ = enc.rational(xu * S, D), enc.rational(xv * S, D)
-    K_lat, K_eva, phi_ = (enc.rational(q.numerator, q.denominator)
-                          for q in (k_lat, k_eva, phi))
-    amps_ = [enc.rational(q.numerator, q.denominator) for q in amps]
-    g_half, g_lat, g_eva = map(enc.column, (half, K_lat, K_eva))
-    P = [one]                  # P[k] ~ phi^k, k = 0 .. L - 1
-    for _ in range(L - 1):
-        P.append(mul(P[-1], phi_))
+    cell = enc.cell
+    U, Ue = enc.truncated(xu * S, D)
+    V, Ve = enc.truncated(xv * S, D)
+    lat, eva = enc.column(k_lat), enc.column(k_eva)
+    amps_ = [enc.truncated(q.numerator, q.denominator) for q in amps]
+    P, Pe = enc.powers(phi, L)
+    t_down, e_down = V * P[L - 1], Ve + Pe[L - 1]
     for i in range(1, L + 1):
-        t_up = mul(U_, P[i - 1])
-        t_down = mul(V_, P[L - i])
-        row = {"density": 0.5 if saturated(t_up, t_down) else
-               rounded(half, g_half, one, t_up.copy_negate(),
-                       t_down.copy_negate(), i, 0)}
+        t_up, e_up = U * P[i - 1], Ue + Pe[i - 1]
+        f = cell(_HALF, 1, -t_up, e_up, -t_down, e_down)[0]
+        row = {"density": exact_cell(i, 0) if f is None else f}
         if i < L:
-            t_down1 = mul(V_, P[L - i - 1])
-            row["current_lat"] = rounded(K_lat, g_lat, zero, t_down1,
-                                         t_up.copy_negate(), i, 1)
-            row["current_eva"] = rounded(K_eva, g_eva, zero, t_up, t_down1,
-                                         i, 2)
+            # V phi^(L-i-1): this bond's term, and the next site's density's
+            t_down, e_down = V * P[L - i - 1], Ve + Pe[L - i - 1]
+            f = cell(lat, 0, t_down, e_down, -t_up, e_up)[0]
+            row["current_lat"] = exact_cell(i, 1) if f is None else f
+            f = cell(eva, 0, t_up, e_up, t_down, e_down)[0]
+            row["current_eva"] = exact_cell(i, 2) if f is None else f
         else:
             row["current_lat"] = row["current_eva"] = None
         if asymptotics:
             j, k = side(i)
-            t = mul(amps_[j], P[k])
-            row["density_asymptotic"] = 0.5 if saturated(t, zero) else \
-                rounded(half, g_half, one, t, zero, i, 3)
+            amp, e_amp = amps_[j]
+            f = cell(_HALF, 1, amp * P[k], e_amp + Pe[k], 0, _NO_EXP)[0]
+            row["density_asymptotic"] = exact_cell(i, 3) if f is None else f
         yield row
 
 
-# 2^-54 = 5^54 10^-54: 38 digits, exact from a string at any precision
-_TWO_TO_MINUS_54 = decimal.Decimal(f"{5 ** 54}e-54")
+_NO_EXP = -(1 << 60)    # the exponent of a zero: below any a term reaches
+_HALF = (1, -1, 1, 3)   # the column K = 1/2, exact: (m, e, |m|, 2 |m| + 1)
+_SATURATED = (0.5, None, None, None)
+
+
+def _to_float(m: int, e: int) -> float:
+    """m 2^e rounded to the nearest float, ties to even, as float() of the
+    Fraction rounds it; +-inf beyond the float range, where that raises."""
+    if not m:
+        return 0.0
+    b = m.bit_length()
+    top = b + e                     # 2^(top-1) <= |m 2^e| < 2^top
+    if -1021 <= top <= 1023 and b <= 1023:
+        return ldexp(float(m), e)   # normal: float(m) rounds, ldexp is exact
+    if top > 1024:
+        return -_INF if m < 0 else _INF
+    if top < -1075:
+        return -0.0 if m < 0 else 0.0
+    try:        # int true division rounds correctly, subnormals included
+        return m / (1 << -e) if e < 0 else float(m << e)
+    except OverflowError:
+        return -_INF if m < 0 else _INF
 
 
 class _Enclosure:
-    """Decimal evaluation of a float profile cell K (s0 + t1 + t2) of an
-    L-site chain, with the two certificates of rd_profile_rows: a bracket,
-    and saturation at 1/2."""
+    """Binary fixed-point evaluation of a float profile cell K (s0 + t1 + t2)
+    of an L-site chain on PROFILE_BITS-bit mantissas, with the two
+    certificates of rd_profile_rows: saturation at 1/2, and a bracket."""
 
     def __init__(self, L: int):
-        n_u = Fraction(2 * L + 3, 2 * 10 ** (PROFILE_DIGITS - 1))    # N u
-        if 2 * n_u >= 1:
-            raise ValueError(f"L = {L} is too long for {PROFILE_DIGITS} "
-                             "digits")
-        self.ctx = decimal.Context(prec=PROFILE_DIGITS, Emin=decimal.MIN_EMIN,
-                                   Emax=decimal.MAX_EMAX)
-        self.up, self.floor = self.ctx.copy(), self.ctx.copy()
-        self.up.rounding = decimal.ROUND_CEILING
-        self.floor.rounding = decimal.ROUND_FLOOR
-        gain = n_u / (1 - 2 * n_u)
-        self.gain = self.up.divide(decimal.Decimal(gain.numerator),
-                                   decimal.Decimal(gain.denominator))
-        # |t1~| + |t2~| below this makes |t1 + t2| < 2^-54
-        self.threshold = self.floor.multiply(
-            _TWO_TO_MINUS_54, self.floor.subtract(1, self.gain))
+        self.width = W = PROFILE_BITS
+        # 2^c >= 4 N, N = 2L + 3; with c + 2 <= W, 8 N <= 2^W and so
+        # gain = N u / (1 - 2 N u) <= 4 N 2^-W <= 2^-shift <= 1/4.  W <= 300
+        # keeps the integers of a cell below 2^1023, where float() is finite
+        c = (8 * L + 11).bit_length()
+        if not c + 2 <= W <= 300:
+            raise ValueError(f"L = {L} does not fit {W}-bit mantissas")
+        self.shift = W - c
 
-    def rational(self, num: int, den: int):
-        """num / den, rounded once."""
-        return self.ctx.divide(decimal.Decimal(num), decimal.Decimal(den))
+    def truncated(self, num: int, den: int) -> tuple:
+        """(m, e) with m 2^e = num / den truncated toward zero to W bits,
+        2^(W-1) <= |m| < 2^W; (0, _NO_EXP) for 0.  den > 0."""
+        if not num:
+            return 0, _NO_EXP
+        a, W = abs(num), self.width
+        e = a.bit_length() - den.bit_length() - W
+        m = (a << -e) // den if e < 0 else a // (den << e)
+        if m.bit_length() > W:
+            m, e = m >> 1, e + 1
+        return (m if num > 0 else -m), e
 
-    def column(self, K):
-        """gain |K~|, rounded up: the bound on the error of a cell of a
-        column K per unit of s0 + |t1~| + |t2~|."""
-        return self.up.multiply(self.gain, K.copy_abs())
+    def column(self, K: Fraction) -> tuple:
+        """(m, e, |m|, 2 |m| + 1) of the column constant K."""
+        m, e = self.truncated(K.numerator, K.denominator)
+        return m, e, abs(m), 2 * abs(m) + 1
 
-    def bracket(self, K, gK, s0, t1, t2) -> tuple:
-        """(lo, hi), rounded outward, around the exact cell; gK is
-        column(K)."""
-        ctx, up = self.ctx, self.up
-        s, m = ctx.add(t1, t2), up.add(t1.copy_abs(), t2.copy_abs())
+    def powers(self, phi: Fraction, n: int) -> tuple:
+        """([m_k], [e_k]) with m_k 2^e_k = phi^k, k < n: |phi| truncated
+        once and each power the truncated product of the one before and it,
+        the sign of phi^k set by the parity of k."""
+        W = self.width
+        pm, pe = self.truncated(abs(phi.numerator), phi.denominator)
+        if not pm:
+            return [1 << (W - 1)] + [0] * (n - 1), \
+                [1 - W] + [_NO_EXP] * (n - 1)
+        P, E = [1 << (W - 1)], [1 - W]
+        for _ in range(n - 1):
+            p = P[-1] * pm
+            s = p.bit_length() - W
+            P.append(p >> s)
+            E.append(E[-1] + pe + s)
+        if phi < 0:
+            P[1::2] = [-p for p in P[1::2]]
+        return P, E
+
+    def cell(self, K: tuple, s0: int, m1: int, e1: int, m2: int,
+             e2: int) -> tuple:
+        """(f, lo, hi, e) for the cell K (s0 + m1 2^e1 + m2 2^e2), K a
+        column(), s0 = 1 or 0: f is the float that saturation (lo, hi and e
+        None) or the bracket [lo 2^e, hi 2^e] pins, or None when neither
+        does."""
+        if s0 and m1.bit_length() + e1 <= -56 \
+                and m2.bit_length() + e2 <= -56:
+            return _SATURATED
+        # s0 and the terms floored to the unit 2^e1 of the larger exponent
+        if e1 < e2:
+            m1 >>= e2 - e1
+            e1 = e2
+        else:
+            m2 >>= e1 - e2
         if s0:      # 1 on the density columns, 0 on the currents
-            s, m = ctx.add(s0, s), up.add(s0, m)
-        x, err = ctx.multiply(K, s), up.multiply(gK, m)
-        return self.floor.subtract(x, err), up.add(x, err)
-
-    def saturated(self, t1, t2) -> bool:
-        """Whether the cell (1 + t1 + t2) / 2 is within 2^-55 of 1/2, so
-        that its float is 0.5."""
-        return self.up.add(t1.copy_abs(), t2.copy_abs()) < self.threshold
+            s0 = 1 << -e1 if e1 <= 0 else 0
+        m, e, k_abs, k_err = K
+        x = m * (s0 + m1 + m2)
+        err = (k_abs * (s0 + abs(m1) + abs(m2) + 2) >> self.shift) + k_err
+        lo, hi, e = x - err, x + err, e + e1
+        if lo > 0 or hi < 0:        # Ziv's rounding test
+            top_lo, top_hi = lo.bit_length() + e, hi.bit_length() + e
+            if -1021 <= top_lo <= 1023 and -1021 <= top_hi <= 1023:
+                f = ldexp(float(lo), e)
+                if f == ldexp(float(hi), e):
+                    return f, lo, hi, e
+            elif top_lo < -1075 > top_hi:   # both below 2^-1076
+                return (0.0 if lo > 0 else -0.0), lo, hi, e
+            else:
+                f = _to_float(lo, e)
+                if f == _to_float(hi, e) and abs(f) < _INF:
+                    return f, lo, hi, e
+        return None, lo, hi, e
 
 
 def rd_current_balance(kappa, alpha, beta, gamma, delta, L: int, i: int) -> Fraction:

@@ -109,8 +109,10 @@ _COMMON = ("--model", "--alpha", "--beta", "--gamma", "--delta", "--q",
            "--kappa", "--out")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Each subcommand takes _COMMON plus exactly the options it reads."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Each subcommand takes _COMMON plus exactly the options it reads.
+    Given ``command``, only the subcommand of that name gets its options;
+    the others stay listed, for the top-level help and its errors."""
     p = argparse.ArgumentParser(prog="exclusion")
     sub = p.add_subparsers(dest="command", required=True)
     for name, fn, own in (
@@ -124,6 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
                                         "--x2")),
             ("bench", cmd_bench, ("--L", "--format"))):
         sp = sub.add_parser(name)
+        if command not in (None, name):
+            continue
         for flag in _COMMON + own:
             sp.add_argument(flag, **_OPTIONS[flag])
         sp.set_defaults(fn=fn)
@@ -428,7 +432,12 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser has no option but -h, so argparse hands argv to
+    # the subcommand named by its first argument not starting with "-", or
+    # to none
+    parser = build_parser(next((a for a in argv if a[:1] != "-"), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

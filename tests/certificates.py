@@ -1,40 +1,44 @@
 """Record the certificate behind each float profile cell.
 
-``rd_profile_rows`` pins a float cell by one of two certificates, each
-drawn through one seam of ``ansatz._Enclosure``: a decimal bracket
-(``bracket``) or saturation at 1/2 (``saturated``).  A cell that neither
+``rd_profile_rows`` draws each float cell through one seam,
+``ansatz._Enclosure.cell``, which pins it by one of two certificates: a
+binary bracket [lo 2^e, hi 2^e], or saturation at 1/2.  A cell that neither
 pins is the exact quotient of its site.
 """
 
 import contextlib
+from fractions import Fraction
 
 import pytest
 
 import exclusion.ansatz as an
 
 
+def exact(m: int, e: int) -> Fraction:
+    """m 2^e as a Fraction."""
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
 @contextlib.contextmanager
 def recorded():
     """Yield a list that gains, in cell order, ("bracket", lo, hi) for each
-    bracket drawn and ("saturated", t1, t2) for each cell that saturation
-    pins, so each float cell has exactly one entry."""
+    bracket drawn, its ends exact Fractions, and ("saturated", t1, t2) for
+    each cell that saturation pins, t_j its (mantissa, exponent) terms, so
+    each float cell has exactly one entry."""
     log = []
-    bracket, saturated = an._Enclosure.bracket, an._Enclosure.saturated
+    cell = an._Enclosure.cell
 
-    def recorded_bracket(self, *args):
-        lo, hi = bracket(self, *args)
-        log.append(("bracket", lo, hi))
-        return lo, hi
-
-    def recorded_saturated(self, t1, t2):
-        fired = saturated(self, t1, t2)
-        if fired:
-            log.append(("saturated", t1, t2))
-        return fired
+    def recorded_cell(self, K, s0, m1, e1, m2, e2):
+        out = cell(self, K, s0, m1, e1, m2, e2)
+        _, lo, hi, e = out
+        if lo is None:
+            log.append(("saturated", (m1, e1), (m2, e2)))
+        else:
+            log.append(("bracket", exact(lo, e), exact(hi, e)))
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(an._Enclosure, "bracket", recorded_bracket)
-        mp.setattr(an._Enclosure, "saturated", recorded_saturated)
+        mp.setattr(an._Enclosure, "cell", recorded_cell)
         yield log
 
 

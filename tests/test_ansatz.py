@@ -1,4 +1,3 @@
-import decimal
 from fractions import Fraction as F
 from itertools import product
 from math import prod
@@ -13,7 +12,7 @@ import exclusion.models as mo
 import exclusion.verifier as vf
 from exclusion.scalars import float_repr, format_rational
 from exclusion.tensor import Matrix, SparseMatrix
-from certificates import pins, recorded
+from certificates import exact, pins, recorded
 from strategies import MODELS
 
 
@@ -523,8 +522,9 @@ def test_saturation_fires_only_below_the_threshold():
         assert value == F(1, 2) - (U * phi ** (i - 1) + V * phi ** (L - i)) / 2
         if hit:
             assert terms < _TWO_TO_MINUS_54, i
-        elif terms < _TWO_TO_MINUS_54 / 2:
-            pytest.fail(f"site {i}: terms below 2^-55 left to a bracket")
+        elif terms < _TWO_TO_MINUS_54 / 4:
+            # each exact term below 2^-56, so each truncated one is too
+            pytest.fail(f"site {i}: terms below 2^-56 left to a bracket")
     hits = [hit for _, hit in fired["density"]]
     assert 0 < sum(hits) < L
     for value, hit in fired["density_asymptotic"]:
@@ -532,33 +532,159 @@ def test_saturation_fires_only_below_the_threshold():
 
 
 def test_saturation_keeps_its_margin_at_low_precision(monkeypatch):
-    # at 4 digits an L = 60 chain has gain ~ 0.07: a computed term between
-    # 2^-54 (1 - gain) and 2^-54 may stand for an exact one above 2^-54
-    monkeypatch.setattr(an, "PROFILE_DIGITS", 4)
-    enc = an._Enclosure(60)
-    gain = F(enc.gain)
-    assert gain > F(1, 20)
-    to_decimal = decimal.Context(prec=8).divide
-    zero = decimal.Decimal(0)
-    for factor, fires in ((F(99, 100), False),
-                          ((1 - gain) * F(102, 100), False),
-                          ((1 - gain) * F(98, 100), True)):
-        t = _TWO_TO_MINUS_54 * factor
-        t_ = to_decimal(decimal.Decimal(t.numerator),
-                        decimal.Decimal(t.denominator))
-        half_ = to_decimal(t_, decimal.Decimal(2))
-        assert enc.saturated(t_, zero) is fires, factor
-        assert enc.saturated(half_.copy_negate(), half_) is fires, factor
-    # and whole profiles at 5 digits print the 38-digit floats
+    # at 12 bits an L = 60 chain has gain ~ 0.07: a computed term just below
+    # 2^-54 may stand for an exact one above 2^-54, so saturation asks each
+    # computed term to lie below 2^-56
     rates = PROFILE_RATES[1]
     want = list(an.rd_profile_rows(3, *rates, 300, asymptotics=True,
                                    exact=False))
-    monkeypatch.setattr(an, "PROFILE_DIGITS", 5)
+    monkeypatch.setattr(an, "PROFILE_BITS", 12)
+    enc = an._Enclosure(60)
+    n_u = F(2 * 60 + 3, 2 ** 11)
+    gain = n_u / (1 - 2 * n_u)
+    assert F(1, 20) < gain <= F(1, 2 ** enc.shift)
+
+    def saturated(*terms):
+        out = enc.cell(an._HALF, 1, *terms)
+        return out[1] is None
+
+    for factor, fires in ((F(99, 100), False),
+                          ((1 - gain) * F(102, 100), False),
+                          (F(102, 400), False),
+                          (F(98, 400), True)):
+        t = _TWO_TO_MINUS_54 * factor
+        m, e = enc.truncated(t.numerator, t.denominator)
+        assert saturated(m, e, 0, an._NO_EXP) is fires, factor
+        assert saturated(0, an._NO_EXP, m, e) is fires, factor
+        h, e_h = enc.truncated(t.numerator, 2 * t.denominator)
+        assert saturated(-h, e_h, h, e_h) is (factor < F(1, 2)), factor
+        if fires:   # the exact terms stay below 2^-54 in sum
+            assert (exact(m, e) + 2 * exact(h, e_h)) * (1 + gain) \
+                < _TWO_TO_MINUS_54
+    # and whole profiles at 16 bits print the 100-bit floats
+    monkeypatch.setattr(an, "PROFILE_BITS", 16)
     cells = _certified(3, rates, 300)
     assert sum(cert[0] == "saturated" for *_, cert in cells) > 300
     assert [float_repr(printed) for _, _, printed, _ in cells] == \
         [float_repr(row[k]) for row in want for k in _COLUMNS
          if row[k] is not None]
+
+
+@settings(max_examples=40, deadline=None)
+@given(MODELS["rd"], st.integers(min_value=2, max_value=60),
+       st.integers(min_value=11, max_value=40))
+def test_float_profile_brackets_hold_at_low_width(model, L, width):
+    # at 11..40 bits the error bound is wide and counts: each bracket must
+    # still hold the exact cell, and each pinned float be its rounding
+    assume(model.alpha != model.gamma and model.beta != model.delta)
+    rates = (model.kappa, model.alpha, model.beta, model.gamma, model.delta)
+    try:
+        rows = list(an.rd_profile_rows(*rates, L, asymptotics=True))
+    except ValueError:
+        assume(False)
+    cells = [(k, row[k]) for row in rows for k in _COLUMNS
+             if row[k] is not None]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(an, "PROFILE_BITS", width)
+        with recorded() as certificates:
+            try:
+                floats = list(an.rd_profile_rows(*rates, L, asymptotics=True,
+                                                 exact=False))
+            except OverflowError:   # a cell beyond the float range
+                assume(False)
+    printed = [row[k] for row in floats for k in _COLUMNS
+               if row[k] is not None]
+    assert len(certificates) == len(cells) == len(printed)
+    for (column, value), f, (kind, *cert) in zip(cells, printed,
+                                                 certificates):
+        assert format(f, ".17g") == format(float(value), ".17g")
+        if kind == "bracket":
+            lo, hi = cert
+            assert lo <= value <= hi
+        else:
+            assert column in ("density", "density_asymptotic")
+            assert abs(value - F(1, 2)) < F(1, 2 ** 55)
+
+
+@pytest.mark.parametrize("kappa, rates, L", [
+    (3, (0, 0, F(2, 3), 6), 3),                     # U = 0
+    (3, (0, 0, 6, F(2, 3)), 3),                     # V = 0
+    (F(-7, 5), PROFILE_RATES[1], 120),              # phi = 6
+    (F(1, 2), PROFILE_RATES[2], 40)])               # phi < 0, a zero cell
+def test_float_profile_zero_terms_take_no_exact_quotient(kappa, rates, L):
+    # a term that is exactly 0 (U = 0, V = 0, the asymptotic column's
+    # second term) sits below every other exponent, so only an
+    # exact zero cell is left to the exact quotient
+    rows = an.rd_profile_rows(kappa, *rates, L, asymptotics=True)
+    cells = [row[k] for row in rows for k in _COLUMNS if row[k] is not None]
+    with recorded() as certificates:
+        floats = list(an.rd_profile_rows(kappa, *rates, L, asymptotics=True,
+                                         exact=False))
+    printed = [row[k] for row in floats for k in _COLUMNS
+               if row[k] is not None]
+    assert [format(f, ".17g") for f in printed] == \
+        [format(float(v), ".17g") for v in cells]
+    for value, (kind, *cert) in zip(cells, certificates):
+        if kind == "bracket" and not pins(*cert):
+            assert value == 0
+
+
+def test_float_profile_at_phi_0():
+    # kappa = 1, which the rd model refuses: phi^k = 0 for k >= 1, and the
+    # middle currents have two zero terms
+    L = 12
+    floats = an.rd_profile_rows(1, *PROFILE_RATES[0], L, asymptotics=True,
+                                exact=False)
+    for i, row in enumerate(floats, start=1):
+        cf = an.rd_closed_forms(1, *PROFILE_RATES[0], L, i)
+        want = {"density": cf["density"], "current_lat": cf["current_lat"],
+                "current_eva": cf["current_eva"],
+                "density_asymptotic": cf["asymptotics"]["density"]}
+        assert _printed(row) == _printed(want), i
+
+
+_LEAST_NORMAL, _LEAST_SUBNORMAL = 2 ** -1022, 2 ** -1074
+
+
+@pytest.mark.parametrize("m, e", [
+    (1, -1022), ((1 << 60) + 1, -1082), ((1 << 60) - 1, -1082),
+    (1, -1074), (1, -1075), (-1, -1075), (3, -1077), ((1 << 80) + 1, -1155),
+    ((((1 << 50) + 1) << 10) + (1 << 9) - 1, -1084),
+    ((((1 << 50) + 1) << 10) + (1 << 9) + 1, -1084),
+    (-((((1 << 50) + 2) << 10) + (1 << 9) - 1), -1084),
+    ((((1 << 50) + 1) << 1) + 1, -1075),
+    (-1, -1076), (-5, -1200), (-1, -1074), (-(1 << 70), -1100),
+    ((1 << 53) + 1, 0), ((1 << 53) + 3, 0), ((1 << 53) + 1, -600),
+    (-((1 << 53) + 3), 700), ((1 << 54) - 1, 970), ((1 << 53) - 1, 971),
+    ((1 << 54) - 2, 970), ((1 << 54) - 3, 970), (1, 1024), (-1, 1023),
+    (1, 2000), (-(1 << 300), 800), (0, -5000), (0, 5000), (7, 0),
+    ((1 << 1100) + 1, -1100), (-(1 << 1100), -2100)])
+def test_to_float_rounds_as_the_fraction(m, e):
+    # 2^-1022 +- a unit, 2^-1074, the tie 2^-1075 (to 0.0) and just above
+    # it, -0.0, subnormals that a first rounding to 53 bits would round
+    # twice, ties at 53 bits even and odd, and both sides of the overflow
+    # threshold 2^1024 - 2^970, past which float() raises
+    _assert_float_of(m, e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=-(2 ** 400) + 1, max_value=2 ** 400 - 1),
+       st.integers(min_value=-1400, max_value=1100))
+def test_to_float_rounds_as_the_fraction_everywhere(m, e):
+    _assert_float_of(m, e)
+
+
+def _assert_float_of(m, e):
+    got = an._to_float(m, e)
+    try:
+        want = float(exact(m, e))
+    except OverflowError:
+        want = float("-inf") if m < 0 else float("inf")
+    assert repr(got) == repr(want), (m, e)
+    if m and abs(exact(m, e)) < _LEAST_SUBNORMAL / 2:
+        assert got == 0 and repr(got) == ("-0.0" if m < 0 else "0.0")
+    if 0 < abs(got) < _LEAST_NORMAL:
+        assert abs(got) >= _LEAST_SUBNORMAL
 
 
 def test_rd_current_balance_closed_form():

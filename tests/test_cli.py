@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import exclusion as ex
 import exclusion.ansatz as an
+import exclusion.cli as cli
 import exclusion.transfer as tr
 from exclusion.ansatz import rd_closed_forms
 from exclusion.cli import _write, build_parser, main
@@ -554,6 +555,14 @@ _RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
     (("profile", "--model", "rd", "--kappa", "2", *_R, "--L", "1000",
       "--format", "json", "--asymptotics"),
      "a70de72f521e2e992556e229d353b1688cb85ba06229756255f66f0a510b2459"),
+    # phi = -1/3: -0 cells and subnormals of both signs
+    (("profile", "--model", "rd", "--kappa", "1/2", *_R, "--L", "2500",
+      "--asymptotics"),
+     "262473368a594c0a491cbbddaa6e21025ce5fa70fa0cbbc028fb96f1d9c898da"),
+    # phi = 1/2 at the longest chain: deep underflow, 15713 zero cells
+    (("profile", "--model", "rd", "--kappa", "3", *_R, "--L", "10000",
+      "--asymptotics"),
+     "6e341345f799a2d5e11df34659921b2dc9eeab9f71c08dd4c66752a1a55f50af"),
     # exact kernels of nine (RD) and six (ASEP) p-adic lifts
     (("steady", "--model", "rd", *_R, "--method", "nullspace", "--exact",
       "--L", "8"),
@@ -573,7 +582,8 @@ _RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
         "profile-rd-L2000-json", "profile-rd-L4000-csv",
         "profile-rd-phi-1/3-L600", "profile-rd-phi2-L300",
         "profile-rd-exact-L200", "profile-rd-L3000-csv",
-        "profile-rd-L1000-json", "steady-rd-exact-L8",
+        "profile-rd-L1000-json", "profile-rd-phi-1/3-L2500",
+        "profile-rd-L10000", "steady-rd-exact-L8",
         "steady-asep-exact-L8", "transfer-asep-inhomogeneous-eigenvalue-L5"])
 def test_output_bytes_are_pinned(capsys, argv, digest):
     # stdout digests of the report, steady and profile writers; any change to
@@ -595,9 +605,9 @@ def test_output_bytes_are_pinned(capsys, argv, digest):
 ], ids=["phi1/2", "phi-1/3", "phi2"])
 def test_profile_exact_fallback_alone_prints_the_same_bytes(
         capsys, monkeypatch, kappa, rates, digest):
-    # at 10 digits no bracket is narrow enough to pin a float, so every cell
-    # is the exact quotient of its site; the digests are the 38-digit output
-    monkeypatch.setattr(an, "PROFILE_DIGITS", 10)
+    # at 24 bits no bracket is narrow enough to pin a float, so every cell
+    # is the exact quotient of its site; the digests are the 100-bit output
+    monkeypatch.setattr(an, "PROFILE_BITS", 24)
     with recorded() as certificates:
         code, out = run(capsys, "profile", "--model", "rd", f"--kappa={kappa}",
                         *rates, "--L", "60", "--asymptotics")
@@ -729,6 +739,47 @@ def test_each_subcommand_takes_exactly_the_options_it_reads():
     # 5 x 15 shared options plus 5 subcommand-specific ones before; 60 now
     assert len(_REMOVED) == 20
     assert sum(map(len, _parser_options().values())) == 60
+
+
+def _parsed(parser, argv):
+    """(exit code or the parsed namespace without fn, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parser.parse_args(argv))
+            args.pop("fn")
+            result = args
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["-h", "profile"], ["foo"], ["prof", "--model", "rd"],
+    ["--model", "rd", "profile"], ["--", "profile", "--model", "rd"],
+    ["-", "profile"], ["-1", "steady"], ["--foo", "profile", "--model", "rd"],
+    ["profile", "--", "--model", "rd"], ["profile"],
+    ["profile", "--model", "rd", "--seed", "1"],
+    ["steady", "--model", "rd", "--L", "x"], ["steady", "--mod", "rd"],
+    ["transfer", "--model", "ssep", "--check", "nope"],
+    ["profile", "--model=rd", "--L=3", "--exact", "--asym"],
+    ["steady", "--model", "tasep", "--L", "2", "--format", "json"],
+    ["verify", "--model", "ssep", "--samples", "2", "steady"],
+    *[[name, "-h"] for name in _OWN_OPTIONS]])
+def test_the_parser_main_builds_parses_as_the_whole(capsys, monkeypatch,
+                                                   argv):
+    # main adds the options of the subcommand it runs only; help, usage
+    # errors and parsed arguments stay those of the whole parser
+    built = []
+
+    def recorded(*args):
+        built.append(build_parser(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    main(argv)
+    capsys.readouterr()
+    assert _parsed(built[0], argv) == _parsed(build_parser(), argv)
 
 
 @pytest.mark.parametrize("command, flag", _REMOVED,
