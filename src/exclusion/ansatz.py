@@ -868,7 +868,12 @@ def rd_profile_rows(kappa, alpha, beta, gamma, delta, L: int,
     if exact:
         u, v = xu * S, xv * T
         for i in range(1, L + 1):
-            v1 = v * pd // pn if i < L else 0
+            if i == L:
+                v1 = 0
+            elif pn:
+                v1 = v * pd // pn
+            else:               # phi = 0: v_(i+1) = xv 0^(L-i-1)
+                v1 = xv if i == L - 1 else 0
             pairs = cells(u, v, v1)
             row = {"density": Fraction(*pairs[0]),
                    "current_lat": Fraction(*pairs[1]) if i < L else None,

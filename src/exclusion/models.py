@@ -14,6 +14,7 @@ additive (x1-x2, identity point 0).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from collections import namedtuple
 from fractions import Fraction
@@ -195,8 +196,36 @@ def _nonzero(denom, what, x):
     return denom
 
 
+# entries of each bounded cache of R(x) and K(x) at rational points.  A
+# 5-sample verify builds 145-339 distinct matrices.
+CACHE_SIZE = 1024
+
+
+def _key_model(name, alpha=None, beta=None, gamma=None, delta=None, q=None,
+               kappa=None) -> ModelDescriptor:
+    """A descriptor holding a cache key's constants and nothing else, so that
+    an evaluator cannot read a constant its key leaves out."""
+    return ModelDescriptor(name, alpha, beta, gamma, delta, q=q, kappa=kappa)
+
+
 def r_matrix(model: ModelDescriptor, x) -> Matrix:
-    """The 4x4 R-matrix at spectral parameter x (exact; Dual-friendly)."""
+    """The 4x4 R-matrix at spectral parameter x (exact; Dual-friendly).
+
+    At a rational x it comes from a bounded cache keyed by (name, q, kappa,
+    x), the constants R reads, so every caller gets the same Matrix: never
+    change it.  A Dual x is evaluated afresh.  A pole is not cached: it
+    raises PoleError on every call."""
+    if isinstance(x, Dual):
+        return _r_matrix(model, x)
+    return _r_cached(model.name, model.q, model.kappa, x)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _r_cached(name, q, kappa, x) -> Matrix:
+    return _r_matrix(_key_model(name, q=q, kappa=kappa), x)
+
+
+def _r_matrix(model: ModelDescriptor, x) -> Matrix:
     o = lift_like(1, x)
     z = lift_like(0, x)
     if model.name == ASEP:
@@ -243,14 +272,29 @@ def k_matrix(model: ModelDescriptor, kind: str, x) -> Matrix:
     or 'Ktilde' (dual), each in closed form.  The RD Ktilde is the reduced
     form of the crossing expression tr_0(Kbar_0(1/x) R_10(1/(x^2 Q)) P_01)
     / lambda(x^2), so its removable singularities, the identity point
-    included, need no special evaluation; ktilde_from_kbar checks it."""
-    if kind == "K":
-        return _k_left(model, x)
-    if kind == "Kbar":
-        return _k_right(model, x)
-    if kind == "Ktilde":
-        return _k_dual(model, x)
-    raise ValueError(f"unknown K-matrix kind {kind!r}")
+    included, need no special evaluation; ktilde_from_kbar checks it.
+
+    At a rational x the matrix comes from a bounded cache keyed by (kind,
+    name, alpha, beta, gamma, delta, q, kappa, x), so every caller gets the
+    same Matrix: never change it.  A Dual x is evaluated afresh.  A pole is
+    not cached: it raises PoleError on every call."""
+    if kind not in _K_FORMS:
+        raise ValueError(f"unknown K-matrix kind {kind!r}")
+    return _k_at(model, kind, x)
+
+
+def _k_at(model: ModelDescriptor, kind: str, x) -> Matrix:
+    """k_matrix without the check of kind, for this module's own calls."""
+    if isinstance(x, Dual):
+        return _K_FORMS[kind](model, x)
+    return _k_cached(kind, model.name, model.alpha, model.beta, model.gamma,
+                     model.delta, model.q, model.kappa, x)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _k_cached(kind, name, alpha, beta, gamma, delta, q, kappa, x) -> Matrix:
+    return _K_FORMS[kind](_key_model(name, alpha, beta, gamma, delta, q,
+                                     kappa), x)
 
 
 def _k_left(model: ModelDescriptor, x) -> Matrix:
@@ -356,6 +400,9 @@ def _k_dual(model: ModelDescriptor, x) -> Matrix:
                     -pre * (s - t) / dm]])
 
 
+_K_FORMS = {"K": _k_left, "Kbar": _k_right, "Ktilde": _k_dual}
+
+
 def ktilde_from_kbar(model: ModelDescriptor, x) -> Matrix:
     """Dual-boundary map: Ktilde_1(x) = tr_0(Kbar_0(inv x)
     ((R_01(rc(x,x))^{t1})^{-1})^{t1} P_01).  Undefined for TASEP."""
@@ -368,8 +415,8 @@ def ktilde_from_kbar(model: ModelDescriptor, x) -> Matrix:
         inv = partial_transpose(inverse(Rt1), 1)
     except PoleError as exc:
         raise PoleError(f"singular partial transpose at x={x}") from exc
-    big = kron(_k_right(model, conv.invert(x)), Matrix.identity(2)) * inv * \
-        permutation_op()
+    kbar = _k_at(model, "Kbar", conv.invert(x))
+    big = kron(kbar, Matrix.identity(2)) * inv * permutation_op()
     return partial_trace_first(big)
 
 
@@ -378,7 +425,8 @@ def kbar_from_ktilde(model: ModelDescriptor, x) -> Matrix:
     if model.name == TASEP:
         raise UnsupportedError("tasep: dual reflection structure undefined")
     conv = model.convention
-    big = kron(_k_dual(model, conv.invert(x)), Matrix.identity(2)) * \
+    ktilde = _k_at(model, "Ktilde", conv.invert(x))
+    big = kron(ktilde, Matrix.identity(2)) * \
         r_matrix(model, conv.invert(conv.reflect_compose(x, x))) * permutation_op()
     return partial_trace_first(big)
 
@@ -393,7 +441,7 @@ def general_asep_k(alpha, gamma, q, tau):
     base = asep(q, alpha, 1, gamma, 0)
 
     def k(x):
-        K = _k_left(base, x)
+        K = _k_at(base, "K", x)
         return Matrix([[K.a[0][0], K.a[0][1] / tau],
                        [tau * K.a[1][0], K.a[1][1]]])
 

@@ -7,14 +7,17 @@ supporting field arithmetic and exact zero tests).  A SparseMatrix may also
 hold ints, which products, sums, matvecs, the embedding and the partial
 trace keep as ints.  ``integer_form`` and ``integer_vector`` put rational
 matrices and vectors in that form over one common denominator, so exact
-products take no gcd per entry; they are the package's only scaling of
-rationals to integers.
+products take no gcd per entry.  Dense Matrix products, ``rank`` and
+``inverse`` scale their rational operands the same way and work in ints,
+forming one Fraction per output entry (none for ``rank``).  These are the
+package's only scaling of rationals to integers.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .scalars import Dual
 
@@ -23,8 +26,17 @@ class PoleError(ZeroDivisionError):
     """A rational expression was evaluated at a zero of its denominator."""
 
 
+_ZERO = Fraction(0)   # shared by zero product entries; Fractions are immutable
+
+
 class Matrix:
-    """Small dense matrix, row-major.  Immutable by convention."""
+    """Small dense matrix, row-major.
+
+    A Matrix is never changed once built and handed out: ``models`` shares
+    each R(x) and K(x) it builds between all of its callers.  Only a
+    function that has just built a fresh Matrix (``kron``,
+    ``partial_transpose``) fills in its entries.
+    """
 
     __slots__ = ("a", "rows", "cols")
 
@@ -50,12 +62,23 @@ class Matrix:
         return self.a[i][j]
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch")
+        if not isinstance(other, Matrix):
+            return Matrix([[e * other for e in row] for row in self.a])
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch")
+        try:
+            (a, da), (b, db) = _dense_over_lcm(self.a), _dense_over_lcm(other.a)
+        except AttributeError:
+            # a Dual entry has no denominator: the product entry by entry
             return Matrix([[sum(self.a[i][k] * other.a[k][j] for k in range(self.cols))
                             for j in range(other.cols)] for i in range(self.rows)])
-        return Matrix([[e * other for e in row] for row in self.a])
+        # (A / da)(B / db) = A B / (da db): int dot products, one Fraction
+        # per entry
+        d = da * db
+        cols = list(zip(*b))
+        return Matrix([[Fraction(n, d) if n else _ZERO
+                        for n in [sum(map(mul, row, col)) for col in cols]]
+                       for row in a])
 
     def __rmul__(self, other):
         return Matrix([[other * e for e in row] for row in self.a])
@@ -161,42 +184,58 @@ def partial_trace_first(M):
                    for j in range(half)])
 
 
-def _gauss_jordan(rows, ncols) -> tuple:
-    """Gauss-Jordan elimination over the first ncols columns: (the reduced
-    rows, the pivot count)."""
+def _eliminate(rows, ncols) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of integer rows over their
+    first ncols columns (Bareiss 1968): (the rows, the pivot count, the last
+    pivot p).
+
+    A row r is updated by the pivot row s at column c as (s[c] r - r[c] s)
+    / p_prev, p_prev the pivot before s[c] (1 at the start).  Every entry
+    is then a minor of the input, so the division is exact and no entry
+    outgrows Hadamard's bound.  At the end each pivot row holds p at its
+    pivot column and 0 at the other pivot columns: it is p times the
+    reduced row echelon form's row."""
     a = list(rows)   # rows are replaced below, never changed in place
-    rank = 0
+    rank, prev = 0, 1
     for col in range(ncols):
         piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
-        p = a[rank][col]
-        a[rank] = [e / p for e in a[rank]]
+        prow = a[rank]
+        p = prow[col]
         for r in range(len(a)):
-            if r != rank and a[r][col]:
-                f = a[r][col]
-                a[r] = [e - f * g for e, g in zip(a[r], a[rank])]
-        rank += 1
-    return a, rank
+            if r == rank:
+                continue
+            f = a[r][col]
+            if f:
+                a[r] = [(p * e - f * g) // prev for e, g in zip(a[r], prow)]
+            elif prev != p:
+                a[r] = [p * e // prev for e in a[r]]
+        rank, prev = rank + 1, p
+    return a, rank, prev
 
 
 def inverse(M: Matrix) -> Matrix:
-    """Exact inverse of a small dense matrix by Gauss-Jordan elimination."""
+    """Exact inverse of a small dense matrix: [M | I] with each row scaled to
+    integers, eliminated without fractions; entry (i, j) of the inverse is
+    row i's column n + j over the pivot."""
     n = M.rows
     if n != M.cols:
         raise ValueError("inverse of non-square matrix")
-    a, rank = _gauss_jordan(
-        [row + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(M.a)], n)
+    rows = [_dense_over_lcm([row + [int(i == j) for j in range(n)]])[0][0]
+            for i, row in enumerate(M.a)]
+    a, rank, p = _eliminate(rows, n)
     if rank < n:
         raise PoleError("matrix is singular")
-    return Matrix([row[n:] for row in a])
+    return Matrix([[Fraction(v, p) if v else _ZERO for v in row[n:]]
+                   for row in a])
 
 
 def rank(M: Matrix) -> int:
-    """Exact rank of a small dense matrix."""
-    return _gauss_jordan(M.a, M.cols)[1]
+    """Exact rank of a small dense matrix, each row scaled to integers."""
+    return _eliminate([_dense_over_lcm([row])[0][0] for row in M.a],
+                      M.cols)[1]
 
 
 class SparseMatrix:
@@ -507,6 +546,15 @@ def integer_vector(vec) -> tuple:
 def _integer_rows(M: SparseMatrix) -> list:
     """Rows of M as {col: int}, each scaled by the lcm of its denominators."""
     return [_rows_over_lcm([M._rows.get(r, {})])[0][0] for r in range(M.dim)]
+
+
+def _dense_over_lcm(rows):
+    """(the rows times d as int lists, d), d the lcm of the denominators of
+    all entries of the rows (lists of Fraction or int): the dense twin of
+    _rows_over_lcm."""
+    d = math.lcm(*[v.denominator for row in rows for v in row])
+    return [[v.numerator * (d // v.denominator) for v in row]
+            for row in rows], d
 
 
 def _rows_over_lcm(rows) -> tuple:

@@ -106,10 +106,8 @@ def check_commutation(spec: TransferSpec, x, x2) -> CheckReport:
     common denominators d1, d2 of t(x), t(x2), and compared over d1 d2."""
     (t1,), d1 = integer_form(build_transfer(spec, x))
     (t2,), d2 = integer_form(build_transfer(spec, x2))
-    d = d1 * d2
     return compare(spec.model, "transfer.commutation", (x, x2),
-                   (t1 * t2).map(lambda v: Fraction(v, d)),
-                   (t2 * t1).map(lambda v: Fraction(v, d)))
+                   t1 * t2, t2 * t1, d1 * d2)
 
 
 def markov_from_transfer(model: ModelDescriptor, L: int) -> CheckReport:

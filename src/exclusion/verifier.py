@@ -16,8 +16,8 @@ from . import models as m
 from .models import ModelDescriptor
 from .scalars import format_rational
 from .tensor import Matrix, SparseMatrix, derivative_at, \
-    embed_at_positions, inverse, kron, partial_trace_first, partial_transpose, \
-    permutation_op, rank
+    embed_at_positions, integer_form, inverse, kron, partial_trace_first, \
+    partial_transpose, permutation_op, rank
 
 PASS = "Pass"
 FAIL = "Fail"
@@ -39,15 +39,18 @@ def _fmt_points(points) -> tuple:
 
 # ------------------------------------------------------------ report core
 
-def compare(model, check, points, lhs, rhs) -> CheckReport:
+def compare(model, check, points, lhs, rhs, den=1) -> CheckReport:
     """Pass when lhs equals rhs entry by entry, else Fail with the first
     mismatch in row-major order as the witness.  The operands are two dense
     Matrix, two SparseMatrix (never densified) or two flat sequences, read
-    as row 0; differing shapes raise ValueError."""
+    as row 0; differing shapes raise ValueError.  Integer operands that
+    stand for lhs / den and rhs / den are compared as they are, and the
+    witness shows the exact entries over den."""
     for r, c, a, b in _mismatches(lhs, rhs):
         return failed(model, check, points,
-                      {"row": r, "col": c, "lhs": format_rational(a),
-                       "rhs": format_rational(b)})
+                      {"row": r, "col": c,
+                       "lhs": format_rational(Fraction(a, den)),
+                       "rhs": format_rational(Fraction(b, den))})
     return CheckReport(model.name, check, _fmt_points(points), PASS)
 
 
@@ -112,12 +115,15 @@ def check_yang_baxter(model: ModelDescriptor, x1, x2, x3) -> CheckReport:
     pts = (x1, x2, x3)
 
     def run():
-        r12 = embed_at_positions(m.r_matrix(model, conv.compose(x1, x2)), (0, 1), 3)
-        r13 = embed_at_positions(m.r_matrix(model, conv.compose(x1, x3)), (0, 2), 3)
-        r23 = embed_at_positions(m.r_matrix(model, conv.compose(x2, x3)), (1, 2), 3)
-        lhs = r12 * r13 * r23
-        rhs = r23 * r13 * r12
-        return compare(model, "yang_baxter", pts, lhs.to_dense(), rhs.to_dense())
+        # R12, R13, R23 as integer matrices N over one d: both triple
+        # products are then over d^3
+        rs = [SparseMatrix.from_dense(m.r_matrix(model, conv.compose(a, b)))
+              for a, b in ((x1, x2), (x1, x3), (x2, x3))]
+        ns, d = integer_form(*rs)
+        n12, n13, n23 = (embed_at_positions(n, legs, 3) for n, legs in
+                         zip(ns, ((0, 1), (0, 2), (1, 2))))
+        return compare(model, "yang_baxter", pts, n12 * n13 * n23,
+                       n23 * n13 * n12, d ** 3)
 
     return guarded(model, "yang_baxter", pts, run)
 

@@ -44,6 +44,10 @@ def recorded():
 
 def pins(lo, hi) -> bool:
     """Ziv's rounding test: the bracket excludes 0 and both of its ends
-    round to the same finite float."""
-    f = float(lo)
-    return (lo > 0 or hi < 0) and f == float(hi) and abs(f) < float("inf")
+    round to the same finite float.  An end beyond the float range pins
+    nothing."""
+    try:
+        f, g = float(lo), float(hi)
+    except OverflowError:
+        return False
+    return (lo > 0 or hi < 0) and f == g and abs(f) < float("inf")

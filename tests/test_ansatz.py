@@ -643,6 +643,31 @@ def test_float_profile_at_phi_0():
         assert _printed(row) == _printed(want), i
 
 
+@pytest.mark.parametrize("asymptotics", [False, True])
+@pytest.mark.parametrize("L", range(1, 9))
+def test_exact_profile_at_phi_0_rounds_to_the_float_one(L, asymptotics):
+    # kappa = 1: phi = 0, so v_(i+1) is not v_i / phi; every exact cell
+    # rounds to the float cell
+    rows = [an.rd_profile_rows(1, *rates, L, asymptotics=asymptotics,
+                               exact=exact)
+            for rates in PROFILE_RATES for exact in (True, False)]
+    for exact, floats in zip(rows[::2], rows[1::2]):
+        for i, (want, got) in enumerate(zip(exact, floats, strict=True), 1):
+            assert want.keys() == got.keys()
+            assert {k: None if v is None else float(v)
+                    for k, v in want.items()} == got, i
+
+
+def test_pins_no_bracket_beyond_the_float_range():
+    big = F(10) ** 400
+    for lo, hi in ((big, big + 1), (-big - 1, -big), (F(1), big),
+                   (-big, F(-1)), (F(2) ** 1024 - 1, F(2) ** 1024)):
+        assert not pins(lo, hi), (lo, hi)
+    # a narrow bracket below the edge still pins its float
+    top = F(2) ** 1023
+    assert pins(top, top + 1) and pins(-top - 1, -top)
+
+
 _LEAST_NORMAL, _LEAST_SUBNORMAL = 2 ** -1022, 2 ** -1074
 
 

@@ -507,6 +507,12 @@ _RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
     (("verify", "--model", "tasep", "--alpha", "1/2", "--beta", "2/3",
       "--seed", "5"),
      "ddc9cce00a777cd80b0c2a43c93890be42d1edfb60c24d3dae371b99e5e0c661"),
+    (("verify", "--model", "rd", *_R, "--seed", "5"),
+     "39c729c81246e70d424123335111380b9f36995a763895486374d63a96543592"),
+    # more points, so more composed arguments and reflected pairs
+    (("verify", "--model", "asep", "--q", "3/2", *_R, "--samples", "9",
+      "--seed", "7"),
+     "8c4f61ae386bb0d6359a9ca7b7683cecd399c6b05ae76af2f2dee71e9a801742"),
     (("transfer", "--model", "ssep", *_R, "--L", "3", "--check", "conjugated",
       "--x", "3"),
      "80b6c38e0dd4e513a69e64bbb7586a97ca40e9ff31935a986f85e23d821f4ab4"),
@@ -575,7 +581,8 @@ _RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
     (("transfer", "--model", "asep", "--q", "3", *_R, "--L", "5", "--theta",
       "2,3,5,7,11", "--check", "eigenvalue", "--x", "2", "--x2", "5"),
      "5af2a46c12409f8d5e6758da7bb151d7fc8cfa1d85d997554098e20d5db502d3"),
-], ids=["verify-asep", "verify-ssep", "verify-tasep", "transfer-ssep-conjugated",
+], ids=["verify-asep", "verify-ssep", "verify-tasep", "verify-rd",
+        "verify-asep-9-samples", "transfer-ssep-conjugated",
         "transfer-asep-crossing", "transfer-ssep-eigenvalue", "steady-rd-csv",
         "steady-rd-json", "profile-rd-csv", "profile-rd-json",
         *[f"transfer-{name}-{check}-L5" for name, check in _TRANSFER_L5_DIGESTS],

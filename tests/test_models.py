@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import exclusion as ex
+import exclusion.models as m
 from exclusion.models import UnsupportedError, lambda_crossing, r_matrix_swapped
 from exclusion.sampling import sample_points
 from exclusion.scalars import Dual
@@ -291,3 +292,72 @@ def test_r_matrix_swapped_is_p_r_p(all_models):
     for mdl in all_models:
         for x in (F(3), F(-2, 7), Dual.variable(F(5, 3))):
             assert r_matrix_swapped(mdl, x) == P * ex.r_matrix(mdl, x) * P
+
+
+# ------------------------------------------------------ the R and K caches
+
+def _variants(base, **changes):
+    """base and one copy per keyword, that constant alone changed."""
+    return [base] + [base._replace(**{k: v}) for k, v in changes.items()]
+
+
+_ASEP = ex.asep(F(3, 2), F(1, 2), F(2, 3), F(1, 3), F(1, 5))
+_RD = ex.rd(3, F(1, 2), F(2, 3), F(1, 3), F(1, 5))
+_VARIANTS = (_variants(_ASEP, q=F(2), alpha=F(3, 4), beta=F(5, 7),
+                       gamma=F(1, 6), delta=F(2, 9))
+             + _variants(_RD, kappa=F(5), alpha=F(3, 4), beta=F(5, 7),
+                         gamma=F(1, 6), delta=F(2, 9))
+             + [ex.tasep(F(1, 2), F(2, 3)), ex.ssep(F(1, 2), F(2, 3),
+                                                    F(1, 3), F(1, 5))])
+
+
+def test_each_model_gets_its_own_r_and_k():
+    # all variants at the same x, twice over: a key that missed a constant
+    # would hand one variant another's cached matrix
+    x = F(5, 3)
+    for _ in range(2):
+        for mdl in _VARIANTS:
+            assert ex.r_matrix(mdl, x) == m._r_matrix(mdl, x), mdl
+            for kind, evaluate in m._K_FORMS.items():
+                assert ex.k_matrix(mdl, kind, x) == evaluate(mdl, x), \
+                    (mdl, kind)
+    asep_q2 = _VARIANTS[1]
+    assert ex.r_matrix(_ASEP, x) != ex.r_matrix(asep_q2, x)
+    for other in _VARIANTS[2:6]:     # one rate changed
+        assert any(ex.k_matrix(_ASEP, kind, x) != ex.k_matrix(other, kind, x)
+                   for kind in m._K_FORMS)
+
+
+def test_rational_points_share_one_matrix():
+    for x in (F(5, 3), 4):
+        assert ex.r_matrix(_ASEP, x) is ex.r_matrix(_ASEP, F(x))
+        assert ex.k_matrix(_RD, "Ktilde", x) is ex.k_matrix(_RD, "Ktilde", F(x))
+
+
+def test_dual_points_skip_the_cache():
+    before = m._r_cached.cache_info(), m._k_cached.cache_info()
+    x = Dual.variable(F(7, 4))
+    r = ex.r_matrix(_RD, x)
+    assert r is not ex.r_matrix(_RD, x)
+    assert ex.k_matrix(_RD, "K", x) is not ex.k_matrix(_RD, "K", x)
+    assert (m._r_cached.cache_info(), m._k_cached.cache_info()) == before
+    assert r == m._r_matrix(_RD, x)
+
+
+def test_poles_are_never_cached():
+    ssep = ex.ssep(F(1, 2), F(2, 3), F(1, 3), F(1, 5))
+    size = m._r_cached.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(PoleError, match="x \\+ 1 vanishes"):
+            ex.r_matrix(ssep, F(-1))
+        with pytest.raises(PoleError):
+            ex.k_matrix(_RD, "Ktilde", F(0))
+    assert m._r_cached.cache_info().currsize == size
+
+
+def test_the_caches_are_bounded():
+    assert m._r_cached.cache_parameters()["maxsize"] == m.CACHE_SIZE
+    assert m._k_cached.cache_parameters()["maxsize"] == m.CACHE_SIZE
+    for i in range(m.CACHE_SIZE + 10):
+        ex.r_matrix(_ASEP, F(2 * i + 3, 2))
+    assert m._r_cached.cache_info().currsize == m.CACHE_SIZE

@@ -7,10 +7,11 @@ import exclusion as ex
 import exclusion.tensor as tensor
 import exclusion.transfer as tr
 from exclusion.markov import KernelError, steady_state_exact
+from exclusion.scalars import Dual
 from exclusion.tensor import Matrix, PoleError, SparseMatrix, _primes, \
     derivative_at, embed_at_positions, embed_local, embed_sum, \
     exact_nullspace, integer_form, integer_vector, inverse, kron, \
-    partial_trace_first, partial_transpose, permutation_op
+    partial_trace_first, partial_transpose, permutation_op, rank
 
 I2 = Matrix.identity(2)
 I4 = Matrix.identity(4)
@@ -480,6 +481,99 @@ def test_inverse():
     assert inverse(A) * A == I2
     with pytest.raises(PoleError):
         inverse(Matrix([[1, 2], [2, 4]]))
+
+
+# rationals with zeros, negatives and denominators up to 2^70
+_rationals = st.one_of(
+    st.just(F(0)), st.integers(-9, 9).map(F),
+    st.builds(F, st.integers(-(1 << 70), 1 << 70), st.integers(1, 1 << 70)))
+
+
+@st.composite
+def _matrices(draw, rows=None, cols=None):
+    rows = rows or draw(st.integers(1, 5))
+    cols = cols or draw(st.integers(1, 5))
+    return [draw(st.lists(_rationals, min_size=cols, max_size=cols))
+            for _ in range(rows)]
+
+
+def _entry_product(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), F(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_matrix_product_is_the_entry_product(data):
+    # the product on integer forms, entry by entry as Fractions
+    a = data.draw(_matrices())
+    b = data.draw(_matrices(rows=len(a[0])))
+    got = Matrix(a) * Matrix(b)
+    want = _entry_product(a, b)
+    assert got.a == want
+    assert all(type(e) is F for row in got.a for e in row)
+    # a Dual operand, on either side, still multiplies entry by entry
+    x = Dual(F(2, 3), 1)
+    da = [[e * x for e in row] for row in a]
+    db = [[e * x for e in row] for row in b]
+    assert (Matrix(a) * Matrix(db)).a == _entry_product(a, db)
+    assert (Matrix(da) * Matrix(b)).a == _entry_product(da, b)
+
+
+def _gauss_jordan(rows, ncols):
+    """Gauss-Jordan elimination over Fractions on the first ncols columns:
+    (the reduced rows, the pivot count).  The oracle of rank and inverse."""
+    a = [list(r) for r in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        p = a[rank][col]
+        a[rank] = [e / p for e in a[rank]]
+        for r in range(len(a)):
+            if r != rank and a[r][col]:
+                f = a[r][col]
+                a[r] = [e - f * g for e, g in zip(a[r], a[rank])]
+        rank += 1
+    return a, rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rank_and_inverse_match_gauss_jordan(data):
+    a = data.draw(_matrices())
+    if data.draw(st.booleans()) and len(a) > 1:
+        # plant a deficiency: one row a combination of two others
+        i, j, k = (data.draw(st.integers(0, len(a) - 1)) for _ in range(3))
+        s, t = data.draw(_rationals), data.draw(_rationals)
+        a[i] = [s * x + t * y for x, y in zip(a[j], a[k])]
+    n_rank = _gauss_jordan(a, len(a[0]))[1]
+    assert rank(Matrix(a)) == n_rank
+    if len(a) != len(a[0]):
+        return
+    n = len(a)
+    reduced, full = _gauss_jordan(
+        [row + [F(int(i == j)) for j in range(n)] for i, row in enumerate(a)],
+        n)
+    if full < n:
+        with pytest.raises(PoleError):
+            inverse(Matrix(a))
+        return
+    assert inverse(Matrix(a)).a == [row[n:] for row in reduced]
+
+
+def test_rank_and_inverse_on_planted_examples():
+    assert rank(Matrix([[0, 0], [0, 0]])) == 0
+    assert rank(Matrix([[F(1, 3), F(2, 5), 1], [F(2, 3), F(4, 5), 2],
+                        [0, 0, F(7, 2)]])) == 2
+    # a zero first column and a pivot that must be swapped in
+    A = Matrix([[0, F(1, 2), 3], [0, 0, F(-4, 7)], [F(5, 9), 1, 0]])
+    assert rank(A) == 3
+    assert inverse(A) * A == Matrix.identity(3)
+    with pytest.raises(PoleError):
+        inverse(Matrix([[F(1, 3), F(2, 5)], [F(-2, 3), F(-4, 5)]]))
 
 
 def test_sparse_matrix_contract():

@@ -1,13 +1,17 @@
+import copy
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import exclusion as ex
+import exclusion.models as m
 import exclusion.transfer as tr
 import exclusion.verifier as vf
 from exclusion.sampling import sample_points
-from exclusion.tensor import Matrix, SparseMatrix
+from exclusion.scalars import Dual, format_rational
+from exclusion.tensor import Matrix, SparseMatrix, embed_at_positions, \
+    integer_form
 from strategies import MODELS
 
 
@@ -203,3 +207,86 @@ def test_markov_from_transfer_at_random_rates(name, data):
     L = data.draw(st.integers(1, 3))
     rep = tr.markov_from_transfer(mdl, L)
     assert rep.status == vf.PASS, (mdl, L, rep.witness, rep.reason)
+
+
+def test_suite_changes_no_cached_matrix(all_models, monkeypatch):
+    # every R and K built at a rational point fills the cache; a deep copy
+    # is taken as it is built, before any check sees it.  A second run of
+    # the suite builds none: it reads the same shared matrices
+    built = []
+
+    def recorder(evaluate):
+        def build(model, x):
+            out = evaluate(model, x)
+            if not isinstance(x, Dual):
+                built.append((out, copy.deepcopy(out)))
+            return out
+        return build
+
+    monkeypatch.setattr(m, "_r_matrix", recorder(m._r_matrix))
+    for kind, evaluate in list(m._K_FORMS.items()):
+        monkeypatch.setitem(m._K_FORMS, kind, recorder(evaluate))
+    m._r_cached.cache_clear()
+    m._k_cached.cache_clear()
+    for mdl in all_models:
+        points = sample_points(mdl, 3, seed=4)
+        first = vf.run_model_suite(mdl, points)
+        count = len(built)
+        assert vf.run_model_suite(mdl, points) == first
+        assert len(built) == count
+    assert len(built) > 100
+    assert all(out == before for out, before in built)
+
+
+def _integer_operands(lhs, rhs):
+    (a, b), d = integer_form(SparseMatrix.from_dense(lhs),
+                             SparseMatrix.from_dense(rhs))
+    return a, b, d
+
+
+def test_compare_integer_operands_give_the_fraction_witness(ssep_model):
+    good = Matrix([[1, F(1, 2), 0], [0, F(-3, 4), 0], [F(2, 3), 0, 1]])
+    for bad in (Matrix([[1, F(5, 2), 0], [0, F(-3, 4), 7], [F(2, 3), 0, 1]]),
+                Matrix([[1, F(1, 2), 0], [0, F(-3, 4), 0], [F(2, 3), F(1, 9), 1]]),
+                Matrix([[1, F(1, 2), 0], [0, F(3, 4), 0], [F(2, 3), 0, 1]])):
+        want = vf.compare(ssep_model, "c", (), good, bad)
+        a, b, d = _integer_operands(good, bad)
+        assert d > 1
+        for lhs, rhs in ((a, b), (a.to_dense(), b.to_dense()),
+                         (list(a.to_dense().a[want.witness["row"]]),
+                          list(b.to_dense().a[want.witness["row"]]))):
+            got = vf.compare(ssep_model, "c", (), lhs, rhs, d)
+            assert got.status == vf.FAIL
+            if isinstance(lhs, list):   # a flat sequence is row 0
+                assert got.witness == {**want.witness, "row": 0}
+            else:
+                assert got.witness == want.witness
+        assert vf.compare(ssep_model, "c", (), a, a, d).status == vf.PASS
+
+
+def test_yang_baxter_fail_prints_fraction_entries(ssep_model, monkeypatch):
+    # a wrong R breaks Yang-Baxter; the witness is the first mismatch of the
+    # Fraction triple products, as exact Fractions
+    real = m.r_matrix
+
+    def wrong_r(model, x):
+        r = real(model, x)
+        return Matrix([[r[0, 0] + x / 7, *r.a[0][1:]], *r.a[1:]])
+
+    monkeypatch.setattr(m, "r_matrix", wrong_r)
+    x1, x2, x3 = F(5), F(3, 2), F(-2, 3)
+    rep = vf.check_yang_baxter(ssep_model, x1, x2, x3)
+    assert rep.status == vf.FAIL
+    conv = ssep_model.convention
+    r12, r13, r23 = (embed_at_positions(wrong_r(ssep_model, conv.compose(a, b)),
+                                        legs, 3)
+                     for a, b, legs in ((x1, x2, (0, 1)), (x1, x3, (0, 2)),
+                                        (x2, x3, (1, 2))))
+    lhs, rhs = (r12 * r13 * r23).to_dense(), (r23 * r13 * r12).to_dense()
+    r, c = next((r, c) for r in range(8) for c in range(8)
+                if lhs[r, c] != rhs[r, c])
+    assert rep.witness == {"row": r, "col": c,
+                           "lhs": format_rational(lhs[r, c]),
+                           "rhs": format_rational(rhs[r, c])}
+    assert F(rep.witness["lhs"]).denominator > 1 or \
+        F(rep.witness["rhs"]).denominator > 1
