@@ -238,19 +238,14 @@ def test_suite_changes_no_cached_matrix(all_models, monkeypatch):
     assert all(out == before for out, before in built)
 
 
-def _integer_operands(lhs, rhs):
-    (a, b), d = integer_form(SparseMatrix.from_dense(lhs),
-                             SparseMatrix.from_dense(rhs))
-    return a, b, d
-
-
 def test_compare_integer_operands_give_the_fraction_witness(ssep_model):
     good = Matrix([[1, F(1, 2), 0], [0, F(-3, 4), 0], [F(2, 3), 0, 1]])
     for bad in (Matrix([[1, F(5, 2), 0], [0, F(-3, 4), 7], [F(2, 3), 0, 1]]),
                 Matrix([[1, F(1, 2), 0], [0, F(-3, 4), 0], [F(2, 3), F(1, 9), 1]]),
                 Matrix([[1, F(1, 2), 0], [0, F(3, 4), 0], [F(2, 3), 0, 1]])):
         want = vf.compare(ssep_model, "c", (), good, bad)
-        a, b, d = _integer_operands(good, bad)
+        (a, b), d = integer_form(SparseMatrix.from_dense(good),
+                                 SparseMatrix.from_dense(bad))
         assert d > 1
         for lhs, rhs in ((a, b), (a.to_dense(), b.to_dense()),
                          (list(a.to_dense().a[want.witness["row"]]),
