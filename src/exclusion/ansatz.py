@@ -450,11 +450,6 @@ def inhomogeneous_state(rep: RDRepresentation, thetas) -> list:
     return rep.contract(thetas)
 
 
-def partition_function(rep: RDRepresentation, thetas) -> Fraction:
-    """Z_L(theta) = <1|-contraction of the inhomogeneous state."""
-    return sum(inhomogeneous_state(rep, thetas))
-
-
 def rd_inhomogeneous_converged(model, thetas, cap: int = CAP):
     """(state, meta): the inhomogeneous ansatz state, with N raised over
     ``truncation_rounds`` until two successive max-normalized iterates

@@ -5,7 +5,8 @@ module provides the local jump operators (w, B, Bbar), the R-matrix, the
 boundary matrices K / Kbar / Ktilde, crossing data, and the scalar vectors
 of the bulk Markovian property.  All entries are exact rational functions
 of the rates and the spectral parameter, written in closed form; the
-matrix constructors accept Fraction or Dual arguments alike.
+matrix constructors accept Fraction or Dual arguments alike, and at a Dual
+argument the constant entries stay plain Fractions.
 
 Spectral-parameter bookkeeping differs per model: ASEP, TASEP and RD
 compose arguments multiplicatively (x1/x2, identity point 1) while SSEP is
@@ -19,7 +20,7 @@ import warnings
 from collections import namedtuple
 from fractions import Fraction
 
-from .scalars import Dual, lift_like, rat
+from .scalars import Dual, rat
 from .tensor import Matrix, PoleError, inverse, kron, partial_trace_first, \
     partial_transpose, permutation_op
 
@@ -226,33 +227,31 @@ def _r_cached(name, q, kappa, x) -> Matrix:
 
 
 def _r_matrix(model: ModelDescriptor, x) -> Matrix:
-    o = lift_like(1, x)
-    z = lift_like(0, x)
     if model.name == ASEP:
         q = model.q
         d = _nonzero(q * x - 1, "q*x - 1", x)
-        return Matrix([[o, z, z, z],
-                       [z, (x - 1) * q / d, (q - 1) * x / d, z],
-                       [z, (q - 1) / d, (x - 1) / d, z],
-                       [z, z, z, o]])
+        return Matrix([[1, 0, 0, 0],
+                       [0, (x - 1) * q / d, (q - 1) * x / d, 0],
+                       [0, (q - 1) / d, (x - 1) / d, 0],
+                       [0, 0, 0, 1]])
     if model.name == TASEP:
-        return Matrix([[o, z, z, z],
-                       [z, z, x * o, z],
-                       [z, o, 1 - x, z],
-                       [z, z, z, o]])
+        return Matrix([[1, 0, 0, 0],
+                       [0, 0, x, 0],
+                       [0, 1, 1 - x, 0],
+                       [0, 0, 0, 1]])
     if model.name == SSEP:
         d = _nonzero(x + 1, "x + 1", x)
-        return Matrix([[o, z, z, z],
-                       [z, x / d, 1 / d, z],
-                       [z, 1 / d, x / d, z],
-                       [z, z, z, o]])
+        return Matrix([[1, 0, 0, 0],
+                       [0, x / d, 1 / d, 0],
+                       [0, 1 / d, x / d, 0],
+                       [0, 0, 0, 1]])
     k = model.kappa
     d1 = _nonzero(k * (x + 1) + x - 1, "kappa*(x+1) + x-1", x)
     d2 = _nonzero(k * (x - 1) + x + 1, "kappa*(x-1) + x+1", x)
-    return Matrix([[k * (x + 1) / d1, z, z, (x - 1) / d1],
-                   [z, k * (x - 1) / d2, (x + 1) / d2, z],
-                   [z, (x + 1) / d2, k * (x - 1) / d2, z],
-                   [(x - 1) / d1, z, z, k * (x + 1) / d1]])
+    return Matrix([[k * (x + 1) / d1, 0, 0, (x - 1) / d1],
+                   [0, k * (x - 1) / d2, (x + 1) / d2, 0],
+                   [0, (x + 1) / d2, k * (x - 1) / d2, 0],
+                   [(x - 1) / d1, 0, 0, k * (x + 1) / d1]])
 
 
 def r_matrix_swapped(model: ModelDescriptor, x) -> Matrix:
@@ -309,9 +308,8 @@ def _k_left(model: ModelDescriptor, x) -> Matrix:
                         (q * x + al * x - ga * x - x - al + ga) / d]])
     if model.name == TASEP:
         d = _nonzero(al * x - x - al, "alpha*x - x - alpha", x)
-        o = lift_like(1, x)
-        return Matrix([[x * (-al * x + al - 1) / d, lift_like(0, x)],
-                       [al * (x * x - 1) / d, o]])
+        return Matrix([[x * (-al * x + al - 1) / d, 0],
+                       [al * (x * x - 1) / d, 1]])
     if model.name == SSEP:
         d = _nonzero(x * (al + ga) + 1, "x*(alpha+gamma) + 1", x)
         return Matrix([[(x * (ga - al) + 1) / d, 2 * x * ga / d],
@@ -338,9 +336,8 @@ def _k_right(model: ModelDescriptor, x) -> Matrix:
                         (q * x - de * x + be * x - x + de - be) / d]])
     if model.name == TASEP:
         d = _nonzero(-be * x * x + be * x - x, "-beta*x^2 + beta*x - x", x)
-        o = lift_like(1, x)
-        return Matrix([[o, -be * (x * x - 1) / d],
-                       [lift_like(0, x), (be * x - x - be) / d]])
+        return Matrix([[1, -be * (x * x - 1) / d],
+                       [0, (be * x - x - be) / d]])
     if model.name == SSEP:
         d = _nonzero(x * (de + be) - 1, "x*(delta+beta) - 1", x)
         return Matrix([[(x * (be - de) - 1) / d, 2 * x * be / d],
@@ -368,7 +365,7 @@ def _k_dual(model: ModelDescriptor, x) -> Matrix:
     if model.name == TASEP:
         d = _nonzero(x * (be - 1) - be, "x*(beta-1) - beta", x)
         return Matrix([[-be / d, -be / d],
-                       [lift_like(0, x), x * (be - 1) / d]])
+                       [0, x * (be - 1) / d]])
     if model.name == SSEP:
         d = _nonzero(x * (de + be) + 1, "x*(delta+beta) + 1", x)
         d2 = _nonzero(2 * (x + 1), "2(x+1)", x)
@@ -453,12 +450,5 @@ def markov_vector(model: ModelDescriptor, x):
     if model.name == RD:
         raise UnsupportedError("rd: no scalar Markovian vector exists")
     if model.name == SSEP:
-        return (model.markov_a * lift_like(1, x), model.markov_b * lift_like(1, x))
-    return (model.markov_a * x, model.markov_b * lift_like(1, x))
-
-
-def lambda_crossing(model: ModelDescriptor, x):
-    """Crossing-unitarity scalar lambda(x)."""
-    if model.crossing is None:
-        raise UnsupportedError(f"{model.name}: no crossing data")
-    return model.crossing.lam(x)
+        return (model.markov_a, model.markov_b)
+    return (model.markov_a * x, model.markov_b)

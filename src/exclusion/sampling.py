@@ -16,25 +16,6 @@ from .models import ModelDescriptor, UnsupportedError, k_matrix, r_matrix
 MAX_PART = 12
 
 
-class PointSampler:
-    def __init__(self, seed: int):
-        self._rng = random.Random(seed)
-
-    def rational(self) -> Fraction:
-        num = self._rng.randint(1, MAX_PART)
-        den = self._rng.randint(1, MAX_PART)
-        if self._rng.random() < 0.5:
-            num = -num
-        return Fraction(num, den)
-
-    def draw(self, predicate) -> Fraction:
-        for _ in range(5000):
-            x = self.rational()
-            if predicate(x):
-                return x
-        raise RuntimeError("could not sample a pole-free point")
-
-
 def model_safe(model: ModelDescriptor, x: Fraction) -> bool:
     """True when every catalogue matrix of the model is finite at x and at
     the reflected/inverted arguments single-point checks use."""
@@ -78,8 +59,10 @@ def pair_safe(model: ModelDescriptor, x1: Fraction, x2: Fraction) -> bool:
 
 
 def sample_points(model: ModelDescriptor, count: int, seed: int) -> list:
-    """Deterministic pole-free sample points, pairwise compose-safe."""
-    sampler = PointSampler(seed)
+    """Deterministic pole-free sample points, pairwise compose-safe.  A
+    candidate draws its numerator, its denominator, then its sign: that
+    order fixes the points a seed gives."""
+    rng = random.Random(seed)
     points = []
 
     def ok(x):
@@ -91,5 +74,13 @@ def sample_points(model: ModelDescriptor, count: int, seed: int) -> list:
                    for y in points)
 
     for _ in range(count):
-        points.append(sampler.draw(ok))
+        for _ in range(5000):
+            x = Fraction(rng.randint(1, MAX_PART), rng.randint(1, MAX_PART))
+            if rng.random() < 0.5:
+                x = -x
+            if ok(x):
+                points.append(x)
+                break
+        else:
+            raise RuntimeError("could not sample a pole-free point")
     return points

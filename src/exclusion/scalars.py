@@ -151,10 +151,3 @@ class Dual:
 
     def __repr__(self):
         return f"Dual({self.value}, {self.deriv})"
-
-
-def lift_like(x, template):
-    """Lift a plain rational to the scalar type of ``template``."""
-    if isinstance(template, Dual):
-        return Dual(x)
-    return Fraction(x)

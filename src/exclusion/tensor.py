@@ -2,15 +2,17 @@
 
 Site ordering follows the probability-vector convention: site 1 is the most
 significant bit of the configuration index, so index 1 is (0,...,0,1).
-All operations are pure; entries may be Fraction or Dual (any scalar
-supporting field arithmetic and exact zero tests).  A SparseMatrix may also
+All operations are pure; entries are Fractions.  A SparseMatrix may also
 hold ints, which products, sums, matvecs, the embedding and the partial
 trace keep as ints.  ``integer_form`` and ``integer_vector`` put rational
 matrices and vectors in that form over one common denominator, so exact
 products take no gcd per entry.  Dense Matrix products, ``rank`` and
 ``inverse`` scale their rational operands the same way and work in ints,
 forming one Fraction per output entry (none for ``rank``).  These are the
-package's only scaling of rationals to integers.
+package's only scaling of rationals to integers.  A matrix taken at a Dual
+point may hold Dual entries too: sparse products take them as they are,
+and ``value_matrix`` and ``deriv_matrix`` split a dense one into the
+rational matrices its products need.
 """
 
 from __future__ import annotations
@@ -66,12 +68,7 @@ class Matrix:
             return Matrix([[e * other for e in row] for row in self.a])
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        try:
-            (a, da), (b, db) = _dense_over_lcm(self.a), _dense_over_lcm(other.a)
-        except AttributeError:
-            # a Dual entry has no denominator: the product entry by entry
-            return Matrix([[sum(self.a[i][k] * other.a[k][j] for k in range(self.cols))
-                            for j in range(other.cols)] for i in range(self.rows)])
+        (a, da), (b, db) = _dense_over_lcm(self.a), _dense_over_lcm(other.a)
         # (A / da)(B / db) = A B / (da db): int dot products, one Fraction
         # per entry
         d = da * db
@@ -370,15 +367,6 @@ class SparseMatrix:
                 continue
             for c, v in row.items():
                 out[c] += vr * v
-        return out
-
-    def map(self, fn):
-        out = SparseMatrix(self.dim)
-        for r, row in self._rows.items():
-            nr = {c: fn(v) for c, v in row.items()}
-            nr = {c: v for c, v in nr.items() if v}
-            if nr:
-                out._rows[r] = nr
         return out
 
     def __repr__(self):

@@ -3,8 +3,8 @@
 t(x) is assembled as an ordered sparse product on the (auxiliary (x) chain)
 space of dimension 2^(L+1) and then traced over the auxiliary factor.  The
 product runs in integers: each local factor is scaled by the lcm of its
-denominators, and the product of those denominators divides the traced
-result once, so no gcd is taken inside the product.  t(x) carries no
+denominators, and t(x) is handed out, and checked, as an integer table over
+the product of those denominators, so no gcd is taken.  t(x) carries no
 prefactor: the homogeneous normalization 1/tr Ktilde(identity) is 1 for
 every catalogued model.
 
@@ -71,15 +71,17 @@ def _local_factors(spec: TransferSpec, x):
         yield (j, 0), _factor(f"R_{j}0", lambda: m.r_matrix(model, arg))
 
 
-def build_transfer(spec: TransferSpec, x) -> SparseMatrix:
-    """t(x) = tr_0( Ktilde_0(x) R_0L...R_01 K_0(x) R_10...R_L0 ).
+def build_transfer(spec: TransferSpec, x) -> tuple:
+    """t(x) = tr_0( Ktilde_0(x) R_0L...R_01 K_0(x) R_10...R_L0 ) as integer
+    tables over one denominator, the form ``integer_form`` gives: ([N], den)
+    with t(x) = N / den, and at a Dual point x ([N, N'], den) with also
+    t'(x) = N' / den.
 
     Each factor F is scaled to integers by the lcm d of its denominators and
     embedded; the embedded factors are multiplied and the auxiliary space is
-    traced out in integers, and the result is divided by the product of the
-    d once.  At a Dual point x every factor F0 + eps F1 becomes two integer
-    tables over one d, and the pair (A, A') <- (A F0, A' F0 + A F1) is
-    carried: the entries of t are then Duals holding t(x) and t'(x)."""
+    traced out in integers, and den is the product of the d.  At a Dual
+    point every factor F0 + eps F1 becomes two integer tables over one d,
+    and the pair (A, A') <- (A F0, A' F0 + A F1) is carried."""
     dual = isinstance(x, Dual)
     n = spec.L + 1  # tensor factor 0 is the auxiliary space
     acc, den = None, 1
@@ -94,18 +96,14 @@ def build_transfer(spec: TransferSpec, x) -> SparseMatrix:
             acc = [acc[0] * f[0], acc[1] * f[0] + acc[0] * f[1]]
         else:
             acc = [acc[0] * f[0]]
-    t = [partial_trace_first(a) for a in acc]
-    if not dual:
-        return t[0].map(lambda v: Fraction(v, den))
-    return t[0].map(lambda v: Dual(Fraction(v, den))) + \
-        t[1].map(lambda v: Dual(0, Fraction(v, den)))
+    return [partial_trace_first(a) for a in acc], den
 
 
 def check_commutation(spec: TransferSpec, x, x2) -> CheckReport:
     """[t(x), t(x2)] = 0: both products are taken in integers, over the
-    common denominators d1, d2 of t(x), t(x2), and compared over d1 d2."""
-    (t1,), d1 = integer_form(build_transfer(spec, x))
-    (t2,), d2 = integer_form(build_transfer(spec, x2))
+    denominators d1, d2 of t(x), t(x2), and compared over d1 d2."""
+    (t1,), d1 = build_transfer(spec, x)
+    (t2,), d2 = build_transfer(spec, x2)
     return compare(spec.model, "transfer.commutation", (x, x2),
                    t1 * t2, t2 * t1, d1 * d2)
 
@@ -114,10 +112,9 @@ def markov_from_transfer(model: ModelDescriptor, L: int) -> CheckReport:
     """(1/2 rho) t'(identity) = M, with t the homogeneous transfer matrix,
     differentiated exactly over dual numbers."""
     idp = model.identity_point
-    t = build_transfer(TransferSpec(model, L), Dual.variable(idp))
-    lhs = deriv_matrix(t).scale(1 / (2 * model.rho))
+    (_, dt), den = build_transfer(TransferSpec(model, L), Dual.variable(idp))
     return compare(model, "transfer.markov_derivative", (idp,),
-                   lhs, build_markov(model, L))
+                   dt.scale(1 / (2 * model.rho * den)), build_markov(model, L))
 
 
 def lambda_eigenvalue(model: ModelDescriptor, x, thetas) -> Fraction:
@@ -159,13 +156,13 @@ def check_eigenpair(spec: TransferSpec, x, vector, side: str = "right",
                     tolerance: Fraction | None = None) -> CheckReport:
     """t(x) v = lambda v (right) or v^T t(x) = lambda v^T (left), exactly,
     or within a relative residual when a tolerance is given.  The product
-    is taken in integers, over the common denominators of t(x) and v."""
+    is taken in integers, over the denominators of t(x) and v."""
     model = spec.model
     if not any(vector):
         raise ValueError("eigenvector must be nonzero")
     lam = eigenvalue if eigenvalue is not None else \
         lambda_eigenvalue(model, x, spec.thetas)
-    (ti,), d = integer_form(build_transfer(spec, x))
+    (ti,), d = build_transfer(spec, x)
     vi, e = integer_vector(vector)
     got = ti.apply(vi) if side == "right" else ti.apply_left(vi)
     got = [Fraction(g, d * e) for g in got]
@@ -184,14 +181,15 @@ def left_eigen_ones(spec: TransferSpec, x) -> CheckReport:
 
 def eigenvector_from_nullspace(spec: TransferSpec, x0) -> list:
     """Exact right eigenvector of t: the stationary state of the generator
-    for a homogeneous chain, else the kernel of t(x0) - lambda(x0) I.
-    Commutation makes it x-independent."""
+    for a homogeneous chain, else the kernel of t(x0) - lambda(x0) I, taken
+    as that of N - lambda(x0) den I for t(x0) = N / den.  Commutation makes
+    it x-independent."""
     if spec.homogeneous:
         return steady_state_exact(integer_markov(spec.model, spec.L)[0]) \
             .probabilities()
     lam = lambda_eigenvalue(spec.model, x0, spec.thetas)
-    t = build_transfer(spec, x0)
-    shift = SparseMatrix.identity(t.dim).scale(-lam)
+    (t,), den = build_transfer(spec, x0)
+    shift = SparseMatrix.identity(t.dim).scale(-lam * den)
     kernel = exact_nullspace(t + shift)
     if len(kernel) != 1:
         raise ValueError(f"eigen-kernel dimension {len(kernel)} != 1 at x={x0}")
@@ -218,7 +216,9 @@ def check_rd_inhomogeneous_eigenvector(spec: TransferSpec,
 
 
 def check_crossing_symmetry_t(spec: TransferSpec, x) -> CheckReport:
-    """SSEP: t(x) = (lambda(x)-1) t(-x-1); ASEP: t(x) = (lambda(x)-1) t(1/qx)."""
+    """SSEP: t(x) = (lambda(x)-1) t(-x-1); ASEP: t(x) = (lambda(x)-1) t(1/qx).
+    With t(x) = N1 / d1, t(partner) = N2 / d2 and lambda(x) - 1 = a / b,
+    N1 d2 b and N2 d1 a are compared over d1 d2 b."""
     model = spec.model
     if model.name not in (m.SSEP, m.ASEP):
         return skipped(model, "transfer.crossing", (x,),
@@ -229,9 +229,11 @@ def check_crossing_symmetry_t(spec: TransferSpec, x) -> CheckReport:
     else:
         partner = 1 / m._nonzero(model.q * x,
                                  "q*x in the crossing partner 1/(q*x)", x)
-    lhs = build_transfer(spec, x)
-    rhs = build_transfer(spec, partner).scale(lam - 1)
-    return compare(model, "transfer.crossing", (x,), lhs, rhs)
+    (t1,), d1 = build_transfer(spec, x)
+    (t2,), d2 = build_transfer(spec, partner)
+    a, b = (lam - 1).numerator, (lam - 1).denominator
+    return compare(model, "transfer.crossing", (x,), t1.scale(d2 * b),
+                   t2.scale(d1 * a), d1 * d2 * b)
 
 
 def ssep_conjugated(spec: TransferSpec, x) -> list:
@@ -263,14 +265,14 @@ def ssep_conjugated(spec: TransferSpec, x) -> list:
 
     # <-| ts(x) |-> with |-> the all-occupied basis vector: contract t
     # against the conjugated boundary vectors instead of conjugating t.
-    t = build_transfer(spec, x)
+    (t,), den = build_transfer(spec, x)
     row = [Fraction(1)]
     col = [Fraction(1)]
     for _ in range(spec.L):
         row = [r * g for r in row for g in (Gi.a[1][0], Gi.a[1][1])]
         col = [c * g for c in col for g in (Gam.a[0][1], Gam.a[1][1])]
     tcol = t.apply(col)
-    got = sum(r * v for r, v in zip(row, tcol))
+    got = sum(r * v for r, v in zip(row, tcol)) / den
     out.append(compare(model, "conjugated.scalar", (x,),
                        [got], [lambda_eigenvalue(model, x, spec.thetas)]))
     return out

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import models as m
 from .models import ModelDescriptor
+from .sampling import model_safe, pair_safe
 from .scalars import format_rational
 from .tensor import Matrix, SparseMatrix, derivative_at, \
     embed_at_positions, integer_form, inverse, kron, partial_trace_first, \
@@ -185,7 +186,6 @@ def check_r_properties(model: ModelDescriptor, x, x2=None) -> list:
 
 def _aux_point(model: ModelDescriptor, x):
     """Deterministic second point compose-safe with x."""
-    from .sampling import model_safe, pair_safe
     step = Fraction(1)
     for _ in range(64):
         for cand in (x + step, x - step):

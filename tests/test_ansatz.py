@@ -763,10 +763,11 @@ def test_inhomogeneous_state_theta_zero_rejected():
 
 
 def test_partition_function_theta_inversion_invariance():
+    # Z_L(theta), the sum of the inhomogeneous state, is unchanged by
+    # theta_j -> 1/theta_j
     rep = an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 12)
-    z1 = an.partition_function(rep, (F(2), F(3)))
-    z2 = an.partition_function(rep, (F(1, 2), F(3)))
-    z3 = an.partition_function(rep, (F(2), F(1, 3)))
+    z1, z2, z3 = (sum(an.inhomogeneous_state(rep, thetas)) for thetas in
+                  ((F(2), F(3)), (F(1, 2), F(3)), (F(2), F(1, 3))))
     assert z1 == z2 == z3
 
 

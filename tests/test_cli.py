@@ -581,6 +581,15 @@ _RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
     (("transfer", "--model", "asep", "--q", "3", *_R, "--L", "5", "--theta",
       "2,3,5,7,11", "--check", "eigenvalue", "--x", "2", "--x2", "5"),
      "5af2a46c12409f8d5e6758da7bb151d7fc8cfa1d85d997554098e20d5db502d3"),
+    # the left ones-vector at a non-integer point
+    (("transfer", "--model", "asep", "--q", "3", *_R, "--L", "4",
+      "--check", "left-eigenvector", "--x", "7/3"),
+     "63abf211dc0cd2d90bda674c345ba91dbfef29858970883ebe86c3ab547ada26"),
+    # the tolerance path of the rd-truncation inhomogeneous cells
+    (("transfer", "--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta",
+      "2", "--gamma", "1/3", "--delta", "1/2", "--L", "3", "--theta", "2,5,7",
+      "--check", "inhomogeneous-eigenvector"),
+     "933934e20f26693e2d5b17eda568e8b36b223786237ad58a9e35be5dad754702"),
 ], ids=["verify-asep", "verify-ssep", "verify-tasep", "verify-rd",
         "verify-asep-9-samples", "transfer-ssep-conjugated",
         "transfer-asep-crossing", "transfer-ssep-eigenvalue", "steady-rd-csv",
@@ -591,7 +600,9 @@ _RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
         "profile-rd-exact-L200", "profile-rd-L3000-csv",
         "profile-rd-L1000-json", "profile-rd-phi-1/3-L2500",
         "profile-rd-L10000", "steady-rd-exact-L8",
-        "steady-asep-exact-L8", "transfer-asep-inhomogeneous-eigenvalue-L5"])
+        "steady-asep-exact-L8", "transfer-asep-inhomogeneous-eigenvalue-L5",
+        "transfer-asep-left-eigenvector-x7/3",
+        "transfer-rd-inhomogeneous-eigenvector-L3"])
 def test_output_bytes_are_pinned(capsys, argv, digest):
     # stdout digests of the report, steady and profile writers; any change to
     # how a check becomes a report or a row becomes a cell shows here

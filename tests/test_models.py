@@ -5,11 +5,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import exclusion as ex
 import exclusion.models as m
-from exclusion.models import UnsupportedError, lambda_crossing, r_matrix_swapped
+from exclusion.models import UnsupportedError, r_matrix_swapped
 from exclusion.sampling import sample_points
 from exclusion.scalars import Dual
-from exclusion.tensor import Matrix, PoleError, derivative_at, kron, \
-    partial_trace_first, permutation_op
+from exclusion.tensor import Matrix, PoleError, deriv_matrix, derivative_at, \
+    kron, partial_trace_first, permutation_op, value_matrix
 
 
 def test_local_operators_ssep_is_swap_minus_identity():
@@ -101,7 +101,7 @@ def test_derivative_identities(all_models):
 
 def test_crossing_scalar_asep():
     mdl = ex.asep(2, 1, 1, 1, 1)
-    assert lambda_crossing(mdl, F(3)) == F(22, 25)
+    assert mdl.crossing.lam(F(3)) == F(22, 25)
     assert mdl.crossing.Q == 4
 
 
@@ -179,7 +179,7 @@ def _rd_ktilde_crossing_form(model, x):
     xx = x * x
     big = kron(ex.k_matrix(model, "Kbar", 1 / x), Matrix.identity(2)) * \
         r_matrix_swapped(model, 1 / (xx * model.crossing.Q)) * permutation_op()
-    lam = lambda_crossing(model, xx)
+    lam = model.crossing.lam(xx)
     return partial_trace_first(big).map(lambda e: e / lam)
 
 
@@ -287,11 +287,15 @@ def test_rd_boundary_coefficients():
 
 def test_r_matrix_swapped_is_p_r_p(all_models):
     # the entry permutation equals the conjugation by the swap, exactly,
-    # over Fractions and over dual numbers
+    # over Fractions, and at a dual point on the value and derivative parts
     P = permutation_op()
     for mdl in all_models:
-        for x in (F(3), F(-2, 7), Dual.variable(F(5, 3))):
+        for x in (F(3), F(-2, 7)):
             assert r_matrix_swapped(mdl, x) == P * ex.r_matrix(mdl, x) * P
+        x = Dual.variable(F(5, 3))
+        got, r = r_matrix_swapped(mdl, x), ex.r_matrix(mdl, x)
+        for part in (value_matrix, deriv_matrix):
+            assert part(got) == P * part(r) * P
 
 
 # ------------------------------------------------------ the R and K caches

@@ -12,7 +12,7 @@ import exclusion.transfer as tr
 import exclusion.verifier as vf
 from exclusion.scalars import Dual, format_rational
 from exclusion.tensor import Matrix, PoleError, SparseMatrix, \
-    embed_at_positions, partial_trace_first
+    deriv_matrix, embed_at_positions, partial_trace_first, value_matrix
 from strategies import MODELS
 
 
@@ -34,8 +34,8 @@ def _oracle_transfer(spec, x):
 def test_transfer_identity_point_is_identity(all_models):
     for mdl in all_models:
         spec = tr.TransferSpec(mdl, 1)
-        t = tr.build_transfer(spec, mdl.identity_point)
-        assert t == SparseMatrix.identity(2)
+        (t,), d = tr.build_transfer(spec, mdl.identity_point)
+        assert t == SparseMatrix.identity(2).scale(d)
 
 
 def test_trace_normalization_is_one(all_models):
@@ -117,10 +117,10 @@ def test_crossing_applied_twice_is_identity(ssep_model):
     thetas = (F(1, 2), F(2, 3))
     spec = tr.TransferSpec(ssep_model, 2, thetas)
     x = F(3)
-    t1 = tr.build_transfer(spec, x)
+    (t1,), _ = tr.build_transfer(spec, x)
     lam_x = tr.lambda_eigenvalue(ssep_model, x, thetas)
     lam_p = tr.lambda_eigenvalue(ssep_model, -x - 1, thetas)
-    t_back = tr.build_transfer(spec, x).scale((lam_x - 1) * (lam_p - 1))
+    t_back = t1.scale((lam_x - 1) * (lam_p - 1))
     assert t_back == t1  # needs (lam(x)-1)(lam(-x-1)-1) = 1
 
 
@@ -200,8 +200,9 @@ _point = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_build_transfer_equals_the_fraction_product(name, data):
-    # the integer assembly gives the same exact t(x), and at the identity
-    # point the same exact derivative, as the Fraction (Dual) product
+    # the integer tables over their denominator give the same exact t(x),
+    # and at the identity point the same exact derivative, as the Fraction
+    # (Dual) product
     mdl = data.draw(MODELS[name])
     L = data.draw(st.integers(1, 3))
     spec = tr.TransferSpec(mdl, L, data.draw(st.lists(_point, min_size=L,
@@ -213,10 +214,13 @@ def test_build_transfer_equals_the_fraction_product(name, data):
             with pytest.raises(PoleError):
                 tr.build_transfer(spec, x)
             continue
-        got = tr.build_transfer(spec, x)
-        assert got == want
-        kind = Dual if isinstance(x, Dual) else F
-        assert all(isinstance(v, kind) for _, _, v in got.items())
+        tables, den = tr.build_transfer(spec, x)
+        parts = (value_matrix, deriv_matrix) if isinstance(x, Dual) else \
+            (lambda M: M,)
+        assert len(tables) == len(parts)
+        for t, part in zip(tables, parts):
+            assert all(type(v) is int for _, _, v in t.items())
+            assert t.scale(F(1, den)).to_dense() == part(want.to_dense())
 
 
 def test_commutation_fail_witness_is_the_fraction_entry(ssep_model,
@@ -244,6 +248,28 @@ def test_commutation_fail_witness_is_the_fraction_entry(ssep_model,
                            "lhs": format_rational(lhs[r, c]),
                            "rhs": format_rational(rhs[r, c])}
     assert F(rep.witness["lhs"]).denominator > 1
+
+
+def test_crossing_fail_witness_is_the_fraction_entry(asep_model,
+                                                     monkeypatch):
+    # a wrong lambda breaks the crossing relation; the witness is the first
+    # mismatch of t(x) and (lambda - 1) t(1/qx) over Fractions
+    real = tr.lambda_eigenvalue
+    monkeypatch.setattr(tr, "lambda_eigenvalue",
+                        lambda *args: real(*args) + F(1, 7))
+    spec = tr.TransferSpec(asep_model, 2, (F(3, 2), F(2, 5)))
+    x = F(3)
+    rep = tr.check_crossing_symmetry_t(spec, x)
+    assert rep.status == vf.FAIL
+    lam = real(asep_model, x, spec.thetas) + F(1, 7)
+    lhs = _oracle_transfer(spec, x).to_dense()
+    rhs = (lam - 1) * _oracle_transfer(spec, 1 / (asep_model.q * x)).to_dense()
+    r, c = next((r, c) for r in range(lhs.rows) for c in range(lhs.cols)
+                if lhs[r, c] != rhs[r, c])
+    assert rep.witness == {"row": r, "col": c,
+                           "lhs": format_rational(lhs[r, c]),
+                           "rhs": format_rational(rhs[r, c])}
+    assert F(rep.witness["rhs"]).denominator > 1
 
 
 # the CLI's default rates: ASEP q = 2 and SSEP, alpha = beta = 1, gamma =
