@@ -377,7 +377,7 @@ def cmd_transfer(args) -> int:
         raise UsageError("--truncation-cap is read by the "
                          "inhomogeneous-eigenvector check only")
     L = args.L
-    if L > 6:   # at L = 6 the RD inhomogeneous eigenvector takes ~1.7 s
+    if L > 6:   # the RD inhomogeneous eigenvector: 2.3 s at L = 6 on 2 vCPU
         raise DomainError(f"transfer checks capped at L = 6, got L = {L}")
     if args.theta is not None and len(args.theta) != L:
         raise UsageError(f"need {L} inhomogeneities, got {len(args.theta)}")

@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .models import ModelDescriptor, RD, local_operators
+from .models import ModelDescriptor, RD, hop_rates, local_operators
 from .tensor import SparseMatrix, embed_sum, exact_nullspace, \
     integer_form, integer_vector
 
@@ -114,14 +114,10 @@ def observables(dist: Distribution, model: ModelDescriptor) -> dict:
     pairs = [[sum(totals[L - 2 - i][pattern::4]) for pattern in range(4)]
              for i in range(L - 1)]
     if model.name == RD:
-        hops = (model.kappa ** 2, model.kappa ** 2)
         eva = [Fraction((pp[3] - pp[0]) * num, den) for pp in pairs]
     else:
-        q_left = model.q if model.name == "asep" else \
-            1 if model.name == "ssep" else 0
-        hops = (1, q_left)
         eva = [Fraction(0)] * (L - 1)
-    (right, left), e = integer_vector(hops)
+    (right, left), e = integer_vector(hop_rates(model))
     lat = [Fraction((right * pp[2] - left * pp[1]) * num, e * den)
            for pp in pairs]
     return {"density": density, "current_lat": lat, "current_eva": eva}

@@ -1,9 +1,9 @@
 """Catalog of the four exclusion-process models.
 
 For each of ASEP, TASEP, SSEP and the reaction-diffusion (RD) chain this
-module provides the local jump operators (w, B, Bbar), the R-matrix, the
-boundary matrices K / Kbar / Ktilde, crossing data, and the scalar vectors
-of the bulk Markovian property.  All entries are exact rational functions
+module provides the bulk hop rates, the local jump operators (w, B, Bbar)
+built from them, the R-matrix, the boundary matrices K / Kbar / Ktilde,
+crossing data, and the scalar vectors of the bulk Markovian property.  All entries are exact rational functions
 of the rates and the spectral parameter, written in closed form; the
 matrix constructors accept Fraction or Dual arguments alike, and at a Dual
 argument the constant entries stay plain Fractions.
@@ -164,27 +164,25 @@ def rd(kappa, alpha, beta, gamma, delta) -> ModelDescriptor:
 
 # ---------------------------------------------------------------- local ops
 
+def hop_rates(model: ModelDescriptor) -> tuple:
+    """(right, left): the rates of a bulk particle's hop to an empty right
+    and left neighbour."""
+    if model.name == RD:
+        return model.kappa ** 2, model.kappa ** 2
+    return Fraction(1), {ASEP: model.q, SSEP: Fraction(1),
+                         TASEP: Fraction(0)}[model.name]
+
+
 def local_operators(model: ModelDescriptor):
     """(w, B, Bbar): bulk pair operator and the two boundary operators."""
     al, be, ga, de = model.alpha, model.beta, model.gamma, model.delta
+    right, left = hop_rates(model)
     z = Fraction(0)
-    if model.name == TASEP:
-        B = Matrix([[-al, z], [al, z]])
-        Bbar = Matrix([[z, be], [z, -be]])
-    else:
-        B = Matrix([[-al, ga], [al, -ga]])
-        Bbar = Matrix([[-de, be], [de, -be]])
-    if model.name == ASEP:
-        q = model.q
-        w = Matrix([[z, z, z, z], [z, -q, 1, z], [z, q, -1, z], [z, z, z, z]])
-    elif model.name == TASEP:
-        w = Matrix([[z, z, z, z], [z, z, 1, z], [z, z, -1, z], [z, z, z, z]])
-    elif model.name == SSEP:
-        w = Matrix([[z, z, z, z], [z, -1, 1, z], [z, 1, -1, z], [z, z, z, z]])
-    else:
-        k2 = model.kappa ** 2
-        w = Matrix([[-1, z, z, 1], [z, -k2, k2, z], [z, k2, -k2, z], [1, z, z, -1]])
-    return w, B, Bbar
+    w = [[z, z, z, z], [z, -left, right, z], [z, left, -right, z], [z, z, z, z]]
+    if model.name == RD:    # pair annihilation 11 -> 00 and creation 00 -> 11
+        w[0][0], w[0][3], w[3][0], w[3][3] = -1, 1, 1, -1
+    return Matrix(w), Matrix([[-al, ga], [al, -ga]]), \
+        Matrix([[-de, be], [de, -be]])
 
 
 # ---------------------------------------------------------------- R-matrix

@@ -5,6 +5,13 @@ given sample points; there are no tolerances anywhere in this module.
 Checks that a model genuinely does not support (TASEP crossing and dual
 structure, the RD scalar Markovian vector) report Skipped with a reason so
 the gaps stay visible.
+
+Each check is a record (name, points, sides).  sides is either the reason
+of a Skipped or a thunk that evaluates the identity's two sides: the
+operands of ``compare``, and their denominator when they are integer
+tables.  ``_run`` turns records into reports in order; a pole met while
+evaluating the sides makes the report Skipped.  The one check outside that
+form is markov_u, which compares a dimension and is ``guarded`` itself.
 """
 
 from __future__ import annotations
@@ -101,21 +108,31 @@ def guarded(model, check, points, thunk):
         return skipped(model, check, points, f"pole: {exc}")
 
 
+def _run(model, records) -> list:
+    """The report of each (name, points, sides) record, in order: Skipped
+    when sides is a reason, else compare(*sides()), guarded against poles.
+    A record is drawn only after the one before it has run, so a generator
+    of records evaluates what it needs between checks in check order."""
+    reports = []
+    for name, points, sides in records:
+        if isinstance(sides, str):
+            reports.append(skipped(model, name, points, sides))
+        else:
+            reports.append(guarded(model, name, points, lambda: compare(
+                model, name, points, *sides())))
+    return reports
+
+
 I2 = Matrix.identity(2)
 I4 = Matrix.identity(4)
-
-
-def _row_times(row, M: Matrix):
-    return [sum(row[i] * M.a[i][j] for i in range(M.rows)) for j in range(M.cols)]
 
 
 # ------------------------------------------------------------- Yang-Baxter
 
 def check_yang_baxter(model: ModelDescriptor, x1, x2, x3) -> CheckReport:
     conv = model.convention
-    pts = (x1, x2, x3)
 
-    def run():
+    def sides():
         # R12, R13, R23 as integer matrices N over one d: both triple
         # products are then over d^3
         rs = [SparseMatrix.from_dense(m.r_matrix(model, conv.compose(a, b)))
@@ -123,65 +140,60 @@ def check_yang_baxter(model: ModelDescriptor, x1, x2, x3) -> CheckReport:
         ns, d = integer_form(*rs)
         n12, n13, n23 = (embed_at_positions(n, legs, 3) for n, legs in
                          zip(ns, ((0, 1), (0, 2), (1, 2))))
-        return compare(model, "yang_baxter", pts, n12 * n13 * n23,
-                       n23 * n13 * n12, d ** 3)
+        return n12 * n13 * n23, n23 * n13 * n12, d ** 3
 
-    return guarded(model, "yang_baxter", pts, run)
+    return _run(model, [("yang_baxter", (x1, x2, x3), sides)])[0]
 
 
 # ------------------------------------------------------------ R properties
 
 def check_r_properties(model: ModelDescriptor, x, x2=None) -> list:
+    return _run(model, _r_records(model, x, x2))
+
+
+def _r_records(model: ModelDescriptor, x, x2):
     conv = model.convention
-    out = []
     idp = model.identity_point
     P = permutation_op()
 
-    out.append(guarded(model, "r.regularity", (idp,), lambda: compare(
-        model, "r.regularity", (idp,), m.r_matrix(model, idp), P)))
+    yield "r.regularity", (idp,), lambda: (m.r_matrix(model, idp), P)
+    yield "r.unitarity", (x,), lambda: (
+        m.r_matrix(model, x) * m.r_matrix_swapped(model, conv.invert(x)), I4)
 
-    out.append(guarded(model, "r.unitarity", (x,), lambda: compare(
-        model, "r.unitarity", (x,),
-        m.r_matrix(model, x) * m.r_matrix_swapped(model, conv.invert(x)), I4)))
-
-    if model.crossing is None:
-        out.append(skipped(model, "r.crossing", (x,), "partial transpose singular"))
+    cr = model.crossing
+    if cr is None:
+        yield "r.crossing", (x,), "partial transpose singular"
     else:
         def crossing():
-            cr = model.crossing
             U2 = kron(I2, cr.U)
             shifted = conv.cross_shift(x, cr.Q)
             lhs = partial_transpose(m.r_matrix(model, x), 2) * U2 * \
                 partial_transpose(m.r_matrix_swapped(model, shifted), 2) * inverse(U2)
-            return compare(model, "r.crossing", (x,), lhs, cr.lam(x) * I4)
-        out.append(guarded(model, "r.crossing", (x,), crossing))
+            return lhs, cr.lam(x) * I4
+        yield "r.crossing", (x,), crossing
 
     def local_jump():
         w, _, _ = m.local_operators(model)
         rp = derivative_at(lambda s: m.r_matrix(model, s), idp)
-        return compare(model, "r.local_jump", (idp,), P * rp, model.rho * w)
-    out.append(guarded(model, "r.local_jump", (idp,), local_jump))
+        return P * rp, model.rho * w
+    yield "r.local_jump", (idp,), local_jump
 
-    def markov_left():
-        R = m.r_matrix(model, x)
-        ones = [Fraction(1)] * 4
-        return compare(model, "r.markov_left", (x,), _row_times(ones, R), ones)
-    out.append(guarded(model, "r.markov_left", (x,), markov_left))
+    ones = [Fraction(1)] * 4
+    yield "r.markov_left", (x,), lambda: (
+        m.r_matrix(model, x).transpose().apply(ones), ones)
 
     if model.name == m.RD:
-        out.append(skipped(model, "r.markov_vector", (x,),
-                           "no scalar Markovian vector for this model"))
-    else:
-        y = x2 if x2 is not None else _aux_point(model, x)
+        yield "r.markov_vector", (x,), "no scalar Markovian vector for this model"
+        return
+    y = x2 if x2 is not None else _aux_point(model, x)
 
-        def markov_vec():
-            v1 = m.markov_vector(model, x)
-            v2 = m.markov_vector(model, y)
-            vv = [v1[0] * v2[0], v1[0] * v2[1], v1[1] * v2[0], v1[1] * v2[1]]
-            R = m.r_matrix(model, conv.compose(x, y))
-            return compare(model, "r.markov_vector", (x, y), R.apply(vv), vv)
-        out.append(guarded(model, "r.markov_vector", (x, y), markov_vec))
-    return out
+    def markov_vector():
+        v1 = m.markov_vector(model, x)
+        v2 = m.markov_vector(model, y)
+        vv = [v1[0] * v2[0], v1[0] * v2[1], v1[1] * v2[0], v1[1] * v2[1]]
+        R = m.r_matrix(model, conv.compose(x, y))
+        return R.apply(vv), vv
+    yield "r.markov_vector", (x, y), markov_vector
 
 
 def _aux_point(model: ModelDescriptor, x):
@@ -190,7 +202,7 @@ def _aux_point(model: ModelDescriptor, x):
     for _ in range(64):
         for cand in (x + step, x - step):
             if cand != x and model_safe(model, cand) and \
-                    pair_safe(model, x, cand) and pair_safe(model, cand, x):
+                    pair_safe(model, x, cand):
                 return cand
         step += 1
     raise RuntimeError("no compose-safe auxiliary point found")
@@ -200,35 +212,38 @@ def _aux_point(model: ModelDescriptor, x):
 
 def check_reflection(model: ModelDescriptor, kind: str, x1, x2,
                      k_fn=None) -> CheckReport:
+    if k_fn is None:
+        k_fn = lambda z: m.k_matrix(model, kind, z)
+    return _run(model, [_reflection(model, kind, x1, x2, k_fn,
+                                    f"reflection.{kind}")])[0]
+
+
+def _reflection(model: ModelDescriptor, kind: str, x1, x2, kf, name):
+    """The record of the reflection equation of kind at (x1, x2), with kf
+    the boundary matrix as a function of the spectral parameter."""
     conv = model.convention
     pts = (x1, x2)
-    name = f"reflection.{kind}"
     if kind == "Ktilde" and model.name == m.TASEP:
-        return skipped(model, name, pts, "partial transpose singular")
+        return name, pts, "partial transpose singular"
+    if kind not in ("K", "Kbar", "Ktilde"):
+        raise ValueError(f"unknown reflection kind {kind!r}")
 
-    def kmat(z):
-        return k_fn(z) if k_fn is not None else m.k_matrix(model, kind, z)
-
-    def run():
+    def sides():
+        K1 = kron(kf(x1), I2)
+        K2 = kron(I2, kf(x2))
         if kind == "K":
-            K1 = kron(kmat(x1), I2)
-            K2 = kron(I2, kmat(x2))
             rc = conv.reflect_compose(x1, x2)
             lhs = m.r_matrix(model, conv.compose(x1, x2)) * K1 * \
                 m.r_matrix_swapped(model, rc) * K2
             rhs = K2 * m.r_matrix(model, rc) * K1 * \
                 m.r_matrix_swapped(model, conv.compose(x1, x2))
         elif kind == "Kbar":
-            K1 = kron(kmat(x1), I2)
-            K2 = kron(I2, kmat(x2))
             irc = conv.invert(conv.reflect_compose(x1, x2))
             lhs = m.r_matrix_swapped(model, conv.compose(x2, x1)) * K1 * \
                 m.r_matrix(model, irc) * K2
             rhs = K2 * m.r_matrix_swapped(model, irc) * K1 * \
                 m.r_matrix(model, conv.compose(x2, x1))
-        elif kind == "Ktilde":
-            K1 = kron(kmat(x1), I2)
-            K2 = kron(I2, kmat(x2))
+        else:
             rc = conv.reflect_compose(x1, x2)
             c21 = conv.compose(x2, x1)
             inv21 = partial_transpose(
@@ -237,11 +252,9 @@ def check_reflection(model: ModelDescriptor, kind: str, x1, x2,
                 inverse(partial_transpose(m.r_matrix(model, rc), 2)), 2)
             lhs = K2 * inv21 * K1 * m.r_matrix_swapped(model, c21)
             rhs = m.r_matrix(model, c21) * K1 * inv12 * K2
-        else:
-            raise ValueError(f"unknown reflection kind {kind!r}")
-        return compare(model, name, pts, lhs, rhs)
+        return lhs, rhs
 
-    return guarded(model, name, pts, run)
+    return name, pts, sides
 
 
 # ---------------------------------------------------------- K properties
@@ -251,25 +264,23 @@ def check_k_properties(model: ModelDescriptor, kind: str, x, twist=None,
     """Unitarity, regularity, boundary jump and the Markovian properties of
     K or Kbar at x.  ``u_points`` are the points of the markov_u solve
     (x and two auxiliary points), drawn here when absent."""
+    return _k_properties(model, kind, x, twist, u_points, f"k.{kind}")
+
+
+def _k_properties(model: ModelDescriptor, kind: str, x, twist, u_points,
+                  name) -> list:
+    """check_k_properties, with every check named under name."""
+    if kind == "Ktilde":
+        return _run(model, [(f"{name}.properties", (x,),
+                             "dual matrix: covered by the dual reflection checks")])
+    if twist is not None and model.name != m.ASEP:
+        return _run(model, [(f"{name}.twisted", (x,), "twist is ASEP-only")])
     conv = model.convention
     idp = model.identity_point
-    out = []
-    name = f"k.{kind}"
-    if kind == "Ktilde":
-        return [skipped(model, f"{name}.properties", (x,),
-                        "dual matrix: covered by the dual reflection checks")]
     if twist is not None:
-        if model.name != m.ASEP:
-            return [skipped(model, f"{name}.twisted", (x,), "twist is ASEP-only")]
         kf = m.general_asep_k(model.alpha, model.gamma, model.q, twist)
     else:
         kf = lambda z: m.k_matrix(model, kind, z)
-
-    out.append(guarded(model, f"{name}.unitarity", (x,), lambda: compare(
-        model, f"{name}.unitarity", (x,), kf(x) * kf(conv.invert(x)), I2)))
-
-    out.append(guarded(model, f"{name}.regularity", (idp,), lambda: compare(
-        model, f"{name}.regularity", (idp,), kf(idp), I2)))
 
     def boundary_jump():
         _, B, Bbar = m.local_operators(model)
@@ -279,23 +290,19 @@ def check_k_properties(model: ModelDescriptor, kind: str, x, twist=None,
             tau = Fraction(twist)
             target = Matrix([[-model.alpha, model.gamma / tau],
                              [tau * model.alpha, -model.gamma]])
-        kp = derivative_at(kf, idp)
-        return compare(model, f"{name}.boundary_jump", (idp,), kp,
-                       (2 * model.rho * eps) * target)
-    out.append(guarded(model, f"{name}.boundary_jump", (idp,), boundary_jump))
+        return derivative_at(kf, idp), (2 * model.rho * eps) * target
 
+    records = [
+        (f"{name}.unitarity", (x,), lambda: (kf(x) * kf(conv.invert(x)), I2)),
+        (f"{name}.regularity", (idp,), lambda: (kf(idp), I2)),
+        (f"{name}.boundary_jump", (idp,), boundary_jump)]
     if twist is not None and twist != 1:
-        out.append(skipped(model, f"{name}.markov_left", (x,),
-                           "twisted matrix does not satisfy the Markovian property"))
-        out.append(skipped(model, f"{name}.markov_u", (x,),
-                           "twisted matrix does not satisfy the Markovian property"))
-        return out
-
-    def markov_left():
-        ones = [Fraction(1), Fraction(1)]
-        return compare(model, f"{name}.markov_left", (x,),
-                       _row_times(ones, kf(x)), ones)
-    out.append(guarded(model, f"{name}.markov_left", (x,), markov_left))
+        reason = "twisted matrix does not satisfy the Markovian property"
+        return _run(model, records + [(f"{name}.markov_left", (x,), reason),
+                                      (f"{name}.markov_u", (x,), reason)])
+    ones = [Fraction(1), Fraction(1)]
+    records.append((f"{name}.markov_left", (x,),
+                    lambda: (kf(x).transpose().apply(ones), ones)))
 
     def markov_u():
         if _u_solution_dim(model, kf, u_points or _u_points(model, x)) >= 1:
@@ -304,8 +311,8 @@ def check_k_properties(model: ModelDescriptor, kind: str, x, twist=None,
         return failed(model, f"{name}.markov_u", (x,),
                       {"row": 0, "col": 0, "lhs": "0-dimensional u space",
                        "rhs": ">= 1"})
-    out.append(guarded(model, f"{name}.markov_u", (x,), markov_u))
-    return out
+    return _run(model, records) + \
+        [guarded(model, f"{name}.markov_u", (x,), markov_u)]
 
 
 def _u_points(model: ModelDescriptor, x) -> list:
@@ -344,56 +351,40 @@ def _u_solution_dim(model: ModelDescriptor, kf, points) -> int:
 def check_dual_maps(model: ModelDescriptor, x) -> list:
     """ktilde_from_kbar against the catalogue Ktilde, and the round trip
     back to Kbar."""
-    out = []
     if model.name == m.TASEP:
-        out.append(skipped(model, "dual.map_vs_catalog", (x,),
-                           "partial transpose singular"))
-        out.append(skipped(model, "dual.roundtrip", (x,),
-                           "partial transpose singular"))
-        return out
-
-    def map_vs_catalog():
-        lhs = m.ktilde_from_kbar(model, x)
-        rhs = m.k_matrix(model, "Ktilde", x)
-        return compare(model, "dual.map_vs_catalog", (x,), lhs, rhs)
-    out.append(guarded(model, "dual.map_vs_catalog", (x,), map_vs_catalog))
-
-    def roundtrip():
-        lhs = m.kbar_from_ktilde(model, x)
-        rhs = m.k_matrix(model, "Kbar", x)
-        return compare(model, "dual.roundtrip", (x,), lhs, rhs)
-    out.append(guarded(model, "dual.roundtrip", (x,), roundtrip))
-    return out
+        reason = "partial transpose singular"
+        return _run(model, [("dual.map_vs_catalog", (x,), reason),
+                            ("dual.roundtrip", (x,), reason)])
+    return _run(model, [
+        ("dual.map_vs_catalog", (x,), lambda: (
+            m.ktilde_from_kbar(model, x), m.k_matrix(model, "Ktilde", x))),
+        ("dual.roundtrip", (x,), lambda: (
+            m.kbar_from_ktilde(model, x), m.k_matrix(model, "Kbar", x)))])
 
 
 # ------------------------------------------------------ named symmetries
 
 def check_named_symmetries(model: ModelDescriptor, x) -> list:
     if model.name == m.SSEP:
-        return _ssep_symmetries(model, x)
+        return _run(model, _ssep_symmetries(model, x))
     if model.name == m.ASEP:
-        return _asep_symmetries(model, x)
-    return [skipped(model, "symmetry", (x,), "no named symmetry list for this model")]
+        return _run(model, _asep_symmetries(model, x))
+    return _run(model, [("symmetry", (x,),
+                         "no named symmetry list for this model")])
 
 
-def _ssep_symmetries(model: ModelDescriptor, x) -> list:
-    out = []
+def _ssep_symmetries(model: ModelDescriptor, x):
     V = Matrix([[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]])
     Vi = inverse(V)
     R = m.r_matrix(model, x)
 
-    out.append(guarded(model, "symmetry.pt", (x,), lambda: compare(
-        model, "symmetry.pt", (x,),
-        partial_transpose(partial_transpose(R, 1), 2), R)))
-    out.append(guarded(model, "symmetry.swap", (x,), lambda: compare(
-        model, "symmetry.swap", (x,), m.r_matrix_swapped(model, x), R)))
-
-    def crossing():
-        rhs = (x / (x + 1)) * (kron(V, I2) *
-                               partial_transpose(m.r_matrix(model, -x - 1), 2) *
-                               kron(Vi, I2))
-        return compare(model, "symmetry.crossing", (x,), R, rhs)
-    out.append(guarded(model, "symmetry.crossing", (x,), crossing))
+    yield "symmetry.pt", (x,), lambda: (
+        partial_transpose(partial_transpose(R, 1), 2), R)
+    yield "symmetry.swap", (x,), lambda: (m.r_matrix_swapped(model, x), R)
+    yield "symmetry.crossing", (x,), lambda: (
+        R, (x / (x + 1)) * (kron(V, I2) *
+                            partial_transpose(m.r_matrix(model, -x - 1), 2) *
+                            kron(Vi, I2)))
 
     swapped = m.ssep(model.delta, model.gamma, model.beta, model.alpha)
     # K with alpha->delta, gamma->beta
@@ -403,21 +394,17 @@ def _ssep_symmetries(model: ModelDescriptor, x) -> list:
         pre = -(2 * x + 1) / (2 * (x + 1)) * \
             ((x + 1) * (de + be) - 1) / (x * (de + be) + 1)
         rhs = pre * (V * m.k_matrix(swapped, "K", -x - 1).transpose() * Vi)
-        return compare(model, "symmetry.ktilde_crossing", (x,),
-                       m.k_matrix(model, "Ktilde", x), rhs)
-    out.append(guarded(model, "symmetry.ktilde_crossing", (x,), ktilde_crossing))
+        return m.k_matrix(model, "Ktilde", x), rhs
+    yield "symmetry.ktilde_crossing", (x,), ktilde_crossing
 
     def duality():
         big = kron(m.k_matrix(model, "Ktilde", x), I2) * \
             m.r_matrix(model, 2 * x) * permutation_op()
-        return compare(model, "symmetry.duality", (x,),
-                       m.k_matrix(swapped, "K", x), partial_trace_first(big))
-    out.append(guarded(model, "symmetry.duality", (x,), duality))
-    return out
+        return m.k_matrix(swapped, "K", x), partial_trace_first(big)
+    yield "symmetry.duality", (x,), duality
 
 
-def _asep_symmetries(model: ModelDescriptor, x) -> list:
-    out = []
+def _asep_symmetries(model: ModelDescriptor, x):
     q = model.q
     V = Matrix([[Fraction(0), Fraction(-1)], [q, Fraction(0)]])
     W = Matrix([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
@@ -426,24 +413,16 @@ def _asep_symmetries(model: ModelDescriptor, x) -> list:
     R = m.r_matrix(model, x)
     R21 = m.r_matrix_swapped(model, x)
 
-    out.append(guarded(model, "symmetry.t", (x,), lambda: compare(
-        model, "symmetry.t", (x,),
+    yield "symmetry.t", (x,), lambda: (
         partial_transpose(partial_transpose(R, 1), 2),
-        kron(Mq, I2) * R21 * kron(I2, Mi))))
-
-    out.append(guarded(model, "symmetry.p_v", (x,), lambda: compare(
-        model, "symmetry.p_v", (x,), R21, kron(V, V) * R * kron(Vi, Vi))))
-    out.append(guarded(model, "symmetry.p_w", (x,), lambda: compare(
-        model, "symmetry.p_w", (x,), R21, kron(W, W) * R * kron(Wi, Wi))))
-    out.append(guarded(model, "symmetry.z2", (x,), lambda: compare(
-        model, "symmetry.z2", (x,), R, kron(Mq, Mq) * R * kron(Mi, Mi))))
-
-    def crossing():
-        rhs = ((x - 1) / (q * x - 1)) * (
+        kron(Mq, I2) * R21 * kron(I2, Mi))
+    yield "symmetry.p_v", (x,), lambda: (R21, kron(V, V) * R * kron(Vi, Vi))
+    yield "symmetry.p_w", (x,), lambda: (R21, kron(W, W) * R * kron(Wi, Wi))
+    yield "symmetry.z2", (x,), lambda: (R, kron(Mq, Mq) * R * kron(Mi, Mi))
+    yield "symmetry.crossing", (x,), lambda: (
+        R, ((x - 1) / (q * x - 1)) * (
             kron(Mq * V, I2) *
-            partial_transpose(m.r_matrix(model, 1 / (q * x)), 2) * kron(Vi, I2))
-        return compare(model, "symmetry.crossing", (x,), R, rhs)
-    out.append(guarded(model, "symmetry.crossing", (x,), crossing))
+            partial_transpose(m.r_matrix(model, 1 / (q * x)), 2) * kron(Vi, I2)))
 
     swapped = m.asep(q, model.beta, model.alpha, model.delta, model.gamma)
     # K with alpha->beta, gamma->delta
@@ -455,19 +434,16 @@ def _asep_symmetries(model: ModelDescriptor, x) -> list:
             ((q * x - 1) * (q * x * be + de) + q * x * (1 - q))
         lhs = V.transpose() * \
             m.k_matrix(model, "Ktilde", 1 / (q * x)).transpose() * Vi
-        rhs = pre * (Mq * W * m.k_matrix(swapped, "K", x) * Wi)
-        return compare(model, "symmetry.ktilde_crossing", (x,), lhs, rhs)
-    out.append(guarded(model, "symmetry.ktilde_crossing", (x,), ktilde_crossing))
+        return lhs, pre * (Mq * W * m.k_matrix(swapped, "K", x) * Wi)
+    yield "symmetry.ktilde_crossing", (x,), ktilde_crossing
 
     def duality():
         # multiplicative analog: R(x^2), not the additive-looking R(2x)
         big = kron(m.k_matrix(model, "Ktilde", x), I2) * \
             m.r_matrix(model, x * x) * permutation_op()
         lhs = W * m.k_matrix(swapped, "K", x) * Wi
-        return compare(model, "symmetry.duality", (x,), lhs,
-                       partial_trace_first(big))
-    out.append(guarded(model, "symmetry.duality", (x,), duality))
-    return out
+        return lhs, partial_trace_first(big)
+    yield "symmetry.duality", (x,), duality
 
 
 # --------------------------------------------------------------- the suite
@@ -494,10 +470,8 @@ def run_model_suite(model: ModelDescriptor, points: list) -> list:
         if model.name == m.ASEP:
             kf = m.general_asep_k(model.alpha, model.gamma, model.q, TWIST)
             if x2 is not None:
-                rep = check_reflection(model, "K", x, x2, k_fn=kf)
-                reports.append(rep._replace(check="reflection.K_twisted"))
-            for rep in check_k_properties(model, "K", x, twist=TWIST,
-                                          u_points=u_points):
-                reports.append(rep._replace(check=rep.check.replace(
-                    "k.K", "k.K_twisted", 1)))
+                reports.extend(_run(model, [_reflection(
+                    model, "K", x, x2, kf, "reflection.K_twisted")]))
+            reports.extend(_k_properties(model, "K", x, TWIST, u_points,
+                                         "k.K_twisted"))
     return reports

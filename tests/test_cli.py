@@ -513,6 +513,17 @@ _RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
     (("verify", "--model", "asep", "--q", "3/2", *_R, "--samples", "9",
       "--seed", "7"),
      "8c4f61ae386bb0d6359a9ca7b7683cecd399c6b05ae76af2f2dee71e9a801742"),
+    # one point: r.markov_vector draws its auxiliary point, and there is
+    # no reflection or Yang-Baxter check
+    (("verify", "--model", "asep", "--q", "3/2", *_R, "--samples", "1",
+      "--seed", "3"),
+     "2acce4c8b6f53af6604a828e89a3d2e5af3cc5c0dde4eb2611c760599b6336d4"),
+    # two points: the reflections and the twisted reflection, no Yang-Baxter
+    (("verify", "--model", "asep", "--q", "3/2", *_R, "--samples", "2",
+      "--seed", "3"),
+     "37d753e6c1a8cc6adf323aadd87b11054da9df3fd8b4961cd6c3e36db52d4f7c"),
+    (("verify", "--model", "rd", *_R, "--samples", "1", "--seed", "3"),
+     "5e8d2d65b076fb000dd5d3513d671c58493132c6ca16dc66e70e6790b2e54210"),
     (("transfer", "--model", "ssep", *_R, "--L", "3", "--check", "conjugated",
       "--x", "3"),
      "80b6c38e0dd4e513a69e64bbb7586a97ca40e9ff31935a986f85e23d821f4ab4"),
@@ -591,8 +602,9 @@ _RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
       "--check", "inhomogeneous-eigenvector"),
      "933934e20f26693e2d5b17eda568e8b36b223786237ad58a9e35be5dad754702"),
 ], ids=["verify-asep", "verify-ssep", "verify-tasep", "verify-rd",
-        "verify-asep-9-samples", "transfer-ssep-conjugated",
-        "transfer-asep-crossing", "transfer-ssep-eigenvalue", "steady-rd-csv",
+        "verify-asep-9-samples", "verify-asep-1-sample",
+        "verify-asep-2-samples", "verify-rd-1-sample",
+        "transfer-ssep-conjugated", "transfer-asep-crossing", "transfer-ssep-eigenvalue", "steady-rd-csv",
         "steady-rd-json", "profile-rd-csv", "profile-rd-json",
         *[f"transfer-{name}-{check}-L5" for name, check in _TRANSFER_L5_DIGESTS],
         "profile-rd-L2000-json", "profile-rd-L4000-csv",

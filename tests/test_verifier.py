@@ -8,7 +8,7 @@ import exclusion as ex
 import exclusion.models as m
 import exclusion.transfer as tr
 import exclusion.verifier as vf
-from exclusion.sampling import sample_points
+from exclusion.sampling import pair_safe, sample_points
 from exclusion.scalars import Dual, format_rational
 from exclusion.tensor import Matrix, SparseMatrix, embed_at_positions, \
     integer_form
@@ -196,6 +196,44 @@ def test_full_suite_no_fail_at_random_rates(name, data):
     reports = vf.run_model_suite(mdl, sample_points(mdl, 3, seed=seed))
     assert not [r for r in reports if r.status == vf.FAIL]
     assert any(r.status == vf.PASS for r in reports)
+
+
+_POINT = st.one_of(st.fractions(-6, 6, max_denominator=7),
+                   st.sampled_from([F(0), F(1), F(-1)]))
+
+
+def _pole_partners(mdl, a) -> list:
+    """Each b that puts one of the points pair_safe tries for (a, b) on a
+    pole p of R: b = p a, a / p, p / a, 1 / (p a) (multiplicative) or
+    a + p, a - p, p - a, -p - a (additive)."""
+    if mdl.name == "tasep":     # R has no pole
+        return []
+    if mdl.name == "rd":
+        k = mdl.kappa
+        poles = [(1 - k) / (1 + k), (k - 1) / (k + 1)]
+    else:
+        poles = [1 / mdl.q] if mdl.name == "asep" else [F(-1)]
+    if mdl.convention.kind == "additive":
+        return [b for p in poles for b in (a + p, a - p, p - a, -p - a)]
+    return [b for p in poles
+            for b in (p * a, a / p, *((p / a, 1 / (p * a)) if a else ()))]
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pair_safe_is_symmetric(name, data):
+    # one call decides a pair in either order; a partner on a pole of R, or
+    # a zero at a multiplicative model, is unsafe both ways
+    mdl = data.draw(MODELS[name])
+    a = data.draw(_POINT)
+    partners = _pole_partners(mdl, a)
+    b = data.draw(st.one_of(st.sampled_from(partners), _POINT) if partners
+                  else _POINT)
+    assert pair_safe(mdl, a, b) == pair_safe(mdl, b, a)
+    if b in partners or (0 in (a, b) and
+                         mdl.convention.kind == "multiplicative"):
+        assert not pair_safe(mdl, a, b)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
