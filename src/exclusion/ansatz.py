@@ -724,9 +724,7 @@ def rd_closed_forms(kappa, alpha, beta, gamma, delta, L: int, i: int) -> dict:
     else:
         lat = None
         eva = None
-    alpha, beta, gamma, delta = map(Fraction, (alpha, beta, gamma, delta))
-    left_amp = (alpha - gamma) / (2 * kappa + alpha + gamma)
-    right_amp = (delta - beta) / (2 * kappa + delta + beta)
+    left_amp, right_amp = -c, -d
     if i <= (L + 1) // 2:
         eps = i - 1
         asym_density = Fraction(1, 2) * (1 + left_amp * phi ** eps)
@@ -759,9 +757,9 @@ def rd_profile_rows(kappa, alpha, beta, gamma, delta, L: int,
         current_eva = -kappa/(kappa+1) (U phi^(i-1) + V phi^(L-i-1))
         asymptotic  = (1 + amp phi^k) / 2,  k = i - 1 or L - i,
 
-    with the left amplitude on the first (L+1)//2 sites and the right one
-    after them.  With phi = pn/pd, S = pd^(L-1), T = pn^(L-1) and an integer
-    scale that clears the denominators of c, a d, d, b c and a b,
+    with the left amplitude -c on the first (L+1)//2 sites and the right
+    one -d after them.  With phi = pn/pd, S = pd^(L-1), T = pn^(L-1) and an
+    integer scale that clears the denominators of c, a d, d, b c and a b,
 
         D  = +-scale (S^2 - a b T^2) = +-scale S^2 den > 0,
         xu = +-scale (c S + a d T),   xv = +-scale (d S + b c T),
@@ -827,7 +825,6 @@ def rd_profile_rows(kappa, alpha, beta, gamma, delta, L: int,
     co = rd_boundary_coefficients(kappa, alpha, beta, gamma, delta)
     a, b, c, d, phi = co["a"], co["b"], co["c"], co["d"], co["phi"]
     kappa = Fraction(kappa)
-    alpha, beta, gamma, delta = map(Fraction, (alpha, beta, gamma, delta))
     pn, pd = phi.numerator, phi.denominator
     S, T = pd ** (L - 1), pn ** (L - 1)     # phi^(L-1) = T / S
     (mc, mad, md, mbc, mab), scale = integer_vector([c, a * d, d, b * c,
@@ -842,8 +839,7 @@ def rd_profile_rows(kappa, alpha, beta, gamma, delta, L: int,
     xu, xv = sign * (mc * S + mad * T), sign * (md * S + mbc * T)
     k_lat = kappa ** 2 / (kappa + 1)
     k_eva = -kappa / (kappa + 1)
-    amps = ((alpha - gamma) / (2 * kappa + alpha + gamma),
-            (delta - beta) / (2 * kappa + delta + beta))
+    amps = (-c, -d)
 
     def cells(u, v, v1):
         # (numerator, positive denominator) of density, current_lat and

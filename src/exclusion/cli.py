@@ -15,6 +15,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -126,6 +127,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                                         "--x2")),
             ("bench", cmd_bench, ("--L", "--format"))):
         sp = sub.add_parser(name)
+        # no flag starts with a digit: "-1/2" after a space is a value
+        sp._negative_number_matcher = re.compile(r"^-\d")
         if command not in (None, name):
             continue
         for flag in _COMMON + own:

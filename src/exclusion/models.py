@@ -3,10 +3,13 @@
 For each of ASEP, TASEP, SSEP and the reaction-diffusion (RD) chain this
 module provides the bulk hop rates, the local jump operators (w, B, Bbar)
 built from them, the R-matrix, the boundary matrices K / Kbar / Ktilde,
-crossing data, and the scalar vectors of the bulk Markovian property.  All entries are exact rational functions
-of the rates and the spectral parameter, written in closed form; the
-matrix constructors accept Fraction or Dual arguments alike, and at a Dual
-argument the constant entries stay plain Fractions.
+crossing data, and the scalar vectors of the bulk Markovian property.  All
+entries are exact rational functions of the rates and the spectral
+parameter, written in closed form, except Kbar = J K(x^-1) J at (alpha,
+gamma) = (beta, delta), J = [[0, 1], [1, 0]]: it is K mirrored, and so
+ASEP's Kbar is undefined at x = 0.  The matrix constructors accept Fraction
+or Dual arguments alike, and at a Dual argument the constant entries stay
+plain Fractions.
 
 Spectral-parameter bookkeeping differs per model: ASEP, TASEP and RD
 compose arguments multiplicatively (x1/x2, identity point 1) while SSEP is
@@ -101,12 +104,16 @@ def _warn_negative(rates):
                           "algebraic checks only", stacklevel=3)
 
 
-def asep(q, alpha, beta, gamma, delta, markov_a=1, markov_b=1) -> ModelDescriptor:
-    q, alpha, beta, gamma, delta = map(rat, (q, alpha, beta, gamma, delta))
+def _check_q(q):
     if q == 1:
         raise ValueError("q=1 is the SSEP model; use ssep()")
     if q == 0:
         raise ValueError("q=0 is the TASEP model; use tasep()")
+
+
+def asep(q, alpha, beta, gamma, delta, markov_a=1, markov_b=1) -> ModelDescriptor:
+    q, alpha, beta, gamma, delta = map(rat, (q, alpha, beta, gamma, delta))
+    _check_q(q)
     _warn_negative({"alpha": alpha, "beta": beta, "gamma": gamma, "delta": delta,
                     "q": q})
     crossing = Crossing(
@@ -203,8 +210,10 @@ CACHE_SIZE = 1024
 def _key_model(name, alpha=None, beta=None, gamma=None, delta=None, q=None,
                kappa=None) -> ModelDescriptor:
     """A descriptor holding a cache key's constants and nothing else, so that
-    an evaluator cannot read a constant its key leaves out."""
-    return ModelDescriptor(name, alpha, beta, gamma, delta, q=q, kappa=kappa)
+    an evaluator cannot read a constant its key leaves out.  Its spectral
+    convention follows from the name."""
+    return ModelDescriptor(name, alpha, beta, gamma, delta, q=q, kappa=kappa,
+                           convention=ADDITIVE if name == SSEP else MULTIPLICATIVE)
 
 
 def r_matrix(model: ModelDescriptor, x) -> Matrix:
@@ -266,10 +275,13 @@ _SWAP = (0, 2, 1, 3)   # the index of P e_i
 
 def k_matrix(model: ModelDescriptor, kind: str, x) -> Matrix:
     """Boundary matrix of the requested kind: 'K' (left), 'Kbar' (right)
-    or 'Ktilde' (dual), each in closed form.  The RD Ktilde is the reduced
-    form of the crossing expression tr_0(Kbar_0(1/x) R_10(1/(x^2 Q)) P_01)
-    / lambda(x^2), so its removable singularities, the identity point
-    included, need no special evaluation; ktilde_from_kbar checks it.
+    or 'Ktilde' (dual).  K and Ktilde are closed forms.  Kbar(x) is
+    J K(x^-1) J at (alpha, gamma) = (beta, delta), so ASEP's Kbar is
+    undefined at 0, and a pole of Kbar names Kbar, x and the mirrored rates.
+    The RD Ktilde is the reduced form of the crossing expression
+    tr_0(Kbar_0(1/x) R_10(1/(x^2 Q)) P_01) / lambda(x^2), so its removable
+    singularities, the identity point included, need no special evaluation;
+    ktilde_from_kbar checks it.
 
     At a rational x the matrix comes from a bounded cache keyed by (kind,
     name, alpha, beta, gamma, delta, q, kappa, x), so every caller gets the
@@ -323,31 +335,16 @@ def _k_left(model: ModelDescriptor, x) -> Matrix:
 
 
 def _k_right(model: ModelDescriptor, x) -> Matrix:
+    # reflecting the chain and exchanging particles and holes maps K onto Kbar
     be, de = model.beta, model.delta
-    if model.name == ASEP:
-        q = model.q
-        d = _nonzero(-be * x * x + (q - de + be - 1) * x + de,
-                     "-beta*x^2 + (q-delta+beta-1)*x + delta", x)
-        return Matrix([[x * (de * x - be * x + q - de + be - 1) / d,
-                        -be * (x * x - 1) / d],
-                       [-de * (x * x - 1) / d,
-                        (q * x - de * x + be * x - x + de - be) / d]])
-    if model.name == TASEP:
-        d = _nonzero(-be * x * x + be * x - x, "-beta*x^2 + beta*x - x", x)
-        return Matrix([[1, -be * (x * x - 1) / d],
-                       [0, (be * x - x - be) / d]])
-    if model.name == SSEP:
-        d = _nonzero(x * (de + be) - 1, "x*(delta+beta) - 1", x)
-        return Matrix([[(x * (be - de) - 1) / d, 2 * x * be / d],
-                       [2 * x * de / d, (x * (de - be) - 1) / d]])
-    k = model.kappa
-    x2 = x * x
-    d = _nonzero(2 * x * (-(x2 - 1) * (de + be) + 2 * k * (x2 + 1)),
-                 "2x*(-(x^2-1)(delta+beta) + 2kappa(x^2+1))", x)
-    return Matrix([[(x2 + 1) * ((x2 - 1) * (de - be) + 4 * x * k) / d,
-                    (x2 - 1) * ((x2 + 1) * (de - be) - 2 * x * (de + be)) / d],
-                   [-(x2 - 1) * ((x2 + 1) * (de - be) + 2 * x * (de + be)) / d,
-                    -(x2 + 1) * ((x2 - 1) * (de - be) - 4 * x * k) / d]])
+    try:
+        (a, b), (c, d) = _k_left(model._replace(alpha=be, gamma=de),
+                                 model.convention.invert(x)).a
+    except ZeroDivisionError as exc:
+        why = exc if isinstance(exc, PoleError) else "x^-1 is undefined"
+        raise PoleError(f"Kbar has a pole at x={x}, where K at alpha={be}, "
+                        f"gamma={de} is evaluated at x^-1: {why}") from None
+    return Matrix([[d, c], [b, a]])
 
 
 def _k_dual(model: ModelDescriptor, x) -> Matrix:
@@ -433,7 +430,8 @@ def general_asep_k(alpha, gamma, q, tau):
     alpha, gamma, q, tau = map(rat, (alpha, gamma, q, tau))
     if tau == 0:
         raise ValueError("twist parameter tau must be nonzero")
-    base = asep(q, alpha, 1, gamma, 0)
+    _check_q(q)
+    base = _key_model(ASEP, alpha, Fraction(1), gamma, Fraction(0), q=q)
 
     def k(x):
         K = _k_at(base, "K", x)

@@ -128,26 +128,23 @@ def lambda_eigenvalue(model: ModelDescriptor, x, thetas) -> Fraction:
 
 
 def _lambda_closed_form(model: ModelDescriptor, x, thetas) -> Fraction:
+    # f(a, b) is the left boundary factor at (alpha, gamma) = (b, a); the
+    # right one is f at the mirrored rates (delta, beta)
+    al, be, ga, de = model.alpha, model.beta, model.gamma, model.delta
+    prod = Fraction(1)
     if model.name == m.SSEP:
-        al, be, ga, de = model.alpha, model.beta, model.gamma, model.delta
-        f_r = ((x + 1) * (de + be) - 1) / (x * (de + be) + 1)
-        f_l = ((x + 1) * (al + ga) - 1) / (x * (al + ga) + 1)
-        prod = Fraction(1)
+        f = lambda a, b: ((x + 1) * (a + b) - 1) / (x * (a + b) + 1)
         for t in thetas:
             prod *= (x * x - t * t) / ((x + 1) ** 2 - t * t)
-        return 1 + f_r * f_l * x / (x + 1) * prod
+        return 1 + f(de, be) * f(ga, al) * x / (x + 1) * prod
     if model.name == m.ASEP:
         q = model.q
-        al, be, ga, de = model.alpha, model.beta, model.gamma, model.delta
-        f_r = ((q * x - 1) * (de + q * x * be) + q * x * (1 - q)) / \
-            ((x - 1) * (x * de + be) + x * (q - 1))
-        f_l = ((q * x - 1) * (q * x * al + ga) + q * x * (1 - q)) / \
-            ((x - 1) * (al + x * ga) + x * (q - 1))
-        prod = Fraction(1)
+        f = lambda a, b: ((q * x - 1) * (a + q * x * b) + q * x * (1 - q)) / \
+            ((x - 1) * (x * a + b) + x * (q - 1))
         for t in thetas:
             prod *= (x - t) * (x * t - 1) / ((q * x - t) * (q * x * t - 1))
-        L = len(thetas)
-        return 1 + f_r * f_l * q ** (L - 1) * (x * x - 1) / (q * q * x * x - 1) * prod
+        return 1 + f(de, be) * f(ga, al) * q ** (len(thetas) - 1) * \
+            (x * x - 1) / (q * q * x * x - 1) * prod
     raise m.UnsupportedError(f"{model.name}: no closed-form eigenvalue known")
 
 

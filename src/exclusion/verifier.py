@@ -386,8 +386,7 @@ def _ssep_symmetries(model: ModelDescriptor, x):
                             partial_transpose(m.r_matrix(model, -x - 1), 2) *
                             kron(Vi, I2)))
 
-    swapped = m.ssep(model.delta, model.gamma, model.beta, model.alpha)
-    # K with alpha->delta, gamma->beta
+    swapped = model._replace(alpha=model.delta, gamma=model.beta)
 
     def ktilde_crossing():
         be, de = model.beta, model.delta
@@ -424,8 +423,7 @@ def _asep_symmetries(model: ModelDescriptor, x):
             kron(Mq * V, I2) *
             partial_transpose(m.r_matrix(model, 1 / (q * x)), 2) * kron(Vi, I2)))
 
-    swapped = m.asep(q, model.beta, model.alpha, model.delta, model.gamma)
-    # K with alpha->beta, gamma->delta
+    swapped = model._replace(alpha=model.beta, gamma=model.delta)
 
     def ktilde_crossing():
         be, de = model.beta, model.delta

@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -54,6 +55,9 @@ def test_verify_tasep_skips_crossing(capsys):
 
 def test_malformed_rational_exits_2(capsys):
     code, _ = run(capsys, "verify", "--model", "asep", "--q", "1/0")
+    assert code == 2
+    # a flag after a value option is still a flag, not a negative value
+    code, _ = run(capsys, "verify", "--model", "asep", "--q", "-x")
     assert code == 2
 
 
@@ -908,6 +912,38 @@ def test_an_option_the_transfer_check_does_not_read_exits_2(capsys, check,
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("usage error: ")
+
+
+@pytest.mark.filterwarnings("ignore:negative rate")
+@pytest.mark.parametrize("argv, flag, value", [
+    (("verify", "--model", "asep", "--samples", "1"), "--q", "-1/2"),
+    (("verify", "--model", "rd", "--samples", "1"), "--kappa", "-3/2"),
+    (("transfer", "--model", "ssep", "--L", "2"), "--x", "-5/2"),
+    (("transfer", "--model", "ssep", "--L", "2", "--check", "eigenvalue"),
+     "--theta", "-1/2,3")], ids=["q", "kappa", "x", "theta"])
+def test_a_negative_rational_may_follow_a_space(capsys, argv, flag, value):
+    spaced = run(capsys, *argv, flag, value)
+    assert spaced[0] != 2
+    assert spaced == run(capsys, *argv, f"{flag}={value}")
+
+
+@pytest.mark.parametrize("argv, named, digest", [
+    (("verify", "--model", "ssep", "--alpha=-1", "--beta=1", "--gamma=3",
+      "--delta=-3/2", "--samples", "1"), ["alpha=-1", "delta=-3/2"],
+     "e25e9ee3aa6430a11f14a4499eba5fbfe15a6de5fff4d6997b83b1189e875e10"),
+    (("verify", "--model", "asep", "--q", "3/2", "--alpha=-1"), ["alpha=-1"],
+     "97726b25b5b824697791fe96d3bb59fd713fcb0c084b595b38ab6835e97dd235"),
+], ids=["ssep", "asep"])
+def test_a_negative_rate_warns_once_under_its_own_name(capsys, argv, named,
+                                                       digest):
+    # the rate-swapped models of the named symmetries and the twisted K
+    # warn nothing of their own
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(capsys, *argv)
+    assert code == 0
+    assert [str(w.message).split()[2].rstrip(":") for w in caught] == named
+    assert _sha256(out) == digest
 
 
 def test_import_leaves_out_class_generation_modules():

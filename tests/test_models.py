@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -145,6 +146,105 @@ def test_kbar_roundtrip(ssep_model, rd_model):
     for mdl in (ssep_model, rd_model):
         for x in sample_points(mdl, 5, seed=3):
             assert ex.kbar_from_ktilde(mdl, x) == ex.k_matrix(mdl, "Kbar", x)
+
+
+def _kbar_oracle(model, x):
+    """Oracle, kept apart from the code it checks: the closed forms of Kbar
+    written out per model, as models held them before Kbar was derived from
+    K through the mirror.  A vanishing denominator raises ZeroDivisionError."""
+    be, de = model.beta, model.delta
+    if model.name == "asep":
+        q = model.q
+        d = -be * x * x + (q - de + be - 1) * x + de
+        return Matrix([[x * (de * x - be * x + q - de + be - 1) / d,
+                        -be * (x * x - 1) / d],
+                       [-de * (x * x - 1) / d,
+                        (q * x - de * x + be * x - x + de - be) / d]])
+    if model.name == "tasep":
+        d = -be * x * x + be * x - x
+        return Matrix([[1, -be * (x * x - 1) / d],
+                       [0, (be * x - x - be) / d]])
+    if model.name == "ssep":
+        d = x * (de + be) - 1
+        return Matrix([[(x * (be - de) - 1) / d, 2 * x * be / d],
+                       [2 * x * de / d, (x * (de - be) - 1) / d]])
+    k = model.kappa
+    x2 = x * x
+    d = 2 * x * (-(x2 - 1) * (de + be) + 2 * k * (x2 + 1))
+    return Matrix([[(x2 + 1) * ((x2 - 1) * (de - be) + 4 * x * k) / d,
+                    (x2 - 1) * ((x2 + 1) * (de - be) - 2 * x * (de + be)) / d],
+                   [-(x2 - 1) * ((x2 + 1) * (de - be) + 2 * x * (de + be)) / d,
+                    -(x2 + 1) * ((x2 - 1) * (de - be) - 4 * x * k) / d]])
+
+
+def _with_a_kbar_pole_at(model, x):
+    """The model with delta (beta for TASEP) moved so that the oracle's
+    denominator vanishes at x, or the model itself where no rate does."""
+    be = model.beta
+    if model.name == "tasep":
+        return model if x == 1 else model._replace(beta=1 / (1 - x))
+    if model.name == "ssep":
+        return model if x == 0 else model._replace(delta=1 / x - be)
+    if model.name == "asep":
+        return model if x == 1 else model._replace(
+            delta=(be * x * x - (model.q + be - 1) * x) / (1 - x))
+    return model if x * x == 1 else model._replace(
+        delta=2 * model.kappa * (x * x + 1) / (x * x - 1) - be)
+
+
+_signed = st.one_of(st.sampled_from([F(0), F(1), F(-1)]),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=6))
+_SIGNED_MODELS = st.one_of(
+    st.builds(ex.asep, _signed.filter(lambda q: q not in (0, 1)), _signed,
+              _signed, _signed, _signed),
+    st.builds(ex.tasep, _signed, _signed),
+    st.builds(ex.ssep, _signed, _signed, _signed, _signed),
+    st.builds(ex.rd, _signed.filter(lambda k: k not in (0, 1, -1)), _signed,
+              _signed, _signed, _signed))
+
+
+def _kbar_or_pole(f, x):
+    try:
+        return f(x)
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+@pytest.mark.filterwarnings("ignore:negative rate")
+@settings(max_examples=300, deadline=None)
+@given(_SIGNED_MODELS, st.data())
+def test_kbar_is_the_mirrored_k_and_matches_the_oracle(model, data):
+    x = data.draw(st.one_of(
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        st.sampled_from([F(0), F(1), F(-1)])))
+    if data.draw(st.booleans()):
+        model = _with_a_kbar_pole_at(model, x)
+    kbar = lambda z: ex.k_matrix(model, "Kbar", z)
+    for z in (x, Dual.variable(x)):
+        got = _kbar_or_pole(kbar, z)
+        if model.name == "asep" and x == 0:     # 1/x is undefined at 0
+            assert got is PoleError
+        elif got is PoleError:
+            assert _kbar_or_pole(lambda y: _kbar_oracle(model, y), z) is \
+                ZeroDivisionError
+        else:
+            assert got == _kbar_oracle(model, z)
+
+
+def test_kbar_derivative_at_the_identity_point_matches_the_oracle(all_models):
+    for mdl in all_models:
+        x = Dual.variable(mdl.identity_point)
+        assert ex.k_matrix(mdl, "Kbar", x) == _kbar_oracle(mdl, x)
+
+
+def test_kbar_pole_names_kbar_x_and_the_mirrored_rates():
+    ssep = ex.ssep(F(1, 2), F(2, 3), F(1, 3), F(1, 5))
+    with pytest.raises(PoleError, match=re.escape(
+            "Kbar has a pole at x=15/13, where K at alpha=2/3, gamma=1/5 is "
+            "evaluated at x^-1: x*(alpha+gamma) + 1 vanishes at x=-15/13")):
+        ex.k_matrix(ssep, "Kbar", F(15, 13))
+    with pytest.raises(PoleError, match="pole at x=0, .*: x\\^-1 is undefined"):
+        ex.k_matrix(_ASEP, "Kbar", F(0))
 
 
 def test_ktilde_map_unsupported_for_tasep():
