@@ -23,7 +23,7 @@ from .models import ModelDescriptor
 from .scalars import Dual
 from .tensor import Matrix, PoleError, SparseMatrix, deriv_matrix, \
     embed_at_positions, integer_form, integer_vector, value_matrix
-from .verifier import CheckReport, FAIL, compare, guarded
+from .verifier import CheckReport, run, skipped
 
 REL_TOL = Fraction(1, 10 ** 12)   # truncation-convergence threshold
 CAP = 256                         # truncation ceiling
@@ -531,25 +531,6 @@ def _products(X1, X2) -> dict:
     return {(k, l): X1[k] * X2[l] for k in (0, 1) for l in (0, 1)}
 
 
-def _compare_blocks(model, check, pts, blocks: dict) -> CheckReport:
-    """compare over the components {(i, j): (lhs, rhs)} of a 2 x 2 block
-    operator: the first failing component's report, its witness indexing
-    the block operator (row i h + r, column j h + c for h x h components)."""
-    for (i, j), (lhs, rhs) in blocks.items():
-        rep = compare(model, check, pts, lhs, rhs)
-        if rep.status == FAIL:
-            h = lhs.rows if isinstance(lhs, Matrix) else lhs.dim
-            w = rep.witness
-            return rep._replace(witness={**w, "row": i * h + w["row"],
-                                         "col": j * h + w["col"]})
-    return rep
-
-
-def _exchanged(X1, X2, lhs) -> dict:
-    """The components (i, j) of lhs against those of A_2 A_1, X2[j] X1[i]."""
-    return {(i, j): (lhs[i, j], X2[j] * X1[i]) for i in (0, 1) for j in (0, 1)}
-
-
 def check_zf(realization, x1, x2) -> CheckReport:
     """R_12(c(x1,x2)) A_1(x1) A_2(x2) = A_2(x2) A_1(x1), componentwise.
 
@@ -569,35 +550,29 @@ def check_zf(realization, x1, x2) -> CheckReport:
             R = m.r_matrix(model, Fraction(x1) / Fraction(x2))
             return R, *(realization.components(Fraction(x)) for x in (x1, x2))
 
-    def run():
+    def sides():
         R, X1, X2 = inputs()
-        lhs = _r_mix(R, _products(X1, X2))
-        return _compare_blocks(model, check, (x1, x2), _exchanged(X1, X2, lhs))
-    return guarded(model, check, (x1, x2), run)
+        # the components (i, j) of A_2 A_1 are X2[j] X1[i]
+        return _r_mix(R, _products(X1, X2)), \
+            {(i, j): X2[j] * X1[i] for i in (0, 1) for j in (0, 1)}
+    return run(model, [(check, (x1, x2), sides)])[0]
 
 
 def check_zf_twice(realization: MonodromyRealization, x1, x2) -> CheckReport:
     """Applying the exchange relation twice returns the original product
-    (R unitarity)."""
+    (R unitarity): R_21 mixes the components of A_2 A_1 back into those of
+    A_1 A_2.  That the first exchange gives A_2 A_1 is check_zf."""
     model = realization.model
     conv = model.convention
 
-    def run():
+    def sides():
         X1 = realization.components(x1)
         X2 = realization.components(x2)
         R12 = m.r_matrix(model, conv.compose(x1, x2))
         R21 = m.r_matrix_swapped(model, conv.compose(x2, x1))
         orig = _products(X1, X2)
-        once = _r_mix(R12, orig)     # components of A2(x2) A1(x1)
-        back = _r_mix(R21, once)     # relabeled relation instance swaps them back
-        rep = _compare_blocks(model, "zf.twice", (x1, x2),
-                              {kl: (back[kl], orig[kl]) for kl in orig})
-        if rep.status == FAIL:
-            return rep
-        # the swapped product must also match the relation's right-hand side
-        return _compare_blocks(model, "zf.twice", (x1, x2),
-                               _exchanged(X1, X2, once))
-    return guarded(model, "zf.twice", (x1, x2), run)
+        return _r_mix(R21, _r_mix(R12, orig)), orig
+    return run(model, [("zf.twice", (x1, x2), sides)])[0]
 
 
 def check_zf_derivative(realization: MonodromyRealization) -> CheckReport:
@@ -605,37 +580,35 @@ def check_zf_derivative(realization: MonodromyRealization) -> CheckReport:
     model = realization.model
     idp = model.identity_point
 
-    def run():
+    def sides():
         Xd = realization.components(Dual.variable(idp))
         X = [value_matrix(B) for B in Xd]
         Xp = [deriv_matrix(B) for B in Xd]
         w, _, _ = m.local_operators(model)
-        lhs = _r_mix(w, _products(X, X))
         inv_rho = 1 / model.rho
-        return _compare_blocks(model, "zf.derivative", (idp,),
-                               {(i, j): (lhs[i, j],
-                                         inv_rho * (X[i] * Xp[j] - Xp[i] * X[j]))
-                                for i in (0, 1) for j in (0, 1)})
-    return guarded(model, "zf.derivative", (idp,), run)
+        return _r_mix(w, _products(X, X)), \
+            {(i, j): inv_rho * (X[i] * Xp[j] - Xp[i] * X[j])
+             for i in (0, 1) for j in (0, 1)}
+    return run(model, [("zf.derivative", (idp,), sides)])[0]
 
 
 def check_c_commutation(realization: MonodromyRealization, x1, x2) -> CheckReport:
-    model = realization.model
-
-    def run():
+    def sides():
         X1 = realization.components(x1)
         X2 = realization.components(x2)
         C1 = X1[0] + X1[1]
         C2 = X2[0] + X2[1]
-        return compare(model, "zf.c_commutation", (x1, x2), C1 * C2, C2 * C1)
-    return guarded(model, "zf.c_commutation", (x1, x2), run)
+        return C1 * C2, C2 * C1
+    return run(realization.model, [("zf.c_commutation", (x1, x2), sides)])[0]
 
 
 # --------------------------------------------------------------- GZ relations
 
 def check_gz(rep: RDRepresentation, x) -> list:
     """Boundary reflection relations of the RD representation on interior
-    truncation indices, plus their derivative consequences.
+    truncation indices, plus their derivative consequences: one report per
+    relation row, or one Skipped ``gz`` report when K or Kbar has a pole
+    at x.
 
     Each residual is an integer row over one scale.  A right relation on
     |V> is the left one at 1/x on the mirror <V'|, V'[n,m] = V[m,n], read
@@ -645,57 +618,55 @@ def check_gz(rep: RDRepresentation, x) -> list:
     x = Fraction(x)
     model = _rd_model(rep)
     pts = (x,)
+    try:
+        K, Kb = m.k_matrix(model, "K", x), m.k_matrix(model, "Kbar", x)
+    except ZeroDivisionError as exc:
+        return [skipped(model, "gz", pts, f"pole: {exc}")]
     N, S = rep.N, rep.S
     cut = N - 1
     mirror = [rep.Cv[n - mm + N - 1] * rep.Bv[mm]
               for n in range(N) for mm in range(N)]
 
-    def interior(check, row, scale, transposed=False):
+    def interior(row, scale, transposed=False):
         # the residual row must vanish on the interior indices n, m < N - 1
         got = Matrix([[Fraction(v, scale) for v in row[n * N:n * N + cut]]
                       for n in range(cut)])
-        return compare(model, check, pts,
-                       got.transpose() if transposed else got,
-                       Matrix.zeros(cut, cut))
+        return got.transpose() if transposed else got, Matrix.zeros(cut, cut)
 
     def relation(family, M, c, mix, sub, scale, transposed):
         # rows i of M[i][0] mix[0] + M[i][1] mix[1] - c sub[i], over scale
         (*k, kc), den = integer_vector([*M.a[0], *M.a[1], c])
-        return [interior(f"{family}[{i}]",
-                         [k[2 * i] * p + k[2 * i + 1] * q - kc * s
-                          for p, q, s in zip(*mix, sub[i])],
-                         scale * den, transposed) for i in (0, 1)]
+        for i in (0, 1):
+            yield f"{family}[{i}]", pts, lambda i=i: interior(
+                [k[2 * i] * p + k[2 * i + 1] * q - kc * s
+                 for p, q, s in zip(*mix, sub[i])], scale * den, transposed)
 
-    def run():
-        K = m.k_matrix(model, "K", x)
-        Kb = m.k_matrix(model, "Kbar", x)
-        _, B, Bbar = m.local_operators(model)
-        inv_rho = 1 / model.rho
-        relations, derivatives = [], []
-        for side, u, du, Km, Bm, y, transposed in (
-                ("left", rep.Wn, rep.dW, K, B, x, False),
-                ("right", mirror, rep.dV, Kb, Bbar, 1 / x, True)):
+    def records():
+        # each relation's rows are drawn after its rows of A(y) are evaluated
+        ends = (("left", rep.Wn, rep.dW, x, False),
+                ("right", mirror, rep.dV, 1 / x, True))
+        for (side, u, du, y, transposed), Km in zip(ends, (K, Kb)):
             # K-mix of <u|A(1/y) minus <u|A(y), both over the scale of y
             *sub, scale = rep._act(u, y)
             *mix, _ = rep._act(u, 1 / y)
-            relations += relation(f"gz.{side}", Km, 1, mix, sub,
-                                  du * scale, transposed)
+            yield from relation(f"gz.{side}", Km, 1, mix, sub, du * scale,
+                                transposed)
+        _, B, Bbar = m.local_operators(model)
+        for (side, u, du, _, transposed), Bm in zip(ends, (B, Bbar)):
             # B-mix of <u|A(1) minus <u|A'(1) / rho, over S
             *at_one, _ = rep._act(u, Fraction(1))
             d = _rd_stencil(list(u), rep.g2, S, -S, N)     # S <u|A_+'(1)
-            derivatives += relation(f"gz.{side}_derivative", Bm, inv_rho,
-                                    at_one, [d, [-v for v in d]], du * S,
-                                    transposed)
+            yield from relation(f"gz.{side}_derivative", Bm, 1 / model.rho,
+                                at_one, [d, [-v for v in d]], du * S,
+                                transposed)
         # C(x) = A1 + A2 = 2 G2 carries no x-dependence, so the boundary
         # symmetry <W|C(x) = <W|C(1/x) holds identically; assert it anyway.
         *cx, scale = rep._act(rep.Wn, x)
         *cinv, _ = rep._act(rep.Wn, 1 / x)
-        c_row = [a + b - c - d for a, b, c, d in zip(*cx, *cinv)]
-        return relations + derivatives + [
-            interior("gz.c_symmetry[0]", c_row, rep.dW * scale)]
+        yield "gz.c_symmetry[0]", pts, lambda: interior(
+            [a + b - c - d for a, b, c, d in zip(*cx, *cinv)], rep.dW * scale)
 
-    out = guarded(model, "gz", pts, run)
-    return [out] if isinstance(out, CheckReport) else out
+    return run(model, records())
 
 
 # ----------------------------------------------------------- RD closed forms

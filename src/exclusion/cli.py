@@ -18,6 +18,7 @@ import json
 import re
 import sys
 import time
+import warnings
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -445,6 +446,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # a warning prints as one line with no source location, so stderr is
+    # the same from every checkout
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.fn(args)
     except UsageError as exc:
@@ -453,6 +458,8 @@ def main(argv=None) -> int:
     except (DomainError, KernelError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

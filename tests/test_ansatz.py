@@ -979,6 +979,49 @@ def test_zf_representation_fails_with_the_oracle_witness(monkeypatch, N):
         ("zf.representation", vf.FAIL, want)
 
 
+@pytest.mark.parametrize("kept", [0, 1, 2])
+@pytest.mark.parametrize("name", ["asep", "ssep", "tasep"])
+def test_zf_monodromy_fails_with_the_oracle_witness(monkeypatch, all_models,
+                                                    name, kept):
+    # kept = 0 doubles R everywhere.  Otherwise only R(c(x1, x2)) changes,
+    # its rows from kept on doubled: the blocks (i, j) with 2i + j < kept
+    # still pass, and the witness lies in a later block
+    mdl = next(md for md in all_models if md.name == name)
+    x1, x2 = (F(5), F(3)) if name == "ssep" else (F(2), F(3))
+    at = mdl.convention.compose(x1, x2)
+    if kept:
+        r_matrix = mo.r_matrix
+        monkeypatch.setattr(mo, "r_matrix", lambda model, x: Matrix(
+            r_matrix(model, x).a[:kept] +
+            _doubled(Matrix(r_matrix(model, x).a[kept:])).a)
+            if x == at else r_matrix(model, x))
+    else:
+        _perturb(monkeypatch, "R", _doubled)
+    mono = an.MonodromyRealization(mdl, 2)
+    report = an.check_zf(mono, x1, x2)
+    R = mo.r_matrix(mdl, at)
+    X1, X2 = mono.components(x1), mono.components(x2)
+    h = X1[0].rows
+    want = None
+    for i, j in product((0, 1), repeat=2):
+        lhs = Matrix.zeros(h, h)
+        for k, l in product((0, 1), repeat=2):
+            lhs = lhs + X1[k] * X2[l] * R.a[2 * i + j][2 * k + l]
+        rhs = X2[j] * X1[i]
+        want = next(({"row": i * h + r, "col": j * h + c,
+                      "lhs": format_rational(lhs[r, c]),
+                      "rhs": format_rational(rhs[r, c])}
+                     for r in range(h) for c in range(h)
+                     if lhs[r, c] != rhs[r, c]), None)
+        if want is not None:
+            break
+    assert want is not None
+    assert (report.check, report.status, report.witness) == \
+        ("zf.monodromy", vf.FAIL, want)
+    if kept:
+        assert want["row"] >= h or want["col"] >= h
+
+
 def test_rd_relation_pole_reasons():
     rep = an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 5)
     reports = an.check_gz(rep, 0)
@@ -991,3 +1034,15 @@ def test_rd_relation_pole_reasons():
         r = an.check_zf(rep, *pts)
         assert (r.check, r.status, r.reason) == \
             ("zf.representation", vf.SKIPPED, reason)
+
+
+def test_monodromy_pole_reasons(asep_model):
+    # q x - 1 = 0 at x = 1/2 for q = 2: each check is one Skipped report
+    mono = an.MonodromyRealization(asep_model, 2)
+    for check, name in ((an.check_zf, "zf.monodromy"),
+                        (an.check_zf_twice, "zf.twice"),
+                        (an.check_c_commutation, "zf.c_commutation")):
+        r = check(mono, F(1, 2), F(3))
+        assert (r.check, r.status, r.points, r.reason) == \
+            (name, vf.SKIPPED, ("1/2", "3"),
+             "pole: q*x - 1 vanishes at x=1/2")

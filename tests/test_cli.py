@@ -946,6 +946,29 @@ def test_a_negative_rate_warns_once_under_its_own_name(capsys, argv, named,
     assert _sha256(out) == digest
 
 
+@pytest.mark.parametrize("argv, stderr", [
+    (("verify", "--model", "ssep", "--alpha=-1", "--samples", "1"),
+     "warning: negative rate alpha=-1: not a stochastic model, algebraic "
+     "checks only\n"),
+    (("steady", "--model", "asep", "--q=-2", "--L", "2"),
+     "warning: negative rate q=-2: not a stochastic model, algebraic "
+     "checks only\n")], ids=["verify", "steady"])
+def test_a_cli_warning_is_one_line_without_a_source_location(capsys, argv,
+                                                              stderr):
+    # a fresh process shows each warning as the interpreter would, through
+    # warnings.formatwarning; the bytes must not depend on the checkout
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-S", "-m", "exclusion.cli", *argv],
+                          env={"PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, stderr)
+    # in process, main leaves the format as it found it
+    before = warnings.formatwarning
+    with warnings.catch_warnings(record=True):
+        assert run(capsys, *argv) == (0, done.stdout)
+    assert warnings.formatwarning is before
+
+
 def test_import_leaves_out_class_generation_modules():
     # every CLI process pays its imports: the package's records are named
     # tuples, so neither dataclasses nor what it pulls in is loaded

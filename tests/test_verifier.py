@@ -323,3 +323,51 @@ def test_yang_baxter_fail_prints_fraction_entries(ssep_model, monkeypatch):
                            "rhs": format_rational(rhs[r, c])}
     assert F(rep.witness["lhs"]).denominator > 1 or \
         F(rep.witness["rhs"]).denominator > 1
+
+
+def _blocks(rows_by_block, sparse):
+    return {ij: SparseMatrix.from_dense(Matrix(rows)) if sparse
+            else Matrix(rows) for ij, rows in rows_by_block.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compare_block_operands_give_the_first_mismatch_in_block_order(
+        ssep_model, data):
+    # 2 x 2 block operators {(i, j): h x h component}: the witness is the
+    # first differing entry scanning the blocks in order, then row-major in
+    # each block, at row i h + r and column j h + c of the block operator
+    h = data.draw(st.integers(1, 3))
+    entry = st.fractions(-3, 3, max_denominator=3)
+    keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    good = {ij: data.draw(st.lists(st.lists(entry, min_size=h, max_size=h),
+                                   min_size=h, max_size=h)) for ij in keys}
+    bad = {ij: [list(row) for row in rows] for ij, rows in good.items()}
+    for ij, r, c in data.draw(st.lists(st.tuples(
+            st.sampled_from(keys), st.integers(0, h - 1),
+            st.integers(0, h - 1)), max_size=3)):
+        bad[ij][r][c] += data.draw(entry.filter(bool))
+    want = next(({"row": i * h + r, "col": j * h + c,
+                  "lhs": format_rational(good[i, j][r][c]),
+                  "rhs": format_rational(bad[i, j][r][c])}
+                 for i, j in keys for r in range(h) for c in range(h)
+                 if good[i, j][r][c] != bad[i, j][r][c]), None)
+    sparse = data.draw(st.booleans())
+    lhs, rhs = _blocks(good, sparse), _blocks(bad, sparse)
+    rep = vf.compare(ssep_model, "blocks", (F(2),), lhs, rhs)
+    assert (rep.status, rep.witness) == \
+        ((vf.PASS, None) if want is None else (vf.FAIL, want))
+    # one component of another shape raises, wherever the mismatch lies
+    ij = data.draw(st.sampled_from(keys))
+    wider = _blocks({ij: [[F(0)] * (h + 1)] * (h + 1)}, sparse)
+    with pytest.raises(ValueError):
+        vf.compare(ssep_model, "blocks", (), lhs, {**rhs, **wider})
+
+
+def test_markov_u_fail_witness_compares_the_capped_dimension(ssep_model,
+                                                             monkeypatch):
+    monkeypatch.setattr(vf, "_u_solution_dim", lambda model, kf, points: 0)
+    rep = vf.check_k_properties(ssep_model, "K", F(2))[-1]
+    assert (rep.check, rep.status, rep.points, rep.witness) == \
+        ("k.K.markov_u", vf.FAIL, ("2",),
+         {"row": 0, "col": 0, "lhs": "0", "rhs": "1"})
