@@ -80,7 +80,7 @@ def _rational(text: str) -> Fraction:
 
 # Every option, by flag.  --q and --kappa have no default here: _model
 # applies it for the one model that has the rate.  --truncation-cap has
-# none either, so that transfer can tell when a check is given it (_cap).
+# none either, so that steady and transfer can tell when it is given (_cap).
 _OPTIONS = {
     "--model": dict(required=True, choices=m.MODEL_NAMES),
     "--alpha": dict(type=_rational, default="1"),
@@ -223,8 +223,9 @@ def _finish_reports(reports, args, model, extra=None) -> int:
 
 def cmd_verify(args) -> int:
     model = _model(args)
-    points = sample_points(model, args.samples, args.seed)
-    reports = vf.run_model_suite(model, points)
+    with _domain_errors():
+        points = sample_points(model, args.samples, args.seed)
+        reports = vf.run_model_suite(model, points)
     return _finish_reports(reports, args, model)
 
 
@@ -248,6 +249,10 @@ def _steady_distributions(args, model):
 
 def cmd_steady(args) -> int:
     model = _model(args)
+    if args.truncation_cap is not None and \
+            (args.method == "nullspace" or model.name != m.RD):
+        raise UsageError("--truncation-cap is read by the RD ansatz "
+                         "method only")
     null_dist, ansatz_dist = _steady_distributions(args, model)
     primary = null_dist if null_dist is not None else ansatz_dist
     probs = primary.probabilities()

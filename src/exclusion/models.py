@@ -3,13 +3,15 @@
 For each of ASEP, TASEP, SSEP and the reaction-diffusion (RD) chain this
 module provides the bulk hop rates, the local jump operators (w, B, Bbar)
 built from them, the R-matrix, the boundary matrices K / Kbar / Ktilde,
-crossing data, and the scalar vectors of the bulk Markovian property.  All
+crossing data, and the scalar vectors of the bulk Markovian property.  A
+ModelDescriptor is a name and rates; the rest is derived from them.  All
 entries are exact rational functions of the rates and the spectral
-parameter, written in closed form, except Kbar = J K(x^-1) J at (alpha,
-gamma) = (beta, delta), J = [[0, 1], [1, 0]]: it is K mirrored, and so
-ASEP's Kbar is undefined at x = 0.  The matrix constructors accept Fraction
-or Dual arguments alike, and at a Dual argument the constant entries stay
-plain Fractions.
+parameter, written in closed form, except on the right boundary: ``mirror``
+reflects the chain and exchanges particles and holes, (alpha, beta, gamma,
+delta) -> (beta, alpha, delta, gamma), and Kbar = J K(x^-1) J at the mirror,
+J = [[0, 1], [1, 0]], so ASEP's Kbar is undefined at x = 0.  The matrix
+constructors accept Fraction or Dual arguments alike, and at a Dual
+argument the constant entries stay plain Fractions.
 
 Spectral-parameter bookkeeping differs per model: ASEP, TASEP and RD
 compose arguments multiplicatively (x1/x2, identity point 1) while SSEP is
@@ -74,27 +76,59 @@ class Crossing(namedtuple("Crossing", "U Q lam")):
 
 
 class ModelDescriptor(namedtuple(
-        "ModelDescriptor", "name alpha beta gamma delta q kappa convention "
-        "rho crossing markov_a markov_b",
-        defaults=(None, None, MULTIPLICATIVE, Fraction(1), None, Fraction(1),
-                  Fraction(1)))):
-    """A model and its rates (Fractions).  q is set for ASEP only and kappa
-    for RD only; crossing is None where the model has no crossing data;
-    markov_a and markov_b are the gauge constants of v(x)."""
+        "ModelDescriptor", "name alpha beta gamma delta q kappa",
+        defaults=(None, None))):
+    """A model's name and rates (Fractions): q is set for ASEP only and
+    kappa for RD only.  Everything else follows from these fields, so
+    descriptors with equal rates are equal."""
     __slots__ = ()
+
+    @property
+    def convention(self) -> SpectralConvention:
+        return ADDITIVE if self.name == SSEP else MULTIPLICATIVE
 
     @property
     def identity_point(self) -> Fraction:
         return self.convention.identity_point
 
+    @property
+    def rho(self) -> Fraction:
+        """The scale of the local jumps: P R'(identity) = rho w."""
+        if self.name == ASEP:
+            return 1 / (self.q - 1)
+        if self.name == RD:
+            return 1 / (2 * self.kappa)
+        return Fraction(1 if self.name == SSEP else -1)
+
+    @property
+    def crossing(self):
+        """Crossing data; None for TASEP, whose R^t2 is singular."""
+        if self.name == ASEP:
+            q = self.q
+            U = Matrix([[Fraction(1), Fraction(0)], [Fraction(0), q]])
+            return Crossing(U, q * q, lambda x: (x - 1) * (q * q * x - 1) /
+                            ((q * x - 1) ** 2))
+        if self.name == SSEP:   # Q = 2: the additive shift x -> -x-2
+            return Crossing(Matrix.identity(2), Fraction(2),
+                            lambda x: x * (x + 2) / ((x + 1) ** 2))
+        if self.name == TASEP:
+            return None
+        u, v = self.kappa + 1, self.kappa - 1
+        return Crossing(Matrix.identity(2), u ** 2 / v ** 2, lambda x: (
+            (x * x - 1) * (x * u ** 2 + v ** 2) * (x * u ** 2 - v ** 2)
+            / ((x * u + v) ** 2 * (x * u - v) ** 2)))
+
     def rates(self) -> dict:
-        d = {"alpha": self.alpha, "beta": self.beta,
-             "gamma": self.gamma, "delta": self.delta}
-        if self.q is not None:
-            d["q"] = self.q
-        if self.kappa is not None:
-            d["kappa"] = self.kappa
-        return d
+        """The rates that are set, by name, in field order."""
+        return {k: v for k, v in zip(self._fields[1:], self[1:])
+                if v is not None}
+
+
+def mirror(model: ModelDescriptor) -> ModelDescriptor:
+    """The model on the reflected chain with particles and holes exchanged:
+    (alpha, beta, gamma, delta) -> (beta, alpha, delta, gamma)."""
+    return model._replace(alpha=model.beta, beta=model.alpha,
+                          gamma=model.delta, delta=model.gamma)
 
 
 def _warn_negative(rates):
@@ -111,44 +145,24 @@ def _check_q(q):
         raise ValueError("q=0 is the TASEP model; use tasep()")
 
 
-def asep(q, alpha, beta, gamma, delta, markov_a=1, markov_b=1) -> ModelDescriptor:
+def asep(q, alpha, beta, gamma, delta) -> ModelDescriptor:
     q, alpha, beta, gamma, delta = map(rat, (q, alpha, beta, gamma, delta))
     _check_q(q)
     _warn_negative({"alpha": alpha, "beta": beta, "gamma": gamma, "delta": delta,
                     "q": q})
-    crossing = Crossing(
-        U=Matrix([[Fraction(1), Fraction(0)], [Fraction(0), q]]),
-        Q=q * q,
-        lam=lambda x: (x - 1) * (q * q * x - 1) / ((q * x - 1) ** 2),
-    )
-    return ModelDescriptor(ASEP, alpha, beta, gamma, delta, q=q,
-                           convention=MULTIPLICATIVE, rho=1 / (q - 1),
-                           crossing=crossing,
-                           markov_a=rat(markov_a), markov_b=rat(markov_b))
+    return ModelDescriptor(ASEP, alpha, beta, gamma, delta, q=q)
 
 
-def tasep(alpha, beta, markov_a=1, markov_b=1) -> ModelDescriptor:
+def tasep(alpha, beta) -> ModelDescriptor:
     alpha, beta = rat(alpha), rat(beta)
     _warn_negative({"alpha": alpha, "beta": beta})
-    # crossing data absent: the partial transpose of R is singular
-    return ModelDescriptor(TASEP, alpha, beta, Fraction(0), Fraction(0),
-                           convention=MULTIPLICATIVE, rho=Fraction(-1),
-                           crossing=None,
-                           markov_a=rat(markov_a), markov_b=rat(markov_b))
+    return ModelDescriptor(TASEP, alpha, beta, Fraction(0), Fraction(0))
 
 
-def ssep(alpha, beta, gamma, delta, markov_a=1, markov_b=1) -> ModelDescriptor:
+def ssep(alpha, beta, gamma, delta) -> ModelDescriptor:
     alpha, beta, gamma, delta = map(rat, (alpha, beta, gamma, delta))
     _warn_negative({"alpha": alpha, "beta": beta, "gamma": gamma, "delta": delta})
-    crossing = Crossing(
-        U=Matrix.identity(2),
-        Q=Fraction(2),  # additive shift: x -> -x-2
-        lam=lambda x: x * (x + 2) / ((x + 1) ** 2),
-    )
-    return ModelDescriptor(SSEP, alpha, beta, gamma, delta,
-                           convention=ADDITIVE, rho=Fraction(1),
-                           crossing=crossing,
-                           markov_a=rat(markov_a), markov_b=rat(markov_b))
+    return ModelDescriptor(SSEP, alpha, beta, gamma, delta)
 
 
 def rd(kappa, alpha, beta, gamma, delta) -> ModelDescriptor:
@@ -156,17 +170,7 @@ def rd(kappa, alpha, beta, gamma, delta) -> ModelDescriptor:
     if kappa in (0, 1, -1):
         raise ValueError("rd model requires kappa not in {0, 1, -1}")
     _warn_negative({"alpha": alpha, "beta": beta, "gamma": gamma, "delta": delta})
-    kp1, km1 = kappa + 1, kappa - 1
-
-    def lam(x):
-        num = (x * x - 1) * (x * kp1 ** 2 + km1 ** 2) * (x * kp1 ** 2 - km1 ** 2)
-        den = (x * kp1 + km1) ** 2 * (x * kp1 - km1) ** 2
-        return num / den
-
-    crossing = Crossing(U=Matrix.identity(2), Q=kp1 ** 2 / km1 ** 2, lam=lam)
-    return ModelDescriptor(RD, alpha, beta, gamma, delta, kappa=kappa,
-                           convention=MULTIPLICATIVE, rho=1 / (2 * kappa),
-                           crossing=crossing)
+    return ModelDescriptor(RD, alpha, beta, gamma, delta, kappa=kappa)
 
 
 # ---------------------------------------------------------------- local ops
@@ -207,15 +211,6 @@ def _nonzero(denom, what, x):
 CACHE_SIZE = 1024
 
 
-def _key_model(name, alpha=None, beta=None, gamma=None, delta=None, q=None,
-               kappa=None) -> ModelDescriptor:
-    """A descriptor holding a cache key's constants and nothing else, so that
-    an evaluator cannot read a constant its key leaves out.  Its spectral
-    convention follows from the name."""
-    return ModelDescriptor(name, alpha, beta, gamma, delta, q=q, kappa=kappa,
-                           convention=ADDITIVE if name == SSEP else MULTIPLICATIVE)
-
-
 def r_matrix(model: ModelDescriptor, x) -> Matrix:
     """The 4x4 R-matrix at spectral parameter x (exact; Dual-friendly).
 
@@ -230,7 +225,9 @@ def r_matrix(model: ModelDescriptor, x) -> Matrix:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _r_cached(name, q, kappa, x) -> Matrix:
-    return _r_matrix(_key_model(name, q=q, kappa=kappa), x)
+    # a descriptor of the key's constants alone: R cannot read a rate
+    return _r_matrix(ModelDescriptor(name, None, None, None, None, q, kappa),
+                     x)
 
 
 def _r_matrix(model: ModelDescriptor, x) -> Matrix:
@@ -276,17 +273,17 @@ _SWAP = (0, 2, 1, 3)   # the index of P e_i
 def k_matrix(model: ModelDescriptor, kind: str, x) -> Matrix:
     """Boundary matrix of the requested kind: 'K' (left), 'Kbar' (right)
     or 'Ktilde' (dual).  K and Ktilde are closed forms.  Kbar(x) is
-    J K(x^-1) J at (alpha, gamma) = (beta, delta), so ASEP's Kbar is
-    undefined at 0, and a pole of Kbar names Kbar, x and the mirrored rates.
+    J K(x^-1) J at mirror(model), so ASEP's Kbar is undefined at 0, and a
+    pole of Kbar names Kbar, x and the mirrored rates.
     The RD Ktilde is the reduced form of the crossing expression
     tr_0(Kbar_0(1/x) R_10(1/(x^2 Q)) P_01) / lambda(x^2), so its removable
     singularities, the identity point included, need no special evaluation;
     ktilde_from_kbar checks it.
 
     At a rational x the matrix comes from a bounded cache keyed by (kind,
-    name, alpha, beta, gamma, delta, q, kappa, x), so every caller gets the
-    same Matrix: never change it.  A Dual x is evaluated afresh.  A pole is
-    not cached: it raises PoleError on every call."""
+    model, x), so every caller gets the same Matrix: never change it.  A
+    Dual x is evaluated afresh.  A pole is not cached: it raises PoleError
+    on every call."""
     if kind not in _K_FORMS:
         raise ValueError(f"unknown K-matrix kind {kind!r}")
     return _k_at(model, kind, x)
@@ -296,14 +293,12 @@ def _k_at(model: ModelDescriptor, kind: str, x) -> Matrix:
     """k_matrix without the check of kind, for this module's own calls."""
     if isinstance(x, Dual):
         return _K_FORMS[kind](model, x)
-    return _k_cached(kind, model.name, model.alpha, model.beta, model.gamma,
-                     model.delta, model.q, model.kappa, x)
+    return _k_cached(kind, model, x)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _k_cached(kind, name, alpha, beta, gamma, delta, q, kappa, x) -> Matrix:
-    return _K_FORMS[kind](_key_model(name, alpha, beta, gamma, delta, q,
-                                     kappa), x)
+def _k_cached(kind, model, x) -> Matrix:
+    return _K_FORMS[kind](model, x)
 
 
 def _k_left(model: ModelDescriptor, x) -> Matrix:
@@ -335,15 +330,14 @@ def _k_left(model: ModelDescriptor, x) -> Matrix:
 
 
 def _k_right(model: ModelDescriptor, x) -> Matrix:
-    # reflecting the chain and exchanging particles and holes maps K onto Kbar
-    be, de = model.beta, model.delta
+    mirrored = mirror(model)
     try:
-        (a, b), (c, d) = _k_left(model._replace(alpha=be, gamma=de),
-                                 model.convention.invert(x)).a
+        (a, b), (c, d) = _k_left(mirrored, model.convention.invert(x)).a
     except ZeroDivisionError as exc:
         why = exc if isinstance(exc, PoleError) else "x^-1 is undefined"
-        raise PoleError(f"Kbar has a pole at x={x}, where K at alpha={be}, "
-                        f"gamma={de} is evaluated at x^-1: {why}") from None
+        raise PoleError(f"Kbar has a pole at x={x}, where K at "
+                        f"alpha={mirrored.alpha}, gamma={mirrored.gamma} is "
+                        f"evaluated at x^-1: {why}") from None
     return Matrix([[d, c], [b, a]])
 
 
@@ -431,7 +425,7 @@ def general_asep_k(alpha, gamma, q, tau):
     if tau == 0:
         raise ValueError("twist parameter tau must be nonzero")
     _check_q(q)
-    base = _key_model(ASEP, alpha, Fraction(1), gamma, Fraction(0), q=q)
+    base = ModelDescriptor(ASEP, alpha, Fraction(1), gamma, Fraction(0), q=q)
 
     def k(x):
         K = _k_at(base, "K", x)
@@ -441,10 +435,25 @@ def general_asep_k(alpha, gamma, q, tau):
     return k
 
 
+def boundary_factor(model: ModelDescriptor, x) -> tuple:
+    """(num, den) of the left boundary factor of the transfer eigenvalue
+    (SSEP and ASEP); the right factor is the left one at mirror(model).
+    The caller divides, in the order its own expression fixes."""
+    al, ga = model.alpha, model.gamma
+    if model.name == SSEP:
+        return (x + 1) * (ga + al) - 1, x * (ga + al) + 1
+    if model.name == ASEP:
+        q = model.q
+        return (q * x - 1) * (ga + q * x * al) + q * x * (1 - q), \
+            (x - 1) * (x * ga + al) + x * (q - 1)
+    raise UnsupportedError(f"{model.name}: no closed-form eigenvalue known")
+
+
 def markov_vector(model: ModelDescriptor, x):
-    """The scalar vector v(x) of the bulk Markovian property (gauge f=1)."""
+    """The scalar vector v(x) of the bulk Markovian property, in the gauge
+    v(x) = (x, 1), or (1, 1) for SSEP."""
     if model.name == RD:
         raise UnsupportedError("rd: no scalar Markovian vector exists")
     if model.name == SSEP:
-        return (model.markov_a, model.markov_b)
-    return (model.markov_a * x, model.markov_b)
+        return (Fraction(1), Fraction(1))
+    return (x, Fraction(1))

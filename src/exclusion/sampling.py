@@ -19,25 +19,22 @@ MAX_PART = 12
 def model_safe(model: ModelDescriptor, x: Fraction) -> bool:
     """True when every catalogue matrix of the model is finite at x and at
     the reflected/inverted arguments single-point checks use."""
-    conv = model.convention
+    conv, cr = model.convention, model.crossing
     if conv.kind == "multiplicative" and x == 0:
         return False
     try:
         pts = {x, conv.invert(x), conv.reflect_compose(x, x),
                conv.invert(conv.reflect_compose(x, x))}
-        if model.crossing is not None:
-            pts.add(conv.cross_shift(x, model.crossing.Q))
+        if cr is not None:
+            pts.add(conv.cross_shift(x, cr.Q))
         for p in pts:
             r_matrix(model, p)
         for kind in ("K", "Kbar", "Ktilde"):
             k_matrix(model, kind, x)
             k_matrix(model, kind, conv.invert(x))
-        if model.crossing is not None:
-            lam = model.crossing.lam(x)
-            if lam == 0:
-                return False
-            if model.crossing.lam(conv.reflect_compose(x, x)) == 0:
-                return False
+        if cr is not None and (cr.lam(x) == 0 or
+                               cr.lam(conv.reflect_compose(x, x)) == 0):
+            return False
     except ZeroDivisionError:
         return False
     except UnsupportedError:
@@ -64,7 +61,9 @@ def pair_safe(model: ModelDescriptor, x1: Fraction, x2: Fraction) -> bool:
 def sample_points(model: ModelDescriptor, count: int, seed: int) -> list:
     """Deterministic pole-free sample points, pairwise compose-safe.  A
     candidate draws its numerator, its denominator, then its sign: that
-    order fixes the points a seed gives."""
+    order fixes the points a seed gives.  ValueError when 5000 candidates
+    in a row give no new point: the pool of |num|, |den| <= MAX_PART is
+    finite."""
     rng = random.Random(seed)
     points = []
 
@@ -84,5 +83,7 @@ def sample_points(model: ModelDescriptor, count: int, seed: int) -> list:
                 points.append(x)
                 break
         else:
-            raise RuntimeError("could not sample a pole-free point")
+            raise ValueError(f"could not sample {count} pole-free points "
+                             f"with |num|, |den| <= {MAX_PART}: found "
+                             f"{len(points)}")
     return points

@@ -128,24 +128,19 @@ def lambda_eigenvalue(model: ModelDescriptor, x, thetas) -> Fraction:
 
 
 def _lambda_closed_form(model: ModelDescriptor, x, thetas) -> Fraction:
-    # f(a, b) is the left boundary factor at (alpha, gamma) = (b, a); the
-    # right one is f at the mirrored rates (delta, beta)
-    al, be, ga, de = model.alpha, model.beta, model.gamma, model.delta
+    # the left boundary factor, and the right one: the left at the mirror
+    (nr, dr), (nl, dl) = (m.boundary_factor(m.mirror(model), x),
+                          m.boundary_factor(model, x))
     prod = Fraction(1)
     if model.name == m.SSEP:
-        f = lambda a, b: ((x + 1) * (a + b) - 1) / (x * (a + b) + 1)
         for t in thetas:
             prod *= (x * x - t * t) / ((x + 1) ** 2 - t * t)
-        return 1 + f(de, be) * f(ga, al) * x / (x + 1) * prod
-    if model.name == m.ASEP:
-        q = model.q
-        f = lambda a, b: ((q * x - 1) * (a + q * x * b) + q * x * (1 - q)) / \
-            ((x - 1) * (x * a + b) + x * (q - 1))
-        for t in thetas:
-            prod *= (x - t) * (x * t - 1) / ((q * x - t) * (q * x * t - 1))
-        return 1 + f(de, be) * f(ga, al) * q ** (len(thetas) - 1) * \
-            (x * x - 1) / (q * q * x * x - 1) * prod
-    raise m.UnsupportedError(f"{model.name}: no closed-form eigenvalue known")
+        return 1 + nr / dr * (nl / dl) * x / (x + 1) * prod
+    q = model.q
+    for t in thetas:
+        prod *= (x - t) * (x * t - 1) / ((q * x - t) * (q * x * t - 1))
+    return 1 + nr / dr * (nl / dl) * q ** (len(thetas) - 1) * \
+        (x * x - 1) / (q * q * x * x - 1) * prod
 
 
 def check_eigenpair(spec: TransferSpec, x, vector, side: str = "right",

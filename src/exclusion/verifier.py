@@ -383,12 +383,12 @@ def _ssep_symmetries(model: ModelDescriptor, x):
                             partial_transpose(m.r_matrix(model, -x - 1), 2) *
                             kron(Vi, I2)))
 
+    # (alpha, gamma) = (delta, beta): the mirror conjugated by J
     swapped = model._replace(alpha=model.delta, gamma=model.beta)
 
     def ktilde_crossing():
-        be, de = model.beta, model.delta
-        pre = -(2 * x + 1) / (2 * (x + 1)) * \
-            ((x + 1) * (de + be) - 1) / (x * (de + be) + 1)
+        num, den = m.boundary_factor(m.mirror(model), x)
+        pre = -(2 * x + 1) / (2 * (x + 1)) * num / den
         rhs = pre * (V * m.k_matrix(swapped, "K", -x - 1).transpose() * Vi)
         return m.k_matrix(model, "Ktilde", x), rhs
     yield "symmetry.ktilde_crossing", (x,), ktilde_crossing
@@ -420,13 +420,11 @@ def _asep_symmetries(model: ModelDescriptor, x):
             kron(Mq * V, I2) *
             partial_transpose(m.r_matrix(model, 1 / (q * x)), 2) * kron(Vi, I2)))
 
-    swapped = model._replace(alpha=model.beta, gamma=model.delta)
+    swapped = m.mirror(model)
 
     def ktilde_crossing():
-        be, de = model.beta, model.delta
-        pre = (q * x * x - 1) / (x * x - 1) * \
-            ((x - 1) * (x * de + be) + x * (q - 1)) / \
-            ((q * x - 1) * (q * x * be + de) + q * x * (1 - q))
+        num, den = m.boundary_factor(swapped, x)
+        pre = (q * x * x - 1) / (x * x - 1) * den / num
         lhs = V.transpose() * \
             m.k_matrix(model, "Ktilde", 1 / (q * x)).transpose() * Vi
         return lhs, pre * (Mq * W * m.k_matrix(swapped, "K", x) * Wi)

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import exclusion as ex
 import exclusion.ansatz as an
 import exclusion.cli as cli
+import exclusion.sampling as sampling
 import exclusion.transfer as tr
 from exclusion.ansatz import rd_closed_forms
 from exclusion.cli import _write, build_parser, main
@@ -912,6 +913,33 @@ def test_an_option_the_transfer_check_does_not_read_exits_2(capsys, check,
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--model", "asep", "--L", "2"),
+    ("--model", "tasep", "--method", "ansatz"),
+    ("--model", "ssep", "--method", "both"),
+    ("--model", "rd", "--method", "nullspace")])
+def test_a_truncation_cap_steady_does_not_read_exits_2(capsys, argv):
+    # steady reads the cap only in the RD ansatz
+    code = main(["steady", *argv, "--truncation-cap", "64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("usage error: --truncation-cap is read by the RD "
+                            "ansatz method only\n")
+
+
+def test_more_samples_than_the_pool_holds_exit_3(capsys, monkeypatch):
+    # |num|, |den| <= 1 leaves the pool {1, -1}, and K has a pole at -1,
+    # which each point's safety check reads
+    monkeypatch.setattr(sampling, "MAX_PART", 1)
+    code = main(["verify", "--model", "ssep", "--samples", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("domain error: could not sample 2 pole-free "
+                            "points with |num|, |den| <= 1: found 0\n")
 
 
 @pytest.mark.filterwarnings("ignore:negative rate")

@@ -6,11 +6,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import exclusion as ex
 import exclusion.models as m
+import exclusion.verifier as vf
 from exclusion.models import UnsupportedError, r_matrix_swapped
 from exclusion.sampling import sample_points
 from exclusion.scalars import Dual
 from exclusion.tensor import Matrix, PoleError, deriv_matrix, derivative_at, \
     kron, partial_trace_first, permutation_op, value_matrix
+from strategies import SIGNED_MODELS
 
 
 def test_local_operators_ssep_is_swap_minus_identity():
@@ -192,15 +194,7 @@ def _with_a_kbar_pole_at(model, x):
         delta=2 * model.kappa * (x * x + 1) / (x * x - 1) - be)
 
 
-_signed = st.one_of(st.sampled_from([F(0), F(1), F(-1)]),
-                    st.fractions(min_value=-4, max_value=4, max_denominator=6))
-_SIGNED_MODELS = st.one_of(
-    st.builds(ex.asep, _signed.filter(lambda q: q not in (0, 1)), _signed,
-              _signed, _signed, _signed),
-    st.builds(ex.tasep, _signed, _signed),
-    st.builds(ex.ssep, _signed, _signed, _signed, _signed),
-    st.builds(ex.rd, _signed.filter(lambda k: k not in (0, 1, -1)), _signed,
-              _signed, _signed, _signed))
+_SIGNED_MODELS = st.one_of(*SIGNED_MODELS.values())
 
 
 def _kbar_or_pole(f, x):
@@ -396,6 +390,26 @@ def test_r_matrix_swapped_is_p_r_p(all_models):
         got, r = r_matrix_swapped(mdl, x), ex.r_matrix(mdl, x)
         for part in (value_matrix, deriv_matrix):
             assert part(got) == P * part(r) * P
+
+
+# ------------------------------------------------------ the descriptor
+
+def test_a_descriptor_is_its_name_and_rates():
+    # convention, rho and crossing are derived, so a replaced rate cannot
+    # leave them stale, and equal rates make equal, hashable descriptors
+    replaced = ex.asep(F(3, 2), F(1, 2), F(2, 3), F(1, 3), F(1, 5)) \
+        ._replace(q=F(2))
+    fresh = ex.asep(2, F(1, 2), F(2, 3), F(1, 3), F(1, 5))
+    assert replaced == fresh and hash(replaced) == hash(fresh)
+    assert all(r.status == vf.PASS
+               for r in vf.check_r_properties(replaced, F(3), F(5)))
+    for mdl in (fresh, ex.tasep(F(1, 2), F(2, 3)),
+                ex.ssep(F(1, 2), F(2, 3), F(1, 3), F(1, 5)),
+                ex.rd(3, F(1, 2), F(2, 3), F(1, 3), F(1, 5))):
+        assert m.mirror(m.mirror(mdl)) == mdl
+        assert hash(mdl) == hash(m.mirror(m.mirror(mdl)))
+    assert ex.ModelDescriptor._fields == ("name", "alpha", "beta", "gamma",
+                                          "delta", "q", "kappa")
 
 
 # ------------------------------------------------------ the R and K caches
