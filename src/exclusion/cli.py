@@ -20,7 +20,9 @@ import sys
 import time
 import warnings
 from fractions import Fraction
+from itertools import compress, zip_longest
 from json.encoder import encode_basestring_ascii
+from operator import add, itemgetter
 
 from . import ansatz as an
 from . import models as m
@@ -29,7 +31,7 @@ from . import verifier as vf
 from .markov import KernelError, build_markov, integer_markov, observables, \
     steady_state_exact
 from .sampling import sample_points
-from .scalars import float_repr, format_rational, parse_rational
+from .scalars import format_rational, parse_rational
 
 SCHEMA = 1
 
@@ -175,15 +177,19 @@ def _emit(text: str, args):
         sys.stdout.write(text)
 
 
-def _cell(value, args) -> str:
-    if value is None:
-        return ""
-    if not args.exact:
-        return float_repr(value)
+def _number(args) -> str:
+    """The conversion of a numeric cell: '%s' of a Fraction is its
+    format_rational, and '%.17g' calls float() first, as float_repr does."""
+    return "%s" if args.exact else "%.17g"
+
+
+@contextlib.contextmanager
+def _digit_limit():
+    """Re-raise a ValueError of formatting, str of an int beyond the
+    interpreter's digit limit, as DomainError naming the ways out."""
     try:
-        return format_rational(value)
+        yield
     except ValueError:
-        # int -> str beyond the interpreter's digit limit
         raise DomainError(
             f"--exact cell exceeds the int-to-str limit of "
             f"{sys.get_int_max_str_digits()} digits; drop --exact, or set "
@@ -258,31 +264,42 @@ def cmd_steady(args) -> int:
     probs = primary.probabilities()
     obs = observables(primary, model)
     L = args.L
-    header = ["config", "weight"]
-    weights = [[_bits(i, L), _cell(p, args)] for i, p in enumerate(probs)]
+    num = _number(args)
+    header, columns = ["config", "weight"], [probs]
     extra = {}
     if null_dist is not None and ansatz_dist is not None:
         alt = ansatz_dist.probabilities()
         diffs = [_rel_diff(p, a) for p, a in zip(probs, alt)]
         header += ["weight_ansatz", "rel_diff"]
-        for row, a, d in zip(weights, alt, diffs):
-            row += [_cell(a, args), _cell(d, args)]
-        extra["max_rel_diff"] = _cell(max(diffs), args)
-    sites = [[i + 1, _cell(obs["density"][i], args),
-              _cell(obs["current_lat"][i], args) if i < L - 1 else "",
-              _cell(obs["current_eva"][i], args) if i < L - 1 else ""]
-             for i in range(L)]
+        columns += [alt, diffs]
+        with _digit_limit():
+            extra["max_rel_diff"] = num % max(diffs)
+    weights = [(_bits(i, L), *cells)
+               for i, cells in enumerate(zip(*columns))]
+    # L sites and L - 1 bonds: the last site's currents are None
+    sites = list(zip_longest(range(1, L + 1), obs["density"],
+                             obs["current_lat"], obs["current_eva"]))
     return _write({"schema": SCHEMA, "model": model.name,
                    "params": _params_json(model), "L": L,
-                   "method": args.method, "weights": (header, weights),
+                   "method": args.method,
+                   "weights": (header, weights,
+                               ("%s",) + (num,) * len(columns)),
                    "observables": (["site", "density", "current_lat",
-                                    "current_eva"], sites), **extra}, args)
+                                    "current_eva"], sites,
+                                   ("%d", num, num, num)), **extra}, args)
 
 
 def _write(doc: dict, args) -> int:
-    """Emit a document of scalar fields and (header, rows) tables.  JSON
-    writes each table as a list of dicts keyed by its header, the bytes of
-    json.dumps(indent=2); CSV writes only the tables, in document order,
+    """Emit a document of scalar fields and tables.  A table is (header,
+    rows), whose cells print as json.dumps and csv.writer print them, or
+    typed, (header, rows, conversions): one %-conversion per column ('%d',
+    '%s' or '%.17g') and each row a tuple, printed by one %-template of its
+    table.  A typed cell is a JSON string, '%d' a JSON number, and None
+    prints empty ("" in JSON); no typed cell holds a comma, quote or newline,
+    and a typed table has two columns or more (csv.writer prints a lone
+    empty field as "").
+    JSON writes each table as a list of dicts keyed by its header, the bytes
+    of json.dumps(indent=2); CSV writes only the tables, in document order,
     separated by a blank row.  Rows may be drawn lazily: nothing is emitted
     until every row is formatted."""
     if args.format == "json":
@@ -291,13 +308,34 @@ def _write(doc: dict, args) -> int:
     buf = io.StringIO()
     wcsv = csv.writer(buf, lineterminator="\n")
     tables = [v for v in doc.values() if isinstance(v, tuple)]
-    for n, (header, rows) in enumerate(tables):
+    for n, (header, rows, *typed) in enumerate(tables):
         if n:
             wcsv.writerow([])
         wcsv.writerow(header)
-        wcsv.writerows(rows)
+        if typed:
+            buf.writelines(_typed_rows(lambda convs: ",".join(convs) + "\n",
+                                       *typed, rows))
+        else:
+            wcsv.writerows(rows)
     _emit(buf.getvalue(), args)
     return 0
+
+
+def _typed_rows(template_of, convs, rows) -> list:
+    """Each row of a typed table as template_of(convs) % row.  A row that
+    holds None fills the template with those cells' conversions dropped,
+    so that they print empty."""
+    template = template_of(convs)
+
+    def holed(row):
+        kept = [v is not None for v in row]
+        return template_of([c if k else "" for c, k in zip(convs, kept)]) \
+            % tuple(compress(row, kept))
+
+    # a lazy row raises its own errors as DomainError before it is formatted
+    with _digit_limit():
+        return [template % row if None not in row else holed(row)
+                for row in rows]
 
 
 def _json(doc: dict) -> str:
@@ -315,15 +353,25 @@ def _json(doc: dict) -> str:
     return "{\n" + ",\n".join(fields) + "\n}" if fields else "{}"
 
 
-def _json_table(header, rows) -> str:
-    template = "    {\n" + ",\n".join(
-        "      " + encode_basestring_ascii(k).replace("%", "%%") + ": %s"
-        for k in header) + "\n    }" if header else "    {}"
-    body = ",\n".join(
-        template % tuple([encode_basestring_ascii(v) if type(v) is str
-                          else repr(v) if type(v) is int
-                          else _json_value(v, "\n      ") for v in row])
-        for row in rows)
+def _json_table(header, rows, convs=None) -> str:
+    keys = ["      " + encode_basestring_ascii(k).replace("%", "%%") + ": "
+            for k in header]
+
+    def template_of(cells):
+        return "    {\n" + ",\n".join(map(add, keys, cells)) + "\n    }" \
+            if keys else "    {}"
+
+    if convs is None:
+        template = template_of(["%s"] * len(keys))
+        body = ",\n".join(
+            template % tuple([encode_basestring_ascii(v) if type(v) is str
+                              else repr(v) if type(v) is int
+                              else _json_value(v, "\n      ") for v in row])
+            for row in rows)
+    else:
+        body = ",\n".join(_typed_rows(
+            lambda cs: template_of([c if c == "%d" else f'"{c}"'
+                                    for c in cs]), convs, rows))
     return "[\n" + body + "\n  ]" if body else "[]"
 
 
@@ -358,11 +406,13 @@ def cmd_profile(args) -> int:
     header = ["site", "density", "current_lat", "current_eva"]
     if args.asymptotics:
         header.append("density_asymptotic")
-    rows = ([i + 1] + [_cell(r[k], args) for k in header[1:]]
-            for i, r in enumerate(_profile_rows(model, L, args)))
+    get = itemgetter(*header[1:])
+    rows = ((i, *get(r)) for i, r in enumerate(_profile_rows(model, L, args),
+                                              start=1))
+    convs = ("%d",) + (_number(args),) * (len(header) - 1)
     return _write({"schema": SCHEMA, "model": model.name,
                    "params": _params_json(model), "L": L,
-                   "profile": (header, rows)}, args)
+                   "profile": (header, rows, convs)}, args)
 
 
 def _profile_rows(model, L, args):

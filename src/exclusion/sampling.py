@@ -66,13 +66,17 @@ def sample_points(model: ModelDescriptor, count: int, seed: int) -> list:
     finite."""
     rng = random.Random(seed)
     points = []
+    # each candidate is judged once: a point stays a point, and a rejection
+    # never reverts, since model_safe does not read the points and
+    # pair_safe only meets more of them as the list grows
+    tried = {model.identity_point}
 
     def ok(x):
-        if x in points or x == model.identity_point:
+        if x in tried:
             return False
-        if not model_safe(model, x):
-            return False
-        return all(pair_safe(model, x, y) for y in points)
+        tried.add(x)
+        return model_safe(model, x) and \
+            all(pair_safe(model, x, y) for y in points)
 
     for _ in range(count):
         for _ in range(5000):

@@ -21,6 +21,7 @@ import exclusion.sampling as sampling
 import exclusion.transfer as tr
 from exclusion.ansatz import rd_closed_forms
 from exclusion.cli import _write, build_parser, main
+from exclusion.scalars import float_repr, format_rational
 from certificates import pins, recorded
 
 
@@ -244,6 +245,25 @@ def test_exact_beyond_digit_limit_exits_3(capsys, monkeypatch):
     assert "640 digits" in captured.err
     assert "drop --exact" in captured.err
     assert "PYTHONINTMAXSTRDIGITS=0" in captured.err
+
+
+@pytest.mark.parametrize("method", ["ansatz", "both"])
+def test_steady_exact_beyond_digit_limit_exits_3(capsys, method):
+    # the RD ansatz weights at the default rates carry about 1000 digits;
+    # with both methods max_rel_diff is the first cell formatted
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = main(["steady", "--model", "rd", "--L", "2", "--method",
+                     method, "--exact"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "domain error: --exact cell exceeds the int-to-str limit of 640 "
+        "digits; drop --exact, or set PYTHONINTMAXSTRDIGITS=0\n")
 
 
 def test_profile_vanishing_denominator_exits_3(capsys, monkeypatch):
@@ -542,6 +562,13 @@ _RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
      "c2e327e1c16f221a0fa64ee0ee5eea6f2f87c1a3bf79d17e44f7334528c14a7d"),
     (("steady", *_RD, "--format", "json"),
      "c88869e95d67d4642e9f7a2d10f6558040670cffc38a99cc28d5f316e804a506"),
+    # float cells of the nullspace weights and observables
+    (("steady", "--model", "asep", "--q", "3", *_R, "--L", "6",
+      "--format", "csv"),
+     "36978a10c9e2b09898793a348cdc709eb305092975c0314c63d8b6f2ce6c07ad"),
+    (("steady", "--model", "asep", "--q", "3", *_R, "--L", "6",
+      "--format", "json"),
+     "8aee63ce63bbf88e8d9fe2c06e865e1a63e4d70f8514dd062d96fc0d785aaaa8"),
     (("profile", "--model", "rd", *_R, "--L", "12", "--asymptotics",
       "--format", "csv"),
      "5f7ee08bfae0461d76344381f6bac0795023acf03cc95d5863a4a1662a983233"),
@@ -610,7 +637,8 @@ _RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
         "verify-asep-9-samples", "verify-asep-1-sample",
         "verify-asep-2-samples", "verify-rd-1-sample",
         "transfer-ssep-conjugated", "transfer-asep-crossing", "transfer-ssep-eigenvalue", "steady-rd-csv",
-        "steady-rd-json", "profile-rd-csv", "profile-rd-json",
+        "steady-rd-json", "steady-asep-L6-csv", "steady-asep-L6-json",
+        "profile-rd-csv", "profile-rd-json",
         *[f"transfer-{name}-{check}-L5" for name, check in _TRANSFER_L5_DIGESTS],
         "profile-rd-L2000-json", "profile-rd-L4000-csv",
         "profile-rd-phi-1/3-L600", "profile-rd-phi2-L300",
@@ -696,6 +724,73 @@ def test_json_writer_matches_json_dumps(doc):
     with contextlib.redirect_stdout(out):
         assert _write(lazy, argparse.Namespace(format="json", out=None)) == 0
     assert out.getvalue() == json.dumps(expanded, indent=2) + "\n"
+
+
+# typed cells: ints, floats at the edges of the float range, and Fractions
+# of both signs, integer-valued ones included
+_TYPED_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -2.225073858507201e-308, 1e-308, 1.7976931348623157e308,
+                     -1e308, float("inf"), float("-inf"), float("nan")]),
+    st.floats())
+_TYPED_FRACTIONS = st.one_of(
+    st.fractions(-10 ** 300, 10 ** 300), st.integers().map(F),
+    st.builds(F, st.integers(-10 ** 300, 10 ** 300),
+              st.integers(1, 10 ** 300)))
+_TYPED_COLUMNS = {"%d": st.integers(),
+                  "%.17g": st.one_of(_TYPED_FLOATS, _TYPED_FRACTIONS),
+                  "%s": _TYPED_FRACTIONS}
+
+
+def _typed_reference(conv, value):
+    # the per-cell path: "" for None, a JSON number for %d, else a string
+    if value is None:
+        return ""
+    if conv == "%d":
+        return value
+    return float_repr(value) if conv == "%.17g" else format_rational(value)
+
+
+@st.composite
+def _typed_tables(draw):
+    # two columns at least: csv.writer quotes a lone empty field
+    header = draw(st.lists(_JSON_KEYS, unique=True, min_size=2, max_size=5))
+    convs = tuple(draw(st.sampled_from(sorted(_TYPED_COLUMNS)))
+                  for _ in header)
+    row = st.tuples(*[st.none() | _TYPED_COLUMNS[c] for c in convs])
+    return header, draw(st.lists(row, max_size=4)), convs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_JSON_KEYS, _typed_tables() | st.integers(),
+                       max_size=3),
+       st.sampled_from(["csv", "json"]))
+def test_typed_writer_matches_the_per_cell_path(doc, fmt):
+    # one %-template per row prints what csv.writer over the formatted
+    # cells, and json.dumps over the expanded dicts, print
+    cells = {k: (v[0], [[_typed_reference(c, x) for c, x in zip(v[2], row)]
+                        for row in v[1]])
+             if isinstance(v, tuple) else v for k, v in doc.items()}
+    if fmt == "json":
+        want = json.dumps({k: [dict(zip(v[0], row)) for row in v[1]]
+                           if isinstance(v, tuple) else v
+                           for k, v in cells.items()}, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        wcsv = csv.writer(buf, lineterminator="\n")
+        tables = [v for v in cells.values() if isinstance(v, tuple)]
+        for n, (header, rows) in enumerate(tables):
+            if n:
+                wcsv.writerow([])
+            wcsv.writerow(header)
+            wcsv.writerows(rows)
+        want = buf.getvalue()
+    lazy = {k: (v[0], iter(v[1]), v[2]) if isinstance(v, tuple) else v
+            for k, v in doc.items()}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert _write(lazy, argparse.Namespace(format=fmt, out=None)) == 0
+    assert out.getvalue() == want
 
 
 def test_bench_json_keys_and_row_order(capsys):
@@ -940,6 +1035,25 @@ def test_more_samples_than_the_pool_holds_exit_3(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == ("domain error: could not sample 2 pole-free "
                             "points with |num|, |den| <= 1: found 0\n")
+
+
+def test_sampling_judges_each_candidate_once(capsys, monkeypatch):
+    # past the pool every draw repeats a rejected candidate; none of them
+    # reaches model_safe again, so the calls are at most the pool's size
+    calls = []
+    model_safe = sampling.model_safe
+
+    def counted(model, x):
+        calls.append(x)
+        return model_safe(model, x)
+
+    monkeypatch.setattr(sampling, "model_safe", counted)
+    code = main(["verify", "--model", "ssep", "--samples", "400"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ("domain error: could not sample 400 pole-free "
+                            "points with |num|, |den| <= 12: found 95\n")
+    assert len(calls) == len(set(calls)) <= 2 * sampling.MAX_PART ** 2
 
 
 @pytest.mark.filterwarnings("ignore:negative rate")
