@@ -20,7 +20,7 @@ import sys
 import time
 import warnings
 from fractions import Fraction
-from itertools import compress, zip_longest
+from itertools import zip_longest
 from json.encoder import encode_basestring_ascii
 from operator import add, itemgetter
 
@@ -322,20 +322,16 @@ def _write(doc: dict, args) -> int:
 
 
 def _typed_rows(template_of, convs, rows) -> list:
-    """Each row of a typed table as template_of(convs) % row.  A row that
-    holds None fills the template with those cells' conversions dropped,
-    so that they print empty."""
+    """Each row of a typed table as template_of(convs) % row.  A row with
+    None cells (a chain's last site, past its last bond) drops their
+    conversions from its template, so that they print empty."""
     template = template_of(convs)
-
-    def holed(row):
-        kept = [v is not None for v in row]
-        return template_of([c if k else "" for c, k in zip(convs, kept)]) \
-            % tuple(compress(row, kept))
-
     # a lazy row raises its own errors as DomainError before it is formatted
     with _digit_limit():
-        return [template % row if None not in row else holed(row)
-                for row in rows]
+        return [template % row if None not in row else
+                template_of([c if v is not None else ""
+                             for c, v in zip(convs, row)])
+                % tuple(v for v in row if v is not None) for row in rows]
 
 
 def _json(doc: dict) -> str:
