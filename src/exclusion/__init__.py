@@ -12,7 +12,7 @@ from .models import ASEP, MODEL_NAMES, RD, SSEP, TASEP, ModelDescriptor, \
 from .markov import Distribution, KernelError, build_markov, evolve, \
     observables, steady_state_exact
 from .scalars import Dual, format_rational, parse_rational
-from .tensor import Matrix, PoleError, SparseMatrix, derivative_at, embed_local, \
+from .tensor import Matrix, PoleError, SparseMatrix, derivative_at, \
     exact_nullspace, kron, partial_trace_first, partial_transpose, permutation_op
 from .transfer import TransferSpec, build_transfer, check_commutation, \
     check_crossing_symmetry_t, check_eigenpair, lambda_eigenvalue, \

@@ -995,14 +995,3 @@ class _Enclosure:
                 if f == _to_float(hi, e) and abs(f) < _INF:
                     return f, lo, hi, e
         return None, lo, hi, e
-
-
-def rd_current_balance(kappa, alpha, beta, gamma, delta, L: int, i: int) -> Fraction:
-    """J^lat_{i-1->i} - J^lat_{i->i+1} - J^eva_{i-1,i} - J^eva_{i,i+1};
-    zero in the stationary state."""
-    if not 2 <= i <= L - 1:
-        raise ValueError("interior site required")
-    left = rd_closed_forms(kappa, alpha, beta, gamma, delta, L, i - 1)
-    right = rd_closed_forms(kappa, alpha, beta, gamma, delta, L, i)
-    return left["current_lat"] - right["current_lat"] \
-        - left["current_eva"] - right["current_eva"]

@@ -22,7 +22,7 @@ import warnings
 from fractions import Fraction
 from itertools import zip_longest
 from json.encoder import encode_basestring_ascii
-from operator import add, itemgetter
+from operator import itemgetter
 
 from . import ansatz as an
 from . import models as m
@@ -235,19 +235,28 @@ def cmd_verify(args) -> int:
     return _finish_reports(reports, args, model)
 
 
+# the largest L of each steady-state method, for steady and bench alike:
+# the nullspace of RD at L = 11 takes 7.4 times as long as at L = 10
+_L_CAPS = {"nullspace": 10, "ansatz": 8}
+
+
+def _capped(L: int, methods) -> None:
+    """Raise DomainError before any work if L exceeds a method's cap."""
+    for method in methods:
+        if L > _L_CAPS[method]:
+            raise DomainError(f"{method} method capped at L = "
+                              f"{_L_CAPS[method]}")
+
+
 def _steady_distributions(args, model):
     L = args.L
-    method = args.method
-    if method in ("nullspace", "both"):
-        if L > 10:
-            raise DomainError("nullspace method capped at L = 10")
-    if method in ("ansatz", "both"):
-        if L > 8:
-            raise DomainError("ansatz method capped at L = 8")
+    methods = ("nullspace", "ansatz") if args.method == "both" \
+        else (args.method,)
+    _capped(L, methods)
     null_dist = ansatz_dist = None
-    if method in ("nullspace", "both"):
+    if "nullspace" in methods:
         null_dist = steady_state_exact(integer_markov(model, L)[0])
-    if method in ("ansatz", "both"):
+    if "ansatz" in methods:
         with _domain_errors():
             ansatz_dist = an.steady_ansatz(model, L, _cap(args))
     return null_dist, ansatz_dist
@@ -291,12 +300,11 @@ def cmd_steady(args) -> int:
 
 def _write(doc: dict, args) -> int:
     """Emit a document of scalar fields and tables.  A table is (header,
-    rows), whose cells print as json.dumps and csv.writer print them, or
-    typed, (header, rows, conversions): one %-conversion per column ('%d',
-    '%s' or '%.17g') and each row a tuple, printed by one %-template of its
-    table.  A typed cell is a JSON string, '%d' a JSON number, and None
-    prints empty ("" in JSON); no typed cell holds a comma, quote or newline,
-    and a typed table has two columns or more (csv.writer prints a lone
+    rows, conversions): one %-conversion per column ('%d', '%r', '%s' or
+    '%.17g') and each row a tuple, printed by one %-template of its table.
+    In JSON a '%d' or '%r' cell is a number and the others are strings;
+    None prints empty ("" in JSON).  No cell holds a comma, quote or
+    newline, and a table has two columns or more (csv.writer prints a lone
     empty field as "").
     JSON writes each table as a list of dicts keyed by its header, the bytes
     of json.dumps(indent=2); CSV writes only the tables, in document order,
@@ -308,21 +316,18 @@ def _write(doc: dict, args) -> int:
     buf = io.StringIO()
     wcsv = csv.writer(buf, lineterminator="\n")
     tables = [v for v in doc.values() if isinstance(v, tuple)]
-    for n, (header, rows, *typed) in enumerate(tables):
+    for n, (header, rows, convs) in enumerate(tables):
         if n:
             wcsv.writerow([])
         wcsv.writerow(header)
-        if typed:
-            buf.writelines(_typed_rows(lambda convs: ",".join(convs) + "\n",
-                                       *typed, rows))
-        else:
-            wcsv.writerows(rows)
+        buf.writelines(_typed_rows(lambda cs: ",".join(cs) + "\n", convs,
+                                   rows))
     _emit(buf.getvalue(), args)
     return 0
 
 
 def _typed_rows(template_of, convs, rows) -> list:
-    """Each row of a typed table as template_of(convs) % row.  A row with
+    """Each row of a table as template_of(convs) % row.  A row with
     None cells (a chain's last site, past its last bond) drops their
     conversions from its template, so that they print empty."""
     template = template_of(convs)
@@ -349,25 +354,13 @@ def _json(doc: dict) -> str:
     return "{\n" + ",\n".join(fields) + "\n}" if fields else "{}"
 
 
-def _json_table(header, rows, convs=None) -> str:
+def _json_table(header, rows, convs) -> str:
     keys = ["      " + encode_basestring_ascii(k).replace("%", "%%") + ": "
             for k in header]
-
-    def template_of(cells):
-        return "    {\n" + ",\n".join(map(add, keys, cells)) + "\n    }" \
-            if keys else "    {}"
-
-    if convs is None:
-        template = template_of(["%s"] * len(keys))
-        body = ",\n".join(
-            template % tuple([encode_basestring_ascii(v) if type(v) is str
-                              else repr(v) if type(v) is int
-                              else _json_value(v, "\n      ") for v in row])
-            for row in rows)
-    else:
-        body = ",\n".join(_typed_rows(
-            lambda cs: template_of([c if c == "%d" else f'"{c}"'
-                                    for c in cs]), convs, rows))
+    body = ",\n".join(_typed_rows(
+        lambda cs: "    {\n" + ",\n".join(
+            k + (c if c in ("%d", "%r") else f'"{c}"')
+            for k, c in zip(keys, cs)) + "\n    }", convs, rows))
     return "[\n" + body + "\n  ]" if body else "[]"
 
 
@@ -463,19 +456,22 @@ def cmd_transfer(args) -> int:
 def cmd_bench(args) -> int:
     model = _model(args)
     L = args.L
+    methods = ("nullspace", "ansatz") if model.name in (m.TASEP, m.RD) \
+        else ("nullspace",)
+    _capped(L, methods)
     rows = []
 
     def timed(task, fn, size=L):
         t0 = time.perf_counter()
         fn()
-        rows.append([task, model.name, size,
-                     round(time.perf_counter() - t0, 6)])
+        rows.append((task, model.name, size,
+                     round(time.perf_counter() - t0, 6)))
 
     with _domain_errors():
         M = build_markov(model, L)
         timed("build_markov", lambda: build_markov(model, L))
         timed("steady_nullspace", lambda: steady_state_exact(M))
-        if model.name in (m.TASEP, m.RD):
+        if "ansatz" in methods:
             timed("steady_ansatz", lambda: an.steady_ansatz(model, L))
         spec = tr.TransferSpec(model, min(L, 4))
         x, x2 = Fraction(3), Fraction(5)
@@ -483,7 +479,8 @@ def cmd_bench(args) -> int:
         timed("transfer_commutation",
               lambda: tr.check_commutation(spec, x, x2), spec.L)
     return _write({"schema": SCHEMA,
-                   "bench": (["task", "model", "L", "seconds"], rows)}, args)
+                   "bench": (["task", "model", "L", "seconds"], rows,
+                             ("%s", "%s", "%d", "%r"))}, args)
 
 
 def main(argv=None) -> int:

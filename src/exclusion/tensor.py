@@ -404,21 +404,6 @@ def embed_at_positions(op, positions, n_factors) -> SparseMatrix:
     return out
 
 
-def embed_local(op: Matrix, first_site: int, length: int) -> SparseMatrix:
-    """Embed a single-site (2x2) or adjacent-pair (4x4) operator; sites are
-    1-indexed, site 1 being the most significant bit."""
-    if op.rows == 2:
-        if not 1 <= first_site <= length:
-            raise ValueError(f"site {first_site} out of range for {length} sites")
-        return embed_at_positions(op, (first_site - 1,), length)
-    if op.rows == 4:
-        if not 1 <= first_site <= length - 1:
-            raise ValueError(f"pair ({first_site},{first_site + 1}) out of range "
-                             f"for {length} sites")
-        return embed_at_positions(op, (first_site - 1, first_site), length)
-    raise ValueError("embed_local expects a 2x2 or 4x4 operator")
-
-
 def embed_sum(terms, n_factors) -> SparseMatrix:
     """Sum of operators on adjacent tensor slots of (C^2)^(x n_factors),
     identity elsewhere.  ``terms`` holds (op, first) pairs: op is a

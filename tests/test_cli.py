@@ -3,6 +3,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import re
 import subprocess
@@ -703,27 +704,16 @@ _JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
-@st.composite
-def _tables(draw):
-    header = draw(st.lists(_JSON_KEYS, unique=True, max_size=4))
-    row = st.lists(_JSON_VALUES, min_size=len(header), max_size=len(header))
-    return header, draw(st.lists(row, max_size=3))
-
-
 @settings(max_examples=200, deadline=None)
-@given(st.dictionaries(_JSON_KEYS, st.one_of(_JSON_VALUES, _tables()),
-                       max_size=4))
+@given(st.dictionaries(_JSON_KEYS, _JSON_VALUES, max_size=4))
 def test_json_writer_matches_json_dumps(doc):
-    # the row templates print the bytes of json.dumps over the expanded doc;
-    # rows are drawn lazily, as the profile writer draws them
-    expanded = {k: [dict(zip(v[0], row)) for row in v[1]]
-                if isinstance(v, tuple) else v for k, v in doc.items()}
-    lazy = {k: (v[0], iter(v[1])) if isinstance(v, tuple) else v
-            for k, v in doc.items()}
+    # scalar fields of any JSON value, under keys that json or a %-template
+    # escapes, print the bytes of json.dumps; tables, lazily drawn rows
+    # included, are the typed property's below
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert _write(lazy, argparse.Namespace(format="json", out=None)) == 0
-    assert out.getvalue() == json.dumps(expanded, indent=2) + "\n"
+        assert _write(doc, argparse.Namespace(format="json", out=None)) == 0
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
 
 
 # typed cells: ints, floats at the edges of the float range, and Fractions
@@ -808,6 +798,53 @@ def test_bench_json_keys_and_row_order(capsys):
             ("transfer_commutation", transfer_L)]
         assert all(list(r) == ["task", "model", "L", "seconds"]
                    for r in doc["bench"])
+
+
+# digests taken from the untyped per-cell writer that bench's typed table
+# replaced; the fake clock's intervals round to 1e-06 ... 3.458881 s
+_BENCH_DIGESTS = {
+    ("asep", "2", "csv"):
+        "b326873d29b0db5f2cebf7954ac1565f1376b341dc359db22030a7fa8ae6830d",
+    ("asep", "2", "json"):
+        "39972092c839d1815e0ff1582b99d6d76aa210d016f0fbddba915b73cfcfc4bb",
+    ("asep", "5", "csv"):
+        "a8dea502e8926c600682adba0f58aacd43ea843e71b7315c3ce6ef86025d2740",
+    ("asep", "5", "json"):
+        "dbde05a333e4b39e28ff9d239a36b51ce6199a3fb46bab0285bb8473c575d97c",
+    ("rd", "2", "csv"):
+        "72dd5926c6a835aa24df5df66406b6212247608dcca73b4dca9c1a93e305f46a",
+    ("rd", "2", "json"):
+        "265f4c608dd31a86676f68f38e36effcc914b840aa25eddbd8295f9cad596f6d",
+    ("rd", "5", "csv"):
+        "f5e413e52afec8f014cffb6479d9c43c572fce947a68f74184ae6002f893726d",
+    ("rd", "5", "json"):
+        "1b564ffdc8fddec0adcbd3acafb7097387582c14e790a9b6c7fa0009810a815a",
+}
+
+
+@pytest.mark.parametrize("name, L, fmt", sorted(_BENCH_DIGESTS))
+def test_bench_bytes_are_pinned_under_a_fake_clock(capsys, monkeypatch, name,
+                                                    L, fmt):
+    clock = (7.0 ** k * 1e-7 for k in itertools.count())
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: next(clock))
+    code, out = run(capsys, "bench", *_MODEL_ARGS[name], "--L", L,
+                    "--format", fmt)
+    assert code == 0
+    assert _sha256(out) == _BENCH_DIGESTS[name, L, fmt]
+
+
+@pytest.mark.parametrize("model, L, line", [
+    ("asep", "11", "domain error: nullspace method capped at L = 10\n"),
+    ("tasep", "9", "domain error: ansatz method capped at L = 8\n")])
+def test_bench_obeys_the_steady_caps(capsys, monkeypatch, model, L, line):
+    # bench checks L before it builds the generator, and prints steady's line
+    monkeypatch.setattr(cli, "build_markov",
+                        lambda *_: pytest.fail("bench built the generator"))
+    for command in ("bench", "steady"):
+        code = main([command, "--model", model, "--L", L,
+                     *(("--method", "both") if command == "steady" else ())])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", line), command
 
 
 def test_transfer_pole_prints_the_bench_message(capsys):

@@ -135,7 +135,7 @@ def test_evolve_relaxes_to_steady(asep_model):
 
 def fraction_markov(model, L):
     """Oracle: the generator as a Fraction sum of embedded local terms."""
-    from exclusion.tensor import embed_local
+    from reference import embed_local
     w, B, Bbar = ex.local_operators(model)
     M = embed_local(B, 1, L) + embed_local(Bbar, L, L)
     for site in range(1, L):

@@ -1,0 +1,96 @@
+"""Every top-level definition in the package is reached from a CLI command
+or from a named library entry point; what only the tests use lives in
+tests/.
+
+The walk is by name: a reached definition reaches every name its body
+mentions, bare or as an attribute, in any module, so a shared name counts
+as a call.  That is crude, but a definition it leaves out is dead code.
+The package's __init__ re-exports names and reaches nothing by itself."""
+
+import ast
+from pathlib import Path
+
+from test_traced_cli import TRACED_CLI, _load
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "exclusion"
+
+# reached by no CLI command: adding a name here is a deliberate decision
+LIBRARY_ENTRY_POINTS = {
+    # the ZF/GZ family of the matrix ansatz and its monodromy realisation
+    "check_zf", "check_zf_twice", "check_zf_derivative",
+    "check_c_commutation", "check_gz", "MonodromyRealization",
+    # the exact RD closed forms, the oracle of rd_profile_rows
+    "rd_closed_forms",
+    # the one float routine: relaxation towards the steady state
+    "evolve", "ApproxDistribution",
+}
+
+
+def _traced_names() -> set:
+    """Every name the benchmark's tracer wraps: SPANS, and each literal name
+    handed to its _replace."""
+    names = {attr for targets in _load().SPANS.values() for _, attr in targets}
+    for node in ast.walk(ast.parse(TRACED_CLI.read_text())):
+        if isinstance(node, ast.Call) and \
+                getattr(node.func, "attr", None) == "_replace" and \
+                isinstance(node.args[1], ast.Constant):
+            names.add(node.args[1].value)
+    return names
+
+
+def _mentions(node) -> set:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _definitions():
+    """(module, name) -> the names its body mentions, and the names that the
+    modules' other top-level statements mention as they run."""
+    defs, run = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            else:
+                run |= _mentions(node)
+                continue
+            for name in names:
+                defs[path.stem, name] = _mentions(node)
+    return defs, run
+
+
+def _reached(defs, roots) -> set:
+    reached, todo = set(), set(roots)
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for (_, def_name), mentions in defs.items():
+            if def_name == name:
+                todo |= mentions - reached
+    return reached
+
+
+def test_every_definition_is_reached_from_the_cli_or_an_entry_point():
+    defs, run = _definitions()
+    commands = {name for module, name in defs
+                if module == "cli" and name.startswith("cmd_")}
+    assert len(commands) == 5
+    traced = _traced_names()
+    entry_points = LIBRARY_ENTRY_POINTS | traced
+    defined = {name for _, name in defs}
+    # each entry point names a top-level definition (SparseMatrix.__mul__
+    # is a method), so a rename shows here
+    assert entry_points - {"__mul__"} <= defined
+    reached = _reached(defs, commands | entry_points | run)
+    unreached = sorted(f"{module}.{name}" for module, name in defs
+                       if name not in reached)
+    assert unreached == []

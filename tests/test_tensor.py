@@ -8,9 +8,10 @@ import exclusion.tensor as tensor
 import exclusion.transfer as tr
 from exclusion.markov import KernelError, steady_state_exact
 from exclusion.tensor import Matrix, PoleError, SparseMatrix, _primes, \
-    derivative_at, embed_at_positions, embed_local, embed_sum, \
-    exact_nullspace, integer_form, integer_vector, inverse, kron, \
+    derivative_at, embed_at_positions, embed_sum, exact_nullspace, \
+    integer_form, integer_vector, inverse, kron, \
     partial_trace_first, partial_transpose, permutation_op, rank
+from reference import embed_local
 
 I2 = Matrix.identity(2)
 I4 = Matrix.identity(4)
