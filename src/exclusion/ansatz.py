@@ -495,7 +495,7 @@ class MonodromyRealization:
         n = self.L + 1
         acc = None
         for j in range(self.L, 0, -1):
-            f = embed_at_positions(m.r_matrix(self.model, x), (0, j), n)
+            f = embed_at_positions([(m.r_matrix(self.model, x), (0, j))], n)
             acc = f if acc is None else acc * f
         T = acc.to_dense()
         half = 1 << self.L

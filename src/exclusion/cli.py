@@ -28,7 +28,7 @@ from . import ansatz as an
 from . import models as m
 from . import transfer as tr
 from . import verifier as vf
-from .markov import KernelError, build_markov, integer_markov, observables, \
+from .markov import KernelError, integer_markov, observables, \
     steady_state_exact
 from .sampling import sample_points
 from .scalars import format_rational, parse_rational
@@ -329,10 +329,13 @@ def _write(doc: dict, args) -> int:
 def _typed_rows(template_of, convs, rows) -> list:
     """Each row of a table as template_of(convs) % row.  A row with
     None cells (a chain's last site, past its last bond) drops their
-    conversions from its template, so that they print empty."""
+    conversions from its template, so that they print empty.  A '%.17g'
+    cell outside the float range raises DomainError as _domain_errors
+    words it."""
     template = template_of(convs)
-    # a lazy row raises its own errors as DomainError before it is formatted
-    with _digit_limit():
+    # a lazy row raises its own errors as DomainError before it is
+    # formatted; _digit_limit, the inner one, words a ValueError
+    with _domain_errors(), _digit_limit():
         return [template % row if None not in row else
                 template_of([c if v is not None else ""
                              for c, v in zip(convs, row)])
@@ -463,14 +466,15 @@ def cmd_bench(args) -> int:
 
     def timed(task, fn, size=L):
         t0 = time.perf_counter()
-        fn()
+        out = fn()
         rows.append((task, model.name, size,
                      round(time.perf_counter() - t0, 6)))
+        return out
 
     with _domain_errors():
-        M = build_markov(model, L)
-        timed("build_markov", lambda: build_markov(model, L))
-        timed("steady_nullspace", lambda: steady_state_exact(M))
+        # the int generator that steady's nullspace method solves
+        N, _ = timed("build_markov", lambda: integer_markov(model, L))
+        timed("steady_nullspace", lambda: steady_state_exact(N))
         if "ansatz" in methods:
             timed("steady_ansatz", lambda: an.steady_ansatz(model, L))
         spec = tr.TransferSpec(model, min(L, 4))

@@ -13,7 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .models import ModelDescriptor, RD, hop_rates, local_operators
-from .tensor import SparseMatrix, embed_sum, exact_nullspace, \
+from .tensor import SparseMatrix, embed_at_positions, exact_nullspace, \
     integer_form, integer_vector
 
 
@@ -50,8 +50,9 @@ def integer_markov(model: ModelDescriptor, L: int) -> tuple:
         raise ValueError("L must be >= 1")
     (w, B, Bbar), d = integer_form(
         *map(SparseMatrix.from_dense, local_operators(model)))
-    terms = [(B, 0), (Bbar, L - 1)] + [(w, site) for site in range(L - 1)]
-    return embed_sum(terms, L), d
+    terms = [(B, (0,)), (Bbar, (L - 1,))] + \
+        [(w, (s, s + 1)) for s in range(L - 1)]
+    return embed_at_positions(terms, L), d
 
 
 def build_markov(model: ModelDescriptor, L: int) -> SparseMatrix:

@@ -373,58 +373,40 @@ class SparseMatrix:
         return f"SparseMatrix(dim={self.dim}, nnz={self.nnz})"
 
 
-def embed_at_positions(op, positions, n_factors) -> SparseMatrix:
-    """Embed an operator acting on the given 0-indexed tensor slots of
-    (C^2)^(x n_factors), identity elsewhere.  ``op`` is a Matrix or a
-    SparseMatrix of dim 2^len(positions), with its tensor legs matching
-    ``positions`` in order; its entries are copied as they are."""
-    if isinstance(op, Matrix):
-        op = SparseMatrix.from_dense(op)
-    k = len(positions)
-    if op.dim != 1 << k:
-        raise ValueError("operator size does not match position count")
-    if len(set(positions)) != k or any(not 0 <= p < n_factors for p in positions):
-        raise ValueError("bad tensor positions")
-    dim = 1 << n_factors
-    shifts = [n_factors - 1 - p for p in positions]
-    ent = list(op.items())
-    out = SparseMatrix(dim)
-    mask = 0
-    for s in shifts:
-        mask |= 1 << s
-    rest = [b for b in range(dim) if not b & mask]
-    for base in rest:
-        for i, j, v in ent:
-            r = base
-            c = base
-            for t, s in enumerate(shifts):
-                r |= ((i >> (k - 1 - t)) & 1) << s
-                c |= ((j >> (k - 1 - t)) & 1) << s
-            out._rows.setdefault(r, {})[c] = v  # (base, i, j) -> (r, c) is 1:1
-    return out
-
-
-def embed_sum(terms, n_factors) -> SparseMatrix:
-    """Sum of operators on adjacent tensor slots of (C^2)^(x n_factors),
-    identity elsewhere.  ``terms`` holds (op, first) pairs: op is a
-    SparseMatrix of dim 2^k acting on the 0-indexed slots first, ...,
-    first + k - 1.  Entries are summed as they are, so int operators give
-    an int sum, and no term is embedded on its own."""
+def embed_at_positions(terms, n_factors) -> SparseMatrix:
+    """Sum of local operators on (C^2)^(x n_factors), each identity off
+    its slots.  ``terms`` holds (op, positions) pairs: op is a Matrix or a
+    SparseMatrix of dim 2^k acting on k distinct 0-indexed tensor slots,
+    its legs in the order of ``positions``.  A term visits each output row
+    once: the row's slot bits pick its local row, and each entry's column
+    keeps the row's other bits.  Entries are summed as they are, so int
+    operators give an int sum; zero sums are dropped."""
     dim = 1 << n_factors
     rows = [{} for _ in range(dim)]
-    for op, first in terms:
-        mask = op.dim - 1
-        shift = n_factors - first - mask.bit_length()
-        if op.dim & mask or first < 0 or shift < 0:
+    for op, positions in terms:
+        if isinstance(op, Matrix):
+            op = SparseMatrix.from_dense(op)
+        k = len(positions)
+        if op.dim != 1 << k:
+            raise ValueError("operator size does not match position count")
+        if len(set(positions)) != k or \
+                any(not 0 <= p < n_factors for p in positions):
             raise ValueError("bad tensor positions")
-        local = [[] for _ in range(op.dim)]   # row i -> (col << shift, v)
+        # spread[i]: the slot bits of local index i, leg 0 its top bit
+        spread = [0]
+        for p in positions:
+            bit = 1 << n_factors - 1 - p
+            spread = [s | b for s in spread for b in (0, bit)]
+        local = {}   # a row's slot bits -> (a column's slot bits, v)
         for i, j, v in op.items():
-            local[i].append((j << shift, v))
-        keep = ~(mask << shift)
-        for r, row in enumerate(rows):
-            for j, v in local[r >> shift & mask]:
-                c = r & keep | j
-                row[c] = row.get(c, 0) + v
+            local.setdefault(spread[i], []).append((spread[j], v))
+        bases = [b for b in range(dim) if not b & spread[-1]]
+        for s, entries in local.items():
+            for base in bases:
+                row = rows[base | s]
+                for c, v in entries:
+                    c |= base
+                    row[c] = row.get(c, 0) + v
     out = SparseMatrix(dim)
     for r, row in enumerate(rows):
         row = {c: v for c, v in row.items() if v}

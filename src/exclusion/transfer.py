@@ -88,7 +88,7 @@ def build_transfer(spec: TransferSpec, x) -> tuple:
     for positions, F in _local_factors(spec, x):
         tables = [value_matrix(F), deriv_matrix(F)] if dual else [F]
         ints, d = integer_form(*map(SparseMatrix.from_dense, tables))
-        f = [embed_at_positions(t, positions, n) for t in ints]
+        f = [embed_at_positions([(t, positions)], n) for t in ints]
         den *= d
         if acc is None:
             acc = f

@@ -141,7 +141,7 @@ def check_yang_baxter(model: ModelDescriptor, x1, x2, x3) -> CheckReport:
         rs = [SparseMatrix.from_dense(m.r_matrix(model, conv.compose(a, b)))
               for a, b in ((x1, x2), (x1, x3), (x2, x3))]
         ns, d = integer_form(*rs)
-        n12, n13, n23 = (embed_at_positions(n, legs, 3) for n, legs in
+        n12, n13, n23 = (embed_at_positions([term], 3) for term in
                          zip(ns, ((0, 1), (0, 2), (1, 2))))
         return n12 * n13 * n23, n23 * n13 * n12, d ** 3
 

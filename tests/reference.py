@@ -1,26 +1,40 @@
-"""Oracles that only the tests use: the Fraction embedding that
-``tensor.embed_sum`` is checked against, and the RD current balance of
-``ansatz.rd_closed_forms``."""
+"""Oracles that only the tests use: the dense embedding, built from
+``kron`` and a slot permutation, that ``tensor.embed_at_positions`` is
+checked against, and the RD current balance of ``ansatz.rd_closed_forms``."""
 
 from fractions import Fraction
 
 from exclusion.ansatz import rd_closed_forms
-from exclusion.tensor import Matrix, SparseMatrix, embed_at_positions
+from exclusion.tensor import Matrix, SparseMatrix, kron
+
+
+def embed_dense(op: Matrix, positions, length: int) -> Matrix:
+    """op on the 0-indexed slots ``positions`` of (C^2)^(x length), its legs
+    in the order of ``positions``, identity elsewhere: kron(op, I) acts on
+    the leading slots, and the permutation P sending slot t to the t-th of
+    positions + (the other slots, ascending) puts it in place, P kron(op, I)
+    P^T."""
+    k = len(positions)
+    if op.rows != 1 << k or len(set(positions)) != k or \
+            not all(0 <= p < length for p in positions):
+        raise ValueError(f"{op.rows}x{op.rows} operator at slots {positions} "
+                         f"of {length}")
+    order = list(positions) + [p for p in range(length) if p not in positions]
+    dim = 1 << length
+    P = Matrix.zeros(dim, dim)
+    for a in range(dim):
+        b = sum(((a >> (length - 1 - t)) & 1) << (length - 1 - slot)
+                for t, slot in enumerate(order))
+        P.a[b][a] = Fraction(1)
+    return P * kron(op, Matrix.identity(dim >> k)) * P.transpose()
 
 
 def embed_local(op: Matrix, first_site: int, length: int) -> SparseMatrix:
-    """Embed a single-site (2x2) or adjacent-pair (4x4) operator; sites are
+    """Embed an operator on adjacent sites from first_site on; sites are
     1-indexed, site 1 being the most significant bit."""
-    if op.rows == 2:
-        if not 1 <= first_site <= length:
-            raise ValueError(f"site {first_site} out of range for {length} sites")
-        return embed_at_positions(op, (first_site - 1,), length)
-    if op.rows == 4:
-        if not 1 <= first_site <= length - 1:
-            raise ValueError(f"pair ({first_site},{first_site + 1}) out of range "
-                             f"for {length} sites")
-        return embed_at_positions(op, (first_site - 1, first_site), length)
-    raise ValueError("embed_local expects a 2x2 or 4x4 operator")
+    k = op.rows.bit_length() - 1
+    return SparseMatrix.from_dense(
+        embed_dense(op, range(first_site - 1, first_site - 1 + k), length))
 
 
 def rd_current_balance(kappa, alpha, beta, gamma, delta, L: int, i: int) -> Fraction:

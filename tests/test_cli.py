@@ -13,7 +13,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import exclusion as ex
 import exclusion.ansatz as an
@@ -21,7 +21,7 @@ import exclusion.cli as cli
 import exclusion.sampling as sampling
 import exclusion.transfer as tr
 from exclusion.ansatz import rd_closed_forms
-from exclusion.cli import _write, build_parser, main
+from exclusion.cli import DomainError, _write, build_parser, main
 from exclusion.scalars import float_repr, format_rational
 from certificates import pins, recorded
 
@@ -751,16 +751,36 @@ def _typed_tables(draw):
     return header, draw(st.lists(row, max_size=4)), convs
 
 
+# a '%.17g' Fraction cell beyond the float range, first found at random
+_PAST_FLOAT_MAX = F(int(
+    "2493445979267110915738511038696188683559225010200969631938261549"
+    "9377261055484864236384376127504588190694468370771199856934177284"
+    "2792064944535302070161487755555520515601081054248742503470882092"
+    "7728607911037332805197418448231603284477827888396626861958562485"
+    "73859851885553026889505900115582489375694627058639130"))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(_JSON_KEYS, _typed_tables() | st.integers(),
                        max_size=3),
        st.sampled_from(["csv", "json"]))
+@example({"%s": (["%", "%s"], [(None, _PAST_FLOAT_MAX)], ("%.17g", "%.17g"))},
+         "csv")
 def test_typed_writer_matches_the_per_cell_path(doc, fmt):
     # one %-template per row prints what csv.writer over the formatted
-    # cells, and json.dumps over the expanded dicts, print
-    cells = {k: (v[0], [[_typed_reference(c, x) for c, x in zip(v[2], row)]
-                        for row in v[1]])
-             if isinstance(v, tuple) else v for k, v in doc.items()}
+    # cells, and json.dumps over the expanded dicts, print; where a cell
+    # lies outside the float range the writer raises DomainError instead
+    lazy = {k: (v[0], iter(v[1]), v[2]) if isinstance(v, tuple) else v
+            for k, v in doc.items()}
+    args = argparse.Namespace(format=fmt, out=None)
+    try:
+        cells = {k: (v[0], [[_typed_reference(c, x)
+                             for c, x in zip(v[2], row)] for row in v[1]])
+                 if isinstance(v, tuple) else v for k, v in doc.items()}
+    except OverflowError:
+        with pytest.raises(DomainError, match="outside the float range"):
+            _write(lazy, args)
+        return
     if fmt == "json":
         want = json.dumps({k: [dict(zip(v[0], row)) for row in v[1]]
                            if isinstance(v, tuple) else v
@@ -775,11 +795,9 @@ def test_typed_writer_matches_the_per_cell_path(doc, fmt):
             wcsv.writerow(header)
             wcsv.writerows(rows)
         want = buf.getvalue()
-    lazy = {k: (v[0], iter(v[1]), v[2]) if isinstance(v, tuple) else v
-            for k, v in doc.items()}
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert _write(lazy, argparse.Namespace(format=fmt, out=None)) == 0
+        assert _write(lazy, args) == 0
     assert out.getvalue() == want
 
 
@@ -838,7 +856,7 @@ def test_bench_bytes_are_pinned_under_a_fake_clock(capsys, monkeypatch, name,
     ("tasep", "9", "domain error: ansatz method capped at L = 8\n")])
 def test_bench_obeys_the_steady_caps(capsys, monkeypatch, model, L, line):
     # bench checks L before it builds the generator, and prints steady's line
-    monkeypatch.setattr(cli, "build_markov",
+    monkeypatch.setattr(cli, "integer_markov",
                         lambda *_: pytest.fail("bench built the generator"))
     for command in ("bench", "steady"):
         code = main([command, "--model", model, "--L", L,

@@ -8,10 +8,10 @@ import exclusion.tensor as tensor
 import exclusion.transfer as tr
 from exclusion.markov import KernelError, steady_state_exact
 from exclusion.tensor import Matrix, PoleError, SparseMatrix, _primes, \
-    derivative_at, embed_at_positions, embed_sum, exact_nullspace, \
+    derivative_at, embed_at_positions, exact_nullspace, \
     integer_form, integer_vector, inverse, kron, \
     partial_trace_first, partial_transpose, permutation_op, rank
-from reference import embed_local
+from reference import embed_dense, embed_local
 
 I2 = Matrix.identity(2)
 I4 = Matrix.identity(4)
@@ -74,14 +74,15 @@ def test_embed_sum_adds_the_embeddings():
     w, B, Bbar = ex.local_operators(ex.asep(2, 1, 1, F(1, 2), F(1, 3)))
     ops, _ = integer_form(*map(SparseMatrix.from_dense, (w, B, Bbar)))
     wi, Bi, Bbari = ops
-    got = embed_sum([(wi, 1), (Bi, 0), (Bbari, 3), (wi, 1)], 4)
+    got = embed_at_positions([(wi, (1, 2)), (Bi, (0,)), (Bbari, (3,)),
+                              (wi, (1, 2))], 4)
     want = embed_local(w, 2, 4) + embed_local(B, 1, 4) \
         + embed_local(Bbar, 4, 4) + embed_local(w, 2, 4)
     assert got.scale(F(1, 6)) == want       # w, B, Bbar over d = 6
     assert all(type(v) is int for _, _, v in got.items())
-    for op, first in ((wi, 3), (Bi, 4), (Bi, -1)):
+    for op, positions in ((wi, (3, 4)), (Bi, (4,)), (Bi, (-1,))):
         with pytest.raises(ValueError):
-            embed_sum([(op, first)], 4)
+            embed_at_positions([(op, positions)], 4)
 
 
 def test_embed_disjoint_supports_commute():
@@ -92,6 +93,49 @@ def test_embed_disjoint_supports_commute():
     c = embed_local(B, 1, 4)
     d = embed_local(Bbar, 4, 4)
     assert c * d == d * c
+
+
+@st.composite
+def _local_terms(draw):
+    # up to 4 operators of 2x2 or 4x4 on n <= 5 slots, at distinct slots in
+    # any order (non-adjacent and descending ones included); each operator
+    # has int entries or Fraction ones
+    n = draw(st.integers(1, 5))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(1, min(2, n)))
+        positions = tuple(draw(st.permutations(range(n)))[:k])
+        entries = draw(st.sampled_from(
+            [small_entries, st.fractions(-3, 3, max_denominator=4)]))
+        op = SparseMatrix(1 << k)
+        for i in range(1 << k):
+            for j in range(1 << k):
+                op.add(i, j, draw(entries))
+        terms.append((op, positions))
+    return n, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(_local_terms(), st.data())
+def test_embed_at_positions_sums_the_dense_embeddings(n_terms, data):
+    n, terms = n_terms
+    got = embed_at_positions(terms, n)
+    want = Matrix.zeros(1 << n, 1 << n)
+    for op, positions in terms:
+        want = want + embed_dense(op.to_dense(), positions, n)
+    assert got.to_dense() == want
+    assert all(v for _, _, v in got.items())    # zero sums are dropped
+    if all(type(v) is int for op, _ in terms for _, _, v in op.items()):
+        assert all(type(v) is int for _, _, v in got.items())
+    # a wrong size, a repeated slot or a slot off the chain
+    slot = data.draw(st.integers(0, n - 1))
+    bad = data.draw(st.sampled_from([
+        (SparseMatrix.identity(4), (slot,)), (SparseMatrix.identity(2), ()),
+        (SparseMatrix.identity(4), (slot, slot)),
+        (SparseMatrix.identity(2), (n,)), (SparseMatrix.identity(2), (-1,))]))
+    at = data.draw(st.integers(0, len(terms)))
+    with pytest.raises(ValueError):
+        embed_at_positions(terms[:at] + [bad] + terms[at:], n)
 
 
 def test_partial_trace_first():
@@ -585,9 +629,9 @@ def test_sparse_matrix_contract():
 def test_embed_at_positions_matches_kron_order():
     A = Matrix([[1, 2], [3, 4]])
     B = Matrix([[0, 1], [5, 0]])
-    two = embed_at_positions(kron(A, B), (0, 1), 2).to_dense()
+    two = embed_at_positions([(kron(A, B), (0, 1))], 2).to_dense()
     assert two == kron(A, B)
-    swapped = embed_at_positions(kron(A, B), (1, 0), 2).to_dense()
+    swapped = embed_at_positions([(kron(A, B), (1, 0))], 2).to_dense()
     assert swapped == kron(B, A)
 
 

@@ -28,7 +28,8 @@ def _oracle_transfer(spec, x):
                                     conv.reflect_compose(x, spec.thetas[j - 1])))
                 for j in range(1, L + 1)]
     return partial_trace_first(reduce(operator.mul, (
-        embed_at_positions(f, positions, L + 1) for positions, f in factors)))
+        embed_at_positions([(f, positions)], L + 1)
+        for positions, f in factors)))
 
 
 def test_transfer_identity_point_is_identity(all_models):

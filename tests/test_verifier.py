@@ -311,8 +311,8 @@ def test_yang_baxter_fail_prints_fraction_entries(ssep_model, monkeypatch):
     rep = vf.check_yang_baxter(ssep_model, x1, x2, x3)
     assert rep.status == vf.FAIL
     conv = ssep_model.convention
-    r12, r13, r23 = (embed_at_positions(wrong_r(ssep_model, conv.compose(a, b)),
-                                        legs, 3)
+    r12, r13, r23 = (embed_at_positions(
+                         [(wrong_r(ssep_model, conv.compose(a, b)), legs)], 3)
                      for a, b, legs in ((x1, x2, (0, 1)), (x1, x3, (0, 2)),
                                         (x2, x3, (1, 2))))
     lhs, rhs = (r12 * r13 * r23).to_dense(), (r23 * r13 * r12).to_dense()
