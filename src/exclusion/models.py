@@ -206,20 +206,18 @@ def _nonzero(denom, what, x):
     return denom
 
 
-# entries of each bounded cache of R(x) and K(x) at rational points.  A
-# 5-sample verify builds 145-339 distinct matrices.
+# entries of each bounded cache of R(x) and K(x).  A 5-sample verify
+# builds 145-339 distinct matrices.
 CACHE_SIZE = 1024
 
 
 def r_matrix(model: ModelDescriptor, x) -> Matrix:
     """The 4x4 R-matrix at spectral parameter x (exact; Dual-friendly).
 
-    At a rational x it comes from a bounded cache keyed by (name, q, kappa,
-    x), the constants R reads, so every caller gets the same Matrix: never
-    change it.  A Dual x is evaluated afresh.  A pole is not cached: it
-    raises PoleError on every call."""
-    if isinstance(x, Dual):
-        return _r_matrix(model, x)
+    At any x, Dual included, it comes from a bounded cache keyed by (name,
+    q, kappa, x), the constants R reads, so every caller gets the same
+    Matrix: never change it.  A pole is not cached: it raises PoleError on
+    every call."""
     return _r_cached(model.name, model.q, model.kappa, x)
 
 
@@ -280,19 +278,11 @@ def k_matrix(model: ModelDescriptor, kind: str, x) -> Matrix:
     singularities, the identity point included, need no special evaluation;
     ktilde_from_kbar checks it.
 
-    At a rational x the matrix comes from a bounded cache keyed by (kind,
-    model, x), so every caller gets the same Matrix: never change it.  A
-    Dual x is evaluated afresh.  A pole is not cached: it raises PoleError
-    on every call."""
+    At any x, Dual included, the matrix comes from a bounded cache keyed by
+    (kind, model, x), so every caller gets the same Matrix: never change
+    it.  A pole is not cached: it raises PoleError on every call."""
     if kind not in _K_FORMS:
         raise ValueError(f"unknown K-matrix kind {kind!r}")
-    return _k_at(model, kind, x)
-
-
-def _k_at(model: ModelDescriptor, kind: str, x) -> Matrix:
-    """k_matrix without the check of kind, for this module's own calls."""
-    if isinstance(x, Dual):
-        return _K_FORMS[kind](model, x)
     return _k_cached(kind, model, x)
 
 
@@ -401,7 +391,7 @@ def ktilde_from_kbar(model: ModelDescriptor, x) -> Matrix:
         inv = partial_transpose(inverse(Rt1), 1)
     except PoleError as exc:
         raise PoleError(f"singular partial transpose at x={x}") from exc
-    kbar = _k_at(model, "Kbar", conv.invert(x))
+    kbar = _k_cached("Kbar", model, conv.invert(x))
     big = kron(kbar, Matrix.identity(2)) * inv * permutation_op()
     return partial_trace_first(big)
 
@@ -411,7 +401,7 @@ def kbar_from_ktilde(model: ModelDescriptor, x) -> Matrix:
     if model.name == TASEP:
         raise UnsupportedError("tasep: dual reflection structure undefined")
     conv = model.convention
-    ktilde = _k_at(model, "Ktilde", conv.invert(x))
+    ktilde = _k_cached("Ktilde", model, conv.invert(x))
     big = kron(ktilde, Matrix.identity(2)) * \
         r_matrix(model, conv.invert(conv.reflect_compose(x, x))) * permutation_op()
     return partial_trace_first(big)
@@ -428,7 +418,7 @@ def general_asep_k(alpha, gamma, q, tau):
     base = ModelDescriptor(ASEP, alpha, Fraction(1), gamma, Fraction(0), q=q)
 
     def k(x):
-        K = _k_at(base, "K", x)
+        K = _k_cached("K", base, x)
         return Matrix([[K.a[0][0], K.a[0][1] / tau],
                        [tau * K.a[1][0], K.a[1][1]]])
 

@@ -146,6 +146,10 @@ class Dual:
             return NotImplemented
         return self.value == c and self.deriv == 0
 
+    def __hash__(self):
+        # Dual(v, 0) == v, so it hashes like v
+        return hash((self.value, self.deriv) if self.deriv else self.value)
+
     def __bool__(self):
         return self.value != 0 or self.deriv != 0
 

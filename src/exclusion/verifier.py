@@ -24,8 +24,8 @@ from .models import ModelDescriptor
 from .sampling import model_safe, pair_safe
 from .scalars import format_rational
 from .tensor import Matrix, SparseMatrix, derivative_at, \
-    embed_at_positions, integer_form, inverse, kron, partial_trace_first, \
-    partial_transpose, permutation_op, rank
+    embed_at_positions, integer_form, inverse, kron, partial_transpose, \
+    permutation_op, rank
 
 PASS = "Pass"
 FAIL = "Fail"
@@ -394,9 +394,10 @@ def _ssep_symmetries(model: ModelDescriptor, x):
     yield "symmetry.ktilde_crossing", (x,), ktilde_crossing
 
     def duality():
-        big = kron(m.k_matrix(model, "Ktilde", x), I2) * \
-            m.r_matrix(model, 2 * x) * permutation_op()
-        return m.k_matrix(swapped, "K", x), partial_trace_first(big)
+        # tr_0(Ktilde_0(x) R_01(2x) P_01), built before K: a pole of
+        # Ktilde or R is the one reported
+        rhs = m.kbar_from_ktilde(model, model.convention.invert(x))
+        return m.k_matrix(swapped, "K", x), rhs
     yield "symmetry.duality", (x,), duality
 
 
@@ -431,11 +432,10 @@ def _asep_symmetries(model: ModelDescriptor, x):
     yield "symmetry.ktilde_crossing", (x,), ktilde_crossing
 
     def duality():
-        # multiplicative analog: R(x^2), not the additive-looking R(2x)
-        big = kron(m.k_matrix(model, "Ktilde", x), I2) * \
-            m.r_matrix(model, x * x) * permutation_op()
-        lhs = W * m.k_matrix(swapped, "K", x) * Wi
-        return lhs, partial_trace_first(big)
+        # tr_0(Ktilde_0(x) R_01(x^2) P_01), the multiplicative analog of
+        # R(2x), built before K as above
+        rhs = m.kbar_from_ktilde(model, model.convention.invert(x))
+        return W * m.k_matrix(swapped, "K", x) * Wi, rhs
     yield "symmetry.duality", (x,), duality
 
 

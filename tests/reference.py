@@ -13,7 +13,8 @@ def embed_dense(op: Matrix, positions, length: int) -> Matrix:
     in the order of ``positions``, identity elsewhere: kron(op, I) acts on
     the leading slots, and the permutation P sending slot t to the t-th of
     positions + (the other slots, ascending) puts it in place, P kron(op, I)
-    P^T."""
+    P^T.  P e_a = e_b(a), so entry (a, a') of kron(op, I) lands at
+    (b(a), b(a'))."""
     k = len(positions)
     if op.rows != 1 << k or len(set(positions)) != k or \
             not all(0 <= p < length for p in positions):
@@ -21,12 +22,13 @@ def embed_dense(op: Matrix, positions, length: int) -> Matrix:
                          f"of {length}")
     order = list(positions) + [p for p in range(length) if p not in positions]
     dim = 1 << length
-    P = Matrix.zeros(dim, dim)
-    for a in range(dim):
-        b = sum(((a >> (length - 1 - t)) & 1) << (length - 1 - slot)
-                for t, slot in enumerate(order))
-        P.a[b][a] = Fraction(1)
-    return P * kron(op, Matrix.identity(dim >> k)) * P.transpose()
+    b = [sum(((a >> (length - 1 - t)) & 1) << (length - 1 - slot)
+             for t, slot in enumerate(order)) for a in range(dim)]
+    out = Matrix.zeros(dim, dim)
+    for a, row in enumerate(kron(op, Matrix.identity(dim >> k)).a):
+        for a2, entry in enumerate(row):
+            out.a[b[a]][b[a2]] = entry
+    return out
 
 
 def embed_local(op: Matrix, first_site: int, length: int) -> SparseMatrix:

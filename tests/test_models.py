@@ -452,25 +452,31 @@ def test_rational_points_share_one_matrix():
         assert ex.k_matrix(_RD, "Ktilde", x) is ex.k_matrix(_RD, "Ktilde", F(x))
 
 
-def test_dual_points_skip_the_cache():
-    before = m._r_cached.cache_info(), m._k_cached.cache_info()
+def test_dual_points_share_one_matrix():
     x = Dual.variable(F(7, 4))
     r = ex.r_matrix(_RD, x)
-    assert r is not ex.r_matrix(_RD, x)
-    assert ex.k_matrix(_RD, "K", x) is not ex.k_matrix(_RD, "K", x)
-    assert (m._r_cached.cache_info(), m._k_cached.cache_info()) == before
+    assert r is ex.r_matrix(_RD, Dual.variable(F(7, 4)))
     assert r == m._r_matrix(_RD, x)
+    for kind, evaluate in m._K_FORMS.items():
+        k = ex.k_matrix(_RD, kind, x)
+        assert k is ex.k_matrix(_RD, kind, Dual.variable(F(7, 4))), kind
+        assert k == evaluate(_RD, x), kind
 
 
 def test_poles_are_never_cached():
     ssep = ex.ssep(F(1, 2), F(2, 3), F(1, 3), F(1, 5))
-    size = m._r_cached.cache_info().currsize
+    caches = m._r_cached, m._k_cached
+    size = [c.cache_info().currsize for c in caches]
     for _ in range(3):
         with pytest.raises(PoleError, match="x \\+ 1 vanishes"):
             ex.r_matrix(ssep, F(-1))
+        with pytest.raises(PoleError, match="x \\+ 1 vanishes"):
+            ex.r_matrix(ssep, Dual.variable(F(-1)))
         with pytest.raises(PoleError):
             ex.k_matrix(_RD, "Ktilde", F(0))
-    assert m._r_cached.cache_info().currsize == size
+        with pytest.raises(PoleError):
+            ex.k_matrix(_RD, "Ktilde", Dual.variable(F(0)))
+    assert [c.cache_info().currsize for c in caches] == size
 
 
 def test_the_caches_are_bounded():

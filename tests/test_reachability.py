@@ -94,3 +94,20 @@ def test_every_definition_is_reached_from_the_cli_or_an_entry_point():
     unreached = sorted(f"{module}.{name}" for module, name in defs
                        if name not in reached)
     assert unreached == []
+
+
+def test_no_module_imports_an_unused_name():
+    # a name bound by a top-level import must be mentioned elsewhere in its
+    # module; __future__'s annotations works by being imported
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        body = ast.parse(path.read_text()).body
+        imports = [node for node in body
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        bound = {(alias.asname or alias.name).split(".")[0]
+                 for node in imports for alias in node.names} - {"annotations"}
+        used = set().union(*(_mentions(n) for n in body if n not in imports))
+        unused += sorted(f"{path.stem}.{name}" for name in bound - used)
+    assert unused == []

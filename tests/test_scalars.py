@@ -52,6 +52,14 @@ def test_dual_zero_division():
         Dual(1, 1) / Dual(0, 5)
 
 
+@given(rationals, rationals)
+def test_dual_hash_agrees_with_equality(v, d):
+    # a Dual is a cache key like a Fraction: equal keys hash equal
+    assert Dual(v, 0) == v and hash(Dual(v, 0)) == hash(v)
+    a, b = Dual(v, d), Dual(v + 1, d) - 1
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+
+
 @given(nonzero_rationals, rationals, nonzero_rationals.filter(lambda x: x != 3))
 def test_dual_chain_rule(p, q, x0):
     # f(y) = y^2 + p y + q composed with g(x) = (p x + q)/(x - 3)

@@ -248,16 +248,15 @@ def test_markov_from_transfer_at_random_rates(name, data):
 
 
 def test_suite_changes_no_cached_matrix(all_models, monkeypatch):
-    # every R and K built at a rational point fills the cache; a deep copy
-    # is taken as it is built, before any check sees it.  A second run of
-    # the suite builds none: it reads the same shared matrices
+    # every R and K built, at a rational or a Dual point, fills the cache;
+    # a deep copy is taken as it is built, before any check sees it.  A
+    # second run of the suite builds none: it reads the same shared matrices
     built = []
 
     def recorder(evaluate):
         def build(model, x):
             out = evaluate(model, x)
-            if not isinstance(x, Dual):
-                built.append((out, copy.deepcopy(out)))
+            built.append((out, copy.deepcopy(out)))
             return out
         return build
 
@@ -274,6 +273,25 @@ def test_suite_changes_no_cached_matrix(all_models, monkeypatch):
         assert len(built) == count
     assert len(built) > 100
     assert all(out == before for out, before in built)
+
+
+def test_suite_evaluates_r_once_at_the_dual_identity_point(all_models,
+                                                           monkeypatch):
+    # each sample point's r.local_jump differentiates R at the identity
+    # point; the three share one cached R(Dual(identity, 1))
+    duals, evaluate = [], m._r_matrix
+
+    def build(model, x):
+        if isinstance(x, Dual):
+            duals.append((model.name, x))
+        return evaluate(model, x)
+
+    monkeypatch.setattr(m, "_r_matrix", build)
+    m._r_cached.cache_clear()
+    for mdl in all_models:
+        vf.run_model_suite(mdl, sample_points(mdl, 3, seed=4))
+    assert duals == [(mdl.name, Dual.variable(mdl.identity_point))
+                     for mdl in all_models]
 
 
 def test_compare_integer_operands_give_the_fraction_witness(ssep_model):
