@@ -28,8 +28,7 @@ from . import ansatz as an
 from . import models as m
 from . import transfer as tr
 from . import verifier as vf
-from .markov import KernelError, integer_markov, observables, \
-    steady_state_exact
+from .markov import integer_markov, observables, steady_state_exact
 from .sampling import sample_points
 from .scalars import format_rational, parse_rational
 
@@ -254,10 +253,10 @@ def _steady_distributions(args, model):
         else (args.method,)
     _capped(L, methods)
     null_dist = ansatz_dist = None
-    if "nullspace" in methods:
-        null_dist = steady_state_exact(integer_markov(model, L)[0])
-    if "ansatz" in methods:
-        with _domain_errors():
+    with _domain_errors():
+        if "nullspace" in methods:
+            null_dist = steady_state_exact(integer_markov(model, L)[0])
+        if "ansatz" in methods:
             ansatz_dist = an.steady_ansatz(model, L, _cap(args))
     return null_dist, ansatz_dist
 
@@ -507,7 +506,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, KernelError) as exc:
+    except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     finally:

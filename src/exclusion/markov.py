@@ -25,9 +25,6 @@ class Distribution(namedtuple("Distribution", "L weights Z")):
     """Exact stationary weights: probabilities are weights[i] / Z."""
     __slots__ = ()
 
-    def probability(self, index: int) -> Fraction:
-        return self.weights[index] / self.Z
-
     def probabilities(self) -> list:
         return [w / self.Z for w in self.weights]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .models import ModelDescriptor, UnsupportedError, k_matrix, r_matrix
+from .models import ModelDescriptor, k_matrix, r_matrix
 
 MAX_PART = 12
 
@@ -37,8 +37,6 @@ def model_safe(model: ModelDescriptor, x: Fraction) -> bool:
             return False
     except ZeroDivisionError:
         return False
-    except UnsupportedError:
-        pass
     return True
 
 

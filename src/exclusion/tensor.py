@@ -105,9 +105,6 @@ class Matrix:
     def transpose(self):
         return Matrix([[self.a[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
-    def trace(self):
-        return sum(self.a[i][i] for i in range(self.rows))
-
     def map(self, fn):
         return Matrix([[fn(e) for e in row] for row in self.a])
 

@@ -10,8 +10,9 @@ Each check is a record (name, points, sides).  sides is either the reason
 of a Skipped or a thunk that evaluates the identity's two sides: the
 operands of ``compare``, and their denominator when they are integer
 tables.  ``run`` turns records into reports in order; a pole met while
-evaluating the sides makes the report Skipped.  The ZF and GZ checks of
-``ansatz`` are records of the same form.
+evaluating the sides makes the report Skipped.  Each identity family yields
+records and runs none: ``run_model_suite`` is one ``run`` over them all.
+The ZF and GZ checks of ``ansatz`` are records of the same form.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ I4 = Matrix.identity(4)
 
 # ------------------------------------------------------------- Yang-Baxter
 
-def check_yang_baxter(model: ModelDescriptor, x1, x2, x3) -> CheckReport:
+def yang_baxter(model: ModelDescriptor, x1, x2, x3):
     conv = model.convention
 
     def sides():
@@ -145,16 +146,12 @@ def check_yang_baxter(model: ModelDescriptor, x1, x2, x3) -> CheckReport:
                          zip(ns, ((0, 1), (0, 2), (1, 2))))
         return n12 * n13 * n23, n23 * n13 * n12, d ** 3
 
-    return run(model, [("yang_baxter", (x1, x2, x3), sides)])[0]
+    yield "yang_baxter", (x1, x2, x3), sides
 
 
 # ------------------------------------------------------------ R properties
 
-def check_r_properties(model: ModelDescriptor, x, x2=None) -> list:
-    return run(model, _r_records(model, x, x2))
-
-
-def _r_records(model: ModelDescriptor, x, x2):
+def r_properties(model: ModelDescriptor, x, x2=None):
     conv = model.convention
     idp = model.identity_point
     P = permutation_op()
@@ -213,23 +210,20 @@ def _aux_point(model: ModelDescriptor, x):
 
 # ---------------------------------------------------------- reflection eqs
 
-def check_reflection(model: ModelDescriptor, kind: str, x1, x2,
-                     k_fn=None) -> CheckReport:
-    if k_fn is None:
-        k_fn = lambda z: m.k_matrix(model, kind, z)
-    return run(model, [_reflection(model, kind, x1, x2, k_fn,
-                                   f"reflection.{kind}")])[0]
-
-
-def _reflection(model: ModelDescriptor, kind: str, x1, x2, kf, name):
-    """The record of the reflection equation of kind at (x1, x2), with kf
-    the boundary matrix as a function of the spectral parameter."""
+def reflection(model: ModelDescriptor, kind: str, x1, x2, kf=None,
+               name=None):
+    """The reflection equation of kind at (x1, x2), named reflection.<kind>
+    or name, with kf the boundary matrix as a function of the spectral
+    parameter (k_matrix of kind when absent)."""
     conv = model.convention
     pts = (x1, x2)
+    name = name or f"reflection.{kind}"
     if kind == "Ktilde" and model.name == m.TASEP:
-        return name, pts, "partial transpose singular"
+        yield name, pts, "partial transpose singular"
+        return
     if kind not in ("K", "Kbar", "Ktilde"):
         raise ValueError(f"unknown reflection kind {kind!r}")
+    kf = kf or (lambda z: m.k_matrix(model, kind, z))
 
     def sides():
         K1 = kron(kf(x1), I2)
@@ -257,27 +251,18 @@ def _reflection(model: ModelDescriptor, kind: str, x1, x2, kf, name):
             rhs = m.r_matrix(model, c21) * K1 * inv12 * K2
         return lhs, rhs
 
-    return name, pts, sides
+    yield name, pts, sides
 
 
 # ---------------------------------------------------------- K properties
 
-def check_k_properties(model: ModelDescriptor, kind: str, x, twist=None,
-                       u_points=None) -> list:
+def k_properties(model: ModelDescriptor, kind: str, x, twist=None,
+                 u_points=None, name=None):
     """Unitarity, regularity, boundary jump and the Markovian properties of
-    K or Kbar at x.  ``u_points`` are the points of the markov_u solve
-    (x and two auxiliary points), drawn here when absent."""
-    return _k_properties(model, kind, x, twist, u_points, f"k.{kind}")
-
-
-def _k_properties(model: ModelDescriptor, kind: str, x, twist, u_points,
-                  name) -> list:
-    """check_k_properties, with every check named under name."""
-    if kind == "Ktilde":
-        return run(model, [(f"{name}.properties", (x,),
-                            "dual matrix: covered by the dual reflection checks")])
-    if twist is not None and model.name != m.ASEP:
-        return run(model, [(f"{name}.twisted", (x,), "twist is ASEP-only")])
+    K or Kbar (the ASEP K twisted by twist) at x, named k.<kind> or name.
+    ``u_points`` are the points of the markov_u solve (x and two auxiliary
+    points), drawn here when absent."""
+    name = name or f"k.{kind}"
     conv = model.convention
     idp = model.identity_point
     if twist is not None:
@@ -295,21 +280,20 @@ def _k_properties(model: ModelDescriptor, kind: str, x, twist, u_points,
                              [tau * model.alpha, -model.gamma]])
         return derivative_at(kf, idp), (2 * model.rho * eps) * target
 
-    records = [
-        (f"{name}.unitarity", (x,), lambda: (kf(x) * kf(conv.invert(x)), I2)),
-        (f"{name}.regularity", (idp,), lambda: (kf(idp), I2)),
-        (f"{name}.boundary_jump", (idp,), boundary_jump)]
+    yield f"{name}.unitarity", (x,), lambda: (kf(x) * kf(conv.invert(x)), I2)
+    yield f"{name}.regularity", (idp,), lambda: (kf(idp), I2)
+    yield f"{name}.boundary_jump", (idp,), boundary_jump
     if twist is not None and twist != 1:
         reason = "twisted matrix does not satisfy the Markovian property"
-        return run(model, records + [(f"{name}.markov_left", (x,), reason),
-                                     (f"{name}.markov_u", (x,), reason)])
+        yield f"{name}.markov_left", (x,), reason
+        yield f"{name}.markov_u", (x,), reason
+        return
     ones = [Fraction(1), Fraction(1)]
+    yield f"{name}.markov_left", (x,), lambda: (
+        kf(x).transpose().apply(ones), ones)
     u_dim = lambda: _u_solution_dim(model, kf, u_points or _u_points(model, x))
     # markov_u: a u space of dimension at least 1, so capped at 1 it is 1
-    return run(model, records + [
-        (f"{name}.markov_left", (x,),
-         lambda: (kf(x).transpose().apply(ones), ones)),
-        (f"{name}.markov_u", (x,), lambda: ([min(u_dim(), 1)], [1]))])
+    yield f"{name}.markov_u", (x,), lambda: ([min(u_dim(), 1)], [1])
 
 
 def _u_points(model: ModelDescriptor, x) -> list:
@@ -345,29 +329,29 @@ def _u_solution_dim(model: ModelDescriptor, kf, points) -> int:
 
 # ------------------------------------------------- dual-map consistency
 
-def check_dual_maps(model: ModelDescriptor, x) -> list:
+def dual_maps(model: ModelDescriptor, x):
     """ktilde_from_kbar against the catalogue Ktilde, and the round trip
     back to Kbar."""
     if model.name == m.TASEP:
         reason = "partial transpose singular"
-        return run(model, [("dual.map_vs_catalog", (x,), reason),
-                           ("dual.roundtrip", (x,), reason)])
-    return run(model, [
-        ("dual.map_vs_catalog", (x,), lambda: (
-            m.ktilde_from_kbar(model, x), m.k_matrix(model, "Ktilde", x))),
-        ("dual.roundtrip", (x,), lambda: (
-            m.kbar_from_ktilde(model, x), m.k_matrix(model, "Kbar", x)))])
+        yield "dual.map_vs_catalog", (x,), reason
+        yield "dual.roundtrip", (x,), reason
+        return
+    yield "dual.map_vs_catalog", (x,), lambda: (
+        m.ktilde_from_kbar(model, x), m.k_matrix(model, "Ktilde", x))
+    yield "dual.roundtrip", (x,), lambda: (
+        m.kbar_from_ktilde(model, x), m.k_matrix(model, "Kbar", x))
 
 
 # ------------------------------------------------------ named symmetries
 
-def check_named_symmetries(model: ModelDescriptor, x) -> list:
+def named_symmetries(model: ModelDescriptor, x):
     if model.name == m.SSEP:
-        return run(model, _ssep_symmetries(model, x))
-    if model.name == m.ASEP:
-        return run(model, _asep_symmetries(model, x))
-    return run(model, [("symmetry", (x,),
-                        "no named symmetry list for this model")])
+        yield from _ssep_symmetries(model, x)
+    elif model.name == m.ASEP:
+        yield from _asep_symmetries(model, x)
+    else:
+        yield "symmetry", (x,), "no named symmetry list for this model"
 
 
 def _ssep_symmetries(model: ModelDescriptor, x):
@@ -443,28 +427,28 @@ def _asep_symmetries(model: ModelDescriptor, x):
 
 def run_model_suite(model: ModelDescriptor, points: list) -> list:
     """Every applicable check at the given sample points, in a fixed order."""
-    reports = []
+    return run(model, _suite(model, points))
+
+
+def _suite(model: ModelDescriptor, points: list):
     n = len(points)
     for i, x in enumerate(points):
         x2 = points[(i + 1) % n] if n > 1 else None
-        x3 = points[(i + 2) % n] if n > 2 else None
-        if x2 is not None and x3 is not None:
-            reports.append(check_yang_baxter(model, x, x2, x3))
-        reports.extend(check_r_properties(model, x, x2))
+        if n > 2:
+            yield from yang_baxter(model, x, x2, points[(i + 2) % n])
+        yield from r_properties(model, x, x2)
         if x2 is not None:
-            reports.append(check_reflection(model, "K", x, x2))
-            reports.append(check_reflection(model, "Kbar", x, x2))
-            reports.append(check_reflection(model, "Ktilde", x, x2))
+            for kind in ("K", "Kbar", "Ktilde"):
+                yield from reflection(model, kind, x, x2)
         u_points = _u_points(model, x)
-        reports.extend(check_k_properties(model, "K", x, u_points=u_points))
-        reports.extend(check_k_properties(model, "Kbar", x, u_points=u_points))
-        reports.extend(check_dual_maps(model, x))
-        reports.extend(check_named_symmetries(model, x))
+        for kind in ("K", "Kbar"):
+            yield from k_properties(model, kind, x, u_points=u_points)
+        yield from dual_maps(model, x)
+        yield from named_symmetries(model, x)
         if model.name == m.ASEP:
-            kf = m.general_asep_k(model.alpha, model.gamma, model.q, TWIST)
             if x2 is not None:
-                reports.extend(run(model, [_reflection(
-                    model, "K", x, x2, kf, "reflection.K_twisted")]))
-            reports.extend(_k_properties(model, "K", x, TWIST, u_points,
-                                         "k.K_twisted"))
-    return reports
+                kf = m.general_asep_k(model.alpha, model.gamma, model.q, TWIST)
+                yield from reflection(model, "K", x, x2, kf,
+                                      "reflection.K_twisted")
+            yield from k_properties(model, "K", x, TWIST, u_points,
+                                    "k.K_twisted")

@@ -92,6 +92,17 @@ def test_steady_kernel_cap(capsys):
     assert code == 3
 
 
+
+def test_reducible_chain_is_a_domain_error(capsys):
+    # with every boundary rate zero the chain splits by particle number:
+    # the kernel of the nullspace method is not one-dimensional
+    code = main(["steady", "--model", "ssep", "--alpha", "0", "--beta", "0",
+                 "--gamma", "0", "--delta", "0", "--L", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        3, "", "domain error: kernel dimension 3 != 1: reducible or "
+               "mis-built chain\n")
+
 def test_profile_csv_columns(capsys):
     code, out = run(capsys, "profile", "--model", "rd", "--kappa", "3",
                     "--L", "8", "--asymptotics")

@@ -31,7 +31,7 @@ def test_offdiagonal_nonnegative(all_models):
 def test_steady_state_two_state_balance():
     mdl = ex.ssep(1, 1, 1, 1)
     d = mk.steady_state_exact(ex.build_markov(mdl, 1))
-    assert d.probability(1) == F(1, 2)
+    assert d.probabilities()[1] == F(1, 2)
 
 
 def test_steady_state_tasep_l2():

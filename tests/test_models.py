@@ -252,7 +252,7 @@ def test_rd_ktilde_dual_matches_series(rd_model):
     got = ex.k_matrix(rd_model, "Ktilde", Dual.variable(F(1)))
     plain = ex.k_matrix(rd_model, "Ktilde", F(1))
     assert got.map(lambda e: e.value) == plain
-    assert plain.trace() == 1
+    assert plain[0, 0] + plain[1, 1] == 1
     # sanity-bound the derivative against a secant at nearby points
     x1, x2 = F(99, 100), F(101, 100)
     k1 = ex.k_matrix(rd_model, "Ktilde", x1)
@@ -402,7 +402,8 @@ def test_a_descriptor_is_its_name_and_rates():
     fresh = ex.asep(2, F(1, 2), F(2, 3), F(1, 3), F(1, 5))
     assert replaced == fresh and hash(replaced) == hash(fresh)
     assert all(r.status == vf.PASS
-               for r in vf.check_r_properties(replaced, F(3), F(5)))
+               for r in vf.run(replaced,
+                               vf.r_properties(replaced, F(3), F(5))))
     for mdl in (fresh, ex.tasep(F(1, 2), F(2, 3)),
                 ex.ssep(F(1, 2), F(2, 3), F(1, 3), F(1, 5)),
                 ex.rd(3, F(1, 2), F(2, 3), F(1, 3), F(1, 5))):

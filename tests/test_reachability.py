@@ -1,10 +1,12 @@
-"""Every top-level definition in the package is reached from a CLI command
-or from a named library entry point; what only the tests use lives in
-tests/.
+"""Every top-level definition and every method in the package is reached
+from a CLI command or from a named library entry point; what only the tests
+use lives in tests/.
 
 The walk is by name: a reached definition reaches every name its body
 mentions, bare or as an attribute, in any module, so a shared name counts
-as a call.  That is crude, but a definition it leaves out is dead code.
+as a call.  A method other than a dunder is a definition of its own, reached
+when its name is; a class reaches its bases, decorators, class attributes
+and dunders.  That is crude, but a definition it leaves out is dead code.
 The package's __init__ re-exports names and reaches nothing by itself."""
 
 import ast
@@ -43,15 +45,31 @@ def _mentions(node) -> set:
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _is_method(node) -> bool:
+    return isinstance(node, ast.FunctionDef) and \
+        not (node.name.startswith("__") and node.name.endswith("__"))
+
+
 def _definitions():
-    """(module, name) -> the names its body mentions, and the names that the
-    modules' other top-level statements mention as they run."""
+    """(module, qualified name) -> (name, the names its body mentions), and
+    the names that the modules' other top-level statements mention as they
+    run.  A method's qualified name is Class.method."""
     defs, run = {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.ClassDef):
+                methods = [n for n in node.body if _is_method(n)]
+                for meth in methods:
+                    defs[path.stem, f"{node.name}.{meth.name}"] = \
+                        meth.name, _mentions(meth)
+                defs[path.stem, node.name] = node.name, set().union(*(
+                    _mentions(n) for n in (*node.bases, *node.keywords,
+                                           *node.decorator_list, *node.body)
+                    if n not in methods))
+                continue
+            if isinstance(node, ast.FunctionDef):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) \
@@ -64,7 +82,7 @@ def _definitions():
                 run |= _mentions(node)
                 continue
             for name in names:
-                defs[path.stem, name] = _mentions(node)
+                defs[path.stem, name] = name, _mentions(node)
     return defs, run
 
 
@@ -73,7 +91,7 @@ def _reached(defs, roots) -> set:
     while todo:
         name = todo.pop()
         reached.add(name)
-        for (_, def_name), mentions in defs.items():
+        for def_name, mentions in defs.values():
             if def_name == name:
                 todo |= mentions - reached
     return reached
@@ -86,12 +104,13 @@ def test_every_definition_is_reached_from_the_cli_or_an_entry_point():
     assert len(commands) == 5
     traced = _traced_names()
     entry_points = LIBRARY_ENTRY_POINTS | traced
-    defined = {name for _, name in defs}
+    defined = {name for name, _ in defs.values()}
     # each entry point names a top-level definition (SparseMatrix.__mul__
     # is a method), so a rename shows here
     assert entry_points - {"__mul__"} <= defined
     reached = _reached(defs, commands | entry_points | run)
-    unreached = sorted(f"{module}.{name}" for module, name in defs
+    unreached = sorted(f"{module}.{qualified}"
+                       for (module, qualified), (name, _) in defs.items()
                        if name not in reached)
     assert unreached == []
 

@@ -22,19 +22,22 @@ def all_pass(reports):
 
 
 def test_yang_baxter_examples(ssep_model, rd_model):
-    assert vf.check_yang_baxter(ssep_model, F(5), F(3), F(2)).status == vf.PASS
-    assert vf.check_yang_baxter(ssep_model, F(5), F(5), F(2)).status == vf.PASS
-    assert vf.check_yang_baxter(rd_model, F(2), F(3), F(5)).status == vf.PASS
+    assert vf.run(ssep_model, vf.yang_baxter(
+        ssep_model, F(5), F(3), F(2)))[0].status == vf.PASS
+    assert vf.run(ssep_model, vf.yang_baxter(
+        ssep_model, F(5), F(5), F(2)))[0].status == vf.PASS
+    assert vf.run(rd_model, vf.yang_baxter(
+        rd_model, F(2), F(3), F(5)))[0].status == vf.PASS
 
 
 def test_yang_baxter_pole_is_skipped(ssep_model):
-    rep = vf.check_yang_baxter(ssep_model, F(2), F(3), F(7))
+    rep = vf.run(ssep_model, vf.yang_baxter(ssep_model, F(2), F(3), F(7)))[0]
     assert rep.status == vf.SKIPPED  # x1 - x3 = -1 is an R pole
     assert "pole" in rep.reason
 
 
 def test_r_properties(asep_model):
-    reports = all_pass(vf.check_r_properties(asep_model, F(3)))
+    reports = all_pass(vf.run(asep_model, vf.r_properties(asep_model, F(3))))
     names = {r.check for r in reports}
     assert names == {"r.regularity", "r.unitarity", "r.crossing",
                      "r.local_jump", "r.markov_left", "r.markov_vector"}
@@ -47,7 +50,7 @@ def test_r_unitarity_value(asep_model):
 
 
 def test_r_properties_tasep_crossing_skipped(tasep_model):
-    reports = vf.check_r_properties(tasep_model, F(3))
+    reports = vf.run(tasep_model, vf.r_properties(tasep_model, F(3)))
     by = {r.check: r for r in reports}
     assert by["r.crossing"].status == vf.SKIPPED
     assert "partial transpose" in by["r.crossing"].reason
@@ -55,44 +58,54 @@ def test_r_properties_tasep_crossing_skipped(tasep_model):
 
 
 def test_r_properties_rd_markov_vector_skipped(rd_model):
-    by = {r.check: r for r in vf.check_r_properties(rd_model, F(2))}
+    by = {r.check: r
+          for r in vf.run(rd_model, vf.r_properties(rd_model, F(2)))}
     assert by["r.markov_vector"].status == vf.SKIPPED
 
 
 def test_reflection(ssep_model, asep_model, rd_model, tasep_model):
-    assert vf.check_reflection(ssep_model, "K", F(2), F(5)).status == vf.PASS
-    assert vf.check_reflection(ssep_model, "K", F(2), F(2)).status == vf.PASS
-    assert vf.check_reflection(asep_model, "Kbar", F(2), F(3)).status == vf.PASS
-    assert vf.check_reflection(rd_model, "K", F(2), F(3)).status == vf.PASS
-    assert vf.check_reflection(rd_model, "Ktilde", F(3, 2), F(5, 3)).status == vf.PASS
-    assert vf.check_reflection(tasep_model, "Ktilde", F(2), F(3)).status == vf.SKIPPED
+    assert vf.run(ssep_model, vf.reflection(
+        ssep_model, "K", F(2), F(5)))[0].status == vf.PASS
+    assert vf.run(ssep_model, vf.reflection(
+        ssep_model, "K", F(2), F(2)))[0].status == vf.PASS
+    assert vf.run(asep_model, vf.reflection(
+        asep_model, "Kbar", F(2), F(3)))[0].status == vf.PASS
+    assert vf.run(rd_model, vf.reflection(
+        rd_model, "K", F(2), F(3)))[0].status == vf.PASS
+    assert vf.run(rd_model, vf.reflection(
+        rd_model, "Ktilde", F(3, 2), F(5, 3)))[0].status == vf.PASS
+    assert vf.run(tasep_model, vf.reflection(
+        tasep_model, "Ktilde", F(2), F(3)))[0].status == vf.SKIPPED
 
 
 def test_reflection_pole_pair_is_skipped(ssep_model):
     # x1 - x2 = -1 is an R-matrix pole: visible as Skipped, never Fail
-    rep = vf.check_reflection(ssep_model, "K", F(2), F(3))
+    rep = vf.run(ssep_model, vf.reflection(ssep_model, "K", F(2), F(3)))[0]
     assert rep.status == vf.SKIPPED
 
 
 def test_reflection_twisted(asep_model):
     kf = ex.general_asep_k(asep_model.alpha, asep_model.gamma, asep_model.q, 2)
-    assert vf.check_reflection(asep_model, "K", F(2), F(3), k_fn=kf).status == vf.PASS
+    assert vf.run(asep_model, vf.reflection(
+        asep_model, "K", F(2), F(3), kf))[0].status == vf.PASS
 
 
 def test_reflection_identity_k_regression(ssep_model):
     kf = lambda x: Matrix.identity(2)
-    assert vf.check_reflection(ssep_model, "K", F(2), F(5), k_fn=kf).status == vf.PASS
+    assert vf.run(ssep_model, vf.reflection(
+        ssep_model, "K", F(2), F(5), kf))[0].status == vf.PASS
 
 
 def test_k_properties(ssep_model, rd_model):
-    all_pass(vf.check_k_properties(ssep_model, "K", F(3)))
-    all_pass(vf.check_k_properties(ssep_model, "Kbar", F(3)))
-    all_pass(vf.check_k_properties(rd_model, "K", F(2)))
-    all_pass(vf.check_k_properties(rd_model, "Kbar", F(2)))
+    all_pass(vf.run(ssep_model, vf.k_properties(ssep_model, "K", F(3))))
+    all_pass(vf.run(ssep_model, vf.k_properties(ssep_model, "Kbar", F(3))))
+    all_pass(vf.run(rd_model, vf.k_properties(rd_model, "K", F(2))))
+    all_pass(vf.run(rd_model, vf.k_properties(rd_model, "Kbar", F(2))))
 
 
 def test_k_properties_twisted_markov_skipped(asep_model):
-    reports = vf.check_k_properties(asep_model, "K", F(3), twist=F(2))
+    reports = vf.run(asep_model,
+                     vf.k_properties(asep_model, "K", F(3), twist=F(2)))
     by = {r.check: r for r in reports}
     assert by["k.K.unitarity"].status == vf.PASS
     assert by["k.K.regularity"].status == vf.PASS
@@ -117,32 +130,35 @@ def test_k_markov_u_dimension(all_models):
 
 
 def test_named_symmetries(ssep_model, asep_model, rd_model):
-    all_pass(vf.check_named_symmetries(ssep_model, F(3)))
-    all_pass(vf.check_named_symmetries(asep_model, F(3)))
-    reports = vf.check_named_symmetries(rd_model, F(3))
+    all_pass(vf.run(ssep_model, vf.named_symmetries(ssep_model, F(3))))
+    all_pass(vf.run(asep_model, vf.named_symmetries(asep_model, F(3))))
+    reports = vf.run(rd_model, vf.named_symmetries(rd_model, F(3)))
     assert all(r.status == vf.SKIPPED for r in reports)
 
 
 def test_named_symmetry_rows(ssep_model, asep_model):
-    names_s = {r.check for r in vf.check_named_symmetries(ssep_model, F(2))}
+    names_s = {r.check for r in
+               vf.run(ssep_model, vf.named_symmetries(ssep_model, F(2)))}
     assert {"symmetry.pt", "symmetry.crossing", "symmetry.ktilde_crossing",
             "symmetry.duality", "symmetry.swap"} == names_s
-    names_a = {r.check for r in vf.check_named_symmetries(asep_model, F(2))}
+    names_a = {r.check for r in
+               vf.run(asep_model, vf.named_symmetries(asep_model, F(2)))}
     assert {"symmetry.t", "symmetry.p_v", "symmetry.p_w", "symmetry.z2",
             "symmetry.crossing", "symmetry.ktilde_crossing",
             "symmetry.duality"} == names_a
 
 
 def test_dual_maps(asep_model, tasep_model):
-    assert all(r.status == vf.PASS for r in vf.check_dual_maps(asep_model, F(3)))
+    assert all(r.status == vf.PASS
+               for r in vf.run(asep_model, vf.dual_maps(asep_model, F(3))))
     assert all(r.status == vf.SKIPPED
-               for r in vf.check_dual_maps(tasep_model, F(3)))
+               for r in vf.run(tasep_model, vf.dual_maps(tasep_model, F(3))))
 
 
 def test_fail_report_carries_witness(ssep_model):
     # deliberately wrong K must produce a Fail with the offending entry
     bad = lambda x: Matrix([[1 + x, 0], [0, 1]])
-    rep = vf.check_reflection(ssep_model, "K", F(2), F(5), k_fn=bad)
+    rep = vf.run(ssep_model, vf.reflection(ssep_model, "K", F(2), F(5), bad))[0]
     assert rep.status == vf.FAIL
     assert set(rep.witness) == {"row", "col", "lhs", "rhs"}
 
@@ -247,6 +263,24 @@ def test_markov_from_transfer_at_random_rates(name, data):
     assert rep.status == vf.PASS, (mdl, L, rep.witness, rep.reason)
 
 
+
+def test_run_model_suite_makes_every_report_in_one_run(all_models,
+                                                       monkeypatch):
+    # the families only yield records: one run turns the suite's whole
+    # stream into reports
+    calls, real = [], vf.run
+
+    def counting(model, records):
+        calls.append(model.name)
+        return real(model, records)
+
+    monkeypatch.setattr(vf, "run", counting)
+    for mdl in all_models:
+        calls.clear()
+        reports = vf.run_model_suite(mdl, sample_points(mdl, 3, seed=2))
+        assert calls == [mdl.name]
+        assert len(reports) > 20
+
 def test_suite_changes_no_cached_matrix(all_models, monkeypatch):
     # every R and K built, at a rational or a Dual point, fills the cache;
     # a deep copy is taken as it is built, before any check sees it.  A
@@ -326,7 +360,7 @@ def test_yang_baxter_fail_prints_fraction_entries(ssep_model, monkeypatch):
 
     monkeypatch.setattr(m, "r_matrix", wrong_r)
     x1, x2, x3 = F(5), F(3, 2), F(-2, 3)
-    rep = vf.check_yang_baxter(ssep_model, x1, x2, x3)
+    rep = vf.run(ssep_model, vf.yang_baxter(ssep_model, x1, x2, x3))[0]
     assert rep.status == vf.FAIL
     conv = ssep_model.convention
     r12, r13, r23 = (embed_at_positions(
@@ -385,7 +419,7 @@ def test_compare_block_operands_give_the_first_mismatch_in_block_order(
 def test_markov_u_fail_witness_compares_the_capped_dimension(ssep_model,
                                                              monkeypatch):
     monkeypatch.setattr(vf, "_u_solution_dim", lambda model, kf, points: 0)
-    rep = vf.check_k_properties(ssep_model, "K", F(2))[-1]
+    rep = vf.run(ssep_model, vf.k_properties(ssep_model, "K", F(2)))[-1]
     assert (rep.check, rep.status, rep.points, rep.witness) == \
         ("k.K.markov_u", vf.FAIL, ("2",),
          {"row": 0, "col": 0, "lhs": "0", "rhs": "1"})
