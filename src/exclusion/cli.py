@@ -12,24 +12,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
-import json
 import re
 import sys
 import time
 import warnings
 from fractions import Fraction
 from itertools import zip_longest
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from . import ansatz as an
+# parsing and every subcommand need these; each command imports the rest of
+# the library where it calls it, so a process loads only what it runs
 from . import models as m
-from . import transfer as tr
-from . import verifier as vf
-from .markov import integer_markov, observables, steady_state_exact
-from .sampling import sample_points
 from .scalars import format_rational, parse_rational
 
 SCHEMA = 1
@@ -161,7 +155,8 @@ def _model(args) -> m.ModelDescriptor:
 
 
 def _cap(args) -> int:
-    return an.CAP if args.truncation_cap is None else args.truncation_cap
+    from .ansatz import CAP
+    return CAP if args.truncation_cap is None else args.truncation_cap
 
 
 def _emit(text: str, args):
@@ -213,10 +208,11 @@ def _params_json(model: m.ModelDescriptor) -> dict:
 
 
 def _finish_reports(reports, args, model, extra=None) -> int:
+    from .verifier import FAIL, PASS, SKIPPED
     params = _params_json(model)
-    counts = {"pass": sum(r.status == vf.PASS for r in reports),
-              "fail": sum(r.status == vf.FAIL for r in reports),
-              "skipped": sum(r.status == vf.SKIPPED for r in reports)}
+    counts = {"pass": sum(r.status == PASS for r in reports),
+              "fail": sum(r.status == FAIL for r in reports),
+              "skipped": sum(r.status == SKIPPED for r in reports)}
     doc = {"schema": SCHEMA, "model": model.name, "params": params,
            "seed": args.seed, "counts": counts,
            "checks": _report_rows(reports, params)}
@@ -228,9 +224,11 @@ def _finish_reports(reports, args, model, extra=None) -> int:
 
 def cmd_verify(args) -> int:
     model = _model(args)
+    from .sampling import sample_points
+    from .verifier import run_model_suite
     with _domain_errors():
         points = sample_points(model, args.samples, args.seed)
-        reports = vf.run_model_suite(model, points)
+        reports = run_model_suite(model, points)
     return _finish_reports(reports, args, model)
 
 
@@ -255,9 +253,11 @@ def _steady_distributions(args, model):
     null_dist = ansatz_dist = None
     with _domain_errors():
         if "nullspace" in methods:
+            from .markov import integer_markov, steady_state_exact
             null_dist = steady_state_exact(integer_markov(model, L)[0])
         if "ansatz" in methods:
-            ansatz_dist = an.steady_ansatz(model, L, _cap(args))
+            from .ansatz import steady_ansatz
+            ansatz_dist = steady_ansatz(model, L, _cap(args))
     return null_dist, ansatz_dist
 
 
@@ -270,6 +270,7 @@ def cmd_steady(args) -> int:
     null_dist, ansatz_dist = _steady_distributions(args, model)
     primary = null_dist if null_dist is not None else ansatz_dist
     probs = primary.probabilities()
+    from .markov import observables
     obs = observables(primary, model)
     L = args.L
     num = _number(args)
@@ -312,6 +313,7 @@ def _write(doc: dict, args) -> int:
     if args.format == "json":
         _emit(_json(doc) + "\n", args)
         return 0
+    import csv
     buf = io.StringIO()
     wcsv = csv.writer(buf, lineterminator="\n")
     tables = [v for v in doc.values() if isinstance(v, tuple)]
@@ -346,17 +348,20 @@ def _json(doc: dict) -> str:
     scalar fields go through json.dumps, and each table row fills one
     %-template of its table's keys.  Keys are str, a header's keys are
     distinct, and a row holds one value per key (else % raises TypeError)."""
+    from json import dumps
+    from json.encoder import encode_basestring_ascii
     fields = []
     for key, value in doc.items():
         field = "  " + encode_basestring_ascii(key) + ": "
         if isinstance(value, tuple):
             fields.append(field + _json_table(*value))
-        else:
-            fields.append(field + _json_value(value, "\n  "))
+        else:   # a scalar field, its lines indented one level
+            fields.append(field + dumps(value, indent=2).replace("\n", "\n  "))
     return "{\n" + ",\n".join(fields) + "\n}" if fields else "{}"
 
 
 def _json_table(header, rows, convs) -> str:
+    from json.encoder import encode_basestring_ascii
     keys = ["      " + encode_basestring_ascii(k).replace("%", "%%") + ": "
             for k in header]
     body = ",\n".join(_typed_rows(
@@ -364,11 +369,6 @@ def _json_table(header, rows, convs) -> str:
             k + (c if c in ("%d", "%r") else f'"{c}"')
             for k, c in zip(keys, cs)) + "\n    }", convs, rows))
     return "[\n" + body + "\n  ]" if body else "[]"
-
-
-def _json_value(value, newline: str) -> str:
-    """json.dumps(value, indent=2), its lines indented to follow newline."""
-    return json.dumps(value, indent=2).replace("\n", newline)
 
 
 def _bits(index: int, L: int) -> str:
@@ -388,9 +388,10 @@ def cmd_profile(args) -> int:
     L = args.L
     if L < 2 or L > 10 ** 4:
         raise DomainError("profile needs 2 <= L <= 10^4")
+    from .ansatz import rd_boundary_coefficients
     with _domain_errors():
-        co = an.rd_boundary_coefficients(model.kappa, model.alpha, model.beta,
-                                         model.gamma, model.delta)
+        co = rd_boundary_coefficients(model.kappa, model.alpha, model.beta,
+                                      model.gamma, model.delta)
     if co["c"] == 0 or co["d"] == 0:
         raise DomainError("degenerate boundary coefficients: alpha = gamma "
                           "or beta = delta makes c or d vanish")
@@ -409,11 +410,12 @@ def cmd_profile(args) -> int:
 def _profile_rows(model, L, args):
     """The closed-form rows, drawn one at a time as they are formatted; a
     domain error of the formulas surfaces as a DomainError."""
+    from .ansatz import rd_profile_rows
     with _domain_errors():
-        yield from an.rd_profile_rows(model.kappa, model.alpha, model.beta,
-                                      model.gamma, model.delta, L,
-                                      asymptotics=args.asymptotics,
-                                      exact=args.exact)
+        yield from rd_profile_rows(model.kappa, model.alpha, model.beta,
+                                   model.gamma, model.delta, L,
+                                   asymptotics=args.asymptotics,
+                                   exact=args.exact)
 
 
 def cmd_transfer(args) -> int:
@@ -431,6 +433,7 @@ def cmd_transfer(args) -> int:
         raise DomainError(f"transfer checks capped at L = 6, got L = {L}")
     if args.theta is not None and len(args.theta) != L:
         raise UsageError(f"need {L} inhomogeneities, got {len(args.theta)}")
+    from . import transfer as tr
     spec = tr.TransferSpec(model, L, args.theta)
     x, x2 = args.x, args.x2
     extra = {}
@@ -461,6 +464,8 @@ def cmd_bench(args) -> int:
     methods = ("nullspace", "ansatz") if model.name in (m.TASEP, m.RD) \
         else ("nullspace",)
     _capped(L, methods)
+    from . import transfer as tr
+    from .markov import integer_markov, steady_state_exact
     rows = []
 
     def timed(task, fn, size=L):
@@ -475,7 +480,8 @@ def cmd_bench(args) -> int:
         N, _ = timed("build_markov", lambda: integer_markov(model, L))
         timed("steady_nullspace", lambda: steady_state_exact(N))
         if "ansatz" in methods:
-            timed("steady_ansatz", lambda: an.steady_ansatz(model, L))
+            from .ansatz import steady_ansatz
+            timed("steady_ansatz", lambda: steady_ansatz(model, L))
         spec = tr.TransferSpec(model, min(L, 4))
         x, x2 = Fraction(3), Fraction(5)
         timed("transfer_build", lambda: tr.build_transfer(spec, x), spec.L)

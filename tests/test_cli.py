@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import exclusion as ex
 import exclusion.ansatz as an
 import exclusion.cli as cli
+import exclusion.markov as mk
 import exclusion.sampling as sampling
 import exclusion.transfer as tr
 from exclusion.ansatz import rd_closed_forms
@@ -867,7 +868,7 @@ def test_bench_bytes_are_pinned_under_a_fake_clock(capsys, monkeypatch, name,
     ("tasep", "9", "domain error: ansatz method capped at L = 8\n")])
 def test_bench_obeys_the_steady_caps(capsys, monkeypatch, model, L, line):
     # bench checks L before it builds the generator, and prints steady's line
-    monkeypatch.setattr(cli, "integer_markov",
+    monkeypatch.setattr(mk, "integer_markov",
                         lambda *_: pytest.fail("bench built the generator"))
     for command in ("bench", "steady"):
         code = main([command, "--model", model, "--L", L,
@@ -1177,13 +1178,35 @@ def test_a_cli_warning_is_one_line_without_a_source_location(capsys, argv,
     assert warnings.formatwarning is before
 
 
-def test_import_leaves_out_class_generation_modules():
-    # every CLI process pays its imports: the package's records are named
-    # tuples, so neither dataclasses nor what it pulls in is loaded
+def _fresh_modules(*argv) -> list:
+    """The modules of the package, and the watched standard ones, that a
+    fresh interpreter holds after importing exclusion.cli and, given argv,
+    running main(argv): the last line the probe prints."""
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = ("import sys, exclusion.cli; print(sorted(m for m in "
-             "('dataclasses', 'inspect', 'typing') if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-S", "-c", probe],
+    probe = ("import sys, exclusion.cli\n"
+             "if sys.argv[1:]: exclusion.cli.main(sys.argv[1:])\n"
+             "print(*sorted(m.removeprefix('exclusion.') for m in sys.modules"
+             " if m.split('.')[0] in ('exclusion', 'json', 'csv', "
+             "'dataclasses', 'inspect', 'typing')))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe, *argv],
                           env={"PYTHONPATH": str(src)}, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert done.stdout == "[]\n"
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_import_leaves_out_class_generation_modules():
+    # every CLI process pays its imports.  Parsing needs models, scalars and
+    # tensor; each subcommand loads the rest of the library where it calls
+    # it, and the writer loads json or csv for the format it prints.  The
+    # package's records are named tuples, so neither dataclasses nor what it
+    # pulls in is loaded
+    parsing = ["cli", "exclusion", "models", "scalars", "tensor"]
+    assert _fresh_modules() == parsing
+    assert _fresh_modules("--help") == parsing
+    # a usage error of argparse, and one of _model
+    assert _fresh_modules("steady", "--model", "rd", "--L", "0") == parsing
+    assert _fresh_modules("verify", "--model", "tasep", "--gamma", "1") == \
+        parsing
+    assert _fresh_modules("steady", "--model", "asep", "--L", "3",
+                          "--method", "nullspace") == \
+        ["cli", "csv", "exclusion", "markov", "models", "scalars", "tensor"]

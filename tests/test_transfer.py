@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import exclusion as ex
 import exclusion.markov as mk
@@ -222,6 +222,62 @@ def test_build_transfer_equals_the_fraction_product(name, data):
         for t, part in zip(tables, parts):
             assert all(type(v) is int for _, _, v in t.items())
             assert t.scale(F(1, den)).to_dense() == part(want.to_dense())
+
+
+def _unless_pole(fn, *args):
+    """fn(*args), or None where it meets a pole of t(x) or lambda(x)."""
+    try:
+        return fn(*args)
+    except PoleError:
+        return None
+
+
+def _thetas(L):
+    """A homogeneous chain (None) or L random inhomogeneities."""
+    return st.none() | st.lists(_point, min_size=L, max_size=L)
+
+
+@pytest.mark.parametrize("name", ["asep", "ssep"])
+@settings(max_examples=40, deadline=2000)
+@given(data=st.data())
+def test_eigenvalue_formulas_at_random_rates(name, data):
+    # acceptance 04 at random nonnegative rates, L <= 3: lambda(theta_i) = 1,
+    # t(x) v = lambda(x) v for the eigenvector v found at x0, <1| t(x) =
+    # lambda(x) <1| and the crossing relation.  A drawn point at a pole
+    # checks nothing, and an example where every point does is rejected
+    mdl = data.draw(MODELS[name])
+    L = data.draw(st.integers(1, 3))
+    spec = tr.TransferSpec(mdl, L, data.draw(_thetas(L)))
+    for t in spec.thetas:
+        assert _unless_pole(tr.lambda_eigenvalue, mdl, t, spec.thetas) in \
+            (None, 1), t
+    try:
+        vector = tr.eigenvector_from_nullspace(spec, data.draw(_point))
+    except (PoleError, ValueError):   # x0 a pole, or no unique eigenvector
+        vector = None
+    reports = []
+    for x in data.draw(st.lists(_point, min_size=1, max_size=3)):
+        reports += [_unless_pole(tr.left_eigen_ones, spec, x),
+                    _unless_pole(tr.check_crossing_symmetry_t, spec, x)]
+        if vector is not None:
+            reports.append(_unless_pole(tr.check_eigenpair, spec, x, vector))
+    reports = [r for r in reports if r is not None]
+    assume(reports)
+    assert [r for r in reports if r.status != vf.PASS] == []
+
+
+@settings(max_examples=40, deadline=2000)
+@given(MODELS["ssep"], st.integers(1, 2), st.data())
+def test_ssep_conjugated_at_random_rates(mdl, L, data):
+    # acceptance 08 at random nonnegative rates, L <= 2: triangular D(x),
+    # diagonal Dtilde(x) and <-| ts(x) |-> = lambda(x)
+    assume(mdl.beta + mdl.delta != 0)     # else Gamma is singular
+    spec = tr.TransferSpec(mdl, L, data.draw(_thetas(L)))
+    reports = _unless_pole(tr.ssep_conjugated, spec, data.draw(_point))
+    assume(reports is not None)
+    assert [r.check for r in reports] == ["conjugated.D", "conjugated.Dtilde",
+                                          "conjugated.scalar"]
+    assert [r for r in reports if r.status != vf.PASS] == []
 
 
 def test_commutation_fail_witness_is_the_fraction_entry(ssep_model,
