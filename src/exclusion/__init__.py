@@ -27,9 +27,9 @@ _EXPORTS = {
                  "lambda_eigenvalue", "markov_from_transfer",
                  "ssep_conjugated"),
     "ansatz": ("MPRepresentation", "MonodromyRealization", "RDRepresentation",
-               "check_gz", "check_zf", "inhomogeneous_state",
-               "rd_closed_forms", "rd_representation", "steady_ansatz",
-               "steady_from_ansatz", "tasep_representation"),
+               "gz_relations", "inhomogeneous_state", "rd_closed_forms",
+               "rd_representation", "steady_ansatz", "steady_from_ansatz",
+               "tasep_representation", "zf_relations"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

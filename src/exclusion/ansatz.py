@@ -1,4 +1,4 @@
-"""Matrix-product representations and their algebraic relation checks.
+"""Matrix-product representations and records of their algebraic relations.
 
 TASEP carries the standard DEHP bidiagonal representation with boundary
 data in the first row/column and basis boundary vectors, which makes every
@@ -23,7 +23,6 @@ from .models import ModelDescriptor
 from .scalars import Dual
 from .tensor import Matrix, PoleError, SparseMatrix, deriv_matrix, \
     embed_at_positions, integer_form, integer_vector, value_matrix
-from .verifier import CheckReport, run, skipped
 
 REL_TOL = Fraction(1, 10 ** 12)   # truncation-convergence threshold
 CAP = 256                         # truncation ceiling
@@ -63,6 +62,13 @@ class RDRepresentation:
         self.g2, self.S = g2, S
         if self._dot_v(Wn) == 0:
             raise ValueError("degenerate representation: <W|V> = 0")
+
+    @property
+    def model(self) -> ModelDescriptor:
+        """The RD model whose rates the representation carries."""
+        meta = self.meta
+        return m.rd(meta["kappa"], meta["alpha"], meta["beta"], meta["gamma"],
+                    meta["delta"])
 
     @cached_property
     def _horner(self) -> tuple:
@@ -509,12 +515,6 @@ class MonodromyRealization:
         return comps
 
 
-def _rd_model(rep: RDRepresentation) -> ModelDescriptor:
-    meta = rep.meta
-    return m.rd(meta["kappa"], meta["alpha"], meta["beta"], meta["gamma"],
-                meta["delta"])
-
-
 def _r_mix(R: Matrix, prods: dict) -> dict:
     """{(i, j): sum_kl R[2i+j][2k+l] prods[k, l]}: the R-weighted mix of the
     component products X_k X_l of an exchange relation."""
@@ -531,56 +531,49 @@ def _products(X1, X2) -> dict:
     return {(k, l): X1[k] * X2[l] for k in (0, 1) for l in (0, 1)}
 
 
-def check_zf(realization, x1, x2) -> CheckReport:
-    """R_12(c(x1,x2)) A_1(x1) A_2(x2) = A_2(x2) A_1(x1), componentwise.
+def zf_relations(realization, x1, x2):
+    """Records of the Zamolodchikov-Faddeev relations at (x1, x2), for
+    ``verifier.run(realization.model, ...)``.  The exchange relation
 
-    Exact for the monodromy realization; for the RD representation the
-    truncated stencil operators satisfy it exactly on every stored entry
-    (the shift generators never re-enter the truncated block)."""
-    if isinstance(realization, MonodromyRealization):
-        model, check = realization.model, "zf.monodromy"
+        R_12(c(x1,x2)) A_1(x1) A_2(x2) = A_2(x2) A_1(x1), componentwise,
 
-        def inputs():
-            X1, X2 = realization.components(x1), realization.components(x2)
-            return m.r_matrix(model, model.convention.compose(x1, x2)), X1, X2
-    else:
-        model, check = _rd_model(realization), "zf.representation"
+    is zf.representation for the RD representation, whose truncated
+    stencil operators satisfy it exactly on every stored entry (the shift
+    generators never re-enter the truncated block), and zf.monodromy for
+    the monodromy realization, which also yields
+    - zf.twice: R_21 mixes the components of A_2 A_1 back into those of
+      A_1 A_2 (R unitarity);
+    - zf.derivative, at the identity point e:
+      w A_1(e) A_2(e) = (1/rho)(A_1(e) A_2'(e) - A_1'(e) A_2(e));
+    - zf.c_commutation: C(x1) C(x2) = C(x2) C(x1), C = A_+ + A_-."""
+    model = realization.model
+    conv = model.convention
+    x1, x2 = Fraction(x1), Fraction(x2)
+    pts = (x1, x2)
 
-        def inputs():
-            R = m.r_matrix(model, Fraction(x1) / Fraction(x2))
-            return R, *(realization.components(Fraction(x)) for x in (x1, x2))
-
-    def sides():
-        R, X1, X2 = inputs()
+    def exchange():
+        R = m.r_matrix(model, conv.compose(x1, x2))
+        X1, X2 = map(realization.components, pts)
         # the components (i, j) of A_2 A_1 are X2[j] X1[i]
         return _r_mix(R, _products(X1, X2)), \
             {(i, j): X2[j] * X1[i] for i in (0, 1) for j in (0, 1)}
-    return run(model, [(check, (x1, x2), sides)])[0]
 
+    if isinstance(realization, RDRepresentation):
+        yield "zf.representation", pts, exchange
+        return
+    yield "zf.monodromy", pts, exchange
 
-def check_zf_twice(realization: MonodromyRealization, x1, x2) -> CheckReport:
-    """Applying the exchange relation twice returns the original product
-    (R unitarity): R_21 mixes the components of A_2 A_1 back into those of
-    A_1 A_2.  That the first exchange gives A_2 A_1 is check_zf."""
-    model = realization.model
-    conv = model.convention
-
-    def sides():
-        X1 = realization.components(x1)
-        X2 = realization.components(x2)
+    def twice():
+        X1, X2 = map(realization.components, pts)
         R12 = m.r_matrix(model, conv.compose(x1, x2))
         R21 = m.r_matrix_swapped(model, conv.compose(x2, x1))
         orig = _products(X1, X2)
         return _r_mix(R21, _r_mix(R12, orig)), orig
-    return run(model, [("zf.twice", (x1, x2), sides)])[0]
+    yield "zf.twice", pts, twice
 
-
-def check_zf_derivative(realization: MonodromyRealization) -> CheckReport:
-    """w A_1(1) A_2(1) = (1/rho)(A_1(1) A_2'(1) - A_1'(1) A_2(1))."""
-    model = realization.model
     idp = model.identity_point
 
-    def sides():
+    def derivative():
         Xd = realization.components(Dual.variable(idp))
         X = [value_matrix(B) for B in Xd]
         Xp = [deriv_matrix(B) for B in Xd]
@@ -589,26 +582,22 @@ def check_zf_derivative(realization: MonodromyRealization) -> CheckReport:
         return _r_mix(w, _products(X, X)), \
             {(i, j): inv_rho * (X[i] * Xp[j] - Xp[i] * X[j])
              for i in (0, 1) for j in (0, 1)}
-    return run(model, [("zf.derivative", (idp,), sides)])[0]
+    yield "zf.derivative", (idp,), derivative
 
-
-def check_c_commutation(realization: MonodromyRealization, x1, x2) -> CheckReport:
-    def sides():
-        X1 = realization.components(x1)
-        X2 = realization.components(x2)
-        C1 = X1[0] + X1[1]
-        C2 = X2[0] + X2[1]
+    def c_commutation():
+        C1, C2 = (X[0] + X[1] for X in map(realization.components, pts))
         return C1 * C2, C2 * C1
-    return run(realization.model, [("zf.c_commutation", (x1, x2), sides)])[0]
+    yield "zf.c_commutation", pts, c_commutation
 
 
 # --------------------------------------------------------------- GZ relations
 
-def check_gz(rep: RDRepresentation, x) -> list:
-    """Boundary reflection relations of the RD representation on interior
-    truncation indices, plus their derivative consequences: one report per
-    relation row, or one Skipped ``gz`` report when K or Kbar has a pole
-    at x.
+def gz_relations(rep: RDRepresentation, x):
+    """Records of the boundary reflection relations of the RD
+    representation on interior truncation indices, plus their derivative
+    consequences, for ``verifier.run(rep.model, ...)``: one record per
+    relation row, or the one Skipped record ``gz`` when K or Kbar has a
+    pole at x.
 
     Each residual is an integer row over one scale.  A right relation on
     |V> is the left one at 1/x on the mirror <V'|, V'[n,m] = V[m,n], read
@@ -616,12 +605,13 @@ def check_gz(rep: RDRepresentation, x) -> list:
     depends on n + m only), so (A(y)|V>)[n,m] = (<V'|A(1/y))[m,n], and
     A'(1) flips sign."""
     x = Fraction(x)
-    model = _rd_model(rep)
+    model = rep.model
     pts = (x,)
     try:
         K, Kb = m.k_matrix(model, "K", x), m.k_matrix(model, "Kbar", x)
     except ZeroDivisionError as exc:
-        return [skipped(model, "gz", pts, f"pole: {exc}")]
+        yield "gz", pts, f"pole: {exc}"
+        return
     N, S = rep.N, rep.S
     cut = N - 1
     mirror = [rep.Cv[n - mm + N - 1] * rep.Bv[mm]
@@ -641,32 +631,29 @@ def check_gz(rep: RDRepresentation, x) -> list:
                 [k[2 * i] * p + k[2 * i + 1] * q - kc * s
                  for p, q, s in zip(*mix, sub[i])], scale * den, transposed)
 
-    def records():
-        # each relation's rows are drawn after its rows of A(y) are evaluated
-        ends = (("left", rep.Wn, rep.dW, x, False),
-                ("right", mirror, rep.dV, 1 / x, True))
-        for (side, u, du, y, transposed), Km in zip(ends, (K, Kb)):
-            # K-mix of <u|A(1/y) minus <u|A(y), both over the scale of y
-            *sub, scale = rep._act(u, y)
-            *mix, _ = rep._act(u, 1 / y)
-            yield from relation(f"gz.{side}", Km, 1, mix, sub, du * scale,
-                                transposed)
-        _, B, Bbar = m.local_operators(model)
-        for (side, u, du, _, transposed), Bm in zip(ends, (B, Bbar)):
-            # B-mix of <u|A(1) minus <u|A'(1) / rho, over S
-            *at_one, _ = rep._act(u, Fraction(1))
-            d = _rd_stencil(list(u), rep.g2, S, -S, N)     # S <u|A_+'(1)
-            yield from relation(f"gz.{side}_derivative", Bm, 1 / model.rho,
-                                at_one, [d, [-v for v in d]], du * S,
-                                transposed)
-        # C(x) = A1 + A2 = 2 G2 carries no x-dependence, so the boundary
-        # symmetry <W|C(x) = <W|C(1/x) holds identically; assert it anyway.
-        *cx, scale = rep._act(rep.Wn, x)
-        *cinv, _ = rep._act(rep.Wn, 1 / x)
-        yield "gz.c_symmetry[0]", pts, lambda: interior(
-            [a + b - c - d for a, b, c, d in zip(*cx, *cinv)], rep.dW * scale)
-
-    return run(model, records())
+    # each relation's rows are drawn after its rows of A(y) are evaluated
+    ends = (("left", rep.Wn, rep.dW, x, False),
+            ("right", mirror, rep.dV, 1 / x, True))
+    for (side, u, du, y, transposed), Km in zip(ends, (K, Kb)):
+        # K-mix of <u|A(1/y) minus <u|A(y), both over the scale of y
+        *sub, scale = rep._act(u, y)
+        *mix, _ = rep._act(u, 1 / y)
+        yield from relation(f"gz.{side}", Km, 1, mix, sub, du * scale,
+                            transposed)
+    _, B, Bbar = m.local_operators(model)
+    for (side, u, du, _, transposed), Bm in zip(ends, (B, Bbar)):
+        # B-mix of <u|A(1) minus <u|A'(1) / rho, over S
+        *at_one, _ = rep._act(u, Fraction(1))
+        d = _rd_stencil(list(u), rep.g2, S, -S, N)     # S <u|A_+'(1)
+        yield from relation(f"gz.{side}_derivative", Bm, 1 / model.rho,
+                            at_one, [d, [-v for v in d]], du * S,
+                            transposed)
+    # C(x) = A1 + A2 = 2 G2 carries no x-dependence, so the boundary
+    # symmetry <W|C(x) = <W|C(1/x) holds identically; assert it anyway.
+    *cx, scale = rep._act(rep.Wn, x)
+    *cinv, _ = rep._act(rep.Wn, 1 / x)
+    yield "gz.c_symmetry[0]", pts, lambda: interior(
+        [a + b - c - d for a, b, c, d in zip(*cx, *cinv)], rep.dW * scale)
 
 
 # ----------------------------------------------------------- RD closed forms

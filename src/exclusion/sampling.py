@@ -20,8 +20,6 @@ def model_safe(model: ModelDescriptor, x: Fraction) -> bool:
     """True when every catalogue matrix of the model is finite at x and at
     the reflected/inverted arguments single-point checks use."""
     conv, cr = model.convention, model.crossing
-    if conv.kind == "multiplicative" and x == 0:
-        return False
     try:
         pts = {x, conv.invert(x), conv.reflect_compose(x, x),
                conv.invert(conv.reflect_compose(x, x))}

@@ -12,7 +12,8 @@ operands of ``compare``, and their denominator when they are integer
 tables.  ``run`` turns records into reports in order; a pole met while
 evaluating the sides makes the report Skipped.  Each identity family yields
 records and runs none: ``run_model_suite`` is one ``run`` over them all.
-The ZF and GZ checks of ``ansatz`` are records of the same form.
+The ZF and GZ families of ``ansatz`` (``zf_relations``, ``gz_relations``)
+yield records of the same form.
 """
 
 from __future__ import annotations

@@ -170,18 +170,16 @@ def test_acceptance_07_zf_gz():
         x1, x2 = (F(5), F(3)) if mdl.name == "ssep" else (F(2), F(3))
         for Lp in (1, 2, 3):
             mono = an.MonodromyRealization(mdl, Lp)
-            for rep in (an.check_zf(mono, x1, x2),
-                        an.check_zf_twice(mono, x1, x2),
-                        an.check_zf_derivative(mono),
-                        an.check_c_commutation(mono, x1, x2)):
+            for rep in vf.run(mdl, an.zf_relations(mono, x1, x2)):
                 if rep.status != vf.PASS:
                     bad.append((mdl.name, Lp, rep.check, rep.status))
     rdrep = an.rd_representation(F(3), RATES["alpha"], RATES["beta"],
                                  RATES["gamma"], RATES["delta"], 7)
-    if an.check_zf(rdrep, F(2), F(3)).status != vf.PASS:
-        bad.append(("rd", "zf"))
+    for rep in vf.run(rdrep.model, an.zf_relations(rdrep, F(2), F(3))):
+        if rep.status != vf.PASS:
+            bad.append(("rd", rep.check))
     for x in (F(2), F(5, 2)):
-        for rep in an.check_gz(rdrep, x):
+        for rep in vf.run(rdrep.model, an.gz_relations(rdrep, x)):
             if rep.status != vf.PASS:
                 bad.append(("rd", rep.check, str(x)))
     announce(7, not bad,

@@ -774,19 +774,29 @@ def test_partition_function_theta_inversion_invariance():
 
 # --------------------------------------------------------------- ZF relation
 
+def _zf(realization, x1, x2) -> dict:
+    """{check: report} of the ZF records at (x1, x2)."""
+    return {r.check: r for r in vf.run(
+        realization.model, an.zf_relations(realization, x1, x2))}
+
+
+def _gz(rep, x) -> list:
+    return vf.run(rep.model, an.gz_relations(rep, x))
+
+
 def test_zf_monodromy(asep_model, ssep_model, tasep_model):
     for mdl, pts in ((asep_model, (F(2), F(3))), (ssep_model, (F(5), F(3))),
                      (tasep_model, (F(2), F(3)))):
         for Lp in (1, 2, 3):
             mono = an.MonodromyRealization(mdl, Lp)
-            assert an.check_zf(mono, *pts).status == vf.PASS
+            assert _zf(mono, *pts)["zf.monodromy"].status == vf.PASS
 
 
 def test_zf_twice_and_c_commutation(asep_model, ssep_model):
     for mdl, pts in ((asep_model, (F(2), F(3))), (ssep_model, (F(5), F(3)))):
-        mono = an.MonodromyRealization(mdl, 2)
-        assert an.check_zf_twice(mono, *pts).status == vf.PASS
-        assert an.check_c_commutation(mono, *pts).status == vf.PASS
+        reports = _zf(an.MonodromyRealization(mdl, 2), *pts)
+        assert reports["zf.twice"].status == vf.PASS
+        assert reports["zf.c_commutation"].status == vf.PASS
 
 
 def test_zf_derivative_consequence(all_models):
@@ -794,12 +804,16 @@ def test_zf_derivative_consequence(all_models):
         if mdl.name == "rd":
             continue
         mono = an.MonodromyRealization(mdl, 2)
-        assert an.check_zf_derivative(mono).status == vf.PASS
+        report = _zf(mono, F(2), F(3))["zf.derivative"]
+        assert (report.status, report.points) == \
+            (vf.PASS, (format_rational(mdl.identity_point),))
 
 
 def test_zf_rd_representation():
+    # the RD representation yields the exchange relation only
     rep = an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 5)
-    assert an.check_zf(rep, F(2), F(3)).status == vf.PASS
+    assert [(r.check, r.status) for r in _zf(rep, F(2), F(3)).values()] == \
+        [("zf.representation", vf.PASS)]
 
 
 def test_monodromy_rejects_rd(rd_model):
@@ -819,34 +833,34 @@ def test_zf_gauge_constants_are_immaterial(monkeypatch):
     for a, b in ((2, 3), (F(1, 5), 7)):
         _gauge(monkeypatch, a, b)
         mdl = ex.asep(2, 1, 1, F(1, 2), F(1, 3))
-        mono = an.MonodromyRealization(mdl, 2)
-        assert an.check_zf(mono, F(2), F(3)).status == vf.PASS
-        assert an.check_zf_derivative(mono).status == vf.PASS
+        reports = _zf(an.MonodromyRealization(mdl, 2), F(2), F(3))
+        assert reports["zf.monodromy"].status == vf.PASS
+        assert reports["zf.derivative"].status == vf.PASS
         monkeypatch.undo()
     _gauge(monkeypatch, F(3, 2), 5)
     sm = ex.ssep(1, 1, F(1, 2), F(1, 3))
     mono = an.MonodromyRealization(sm, 2)
-    assert an.check_zf(mono, F(5), F(3)).status == vf.PASS
+    assert _zf(mono, F(5), F(3))["zf.monodromy"].status == vf.PASS
 
 
 # --------------------------------------------------------------- GZ relation
 
 def test_gz_identity_point_trivial():
     rep = an.rd_representation(3, 1, 1, 0, 0, 5)
-    reports = an.check_gz(rep, F(1))
+    reports = _gz(rep, F(1))
     assert all(r.status == vf.PASS for r in reports)
 
 
 def test_gz_interior(rd_model):
     rep = an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 7)
-    reports = an.check_gz(rep, F(2))
+    reports = _gz(rep, F(2))
     assert all(r.status == vf.PASS for r in reports), \
         [(r.check, r.witness) for r in reports if r.status != vf.PASS]
 
 
 def test_gz_with_zero_extraction_rates():
     rep = an.rd_representation(3, 1, 1, 0, 0, 7)
-    reports = an.check_gz(rep, F(2))
+    reports = _gz(rep, F(2))
     assert all(r.status == vf.PASS for r in reports)
 
 
@@ -902,9 +916,9 @@ def _corner_cancelling(rep, x, target):
     return lambda M: M + Matrix([[t1, -t0], [t1, -t0]])
 
 def _oracle_gz_residuals(rep, x):
-    """{check: residual} of check_gz on the Fraction oracle: <W| op for the
-    left relations, op |V> for the right ones."""
-    model = an._rd_model(rep)
+    """{check: residual} of the GZ records on the Fraction oracle: <W| op
+    for the left relations, op |V> for the right ones."""
+    model = rep.model
     G = _oracle_letters(rep)
     W, V = _closed_form_boundary(rep.meta, rep.N)
     K, Kb = mo.k_matrix(model, "K", x), mo.k_matrix(model, "Kbar", x)
@@ -948,7 +962,7 @@ def test_gz_fails_with_the_oracle_witness(monkeypatch, N, target, family,
             _perturb(mp, target, _corner_cancelling(rep, x, target)
                      if corner else _doubled)
             residuals = _oracle_gz_residuals(rep, x)
-            reports = an.check_gz(rep, x)
+            reports = _gz(rep, x)
         assert [r.check for r in reports] == list(residuals)
         for r in reports:
             want = _first_interior_nonzero(residuals[r.check], N)
@@ -967,9 +981,9 @@ def test_zf_representation_fails_with_the_oracle_witness(monkeypatch, N):
     rep = an.rd_representation(F(1, 2), F(3, 2), 2, F(1, 3), F(1, 5), N)
     x1, x2 = F(2), F(5, 2)
     _perturb(monkeypatch, "R", _doubled)
-    report = an.check_zf(rep, x1, x2)
+    report, = vf.run(rep.model, an.zf_relations(rep, x1, x2))
     G = _oracle_letters(rep)
-    R = mo.r_matrix(an._rd_model(rep), x1 / x2)
+    R = mo.r_matrix(rep.model, x1 / x2)
     X1, X2 = ([_oracle_component(G, i, x) for i in (0, 1)] for x in (x1, x2))
     dim = N * N
     want = None
@@ -1009,7 +1023,7 @@ def test_zf_monodromy_fails_with_the_oracle_witness(monkeypatch, all_models,
     else:
         _perturb(monkeypatch, "R", _doubled)
     mono = an.MonodromyRealization(mdl, 2)
-    report = an.check_zf(mono, x1, x2)
+    report = _zf(mono, x1, x2)["zf.monodromy"]
     R = mo.r_matrix(mdl, at)
     X1, X2 = mono.components(x1), mono.components(x2)
     h = X1[0].rows
@@ -1035,25 +1049,28 @@ def test_zf_monodromy_fails_with_the_oracle_witness(monkeypatch, all_models,
 
 def test_rd_relation_pole_reasons():
     rep = an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 5)
-    reports = an.check_gz(rep, 0)
+    reports = _gz(rep, 0)
     assert [(r.check, r.status, r.reason) for r in reports] == [
         ("gz", vf.SKIPPED,
          "pole: 2x*((x^2-1)(alpha+gamma) + 2kappa(x^2+1)) vanishes at x=0")]
     for pts, reason in (((0, 3), "pole: A(x) has a 1/x term; x must be "
                                  "nonzero"),
                         ((2, 0), "pole: Fraction(1, 0)")):
-        r = an.check_zf(rep, *pts)
+        r, = vf.run(rep.model, an.zf_relations(rep, *pts))
         assert (r.check, r.status, r.reason) == \
             ("zf.representation", vf.SKIPPED, reason)
 
 
 def test_monodromy_pole_reasons(asep_model):
-    # q x - 1 = 0 at x = 1/2 for q = 2: each check is one Skipped report
+    # q x - 1 = 0 at x = 1/2 for q = 2: each check at (x1, x2) is one
+    # Skipped report, and the derivative at the identity point passes
     mono = an.MonodromyRealization(asep_model, 2)
-    for check, name in ((an.check_zf, "zf.monodromy"),
-                        (an.check_zf_twice, "zf.twice"),
-                        (an.check_c_commutation, "zf.c_commutation")):
-        r = check(mono, F(1, 2), F(3))
+    reports = _zf(mono, F(1, 2), F(3))
+    assert list(reports) == ["zf.monodromy", "zf.twice", "zf.derivative",
+                             "zf.c_commutation"]
+    for name in ("zf.monodromy", "zf.twice", "zf.c_commutation"):
+        r = reports[name]
         assert (r.check, r.status, r.points, r.reason) == \
             (name, vf.SKIPPED, ("1/2", "3"),
              "pole: q*x - 1 vanishes at x=1/2")
+    assert reports["zf.derivative"].status == vf.PASS

@@ -19,6 +19,7 @@ import exclusion as ex
 import exclusion.ansatz as an
 import exclusion.cli as cli
 import exclusion.markov as mk
+import exclusion.models as mo
 import exclusion.sampling as sampling
 import exclusion.transfer as tr
 from exclusion.ansatz import rd_closed_forms
@@ -1210,3 +1211,37 @@ def test_import_leaves_out_class_generation_modules():
     assert _fresh_modules("steady", "--model", "asep", "--L", "3",
                           "--method", "nullspace") == \
         ["cli", "csv", "exclusion", "markov", "models", "scalars", "tensor"]
+    # the matrix ansatz runs no identity check, so neither the checker nor
+    # its sampler is loaded
+    ansatz = ["ansatz", "cli", "csv", "exclusion", "markov", "models",
+              "scalars", "tensor"]
+    assert _fresh_modules("profile", "--model", "rd", "--L", "6") == ansatz
+    for model, L in (("rd", "2"), ("tasep", "3")):
+        assert _fresh_modules("steady", "--model", model, "--L", L,
+                              "--method", "ansatz") == ansatz
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: ")
+
+
+def test_a_failing_check_exits_1_with_its_witness(capsys, monkeypatch):
+    # w doubled breaks P R'(1) = rho w, and only that check: the witness is
+    # the first nonzero entry of P R'(1), against twice itself
+    local_operators = mo.local_operators
+    monkeypatch.setattr(mo, "local_operators", lambda model: (
+        2 * local_operators(model)[0], *local_operators(model)[1:]))
+    code, out = run(capsys, "verify", "--model", "asep", "--samples", "2",
+                    "--seed", "1")
+    doc = json.loads(out)
+    failed = [c for c in doc["checks"] if c["status"] == "Fail"]
+    assert code == 1
+    assert doc["counts"]["fail"] == len(failed) >= 1
+    for c in failed:
+        assert c["check"] == "r.local_jump"
+        assert sorted(c["witness"]) == ["col", "lhs", "rhs", "row"]
+        lhs = ex.parse_rational(c["witness"]["lhs"])
+        assert lhs != 0
+        assert ex.parse_rational(c["witness"]["rhs"]) == 2 * lhs

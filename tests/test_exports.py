@@ -28,9 +28,9 @@ EXPORTED = {
                  "lambda_eigenvalue", "markov_from_transfer",
                  "ssep_conjugated"),
     "ansatz": ("MPRepresentation", "MonodromyRealization", "RDRepresentation",
-               "check_gz", "check_zf", "inhomogeneous_state",
-               "rd_closed_forms", "rd_representation", "steady_ansatz",
-               "steady_from_ansatz", "tasep_representation"),
+               "gz_relations", "inhomogeneous_state", "rd_closed_forms",
+               "rd_representation", "steady_ansatz", "steady_from_ansatz",
+               "tasep_representation", "zf_relations"),
 }
 NAMES = [(module, name) for module, names in EXPORTED.items()
          for name in names]

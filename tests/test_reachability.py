@@ -18,9 +18,9 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "exclusion"
 
 # reached by no CLI command: adding a name here is a deliberate decision
 LIBRARY_ENTRY_POINTS = {
-    # the ZF/GZ family of the matrix ansatz and its monodromy realisation
-    "check_zf", "check_zf_twice", "check_zf_derivative",
-    "check_c_commutation", "check_gz", "MonodromyRealization",
+    # the ZF/GZ record families of the matrix ansatz and its monodromy
+    # realisation
+    "zf_relations", "gz_relations", "MonodromyRealization",
     # the exact RD closed forms, the oracle of rd_profile_rows
     "rd_closed_forms",
     # the one float routine: relaxation towards the steady state

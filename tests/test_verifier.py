@@ -8,7 +8,7 @@ import exclusion as ex
 import exclusion.models as m
 import exclusion.transfer as tr
 import exclusion.verifier as vf
-from exclusion.sampling import pair_safe, sample_points
+from exclusion.sampling import model_safe, pair_safe, sample_points
 from exclusion.scalars import Dual, format_rational
 from exclusion.tensor import Matrix, SparseMatrix, embed_at_positions, \
     integer_form
@@ -250,6 +250,16 @@ def test_pair_safe_is_symmetric(name, data):
     if b in partners or (0 in (a, b) and
                          mdl.convention.kind == "multiplicative"):
         assert not pair_safe(mdl, a, b)
+
+
+def test_zero_is_unsafe_for_each_multiplicative_model(all_models):
+    # 1/x at x = 0 raises inside model_safe's pole guard
+    multiplicative = [mdl for mdl in all_models
+                      if mdl.convention.kind == "multiplicative"]
+    assert sorted(mdl.name for mdl in multiplicative) == \
+        ["asep", "rd", "tasep"]
+    for mdl in multiplicative:
+        assert not model_safe(mdl, F(0)), mdl.name
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
