@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import ldexp
 
 from . import models as m
@@ -550,10 +550,12 @@ def zf_relations(realization, x1, x2):
     conv = model.convention
     x1, x2 = Fraction(x1), Fraction(x2)
     pts = (x1, x2)
+    # the records share the components at each point; a pole is not kept
+    components = cache(realization.components)
 
     def exchange():
         R = m.r_matrix(model, conv.compose(x1, x2))
-        X1, X2 = map(realization.components, pts)
+        X1, X2 = map(components, pts)
         # the components (i, j) of A_2 A_1 are X2[j] X1[i]
         return _r_mix(R, _products(X1, X2)), \
             {(i, j): X2[j] * X1[i] for i in (0, 1) for j in (0, 1)}
@@ -564,7 +566,7 @@ def zf_relations(realization, x1, x2):
     yield "zf.monodromy", pts, exchange
 
     def twice():
-        X1, X2 = map(realization.components, pts)
+        X1, X2 = map(components, pts)
         R12 = m.r_matrix(model, conv.compose(x1, x2))
         R21 = m.r_matrix_swapped(model, conv.compose(x2, x1))
         orig = _products(X1, X2)
@@ -574,7 +576,7 @@ def zf_relations(realization, x1, x2):
     idp = model.identity_point
 
     def derivative():
-        Xd = realization.components(Dual.variable(idp))
+        Xd = components(Dual.variable(idp))
         X = [value_matrix(B) for B in Xd]
         Xp = [deriv_matrix(B) for B in Xd]
         w, _, _ = m.local_operators(model)
@@ -585,7 +587,7 @@ def zf_relations(realization, x1, x2):
     yield "zf.derivative", (idp,), derivative
 
     def c_commutation():
-        C1, C2 = (X[0] + X[1] for X in map(realization.components, pts))
+        C1, C2 = (X[0] + X[1] for X in map(components, pts))
         return C1 * C2, C2 * C1
     yield "zf.c_commutation", pts, c_commutation
 

@@ -429,7 +429,10 @@ def cmd_transfer(args) -> int:
         raise UsageError("--truncation-cap is read by the "
                          "inhomogeneous-eigenvector check only")
     L = args.L
-    if L > 6:   # the RD inhomogeneous eigenvector: 2.3 s at L = 6 on 2 vCPU
+    # the slowest check, the RD inhomogeneous eigenvector at the default
+    # rates and theta = 3, 5, ..., 17, takes 2.1 s at L = 6 on 2 vCPU, most
+    # of it the truncation loop
+    if L > 6:
         raise DomainError(f"transfer checks capped at L = 6, got L = {L}")
     if args.theta is not None and len(args.theta) != L:
         raise UsageError(f"need {L} inhomogeneities, got {len(args.theta)}")

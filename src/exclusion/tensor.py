@@ -3,16 +3,17 @@
 Site ordering follows the probability-vector convention: site 1 is the most
 significant bit of the configuration index, so index 1 is (0,...,0,1).
 All operations are pure; entries are Fractions.  A SparseMatrix may also
-hold ints, which products, sums, matvecs, the embedding and the partial
-trace keep as ints.  ``integer_form`` and ``integer_vector`` put rational
-matrices and vectors in that form over one common denominator, so exact
-products take no gcd per entry.  Dense Matrix products, ``rank`` and
-``inverse`` scale their rational operands the same way and work in ints,
-forming one Fraction per output entry (none for ``rank``).  These are the
-package's only scaling of rationals to integers.  A matrix taken at a Dual
-point may hold Dual entries too: sparse products take them as they are,
-and ``value_matrix`` and ``deriv_matrix`` split a dense one into the
-rational matrices its products need.
+hold ints, which products, sums, matvecs and the embedding keep as ints.
+``integer_form`` and ``integer_vector`` put rational matrices and vectors
+in that form over one common denominator, so exact products take no gcd
+per entry.  Dense Matrix products, ``rank`` and ``inverse`` scale their
+rational operands the same way, through ``_dense_over_lcm``, and work in
+ints, forming one Fraction per output entry (none for ``rank``); the
+transfer-matrix contraction scales its local factors through it too.
+These are the package's only scaling of rationals to integers.  A matrix
+taken at a Dual point may hold Dual entries too: sparse products take them
+as they are, and ``value_matrix`` and ``deriv_matrix`` split a dense one
+into the rational matrices its products need.
 """
 
 from __future__ import annotations
@@ -158,19 +159,8 @@ def partial_transpose(M: Matrix, leg: int) -> Matrix:
     return out
 
 
-def partial_trace_first(M):
+def partial_trace_first(M: Matrix) -> Matrix:
     """Trace out the first 2-dim factor of an operator on 2 (x) 2^n."""
-    if isinstance(M, SparseMatrix):
-        if M.dim % 2:
-            raise ValueError("dimension not even")
-        half = M.dim // 2
-        out = SparseMatrix(half)
-        for r, row in M.rows_items():
-            j = r % half
-            for c, v in row.items():
-                if (r < half) == (c < half):
-                    out.add(j, c % half, v)
-        return out
     if M.rows != M.cols or M.rows % 2:
         raise ValueError("dimension not even")
     half = M.rows // 2

@@ -1,12 +1,13 @@
 """Double-row transfer matrices with open boundaries.
 
-t(x) is assembled as an ordered sparse product on the (auxiliary (x) chain)
-space of dimension 2^(L+1) and then traced over the auxiliary factor.  The
-product runs in integers: each local factor is scaled by the lcm of its
-denominators, and t(x) is handed out, and checked, as an integer table over
-the product of those denominators, so no gcd is taken.  t(x) carries no
-prefactor: the homogeneous normalization 1/tr Ktilde(identity) is 1 for
-every catalogued model.
+t(x) is contracted site by site as a matrix product operator of bond
+dimension 4, one auxiliary index for each of its two rows of R factors, so
+no operator on the (auxiliary (x) chain) space of dimension 2^(L+1) is
+formed.  The contraction runs in integers: each local factor is scaled by
+the lcm of its denominators, and t(x) is handed out, and checked, as an
+integer table over the product of those denominators, so no gcd is taken.
+t(x) carries no prefactor: the homogeneous normalization
+1/tr Ktilde(identity) is 1 for every catalogued model.
 
 The checks raise PoleError at a pole, naming the point and the expression
 that vanishes there.  A Skipped report means that the model lacks the
@@ -17,15 +18,16 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
 from . import models as m
 from .ansatz import CAP, rd_inhomogeneous_converged
 from .markov import build_markov, integer_markov, steady_state_exact
 from .models import ModelDescriptor
 from .scalars import Dual
-from .tensor import Matrix, PoleError, SparseMatrix, deriv_matrix, \
-    embed_at_positions, exact_nullspace, integer_form, integer_vector, \
-    inverse, partial_trace_first, value_matrix
+from .tensor import Matrix, PoleError, SparseMatrix, _dense_over_lcm, \
+    deriv_matrix, exact_nullspace, integer_vector, inverse, value_matrix
 from .verifier import CheckReport, compare, skipped
 
 
@@ -57,18 +59,64 @@ def _factor(what, thunk):
 
 
 def _local_factors(spec: TransferSpec, x):
-    """(tensor positions, matrix) of the 2L+2 factors of t(x) in product
-    order.  Each is evaluated once, as it is drawn, so a pole is reported
-    for the first factor in that order that has one."""
+    """The 2L+2 factors of t(x) in product order: Ktilde_0, R_0L...R_01,
+    K_0, R_10...R_L0.  Each is evaluated once, as it is drawn, so a pole
+    is reported for the first factor in that order that has one."""
     model, conv, L = spec.model, spec.model.convention, spec.L
-    yield (0,), _factor("Ktilde_0", lambda: m.k_matrix(model, "Ktilde", x))
+    yield _factor("Ktilde_0", lambda: m.k_matrix(model, "Ktilde", x))
     for j in range(L, 0, -1):
         arg = conv.compose(x, spec.thetas[j - 1])
-        yield (0, j), _factor(f"R_0{j}", lambda: m.r_matrix(model, arg))
-    yield (0,), _factor("K_0", lambda: m.k_matrix(model, "K", x))
+        yield _factor(f"R_0{j}", lambda: m.r_matrix(model, arg))
+    yield _factor("K_0", lambda: m.k_matrix(model, "K", x))
     for j in range(1, L + 1):
         arg = conv.reflect_compose(x, spec.thetas[j - 1])
-        yield (j, 0), _factor(f"R_{j}0", lambda: m.r_matrix(model, arg))
+        yield _factor(f"R_{j}0", lambda: m.r_matrix(model, arg))
+
+
+_BONDS = ((0, 0), (0, 1), (1, 0), (1, 1))   # bond state (p, y), at 2p + y
+
+
+def _combine(vectors, coefficients) -> list:
+    """The int list sum of c v over the pairs (v, c), zero c skipped."""
+    acc = None
+    for v, c in zip(vectors, coefficients):
+        if c:
+            term = map(mul, v, repeat(c))
+            acc = list(term) if acc is None else list(map(add, acc, term))
+    return acc if acc is not None else [0] * len(vectors[0])
+
+
+def _mul2(a, b) -> tuple:
+    """The product of two 2 x 2 matrices held as row-major 4-tuples."""
+    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+
+
+def _site_ops(R, Rh) -> list:
+    """ops[b'][2s + u]: the coefficients (r_p'p rhat_yy')[s][u] of one site
+    over the bond states b = (p, y), as ints, for each b' = (p', y').  The
+    site operator r_p'p rhat_yy' takes R_0j's factor first, with r_ab[s][t]
+    = R_0j[2a + s][2b + t] and rhat_ab[t][u] = R_j0[2t + a][2u + b]."""
+    r = [[(R[2 * a][2 * b], R[2 * a][2 * b + 1],
+           R[2 * a + 1][2 * b], R[2 * a + 1][2 * b + 1]) for b in (0, 1)]
+         for a in (0, 1)]
+    rh = [[(Rh[a][b], Rh[a][2 + b], Rh[2 + a][b], Rh[2 + a][2 + b])
+           for b in (0, 1)] for a in (0, 1)]
+    return [list(zip(*[_mul2(r[p2][p], rh[y][y2]) for p, y in _BONDS]))
+            for p2, y2 in _BONDS]
+
+
+def _site(O, ops) -> list:
+    """Add one site: entry 4i + 2s + u of the new O[b'] is the sum over b
+    of O[b][i] ops[b'][2s + u][b], so that the new site's (s, u) are the
+    lowest two bits of the entry index."""
+    out = []
+    for coefficients in ops:
+        o = [0] * (4 * len(O[0]))
+        for k in range(4):
+            o[k::4] = _combine(O, coefficients[k])
+        out.append(o)
+    return out
 
 
 def build_transfer(spec: TransferSpec, x) -> tuple:
@@ -77,26 +125,59 @@ def build_transfer(spec: TransferSpec, x) -> tuple:
     with t(x) = N / den, and at a Dual point x ([N, N'], den) with also
     t'(x) = N' / den.
 
-    Each factor F is scaled to integers by the lcm d of its denominators and
-    embedded; the embedded factors are multiplied and the auxiliary space is
-    traced out in integers, and den is the product of the d.  At a Dual
-    point every factor F0 + eps F1 becomes two integer tables over one d,
-    and the pair (A, A') <- (A F0, A' F0 + A F1) is carried."""
+    Each factor F is scaled to integers by the lcm d of its denominators,
+    and den is the product of the d; at a Dual point F0 + eps F1 becomes
+    two integer tables over one d.  t(x) is then contracted site by site as
+    an operator product of bond dimension 4, without forming any operator
+    on the 2^(L+1)-dimensional auxiliary (x) chain space.  The bond state
+    (p, y) holds the auxiliary index of the R_0j chain and of the R_j0
+    chain; O_j[(p, y)] is an operator on sites 1..j, site 1 the most
+    significant bit:
+
+        O_0[(p, y)] = K[p][y],
+        O_j[(p', y')] = sum over (p, y) of O_{j-1}[(p, y)] (x) r_p'p rhat_yy',
+        N = sum over (p, y) of Ktilde[y][p] O_L[(p, y)],
+
+    with r and rhat the 2 x 2 blocks of R_0j and R_j0 (``_site_ops``).  At
+    a Dual point the pair (O, O') is carried by the product rule."""
     dual = isinstance(x, Dual)
-    n = spec.L + 1  # tensor factor 0 is the auxiliary space
-    acc, den = None, 1
-    for positions, F in _local_factors(spec, x):
+    L = spec.L
+    factors, den = [], 1
+    for F in _local_factors(spec, x):
         tables = [value_matrix(F), deriv_matrix(F)] if dual else [F]
-        ints, d = integer_form(*map(SparseMatrix.from_dense, tables))
-        f = [embed_at_positions([(t, positions)], n) for t in ints]
+        rows, d = _dense_over_lcm([r for t in tables for r in t.a])
+        factors.append([rows[:F.rows], rows[F.rows:]] if dual else [rows])
         den *= d
-        if acc is None:
-            acc = f
-        elif dual:
-            acc = [acc[0] * f[0], acc[1] * f[0] + acc[0] * f[1]]
-        else:
-            acc = [acc[0] * f[0]]
-    return [partial_trace_first(a) for a in acc], den
+    Kt, K = factors[0], factors[L + 1]
+    O = [[K[0][p][y]] for p, y in _BONDS]
+    if dual:
+        Od = [[K[1][p][y]] for p, y in _BONDS]
+    for R, Rh in zip(factors[L:0:-1], factors[L + 2:]):
+        ops = _site_ops(R[0], Rh[0])
+        if dual:
+            # (O r rhat)' = O' r rhat + O r' rhat + O r rhat'
+            terms = (ops, _site_ops(R[1], Rh[0]), _site_ops(R[0], Rh[1]))
+            Od = _site(Od + O + O, [[sum(by_k, ()) for by_k in zip(*by_b2)]
+                                    for by_b2 in zip(*terms)])
+        O = _site(O, ops)
+    close = [Kt[0][y][p] for p, y in _BONDS]
+    flat = [_combine(O, close)]
+    if dual:
+        flat.append(_combine(Od + O, close + [Kt[1][y][p] for p, y in _BONDS]))
+    # site j's (s, u) are bits 2(L - j) + 1 and 2(L - j) of a flat table's
+    # entry index; its row is s_1...s_L and its column u_1...u_L
+    rows, cols = [0], [0]
+    for _ in range(L):
+        rows = [2 * r + s for r in rows for s in (0, 0, 1, 1)]
+        cols = [2 * c + u for c in cols for u in (0, 1, 0, 1)]
+    out = []
+    for table in flat:
+        N = SparseMatrix(1 << L)
+        for r, c, v in zip(rows, cols, table):
+            if v:
+                N.add(r, c, v)
+        out.append(N)
+    return out, den
 
 
 def check_commutation(spec: TransferSpec, x, x2) -> CheckReport:

@@ -1061,6 +1061,37 @@ def test_rd_relation_pole_reasons():
             ("zf.representation", vf.SKIPPED, reason)
 
 
+@pytest.mark.parametrize("pts, once, per_record", [
+    # monodromy x1, x2 and the identity point, RD x1 and x2; per record
+    # the monodromy family built them 7 times
+    ((F(2), F(3)), 3 + 2, 7 + 2),
+    # q x = 1 at x1 = 1/2 for q = 2: the pole is not kept, so each record
+    # meets it afresh at x1 and stops there
+    ((F(1, 2), F(3)), 4 + 2, 4 + 2),
+])
+def test_zf_relations_build_the_components_once_per_point(
+        asep_model, pts, once, per_record, monkeypatch):
+    # the reports are those of the per-record builds
+    calls = []
+    for cls in (an.MonodromyRealization, an.RDRepresentation):
+        real = cls.components
+        monkeypatch.setattr(cls, "components",
+                            lambda self, x, real=real: calls.append(x) or
+                            real(self, x))
+    realizations = (an.MonodromyRealization(asep_model, 2),
+                    an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 5))
+    runs = []
+    for cached in (True, False):
+        if not cached:
+            monkeypatch.setattr(an, "cache", lambda f: f)
+        calls.clear()
+        runs.append(([vf.run(r.model, an.zf_relations(r, *pts))
+                      for r in realizations], len(calls)))
+    (reports, n_once), (per_record_reports, n_per_record) = runs
+    assert reports == per_record_reports
+    assert (n_once, n_per_record) == (once, per_record)
+
+
 def test_monodromy_pole_reasons(asep_model):
     # q x - 1 = 0 at x = 1/2 for q = 2: each check at (x1, x2) is one
     # Skipped report, and the derivative at the identity point passes

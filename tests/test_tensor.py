@@ -144,8 +144,6 @@ def test_partial_trace_first():
     A = Matrix([[1, 2], [3, 4]])
     B = Matrix([[5, 6], [7, 8]])
     assert partial_trace_first(kron(A, B)) == (A[0, 0] + A[1, 1]) * B
-    sp = SparseMatrix.from_dense(kron(A, B))
-    assert partial_trace_first(sp).to_dense() == (A[0, 0] + A[1, 1]) * B
 
 
 def test_partial_transpose():

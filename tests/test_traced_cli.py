@@ -38,9 +38,10 @@ def _undo_on_exit(monkeypatch):
 
 
 def test_transfer_trace_keeps_its_layers(monkeypatch, capsys):
-    # the integer assembly still builds each transfer matrix through
-    # build_transfer and SparseMatrix products, and evaluates each of the
-    # 2L + 2 local factors of each once (r_matrix 2L, k_matrix 2 times)
+    # each transfer matrix is built once through build_transfer, which
+    # evaluates each of its 2L + 2 local factors once (r_matrix 2L,
+    # k_matrix 2 times) and contracts them site by site; the commutation
+    # check multiplies the two integer tables as SparseMatrix products
     traced = _load()
     _undo_on_exit(monkeypatch)
     tracer = traced.Tracer()

@@ -1,3 +1,4 @@
+import math
 import operator
 from fractions import Fraction as F
 from functools import reduce
@@ -16,9 +17,8 @@ from exclusion.tensor import Matrix, PoleError, SparseMatrix, \
 from strategies import MODELS
 
 
-def _oracle_transfer(spec, x):
-    """t(x) as the ordered product of the embedded factors over Fraction (or
-    Dual) entries, traced over the auxiliary space: no integer assembly."""
+def _oracle_factors(spec, x):
+    """(positions, matrix) of the 2L + 2 factors of t(x), in product order."""
     model, conv, L = spec.model, spec.model.convention, spec.L
     factors = [((0,), m.k_matrix(model, "Ktilde", x))]
     factors += [((0, j), m.r_matrix(model, conv.compose(x, spec.thetas[j - 1])))
@@ -27,9 +27,15 @@ def _oracle_transfer(spec, x):
     factors += [((j, 0), m.r_matrix(model,
                                     conv.reflect_compose(x, spec.thetas[j - 1])))
                 for j in range(1, L + 1)]
+    return factors
+
+
+def _oracle_transfer(spec, x):
+    """t(x) as the ordered product of the embedded factors over Fraction (or
+    Dual) entries, traced over the auxiliary space: no integer assembly."""
     return partial_trace_first(reduce(operator.mul, (
-        embed_at_positions([(f, positions)], L + 1)
-        for positions, f in factors)))
+        embed_at_positions([(f, positions)], spec.L + 1)
+        for positions, f in _oracle_factors(spec, x))).to_dense())
 
 
 def test_transfer_identity_point_is_identity(all_models):
@@ -197,31 +203,52 @@ def test_rd_inhomogeneous_eigenvector(rd_model):
 _point = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
 
 
+def _matches_the_fraction_product(spec, x):
+    """Assert that the integer tables over their denominator give the same
+    exact t(x), and at a Dual point the same exact derivative, as the
+    Fraction (Dual) product, and that den is the product of the per-factor
+    lcms, so that N itself is pinned, not only N / den.  False where both
+    meet a pole."""
+    try:
+        want = _oracle_transfer(spec, x)
+    except PoleError:
+        with pytest.raises(PoleError):
+            tr.build_transfer(spec, x)
+        return False
+    tables, den = tr.build_transfer(spec, x)
+    assert den == math.prod(
+        math.lcm(*(e.denominator for part in (value_matrix, deriv_matrix)
+                   for row in part(f).a for e in row))
+        for _, f in _oracle_factors(spec, x))
+    parts = (value_matrix, deriv_matrix) if isinstance(x, Dual) else \
+        (lambda M: M,)
+    assert len(tables) == len(parts)
+    for t, part in zip(tables, parts):
+        assert all(type(v) is int for _, _, v in t.items())
+        assert t.scale(F(1, den)).to_dense() == part(want)
+    return True
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_build_transfer_equals_the_fraction_product(name, data):
-    # the integer tables over their denominator give the same exact t(x),
-    # and at the identity point the same exact derivative, as the Fraction
-    # (Dual) product
     mdl = data.draw(MODELS[name])
-    L = data.draw(st.integers(1, 3))
+    L = data.draw(st.integers(1, 4))
     spec = tr.TransferSpec(mdl, L, data.draw(st.lists(_point, min_size=L,
                                                       max_size=L)))
     for x in (data.draw(_point), Dual.variable(mdl.identity_point)):
-        try:
-            want = _oracle_transfer(spec, x)
-        except PoleError:
-            with pytest.raises(PoleError):
-                tr.build_transfer(spec, x)
-            continue
-        tables, den = tr.build_transfer(spec, x)
-        parts = (value_matrix, deriv_matrix) if isinstance(x, Dual) else \
-            (lambda M: M,)
-        assert len(tables) == len(parts)
-        for t, part in zip(tables, parts):
-            assert all(type(v) is int for _, _, v in t.items())
-            assert t.scale(F(1, den)).to_dense() == part(want.to_dense())
+        _matches_the_fraction_product(spec, x)
+
+
+def test_build_transfer_at_l5_equals_the_fraction_product(all_models):
+    for mdl in all_models:
+        spec = tr.TransferSpec(mdl, 5)
+        for x in (F(2), Dual.variable(mdl.identity_point)):
+            assert _matches_the_fraction_product(spec, x)
+    spec = tr.TransferSpec(all_models[0], 5, (F(2), F(-1, 3), F(5, 2), F(3),
+                                              F(3, 7)))
+    assert _matches_the_fraction_product(spec, F(3, 5))
 
 
 def _unless_pole(fn, *args):
@@ -298,7 +325,7 @@ def test_commutation_fail_witness_is_the_fraction_entry(ssep_model,
     rep = tr.check_commutation(spec, x, x2)
     assert rep.status == vf.FAIL
     t1, t2 = _oracle_transfer(spec, x), _oracle_transfer(spec, x2)
-    lhs, rhs = (t1 * t2).to_dense(), (t2 * t1).to_dense()
+    lhs, rhs = t1 * t2, t2 * t1
     r, c = next((r, c) for r in range(lhs.rows) for c in range(lhs.cols)
                 if lhs[r, c] != rhs[r, c])
     assert rep.witness == {"row": r, "col": c,
@@ -319,8 +346,8 @@ def test_crossing_fail_witness_is_the_fraction_entry(asep_model,
     rep = tr.check_crossing_symmetry_t(spec, x)
     assert rep.status == vf.FAIL
     lam = real(asep_model, x, spec.thetas) + F(1, 7)
-    lhs = _oracle_transfer(spec, x).to_dense()
-    rhs = (lam - 1) * _oracle_transfer(spec, 1 / (asep_model.q * x)).to_dense()
+    lhs = _oracle_transfer(spec, x)
+    rhs = (lam - 1) * _oracle_transfer(spec, 1 / (asep_model.q * x))
     r, c = next((r, c) for r in range(lhs.rows) for c in range(lhs.cols)
                 if lhs[r, c] != rhs[r, c])
     assert rep.witness == {"row": r, "col": c,
