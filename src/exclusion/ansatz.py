@@ -21,8 +21,8 @@ from . import models as m
 from .markov import Distribution
 from .models import ModelDescriptor
 from .scalars import Dual
-from .tensor import Matrix, PoleError, SparseMatrix, deriv_matrix, \
-    embed_at_positions, integer_form, integer_vector, value_matrix
+from .tensor import Matrix, PoleError, SparseMatrix, dual_parts, \
+    integer_form, integer_vector, kron
 
 REL_TOL = Fraction(1, 10 ** 12)   # truncation-convergence threshold
 CAP = 256                         # truncation ceiling
@@ -483,7 +483,10 @@ def rd_inhomogeneous_converged(model, thetas, cap: int = CAP):
 # ------------------------------------------------------- monodromy realization
 
 class MonodromyRealization:
-    """A(x) = T(x) v(x) with T the monodromy matrix over an inner chain.
+    """A(x) = T(x) v(x) with T the monodromy matrix over an inner chain,
+    built as its coproduct: each inner site sets A_i = sum over k of A_k (x)
+    r_ik, from the scalars A_k = v_k(x), with r_ik[s][t] = R(x)[2i+s][2k+t]
+    and site 1 the most significant bit.
 
     Realizes the Zamolodchikov relation exactly (no truncation) for the
     models carrying a scalar Markovian vector."""
@@ -497,22 +500,14 @@ class MonodromyRealization:
         self.L = inner_length
 
     def components(self, x):
-        """(X1(x), X2(x)) as dense operators on the inner chain."""
-        n = self.L + 1
-        acc = None
-        for j in range(self.L, 0, -1):
-            f = embed_at_positions([(m.r_matrix(self.model, x), (0, j))], n)
-            acc = f if acc is None else acc * f
-        T = acc.to_dense()
-        half = 1 << self.L
-        v = m.markov_vector(self.model, x)
-        comps = []
-        for i in (0, 1):
-            block = Matrix([[T.a[i * half + r][0 * half + c] * v[0] +
-                             T.a[i * half + r][1 * half + c] * v[1]
-                             for c in range(half)] for r in range(half)])
-            comps.append(block)
-        return comps
+        """(A_0(x), A_1(x)) as dense operators on the inner chain."""
+        R = m.r_matrix(self.model, x).a
+        r = [[Matrix([row[2 * k:2 * k + 2] for row in R[2 * i:2 * i + 2]])
+              for k in (0, 1)] for i in (0, 1)]
+        X = [Matrix([[v]]) for v in m.markov_vector(self.model, x)]
+        for _ in range(self.L):
+            X = [kron(X[0], r[i][0]) + kron(X[1], r[i][1]) for i in (0, 1)]
+        return X
 
 
 def _r_mix(R: Matrix, prods: dict) -> dict:
@@ -576,9 +571,7 @@ def zf_relations(realization, x1, x2):
     idp = model.identity_point
 
     def derivative():
-        Xd = components(Dual.variable(idp))
-        X = [value_matrix(B) for B in Xd]
-        Xp = [deriv_matrix(B) for B in Xd]
+        X, Xp = zip(*map(dual_parts, components(Dual.variable(idp))))
         w, _, _ = m.local_operators(model)
         inv_rho = 1 / model.rho
         return _r_mix(w, _products(X, X)), \

@@ -28,15 +28,6 @@ class Distribution(namedtuple("Distribution", "L weights Z")):
     def probabilities(self) -> list:
         return [w / self.Z for w in self.weights]
 
-    def config(self, index: int) -> tuple:
-        return tuple((index >> (self.L - 1 - k)) & 1 for k in range(self.L))
-
-    def index(self, config) -> int:
-        out = 0
-        for tau in config:
-            out = (out << 1) | tau
-        return out
-
 
 def integer_markov(model: ModelDescriptor, L: int) -> tuple:
     """(N, d) with the generator M = N / d: the local operators over their

@@ -10,10 +10,10 @@ per entry.  Dense Matrix products, ``rank`` and ``inverse`` scale their
 rational operands the same way, through ``_dense_over_lcm``, and work in
 ints, forming one Fraction per output entry (none for ``rank``); the
 transfer-matrix contraction scales its local factors through it too.
-These are the package's only scaling of rationals to integers.  A matrix
-taken at a Dual point may hold Dual entries too: sparse products take them
-as they are, and ``value_matrix`` and ``deriv_matrix`` split a dense one
-into the rational matrices its products need.
+These are the package's only scaling of rationals to integers.  Dual
+entries appear only in dense matrices taken at a Dual point: ``kron`` and
+sums carry them as they are, and ``dual_parts`` splits them into the
+rational matrices products need.  A SparseMatrix holds ints or Fractions.
 """
 
 from __future__ import annotations
@@ -105,9 +105,6 @@ class Matrix:
 
     def transpose(self):
         return Matrix([[self.a[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def map(self, fn):
-        return Matrix([[fn(e) for e in row] for row in self.a])
 
     def apply(self, vec):
         if len(vec) != self.cols:
@@ -253,13 +250,6 @@ class SparseMatrix:
                     out._rows.setdefault(i, {})[j] = M.a[i][j]
         return out
 
-    def to_dense(self) -> Matrix:
-        out = Matrix.zeros(self.dim, self.dim)
-        for r, row in self._rows.items():
-            for c, v in row.items():
-                out.a[r][c] = v
-        return out
-
     def add(self, r, c, v):
         if not (0 <= r < self.dim and 0 <= c < self.dim):
             raise IndexError("coordinate out of range")
@@ -362,7 +352,7 @@ class SparseMatrix:
 
 def embed_at_positions(terms, n_factors) -> SparseMatrix:
     """Sum of local operators on (C^2)^(x n_factors), each identity off
-    its slots.  ``terms`` holds (op, positions) pairs: op is a Matrix or a
+    its slots.  ``terms`` holds (op, positions) pairs: op is a
     SparseMatrix of dim 2^k acting on k distinct 0-indexed tensor slots,
     its legs in the order of ``positions``.  A term visits each output row
     once: the row's slot bits pick its local row, and each entry's column
@@ -371,8 +361,6 @@ def embed_at_positions(terms, n_factors) -> SparseMatrix:
     dim = 1 << n_factors
     rows = [{} for _ in range(dim)]
     for op, positions in terms:
-        if isinstance(op, Matrix):
-            op = SparseMatrix.from_dense(op)
         k = len(positions)
         if op.dim != 1 << k:
             raise ValueError("operator size does not match position count")
@@ -739,14 +727,13 @@ def derivative_at(f, x0) -> Matrix:
         M = f(Dual.variable(x0))
     except ZeroDivisionError as exc:
         raise PoleError(f"pole while differentiating at {x0}: {exc}") from exc
-    return deriv_matrix(M)
+    return dual_parts(M)[1]
 
 
-def value_matrix(M: Matrix) -> Matrix:
-    """Drop derivative parts, keeping exact values."""
-    return M.map(lambda e: e.value if isinstance(e, Dual) else e)
-
-
-def deriv_matrix(M: Matrix) -> Matrix:
-    """Drop values, keeping exact first derivatives (0 for a plain rational)."""
-    return M.map(lambda e: e.deriv if isinstance(e, Dual) else Fraction(0))
+def dual_parts(M: Matrix) -> tuple:
+    """(values, derivatives): the two rational matrices of a matrix taken at
+    a Dual point, a plain rational entry having derivative 0."""
+    return (Matrix([[e.value if isinstance(e, Dual) else e for e in row]
+                    for row in M.a]),
+            Matrix([[e.deriv if isinstance(e, Dual) else _ZERO for e in row]
+                    for row in M.a]))

@@ -27,7 +27,7 @@ from .markov import build_markov, integer_markov, steady_state_exact
 from .models import ModelDescriptor
 from .scalars import Dual
 from .tensor import Matrix, PoleError, SparseMatrix, _dense_over_lcm, \
-    deriv_matrix, exact_nullspace, integer_vector, inverse, value_matrix
+    dual_parts, exact_nullspace, integer_vector, inverse
 from .verifier import CheckReport, compare, skipped
 
 
@@ -144,7 +144,7 @@ def build_transfer(spec: TransferSpec, x) -> tuple:
     L = spec.L
     factors, den = [], 1
     for F in _local_factors(spec, x):
-        tables = [value_matrix(F), deriv_matrix(F)] if dual else [F]
+        tables = dual_parts(F) if dual else [F]
         rows, d = _dense_over_lcm([r for t in tables for r in t.a])
         factors.append([rows[:F.rows], rows[F.rows:]] if dual else [rows])
         den *= d

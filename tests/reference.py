@@ -1,11 +1,22 @@
 """Oracles that only the tests use: the dense embedding, built from
 ``kron`` and a slot permutation, that ``tensor.embed_at_positions`` is
-checked against, and the RD current balance of ``ansatz.rd_closed_forms``."""
+checked against, the embed-and-multiply monodromy that the coproduct of
+``MonodromyRealization.components`` is checked against, and the RD current
+balance of ``ansatz.rd_closed_forms``."""
 
 from fractions import Fraction
 
+import exclusion.models as m
 from exclusion.ansatz import rd_closed_forms
-from exclusion.tensor import Matrix, SparseMatrix, kron
+from exclusion.tensor import Matrix, SparseMatrix, embed_at_positions, kron
+
+
+def dense(M: SparseMatrix) -> Matrix:
+    """M as a dense Matrix."""
+    out = Matrix.zeros(M.dim, M.dim)
+    for r, c, v in M.items():
+        out.a[r][c] = v
+    return out
 
 
 def embed_dense(op: Matrix, positions, length: int) -> Matrix:
@@ -37,6 +48,27 @@ def embed_local(op: Matrix, first_site: int, length: int) -> SparseMatrix:
     k = op.rows.bit_length() - 1
     return SparseMatrix.from_dense(
         embed_dense(op, range(first_site - 1, first_site - 1 + k), length))
+
+
+def monodromy_components(model, inner_length: int, x) -> list:
+    """(A_0(x), A_1(x)) with A_i = sum over k of T_ik(x) v_k(x), T = R_0L'
+    ... R_01 the monodromy matrix multiplied out on the auxiliary (x) inner
+    chain space (slot 0 the auxiliary one) and cut into its 2 x 2 blocks of
+    inner-chain operators.  At a Dual point the sparse products carry Dual
+    entries."""
+    n = inner_length + 1
+    acc = None
+    for j in range(inner_length, 0, -1):
+        f = embed_at_positions(
+            [(SparseMatrix.from_dense(m.r_matrix(model, x)), (0, j))], n)
+        acc = f if acc is None else acc * f
+    T = dense(acc)
+    half = 1 << inner_length
+    v = m.markov_vector(model, x)
+    return [Matrix([[T.a[i * half + r][c] * v[0] +
+                     T.a[i * half + r][half + c] * v[1]
+                     for c in range(half)] for r in range(half)])
+            for i in (0, 1)]
 
 
 def rd_current_balance(kappa, alpha, beta, gamma, delta, L: int, i: int) -> Fraction:

@@ -10,15 +10,11 @@ import exclusion.ansatz as an
 import exclusion.markov as mk
 import exclusion.models as mo
 import exclusion.verifier as vf
-from exclusion.scalars import float_repr, format_rational
-from exclusion.tensor import Matrix, SparseMatrix
+from exclusion.scalars import Dual, float_repr, format_rational
+from exclusion.tensor import Matrix, SparseMatrix, dual_parts
 from certificates import exact, pins, recorded
-from reference import rd_current_balance
+from reference import dense, monodromy_components, rd_current_balance
 from strategies import MODELS
-
-
-def dense(sp):
-    return sp.to_dense()
 
 
 def _contract(letters, W, V, word):
@@ -790,6 +786,24 @@ def test_zf_monodromy(asep_model, ssep_model, tasep_model):
         for Lp in (1, 2, 3):
             mono = an.MonodromyRealization(mdl, Lp)
             assert _zf(mono, *pts)["zf.monodromy"].status == vf.PASS
+
+
+@pytest.mark.parametrize("Lp", [1, 2, 3, 4])
+def test_monodromy_components_equal_the_embedded_product(
+        asep_model, ssep_model, tasep_model, Lp):
+    # the coproduct against the monodromy multiplied out on the auxiliary
+    # (x) chain space, entry for entry; at the Dual identity point on the
+    # values and on the derivatives
+    for mdl in (asep_model, ssep_model, tasep_model):
+        for x in (F(2), F(3, 7), F(-5, 2), F(1, 3)):
+            got = an.MonodromyRealization(mdl, Lp).components(x)
+            assert got == monodromy_components(mdl, Lp, x), (mdl.name, x)
+        x = Dual.variable(mdl.identity_point)
+        got, want = ([dual_parts(X) for X in components] for components in (
+            an.MonodromyRealization(mdl, Lp).components(x),
+            monodromy_components(mdl, Lp, x)))
+        assert got == want, mdl.name
+        assert any(e for _, Xp in got for row in Xp.a for e in row)
 
 
 def test_zf_twice_and_c_commutation(asep_model, ssep_model):

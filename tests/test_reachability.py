@@ -41,8 +41,19 @@ def _traced_names() -> set:
 
 
 def _mentions(node) -> set:
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+    """The names node mentions, bare or as an attribute.  A bare name that a
+    function or lambda in node binds, as a parameter or an assignment
+    target, is a local of it and mentions nothing."""
+    local = set()
+    for fn in ast.walk(node):
+        if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            local |= {a.arg for a in ast.walk(fn.args)
+                      if isinstance(a, ast.arg)}
+            local |= {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Store)}
+    return {n.attr if isinstance(n, ast.Attribute) else n.id
+            for n in ast.walk(node) if isinstance(n, ast.Attribute) or
+            isinstance(n, ast.Name) and n.id not in local}
 
 
 def _is_method(node) -> bool:

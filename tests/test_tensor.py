@@ -11,7 +11,7 @@ from exclusion.tensor import Matrix, PoleError, SparseMatrix, _primes, \
     derivative_at, embed_at_positions, exact_nullspace, \
     integer_form, integer_vector, inverse, kron, \
     partial_trace_first, partial_transpose, permutation_op, rank
-from reference import embed_dense, embed_local
+from reference import dense, embed_dense, embed_local
 
 I2 = Matrix.identity(2)
 I4 = Matrix.identity(4)
@@ -60,10 +60,10 @@ def test_permutation_op():
 
 
 def test_embed_local():
-    assert embed_local(I2, 1, 3).to_dense() == Matrix.identity(8)
+    assert dense(embed_local(I2, 1, 3)) == Matrix.identity(8)
     w, B, _ = ex.local_operators(ex.ssep(1, 1, F(1, 2), F(1, 3)))
-    assert embed_local(w, 1, 2).to_dense() == w
-    assert embed_local(B, 1, 2).to_dense() == kron(B, I2)
+    assert dense(embed_local(w, 1, 2)) == w
+    assert dense(embed_local(B, 1, 2)) == kron(B, I2)
     with pytest.raises(ValueError):
         embed_local(I2, 4, 3)
     with pytest.raises(ValueError):
@@ -122,8 +122,8 @@ def test_embed_at_positions_sums_the_dense_embeddings(n_terms, data):
     got = embed_at_positions(terms, n)
     want = Matrix.zeros(1 << n, 1 << n)
     for op, positions in terms:
-        want = want + embed_dense(op.to_dense(), positions, n)
-    assert got.to_dense() == want
+        want = want + embed_dense(dense(op), positions, n)
+    assert dense(got) == want
     assert all(v for _, _, v in got.items())    # zero sums are dropped
     if all(type(v) is int for op, _ in terms for _, _, v in op.items()):
         assert all(type(v) is int for _, _, v in got.items())
@@ -627,10 +627,9 @@ def test_sparse_matrix_contract():
 def test_embed_at_positions_matches_kron_order():
     A = Matrix([[1, 2], [3, 4]])
     B = Matrix([[0, 1], [5, 0]])
-    two = embed_at_positions([(kron(A, B), (0, 1))], 2).to_dense()
-    assert two == kron(A, B)
-    swapped = embed_at_positions([(kron(A, B), (1, 0))], 2).to_dense()
-    assert swapped == kron(B, A)
+    AB = SparseMatrix.from_dense(kron(A, B))
+    assert dense(embed_at_positions([(AB, (0, 1))], 2)) == kron(A, B)
+    assert dense(embed_at_positions([(AB, (1, 0))], 2)) == kron(B, A)
 
 
 def test_matrix_shape_mismatch_raises():

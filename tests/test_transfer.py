@@ -12,8 +12,9 @@ import exclusion.models as m
 import exclusion.transfer as tr
 import exclusion.verifier as vf
 from exclusion.scalars import Dual, format_rational
-from exclusion.tensor import Matrix, PoleError, SparseMatrix, \
-    deriv_matrix, embed_at_positions, partial_trace_first, value_matrix
+from exclusion.tensor import Matrix, PoleError, SparseMatrix, dual_parts, \
+    embed_at_positions, partial_trace_first
+from reference import dense
 from strategies import MODELS
 
 
@@ -33,9 +34,10 @@ def _oracle_factors(spec, x):
 def _oracle_transfer(spec, x):
     """t(x) as the ordered product of the embedded factors over Fraction (or
     Dual) entries, traced over the auxiliary space: no integer assembly."""
-    return partial_trace_first(reduce(operator.mul, (
-        embed_at_positions([(f, positions)], spec.L + 1)
-        for positions, f in _oracle_factors(spec, x))).to_dense())
+    return partial_trace_first(dense(reduce(operator.mul, (
+        embed_at_positions([(SparseMatrix.from_dense(f), positions)],
+                           spec.L + 1)
+        for positions, f in _oracle_factors(spec, x)))))
 
 
 def test_transfer_identity_point_is_identity(all_models):
@@ -217,15 +219,14 @@ def _matches_the_fraction_product(spec, x):
         return False
     tables, den = tr.build_transfer(spec, x)
     assert den == math.prod(
-        math.lcm(*(e.denominator for part in (value_matrix, deriv_matrix)
-                   for row in part(f).a for e in row))
+        math.lcm(*(e.denominator for part in dual_parts(f)
+                   for row in part.a for e in row))
         for _, f in _oracle_factors(spec, x))
-    parts = (value_matrix, deriv_matrix) if isinstance(x, Dual) else \
-        (lambda M: M,)
+    parts = dual_parts(want) if isinstance(x, Dual) else (want,)
     assert len(tables) == len(parts)
     for t, part in zip(tables, parts):
         assert all(type(v) is int for _, _, v in t.items())
-        assert t.scale(F(1, den)).to_dense() == part(want)
+        assert dense(t.scale(F(1, den))) == part
     return True
 
 

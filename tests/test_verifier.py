@@ -12,6 +12,7 @@ from exclusion.sampling import model_safe, pair_safe, sample_points
 from exclusion.scalars import Dual, format_rational
 from exclusion.tensor import Matrix, SparseMatrix, embed_at_positions, \
     integer_form
+from reference import dense
 from strategies import MODELS
 
 
@@ -347,9 +348,9 @@ def test_compare_integer_operands_give_the_fraction_witness(ssep_model):
         (a, b), d = integer_form(SparseMatrix.from_dense(good),
                                  SparseMatrix.from_dense(bad))
         assert d > 1
-        for lhs, rhs in ((a, b), (a.to_dense(), b.to_dense()),
-                         (list(a.to_dense().a[want.witness["row"]]),
-                          list(b.to_dense().a[want.witness["row"]]))):
+        for lhs, rhs in ((a, b), (dense(a), dense(b)),
+                         (list(dense(a).a[want.witness["row"]]),
+                          list(dense(b).a[want.witness["row"]]))):
             got = vf.compare(ssep_model, "c", (), lhs, rhs, d)
             assert got.status == vf.FAIL
             if isinstance(lhs, list):   # a flat sequence is row 0
@@ -373,11 +374,11 @@ def test_yang_baxter_fail_prints_fraction_entries(ssep_model, monkeypatch):
     rep = vf.run(ssep_model, vf.yang_baxter(ssep_model, x1, x2, x3))[0]
     assert rep.status == vf.FAIL
     conv = ssep_model.convention
-    r12, r13, r23 = (embed_at_positions(
-                         [(wrong_r(ssep_model, conv.compose(a, b)), legs)], 3)
+    r12, r13, r23 = (embed_at_positions([(SparseMatrix.from_dense(
+                         wrong_r(ssep_model, conv.compose(a, b))), legs)], 3)
                      for a, b, legs in ((x1, x2, (0, 1)), (x1, x3, (0, 2)),
                                         (x2, x3, (1, 2))))
-    lhs, rhs = (r12 * r13 * r23).to_dense(), (r23 * r13 * r12).to_dense()
+    lhs, rhs = dense(r12 * r13 * r23), dense(r23 * r13 * r12)
     r, c = next((r, c) for r in range(8) for c in range(8)
                 if lhs[r, c] != rhs[r, c])
     assert rep.witness == {"row": r, "col": c,
