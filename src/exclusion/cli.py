@@ -343,27 +343,61 @@ def _typed_rows(template_of, convs, rows) -> list:
                 % tuple(v for v in row if v is not None) for row in rows]
 
 
+# the JSON words of the floats whose repr is not JSON
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _json(doc: dict) -> str:
-    """json.dumps(doc, indent=2), each table expanded to its list of dicts:
-    scalar fields go through json.dumps, and each table row fills one
-    %-template of its table's keys.  Keys are str, a header's keys are
-    distinct, and a row holds one value per key (else % raises TypeError)."""
-    from json import dumps
-    from json.encoder import encode_basestring_ascii
+    """json.dumps(doc, indent=2), each table expanded to its list of dicts,
+    without loading json: each table row fills one %-template of its
+    table's keys, and scalar fields go through one recursive encoder of
+    None, bool, int, float, str, list and dict.  Strings are escaped by the
+    C escaper that json binds.  Keys are str, a header's keys are distinct,
+    and a row holds one value per key (else % raises TypeError)."""
+    from _json import encode_basestring_ascii as escape
+
+    def encode(value, newline):
+        # value's json.dumps(indent=2), its lines after the first led by
+        # newline
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, str):
+            return escape(value)
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float):
+            text = float.__repr__(value)
+            return _JSON_FLOATS.get(text, text)
+        inner = newline + "  "
+        if isinstance(value, list):
+            items, ends = [encode(v, inner) for v in value], "[]"
+        elif isinstance(value, dict):
+            items = [escape(k) + ": " + encode(v, inner)
+                     for k, v in value.items()]
+            ends = "{}"
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not "
+                            f"JSON serializable")
+        if not items:
+            return ends
+        return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
+
     fields = []
     for key, value in doc.items():
-        field = "  " + encode_basestring_ascii(key) + ": "
+        field = "  " + escape(key) + ": "
         if isinstance(value, tuple):
-            fields.append(field + _json_table(*value))
+            fields.append(field + _json_table(escape, *value))
         else:   # a scalar field, its lines indented one level
-            fields.append(field + dumps(value, indent=2).replace("\n", "\n  "))
+            fields.append(field + encode(value, "\n  "))
     return "{\n" + ",\n".join(fields) + "\n}" if fields else "{}"
 
 
-def _json_table(header, rows, convs) -> str:
-    from json.encoder import encode_basestring_ascii
-    keys = ["      " + encode_basestring_ascii(k).replace("%", "%%") + ": "
-            for k in header]
+def _json_table(escape, header, rows, convs) -> str:
+    keys = ["      " + escape(k).replace("%", "%%") + ": " for k in header]
     body = ",\n".join(_typed_rows(
         lambda cs: "    {\n" + ",\n".join(
             k + (c if c in ("%d", "%r") else f'"{c}"')

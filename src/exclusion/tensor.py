@@ -6,14 +6,16 @@ All operations are pure; entries are Fractions.  A SparseMatrix may also
 hold ints, which products, sums, matvecs and the embedding keep as ints.
 ``integer_form`` and ``integer_vector`` put rational matrices and vectors
 in that form over one common denominator, so exact products take no gcd
-per entry.  Dense Matrix products, ``rank`` and ``inverse`` scale their
-rational operands the same way, through ``_dense_over_lcm``, and work in
-ints, forming one Fraction per output entry (none for ``rank``); the
-transfer-matrix contraction scales its local factors through it too.
+per entry.  A dense Matrix holds the same form, its integer table over one
+denominator, formed once through ``_dense_over_lcm``: products, ``kron``,
+sums, the transposes, ``inverse`` and ``rank`` work in ints and form no
+Fraction, and a Matrix's Fraction entries are formed, reduced, only when
+they are read.  The transfer-matrix contraction reads the same tables.
 These are the package's only scaling of rationals to integers.  Dual
-entries appear only in dense matrices taken at a Dual point: ``kron`` and
-sums carry them as they are, and ``dual_parts`` splits them into the
-rational matrices products need.  A SparseMatrix holds ints or Fractions.
+entries appear only in dense matrices taken at a Dual point, which have no
+table: ``kron`` and sums carry them as they are, and ``dual_parts`` splits
+them into the rational matrices products need.  A SparseMatrix holds ints
+or Fractions.
 """
 
 from __future__ import annotations
@@ -33,15 +35,27 @@ _ZERO = Fraction(0)   # shared by zero product entries; Fractions are immutable
 
 
 class Matrix:
-    """Small dense matrix, row-major.
+    """Small dense matrix, row-major, held in one or both of two forms: ``a``,
+    its entries as rows of Fractions (ints promoted, Dual entries kept as
+    they are), and ``_table``, (N, d) with the matrix N / d, N rows of ints
+    and d a nonzero int.
+
+    A Matrix built from entries forms its table once, through
+    ``_dense_over_lcm``, when an operation first needs it.  Products,
+    ``kron``, sums, rational scalings, the transposes, ``apply``,
+    ``inverse`` and ``rank`` work on the tables, and a Matrix they return
+    holds only its table: ``a`` is formed, reduced, on first read.  Each
+    form is kept on the instance once formed.  A Matrix with Dual entries
+    has no table: ``kron``, sums and scalings carry its entries as they are,
+    and a product raises.
 
     A Matrix is never changed once built and handed out: ``models`` shares
-    each R(x) and K(x) it builds between all of its callers.  Only a
-    function that has just built a fresh Matrix (``kron``,
-    ``partial_transpose``) fills in its entries.
+    each R(x) and K(x) it builds between all of its callers.  The one
+    in-place write is filling in the entries of a fresh ``zeros()``, before
+    anything forms its table, which would not see a later write.
     """
 
-    __slots__ = ("a", "rows", "cols")
+    __slots__ = ("a", "_table", "rows", "cols")
 
     def __init__(self, rows_of_entries):
         # bare ints are promoted so that entry division stays exact
@@ -52,13 +66,36 @@ class Matrix:
         if any(len(r) != self.cols for r in self.a):
             raise ValueError("ragged matrix")
 
+    @classmethod
+    def _over(cls, table, d):
+        """The Matrix table / d, table a list of int rows."""
+        M = cls.__new__(cls)
+        M._table = table, d
+        M.rows = len(table)
+        M.cols = len(table[0]) if table else 0
+        return M
+
+    def __getattr__(self, name):
+        # a form not yet held is formed from the other one, and kept
+        if name == "a":
+            N, d = self._table
+            self.a = [[Fraction(v, d) if v else _ZERO for v in row]
+                      for row in N]
+            return self.a
+        if name == "_table":
+            # a Dual entry has no denominator: AttributeError
+            self._table = _dense_over_lcm(self.a)
+            return self._table
+        raise AttributeError(name)
+
     @staticmethod
     def zeros(rows, cols):
         return Matrix([[Fraction(0)] * cols for _ in range(rows)])
 
     @staticmethod
     def identity(n):
-        return Matrix([[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)])
+        return Matrix._over([[int(i == j) for j in range(n)]
+                             for i in range(n)], 1)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -66,20 +103,27 @@ class Matrix:
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
-            return Matrix([[e * other for e in row] for row in self.a])
+            return self._scaled(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        (a, da), (b, db) = _dense_over_lcm(self.a), _dense_over_lcm(other.a)
-        # (A / da)(B / db) = A B / (da db): int dot products, one Fraction
-        # per entry
-        d = da * db
+        (a, da), (b, db) = self._table, other._table
+        # (A / da)(B / db) = A B / (da db): int dot products, no gcd
         cols = list(zip(*b))
-        return Matrix([[Fraction(n, d) if n else _ZERO
-                        for n in [sum(map(mul, row, col)) for col in cols]]
-                       for row in a])
+        return Matrix._over([[sum(map(mul, row, col)) for col in cols]
+                             for row in a], da * db)
 
     def __rmul__(self, other):
-        return Matrix([[other * e for e in row] for row in self.a])
+        return self._scaled(other)
+
+    def _scaled(self, s):
+        """s M: on the table for a rational s, else entry by entry."""
+        tables = _tables(self)
+        if tables is None or not isinstance(s, (int, Fraction)):
+            return Matrix([[s * e for e in row] for row in self.a])
+        (N, d), = tables
+        n = s.numerator
+        return Matrix._over([[v * n for v in row] for row in N],
+                            d * s.denominator)
 
     def _same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -87,12 +131,24 @@ class Matrix:
                              f"{other.rows}x{other.cols}")
 
     def __add__(self, other):
-        self._same_shape(other)
-        return Matrix([[x + y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)])
+        return self._sum(other, 1)
 
     def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def _sum(self, other, sign):
+        """self + sign other: over the lcm of the two denominators, or
+        entry by entry when either holds Dual entries."""
         self._same_shape(other)
-        return Matrix([[x - y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)])
+        tables = _tables(self, other)
+        if tables is None:
+            return Matrix([[x + sign * y for x, y in zip(r, s)]
+                           for r, s in zip(self.a, other.a)])
+        (a, da), (b, db) = tables
+        d = math.lcm(da, db)
+        fa, fb = d // da, sign * (d // db)
+        return Matrix._over([[x * fa + y * fb for x, y in zip(r, s)]
+                             for r, s in zip(a, b)], d)
 
     def __neg__(self):
         return Matrix([[-x for x in r] for r in self.a])
@@ -104,29 +160,44 @@ class Matrix:
             x == y for r, s in zip(self.a, other.a) for x, y in zip(r, s))
 
     def transpose(self):
-        return Matrix([[self.a[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        N, d = self._table
+        return Matrix._over([list(c) for c in zip(*N)], d)
 
     def apply(self, vec):
+        """M v for a vector of Fractions or ints, as Fractions: (N / d)(w /
+        e) = N w / (d e), w the ints of ``integer_vector``."""
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} != {self.cols} columns")
-        return [sum(self.a[i][j] * vec[j] for j in range(self.cols)) for i in range(self.rows)]
+        N, d = self._table
+        w, e = integer_vector(vec)
+        de = d * e
+        return [Fraction(sum(map(mul, row, w)), de) for row in N]
 
     def __repr__(self):
         return f"Matrix({self.a!r})"
 
 
+def _tables(*mats):
+    """The integer tables of the matrices, or None when one of them holds
+    Dual entries."""
+    try:
+        return [M._table for M in mats]
+    except AttributeError:
+        return None
+
+
 def kron(A: Matrix, B: Matrix) -> Matrix:
-    out = Matrix.zeros(A.rows * B.rows, A.cols * B.cols)
-    for i in range(A.rows):
-        for j in range(A.cols):
-            aij = A.a[i][j]
-            if not aij:
-                continue
-            for k in range(B.rows):
-                for l in range(B.cols):
-                    if B.a[k][l]:
-                        out.a[i * B.rows + k][j * B.cols + l] = aij * B.a[k][l]
-    return out
+    """A (x) B: entry (i k, j l) is A[i][j] B[k][l], over the product of
+    the two denominators; Dual entries are multiplied as they are."""
+    tables = _tables(A, B)
+    if tables is None:
+        return Matrix(_kron_rows(A.a, B.a))
+    (a, da), (b, db) = tables
+    return Matrix._over(_kron_rows(a, b), da * db)
+
+
+def _kron_rows(a, b) -> list:
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
 
 
 def permutation_op() -> Matrix:
@@ -139,30 +210,37 @@ def permutation_op() -> Matrix:
 
 
 def partial_transpose(M: Matrix, leg: int) -> Matrix:
-    """Transpose one tensor leg of a 4x4 two-site operator (leg 1 or 2)."""
+    """Transpose one tensor leg of a 4x4 two-site operator (leg 1 or 2):
+    entry (2i + j, 2k + l) moves to (2k + j, 2i + l) for leg 1 and to
+    (2i + l, 2k + j) for leg 2."""
     if M.rows != 4 or M.cols != 4:
         raise ValueError("partial_transpose expects a 4x4 matrix")
     if leg not in (1, 2):
         raise ValueError("leg must be 1 or 2")
-    out = Matrix.zeros(4, 4)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    if leg == 1:
-                        out.a[2 * k + j][2 * i + l] = M.a[2 * i + j][2 * k + l]
-                    else:
-                        out.a[2 * i + l][2 * k + j] = M.a[2 * i + j][2 * k + l]
-    return out
+    N, d = M._table
+    if leg == 1:
+        return Matrix._over([[N[c & 2 | r & 1][r & 2 | c & 1]
+                              for c in range(4)] for r in range(4)], d)
+    return Matrix._over([[N[r & 2 | c & 1][c & 2 | r & 1]
+                          for c in range(4)] for r in range(4)], d)
 
 
 def partial_trace_first(M: Matrix) -> Matrix:
-    """Trace out the first 2-dim factor of an operator on 2 (x) 2^n."""
+    """Trace out the first 2-dim factor of an operator on 2 (x) 2^n: a sum
+    of entries, which carries Dual entries as they are."""
     if M.rows != M.cols or M.rows % 2:
         raise ValueError("dimension not even")
     half = M.rows // 2
-    return Matrix([[M.a[j][l] + M.a[half + j][half + l] for l in range(half)]
-                   for j in range(half)])
+
+    def trace(a):
+        return [[a[j][l] + a[half + j][half + l] for l in range(half)]
+                for j in range(half)]
+
+    tables = _tables(M)
+    if tables is None:
+        return Matrix(trace(M.a))
+    (N, d), = tables
+    return Matrix._over(trace(N), d)
 
 
 def _eliminate(rows, ncols) -> tuple:
@@ -198,25 +276,24 @@ def _eliminate(rows, ncols) -> tuple:
 
 
 def inverse(M: Matrix) -> Matrix:
-    """Exact inverse of a small dense matrix: [M | I] with each row scaled to
-    integers, eliminated without fractions; entry (i, j) of the inverse is
-    row i's column n + j over the pivot."""
+    """Exact inverse of a small dense matrix N / d, eliminated without
+    fractions: [N | d I] reduces to [p I | p (N / d)^-1], so the inverse is
+    the right half over the last pivot p."""
     n = M.rows
     if n != M.cols:
         raise ValueError("inverse of non-square matrix")
-    rows = [_dense_over_lcm([row + [int(i == j) for j in range(n)]])[0][0]
-            for i, row in enumerate(M.a)]
+    N, d = M._table
+    rows = [row + [d if i == j else 0 for j in range(n)]
+            for i, row in enumerate(N)]
     a, rank, p = _eliminate(rows, n)
     if rank < n:
         raise PoleError("matrix is singular")
-    return Matrix([[Fraction(v, p) if v else _ZERO for v in row[n:]]
-                   for row in a])
+    return Matrix._over([row[n:] for row in a], p)
 
 
 def rank(M: Matrix) -> int:
-    """Exact rank of a small dense matrix, each row scaled to integers."""
-    return _eliminate([_dense_over_lcm([row])[0][0] for row in M.a],
-                      M.cols)[1]
+    """Exact rank of a small dense matrix, from its integer table."""
+    return _eliminate(M._table[0], M.cols)[1]
 
 
 class SparseMatrix:
@@ -390,9 +467,9 @@ def embed_at_positions(terms, n_factors) -> SparseMatrix:
     return out
 
 
-def exact_nullspace(M) -> list:
-    """Exact basis of the kernel of a rational matrix, by one elimination
-    modulo a prime and p-adic lifting (Dixon 1982).
+def exact_nullspace(M: SparseMatrix) -> list:
+    """Exact basis of the kernel of a sparse matrix of ints or Fractions, by
+    one elimination modulo a prime and p-adic lifting (Dixon 1982).
 
     Each row is scaled by the lcm of its denominators, which keeps the
     kernel and makes the matrix integral.  Elimination runs once modulo a
@@ -418,8 +495,6 @@ def exact_nullspace(M) -> list:
 
     Returns one length-dim Fraction vector per free column, in column order.
     """
-    if isinstance(M, Matrix):
-        M = SparseMatrix.from_dense(M)
     rows = _integer_rows(M)
     for p in _primes():
         factors = _eliminate_mod(rows, M.dim, p)

@@ -22,8 +22,6 @@ from itertools import repeat
 from operator import add, mul
 
 from . import models as m
-from .ansatz import CAP, rd_inhomogeneous_converged
-from .markov import build_markov, integer_markov, steady_state_exact
 from .models import ModelDescriptor
 from .scalars import Dual
 from .tensor import Matrix, PoleError, SparseMatrix, _dense_over_lcm, \
@@ -144,9 +142,13 @@ def build_transfer(spec: TransferSpec, x) -> tuple:
     L = spec.L
     factors, den = [], 1
     for F in _local_factors(spec, x):
-        tables = dual_parts(F) if dual else [F]
-        rows, d = _dense_over_lcm([r for t in tables for r in t.a])
-        factors.append([rows[:F.rows], rows[F.rows:]] if dual else [rows])
+        if dual:
+            values, derivatives = dual_parts(F)
+            rows, d = _dense_over_lcm(values.a + derivatives.a)
+            factors.append([rows[:F.rows], rows[F.rows:]])
+        else:
+            rows, d = F._table
+            factors.append([rows])
         den *= d
     Kt, K = factors[0], factors[L + 1]
     O = [[K[0][p][y]] for p, y in _BONDS]
@@ -192,6 +194,7 @@ def check_commutation(spec: TransferSpec, x, x2) -> CheckReport:
 def markov_from_transfer(model: ModelDescriptor, L: int) -> CheckReport:
     """(1/2 rho) t'(identity) = M, with t the homogeneous transfer matrix,
     differentiated exactly over dual numbers."""
+    from .markov import build_markov
     idp = model.identity_point
     (_, dt), den = build_transfer(TransferSpec(model, L), Dual.variable(idp))
     return compare(model, "transfer.markov_derivative", (idp,),
@@ -258,6 +261,7 @@ def eigenvector_from_nullspace(spec: TransferSpec, x0) -> list:
     as that of N - lambda(x0) den I for t(x0) = N / den.  Commutation makes
     it x-independent."""
     if spec.homogeneous:
+        from .markov import integer_markov, steady_state_exact
         return steady_state_exact(integer_markov(spec.model, spec.L)[0]) \
             .probabilities()
     lam = lambda_eigenvalue(spec.model, x0, spec.thetas)
@@ -275,13 +279,15 @@ def check_right_eigenvector(spec: TransferSpec, x, x0) -> CheckReport:
 
 
 def check_rd_inhomogeneous_eigenvector(spec: TransferSpec,
-                                       cap: int = CAP) -> list:
+                                       cap: int | None = None) -> list:
     """t(theta_j) S = S and t(1/theta_j) S = S, each within relative 1e-10,
     for the RD inhomogeneous ansatz state S that the truncation loop
-    converges to."""
+    converges to, N capped at cap (ansatz.CAP when None)."""
     if spec.model.name != m.RD:
         raise m.UnsupportedError("inhomogeneous-eigenvector is the RD check")
-    state, _ = rd_inhomogeneous_converged(spec.model, spec.thetas, cap=cap)
+    from .ansatz import CAP, rd_inhomogeneous_converged
+    state, _ = rd_inhomogeneous_converged(
+        spec.model, spec.thetas, cap=CAP if cap is None else cap)
     tol = Fraction(1, 10 ** 10)
     return [check_eigenpair(spec, x, state, eigenvalue=Fraction(1),
                             tolerance=tol)

@@ -93,16 +93,19 @@ def _mismatches(lhs, rhs):
                         yield r, c, a, b
         return
     if isinstance(lhs, Matrix):
+        # A / da = B / db where A db = B da: no Fraction unless they differ
         lhs._same_shape(rhs)
-        rows = zip(lhs.a, rhs.a)
-    elif len(lhs) != len(rhs):
+        (ta, da), (tb, db) = lhs._table, rhs._table
+        for r, (row_a, row_b) in enumerate(zip(ta, tb)):
+            for c, (a, b) in enumerate(zip(row_a, row_b)):
+                if a * db != b * da:
+                    yield r, c, lhs.a[r][c], rhs.a[r][c]
+        return
+    if len(lhs) != len(rhs):
         raise ValueError(f"length mismatch: {len(lhs)} vs {len(rhs)}")
-    else:
-        rows = [(lhs, rhs)]
-    for r, (row_a, row_b) in enumerate(rows):
-        for c, (a, b) in enumerate(zip(row_a, row_b)):
-            if a != b:
-                yield r, c, a, b
+    for c, (a, b) in enumerate(zip(lhs, rhs)):
+        if a != b:
+            yield 0, c, a, b
 
 
 def skipped(model, check, points, reason) -> CheckReport:

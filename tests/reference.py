@@ -1,4 +1,6 @@
-"""Oracles that only the tests use: the dense embedding, built from
+"""Oracles that only the tests use: the entry-by-entry Fraction product,
+Kronecker product and partial transpose that the integer tables of
+``tensor.Matrix`` are checked against, the dense embedding, built from
 ``kron`` and a slot permutation, that ``tensor.embed_at_positions`` is
 checked against, the embed-and-multiply monodromy that the coproduct of
 ``MonodromyRealization.components`` is checked against, and the RD current
@@ -9,6 +11,41 @@ from fractions import Fraction
 import exclusion.models as m
 from exclusion.ansatz import rd_closed_forms
 from exclusion.tensor import Matrix, SparseMatrix, embed_at_positions, kron
+
+
+def fraction_product(a, b) -> list:
+    """The rows of a b, a and b lists of rows of Fractions: one Fraction
+    sum of Fraction products per entry."""
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+             for col in zip(*b)] for row in a]
+
+
+def fraction_kron(a, b) -> list:
+    """The rows of a (x) b, entry (i k, j l) the product a[i][j] b[k][l]
+    of two entries (Fraction or Dual) as they are."""
+    out = [[Fraction(0)] * (len(a[0]) * len(b[0]))
+           for _ in range(len(a) * len(b))]
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            for k, brow in enumerate(b):
+                for l, y in enumerate(brow):
+                    out[i * len(b) + k][j * len(b[0]) + l] = x * y
+    return out
+
+
+def fraction_partial_transpose(a, leg: int) -> list:
+    """The rows of a 4 x 4 two-site operator with one tensor leg
+    transposed, entry by entry."""
+    out = [[None] * 4 for _ in range(4)]
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                for l in range(2):
+                    if leg == 1:
+                        out[2 * k + j][2 * i + l] = a[2 * i + j][2 * k + l]
+                    else:
+                        out[2 * i + l][2 * k + j] = a[2 * i + j][2 * k + l]
+    return out
 
 
 def dense(M: SparseMatrix) -> Matrix:

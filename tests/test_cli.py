@@ -1197,8 +1197,9 @@ def _fresh_modules(*argv) -> list:
 
 def test_import_leaves_out_class_generation_modules():
     # every CLI process pays its imports.  Parsing needs models, scalars and
-    # tensor; each subcommand loads the rest of the library where it calls
-    # it, and the writer loads json or csv for the format it prints.  The
+    # tensor; each subcommand, and each transfer check, loads the rest of
+    # the library where it calls it.  The writer loads csv for a CSV table
+    # and never json: JSON is written by the writer's own encoder.  The
     # package's records are named tuples, so neither dataclasses nor what it
     # pulls in is loaded
     parsing = ["cli", "exclusion", "models", "scalars", "tensor"]
@@ -1219,6 +1220,24 @@ def test_import_leaves_out_class_generation_modules():
     for model, L in (("rd", "2"), ("tasep", "3")):
         assert _fresh_modules("steady", "--model", model, "--L", L,
                               "--method", "ansatz") == ansatz
+    # a check report is JSON, and loads no json; only the checks that read
+    # a steady state or the RD ansatz load markov or ansatz
+    checker = ["cli", "exclusion", "models", "sampling", "scalars", "tensor",
+               "verifier"]
+    assert _fresh_modules("verify", "--model", "asep", "--samples", "2") == \
+        checker
+    transfer = checker + ["transfer"]
+    for argv, reads in (
+            (["--check", "commutation"], []), (["--check", "crossing"], []),
+            (["--check", "left-eigenvector"], []),
+            (["--check", "conjugated", "--model", "ssep"], []),
+            (["--check", "eigenvalue", "--theta", "2,3"], []),
+            (["--check", "eigenvalue"], ["markov"]),
+            (["--check", "markov-derivative"], ["markov"]),
+            (["--check", "inhomogeneous-eigenvector", "--model", "rd",
+              "--theta", "3,5"], ["ansatz", "markov"])):
+        argv = ["transfer", "--model", "asep", "--L", "2", *argv]
+        assert _fresh_modules(*argv) == sorted(transfer + reads), argv
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])

@@ -6,12 +6,15 @@ from hypothesis import given, settings, strategies as st
 import exclusion as ex
 import exclusion.tensor as tensor
 import exclusion.transfer as tr
+import exclusion.verifier as vf
 from exclusion.markov import KernelError, steady_state_exact
+from exclusion.scalars import format_rational
 from exclusion.tensor import Matrix, PoleError, SparseMatrix, _primes, \
     derivative_at, embed_at_positions, exact_nullspace, \
     integer_form, integer_vector, inverse, kron, \
     partial_trace_first, partial_transpose, permutation_op, rank
-from reference import dense, embed_dense, embed_local
+from reference import dense, embed_dense, embed_local, fraction_kron, \
+    fraction_partial_transpose, fraction_product
 
 I2 = Matrix.identity(2)
 I4 = Matrix.identity(4)
@@ -200,13 +203,14 @@ def test_exact_nullspace_unlucky_first_prime():
     # an entry equal to the first prime vanishes modulo it, so the rank
     # drops there: the kernel must still come out exact over Q
     p = next(_primes())
-    assert exact_nullspace(Matrix([[p, 0], [0, 1]])) == []
-    assert exact_nullspace(Matrix([[F(1, p), 0], [0, 1]])) == []
-    M = Matrix([[p, -1], [0, 0]])
+    sparse = SparseMatrix.from_dense
+    assert exact_nullspace(sparse(Matrix([[p, 0], [0, 1]]))) == []
+    assert exact_nullspace(sparse(Matrix([[F(1, p), 0], [0, 1]]))) == []
+    M = sparse(Matrix([[p, -1], [0, 0]]))
     (v,) = exact_nullspace(M)
     assert v[1] == p * v[0] != 0
     # modulo p the kernel is 2-dimensional, with free columns {0, 2}
-    M = Matrix([[p, 0, 0], [0, 1, 1], [0, 0, 0]])
+    M = sparse(Matrix([[p, 0, 0], [0, 1, 1], [0, 0, 0]]))
     assert exact_nullspace(M) == [[0, -1, 1]]
     M = SparseMatrix.from_dense(Matrix([[p, 1, 0], [1, 0, 0], [0, 2, 0]]))
     (v,) = exact_nullspace(M)
@@ -444,7 +448,7 @@ def test_exact_nullspace_matches_the_dense_kernel(data):
         if data.draw(st.booleans()):
             row = [p * x for x in row]
         rows.append(row)
-    ker = exact_nullspace(Matrix(rows))
+    ker = exact_nullspace(SparseMatrix.from_dense(Matrix(rows)))
     expected = dense_kernel(rows, n)
     assert len(ker) == len(expected) >= k
     assert rref(ker) == rref(expected)
@@ -539,11 +543,6 @@ def _matrices(draw, rows=None, cols=None):
             for _ in range(rows)]
 
 
-def _entry_product(a, b):
-    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), F(0))
-             for j in range(len(b[0]))] for i in range(len(a))]
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_matrix_product_is_the_entry_product(data):
@@ -551,7 +550,7 @@ def test_matrix_product_is_the_entry_product(data):
     a = data.draw(_matrices())
     b = data.draw(_matrices(rows=len(a[0])))
     got = Matrix(a) * Matrix(b)
-    want = _entry_product(a, b)
+    want = fraction_product(a, b)
     assert got.a == want
     assert all(type(e) is F for row in got.a for e in row)
 
@@ -612,6 +611,100 @@ def test_rank_and_inverse_on_planted_examples():
         inverse(Matrix([[F(1, 3), F(2, 5)], [F(-2, 3), F(-4, 5)]]))
 
 
+@st.composite
+def _made(draw, a):
+    """A Matrix of the rows a of Fractions, made in one of the three ways a
+    Matrix is: from entries, by filling in a fresh zeros(), or by products,
+    which leave it only its table, over a denominator that is not the
+    lcm."""
+    rows, cols = len(a), len(a[0])
+    how = draw(st.sampled_from(["entries", "zeros", "products"]))
+    if how == "entries":
+        return Matrix(a)
+    if how == "zeros":
+        M = Matrix.zeros(rows, cols)
+        for i, row in enumerate(a):
+            M.a[i][:] = row
+        return M
+    s = draw(_rationals.filter(bool))
+    scaled, unscaled = ([[v if i == j else F(0) for j in range(cols)]
+                         for i in range(cols)] for v in (s, 1 / s))
+    return Matrix(a) * Matrix(scaled) * Matrix(unscaled)
+
+
+@st.composite
+def _operands(draw, rows, cols):
+    """(M, its rows of Fractions), M made as _made makes it."""
+    a = draw(_matrices(rows, cols))
+    return draw(_made(a)), a
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_integer_tables_match_the_fraction_entries(data):
+    # every operation on the integer tables gives the entries of the
+    # entry-by-entry Fraction oracle, on operands made in every way
+    dims = data.draw(st.lists(st.integers(1, 4), min_size=4, max_size=5))
+    ops = [data.draw(_operands(r, c)) for r, c in zip(dims, dims[1:])]
+    (A, a), (B, b) = ops[:2]
+    assert (A * B).a == fraction_product(a, b)
+    got, want = ops[0]
+    for M, m in ops[1:]:   # a chain of 3 or 4 products
+        got, want = got * M, fraction_product(want, m)
+    assert got.a == want
+    assert kron(A, B).a == fraction_kron(a, b)
+    assert kron(B, A).a == fraction_kron(b, a)
+    assert all(type(e) is F for row in got.a for e in row)
+    P, p = data.draw(_operands(4, 4))
+    for leg in (1, 2):
+        assert partial_transpose(P, leg).a == \
+            fraction_partial_transpose(p, leg)
+    assert P.transpose().a == [list(col) for col in zip(*p)]
+    assert rank(A) == _gauss_jordan(a, len(a[0]))[1]
+    reduced, full = _gauss_jordan(
+        [row + [F(int(i == j)) for j in range(4)] for i, row in enumerate(p)],
+        4)
+    if full < 4:
+        with pytest.raises(PoleError):
+            inverse(P)
+    else:
+        assert inverse(P).a == [row[4:] for row in reduced]
+    # compare: the first differing entry in row-major order, between
+    # operands that may be tables over different denominators
+    bad = [list(row) for row in a]
+    for r, c, v in data.draw(st.lists(st.tuples(
+            st.integers(0, len(a) - 1), st.integers(0, len(a[0]) - 1),
+            _rationals), max_size=2)):
+        bad[r][c] = v
+    want = next(({"row": r, "col": c, "lhs": format_rational(x),
+                  "rhs": format_rational(y)}
+                 for r, (ra, rb) in enumerate(zip(a, bad))
+                 for c, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
+    rep = vf.compare(ex.ssep(1, 1, 1, 1), "c", (), A, data.draw(_made(bad)))
+    assert (rep.status, rep.witness) == \
+        ((vf.PASS, None) if want is None else (vf.FAIL, want))
+
+
+def test_kron_and_sums_carry_dual_entries():
+    # at a Dual point R has Dual entries and no integer table: kron and
+    # sums take its entries as they are, and a product raises
+    x = ex.Dual.variable(F(2))
+    R = ex.r_matrix(ex.asep(3, 1, 1, 1, 1), x)
+    blocks = [Matrix([row[2 * k:2 * k + 2] for row in R.a[2 * i:2 * i + 2]])
+              for i in (0, 1) for k in (0, 1)]
+    D = Matrix([[x, F(1, 3)], [F(-2), x * x]])
+    Q = Matrix([[F(1, 2), F(0)], [F(3), F(-5, 7)]])
+    for A, B in ((blocks[1], Q), (Q, blocks[2]), (blocks[0], D), (D, D)):
+        assert kron(A, B).a == fraction_kron(A.a, B.a)
+        assert (A + B).a == [[u + v for u, v in zip(r, s)]
+                             for r, s in zip(A.a, B.a)]
+        assert (A - B).a == [[u - v for u, v in zip(r, s)]
+                             for r, s in zip(A.a, B.a)]
+    assert kron(D, Q).a[0][0] == ex.Dual(F(1), F(1, 2))
+    with pytest.raises(AttributeError):
+        D * Q
+
+
 def test_sparse_matrix_contract():
     m = SparseMatrix(4)
     m.add(0, 1, F(2))
@@ -656,7 +749,7 @@ def test_sparse_shape_mismatch_raises():
     with pytest.raises(ValueError):
         a.apply_left([F(1)] * 3)
     with pytest.raises(ValueError):  # a tall matrix is not zero-padded
-        exact_nullspace(Matrix([[1, 0], [0, 1], [1, 1]]))
+        SparseMatrix.from_dense(Matrix([[1, 0], [0, 1], [1, 1]]))
 
 
 def test_integer_vector_scales_by_the_lcm():
