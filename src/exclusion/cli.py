@@ -10,12 +10,12 @@ Exit codes: 0 pass, 1 check failure, 2 usage error, 3 domain error.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import re
 import sys
 import time
+import types
 import warnings
 from fractions import Fraction
 from itertools import zip_longest
@@ -60,9 +60,11 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -70,12 +72,14 @@ def _rational(text: str) -> Fraction:
     try:
         return parse_rational(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(str(exc)) from None
 
 
-# Every option, by flag.  --q and --kappa have no default here: _model
-# applies it for the one model that has the rate.  --truncation-cap has
-# none either, so that steady and transfer can tell when it is given (_cap).
+# Every option, by flag, read by build_parser and by _parse_plain.  --q and
+# --kappa have no default here: _model applies it for the one model that
+# has the rate.  --truncation-cap has none either, so that steady and
+# transfer can tell when it is given (_cap).
 _OPTIONS = {
     "--model": dict(required=True, choices=m.MODEL_NAMES),
     "--alpha": dict(type=_rational, default="1"),
@@ -106,33 +110,82 @@ _COMMON = ("--model", "--alpha", "--beta", "--gamma", "--delta", "--q",
            "--kappa", "--out")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Each subcommand takes _COMMON plus exactly the options it reads.
-    Given ``command``, only the subcommand of that name gets its options;
-    the others stay listed, for the top-level help and its errors."""
+# no flag starts with a digit, so an argument matching this is a value:
+# "-1/2" may follow a flag after a space
+_NEGATIVE = re.compile(r"^-\d")
+
+
+def build_parser():
+    """The argparse parser of _COMMANDS: each subcommand takes _COMMON plus
+    exactly the options it reads."""
+    import argparse
     p = argparse.ArgumentParser(prog="exclusion")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, fn, own in (
-            ("verify", cmd_verify, ("--seed", "--samples")),
-            ("steady", cmd_steady, ("--L", "--format", "--exact",
-                                    "--truncation-cap", "--method")),
-            ("profile", cmd_profile, ("--L", "--format", "--exact",
-                                      "--asymptotics")),
-            ("transfer", cmd_transfer, ("--L", "--theta", "--seed",
-                                        "--truncation-cap", "--check", "--x",
-                                        "--x2")),
-            ("bench", cmd_bench, ("--L", "--format"))):
+    for name, (fn, own) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        # no flag starts with a digit: "-1/2" after a space is a value
-        sp._negative_number_matcher = re.compile(r"^-\d")
-        if command not in (None, name):
-            continue
+        sp._negative_number_matcher = _NEGATIVE
         for flag in _COMMON + own:
             sp.add_argument(flag, **_OPTIONS[flag])
         sp.set_defaults(fn=fn)
         if "--format" not in own:   # a check report is a JSON document
             sp.set_defaults(format="json")
     return p
+
+
+def _parse_plain(argv):
+    """What build_parser().parse_args(argv) returns, read from _COMMANDS and
+    _OPTIONS without argparse, for a plain argv: the subcommand, then
+    distinct exact flags of it, each value after a space or '=' and a
+    store_true flag bare.  None for any other argv, and for one whose
+    values argparse would reject or read otherwise: argparse alone prints
+    help and usage errors."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    fn, own = _COMMANDS[argv[0]]
+    flags = _COMMON + own
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in flags or flag in given:
+            return None
+        if _OPTIONS[flag].get("action") == "store_true":
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                return None
+        # argparse reads "-x" after a space as a flag, and "--" as no value
+        if value[:1] == "-" and not _NEGATIVE.match(value):
+            return None
+        given[flag] = value
+    args = {"command": argv[0], "fn": fn}
+    if "--format" not in own:
+        args["format"] = "json"
+    for flag in flags:
+        spec = _OPTIONS[flag]
+        if flag in given:
+            value = given[flag]
+        elif spec.get("required"):
+            return None
+        else:
+            value = spec.get("default", False if spec.get("action") ==
+                             "store_true" else None)
+        if isinstance(value, str):
+            # a given value or a string default, through the option's type
+            try:
+                value = spec.get("type", str)(value)
+            except Exception:   # argparse words it, or raises it again
+                return None
+        # argparse checks the choices of a given value only
+        if flag in given and "choices" in spec and \
+                value not in spec["choices"]:
+            return None
+        args[flag[2:].replace("-", "_")] = value
+    return types.SimpleNamespace(**args)
 
 
 def _model(args) -> m.ModelDescriptor:
@@ -529,17 +582,28 @@ def cmd_bench(args) -> int:
                              ("%s", "%s", "%d", "%r"))}, args)
 
 
+# each subcommand's function and the options it reads besides _COMMON,
+# read by build_parser and by _parse_plain
+_COMMANDS = {
+    "verify": (cmd_verify, ("--seed", "--samples")),
+    "steady": (cmd_steady, ("--L", "--format", "--exact", "--truncation-cap",
+                            "--method")),
+    "profile": (cmd_profile, ("--L", "--format", "--exact", "--asymptotics")),
+    "transfer": (cmd_transfer, ("--L", "--theta", "--seed", "--truncation-cap",
+                                "--check", "--x", "--x2")),
+    "bench": (cmd_bench, ("--L", "--format")),
+}
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the top-level parser has no option but -h, so argparse hands argv to
-    # the subcommand named by its first argument not starting with "-", or
-    # to none
-    parser = build_parser(next((a for a in argv if a[:1] != "-"), None))
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = _parse_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     # a warning prints as one line with no source location, so stderr is
     # the same from every checkout
     formatwarning = warnings.formatwarning

@@ -11,6 +11,7 @@ import sys
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -939,17 +940,44 @@ def test_each_subcommand_takes_exactly_the_options_it_reads():
     assert sum(map(len, _parser_options().values())) == 60
 
 
-def _parsed(parser, argv):
-    """(exit code or the parsed namespace without fn, stdout, stderr)."""
+def _captured(call, *args):
+    """(call's result, or the code of the SystemExit it raised, stdout,
+    stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            args = vars(parser.parse_args(argv))
-            args.pop("fn")
-            result = args
+            result = call(*args)
         except SystemExit as exc:
             result = exc.code
     return result, out.getvalue(), err.getvalue()
+
+
+def _agrees_with_argparse(argv) -> bool:
+    """Check main and the table parser against argparse's parse of argv,
+    with each command replaced by a recorder.  Where argparse exits, the
+    table parser returns None, and main exits with argparse's code (0 for
+    help, 2 for a usage error) and its output, before any command runs.
+    Elsewhere the table parser returns None or argparse's namespace, and
+    main runs the command once on that namespace.  Returns whether the
+    table parser read argv itself."""
+    ran = []
+    recorders = {name: (lambda args: ran.append(args) or 0, own)
+                 for name, (_, own) in cli._COMMANDS.items()}
+    with mock.patch.dict(cli._COMMANDS, recorders):
+        parsed, out, err = _captured(lambda: build_parser().parse_args(argv))
+        plain = cli._parse_plain(argv)
+        code, main_out, main_err = _captured(main, argv)
+    if not isinstance(parsed, argparse.Namespace):
+        assert plain is None
+        assert parsed in (0, 2)
+        assert (code, main_out, main_err) == (parsed, out, err)
+        assert main_out.startswith("usage: ") if code == 0 else main_out == ""
+        assert ran == []
+        return False
+    assert plain is None or vars(plain) == vars(parsed)
+    assert (code, main_out, main_err) == (0, "", "")
+    assert [vars(args) for args in ran] == [vars(parsed)]
+    return plain is not None
 
 
 @pytest.mark.parametrize("argv", [
@@ -964,20 +992,123 @@ def _parsed(parser, argv):
     ["steady", "--model", "tasep", "--L", "2", "--format", "json"],
     ["verify", "--model", "ssep", "--samples", "2", "steady"],
     *[[name, "-h"] for name in _OWN_OPTIONS]])
-def test_the_parser_main_builds_parses_as_the_whole(capsys, monkeypatch,
-                                                   argv):
-    # main adds the options of the subcommand it runs only; help, usage
-    # errors and parsed arguments stay those of the whole parser
-    built = []
+def test_the_parser_main_builds_parses_as_the_whole(argv):
+    # main reads a plain argv from the option table and builds the whole
+    # argparse parser for any other: help, usage errors and parsed
+    # arguments stay argparse's
+    _agrees_with_argparse(argv)
 
-    def recorded(*args):
-        built.append(build_parser(*args))
-        return built[-1]
 
-    monkeypatch.setattr(cli, "build_parser", recorded)
-    main(argv)
-    capsys.readouterr()
-    assert _parsed(built[0], argv) == _parsed(build_parser(), argv)
+# values argparse reads in its own way, or that a type rejects: a negative
+# rational, a flag, "--", a zero denominator, an empty string, ints below
+# and beyond the int-to-str digit limit, an empty and an underscored digit
+# group
+_EDGE_VALUES = ["-1/2", "-x", "1/0", "", "--", "-h", "1" + "0" * 30,
+                "9" * 4301, "2,,5", "1_0"]
+
+
+def _valid_values(spec) -> tuple:
+    if "choices" in spec:
+        return spec["choices"]
+    return {cli._positive_int: ("1", "3"), int: ("0", "-2", "64"),
+            cli._rational: ("1", "3/2", "-1/2")}.get(spec.get("type"),
+                                                     ("2,5", "-1/2,3"))
+
+
+_FAULTS = ("foreign", "abbreviated", "repeat", "stray", "value", "bare",
+           "no-model", "head")
+
+
+@st.composite
+def _argvs(draw):
+    """A well-formed argv, its items (the subcommand, then distinct own
+    flags, each value after a space or '='), with up to two faults: a
+    foreign, abbreviated or repeated flag, a stray token, an edge value, a
+    value left out or put on a store_true flag, no --model, or junk in
+    place of the subcommand or before it."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    own = cli._COMMON + cli._COMMANDS[command][1]
+
+    def item(flag, value=None):
+        spec = cli._OPTIONS.get(flag, {})
+        if spec.get("action") and value is None:
+            return [flag]
+        if value is None:
+            value = draw(st.sampled_from(_valid_values(spec)))
+        return draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+
+    items = [[command], item("--model")] + [item(f) for f in draw(
+        st.lists(st.sampled_from(own[1:]), unique=True, max_size=4))]
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=2)):
+        at = draw(st.integers(1, len(items)))
+        if fault == "foreign":
+            items.insert(at, item(draw(st.sampled_from(
+                [f for f in cli._OPTIONS if f not in own]))))
+        elif fault == "abbreviated":
+            flag = draw(st.sampled_from(own))
+            spec = cli._OPTIONS[flag]
+            short = flag[:draw(st.integers(3, len(flag)))]
+            items.insert(at, [short] if spec.get("action") else
+                         [short, _valid_values(spec)[0]])
+        elif fault == "repeat":
+            items.insert(at, item(draw(st.sampled_from(own))))
+        elif fault == "stray":
+            items.insert(at, [draw(st.sampled_from(
+                ["-h", "--help", "--", "rd", "-", ""]))])
+        elif fault in ("value", "bare") and at < len(items):
+            flag = items[at][0].partition("=")[0]
+            items[at] = [flag] if fault == "bare" else item(
+                flag, draw(st.sampled_from(["nope", *_EDGE_VALUES])))
+        elif fault == "no-model":
+            items = [i for i in items if not i[0].startswith("--model")]
+        elif fault == "head":
+            items.insert(draw(st.integers(0, 1)), [draw(st.sampled_from(
+                ["-h", "--help", "--", "prof", "--model", ""]))])
+    return [token for i in items for token in i]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+@example(["verify", "--model", "asep", "--out=--"])
+@example(["verify", "--model", "asep", "--seed", "1", "--seed", "2"])
+@example(["profile", "--model", "rd", "--exact=1"])
+def test_the_table_parser_reads_argvs_as_argparse(argv):
+    _agrees_with_argparse(argv)
+
+
+# one argv per subcommand and per transfer check, shaped like the
+# benchmark's jobs
+_BENCHMARK_ARGVS = {
+    "verify": ["verify", "--model", "asep", "--alpha", "1/2", "--beta", "2/3",
+               "--gamma", "1/3", "--delta", "1/5", "--q", "3/2", "--samples",
+               "5", "--seed", "40912"],
+    "steady-nullspace": ["steady", "--model", "ssep", "--alpha", "1/5",
+                         "--beta", "1/2", "--gamma", "2/3", "--delta", "1/3",
+                         "--L", "6", "--method", "nullspace", "--exact"],
+    "steady-ansatz": ["steady", "--model", "rd", "--alpha", "3/2", "--beta",
+                      "2", "--gamma", "1/3", "--delta", "1/2", "--kappa", "2",
+                      "--L", "5", "--method", "ansatz", "--exact"],
+    "profile": ["profile", "--model", "rd", "--alpha", "1/3", "--beta", "1/5",
+                "--gamma", "1/2", "--delta", "2/3", "--kappa", "2", "--L",
+                "1000", "--format", "json", "--asymptotics"],
+    "inhomogeneous-eigenvector": [
+        "transfer", "--model", "rd", "--alpha", "3/2", "--beta", "2",
+        "--gamma", "1/2", "--delta", "1/3", "--kappa", "2", "--L", "3",
+        "--theta", "2,5,7", "--check", "inhomogeneous-eigenvector"],
+    **{check: ["transfer", "--model", "ssep", "--alpha", "2/3", "--beta",
+               "1/3", "--gamma", "1/5", "--delta", "1/2", "--L", "4",
+               "--check", check, "--x", "2", "--x2", "5"]
+       for check in ("commutation", "markov-derivative", "eigenvalue",
+                     "left-eigenvector", "crossing", "conjugated")},
+    "bench": ["bench", "--model", "tasep", "--L", "3", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("argv", _BENCHMARK_ARGVS.values(),
+                         ids=_BENCHMARK_ARGVS.keys())
+def test_the_table_parser_reads_the_benchmark_argvs(argv):
+    # sent to argparse, every job would pay for importing and building it
+    assert _agrees_with_argparse(argv)
 
 
 @pytest.mark.parametrize("command, flag", _REMOVED,
@@ -1188,7 +1319,8 @@ def _fresh_modules(*argv) -> list:
              "if sys.argv[1:]: exclusion.cli.main(sys.argv[1:])\n"
              "print(*sorted(m.removeprefix('exclusion.') for m in sys.modules"
              " if m.split('.')[0] in ('exclusion', 'json', 'csv', "
-             "'dataclasses', 'inspect', 'typing')))")
+             "'dataclasses', 'inspect', 'typing', 'argparse', 'gettext', "
+             "'locale')))")
     done = subprocess.run([sys.executable, "-S", "-c", probe, *argv],
                           env={"PYTHONPATH": str(src)}, capture_output=True,
                           text=True, timeout=60, check=True)
@@ -1197,16 +1329,19 @@ def _fresh_modules(*argv) -> list:
 
 def test_import_leaves_out_class_generation_modules():
     # every CLI process pays its imports.  Parsing needs models, scalars and
-    # tensor; each subcommand, and each transfer check, loads the rest of
+    # tensor, and reads a well-formed argv from the option table; argparse,
+    # and the gettext and locale it loads, only prints help and usage
+    # errors.  Each subcommand, and each transfer check, loads the rest of
     # the library where it calls it.  The writer loads csv for a CSV table
     # and never json: JSON is written by the writer's own encoder.  The
     # package's records are named tuples, so neither dataclasses nor what it
     # pulls in is loaded
     parsing = ["cli", "exclusion", "models", "scalars", "tensor"]
     assert _fresh_modules() == parsing
-    assert _fresh_modules("--help") == parsing
-    # a usage error of argparse, and one of _model
-    assert _fresh_modules("steady", "--model", "rd", "--L", "0") == parsing
+    usage = sorted(parsing + ["argparse", "gettext", "locale"])
+    assert _fresh_modules("--help") == usage
+    # a usage error of argparse; one of _model comes from a well-formed argv
+    assert _fresh_modules("steady", "--model", "rd", "--L", "0") == usage
     assert _fresh_modules("verify", "--model", "tasep", "--gamma", "1") == \
         parsing
     assert _fresh_modules("steady", "--model", "asep", "--L", "3",
@@ -1236,7 +1371,9 @@ def test_import_leaves_out_class_generation_modules():
             (["--check", "markov-derivative"], ["markov"]),
             (["--check", "inhomogeneous-eigenvector", "--model", "rd",
               "--theta", "3,5"], ["ansatz", "markov"])):
-        argv = ["transfer", "--model", "asep", "--L", "2", *argv]
+        if "--model" not in argv:
+            argv += ["--model", "asep"]
+        argv = ["transfer", "--L", "2", *argv]
         assert _fresh_modules(*argv) == sorted(transfer + reads), argv
 
 
