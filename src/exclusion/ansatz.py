@@ -21,8 +21,8 @@ from . import models as m
 from .markov import Distribution
 from .models import ModelDescriptor
 from .scalars import Dual
-from .tensor import Matrix, PoleError, SparseMatrix, dual_parts, \
-    integer_form, integer_vector, kron
+from .tensor import Matrix, PoleError, SparseMatrix, _kept, dual_parts, \
+    integer_vector, kron
 
 REL_TOL = Fraction(1, 10 ** 12)   # truncation-convergence threshold
 CAP = 256                         # truncation ceiling
@@ -168,20 +168,19 @@ class RDRepresentation:
                 [d - s for d, s in zip(diag, shift)], scale)
 
     def components(self, x) -> list:
-        """[A_+(x), A_-(x)] as Fraction operators; row r is <e_r|A(x)."""
+        """[A_+(x), A_-(x)] as integer tables over the scale of _site; row r
+        is <e_r|A(x)."""
         if x == 0:
             raise PoleError("A(x) has a 1/x term; x must be nonzero")
         dim = self.N * self.N
-        out = [SparseMatrix(dim), SparseMatrix(dim)]
+        out = [[], []]
         for r in range(dim):
             e = [0] * dim
             e[r] = 1
             *rows, scale = self._act(e, x)
             for X, row in zip(out, rows):
-                for c, v in enumerate(row):
-                    if v:
-                        X.add(r, c, Fraction(v, scale))
-        return out
+                X.append((r, dict(enumerate(row))))
+        return [SparseMatrix._over(dim, _kept(X), scale) for X in out]
 
 
 def _rd_stencil(vec, g2, s1, s3, N) -> list:
@@ -334,22 +333,21 @@ def rd_convergence_ok(co: dict, L: int) -> bool:
 
 def _contract_all_words(rep: MPRepresentation, L: int) -> list:
     """<W| X_1 ... X_L |V> for every choice of X_k among E and D, sharing
-    prefixes, in integers: E, D, W and V over common denominators, divided
-    out once per word."""
-    ops, d = integer_form(rep.letters["E"], rep.letters["D"])
+    prefixes, in integers: W and V over common denominators and the int
+    tables of E and D, each word's denominators divided out once."""
+    ops = rep.letters["E"], rep.letters["D"]
     W, dW = integer_vector(rep.W)
     V, dV = integer_vector(rep.V)
-    den = dW * dV * d ** L
     out = []
 
-    def walk(vec, depth):
+    def walk(vec, den, depth):
         if depth == L:
             out.append(Fraction(sum(v * w for v, w in zip(vec, V)), den))
             return
         for op in ops:
-            walk(op.apply_left(vec), depth + 1)
+            walk(op._left(vec), den * op.den, depth + 1)
 
-    walk(W, 0)
+    walk(W, dW * dV, 0)
     return out
 
 

@@ -306,8 +306,8 @@ def _steady_distributions(args, model):
     null_dist = ansatz_dist = None
     with _domain_errors():
         if "nullspace" in methods:
-            from .markov import integer_markov, steady_state_exact
-            null_dist = steady_state_exact(integer_markov(model, L)[0])
+            from .markov import build_markov, steady_state_exact
+            null_dist = steady_state_exact(build_markov(model, L))
         if "ansatz" in methods:
             from .ansatz import steady_ansatz
             ansatz_dist = steady_ansatz(model, L, _cap(args))
@@ -555,7 +555,7 @@ def cmd_bench(args) -> int:
         else ("nullspace",)
     _capped(L, methods)
     from . import transfer as tr
-    from .markov import integer_markov, steady_state_exact
+    from .markov import build_markov, steady_state_exact
     rows = []
 
     def timed(task, fn, size=L):
@@ -566,9 +566,9 @@ def cmd_bench(args) -> int:
         return out
 
     with _domain_errors():
-        # the int generator that steady's nullspace method solves
-        N, _ = timed("build_markov", lambda: integer_markov(model, L))
-        timed("steady_nullspace", lambda: steady_state_exact(N))
+        # the generator that steady's nullspace method solves
+        M = timed("build_markov", lambda: build_markov(model, L))
+        timed("steady_nullspace", lambda: steady_state_exact(M))
         if "ansatz" in methods:
             from .ansatz import steady_ansatz
             timed("steady_ansatz", lambda: steady_ansatz(model, L))

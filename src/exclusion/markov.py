@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .models import ModelDescriptor, RD, hop_rates, local_operators
 from .tensor import SparseMatrix, embed_at_positions, exact_nullspace, \
-    integer_form, integer_vector
+    integer_vector
 
 
 class KernelError(ValueError):
@@ -29,32 +29,20 @@ class Distribution(namedtuple("Distribution", "L weights Z")):
         return [w / self.Z for w in self.weights]
 
 
-def integer_markov(model: ModelDescriptor, L: int) -> tuple:
-    """(N, d) with the generator M = N / d: the local operators over their
-    common denominator d (``integer_form``), embedded and summed as ints.
-    N has the kernel and the signs of M, so ``steady_state_exact`` takes it
-    as it is."""
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    (w, B, Bbar), d = integer_form(
-        *map(SparseMatrix.from_dense, local_operators(model)))
-    terms = [(B, (0,)), (Bbar, (L - 1,))] + \
-        [(w, (s, s + 1)) for s in range(L - 1)]
-    return embed_at_positions(terms, L), d
-
-
 def build_markov(model: ModelDescriptor, L: int) -> SparseMatrix:
     """M = B_1 + sum_l w_{l,l+1} + Bbar_L; at L=1 both boundaries act on
-    the single site.  It is ``integer_markov`` divided by d, once per
-    entry."""
-    N, d = integer_markov(model, L)
-    return N.scale(Fraction(1, d))
+    the single site.  The local operators' integer tables are embedded and
+    summed as ints, over their common denominator."""
+    if L < 1:
+        raise ValueError("L must be >= 1")
+    w, B, Bbar = map(SparseMatrix.from_dense, local_operators(model))
+    terms = [(B, (0,)), (Bbar, (L - 1,))] + \
+        [(w, (s, s + 1)) for s in range(L - 1)]
+    return embed_at_positions(terms, L)
 
 
 def steady_state_exact(M: SparseMatrix) -> Distribution:
-    """Normalized exact stationary distribution from the kernel of M.  M
-    may carry any positive scale, such as the int generator of
-    ``integer_markov``."""
+    """Normalized exact stationary distribution from the kernel of M."""
     L = M.dim.bit_length() - 1
     if 1 << L != M.dim:
         raise ValueError("dimension is not a power of two")
@@ -67,7 +55,8 @@ def steady_state_exact(M: SparseMatrix) -> Distribution:
     if total == 0:
         raise KernelError("kernel vector sums to zero")
     probs = [v / total for v in vec]
-    nonneg_rates = all(v >= 0 for r, row in M.rows_items()
+    # the signs of M are those of its int rows: den > 0
+    nonneg_rates = all(v >= 0 for r, row in M._rows.items()
                        for c, v in row.items() if r != c)
     if nonneg_rates and any(p < 0 for p in probs):
         raise KernelError("internal error: negative stationary weight "
@@ -140,9 +129,10 @@ def evolve(dist0, M: SparseMatrix, t, order: int) -> ApproxDistribution:
     if lam == 0 or tf == 0.0:
         return ApproxDistribution(L, tuple(vec), tf, order, float(lam))
     rows = [[] for _ in range(dim)]
-    for r, row in M.rows_items():
+    for r, row in M._rows.items():
         for c, v in row.items():
-            rows[r].append((c, float(v / lam) + (1.0 if r == c else 0.0)))
+            rows[r].append((c, float(Fraction(v, M.den) / lam) +
+                            (1.0 if r == c else 0.0)))
     for r in range(dim):
         if not any(c == r for c, _ in rows[r]):
             rows[r].append((r, 1.0))

@@ -2,20 +2,18 @@
 
 Site ordering follows the probability-vector convention: site 1 is the most
 significant bit of the configuration index, so index 1 is (0,...,0,1).
-All operations are pure; entries are Fractions.  A SparseMatrix may also
-hold ints, which products, sums, matvecs and the embedding keep as ints.
-``integer_form`` and ``integer_vector`` put rational matrices and vectors
-in that form over one common denominator, so exact products take no gcd
-per entry.  A dense Matrix holds the same form, its integer table over one
-denominator, formed once through ``_dense_over_lcm``: products, ``kron``,
-sums, the transposes, ``inverse`` and ``rank`` work in ints and form no
-Fraction, and a Matrix's Fraction entries are formed, reduced, only when
-they are read.  The transfer-matrix contraction reads the same tables.
-These are the package's only scaling of rationals to integers.  Dual
-entries appear only in dense matrices taken at a Dual point, which have no
-table: ``kron`` and sums carry them as they are, and ``dual_parts`` splits
-them into the rational matrices products need.  A SparseMatrix holds ints
-or Fractions.
+All operations are pure.  Both matrix types hold one form, an integer
+table over one denominator: a dense Matrix's ``_table`` (N, d), formed once
+through ``_dense_over_lcm``, and a SparseMatrix's int rows over its
+positive ``den``.  Products, ``kron``, sums, scalings, the transposes,
+``inverse``, ``rank``, matvecs, the embedding and ``exact_nullspace`` work
+in ints and take no gcd per entry; Fraction entries are formed, reduced,
+only when they are read.  ``integer_vector`` puts a vector in the same
+form.  The transfer-matrix contraction reads the same tables.  These are
+the package's only scaling of rationals to integers.  Dual entries appear
+only in dense matrices taken at a Dual point, which have no table:
+``kron`` and sums carry them as they are, and ``dual_parts`` splits them
+into the rational matrices products need.
 """
 
 from __future__ import annotations
@@ -297,130 +295,183 @@ def rank(M: Matrix) -> int:
 
 
 class SparseMatrix:
-    """Square sparse matrix as row -> {col: value}; zeros are never stored.
+    """Square sparse matrix N / den, the form of ``Matrix._table``: ``_rows``
+    maps row -> {col: int}, zeros never stored, and den is a positive int.
 
-    Comparison and iteration use the deterministic (row, col) ordering, so
-    exact equality is well defined.
+    Products are int products over da db, sums and differences work over
+    lcm(da, db), and ``scale(s)`` multiplies the rows by the numerator of s
+    and den by its denominator: no gcd is taken.  ``get``, ``items``,
+    ``apply``, ``apply_left`` and ``==`` read exact rationals; package code
+    reads ``_rows`` and ``den`` as they are.  Comparison and iteration use
+    the deterministic (row, col) ordering, so exact equality is well
+    defined.
     """
 
-    __slots__ = ("dim", "_rows")
+    __slots__ = ("dim", "_rows", "den")
 
     def __init__(self, dim):
         self.dim = dim
         self._rows = {}
+        self.den = 1
+
+    @classmethod
+    def _over(cls, dim, rows, den):
+        """The matrix rows / den, rows {r: {c: int}} holding no zero and den
+        a nonzero int; a negative den moves its sign into the rows."""
+        out = cls(dim)
+        if den < 0:
+            rows = {r: {c: -v for c, v in row.items()}
+                    for r, row in rows.items()}
+            den = -den
+        out._rows, out.den = rows, den
+        return out
 
     @staticmethod
     def identity(dim):
-        out = SparseMatrix(dim)
-        for i in range(dim):
-            out._rows[i] = {i: Fraction(1)}
-        return out
+        return SparseMatrix._over(dim, {i: {i: 1} for i in range(dim)}, 1)
 
     @staticmethod
     def from_dense(M: Matrix):
+        """M over the denominator of its table, taken as it is; a Matrix
+        with Dual entries has no table and raises AttributeError."""
         if M.rows != M.cols:
             raise ValueError(f"SparseMatrix is square, got {M.rows}x{M.cols}")
-        out = SparseMatrix(M.rows)
-        for i in range(M.rows):
-            for j in range(M.cols):
-                if M.a[i][j]:
-                    out._rows.setdefault(i, {})[j] = M.a[i][j]
-        return out
+        N, d = M._table
+        return SparseMatrix._over(
+            M.rows, _kept((i, dict(enumerate(row))) for i, row in enumerate(N)),
+            d)
 
-    def add(self, r, c, v):
+    def _check_index(self, r, c):
         if not (0 <= r < self.dim and 0 <= c < self.dim):
             raise IndexError("coordinate out of range")
-        row = self._rows.setdefault(r, {})
-        nv = row.get(c, 0) + v
-        if not nv:
-            row.pop(c, None)
-            if not row:
-                self._rows.pop(r, None)
-        else:
-            row[c] = nv
+
+    def add(self, r, c, v):
+        """Add the rational v at (r, c), in place: a sum with the one-entry
+        matrix, over the lcm of the two denominators, for small builders."""
+        self._check_index(r, c)
+        one = SparseMatrix._over(self.dim, {r: {c: v.numerator}} if v else {},
+                                 v.denominator)
+        total = self + one
+        self._rows, self.den = total._rows, total.den
 
     def get(self, r, c):
-        return self._rows.get(r, {}).get(c, Fraction(0))
-
-    def rows_items(self):
-        return self._rows.items()
+        self._check_index(r, c)
+        return Fraction(self._rows.get(r, {}).get(c, 0), self.den)
 
     def items(self):
-        """COO entries sorted by (row, col)."""
+        """COO entries sorted by (row, col), as Fractions."""
         for r in sorted(self._rows):
             row = self._rows[r]
             for c in sorted(row):
-                yield r, c, row[c]
+                yield r, c, Fraction(row[c], self.den)
 
     @property
     def nnz(self):
         return sum(len(r) for r in self._rows.values())
 
     def __mul__(self, other):
-        if isinstance(other, SparseMatrix):
-            if self.dim != other.dim:
-                raise ValueError("shape mismatch")
-            out = SparseMatrix(self.dim)
-            for r, row in self._rows.items():
-                acc = {}
-                for k, v in row.items():
-                    brow = other._rows.get(k)
-                    if not brow:
-                        continue
-                    for c, w in brow.items():
-                        acc[c] = acc.get(c, 0) + v * w
-                acc = {c: v for c, v in acc.items() if v}
-                if acc:
-                    out._rows[r] = acc
-            return out
-        return self.scale(other)
+        if not isinstance(other, SparseMatrix):
+            return self.scale(other)
+        if self.dim != other.dim:
+            raise ValueError("shape mismatch")
+        # (A / da)(B / db) = A B / (da db): int products, no gcd
+        rows = {}
+        for r, row in self._rows.items():
+            acc = rows[r] = {}
+            for k, v in row.items():
+                for c, w in other._rows.get(k, {}).items():
+                    acc[c] = acc.get(c, 0) + v * w
+        return SparseMatrix._over(self.dim, _kept(rows.items()),
+                                  self.den * other.den)
 
     def scale(self, s):
-        out = SparseMatrix(self.dim)
-        if not s:
-            return out
-        for r, row in self._rows.items():
-            out._rows[r] = {c: v * s for c, v in row.items()}
-        return out
+        """s M for a rational s: the rows times its numerator, over den
+        times its denominator."""
+        n = s.numerator
+        if not n:
+            return SparseMatrix(self.dim)
+        return SparseMatrix._over(
+            self.dim, {r: {c: v * n for c, v in row.items()}
+                       for r, row in self._rows.items()},
+            self.den * s.denominator)
 
     def __add__(self, other):
-        if self.dim != other.dim:
-            raise ValueError(f"shape mismatch: dim {self.dim} vs {other.dim}")
-        out = SparseMatrix(self.dim)
-        out._rows = {r: dict(row) for r, row in self._rows.items()}
-        for r, row in other._rows.items():
-            for c, v in row.items():
-                out.add(r, c, v)
-        return out
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
+        return self._sum(other, -1)
+
+    def _sum(self, other, sign):
+        """self + sign other, over the lcm of the two denominators."""
+        if self.dim != other.dim:
+            raise ValueError(f"shape mismatch: dim {self.dim} vs {other.dim}")
+        d = math.lcm(self.den, other.den)
+        fa, fb = d // self.den, sign * (d // other.den)
+        rows = {r: {c: v * fa for c, v in row.items()}
+                for r, row in self._rows.items()}
+        for r, row in other._rows.items():
+            acc = rows.setdefault(r, {})
+            for c, v in row.items():
+                acc[c] = acc.get(c, 0) + v * fb
+        return SparseMatrix._over(self.dim, _kept(rows.items()), d)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return self.dim == other.dim and list(self.items()) == list(other.items())
+        return self.dim == other.dim and \
+            next(self._mismatches(other), None) is None
+
+    def _mismatches(self, other):
+        """(row, col, self's entry, other's entry) wherever the two differ,
+        in (row, col) order, the entries as Fractions.  Over one den, equal
+        rows are skipped by one dict comparison; otherwise A / da and B / db
+        are compared as A (d / da) and B (d / db), d = lcm(da, db)."""
+        if self.dim != other.dim:
+            raise ValueError(f"shape mismatch: dim {self.dim} vs {other.dim}")
+        da, db = self.den, other.den
+        d = math.lcm(da, db)
+        fa, fb = d // da, d // db
+        rows_a, rows_b = self._rows, other._rows
+        for r in sorted(rows_a.keys() | rows_b.keys()):
+            row_a, row_b = rows_a.get(r, {}), rows_b.get(r, {})
+            if da == db and row_a == row_b:
+                continue
+            for c in sorted(row_a.keys() | row_b.keys()):
+                a, b = row_a.get(c, 0), row_b.get(c, 0)
+                if a * fa != b * fb:
+                    yield r, c, Fraction(a, da), Fraction(b, db)
 
     def _check_vector(self, vec):
         if len(vec) != self.dim:
             raise ValueError(f"vector length {len(vec)} != dim {self.dim}")
 
     def apply(self, vec):
+        """M v for a vector of Fractions or ints, as Fractions: (N / d)(w /
+        e) = N w / (d e), w the ints of ``integer_vector``."""
         self._check_vector(vec)
+        w, e = integer_vector(vec)
         out = [0] * self.dim
         for r, row in self._rows.items():
-            out[r] = sum(v * vec[c] for c, v in row.items())
-        return out
+            out[r] = sum(v * w[c] for c, v in row.items())
+        de = self.den * e
+        return [Fraction(g, de) for g in out]
 
     def apply_left(self, vec):
+        """v^T M, as Fractions, the same way."""
         self._check_vector(vec)
+        w, e = integer_vector(vec)
+        de = self.den * e
+        return [Fraction(g, de) for g in self._left(w)]
+
+    def _left(self, w):
+        """w^T N for a list w of ints: v^T M = w^T N / (e den) for v = w / e."""
         out = [0] * self.dim
         for r, row in self._rows.items():
-            vr = vec[r]
-            if not vr:
+            wr = w[r]
+            if not wr:
                 continue
             for c, v in row.items():
-                out[c] += vr * v
+                out[c] += wr * v
         return out
 
     def __repr__(self):
@@ -429,13 +480,14 @@ class SparseMatrix:
 
 def embed_at_positions(terms, n_factors) -> SparseMatrix:
     """Sum of local operators on (C^2)^(x n_factors), each identity off
-    its slots.  ``terms`` holds (op, positions) pairs: op is a
+    its slots.  ``terms`` is a list of (op, positions) pairs: op is a
     SparseMatrix of dim 2^k acting on k distinct 0-indexed tensor slots,
     its legs in the order of ``positions``.  A term visits each output row
     once: the row's slot bits pick its local row, and each entry's column
-    keeps the row's other bits.  Entries are summed as they are, so int
-    operators give an int sum; zero sums are dropped."""
+    keeps the row's other bits.  The sum is taken in ints over the lcm of
+    the terms' denominators; zero sums are dropped."""
     dim = 1 << n_factors
+    den = math.lcm(*(op.den for op, _ in terms))
     rows = [{} for _ in range(dim)]
     for op, positions in terms:
         k = len(positions)
@@ -449,9 +501,10 @@ def embed_at_positions(terms, n_factors) -> SparseMatrix:
         for p in positions:
             bit = 1 << n_factors - 1 - p
             spread = [s | b for s in spread for b in (0, bit)]
+        f = den // op.den
         local = {}   # a row's slot bits -> (a column's slot bits, v)
-        for i, j, v in op.items():
-            local.setdefault(spread[i], []).append((spread[j], v))
+        for i, row in op._rows.items():
+            local[spread[i]] = [(spread[j], v * f) for j, v in row.items()]
         bases = [b for b in range(dim) if not b & spread[-1]]
         for s, entries in local.items():
             for base in bases:
@@ -459,20 +512,26 @@ def embed_at_positions(terms, n_factors) -> SparseMatrix:
                 for c, v in entries:
                     c |= base
                     row[c] = row.get(c, 0) + v
-    out = SparseMatrix(dim)
-    for r, row in enumerate(rows):
+    return SparseMatrix._over(dim, _kept(enumerate(rows)), den)
+
+
+def _kept(rows) -> dict:
+    """{r: row} for the (r, {c: int}) pairs, with zeros and empty rows
+    dropped."""
+    out = {}
+    for r, row in rows:
         row = {c: v for c, v in row.items() if v}
         if row:
-            out._rows[r] = row
+            out[r] = row
     return out
 
 
 def exact_nullspace(M: SparseMatrix) -> list:
-    """Exact basis of the kernel of a sparse matrix of ints or Fractions, by
-    one elimination modulo a prime and p-adic lifting (Dixon 1982).
+    """Exact basis of the kernel of a sparse matrix, by one elimination
+    modulo a prime and p-adic lifting (Dixon 1982).
 
-    Each row is scaled by the lcm of its denominators, which keeps the
-    kernel and makes the matrix integral.  Elimination runs once modulo a
+    The kernel of N / den is that of its integer rows N, which are read as
+    they are.  Elimination runs once modulo a
     prime p just below 2^30: sparse (shortest row first, then sparsest
     column) until the active rows are nearly full, then on dense rows with
     the same pivots.  It finds pivot rows R and pivot columns P with A[R,P]
@@ -495,7 +554,7 @@ def exact_nullspace(M: SparseMatrix) -> list:
 
     Returns one length-dim Fraction vector per free column, in column order.
     """
-    rows = _integer_rows(M)
+    rows = [M._rows.get(r, {}) for r in range(M.dim)]
     for p in _primes():
         factors = _eliminate_mod(rows, M.dim, p)
         pivot_rows = [ri for ri, _, _, _, _ in factors]
@@ -529,44 +588,18 @@ def exact_nullspace(M: SparseMatrix) -> list:
                 return candidate
 
 
-def integer_form(*mats: SparseMatrix) -> tuple:
-    """([N_1, ..., N_k], d) with M_i = N_i / d, where the N_i are integer
-    matrices and d is the lcm of the denominators of every entry of every
-    M_i: one common denominator for all of them."""
-    keys = [(i, r) for i, M in enumerate(mats) for r in M._rows]
-    rows, d = _rows_over_lcm([mats[i]._rows[r] for i, r in keys])
-    out = [SparseMatrix(M.dim) for M in mats]
-    for (i, r), row in zip(keys, rows):
-        out[i]._rows[r] = row
-    return out, d
-
-
 def integer_vector(vec) -> tuple:
     """(ints, d) with vec = ints / d, d the lcm of the denominators of the
-    entries (Fraction or int): the vector twin of integer_form."""
-    (row,), d = _rows_over_lcm([dict(enumerate(vec))])
-    return list(row.values()), d
-
-
-def _integer_rows(M: SparseMatrix) -> list:
-    """Rows of M as {col: int}, each scaled by the lcm of its denominators."""
-    return [_rows_over_lcm([M._rows.get(r, {})])[0][0] for r in range(M.dim)]
+    entries (Fraction or int)."""
+    (row,), d = _dense_over_lcm([vec])
+    return row, d
 
 
 def _dense_over_lcm(rows):
     """(the rows times d as int lists, d), d the lcm of the denominators of
-    all entries of the rows (lists of Fraction or int): the dense twin of
-    _rows_over_lcm."""
+    all entries of the rows (lists of Fraction or int)."""
     d = math.lcm(*[v.denominator for row in rows for v in row])
     return [[v.numerator * (d // v.denominator) for v in row]
-            for row in rows], d
-
-
-def _rows_over_lcm(rows) -> tuple:
-    """(the rows times d, d), d the lcm of the denominators of all entries of
-    the rows ({col: Fraction or int}): the scaled rows hold ints."""
-    d = math.lcm(*(v.denominator for row in rows for v in row.values()))
-    return [{c: v.numerator * (d // v.denominator) for c, v in row.items()}
             for row in rows], d
 
 

@@ -4,8 +4,8 @@ t(x) is contracted site by site as a matrix product operator of bond
 dimension 4, one auxiliary index for each of its two rows of R factors, so
 no operator on the (auxiliary (x) chain) space of dimension 2^(L+1) is
 formed.  The contraction runs in integers: each local factor is scaled by
-the lcm of its denominators, and t(x) is handed out, and checked, as an
-integer table over the product of those denominators, so no gcd is taken.
+the lcm of its denominators, and t(x) is handed out, and checked, as a
+SparseMatrix over the product of those denominators, so no gcd is taken.
 t(x) carries no prefactor: the homogeneous normalization
 1/tr Ktilde(identity) is 1 for every catalogued model.
 
@@ -25,7 +25,7 @@ from . import models as m
 from .models import ModelDescriptor
 from .scalars import Dual
 from .tensor import Matrix, PoleError, SparseMatrix, _dense_over_lcm, \
-    dual_parts, exact_nullspace, integer_vector, inverse
+    dual_parts, exact_nullspace, inverse
 from .verifier import CheckReport, compare, skipped
 
 
@@ -117,11 +117,10 @@ def _site(O, ops) -> list:
     return out
 
 
-def build_transfer(spec: TransferSpec, x) -> tuple:
-    """t(x) = tr_0( Ktilde_0(x) R_0L...R_01 K_0(x) R_10...R_L0 ) as integer
-    tables over one denominator, the form ``integer_form`` gives: ([N], den)
-    with t(x) = N / den, and at a Dual point x ([N, N'], den) with also
-    t'(x) = N' / den.
+def build_transfer(spec: TransferSpec, x):
+    """t(x) = tr_0( Ktilde_0(x) R_0L...R_01 K_0(x) R_10...R_L0 ), and at a
+    Dual point x the pair (t(x), t'(x)): SparseMatrix integer tables N / den
+    over one den.
 
     Each factor F is scaled to integers by the lcm d of its denominators,
     and den is the product of the d; at a Dual point F0 + eps F1 becomes
@@ -174,21 +173,20 @@ def build_transfer(spec: TransferSpec, x) -> tuple:
         cols = [2 * c + u for c in cols for u in (0, 1, 0, 1)]
     out = []
     for table in flat:
-        N = SparseMatrix(1 << L)
+        N = {}
         for r, c, v in zip(rows, cols, table):
             if v:
-                N.add(r, c, v)
-        out.append(N)
-    return out, den
+                N.setdefault(r, {})[c] = v
+        out.append(SparseMatrix._over(1 << L, N, den))
+    return tuple(out) if dual else out[0]
 
 
 def check_commutation(spec: TransferSpec, x, x2) -> CheckReport:
-    """[t(x), t(x2)] = 0: both products are taken in integers, over the
-    denominators d1, d2 of t(x), t(x2), and compared over d1 d2."""
-    (t1,), d1 = build_transfer(spec, x)
-    (t2,), d2 = build_transfer(spec, x2)
+    """[t(x), t(x2)] = 0: both products are integer tables over the same
+    denominator, compared row by row."""
+    t1, t2 = build_transfer(spec, x), build_transfer(spec, x2)
     return compare(spec.model, "transfer.commutation", (x, x2),
-                   t1 * t2, t2 * t1, d1 * d2)
+                   t1 * t2, t2 * t1)
 
 
 def markov_from_transfer(model: ModelDescriptor, L: int) -> CheckReport:
@@ -196,9 +194,9 @@ def markov_from_transfer(model: ModelDescriptor, L: int) -> CheckReport:
     differentiated exactly over dual numbers."""
     from .markov import build_markov
     idp = model.identity_point
-    (_, dt), den = build_transfer(TransferSpec(model, L), Dual.variable(idp))
+    _, dt = build_transfer(TransferSpec(model, L), Dual.variable(idp))
     return compare(model, "transfer.markov_derivative", (idp,),
-                   dt.scale(1 / (2 * model.rho * den)), build_markov(model, L))
+                   dt.scale(1 / (2 * model.rho)), build_markov(model, L))
 
 
 def lambda_eigenvalue(model: ModelDescriptor, x, thetas) -> Fraction:
@@ -231,17 +229,14 @@ def check_eigenpair(spec: TransferSpec, x, vector, side: str = "right",
                     eigenvalue=None,
                     tolerance: Fraction | None = None) -> CheckReport:
     """t(x) v = lambda v (right) or v^T t(x) = lambda v^T (left), exactly,
-    or within a relative residual when a tolerance is given.  The product
-    is taken in integers, over the denominators of t(x) and v."""
+    or within a relative residual when a tolerance is given."""
     model = spec.model
     if not any(vector):
         raise ValueError("eigenvector must be nonzero")
     lam = eigenvalue if eigenvalue is not None else \
         lambda_eigenvalue(model, x, spec.thetas)
-    (ti,), d = build_transfer(spec, x)
-    vi, e = integer_vector(vector)
-    got = ti.apply(vi) if side == "right" else ti.apply_left(vi)
-    got = [Fraction(g, d * e) for g in got]
+    t = build_transfer(spec, x)
+    got = t.apply(vector) if side == "right" else t.apply_left(vector)
     want = [lam * v for v in vector]
     if tolerance is not None:
         # entries within the relative residual count as equal
@@ -257,17 +252,15 @@ def left_eigen_ones(spec: TransferSpec, x) -> CheckReport:
 
 def eigenvector_from_nullspace(spec: TransferSpec, x0) -> list:
     """Exact right eigenvector of t: the stationary state of the generator
-    for a homogeneous chain, else the kernel of t(x0) - lambda(x0) I, taken
-    as that of N - lambda(x0) den I for t(x0) = N / den.  Commutation makes
-    it x-independent."""
+    for a homogeneous chain, else the kernel of t(x0) - lambda(x0) I.
+    Commutation makes it x-independent."""
     if spec.homogeneous:
-        from .markov import integer_markov, steady_state_exact
-        return steady_state_exact(integer_markov(spec.model, spec.L)[0]) \
+        from .markov import build_markov, steady_state_exact
+        return steady_state_exact(build_markov(spec.model, spec.L)) \
             .probabilities()
     lam = lambda_eigenvalue(spec.model, x0, spec.thetas)
-    (t,), den = build_transfer(spec, x0)
-    shift = SparseMatrix.identity(t.dim).scale(-lam * den)
-    kernel = exact_nullspace(t + shift)
+    t = build_transfer(spec, x0)
+    kernel = exact_nullspace(t - SparseMatrix.identity(t.dim).scale(lam))
     if len(kernel) != 1:
         raise ValueError(f"eigen-kernel dimension {len(kernel)} != 1 at x={x0}")
     return kernel[0]
@@ -295,9 +288,7 @@ def check_rd_inhomogeneous_eigenvector(spec: TransferSpec,
 
 
 def check_crossing_symmetry_t(spec: TransferSpec, x) -> CheckReport:
-    """SSEP: t(x) = (lambda(x)-1) t(-x-1); ASEP: t(x) = (lambda(x)-1) t(1/qx).
-    With t(x) = N1 / d1, t(partner) = N2 / d2 and lambda(x) - 1 = a / b,
-    N1 d2 b and N2 d1 a are compared over d1 d2 b."""
+    """SSEP: t(x) = (lambda(x)-1) t(-x-1); ASEP: t(x) = (lambda(x)-1) t(1/qx)."""
     model = spec.model
     if model.name not in (m.SSEP, m.ASEP):
         return skipped(model, "transfer.crossing", (x,),
@@ -308,11 +299,8 @@ def check_crossing_symmetry_t(spec: TransferSpec, x) -> CheckReport:
     else:
         partner = 1 / m._nonzero(model.q * x,
                                  "q*x in the crossing partner 1/(q*x)", x)
-    (t1,), d1 = build_transfer(spec, x)
-    (t2,), d2 = build_transfer(spec, partner)
-    a, b = (lam - 1).numerator, (lam - 1).denominator
-    return compare(model, "transfer.crossing", (x,), t1.scale(d2 * b),
-                   t2.scale(d1 * a), d1 * d2 * b)
+    t1, t2 = build_transfer(spec, x), build_transfer(spec, partner)
+    return compare(model, "transfer.crossing", (x,), t1, t2.scale(lam - 1))
 
 
 def ssep_conjugated(spec: TransferSpec, x) -> list:
@@ -344,14 +332,13 @@ def ssep_conjugated(spec: TransferSpec, x) -> list:
 
     # <-| ts(x) |-> with |-> the all-occupied basis vector: contract t
     # against the conjugated boundary vectors instead of conjugating t.
-    (t,), den = build_transfer(spec, x)
+    t = build_transfer(spec, x)
     row = [Fraction(1)]
     col = [Fraction(1)]
     for _ in range(spec.L):
         row = [r * g for r in row for g in (Gi.a[1][0], Gi.a[1][1])]
         col = [c * g for c in col for g in (Gam.a[0][1], Gam.a[1][1])]
-    tcol = t.apply(col)
-    got = sum(r * v for r, v in zip(row, tcol)) / den
+    got = sum(r * v for r, v in zip(row, t.apply(col)))
     out.append(compare(model, "conjugated.scalar", (x,),
                        [got], [lambda_eigenvalue(model, x, spec.thetas)]))
     return out

@@ -7,11 +7,11 @@ structure, the RD scalar Markovian vector) report Skipped with a reason so
 the gaps stay visible.
 
 Each check is a record (name, points, sides).  sides is either the reason
-of a Skipped or a thunk that evaluates the identity's two sides: the
-operands of ``compare``, and their denominator when they are integer
-tables.  ``run`` turns records into reports in order; a pole met while
-evaluating the sides makes the report Skipped.  Each identity family yields
-records and runs none: ``run_model_suite`` is one ``run`` over them all.
+of a Skipped or a thunk that evaluates the identity's two sides, the two
+operands of ``compare``.  ``run`` turns records into reports in order; a
+pole met while evaluating the sides makes the report Skipped.  Each
+identity family yields records and runs none: ``run_model_suite`` is one
+``run`` over them all.
 The ZF and GZ families of ``ansatz`` (``zf_relations``, ``gz_relations``)
 yield records of the same form.
 """
@@ -26,8 +26,8 @@ from .models import ModelDescriptor
 from .sampling import model_safe, pair_safe
 from .scalars import format_rational
 from .tensor import Matrix, SparseMatrix, derivative_at, \
-    embed_at_positions, integer_form, inverse, kron, partial_transpose, \
-    permutation_op, rank
+    embed_at_positions, inverse, kron, partial_transpose, permutation_op, \
+    rank
 
 PASS = "Pass"
 FAIL = "Fail"
@@ -49,19 +49,19 @@ def _fmt_points(points) -> tuple:
 
 # ------------------------------------------------------------ report core
 
-def compare(model, check, points, lhs, rhs, den=1) -> CheckReport:
+def compare(model, check, points, lhs, rhs) -> CheckReport:
     """Pass when lhs equals rhs entry by entry, else Fail with the first
-    mismatch in row-major order as the witness.  The operands are two dense
-    Matrix, two SparseMatrix (never densified), two flat sequences, read
-    as row 0, or two 2 x 2 block operators {(i, j): component}, scanned
-    block by block in dict order; differing shapes raise ValueError.
-    Integer operands that stand for lhs / den and rhs / den are compared as
-    they are, and the witness shows the exact entries over den."""
+    mismatch in row-major order as the witness, its two entries as reduced
+    rationals.  The operands are two dense Matrix, two SparseMatrix (never
+    densified, their integer tables compared over the lcm of their
+    denominators), two flat sequences, read as row 0, or two 2 x 2 block
+    operators {(i, j): component}, scanned block by block in dict order;
+    differing shapes raise ValueError."""
     for r, c, a, b in _mismatches(lhs, rhs):
         return CheckReport(model.name, check, _fmt_points(points), FAIL,
                            witness={"row": r, "col": c,
-                                    "lhs": format_rational(Fraction(a, den)),
-                                    "rhs": format_rational(Fraction(b, den))})
+                                    "lhs": format_rational(a),
+                                    "rhs": format_rational(b)})
     return CheckReport(model.name, check, _fmt_points(points), PASS)
 
 
@@ -80,17 +80,7 @@ def _mismatches(lhs, rhs):
                 yield i * h + r, j * w + c, a, b
         return
     if isinstance(lhs, SparseMatrix):
-        if lhs.dim != rhs.dim:
-            raise ValueError(f"shape mismatch: dim {lhs.dim} vs {rhs.dim}")
-        # equal rows are skipped by one dict comparison, with no arithmetic
-        rows_a, rows_b = dict(lhs.rows_items()), dict(rhs.rows_items())
-        for r in sorted(rows_a.keys() | rows_b.keys()):
-            row_a, row_b = rows_a.get(r, {}), rows_b.get(r, {})
-            if row_a != row_b:
-                for c in sorted(row_a.keys() | row_b.keys()):
-                    a, b = row_a.get(c, Fraction(0)), row_b.get(c, Fraction(0))
-                    if a != b:
-                        yield r, c, a, b
+        yield from lhs._mismatches(rhs)
         return
     if isinstance(lhs, Matrix):
         # A / da = B / db where A db = B da: no Fraction unless they differ
@@ -115,7 +105,8 @@ def skipped(model, check, points, reason) -> CheckReport:
 
 def run(model, records) -> list:
     """The report of each (name, points, sides) record, in order: Skipped
-    when sides is a reason, else compare(*sides()), or Skipped when
+    when sides is a reason, else compare of the two operands sides()
+    returns, or Skipped when
     evaluating the sides hits a pole (PoleError included).  A record is
     drawn only after the one before it has run, so a generator of records
     evaluates what it needs between checks in check order."""
@@ -141,14 +132,13 @@ def yang_baxter(model: ModelDescriptor, x1, x2, x3):
     conv = model.convention
 
     def sides():
-        # R12, R13, R23 as integer matrices N over one d: both triple
-        # products are then over d^3
+        # R12, R13, R23 as integer tables: both triple products are over
+        # the product of their three denominators
         rs = [SparseMatrix.from_dense(m.r_matrix(model, conv.compose(a, b)))
               for a, b in ((x1, x2), (x1, x3), (x2, x3))]
-        ns, d = integer_form(*rs)
-        n12, n13, n23 = (embed_at_positions([term], 3) for term in
-                         zip(ns, ((0, 1), (0, 2), (1, 2))))
-        return n12 * n13 * n23, n23 * n13 * n12, d ** 3
+        r12, r13, r23 = (embed_at_positions([term], 3) for term in
+                         zip(rs, ((0, 1), (0, 2), (1, 2))))
+        return r12 * r13 * r23, r23 * r13 * r12
 
     yield "yang_baxter", (x1, x2, x3), sides
 

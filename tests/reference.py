@@ -2,15 +2,16 @@
 Kronecker product and partial transpose that the integer tables of
 ``tensor.Matrix`` are checked against, the dense embedding, built from
 ``kron`` and a slot permutation, that ``tensor.embed_at_positions`` is
-checked against, the embed-and-multiply monodromy that the coproduct of
-``MonodromyRealization.components`` is checked against, and the RD current
-balance of ``ansatz.rd_closed_forms``."""
+checked against, the embed-and-multiply products, over Fraction or Dual
+entries held as {row: {col: entry}}, that ``transfer.build_transfer`` and
+the coproduct of ``MonodromyRealization.components`` are checked against,
+and the RD current balance of ``ansatz.rd_closed_forms``."""
 
 from fractions import Fraction
 
 import exclusion.models as m
 from exclusion.ansatz import rd_closed_forms
-from exclusion.tensor import Matrix, SparseMatrix, embed_at_positions, kron
+from exclusion.tensor import Matrix, SparseMatrix, kron
 
 
 def fraction_product(a, b) -> list:
@@ -87,23 +88,86 @@ def embed_local(op: Matrix, first_site: int, length: int) -> SparseMatrix:
         embed_dense(op, range(first_site - 1, first_site - 1 + k), length))
 
 
+def embed_rows(op: Matrix, positions, length: int) -> dict:
+    """op on the 0-indexed slots ``positions`` of (C^2)^(x length), its legs
+    in the order of ``positions``, identity elsewhere, as {row: {col:
+    entry}} over its entries (Fraction or Dual) as they are: entry (a, b) is
+    op[i][j] where a and b agree off the slots, i and j their slot bits."""
+    shifts = [length - 1 - p for p in positions]
+    mask = sum(1 << s for s in shifts)
+
+    def local(a):
+        return sum((a >> s & 1) << (len(shifts) - 1 - t)
+                   for t, s in enumerate(shifts))
+
+    out = {}
+    for a in range(1 << length):
+        row = {b: op.a[local(a)][local(b)] for b in range(1 << length)
+               if not (a ^ b) & ~mask and op.a[local(a)][local(b)]}
+        if row:
+            out[a] = row
+    return out
+
+
+def rows_product(a: dict, b: dict) -> dict:
+    """The product of two operators held as {row: {col: entry}}, one sum
+    of entry products (Fraction or Dual) per entry, zeros dropped."""
+    out = {}
+    for r, row in a.items():
+        acc = {}
+        for k, v in row.items():
+            for c, w in b.get(k, {}).items():
+                acc[c] = acc.get(c, 0) + v * w
+        acc = {c: v for c, v in acc.items() if v}
+        if acc:
+            out[r] = acc
+    return out
+
+
+def _entry(rows: dict, r: int, c: int):
+    return rows.get(r, {}).get(c, 0)
+
+
+def transfer_factors(spec, x) -> list:
+    """(positions, matrix) of the 2L + 2 factors of t(x), in product order,
+    slot 0 the auxiliary space."""
+    model, conv, L = spec.model, spec.model.convention, spec.L
+    factors = [((0,), m.k_matrix(model, "Ktilde", x))]
+    factors += [((0, j), m.r_matrix(model, conv.compose(x, spec.thetas[j - 1])))
+                for j in range(L, 0, -1)]
+    factors.append(((0,), m.k_matrix(model, "K", x)))
+    factors += [((j, 0), m.r_matrix(model,
+                                    conv.reflect_compose(x, spec.thetas[j - 1])))
+                for j in range(1, L + 1)]
+    return factors
+
+
+def transfer_product(spec, x) -> Matrix:
+    """t(x) as the ordered product of the embedded factors over Fraction (or
+    Dual) entries, traced over the auxiliary space: no integer assembly."""
+    acc = None
+    for positions, f in transfer_factors(spec, x):
+        f = embed_rows(f, positions, spec.L + 1)
+        acc = f if acc is None else rows_product(acc, f)
+    half = 1 << spec.L
+    return Matrix([[_entry(acc, j, l) + _entry(acc, half + j, half + l)
+                    for l in range(half)] for j in range(half)])
+
+
 def monodromy_components(model, inner_length: int, x) -> list:
     """(A_0(x), A_1(x)) with A_i = sum over k of T_ik(x) v_k(x), T = R_0L'
     ... R_01 the monodromy matrix multiplied out on the auxiliary (x) inner
-    chain space (slot 0 the auxiliary one) and cut into its 2 x 2 blocks of
-    inner-chain operators.  At a Dual point the sparse products carry Dual
-    entries."""
+    chain space (slot 0 the auxiliary one), over Fraction (or Dual)
+    entries, and cut into its 2 x 2 blocks of inner-chain operators."""
     n = inner_length + 1
     acc = None
     for j in range(inner_length, 0, -1):
-        f = embed_at_positions(
-            [(SparseMatrix.from_dense(m.r_matrix(model, x)), (0, j))], n)
-        acc = f if acc is None else acc * f
-    T = dense(acc)
+        f = embed_rows(m.r_matrix(model, x), (0, j), n)
+        acc = f if acc is None else rows_product(acc, f)
     half = 1 << inner_length
     v = m.markov_vector(model, x)
-    return [Matrix([[T.a[i * half + r][c] * v[0] +
-                     T.a[i * half + r][half + c] * v[1]
+    return [Matrix([[_entry(acc, i * half + r, c) * v[0] +
+                     _entry(acc, i * half + r, half + c) * v[1]
                      for c in range(half)] for r in range(half)])
             for i in (0, 1)]
 

@@ -870,7 +870,7 @@ def test_bench_bytes_are_pinned_under_a_fake_clock(capsys, monkeypatch, name,
     ("tasep", "9", "domain error: ansatz method capped at L = 8\n")])
 def test_bench_obeys_the_steady_caps(capsys, monkeypatch, model, L, line):
     # bench checks L before it builds the generator, and prints steady's line
-    monkeypatch.setattr(mk, "integer_markov",
+    monkeypatch.setattr(mk, "build_markov",
                         lambda *_: pytest.fail("bench built the generator"))
     for command in ("bench", "steady"):
         code = main([command, "--model", model, "--L", L,

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -168,12 +169,14 @@ def test_generator_matches_the_fraction_sum(rates):
                   ex.tasep(*rates[:2]), ex.rd(3, *rates),
                   ex.rd(F(-1, 2), *rates)):
         for L in range(1, 9):
-            N, d = mk.integer_markov(model, L)
-            assert all(type(v) is int for _, _, v in N.items())
             M = ex.build_markov(model, L)
+            assert all(type(v) is int for row in M._rows.values()
+                       for v in row.values())
             assert M == fraction_markov(model, L)
-            assert all(v == F(n, d) for (_, _, v), (_, _, n)
-                       in zip(M.items(), N.items()))
+            # at L = 1 only B and Bbar are placed
+            placed = ex.local_operators(model)[L == 1:]
+            assert M.den == math.lcm(*(e.denominator for op in placed
+                                       for row in op.a for e in row))
 
 
 def fraction_observables(dist, model):
@@ -211,7 +214,7 @@ def test_observables_match_the_fraction_sum_on_the_nullspace():
     for model in (ex.asep(F(3, 2), *_R), ex.ssep(*_R), ex.tasep(*_R[:2]),
                   ex.rd(3, *_R), ex.rd(F(-1, 2), *_R)):
         for L in range(1, 8):
-            dist = mk.steady_state_exact(mk.integer_markov(model, L)[0])
+            dist = mk.steady_state_exact(mk.build_markov(model, L))
             assert_observables_match(dist, model)
 
 

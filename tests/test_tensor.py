@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -10,9 +11,8 @@ import exclusion.verifier as vf
 from exclusion.markov import KernelError, steady_state_exact
 from exclusion.scalars import format_rational
 from exclusion.tensor import Matrix, PoleError, SparseMatrix, _primes, \
-    derivative_at, embed_at_positions, exact_nullspace, \
-    integer_form, integer_vector, inverse, kron, \
-    partial_trace_first, partial_transpose, permutation_op, rank
+    derivative_at, embed_at_positions, exact_nullspace, integer_vector, \
+    inverse, kron, partial_trace_first, partial_transpose, permutation_op, rank
 from reference import dense, embed_dense, embed_local, fraction_kron, \
     fraction_partial_transpose, fraction_product
 
@@ -75,14 +75,14 @@ def test_embed_local():
 
 def test_embed_sum_adds_the_embeddings():
     w, B, Bbar = ex.local_operators(ex.asep(2, 1, 1, F(1, 2), F(1, 3)))
-    ops, _ = integer_form(*map(SparseMatrix.from_dense, (w, B, Bbar)))
-    wi, Bi, Bbari = ops
+    wi, Bi, Bbari = map(SparseMatrix.from_dense, (w, B, Bbar))
     got = embed_at_positions([(wi, (1, 2)), (Bi, (0,)), (Bbari, (3,)),
                               (wi, (1, 2))], 4)
     want = embed_local(w, 2, 4) + embed_local(B, 1, 4) \
         + embed_local(Bbar, 4, 4) + embed_local(w, 2, 4)
-    assert got.scale(F(1, 6)) == want       # w, B, Bbar over d = 6
-    assert all(type(v) is int for _, _, v in got.items())
+    assert got == want and got.den == 6     # w, B, Bbar over d = 6
+    assert all(type(v) is int for row in got._rows.values()
+               for v in row.values())
     for op, positions in ((wi, (3, 4)), (Bi, (4,)), (Bi, (-1,))):
         with pytest.raises(ValueError):
             embed_at_positions([(op, positions)], 4)
@@ -128,8 +128,7 @@ def test_embed_at_positions_sums_the_dense_embeddings(n_terms, data):
         want = want + embed_dense(dense(op), positions, n)
     assert dense(got) == want
     assert all(v for _, _, v in got.items())    # zero sums are dropped
-    if all(type(v) is int for op, _ in terms for _, _, v in op.items()):
-        assert all(type(v) is int for _, _, v in got.items())
+    assert got.den == math.lcm(*(op.den for op, _ in terms))
     # a wrong size, a repeated slot or a slot off the chain
     slot = data.draw(st.integers(0, n - 1))
     bad = data.draw(st.sampled_from([
@@ -329,16 +328,21 @@ def assert_reference_pivots(rows, dim):
 def test_pivots_match_the_reference_on_generators(model):
     for L in range(2, 9):
         M = ex.build_markov(model, L)
-        assert_reference_pivots(tensor._integer_rows(M), M.dim)
+        assert_reference_pivots(_int_rows(M), M.dim)
+
+
+def _int_rows(M):
+    """The integer rows of M, as exact_nullspace reads them."""
+    return [M._rows.get(r, {}) for r in range(M.dim)]
 
 
 def test_pivots_match_the_reference_on_an_eigen_kernel():
     # the matrix whose raw kernel eigenvector_from_nullspace returns
     spec = tr.TransferSpec(ex.asep(3, *_R), 4, (2, 3, 5, 7))
     lam = tr.lambda_eigenvalue(spec.model, F(2), spec.thetas)
-    (t,), den = tr.build_transfer(spec, F(2))
-    M = t + SparseMatrix.identity(t.dim).scale(-lam * den)
-    assert_reference_pivots(tensor._integer_rows(M), M.dim)
+    t = tr.build_transfer(spec, F(2))
+    M = t - SparseMatrix.identity(t.dim).scale(lam)
+    assert_reference_pivots(_int_rows(M), M.dim)
 
 
 def test_dense_tail_runs_on_the_rd_generator(monkeypatch):
@@ -685,6 +689,91 @@ def test_integer_tables_match_the_fraction_entries(data):
         ((vf.PASS, None) if want is None else (vf.FAIL, want))
 
 
+@st.composite
+def _sparse_made(draw, a):
+    """A SparseMatrix with the square entries a, held over a denominator
+    that is often not their lcm: from a Matrix made as _made makes it
+    (product chains included), from a table over a negative denominator,
+    through a negative rational scale and back, or as a product with
+    scaled identities."""
+    how = draw(st.sampled_from(["dense", "negative", "scaled", "chain"]))
+    if how == "dense":
+        return SparseMatrix.from_dense(draw(_made(a)))
+    N, d = Matrix(a)._table
+    if how == "negative":
+        return SparseMatrix.from_dense(
+            Matrix._over([[-v for v in row] for row in N], -d))
+    M = SparseMatrix.from_dense(Matrix(a))
+    s = draw(_rationals.filter(bool))
+    if how == "scaled":
+        return M.scale(-s).scale(-1 / s)
+    one = SparseMatrix.identity(len(a))
+    return M * one.scale(s) * (one * (1 / s))
+
+
+def _got(M: SparseMatrix) -> list:
+    """M's entries, read one by one through get."""
+    return [[M.get(r, c) for c in range(M.dim)] for r in range(M.dim)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_sparse_tables_match_the_fraction_entries(data):
+    # every operation on the int tables of SparseMatrix operands held over
+    # different, often non-lcm, denominators gives the entries of the
+    # entry-by-entry Fraction oracle
+    n = data.draw(st.integers(1, 4))
+    a, b = (data.draw(_matrices(n, n)) for _ in range(2))
+    A, B = (data.draw(_sparse_made(x)) for x in (a, b))
+    assert A.den > 0 and _got(A) == a
+    assert list(A.items()) == [(r, c, x) for r, row in enumerate(a)
+                               for c, x in enumerate(row) if x]
+    assert _got(A * B) == fraction_product(a, b)
+    assert _got(A + B) == [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+    assert _got(A - B) == [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
+    s = data.draw(_rationals)
+    assert _got(A.scale(s)) == _got(A * s) == [[s * x for x in r] for r in a]
+    v = data.draw(st.lists(_rationals, min_size=n, max_size=n))
+    assert A.apply(v) == [sum((x * y for x, y in zip(row, v)), F(0))
+                          for row in a]
+    assert A.apply_left(v) == [sum((a[r][c] * v[r] for r in range(n)), F(0))
+                               for c in range(n)]
+    # == and compare: the first differing entry in row-major order, against
+    # a copy with up to two entries changed, made another way
+    bad = [list(row) for row in a]
+    for r, c, x in data.draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1), _rationals),
+            max_size=2)):
+        bad[r][c] = x
+    want = next(({"row": r, "col": c, "lhs": format_rational(x),
+                  "rhs": format_rational(y)}
+                 for r, (ra, rb) in enumerate(zip(a, bad))
+                 for c, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
+    other = data.draw(_sparse_made(bad))
+    assert (A == other) == (want is None)
+    rep = vf.compare(ex.ssep(1, 1, 1, 1), "c", (), A, other)
+    assert (rep.status, rep.witness) == \
+        ((vf.PASS, None) if want is None else (vf.FAIL, want))
+    # the embedding sums terms over different denominators
+    e, f = (data.draw(_matrices(2, 2)) for _ in range(2))
+    terms = [(data.draw(_sparse_made(e)), (0,)),
+             (data.draw(_sparse_made(f)), (2,))]
+    if n == 4:
+        terms.append((A, (2, 1)))
+    want = Matrix.zeros(8, 8)
+    for x, (_, positions) in zip((e, f, a), terms):
+        want = want + embed_dense(Matrix(x), positions, 3)
+    assert dense(embed_at_positions(terms, 3)) == want
+    # the kernel of a table over a non-lcm denominator: b with one row
+    # planted as a combination of two others
+    c = [list(row) for row in b]
+    if n > 1:
+        i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        c[i] = [x + 2 * y for x, y in zip(c[j], c[k])]
+    ker = exact_nullspace(data.draw(_sparse_made(c)))
+    assert rref(ker) == rref(dense_kernel(c, n))
+
+
 def test_kron_and_sums_carry_dual_entries():
     # at a Dual point R has Dual entries and no integer table: kron and
     # sums take its entries as they are, and a product raises
@@ -715,6 +804,10 @@ def test_sparse_matrix_contract():
     assert list(m.items()) == [(1, 0, F(3)), (2, 3, F(1, 2))]
     with pytest.raises(IndexError):
         m.add(4, 0, F(1))
+    assert m.get(3, 3) == 0
+    for r, c in ((4, 0), (0, 4), (-1, 0)):
+        with pytest.raises(IndexError):
+            m.get(r, c)
 
 
 def test_embed_at_positions_matches_kron_order():
@@ -769,9 +862,7 @@ def test_integer_matvec_stays_integral():
                                         [0, 0, 0],
                                         [F(-3, 4), 1, 0]]))
     v = [F(1, 5), F(-2, 3), 7]
-    (Mi,), d = integer_form(M)
     vi, e = integer_vector(v)
-    for mul in (SparseMatrix.apply, SparseMatrix.apply_left):
-        got = mul(Mi, vi)
-        assert all(type(g) is int for g in got)
-        assert [F(g, d * e) for g in got] == mul(M, v)
+    got = M._left(vi)
+    assert all(type(g) is int for g in got)
+    assert [F(g, M.den * e) for g in got] == M.apply_left(v)

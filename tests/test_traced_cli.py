@@ -83,3 +83,19 @@ def test_rd_steady_trace_sees_every_build_in_the_loop(monkeypatch, capsys):
     assert edges["ansatz.truncation>ansatz.rd_representation"] == \
         calls["ansatz.rd_representation"] == len(builds)
     assert "cli>ansatz.rd_representation" not in edges
+
+
+def test_steady_trace_records_the_generator_build(monkeypatch, capsys):
+    # the nullspace method builds its generator through build_markov, so
+    # the traced span covers every generator build
+    traced = _load()
+    _undo_on_exit(monkeypatch)
+    tracer = traced.Tracer()
+    tracer.install()
+    code = traced.exclusion.cli.main(["steady", "--model", "asep", "--L", "3",
+                                      "--method", "nullspace"])
+    assert code == 0
+    capsys.readouterr()
+    calls = {name: agg[0] for name, agg in tracer.names.items()}
+    assert calls["markov.build_markov"] == 1
+    assert calls["tensor.exact_nullspace"] == 1

@@ -1,7 +1,5 @@
 import math
-import operator
 from fractions import Fraction as F
-from functools import reduce
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,39 +10,16 @@ import exclusion.models as m
 import exclusion.transfer as tr
 import exclusion.verifier as vf
 from exclusion.scalars import Dual, format_rational
-from exclusion.tensor import Matrix, PoleError, SparseMatrix, dual_parts, \
-    embed_at_positions, partial_trace_first
-from reference import dense
+from exclusion.tensor import Matrix, PoleError, SparseMatrix, dual_parts
+from reference import dense, transfer_factors, transfer_product
 from strategies import MODELS
-
-
-def _oracle_factors(spec, x):
-    """(positions, matrix) of the 2L + 2 factors of t(x), in product order."""
-    model, conv, L = spec.model, spec.model.convention, spec.L
-    factors = [((0,), m.k_matrix(model, "Ktilde", x))]
-    factors += [((0, j), m.r_matrix(model, conv.compose(x, spec.thetas[j - 1])))
-                for j in range(L, 0, -1)]
-    factors.append(((0,), m.k_matrix(model, "K", x)))
-    factors += [((j, 0), m.r_matrix(model,
-                                    conv.reflect_compose(x, spec.thetas[j - 1])))
-                for j in range(1, L + 1)]
-    return factors
-
-
-def _oracle_transfer(spec, x):
-    """t(x) as the ordered product of the embedded factors over Fraction (or
-    Dual) entries, traced over the auxiliary space: no integer assembly."""
-    return partial_trace_first(dense(reduce(operator.mul, (
-        embed_at_positions([(SparseMatrix.from_dense(f), positions)],
-                           spec.L + 1)
-        for positions, f in _oracle_factors(spec, x)))))
 
 
 def test_transfer_identity_point_is_identity(all_models):
     for mdl in all_models:
         spec = tr.TransferSpec(mdl, 1)
-        (t,), d = tr.build_transfer(spec, mdl.identity_point)
-        assert t == SparseMatrix.identity(2).scale(d)
+        t = tr.build_transfer(spec, mdl.identity_point)
+        assert t == SparseMatrix.identity(2)
 
 
 def test_trace_normalization_is_one(all_models):
@@ -126,7 +101,7 @@ def test_crossing_applied_twice_is_identity(ssep_model):
     thetas = (F(1, 2), F(2, 3))
     spec = tr.TransferSpec(ssep_model, 2, thetas)
     x = F(3)
-    (t1,), _ = tr.build_transfer(spec, x)
+    t1 = tr.build_transfer(spec, x)
     lam_x = tr.lambda_eigenvalue(ssep_model, x, thetas)
     lam_p = tr.lambda_eigenvalue(ssep_model, -x - 1, thetas)
     t_back = t1.scale((lam_x - 1) * (lam_p - 1))
@@ -212,21 +187,24 @@ def _matches_the_fraction_product(spec, x):
     lcms, so that N itself is pinned, not only N / den.  False where both
     meet a pole."""
     try:
-        want = _oracle_transfer(spec, x)
+        want = transfer_product(spec, x)
     except PoleError:
         with pytest.raises(PoleError):
             tr.build_transfer(spec, x)
         return False
-    tables, den = tr.build_transfer(spec, x)
-    assert den == math.prod(
+    got = tr.build_transfer(spec, x)
+    den = math.prod(
         math.lcm(*(e.denominator for part in dual_parts(f)
                    for row in part.a for e in row))
-        for _, f in _oracle_factors(spec, x))
+        for _, f in transfer_factors(spec, x))
+    tables = got if isinstance(x, Dual) else (got,)
     parts = dual_parts(want) if isinstance(x, Dual) else (want,)
     assert len(tables) == len(parts)
     for t, part in zip(tables, parts):
-        assert all(type(v) is int for _, _, v in t.items())
-        assert dense(t.scale(F(1, den))) == part
+        assert t.den == den
+        assert all(type(v) is int for row in t._rows.values()
+                   for v in row.values())
+        assert dense(t) == part
     return True
 
 
@@ -325,7 +303,7 @@ def test_commutation_fail_witness_is_the_fraction_entry(ssep_model,
     x, x2 = F(2), F(7, 3)
     rep = tr.check_commutation(spec, x, x2)
     assert rep.status == vf.FAIL
-    t1, t2 = _oracle_transfer(spec, x), _oracle_transfer(spec, x2)
+    t1, t2 = transfer_product(spec, x), transfer_product(spec, x2)
     lhs, rhs = t1 * t2, t2 * t1
     r, c = next((r, c) for r in range(lhs.rows) for c in range(lhs.cols)
                 if lhs[r, c] != rhs[r, c])
@@ -347,8 +325,8 @@ def test_crossing_fail_witness_is_the_fraction_entry(asep_model,
     rep = tr.check_crossing_symmetry_t(spec, x)
     assert rep.status == vf.FAIL
     lam = real(asep_model, x, spec.thetas) + F(1, 7)
-    lhs = _oracle_transfer(spec, x)
-    rhs = (lam - 1) * _oracle_transfer(spec, 1 / (asep_model.q * x))
+    lhs = transfer_product(spec, x)
+    rhs = (lam - 1) * transfer_product(spec, 1 / (asep_model.q * x))
     r, c = next((r, c) for r in range(lhs.rows) for c in range(lhs.cols)
                 if lhs[r, c] != rhs[r, c])
     assert rep.witness == {"row": r, "col": c,

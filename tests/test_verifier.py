@@ -10,8 +10,7 @@ import exclusion.transfer as tr
 import exclusion.verifier as vf
 from exclusion.sampling import model_safe, pair_safe, sample_points
 from exclusion.scalars import Dual, format_rational
-from exclusion.tensor import Matrix, SparseMatrix, embed_at_positions, \
-    integer_form
+from exclusion.tensor import Matrix, SparseMatrix, embed_at_positions
 from reference import dense
 from strategies import MODELS
 
@@ -345,19 +344,18 @@ def test_compare_integer_operands_give_the_fraction_witness(ssep_model):
                 Matrix([[1, F(1, 2), 0], [0, F(-3, 4), 0], [F(2, 3), F(1, 9), 1]]),
                 Matrix([[1, F(1, 2), 0], [0, F(3, 4), 0], [F(2, 3), 0, 1]])):
         want = vf.compare(ssep_model, "c", (), good, bad)
-        (a, b), d = integer_form(SparseMatrix.from_dense(good),
-                                 SparseMatrix.from_dense(bad))
-        assert d > 1
+        a, b = SparseMatrix.from_dense(good), SparseMatrix.from_dense(bad)
+        assert a.den > 1
         for lhs, rhs in ((a, b), (dense(a), dense(b)),
                          (list(dense(a).a[want.witness["row"]]),
                           list(dense(b).a[want.witness["row"]]))):
-            got = vf.compare(ssep_model, "c", (), lhs, rhs, d)
+            got = vf.compare(ssep_model, "c", (), lhs, rhs)
             assert got.status == vf.FAIL
             if isinstance(lhs, list):   # a flat sequence is row 0
                 assert got.witness == {**want.witness, "row": 0}
             else:
                 assert got.witness == want.witness
-        assert vf.compare(ssep_model, "c", (), a, a, d).status == vf.PASS
+        assert vf.compare(ssep_model, "c", (), a, a).status == vf.PASS
 
 
 def test_yang_baxter_fail_prints_fraction_entries(ssep_model, monkeypatch):
