@@ -21,7 +21,7 @@ from . import models as m
 from .markov import Distribution
 from .models import ModelDescriptor
 from .scalars import Dual
-from .tensor import Matrix, PoleError, SparseMatrix, _kept, dual_parts, \
+from .tensor import Matrix, PoleError, SparseMatrix, _kept, \
     integer_vector, kron
 
 REL_TOL = Fraction(1, 10 ** 12)   # truncation-convergence threshold
@@ -498,14 +498,30 @@ class MonodromyRealization:
         self.L = inner_length
 
     def components(self, x):
-        """(A_0(x), A_1(x)) as dense operators on the inner chain."""
-        R = m.r_matrix(self.model, x).a
-        r = [[Matrix([row[2 * k:2 * k + 2] for row in R[2 * i:2 * i + 2]])
-              for k in (0, 1)] for i in (0, 1)]
-        X = [Matrix([[v]]) for v in m.markov_vector(self.model, x)]
+        """(A_0(x), A_1(x)) as dense operators on the inner chain.  At a
+        Dual point x0 + eps R is the pair (R, R') at x0, and so is the
+        result, ((A_0, A_1), (A_0', A_1')): each site carries the
+        derivatives by the product rule d(X (x) r) = X' (x) r + X (x) r'."""
+        dual = isinstance(x, Dual)
+        R = m.r_matrix(self.model, x)
+        r, rp = map(_blocks, R) if dual else (_blocks(R), None)
+        v = [m._split(e) for e in m.markov_vector(self.model, x)]
+        X, Xp = ([Matrix([[e[k]]]) for e in v] for k in (0, 1))
         for _ in range(self.L):
+            if dual:
+                Xp = [kron(Xp[0], r[i][0]) + kron(Xp[1], r[i][1]) +
+                      kron(X[0], rp[i][0]) + kron(X[1], rp[i][1])
+                      for i in (0, 1)]
             X = [kron(X[0], r[i][0]) + kron(X[1], r[i][1]) for i in (0, 1)]
-        return X
+        return (X, Xp) if dual else X
+
+
+def _blocks(R: Matrix) -> list:
+    """r[i][k], the 2 x 2 block of R at rows 2i, 2i + 1 and columns 2k,
+    2k + 1, on R's table."""
+    N, d = R._table
+    return [[Matrix._over([row[2 * k:2 * k + 2] for row in N[2 * i:2 * i + 2]],
+                          d) for k in (0, 1)] for i in (0, 1)]
 
 
 def _r_mix(R: Matrix, prods: dict) -> dict:
@@ -569,7 +585,7 @@ def zf_relations(realization, x1, x2):
     idp = model.identity_point
 
     def derivative():
-        X, Xp = zip(*map(dual_parts, components(Dual.variable(idp))))
+        X, Xp = components(Dual.variable(idp))
         w, _, _ = m.local_operators(model)
         inv_rho = 1 / model.rho
         return _r_mix(w, _products(X, X)), \

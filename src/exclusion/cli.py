@@ -213,6 +213,9 @@ def _cap(args) -> int:
 
 
 def _emit(text: str, args):
+    # argparse reads --out=-- as no value at all: an empty list
+    if args.out == []:
+        raise UsageError("--out needs a file name")
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

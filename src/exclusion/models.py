@@ -9,9 +9,12 @@ entries are exact rational functions of the rates and the spectral
 parameter, written in closed form, except on the right boundary: ``mirror``
 reflects the chain and exchanges particles and holes, (alpha, beta, gamma,
 delta) -> (beta, alpha, delta, gamma), and Kbar = J K(x^-1) J at the mirror,
-J = [[0, 1], [1, 0]], so ASEP's Kbar is undefined at x = 0.  The matrix
-constructors accept Fraction or Dual arguments alike, and at a Dual
-argument the constant entries stay plain Fractions.
+J = [[0, 1], [1, 0]], so ASEP's Kbar is undefined at x = 0.  The closed
+forms are the one place a Dual meets a matrix: they take Fraction or Dual
+arguments alike and return rows of entries (at a Dual argument the
+constant entries stay plain Fractions), and the R and K caches wrap them
+once, as a Matrix at a rational point and as the pair (M(x0), M'(x0)) of
+rational Matrices at a Dual point x0 + eps.
 
 Spectral-parameter bookkeeping differs per model: ASEP, TASEP and RD
 compose arguments multiplicatively (x1/x2, identity point 1) while SSEP is
@@ -212,55 +215,72 @@ CACHE_SIZE = 1024
 
 
 def r_matrix(model: ModelDescriptor, x) -> Matrix:
-    """The 4x4 R-matrix at spectral parameter x (exact; Dual-friendly).
+    """The 4x4 R-matrix at spectral parameter x, exact; at a Dual point
+    x0 + eps the pair (R(x0), R'(x0)) of rational Matrices.
 
-    At any x, Dual included, it comes from a bounded cache keyed by (name,
-    q, kappa, x), the constants R reads, so every caller gets the same
+    Both come from a bounded cache keyed by (name, q, kappa, x, whether x
+    is a Dual), the constants R reads, so every caller gets the same
     Matrix: never change it.  A pole is not cached: it raises PoleError on
     every call."""
-    return _r_cached(model.name, model.q, model.kappa, x)
+    return _r_cached(model.name, model.q, model.kappa, x,
+                     isinstance(x, Dual))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _r_cached(name, q, kappa, x) -> Matrix:
+def _r_cached(name, q, kappa, x, dual):
     # a descriptor of the key's constants alone: R cannot read a rate
-    return _r_matrix(ModelDescriptor(name, None, None, None, None, q, kappa),
-                     x)
+    return _wrapped(_r_matrix(
+        ModelDescriptor(name, None, None, None, None, q, kappa), x), dual)
 
 
-def _r_matrix(model: ModelDescriptor, x) -> Matrix:
+def _wrapped(rows, dual):
+    """Closed-form rows as the caches hand them out: a Matrix, or at a Dual
+    point the pair (values, derivatives) of rational Matrices."""
+    if not dual:
+        return Matrix(rows)
+    return tuple(Matrix([[_split(e)[k] for e in row] for row in rows])
+                 for k in (0, 1))
+
+
+def _split(e) -> tuple:
+    """(value, derivative) of a Fraction or Dual scalar, a plain rational
+    having derivative 0."""
+    return (e.value, e.deriv) if isinstance(e, Dual) else (e, 0)
+
+
+def _r_matrix(model: ModelDescriptor, x) -> list:
     if model.name == ASEP:
         q = model.q
         d = _nonzero(q * x - 1, "q*x - 1", x)
-        return Matrix([[1, 0, 0, 0],
-                       [0, (x - 1) * q / d, (q - 1) * x / d, 0],
-                       [0, (q - 1) / d, (x - 1) / d, 0],
-                       [0, 0, 0, 1]])
+        return [[1, 0, 0, 0],
+                [0, (x - 1) * q / d, (q - 1) * x / d, 0],
+                [0, (q - 1) / d, (x - 1) / d, 0],
+                [0, 0, 0, 1]]
     if model.name == TASEP:
-        return Matrix([[1, 0, 0, 0],
-                       [0, 0, x, 0],
-                       [0, 1, 1 - x, 0],
-                       [0, 0, 0, 1]])
+        return [[1, 0, 0, 0],
+                [0, 0, x, 0],
+                [0, 1, 1 - x, 0],
+                [0, 0, 0, 1]]
     if model.name == SSEP:
         d = _nonzero(x + 1, "x + 1", x)
-        return Matrix([[1, 0, 0, 0],
-                       [0, x / d, 1 / d, 0],
-                       [0, 1 / d, x / d, 0],
-                       [0, 0, 0, 1]])
+        return [[1, 0, 0, 0],
+                [0, x / d, 1 / d, 0],
+                [0, 1 / d, x / d, 0],
+                [0, 0, 0, 1]]
     k = model.kappa
     d1 = _nonzero(k * (x + 1) + x - 1, "kappa*(x+1) + x-1", x)
     d2 = _nonzero(k * (x - 1) + x + 1, "kappa*(x-1) + x+1", x)
-    return Matrix([[k * (x + 1) / d1, 0, 0, (x - 1) / d1],
-                   [0, k * (x - 1) / d2, (x + 1) / d2, 0],
-                   [0, (x + 1) / d2, k * (x - 1) / d2, 0],
-                   [(x - 1) / d1, 0, 0, k * (x + 1) / d1]])
+    return [[k * (x + 1) / d1, 0, 0, (x - 1) / d1],
+            [0, k * (x - 1) / d2, (x + 1) / d2, 0],
+            [0, (x + 1) / d2, k * (x - 1) / d2, 0],
+            [(x - 1) / d1, 0, 0, k * (x + 1) / d1]]
 
 
 def r_matrix_swapped(model: ModelDescriptor, x) -> Matrix:
-    """R21(x) = P R12(x) P: R's entries with both tensor legs of the row
-    and of the column index swapped (01 <-> 10)."""
-    a = r_matrix(model, x).a
-    return Matrix([[a[r][c] for c in _SWAP] for r in _SWAP])
+    """R21(x) = P R12(x) P at a rational x: R's table with both tensor legs
+    of the row and of the column index swapped (01 <-> 10)."""
+    N, d = r_matrix(model, x)._table
+    return Matrix._over([[N[r][c] for c in _SWAP] for r in _SWAP], d)
 
 
 _SWAP = (0, 2, 1, 3)   # the index of P e_i
@@ -278,60 +298,61 @@ def k_matrix(model: ModelDescriptor, kind: str, x) -> Matrix:
     singularities, the identity point included, need no special evaluation;
     ktilde_from_kbar checks it.
 
-    At any x, Dual included, the matrix comes from a bounded cache keyed by
-    (kind, model, x), so every caller gets the same Matrix: never change
-    it.  A pole is not cached: it raises PoleError on every call."""
+    At a Dual point x0 + eps it is the pair (M(x0), M'(x0)) of rational
+    Matrices.  Both come from a bounded cache keyed by (kind, model, x,
+    whether x is a Dual), so every caller gets the same Matrix: never
+    change it.  A pole is not cached: it raises PoleError on every call."""
     if kind not in _K_FORMS:
         raise ValueError(f"unknown K-matrix kind {kind!r}")
-    return _k_cached(kind, model, x)
+    return _k_cached(kind, model, x, isinstance(x, Dual))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _k_cached(kind, model, x) -> Matrix:
-    return _K_FORMS[kind](model, x)
+def _k_cached(kind, model, x, dual):
+    return _wrapped(_K_FORMS[kind](model, x), dual)
 
 
-def _k_left(model: ModelDescriptor, x) -> Matrix:
+def _k_left(model: ModelDescriptor, x) -> list:
     al, ga = model.alpha, model.gamma
     if model.name == ASEP:
         q = model.q
         d = _nonzero(ga * x * x + (q + al - ga - 1) * x - al,
                      "gamma*x^2 + (q+alpha-gamma-1)*x - alpha", x)
-        return Matrix([[x * (-al * x + ga * x + q + al - ga - 1) / d,
-                        ga * (x * x - 1) / d],
-                       [al * (x * x - 1) / d,
-                        (q * x + al * x - ga * x - x - al + ga) / d]])
+        return [[x * (-al * x + ga * x + q + al - ga - 1) / d,
+                 ga * (x * x - 1) / d],
+                [al * (x * x - 1) / d,
+                 (q * x + al * x - ga * x - x - al + ga) / d]]
     if model.name == TASEP:
         d = _nonzero(al * x - x - al, "alpha*x - x - alpha", x)
-        return Matrix([[x * (-al * x + al - 1) / d, 0],
-                       [al * (x * x - 1) / d, 1]])
+        return [[x * (-al * x + al - 1) / d, 0],
+                [al * (x * x - 1) / d, 1]]
     if model.name == SSEP:
         d = _nonzero(x * (al + ga) + 1, "x*(alpha+gamma) + 1", x)
-        return Matrix([[(x * (ga - al) + 1) / d, 2 * x * ga / d],
-                       [2 * x * al / d, (x * (al - ga) + 1) / d]])
+        return [[(x * (ga - al) + 1) / d, 2 * x * ga / d],
+                [2 * x * al / d, (x * (al - ga) + 1) / d]]
     k = model.kappa
     x2 = x * x
     d = _nonzero(2 * x * ((x2 - 1) * (al + ga) + 2 * k * (x2 + 1)),
                  "2x*((x^2-1)(alpha+gamma) + 2kappa(x^2+1))", x)
-    return Matrix([[(x2 + 1) * ((x2 - 1) * (ga - al) + 4 * x * k) / d,
-                    (x2 - 1) * ((x2 + 1) * (ga - al) + 2 * x * (al + ga)) / d],
-                   [-(x2 - 1) * ((x2 + 1) * (ga - al) - 2 * x * (al + ga)) / d,
-                    -(x2 + 1) * ((x2 - 1) * (ga - al) - 4 * x * k) / d]])
+    return [[(x2 + 1) * ((x2 - 1) * (ga - al) + 4 * x * k) / d,
+             (x2 - 1) * ((x2 + 1) * (ga - al) + 2 * x * (al + ga)) / d],
+            [-(x2 - 1) * ((x2 + 1) * (ga - al) - 2 * x * (al + ga)) / d,
+             -(x2 + 1) * ((x2 - 1) * (ga - al) - 4 * x * k) / d]]
 
 
-def _k_right(model: ModelDescriptor, x) -> Matrix:
+def _k_right(model: ModelDescriptor, x) -> list:
     mirrored = mirror(model)
     try:
-        (a, b), (c, d) = _k_left(mirrored, model.convention.invert(x)).a
+        (a, b), (c, d) = _k_left(mirrored, model.convention.invert(x))
     except ZeroDivisionError as exc:
         why = exc if isinstance(exc, PoleError) else "x^-1 is undefined"
         raise PoleError(f"Kbar has a pole at x={x}, where K at "
                         f"alpha={mirrored.alpha}, gamma={mirrored.gamma} is "
                         f"evaluated at x^-1: {why}") from None
-    return Matrix([[d, c], [b, a]])
+    return [[d, c], [b, a]]
 
 
-def _k_dual(model: ModelDescriptor, x) -> Matrix:
+def _k_dual(model: ModelDescriptor, x) -> list:
     be, de = model.beta, model.delta
     if model.name == ASEP:
         q = model.q
@@ -339,18 +360,18 @@ def _k_dual(model: ModelDescriptor, x) -> Matrix:
                      "(delta*x+beta)(x-1) + (q-1)x", x)
         d2 = _nonzero(q * q * x * x - 1, "q^2 x^2 - 1", x)
         pre = (q * x * x - 1) / d
-        return Matrix([[pre * (q * x * (q - 1 - de + be) + de - be) / d2, pre * be],
-                       [pre * de / q, pre * x * (q * x * (de - be) + q - 1 - de + be) / d2]])
+        return [[pre * (q * x * (q - 1 - de + be) + de - be) / d2, pre * be],
+                [pre * de / q, pre * x * (q * x * (de - be) + q - 1 - de + be) / d2]]
     if model.name == TASEP:
         d = _nonzero(x * (be - 1) - be, "x*(beta-1) - beta", x)
-        return Matrix([[-be / d, -be / d],
-                       [0, x * (be - 1) / d]])
+        return [[-be / d, -be / d],
+                [0, x * (be - 1) / d]]
     if model.name == SSEP:
         d = _nonzero(x * (de + be) + 1, "x*(delta+beta) + 1", x)
         d2 = _nonzero(2 * (x + 1), "2(x+1)", x)
         pre = (2 * x + 1) / d
-        return Matrix([[pre * ((x + 1) * (be - de) + 1) / d2, pre * be],
-                       [pre * de, pre * ((x + 1) * (de - be) + 1) / d2]])
+        return [[pre * ((x + 1) * (be - de) + 1) / d2, pre * be],
+                [pre * de, pre * ((x + 1) * (de - be) + 1) / d2]]
     # u = kappa+1, v = kappa-1; every entry carries F/(2uvx G) with
     # F = u^2 x^4 - v^2 and G = (beta+delta)(x^2-1) + 2kappa(x^2+1)
     k = model.kappa
@@ -370,10 +391,10 @@ def _k_dual(model: ModelDescriptor, x) -> Matrix:
     pre = (ux * ux * x2 - v * v) / (2 * u * v * x * g)
     s = (be - de) * dm
     t = 4 * k * u * v * x
-    return Matrix([[pre * (s + t) / dm,
-                    pre * (be * (ux + v) ** 2 - de * (ux - v) ** 2) / dp],
-                   [-pre * (be * (ux - v) ** 2 - de * (ux + v) ** 2) / dp,
-                    -pre * (s - t) / dm]])
+    return [[pre * (s + t) / dm,
+             pre * (be * (ux + v) ** 2 - de * (ux - v) ** 2) / dp],
+            [-pre * (be * (ux - v) ** 2 - de * (ux + v) ** 2) / dp,
+             -pre * (s - t) / dm]]
 
 
 _K_FORMS = {"K": _k_left, "Kbar": _k_right, "Ktilde": _k_dual}
@@ -391,7 +412,7 @@ def ktilde_from_kbar(model: ModelDescriptor, x) -> Matrix:
         inv = partial_transpose(inverse(Rt1), 1)
     except PoleError as exc:
         raise PoleError(f"singular partial transpose at x={x}") from exc
-    kbar = _k_cached("Kbar", model, conv.invert(x))
+    kbar = _k_cached("Kbar", model, conv.invert(x), False)
     big = kron(kbar, Matrix.identity(2)) * inv * permutation_op()
     return partial_trace_first(big)
 
@@ -401,26 +422,29 @@ def kbar_from_ktilde(model: ModelDescriptor, x) -> Matrix:
     if model.name == TASEP:
         raise UnsupportedError("tasep: dual reflection structure undefined")
     conv = model.convention
-    ktilde = _k_cached("Ktilde", model, conv.invert(x))
+    ktilde = _k_cached("Ktilde", model, conv.invert(x), False)
     big = kron(ktilde, Matrix.identity(2)) * \
         r_matrix(model, conv.invert(conv.reflect_compose(x, x))) * permutation_op()
     return partial_trace_first(big)
 
 
 def general_asep_k(alpha, gamma, q, tau):
-    """The twisted ASEP left K-matrix as a function of x.  The exponential
-    twist enters algebraically only, as a free rational parameter tau
-    (tau=1 is the untwisted Markovian matrix)."""
+    """The twisted ASEP left K-matrix D K(x) D^-1, D = diag(1, tau), as a
+    function of x; at a Dual point both parts of the cached pair are
+    twisted.  The exponential twist enters algebraically only, as a free
+    rational parameter tau (tau=1 is the untwisted Markovian matrix)."""
     alpha, gamma, q, tau = map(rat, (alpha, gamma, q, tau))
     if tau == 0:
         raise ValueError("twist parameter tau must be nonzero")
     _check_q(q)
     base = ModelDescriptor(ASEP, alpha, Fraction(1), gamma, Fraction(0), q=q)
 
+    D, Di = Matrix([[1, 0], [0, tau]]), Matrix([[1, 0], [0, 1 / tau]])
+
     def k(x):
-        K = _k_cached("K", base, x)
-        return Matrix([[K.a[0][0], K.a[0][1] / tau],
-                       [tau * K.a[1][0], K.a[1][1]]])
+        K = _k_cached("K", base, x, isinstance(x, Dual))
+        return tuple(D * P * Di for P in K) if isinstance(K, tuple) \
+            else D * K * Di
 
     return k
 

@@ -2,8 +2,10 @@
 
 Everything on the correctness path is a ``fractions.Fraction``; floats only
 appear when formatting output.  ``Dual`` augments a rational value with a
-first derivative, so evaluating a matrix of rational functions at
-``Dual(x0, 1)`` yields the exact entrywise derivative at ``x0``.
+first derivative.  It is a scalar only: the closed forms of ``models``
+evaluated at ``Dual(x0, 1)`` give entries whose two parts are the exact
+value and derivative at ``x0``, and the R and K caches split them into a
+pair of rational matrices, so no matrix holds a Dual.
 """
 
 from __future__ import annotations

@@ -3,17 +3,16 @@
 Site ordering follows the probability-vector convention: site 1 is the most
 significant bit of the configuration index, so index 1 is (0,...,0,1).
 All operations are pure.  Both matrix types hold one form, an integer
-table over one denominator: a dense Matrix's ``_table`` (N, d), formed once
-through ``_dense_over_lcm``, and a SparseMatrix's int rows over its
-positive ``den``.  Products, ``kron``, sums, scalings, the transposes,
-``inverse``, ``rank``, matvecs, the embedding and ``exact_nullspace`` work
-in ints and take no gcd per entry; Fraction entries are formed, reduced,
-only when they are read.  ``integer_vector`` puts a vector in the same
-form.  The transfer-matrix contraction reads the same tables.  These are
-the package's only scaling of rationals to integers.  Dual entries appear
-only in dense matrices taken at a Dual point, which have no table:
-``kron`` and sums carry them as they are, and ``dual_parts`` splits them
-into the rational matrices products need.
+table over one denominator: a dense Matrix's ``_table`` (N, d), formed
+from its entries once, when it is built, through ``_dense_over_lcm``, and
+a SparseMatrix's int rows over its positive ``den``.  Products, ``kron``,
+sums, scalings, the transposes, ``inverse``, ``rank``, matvecs, ``==``,
+the embedding and ``exact_nullspace`` work in ints and take no gcd per
+entry; Fraction entries are formed, reduced, only when they are read.
+``integer_vector`` puts a vector in the same form.  The transfer-matrix
+contraction reads the same tables.  These are the package's only scaling
+of rationals to integers.  Every entry is rational: a derivative is a pair
+of these matrices (``derivative_at``).
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-
-from .scalars import Dual
 
 
 class PoleError(ZeroDivisionError):
@@ -33,35 +30,30 @@ _ZERO = Fraction(0)   # shared by zero product entries; Fractions are immutable
 
 
 class Matrix:
-    """Small dense matrix, row-major, held in one or both of two forms: ``a``,
-    its entries as rows of Fractions (ints promoted, Dual entries kept as
-    they are), and ``_table``, (N, d) with the matrix N / d, N rows of ints
-    and d a nonzero int.
+    """Small dense matrix, row-major, held as one integer table ``_table``,
+    (N, d) with the matrix N / d, N rows of ints and d a nonzero int.
 
-    A Matrix built from entries forms its table once, through
-    ``_dense_over_lcm``, when an operation first needs it.  Products,
-    ``kron``, sums, rational scalings, the transposes, ``apply``,
-    ``inverse`` and ``rank`` work on the tables, and a Matrix they return
-    holds only its table: ``a`` is formed, reduced, on first read.  Each
-    form is kept on the instance once formed.  A Matrix with Dual entries
-    has no table: ``kron``, sums and scalings carry its entries as they are,
-    and a product raises.
+    A Matrix built from entries, ints or Fractions, forms its table in
+    ``__init__``, through ``_dense_over_lcm``; any other entry raises
+    TypeError.  Products, ``kron``, sums, negation, rational scalings, the
+    transposes, ``apply``, ``inverse``, ``rank`` and ``==`` work on the
+    tables.  ``a``, the entries as rows of reduced Fractions, is a read
+    view, formed on first read and kept.
 
-    A Matrix is never changed once built and handed out: ``models`` shares
-    each R(x) and K(x) it builds between all of its callers.  The one
-    in-place write is filling in the entries of a fresh ``zeros()``, before
-    anything forms its table, which would not see a later write.
+    A Matrix is never changed once built: ``models`` shares each R(x) and
+    K(x) it builds between all of its callers.
     """
 
-    __slots__ = ("a", "_table", "rows", "cols")
+    __slots__ = ("_table", "a", "rows", "cols")
 
     def __init__(self, rows_of_entries):
-        # bare ints are promoted so that entry division stays exact
-        self.a = [[Fraction(e) if isinstance(e, int) else e for e in r]
-                  for r in rows_of_entries]
-        self.rows = len(self.a)
-        self.cols = len(self.a[0]) if self.a else 0
-        if any(len(r) != self.cols for r in self.a):
+        try:
+            self._table = N, _ = _dense_over_lcm(rows_of_entries)
+        except AttributeError:   # an entry with no denominator
+            raise TypeError("Matrix entries are ints or Fractions") from None
+        self.rows = len(N)
+        self.cols = len(N[0]) if N else 0
+        if any(len(r) != self.cols for r in N):
             raise ValueError("ragged matrix")
 
     @classmethod
@@ -74,21 +66,16 @@ class Matrix:
         return M
 
     def __getattr__(self, name):
-        # a form not yet held is formed from the other one, and kept
-        if name == "a":
-            N, d = self._table
-            self.a = [[Fraction(v, d) if v else _ZERO for v in row]
-                      for row in N]
-            return self.a
-        if name == "_table":
-            # a Dual entry has no denominator: AttributeError
-            self._table = _dense_over_lcm(self.a)
-            return self._table
-        raise AttributeError(name)
+        # the entries are formed from the table on first read, and kept
+        if name != "a":
+            raise AttributeError(name)
+        N, d = self._table
+        self.a = [[Fraction(v, d) if v else _ZERO for v in row] for row in N]
+        return self.a
 
     @staticmethod
     def zeros(rows, cols):
-        return Matrix([[Fraction(0)] * cols for _ in range(rows)])
+        return Matrix._over([[0] * cols for _ in range(rows)], 1)
 
     @staticmethod
     def identity(n):
@@ -114,11 +101,11 @@ class Matrix:
         return self._scaled(other)
 
     def _scaled(self, s):
-        """s M: on the table for a rational s, else entry by entry."""
-        tables = _tables(self)
-        if tables is None or not isinstance(s, (int, Fraction)):
-            return Matrix([[s * e for e in row] for row in self.a])
-        (N, d), = tables
+        """s M for a rational s: the table times its numerator, over d times
+        its denominator."""
+        if not isinstance(s, (int, Fraction)):
+            return NotImplemented
+        N, d = self._table
         n = s.numerator
         return Matrix._over([[v * n for v in row] for row in N],
                             d * s.denominator)
@@ -135,27 +122,34 @@ class Matrix:
         return self._sum(other, -1)
 
     def _sum(self, other, sign):
-        """self + sign other: over the lcm of the two denominators, or
-        entry by entry when either holds Dual entries."""
+        """self + sign other, over the lcm of the two denominators."""
         self._same_shape(other)
-        tables = _tables(self, other)
-        if tables is None:
-            return Matrix([[x + sign * y for x, y in zip(r, s)]
-                           for r, s in zip(self.a, other.a)])
-        (a, da), (b, db) = tables
+        (a, da), (b, db) = self._table, other._table
         d = math.lcm(da, db)
         fa, fb = d // da, sign * (d // db)
         return Matrix._over([[x * fa + y * fb for x, y in zip(r, s)]
                              for r, s in zip(a, b)], d)
 
     def __neg__(self):
-        return Matrix([[-x for x in r] for r in self.a])
+        N, d = self._table
+        return Matrix._over([[-v for v in row] for row in N], d)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and all(
-            x == y for r, s in zip(self.a, other.a) for x, y in zip(r, s))
+        return (self.rows, self.cols) == (other.rows, other.cols) and \
+            next(self._mismatches(other), None) is None
+
+    def _mismatches(self, other):
+        """(row, col, self's entry, other's entry) wherever the two differ,
+        in row-major order, the entries read from ``a``.  A / da = B / db
+        where A db = B da, so no Fraction is formed unless they differ."""
+        self._same_shape(other)
+        (ta, da), (tb, db) = self._table, other._table
+        for r, (row_a, row_b) in enumerate(zip(ta, tb)):
+            for c, (x, y) in enumerate(zip(row_a, row_b)):
+                if x * db != y * da:
+                    yield r, c, self.a[r][c], other.a[r][c]
 
     def transpose(self):
         N, d = self._table
@@ -175,36 +169,18 @@ class Matrix:
         return f"Matrix({self.a!r})"
 
 
-def _tables(*mats):
-    """The integer tables of the matrices, or None when one of them holds
-    Dual entries."""
-    try:
-        return [M._table for M in mats]
-    except AttributeError:
-        return None
-
-
 def kron(A: Matrix, B: Matrix) -> Matrix:
     """A (x) B: entry (i k, j l) is A[i][j] B[k][l], over the product of
-    the two denominators; Dual entries are multiplied as they are."""
-    tables = _tables(A, B)
-    if tables is None:
-        return Matrix(_kron_rows(A.a, B.a))
-    (a, da), (b, db) = tables
-    return Matrix._over(_kron_rows(a, b), da * db)
-
-
-def _kron_rows(a, b) -> list:
-    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+    the two denominators."""
+    (a, da), (b, db) = A._table, B._table
+    return Matrix._over([[x * y for x in ra for y in rb]
+                         for ra in a for rb in b], da * db)
 
 
 def permutation_op() -> Matrix:
     """4x4 swap P: P(u (x) v) = v (x) u, P^2 = I."""
-    P = Matrix.zeros(4, 4)
-    for i in range(2):
-        for j in range(2):
-            P.a[2 * i + j][2 * j + i] = Fraction(1)
-    return P
+    return Matrix._over([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0],
+                         [0, 0, 0, 1]], 1)
 
 
 def partial_transpose(M: Matrix, leg: int) -> Matrix:
@@ -224,21 +200,13 @@ def partial_transpose(M: Matrix, leg: int) -> Matrix:
 
 
 def partial_trace_first(M: Matrix) -> Matrix:
-    """Trace out the first 2-dim factor of an operator on 2 (x) 2^n: a sum
-    of entries, which carries Dual entries as they are."""
+    """Trace out the first 2-dim factor of an operator on 2 (x) 2^n."""
     if M.rows != M.cols or M.rows % 2:
         raise ValueError("dimension not even")
     half = M.rows // 2
-
-    def trace(a):
-        return [[a[j][l] + a[half + j][half + l] for l in range(half)]
-                for j in range(half)]
-
-    tables = _tables(M)
-    if tables is None:
-        return Matrix(trace(M.a))
-    (N, d), = tables
-    return Matrix._over(trace(N), d)
+    N, d = M._table
+    return Matrix._over([[N[j][l] + N[half + j][half + l] for l in range(half)]
+                         for j in range(half)], d)
 
 
 def _eliminate(rows, ncols) -> tuple:
@@ -332,8 +300,7 @@ class SparseMatrix:
 
     @staticmethod
     def from_dense(M: Matrix):
-        """M over the denominator of its table, taken as it is; a Matrix
-        with Dual entries has no table and raises AttributeError."""
+        """M over the denominator of its table, taken as it is."""
         if M.rows != M.cols:
             raise ValueError(f"SparseMatrix is square, got {M.rows}x{M.cols}")
         N, d = M._table
@@ -829,19 +796,12 @@ def _annihilates(rows, vectors) -> bool:
 
 
 def derivative_at(f, x0) -> Matrix:
-    """Exact derivative of a matrix-valued rational function at x0, by
-    evaluating over dual numbers.  Poles raise PoleError."""
+    """Exact derivative of a matrix-valued rational function at x0.  At the
+    Dual point x0 + eps, f returns the pair (f(x0), f'(x0)) of rational
+    Matrices, as the R and K caches of ``models`` do, and its second part is
+    the derivative.  Poles raise PoleError."""
+    from .scalars import Dual
     try:
-        M = f(Dual.variable(x0))
+        return f(Dual.variable(x0))[1]
     except ZeroDivisionError as exc:
         raise PoleError(f"pole while differentiating at {x0}: {exc}") from exc
-    return dual_parts(M)[1]
-
-
-def dual_parts(M: Matrix) -> tuple:
-    """(values, derivatives): the two rational matrices of a matrix taken at
-    a Dual point, a plain rational entry having derivative 0."""
-    return (Matrix([[e.value if isinstance(e, Dual) else e for e in row]
-                    for row in M.a]),
-            Matrix([[e.deriv if isinstance(e, Dual) else _ZERO for e in row]
-                    for row in M.a]))

@@ -16,6 +16,7 @@ structure checked.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
@@ -24,8 +25,8 @@ from operator import add, mul
 from . import models as m
 from .models import ModelDescriptor
 from .scalars import Dual
-from .tensor import Matrix, PoleError, SparseMatrix, _dense_over_lcm, \
-    dual_parts, exact_nullspace, inverse
+from .tensor import Matrix, PoleError, SparseMatrix, exact_nullspace, \
+    inverse
 from .verifier import CheckReport, compare, skipped
 
 
@@ -123,8 +124,9 @@ def build_transfer(spec: TransferSpec, x):
     over one den.
 
     Each factor F is scaled to integers by the lcm d of its denominators,
-    and den is the product of the d; at a Dual point F0 + eps F1 becomes
-    two integer tables over one d.  t(x) is then contracted site by site as
+    and den is the product of the d; at a Dual point the factor is the pair
+    (F, F') of Matrices, and their two tables are read over the lcm of
+    their denominators.  t(x) is then contracted site by site as
     an operator product of bond dimension 4, without forming any operator
     on the 2^(L+1)-dimensional auxiliary (x) chain space.  The bond state
     (p, y) holds the auxiliary index of the R_0j chain and of the R_j0
@@ -141,13 +143,10 @@ def build_transfer(spec: TransferSpec, x):
     L = spec.L
     factors, den = [], 1
     for F in _local_factors(spec, x):
-        if dual:
-            values, derivatives = dual_parts(F)
-            rows, d = _dense_over_lcm(values.a + derivatives.a)
-            factors.append([rows[:F.rows], rows[F.rows:]])
-        else:
-            rows, d = F._table
-            factors.append([rows])
+        tables = [P._table for P in F] if dual else [F._table]
+        d = math.lcm(*(e for _, e in tables))
+        factors.append([N if e == d else [[v * (d // e) for v in row]
+                                          for row in N] for N, e in tables])
         den *= d
     Kt, K = factors[0], factors[L + 1]
     O = [[K[0][p][y]] for p, y in _BONDS]

@@ -79,17 +79,8 @@ def _mismatches(lhs, rhs):
             for r, c, a, b in _mismatches(block, rhs[i, j]):
                 yield i * h + r, j * w + c, a, b
         return
-    if isinstance(lhs, SparseMatrix):
+    if isinstance(lhs, (SparseMatrix, Matrix)):
         yield from lhs._mismatches(rhs)
-        return
-    if isinstance(lhs, Matrix):
-        # A / da = B / db where A db = B da: no Fraction unless they differ
-        lhs._same_shape(rhs)
-        (ta, da), (tb, db) = lhs._table, rhs._table
-        for r, (row_a, row_b) in enumerate(zip(ta, tb)):
-            for c, (a, b) in enumerate(zip(row_a, row_b)):
-                if a * db != b * da:
-                    yield r, c, lhs.a[r][c], rhs.a[r][c]
         return
     if len(lhs) != len(rhs):
         raise ValueError(f"length mismatch: {len(lhs)} vs {len(rhs)}")

@@ -2,15 +2,19 @@
 Kronecker product and partial transpose that the integer tables of
 ``tensor.Matrix`` are checked against, the dense embedding, built from
 ``kron`` and a slot permutation, that ``tensor.embed_at_positions`` is
-checked against, the embed-and-multiply products, over Fraction or Dual
-entries held as {row: {col: entry}}, that ``transfer.build_transfer`` and
-the coproduct of ``MonodromyRealization.components`` are checked against,
-and the RD current balance of ``ansatz.rd_closed_forms``."""
+checked against, the closed-form rows of R and K at a Dual point split
+entry by entry, which the pairs of the R and K caches are checked against,
+the embed-and-multiply products and sums, over Fraction or Dual entries
+held as {row: {col: entry}}, that ``transfer.build_transfer``, the
+coproduct of ``MonodromyRealization.components``, the Yang-Baxter sides
+and the RD letters are checked against, and the RD current balance of
+``ansatz.rd_closed_forms``."""
 
 from fractions import Fraction
 
 import exclusion.models as m
 from exclusion.ansatz import rd_closed_forms
+from exclusion.scalars import Dual
 from exclusion.tensor import Matrix, SparseMatrix, kron
 
 
@@ -51,10 +55,10 @@ def fraction_partial_transpose(a, leg: int) -> list:
 
 def dense(M: SparseMatrix) -> Matrix:
     """M as a dense Matrix."""
-    out = Matrix.zeros(M.dim, M.dim)
+    rows = [[0] * M.dim for _ in range(M.dim)]
     for r, c, v in M.items():
-        out.a[r][c] = v
-    return out
+        rows[r][c] = v
+    return Matrix(rows)
 
 
 def embed_dense(op: Matrix, positions, length: int) -> Matrix:
@@ -73,11 +77,11 @@ def embed_dense(op: Matrix, positions, length: int) -> Matrix:
     dim = 1 << length
     b = [sum(((a >> (length - 1 - t)) & 1) << (length - 1 - slot)
              for t, slot in enumerate(order)) for a in range(dim)]
-    out = Matrix.zeros(dim, dim)
+    rows = [[0] * dim for _ in range(dim)]
     for a, row in enumerate(kron(op, Matrix.identity(dim >> k)).a):
-        for a2, entry in enumerate(row):
-            out.a[b[a]][b[a2]] = entry
-    return out
+        for a2, v in enumerate(row):
+            rows[b[a]][b[a2]] = v
+    return Matrix(rows)
 
 
 def embed_local(op: Matrix, first_site: int, length: int) -> SparseMatrix:
@@ -88,11 +92,12 @@ def embed_local(op: Matrix, first_site: int, length: int) -> SparseMatrix:
         embed_dense(op, range(first_site - 1, first_site - 1 + k), length))
 
 
-def embed_rows(op: Matrix, positions, length: int) -> dict:
-    """op on the 0-indexed slots ``positions`` of (C^2)^(x length), its legs
-    in the order of ``positions``, identity elsewhere, as {row: {col:
-    entry}} over its entries (Fraction or Dual) as they are: entry (a, b) is
-    op[i][j] where a and b agree off the slots, i and j their slot bits."""
+def embed_rows(op: list, positions, length: int) -> dict:
+    """The operator with the rows op on the 0-indexed slots ``positions`` of
+    (C^2)^(x length), its legs in the order of ``positions``, identity
+    elsewhere, as {row: {col: entry}} over its entries (Fraction or Dual)
+    as they are: entry (a, b) is op[i][j] where a and b agree off the
+    slots, i and j their slot bits."""
     shifts = [length - 1 - p for p in positions]
     mask = sum(1 << s for s in shifts)
 
@@ -102,8 +107,8 @@ def embed_rows(op: Matrix, positions, length: int) -> dict:
 
     out = {}
     for a in range(1 << length):
-        row = {b: op.a[local(a)][local(b)] for b in range(1 << length)
-               if not (a ^ b) & ~mask and op.a[local(a)][local(b)]}
+        row = {b: op[local(a)][local(b)] for b in range(1 << length)
+               if not (a ^ b) & ~mask and op[local(a)][local(b)]}
         if row:
             out[a] = row
     return out
@@ -124,52 +129,133 @@ def rows_product(a: dict, b: dict) -> dict:
     return out
 
 
-def _entry(rows: dict, r: int, c: int):
+def rows_sum(terms) -> dict:
+    """The sum of c a over the (c, a) pairs, each a held as {row: {col:
+    entry}}: one Fraction sum per entry, zeros dropped."""
+    out = {}
+    for c, a in terms:
+        for r, row in a.items():
+            acc = out.setdefault(r, {})
+            for k, v in row.items():
+                acc[k] = acc.get(k, 0) + c * v
+    return {r: kept for r, row in out.items()
+            if (kept := {k: v for k, v in row.items() if v})}
+
+
+def rows_apply(a: dict, v) -> list:
+    """a v for a square operator held as {row: {col: entry}}."""
+    return [sum((x * v[c] for c, x in a.get(r, {}).items()), Fraction(0))
+            for r in range(len(v))]
+
+
+def rows_apply_left(a: dict, v) -> list:
+    """v^T a, the same way."""
+    out = [Fraction(0)] * len(v)
+    for r, row in a.items():
+        for c, x in row.items():
+            out[c] += v[r] * x
+    return out
+
+
+def sparse_rows(M: SparseMatrix) -> dict:
+    """M's entries as {row: {col: Fraction}}, read through items."""
+    out = {}
+    for r, c, v in M.items():
+        out.setdefault(r, {})[c] = v
+    return out
+
+
+def entry(rows: dict, r: int, c: int):
     return rows.get(r, {}).get(c, 0)
 
 
+def closed_rows(model, kind: str, x) -> list:
+    """The rows of R (kind "R") or of K, Kbar or Ktilde at x, straight from
+    the closed forms of ``models``, uncached: Fraction entries at a
+    rational x, Dual entries (constants left as Fractions) at a Dual x."""
+    return (m._r_matrix if kind == "R" else m._K_FORMS[kind])(model, x)
+
+
+def twisted_k_rows(model, tau, x) -> list:
+    """The rows of the ASEP K at the model's alpha, gamma and q twisted by
+    tau, [[a, b / tau], [tau c, d]], from the closed form."""
+    base = model._replace(beta=Fraction(1), delta=Fraction(0))
+    (a, b), (c, d) = closed_rows(base, "K", x)
+    return [[a, b / tau], [tau * c, d]]
+
+
+def split(rows) -> tuple:
+    """(values, derivatives): the rows of the two parts of rows of Fraction
+    or Dual entries, entry by entry, a plain rational having derivative 0."""
+    return ([[e.value if isinstance(e, Dual) else e for e in row]
+             for row in rows],
+            [[e.deriv if isinstance(e, Dual) else 0 for e in row]
+             for row in rows])
+
+
+def as_cached(rows, x):
+    """Rows taken at x as the R and K caches hand them out: a Matrix at a
+    rational x, the pair (values, derivatives) of Matrices at a Dual x."""
+    return tuple(map(Matrix, split(rows))) if isinstance(x, Dual) \
+        else Matrix(rows)
+
+
+def _entries(model, kind: str, x) -> list:
+    """The rows of R or K of kind at x: the entries of the package's Matrix
+    at a rational x, so that a test's stand-in for it is seen, and the
+    closed-form rows, Dual entries included, at a Dual x."""
+    if isinstance(x, Dual):
+        return closed_rows(model, kind, x)
+    return (m.r_matrix(model, x) if kind == "R"
+            else m.k_matrix(model, kind, x)).a
+
+
 def transfer_factors(spec, x) -> list:
-    """(positions, matrix) of the 2L + 2 factors of t(x), in product order,
+    """(positions, rows) of the 2L + 2 factors of t(x), in product order,
     slot 0 the auxiliary space."""
     model, conv, L = spec.model, spec.model.convention, spec.L
-    factors = [((0,), m.k_matrix(model, "Ktilde", x))]
-    factors += [((0, j), m.r_matrix(model, conv.compose(x, spec.thetas[j - 1])))
+    factors = [((0,), _entries(model, "Ktilde", x))]
+    factors += [((0, j), _entries(model, "R",
+                                  conv.compose(x, spec.thetas[j - 1])))
                 for j in range(L, 0, -1)]
-    factors.append(((0,), m.k_matrix(model, "K", x)))
-    factors += [((j, 0), m.r_matrix(model,
-                                    conv.reflect_compose(x, spec.thetas[j - 1])))
-                for j in range(1, L + 1)]
+    factors.append(((0,), _entries(model, "K", x)))
+    factors += [((j, 0), _entries(
+        model, "R", conv.reflect_compose(x, spec.thetas[j - 1])))
+        for j in range(1, L + 1)]
     return factors
 
 
-def transfer_product(spec, x) -> Matrix:
+def transfer_product(spec, x):
     """t(x) as the ordered product of the embedded factors over Fraction (or
-    Dual) entries, traced over the auxiliary space: no integer assembly."""
+    Dual) entries, traced over the auxiliary space: no integer assembly.  A
+    Matrix, or at a Dual x the pair (t, t') split entry by entry."""
     acc = None
     for positions, f in transfer_factors(spec, x):
         f = embed_rows(f, positions, spec.L + 1)
         acc = f if acc is None else rows_product(acc, f)
     half = 1 << spec.L
-    return Matrix([[_entry(acc, j, l) + _entry(acc, half + j, half + l)
-                    for l in range(half)] for j in range(half)])
+    return as_cached([[entry(acc, j, l) + entry(acc, half + j, half + l)
+                       for l in range(half)] for j in range(half)], x)
 
 
-def monodromy_components(model, inner_length: int, x) -> list:
+def monodromy_components(model, inner_length: int, x):
     """(A_0(x), A_1(x)) with A_i = sum over k of T_ik(x) v_k(x), T = R_0L'
     ... R_01 the monodromy matrix multiplied out on the auxiliary (x) inner
     chain space (slot 0 the auxiliary one), over Fraction (or Dual)
-    entries, and cut into its 2 x 2 blocks of inner-chain operators."""
+    entries, and cut into its 2 x 2 blocks of inner-chain operators.  At a
+    Dual x the pair ((A_0, A_1), (A_0', A_1')), split entry by entry."""
     n = inner_length + 1
     acc = None
     for j in range(inner_length, 0, -1):
-        f = embed_rows(m.r_matrix(model, x), (0, j), n)
+        f = embed_rows(_entries(model, "R", x), (0, j), n)
         acc = f if acc is None else rows_product(acc, f)
     half = 1 << inner_length
     v = m.markov_vector(model, x)
-    return [Matrix([[_entry(acc, i * half + r, c) * v[0] +
-                     _entry(acc, i * half + r, half + c) * v[1]
-                     for c in range(half)] for r in range(half)])
-            for i in (0, 1)]
+    out = [as_cached([[entry(acc, i * half + r, c) * v[0] +
+                       entry(acc, i * half + r, half + c) * v[1]
+                       for c in range(half)] for r in range(half)], x)
+           for i in (0, 1)]
+    return tuple(map(list, zip(*out))) if isinstance(x, Dual) else out
 
 
 def rd_current_balance(kappa, alpha, beta, gamma, delta, L: int, i: int) -> Fraction:

@@ -11,9 +11,11 @@ import exclusion.markov as mk
 import exclusion.models as mo
 import exclusion.verifier as vf
 from exclusion.scalars import Dual, float_repr, format_rational
-from exclusion.tensor import Matrix, SparseMatrix, dual_parts
+from exclusion.tensor import Matrix
 from certificates import exact, pins, recorded
-from reference import dense, monodromy_components, rd_current_balance
+from reference import dense, entry, monodromy_components, \
+    rd_current_balance, rows_apply, rows_apply_left, rows_product, rows_sum, \
+    sparse_rows
 from strategies import MODELS
 
 
@@ -117,42 +119,54 @@ def test_tasep_rep_validation():
 # ----------------------------------------------------------------- RD rep
 #
 # The package holds the RD representation only as integer tables and the
-# stencil; the tests keep a Fraction oracle written entry by entry, bound to
-# the package by _oracle_letters, which asserts that the oracle A(x) equals
-# the package's stencil operators.
+# stencil; the tests keep a Fraction oracle written entry by entry, its
+# operators held as {row: {col: Fraction}} and combined by reference's
+# rows_sum and rows_product, never by SparseMatrix arithmetic.  It is bound
+# to the package by _oracle_letters, which asserts that the oracle A(x)
+# equals the package's stencil operators.
 
 def _oracle_letters(rep, xs=(F(1), F(2), F(-1, 3))):
     """G1, G2, G3 of the RD representation entry by entry: G2[n,m] =
     phi^(n+m), G1 and G3 the unit shifts n+1 and m-1; E, D = A(1)."""
     N, phi = rep.N, rep.meta["phi"]
-    G1, G2, G3 = (SparseMatrix(N * N) for _ in range(3))
+    G1, G2, G3 = {}, {}, {}
     for n in range(N):
         for m in range(N):
             p = n * N + m
-            G2.add(p, p, phi ** (n + m))
+            G2[p] = {p: phi ** (n + m)}
             if n + 1 < N:
-                G1.add((n + 1) * N + m, p, F(1))
+                G1[(n + 1) * N + m] = {p: F(1)}
             if m >= 1:
-                G3.add(n * N + m - 1, p, F(1))
-    G = {"G1": G1, "G2": G2, "G3": G3, "E": G2 + G1 + G3, "D": G2 - G1 - G3}
+                G3[n * N + m - 1] = {p: F(1)}
+    G = {"G1": G1, "G2": G2, "G3": G3,
+         "E": rows_sum([(1, G2), (1, G1), (1, G3)]),
+         "D": rows_sum([(1, G2), (-1, G1), (-1, G3)])}
     # A_+(x) + A_-(x) = 2 G2 and A_+(x) - A_-(x) = 2 (x G1 + G3/x) at two
     # points fix G1, G2 and G3
     for x in xs:
-        assert rep.components(x) == [_oracle_component(G, i, x)
-                                     for i in (0, 1)]
+        assert [sparse_rows(A) for A in rep.components(x)] == \
+            [_oracle_component(G, i, x) for i in (0, 1)]
     return G
 
 
 def _oracle_component(G, i, x):
     """A_+(x) = x G1 + G2 + G3/x (i = 0), A_-(x) = -x G1 + G2 - G3/x."""
     sign = 1 if i == 0 else -1
-    return G["G1"].scale(sign * x) + G["G2"] + G["G3"].scale(sign / x)
+    return rows_sum([(sign * x, G["G1"]), (1, G["G2"]), (sign / x, G["G3"])])
 
 
 def _oracle_derivative(G, i):
     """A_+'(1) = G1 - G3 and A_-'(1) = G3 - G1."""
     sign = 1 if i == 0 else -1
-    return G["G1"].scale(F(sign)) + G["G3"].scale(F(-sign))
+    return rows_sum([(sign, G["G1"]), (-sign, G["G3"])])
+
+
+def _oracle_contract(G, W, V, word):
+    """<W| X_1 ... X_k |V> word by word on the oracle's letters."""
+    vec = list(W)
+    for letter in word:
+        vec = rows_apply_left(G[letter], vec)
+    return sum(v * w for v, w in zip(vec, V))
 
 
 def _boundary_views(rep):
@@ -168,9 +182,9 @@ def test_rd_exchange_relations_exact_on_truncation():
     rep = an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 5)
     G1, G2, G3 = (_oracle_letters(rep)[k] for k in ("G1", "G2", "G3"))
     phi = rep.meta["phi"]
-    assert G1 * G2 == (G2 * G1).scale(1 / phi)
-    assert G1 * G3 == G3 * G1
-    assert G2 * G3 == (G3 * G2).scale(1 / phi)
+    assert rows_product(G1, G2) == rows_sum([(1 / phi, rows_product(G2, G1))])
+    assert rows_product(G1, G3) == rows_product(G3, G1)
+    assert rows_product(G2, G3) == rows_sum([(1 / phi, rows_product(G3, G2))])
 
 
 def test_rd_boundary_vectors_satisfy_recursions():
@@ -197,12 +211,12 @@ def test_rd_boundary_recursion_operators_interior():
     G1, G2, G3 = (_oracle_letters(rep)[k] for k in ("G1", "G2", "G3"))
     a, b, c, d = (rep.meta[k] for k in ("a", "b", "c", "d"))
     W, V = _boundary_views(rep)
-    lhs = (G1 - G2.scale(c) - G3.scale(a)).apply_left(W)
+    lhs = rows_apply_left(rows_sum([(1, G1), (-c, G2), (-a, G3)]), W)
     N = rep.N
     for n in range(N - 1):
         for mm in range(N - 1):
             assert lhs[n * N + mm] == 0
-    rhs = (G3 - G1.scale(b) - G2.scale(d)).apply(V)
+    rhs = rows_apply(rows_sum([(1, G3), (-b, G1), (-d, G2)]), V)
     for n in range(N - 1):
         for mm in range(N - 1):
             assert rhs[n * N + mm] == 0
@@ -236,7 +250,7 @@ def _oracle_inhomogeneous(G, W, V, thetas):
     for word in product((0, 1), repeat=len(thetas)):
         vec = list(W)
         for site, i in enumerate(word):
-            vec = comps[site][i].apply_left(vec)
+            vec = rows_apply_left(comps[site][i], vec)
         out.append(sum(v * w for v, w in zip(vec, V)))
     return out
 
@@ -249,7 +263,8 @@ def _check_integer_tables(rep, L, thetas):
                                              for m in range(N)]
     G = _oracle_letters(rep, thetas)
     words = ["".join(w) for w in product("ED", repeat=L)]
-    assert an.ansatz_weights(rep, L) == [_contract(G, W, V, w) for w in words]
+    assert an.ansatz_weights(rep, L) == [_oracle_contract(G, W, V, w)
+                                         for w in words]
     assert an.inhomogeneous_state(rep, thetas) == \
         _oracle_inhomogeneous(G, W, V, thetas)
 
@@ -799,11 +814,9 @@ def test_monodromy_components_equal_the_embedded_product(
             got = an.MonodromyRealization(mdl, Lp).components(x)
             assert got == monodromy_components(mdl, Lp, x), (mdl.name, x)
         x = Dual.variable(mdl.identity_point)
-        got, want = ([dual_parts(X) for X in components] for components in (
-            an.MonodromyRealization(mdl, Lp).components(x),
-            monodromy_components(mdl, Lp, x)))
-        assert got == want, mdl.name
-        assert any(e for _, Xp in got for row in Xp.a for e in row)
+        got = an.MonodromyRealization(mdl, Lp).components(x)
+        assert got == monodromy_components(mdl, Lp, x), mdl.name
+        assert any(e for Xp in got[1] for row in Xp.a for e in row)
 
 
 def test_zf_twice_and_c_commutation(asep_model, ssep_model):
@@ -882,13 +895,16 @@ def test_c_derivative_vanishes():
     # C(x) = 2 G2 for the RD ansatz: C'(1) = 0 identically
     rep = an.rd_representation(3, 1, 1, 0, 0, 5)
     G = _oracle_letters(rep)
-    Cp = _oracle_derivative(G, 0) + _oracle_derivative(G, 1)
-    assert Cp.nnz == 0
+    Cp = rows_sum([(1, _oracle_derivative(G, i)) for i in (0, 1)])
+    assert Cp == {}
 
 
 # ------------------------------------------ RD relation failures and poles
 
 def _doubled(M):
+    """2 M, and at a Dual point both parts of the pair doubled."""
+    if isinstance(M, tuple):
+        return tuple(map(_doubled, M))
     return Matrix([[2 * v for v in row] for row in M.a])
 
 
@@ -924,8 +940,8 @@ def _corner_cancelling(rep, x, target):
     G = _oracle_letters(rep)
     W, V = _closed_form_boundary(rep.meta, rep.N)
     y = 1 / x if target in ("K", "Kbar") else F(1)
-    t0, t1 = (_oracle_component(G, j, y).apply(V)[0] if "bar" in target
-              else _oracle_component(G, j, y).apply_left(W)[0]
+    t0, t1 = (rows_apply(_oracle_component(G, j, y), V)[0] if "bar" in target
+              else rows_apply_left(_oracle_component(G, j, y), W)[0]
               for j in (0, 1))
     return lambda M: M + Matrix([[t1, -t0], [t1, -t0]])
 
@@ -939,17 +955,21 @@ def _oracle_gz_residuals(rep, x):
     _, B, Bbar = mo.local_operators(model)
     Ax, Ainv, A1 = ([_oracle_component(G, i, y) for i in (0, 1)]
                     for y in (x, 1 / x, F(1)))
-    Ap = [_oracle_derivative(G, i).scale(1 / model.rho) for i in (0, 1)]
-    minus_Ap = [a.scale(F(-1)) for a in Ap]
+    Ap = [rows_sum([(1 / model.rho, _oracle_derivative(G, i))])
+          for i in (0, 1)]
+    minus_Ap = [rows_sum([(-1, a)]) for a in Ap]
     out = {}   # in report order
     for family, M, A, sub, on_V in (
             ("gz.left", K, Ainv, Ax, False), ("gz.right", Kb, Ainv, Ax, True),
             ("gz.left_derivative", B, A1, Ap, False),
             ("gz.right_derivative", Bbar, A1, minus_Ap, True)):
         for i in (0, 1):
-            op = A[0].scale(M.a[i][0]) + A[1].scale(M.a[i][1]) - sub[i]
-            out[f"{family}[{i}]"] = op.apply(V) if on_V else op.apply_left(W)
-    out["gz.c_symmetry[0]"] = (Ax[0] + Ax[1] - Ainv[0] - Ainv[1]).apply_left(W)
+            op = rows_sum([(M.a[i][0], A[0]), (M.a[i][1], A[1]),
+                           (-1, sub[i])])
+            out[f"{family}[{i}]"] = rows_apply(op, V) if on_V \
+                else rows_apply_left(op, W)
+    out["gz.c_symmetry[0]"] = rows_apply_left(rows_sum(
+        [(1, Ax[0]), (1, Ax[1]), (-1, Ainv[0]), (-1, Ainv[1])]), W)
     return out
 
 
@@ -1002,15 +1022,14 @@ def test_zf_representation_fails_with_the_oracle_witness(monkeypatch, N):
     dim = N * N
     want = None
     for i, j in product((0, 1), repeat=2):
-        lhs = SparseMatrix(dim)
-        for k, l in product((0, 1), repeat=2):
-            lhs = lhs + (X1[k] * X2[l]).scale(R.a[2 * i + j][2 * k + l])
-        rhs = X2[j] * X1[i]
+        lhs = rows_sum([(R.a[2 * i + j][2 * k + l], rows_product(X1[k], X2[l]))
+                        for k, l in product((0, 1), repeat=2)])
+        rhs = rows_product(X2[j], X1[i])
         want = next(({"row": i * dim + r, "col": j * dim + c,
-                      "lhs": format_rational(lhs.get(r, c)),
-                      "rhs": format_rational(rhs.get(r, c))}
+                      "lhs": format_rational(entry(lhs, r, c)),
+                      "rhs": format_rational(entry(rhs, r, c))}
                      for r in range(dim) for c in range(dim)
-                     if lhs.get(r, c) != rhs.get(r, c)), None)
+                     if entry(lhs, r, c) != entry(rhs, r, c)), None)
         if want is not None:
             break
     assert want is not None

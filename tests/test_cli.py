@@ -904,6 +904,20 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_out_with_no_file_name_exits_2(tmp_path, monkeypatch, capsys):
+    # argparse reads --out=-- as no value at all; that is refused as --out
+    # -- is, not taken for stdout, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    code = main(["steady", "--model", "tasep", "--L", "1", "--out=--"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "usage error: --out needs a file name\n"
+    assert main(["steady", "--model", "tasep", "--L", "1", "--out", "--"]) \
+        == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 _COMMON_OPTIONS = {"--model", "--alpha", "--beta", "--gamma", "--delta", "--q",
                    "--kappa", "--out"}
 _OWN_OPTIONS = {

@@ -10,8 +10,9 @@ import exclusion.verifier as vf
 from exclusion.models import UnsupportedError, r_matrix_swapped
 from exclusion.sampling import sample_points
 from exclusion.scalars import Dual
-from exclusion.tensor import Matrix, PoleError, derivative_at, dual_parts, \
-    kron, partial_trace_first, permutation_op
+from exclusion.tensor import Matrix, PoleError, derivative_at, kron, \
+    partial_trace_first, permutation_op
+from reference import as_cached, closed_rows, split, twisted_k_rows
 from strategies import SIGNED_MODELS
 
 
@@ -153,30 +154,35 @@ def test_kbar_roundtrip(ssep_model, rd_model):
 def _kbar_oracle(model, x):
     """Oracle, kept apart from the code it checks: the closed forms of Kbar
     written out per model, as models held them before Kbar was derived from
-    K through the mirror.  A vanishing denominator raises ZeroDivisionError."""
+    K through the mirror, as the cache hands them out (the pair of the two
+    parts at a Dual x).  A vanishing denominator raises ZeroDivisionError."""
+    return as_cached(_kbar_oracle_rows(model, x), x)
+
+
+def _kbar_oracle_rows(model, x):
     be, de = model.beta, model.delta
     if model.name == "asep":
         q = model.q
         d = -be * x * x + (q - de + be - 1) * x + de
-        return Matrix([[x * (de * x - be * x + q - de + be - 1) / d,
-                        -be * (x * x - 1) / d],
-                       [-de * (x * x - 1) / d,
-                        (q * x - de * x + be * x - x + de - be) / d]])
+        return [[x * (de * x - be * x + q - de + be - 1) / d,
+                 -be * (x * x - 1) / d],
+                [-de * (x * x - 1) / d,
+                 (q * x - de * x + be * x - x + de - be) / d]]
     if model.name == "tasep":
         d = -be * x * x + be * x - x
-        return Matrix([[1, -be * (x * x - 1) / d],
-                       [0, (be * x - x - be) / d]])
+        return [[1, -be * (x * x - 1) / d],
+                [0, (be * x - x - be) / d]]
     if model.name == "ssep":
         d = x * (de + be) - 1
-        return Matrix([[(x * (be - de) - 1) / d, 2 * x * be / d],
-                       [2 * x * de / d, (x * (de - be) - 1) / d]])
+        return [[(x * (be - de) - 1) / d, 2 * x * be / d],
+                [2 * x * de / d, (x * (de - be) - 1) / d]]
     k = model.kappa
     x2 = x * x
     d = 2 * x * (-(x2 - 1) * (de + be) + 2 * k * (x2 + 1))
-    return Matrix([[(x2 + 1) * ((x2 - 1) * (de - be) + 4 * x * k) / d,
-                    (x2 - 1) * ((x2 + 1) * (de - be) - 2 * x * (de + be)) / d],
-                   [-(x2 - 1) * ((x2 + 1) * (de - be) + 2 * x * (de + be)) / d,
-                    -(x2 + 1) * ((x2 - 1) * (de - be) - 4 * x * k) / d]])
+    return [[(x2 + 1) * ((x2 - 1) * (de - be) + 4 * x * k) / d,
+             (x2 - 1) * ((x2 + 1) * (de - be) - 2 * x * (de + be)) / d],
+            [-(x2 - 1) * ((x2 + 1) * (de - be) + 2 * x * (de + be)) / d,
+             -(x2 + 1) * ((x2 - 1) * (de - be) - 4 * x * k) / d]]
 
 
 def _with_a_kbar_pole_at(model, x):
@@ -249,9 +255,8 @@ def test_ktilde_map_unsupported_for_tasep():
 def test_rd_ktilde_dual_matches_series(rd_model):
     # dual-number evaluation at the identity point, a removable singularity
     # of the crossing form
-    got = ex.k_matrix(rd_model, "Ktilde", Dual.variable(F(1)))
+    value, deriv = ex.k_matrix(rd_model, "Ktilde", Dual.variable(F(1)))
     plain = ex.k_matrix(rd_model, "Ktilde", F(1))
-    value, deriv = dual_parts(got)
     assert value == plain
     assert plain[0, 0] + plain[1, 1] == 1
     # sanity-bound the derivative against a secant at nearby points
@@ -311,9 +316,9 @@ def test_rd_ktilde_pinned_values(rd_model):
     assert ex.k_matrix(rd_model, "Ktilde", F(-1)) == \
         Matrix([[F(11, 24), F(1, 40)], [F(13, 120), F(13, 24)]])
     got = ex.k_matrix(rd_model, "Ktilde", Dual.variable(F(1)))
-    assert got == Matrix([
-        [Dual(F(13, 24), F(23, 27)), Dual(F(13, 120), F(401, 1350))],
-        [Dual(F(1, 40), F(17, 450)), Dual(F(11, 24), F(16, 27))]])
+    assert got == (Matrix([[F(13, 24), F(13, 120)], [F(1, 40), F(11, 24)]]),
+                   Matrix([[F(23, 27), F(401, 1350)],
+                           [F(17, 450), F(16, 27)]]))
 
 
 def test_rd_ktilde_has_real_pole_at_phi():
@@ -381,15 +386,11 @@ def test_rd_boundary_coefficients():
 
 def test_r_matrix_swapped_is_p_r_p(all_models):
     # the entry permutation equals the conjugation by the swap, exactly,
-    # over Fractions, and at a dual point on the value and derivative parts
+    # over Fractions
     P = permutation_op()
     for mdl in all_models:
         for x in (F(3), F(-2, 7)):
             assert r_matrix_swapped(mdl, x) == P * ex.r_matrix(mdl, x) * P
-        x = Dual.variable(F(5, 3))
-        got, r = r_matrix_swapped(mdl, x), ex.r_matrix(mdl, x)
-        for g, part in zip(dual_parts(got), dual_parts(r)):
-            assert g == P * part * P
 
 
 # ------------------------------------------------------ the descriptor
@@ -436,9 +437,9 @@ def test_each_model_gets_its_own_r_and_k():
     x = F(5, 3)
     for _ in range(2):
         for mdl in _VARIANTS:
-            assert ex.r_matrix(mdl, x) == m._r_matrix(mdl, x), mdl
+            assert ex.r_matrix(mdl, x) == Matrix(m._r_matrix(mdl, x)), mdl
             for kind, evaluate in m._K_FORMS.items():
-                assert ex.k_matrix(mdl, kind, x) == evaluate(mdl, x), \
+                assert ex.k_matrix(mdl, kind, x) == Matrix(evaluate(mdl, x)), \
                     (mdl, kind)
     asep_q2 = _VARIANTS[1]
     assert ex.r_matrix(_ASEP, x) != ex.r_matrix(asep_q2, x)
@@ -457,11 +458,62 @@ def test_dual_points_share_one_matrix():
     x = Dual.variable(F(7, 4))
     r = ex.r_matrix(_RD, x)
     assert r is ex.r_matrix(_RD, Dual.variable(F(7, 4)))
-    assert r == m._r_matrix(_RD, x)
+    assert r == as_cached(m._r_matrix(_RD, x), x)
     for kind, evaluate in m._K_FORMS.items():
         k = ex.k_matrix(_RD, kind, x)
         assert k is ex.k_matrix(_RD, kind, Dual.variable(F(7, 4))), kind
-        assert k == evaluate(_RD, x), kind
+        assert k == as_cached(evaluate(_RD, x), x), kind
+
+
+def test_a_dual_point_and_its_value_get_their_own_entries():
+    # Dual(v, 0) equals v and hashes like it, yet R and K at it are the pair
+    # of the two parts, whichever point the cache saw first
+    v = F(5, 3)
+    for points in ((v, Dual(v, 0)), (Dual(v, 0), v)):
+        m._r_cached.cache_clear()
+        m._k_cached.cache_clear()
+        got = {type(p): (ex.r_matrix(_ASEP, p), ex.k_matrix(_ASEP, "K", p))
+               for p in points}
+        for M, (value, deriv) in zip(got[F], got[Dual]):
+            assert isinstance(M, Matrix) and value == M
+            assert deriv == Matrix.zeros(M.rows, M.cols)
+
+
+_point = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+_twist = st.fractions(min_value=-3, max_value=3,
+                      max_denominator=5).filter(bool)
+
+
+@pytest.mark.filterwarnings("ignore:negative rate")
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(*SIGNED_MODELS.values()), _point, _twist)
+def test_dual_points_give_the_split_closed_form(model, x0, tau):
+    # at x0 + eps the caches hand out the closed-form rows evaluated over
+    # Dual entries and split entry by entry, as the pair (M(x0), M'(x0));
+    # derivative_at is its second part.  A pole raises on both sides
+    x = Dual.variable(x0)
+    cases = [(lambda z: ex.r_matrix(model, z),
+              lambda: closed_rows(model, "R", x))]
+    cases += [(lambda z, kind=kind: ex.k_matrix(model, kind, z),
+               lambda kind=kind: closed_rows(model, kind, x))
+              for kind in m._K_FORMS]
+    if model.name == "asep":
+        cases.append((ex.general_asep_k(model.alpha, model.gamma, model.q,
+                                        tau),
+                      lambda: twisted_k_rows(model, tau, x)))
+    for f, oracle in cases:
+        try:
+            want = tuple(map(Matrix, split(oracle())))
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                f(x)
+            with pytest.raises(PoleError):
+                derivative_at(f, x0)
+            continue
+        got = f(x)
+        assert isinstance(got, tuple) and got == want
+        assert got[0] == f(x0)
+        assert derivative_at(f, x0) == want[1]
 
 
 def test_poles_are_never_cached():

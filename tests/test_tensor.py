@@ -13,17 +13,15 @@ from exclusion.scalars import format_rational
 from exclusion.tensor import Matrix, PoleError, SparseMatrix, _primes, \
     derivative_at, embed_at_positions, exact_nullspace, integer_vector, \
     inverse, kron, partial_trace_first, partial_transpose, permutation_op, rank
-from reference import dense, embed_dense, embed_local, fraction_kron, \
-    fraction_partial_transpose, fraction_product
+from reference import as_cached, dense, embed_dense, embed_local, \
+    fraction_kron, fraction_partial_transpose, fraction_product
 
 I2 = Matrix.identity(2)
 I4 = Matrix.identity(4)
 
 
 def basis_proj(i):
-    m = Matrix.zeros(2, 2)
-    m.a[i][i] = F(1)
-    return m
+    return Matrix([[int(r == c == i) for c in range(2)] for r in range(2)])
 
 
 def test_kron_identities():
@@ -32,8 +30,7 @@ def test_kron_identities():
     assert kron(d, I2) == Matrix([[1, 0, 0, 0], [0, 1, 0, 0],
                                   [0, 0, 2, 0], [0, 0, 0, 2]])
     out = kron(basis_proj(0), basis_proj(1))
-    expect = Matrix.zeros(4, 4)
-    expect.a[1][1] = F(1)
+    expect = Matrix([[int(r == c == 1) for c in range(4)] for r in range(4)])
     assert out == expect
 
 
@@ -510,7 +507,8 @@ def test_steady_state_matches_dense_solve(model, L):
 
 
 def test_derivative_at():
-    sq = derivative_at(lambda x: Matrix([[x * x]]), F(3))
+    # f returns the pair (f(x0), f'(x0)) at the Dual point x0 + eps
+    sq = derivative_at(lambda x: as_cached([[x * x]], x), F(3))
     assert sq.a[0][0] == 6
     ssep = ex.ssep(1, 1, F(1, 2), F(1, 3))
     w, B, _ = ex.local_operators(ssep)
@@ -617,19 +615,12 @@ def test_rank_and_inverse_on_planted_examples():
 
 @st.composite
 def _made(draw, a):
-    """A Matrix of the rows a of Fractions, made in one of the three ways a
-    Matrix is: from entries, by filling in a fresh zeros(), or by products,
-    which leave it only its table, over a denominator that is not the
-    lcm."""
-    rows, cols = len(a), len(a[0])
-    how = draw(st.sampled_from(["entries", "zeros", "products"]))
-    if how == "entries":
+    """A Matrix of the rows a of Fractions, made in one of the two ways a
+    Matrix is: from entries, its table over the lcm of their denominators,
+    or by products, over a denominator that is not the lcm."""
+    cols = len(a[0])
+    if draw(st.booleans()):
         return Matrix(a)
-    if how == "zeros":
-        M = Matrix.zeros(rows, cols)
-        for i, row in enumerate(a):
-            M.a[i][:] = row
-        return M
     s = draw(_rationals.filter(bool))
     scaled, unscaled = ([[v if i == j else F(0) for j in range(cols)]
                          for i in range(cols)] for v in (s, 1 / s))
@@ -774,24 +765,30 @@ def test_sparse_tables_match_the_fraction_entries(data):
     assert rref(ker) == rref(dense_kernel(c, n))
 
 
-def test_kron_and_sums_carry_dual_entries():
-    # at a Dual point R has Dual entries and no integer table: kron and
-    # sums take its entries as they are, and a product raises
-    x = ex.Dual.variable(F(2))
-    R = ex.r_matrix(ex.asep(3, 1, 1, 1, 1), x)
-    blocks = [Matrix([row[2 * k:2 * k + 2] for row in R.a[2 * i:2 * i + 2]])
-              for i in (0, 1) for k in (0, 1)]
-    D = Matrix([[x, F(1, 3)], [F(-2), x * x]])
-    Q = Matrix([[F(1, 2), F(0)], [F(3), F(-5, 7)]])
-    for A, B in ((blocks[1], Q), (Q, blocks[2]), (blocks[0], D), (D, D)):
-        assert kron(A, B).a == fraction_kron(A.a, B.a)
-        assert (A + B).a == [[u + v for u, v in zip(r, s)]
-                             for r, s in zip(A.a, B.a)]
-        assert (A - B).a == [[u - v for u, v in zip(r, s)]
-                             for r, s in zip(A.a, B.a)]
-    assert kron(D, Q).a[0][0] == ex.Dual(F(1), F(1, 2))
-    with pytest.raises(AttributeError):
-        D * Q
+def test_matrix_rejects_a_dual_entry():
+    # a Matrix is its integer table: an entry with no denominator, a Dual
+    # even with derivative 0, is refused, and so is a Dual scale
+    for e in (ex.Dual(1, 1), ex.Dual(F(1, 2)), 0.5):
+        with pytest.raises(TypeError):
+            Matrix([[F(1), e]])
+    with pytest.raises(TypeError):
+        ex.Dual(1, 1) * I2
+    with pytest.raises(TypeError):
+        I2 * ex.Dual(1, 1)
+
+
+def test_matrix_equality_forms_no_fraction():
+    # == and compare cross-multiply the tables; entries are formed only
+    # for a witness
+    A = Matrix([[F(1, 2), F(2, 3)], [0, 5]])
+    B = A * Matrix([[3, 0], [0, 3]]) * Matrix([[F(1, 3), 0], [0, F(1, 3)]])
+    assert A == B and B._table[1] == 18
+    for M in (A, B):
+        with pytest.raises(AttributeError):
+            object.__getattribute__(M, "a")
+    assert A != B + I2
+    assert list(A._mismatches(B + I2)) == [
+        (0, 0, F(1, 2), F(3, 2)), (1, 1, F(5), F(6))]
 
 
 def test_sparse_matrix_contract():

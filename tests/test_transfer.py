@@ -10,8 +10,8 @@ import exclusion.models as m
 import exclusion.transfer as tr
 import exclusion.verifier as vf
 from exclusion.scalars import Dual, format_rational
-from exclusion.tensor import Matrix, PoleError, SparseMatrix, dual_parts
-from reference import dense, transfer_factors, transfer_product
+from exclusion.tensor import Matrix, PoleError, SparseMatrix
+from reference import dense, split, transfer_factors, transfer_product
 from strategies import MODELS
 
 
@@ -194,11 +194,11 @@ def _matches_the_fraction_product(spec, x):
         return False
     got = tr.build_transfer(spec, x)
     den = math.prod(
-        math.lcm(*(e.denominator for part in dual_parts(f)
-                   for row in part.a for e in row))
+        math.lcm(*(e.denominator for part in split(f)
+                   for row in part for e in row))
         for _, f in transfer_factors(spec, x))
     tables = got if isinstance(x, Dual) else (got,)
-    parts = dual_parts(want) if isinstance(x, Dual) else (want,)
+    parts = want if isinstance(x, Dual) else (want,)
     assert len(tables) == len(parts)
     for t, part in zip(tables, parts):
         assert t.den == den
