@@ -19,7 +19,7 @@ _EXPORTS = {
     "markov": ("Distribution", "KernelError", "build_markov", "evolve",
                "observables", "steady_state_exact"),
     "scalars": ("Dual", "format_rational", "parse_rational"),
-    "tensor": ("Matrix", "PoleError", "SparseMatrix", "derivative_at",
+    "tensor": ("PoleError", "SparseMatrix", "derivative_at",
                "exact_nullspace", "kron", "partial_trace_first",
                "partial_transpose", "permutation_op"),
     "transfer": ("TransferSpec", "build_transfer", "check_commutation",

@@ -21,7 +21,7 @@ from . import models as m
 from .markov import Distribution
 from .models import ModelDescriptor
 from .scalars import Dual
-from .tensor import Matrix, PoleError, SparseMatrix, _kept, \
+from .tensor import PoleError, SparseMatrix, _block, _kept, \
     integer_vector, kron
 
 REL_TOL = Fraction(1, 10 ** 12)   # truncation-convergence threshold
@@ -180,7 +180,7 @@ class RDRepresentation:
             *rows, scale = self._act(e, x)
             for X, row in zip(out, rows):
                 X.append((r, dict(enumerate(row))))
-        return [SparseMatrix._over(dim, _kept(X), scale) for X in out]
+        return [SparseMatrix._over((dim, dim), _kept(X), scale) for X in out]
 
 
 def _rd_stencil(vec, g2, s1, s3, N) -> list:
@@ -222,17 +222,11 @@ def tasep_representation(alpha, beta, N: int) -> MPRepresentation:
         raise ValueError("tasep representation needs alpha, beta > 0")
     if N < 2:
         raise ValueError("N must be >= 2")
-    D = SparseMatrix(N)
-    E = SparseMatrix(N)
-    for n in range(N):
-        D.add(n, n, Fraction(1))
-        E.add(n, n, Fraction(1))
-        if n + 1 < N:
-            D.add(n, n + 1, Fraction(1))
-            E.add(n + 1, n, Fraction(1))
-    D.add(0, 0, 1 / beta - 1)
-    E.add(0, 0, 1 / alpha - 1)
-    D.add(0, 1, (alpha + beta - 1) / (alpha * beta) - 1)
+    D = [[int(c - r in (0, 1)) for c in range(N)] for r in range(N)]
+    E = [[int(r - c in (0, 1)) for c in range(N)] for r in range(N)]
+    D[0][0], D[0][1] = 1 / beta, (alpha + beta - 1) / (alpha * beta)
+    E[0][0] = 1 / alpha
+    D, E = SparseMatrix(D), SparseMatrix(E)
     basis0 = tuple(Fraction(1 if n == 0 else 0) for n in range(N))
     return MPRepresentation({"E": E, "D": D}, basis0, basis0, N,
                             meta={"model": "tasep", "alpha": alpha, "beta": beta})
@@ -498,7 +492,7 @@ class MonodromyRealization:
         self.L = inner_length
 
     def components(self, x):
-        """(A_0(x), A_1(x)) as dense operators on the inner chain.  At a
+        """(A_0(x), A_1(x)) as operators on the inner chain.  At a
         Dual point x0 + eps R is the pair (R, R') at x0, and so is the
         result, ((A_0, A_1), (A_0', A_1')): each site carries the
         derivatives by the product rule d(X (x) r) = X' (x) r + X (x) r'."""
@@ -506,7 +500,7 @@ class MonodromyRealization:
         R = m.r_matrix(self.model, x)
         r, rp = map(_blocks, R) if dual else (_blocks(R), None)
         v = [m._split(e) for e in m.markov_vector(self.model, x)]
-        X, Xp = ([Matrix([[e[k]]]) for e in v] for k in (0, 1))
+        X, Xp = ([SparseMatrix([[e[k]]]) for e in v] for k in (0, 1))
         for _ in range(self.L):
             if dual:
                 Xp = [kron(Xp[0], r[i][0]) + kron(Xp[1], r[i][1]) +
@@ -516,22 +510,20 @@ class MonodromyRealization:
         return (X, Xp) if dual else X
 
 
-def _blocks(R: Matrix) -> list:
+def _blocks(R: SparseMatrix) -> list:
     """r[i][k], the 2 x 2 block of R at rows 2i, 2i + 1 and columns 2k,
-    2k + 1, on R's table."""
-    N, d = R._table
-    return [[Matrix._over([row[2 * k:2 * k + 2] for row in N[2 * i:2 * i + 2]],
-                          d) for k in (0, 1)] for i in (0, 1)]
+    2k + 1."""
+    return [[_block(R, 2 * i, 2 * k, 2, 2) for k in (0, 1)] for i in (0, 1)]
 
 
-def _r_mix(R: Matrix, prods: dict) -> dict:
+def _r_mix(R: SparseMatrix, prods: dict) -> dict:
     """{(i, j): sum_kl R[2i+j][2k+l] prods[k, l]}: the R-weighted mix of the
     component products X_k X_l of an exchange relation."""
     out = {}
     for i in (0, 1):
         for j in (0, 1):
             terms = [prods[k, l] * c for k in (0, 1) for l in (0, 1)
-                     if (c := R.a[2 * i + j][2 * k + l]) != 0]
+                     if (c := R.get(2 * i + j, 2 * k + l))]
             out[i, j] = sum(terms[1:], terms[0]) if terms else prods[0, 0] * 0
     return out
 
@@ -628,13 +620,16 @@ def gz_relations(rep: RDRepresentation, x):
 
     def interior(row, scale, transposed=False):
         # the residual row must vanish on the interior indices n, m < N - 1
-        got = Matrix([[Fraction(v, scale) for v in row[n * N:n * N + cut]]
-                      for n in range(cut)])
-        return got.transpose() if transposed else got, Matrix.zeros(cut, cut)
+        got = SparseMatrix._over((cut, cut), _kept(
+            (n, dict(enumerate(row[n * N:n * N + cut]))) for n in range(cut)),
+            scale)
+        return got.transpose() if transposed else got, \
+            SparseMatrix.zeros(cut, cut)
 
     def relation(family, M, c, mix, sub, scale, transposed):
         # rows i of M[i][0] mix[0] + M[i][1] mix[1] - c sub[i], over scale
-        (*k, kc), den = integer_vector([*M.a[0], *M.a[1], c])
+        (*k, kc), den = integer_vector(
+            [*(M.get(i, j) for i in (0, 1) for j in (0, 1)), c])
         for i in (0, 1):
             yield f"{family}[{i}]", pts, lambda i=i: interior(
                 [k[2 * i] * p + k[2 * i + 1] * q - kc * s

@@ -213,8 +213,9 @@ def _cap(args) -> int:
 
 
 def _emit(text: str, args):
-    # argparse reads --out=-- as no value at all: an empty list
-    if args.out == []:
+    # argparse reads --out=-- as no value at all, an empty list, and --out=
+    # as the empty name
+    if args.out in ([], ""):
         raise UsageError("--out needs a file name")
     if args.out:
         try:

@@ -31,11 +31,11 @@ class Distribution(namedtuple("Distribution", "L weights Z")):
 
 def build_markov(model: ModelDescriptor, L: int) -> SparseMatrix:
     """M = B_1 + sum_l w_{l,l+1} + Bbar_L; at L=1 both boundaries act on
-    the single site.  The local operators' integer tables are embedded and
+    the single site.  The local operators' int rows are embedded and
     summed as ints, over their common denominator."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    w, B, Bbar = map(SparseMatrix.from_dense, local_operators(model))
+    w, B, Bbar = local_operators(model)
     terms = [(B, (0,)), (Bbar, (L - 1,))] + \
         [(w, (s, s + 1)) for s in range(L - 1)]
     return embed_at_positions(terms, L)

@@ -13,8 +13,8 @@ J = [[0, 1], [1, 0]], so ASEP's Kbar is undefined at x = 0.  The closed
 forms are the one place a Dual meets a matrix: they take Fraction or Dual
 arguments alike and return rows of entries (at a Dual argument the
 constant entries stay plain Fractions), and the R and K caches wrap them
-once, as a Matrix at a rational point and as the pair (M(x0), M'(x0)) of
-rational Matrices at a Dual point x0 + eps.
+once, as a SparseMatrix at a rational point and as the pair (M(x0),
+M'(x0)) of rational matrices at a Dual point x0 + eps.
 
 Spectral-parameter bookkeeping differs per model: ASEP, TASEP and RD
 compose arguments multiplicatively (x1/x2, identity point 1) while SSEP is
@@ -29,8 +29,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .scalars import Dual, rat
-from .tensor import Matrix, PoleError, inverse, kron, partial_trace_first, \
-    partial_transpose, permutation_op
+from .tensor import PoleError, SparseMatrix, inverse, kron, \
+    partial_trace_first, partial_transpose, permutation_op
 
 ASEP = "asep"
 TASEP = "tasep"
@@ -73,7 +73,7 @@ ADDITIVE = SpectralConvention("additive")
 
 
 class Crossing(namedtuple("Crossing", "U Q lam")):
-    """Crossing data: the Matrix U, the Fraction Q, and lam, a scalar
+    """Crossing data: the 2 x 2 matrix U, the Fraction Q, and lam, a scalar
     function of the spectral parameter."""
     __slots__ = ()
 
@@ -108,16 +108,16 @@ class ModelDescriptor(namedtuple(
         """Crossing data; None for TASEP, whose R^t2 is singular."""
         if self.name == ASEP:
             q = self.q
-            U = Matrix([[Fraction(1), Fraction(0)], [Fraction(0), q]])
+            U = SparseMatrix([[1, 0], [0, q]])
             return Crossing(U, q * q, lambda x: (x - 1) * (q * q * x - 1) /
                             ((q * x - 1) ** 2))
         if self.name == SSEP:   # Q = 2: the additive shift x -> -x-2
-            return Crossing(Matrix.identity(2), Fraction(2),
+            return Crossing(SparseMatrix.identity(2), Fraction(2),
                             lambda x: x * (x + 2) / ((x + 1) ** 2))
         if self.name == TASEP:
             return None
         u, v = self.kappa + 1, self.kappa - 1
-        return Crossing(Matrix.identity(2), u ** 2 / v ** 2, lambda x: (
+        return Crossing(SparseMatrix.identity(2), u ** 2 / v ** 2, lambda x: (
             (x * x - 1) * (x * u ** 2 + v ** 2) * (x * u ** 2 - v ** 2)
             / ((x * u + v) ** 2 * (x * u - v) ** 2)))
 
@@ -195,8 +195,8 @@ def local_operators(model: ModelDescriptor):
     w = [[z, z, z, z], [z, -left, right, z], [z, left, -right, z], [z, z, z, z]]
     if model.name == RD:    # pair annihilation 11 -> 00 and creation 00 -> 11
         w[0][0], w[0][3], w[3][0], w[3][3] = -1, 1, 1, -1
-    return Matrix(w), Matrix([[-al, ga], [al, -ga]]), \
-        Matrix([[-de, be], [de, -be]])
+    return SparseMatrix(w), SparseMatrix([[-al, ga], [al, -ga]]), \
+        SparseMatrix([[-de, be], [de, -be]])
 
 
 # ---------------------------------------------------------------- R-matrix
@@ -214,14 +214,16 @@ def _nonzero(denom, what, x):
 CACHE_SIZE = 1024
 
 
-def r_matrix(model: ModelDescriptor, x) -> Matrix:
+def r_matrix(model: ModelDescriptor, x) -> SparseMatrix:
     """The 4x4 R-matrix at spectral parameter x, exact; at a Dual point
-    x0 + eps the pair (R(x0), R'(x0)) of rational Matrices.
+    x0 + eps the pair (R(x0), R'(x0)) of rational matrices.  An int x is
+    read as a Fraction.
 
     Both come from a bounded cache keyed by (name, q, kappa, x, whether x
     is a Dual), the constants R reads, so every caller gets the same
-    Matrix: never change it.  A pole is not cached: it raises PoleError on
-    every call."""
+    matrix.  A pole is not cached: it raises PoleError on every call."""
+    # an int x would make the closed form's quotients floats
+    x = Fraction(x) if type(x) is int else x
     return _r_cached(model.name, model.q, model.kappa, x,
                      isinstance(x, Dual))
 
@@ -234,11 +236,11 @@ def _r_cached(name, q, kappa, x, dual):
 
 
 def _wrapped(rows, dual):
-    """Closed-form rows as the caches hand them out: a Matrix, or at a Dual
-    point the pair (values, derivatives) of rational Matrices."""
+    """Closed-form rows as the caches hand them out: a SparseMatrix, or at
+    a Dual point the pair (values, derivatives) of rational matrices."""
     if not dual:
-        return Matrix(rows)
-    return tuple(Matrix([[_split(e)[k] for e in row] for row in rows])
+        return SparseMatrix(rows)
+    return tuple(SparseMatrix([[_split(e)[k] for e in row] for row in rows])
                  for k in (0, 1))
 
 
@@ -276,19 +278,21 @@ def _r_matrix(model: ModelDescriptor, x) -> list:
             [(x - 1) / d1, 0, 0, k * (x + 1) / d1]]
 
 
-def r_matrix_swapped(model: ModelDescriptor, x) -> Matrix:
-    """R21(x) = P R12(x) P at a rational x: R's table with both tensor legs
+def r_matrix_swapped(model: ModelDescriptor, x) -> SparseMatrix:
+    """R21(x) = P R12(x) P at a rational x: R's rows with both tensor legs
     of the row and of the column index swapped (01 <-> 10)."""
-    N, d = r_matrix(model, x)._table
-    return Matrix._over([[N[r][c] for c in _SWAP] for r in _SWAP], d)
+    R = r_matrix(model, x)
+    return SparseMatrix._over((4, 4), {
+        _SWAP[r]: {_SWAP[c]: v for c, v in row.items()}
+        for r, row in R._rows.items()}, R.den)
 
 
-_SWAP = (0, 2, 1, 3)   # the index of P e_i
+_SWAP = (0, 2, 1, 3)   # the index of P e_i, and of P^-1 e_i
 
 
 # ---------------------------------------------------------------- K-matrices
 
-def k_matrix(model: ModelDescriptor, kind: str, x) -> Matrix:
+def k_matrix(model: ModelDescriptor, kind: str, x) -> SparseMatrix:
     """Boundary matrix of the requested kind: 'K' (left), 'Kbar' (right)
     or 'Ktilde' (dual).  K and Ktilde are closed forms.  Kbar(x) is
     J K(x^-1) J at mirror(model), so ASEP's Kbar is undefined at 0, and a
@@ -299,11 +303,13 @@ def k_matrix(model: ModelDescriptor, kind: str, x) -> Matrix:
     ktilde_from_kbar checks it.
 
     At a Dual point x0 + eps it is the pair (M(x0), M'(x0)) of rational
-    Matrices.  Both come from a bounded cache keyed by (kind, model, x,
-    whether x is a Dual), so every caller gets the same Matrix: never
-    change it.  A pole is not cached: it raises PoleError on every call."""
+    matrices.  An int x is read as a Fraction.  Both come from a bounded
+    cache keyed by (kind, model, x, whether x is a Dual), so every caller
+    gets the same matrix.  A pole is not cached: it raises PoleError on
+    every call."""
     if kind not in _K_FORMS:
         raise ValueError(f"unknown K-matrix kind {kind!r}")
+    x = Fraction(x) if type(x) is int else x
     return _k_cached(kind, model, x, isinstance(x, Dual))
 
 
@@ -400,7 +406,7 @@ def _k_dual(model: ModelDescriptor, x) -> list:
 _K_FORMS = {"K": _k_left, "Kbar": _k_right, "Ktilde": _k_dual}
 
 
-def ktilde_from_kbar(model: ModelDescriptor, x) -> Matrix:
+def ktilde_from_kbar(model: ModelDescriptor, x) -> SparseMatrix:
     """Dual-boundary map: Ktilde_1(x) = tr_0(Kbar_0(inv x)
     ((R_01(rc(x,x))^{t1})^{-1})^{t1} P_01).  Undefined for TASEP."""
     if model.name == TASEP:
@@ -413,17 +419,17 @@ def ktilde_from_kbar(model: ModelDescriptor, x) -> Matrix:
     except PoleError as exc:
         raise PoleError(f"singular partial transpose at x={x}") from exc
     kbar = _k_cached("Kbar", model, conv.invert(x), False)
-    big = kron(kbar, Matrix.identity(2)) * inv * permutation_op()
+    big = kron(kbar, SparseMatrix.identity(2)) * inv * permutation_op()
     return partial_trace_first(big)
 
 
-def kbar_from_ktilde(model: ModelDescriptor, x) -> Matrix:
+def kbar_from_ktilde(model: ModelDescriptor, x) -> SparseMatrix:
     """Inverse map: Kbar_1(x) = tr_0(Ktilde_0(inv x) R_01(inv rc(x,x)) P_01)."""
     if model.name == TASEP:
         raise UnsupportedError("tasep: dual reflection structure undefined")
     conv = model.convention
     ktilde = _k_cached("Ktilde", model, conv.invert(x), False)
-    big = kron(ktilde, Matrix.identity(2)) * \
+    big = kron(ktilde, SparseMatrix.identity(2)) * \
         r_matrix(model, conv.invert(conv.reflect_compose(x, x))) * permutation_op()
     return partial_trace_first(big)
 
@@ -439,7 +445,8 @@ def general_asep_k(alpha, gamma, q, tau):
     _check_q(q)
     base = ModelDescriptor(ASEP, alpha, Fraction(1), gamma, Fraction(0), q=q)
 
-    D, Di = Matrix([[1, 0], [0, tau]]), Matrix([[1, 0], [0, 1 / tau]])
+    D, Di = SparseMatrix([[1, 0], [0, tau]]), \
+        SparseMatrix([[1, 0], [0, 1 / tau]])
 
     def k(x):
         K = _k_cached("K", base, x, isinstance(x, Dual))

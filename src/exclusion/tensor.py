@@ -1,329 +1,104 @@
-"""Dense and sparse exact matrices and the tensor-space kernel.
+"""Exact operators and the tensor-space kernel.
 
 Site ordering follows the probability-vector convention: site 1 is the most
 significant bit of the configuration index, so index 1 is (0,...,0,1).
-All operations are pure.  Both matrix types hold one form, an integer
-table over one denominator: a dense Matrix's ``_table`` (N, d), formed
-from its entries once, when it is built, through ``_dense_over_lcm``, and
-a SparseMatrix's int rows over its positive ``den``.  Products, ``kron``,
-sums, scalings, the transposes, ``inverse``, ``rank``, matvecs, ``==``,
-the embedding and ``exact_nullspace`` work in ints and take no gcd per
-entry; Fraction entries are formed, reduced, only when they are read.
-``integer_vector`` puts a vector in the same form.  The transfer-matrix
-contraction reads the same tables.  These are the package's only scaling
-of rationals to integers.  Every entry is rational: a derivative is a pair
-of these matrices (``derivative_at``).
+All operations are pure.  Every operator of the package, from a 2 x 2 K(x)
+to a 2^L x 2^L transfer matrix, is one SparseMatrix: int rows over one
+positive denominator, with a (rows, cols) shape.  Products, ``kron``, sums,
+scalings, the transposes, ``partial_trace_first``, matvecs, ``==``, the
+embedding and ``exact_nullspace`` work on the int rows and take no gcd per
+entry; ``inverse`` and ``rank`` expand them to dense int lists only inside
+``_eliminate``.  Fraction entries are formed, reduced, only when they are
+read.  ``integer_vector`` puts a vector in the same form.  These are the
+package's only scaling of rationals to integers.  Every entry is rational:
+a derivative is a pair of these matrices (``derivative_at``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 
 
 class PoleError(ZeroDivisionError):
     """A rational expression was evaluated at a zero of its denominator."""
 
 
-_ZERO = Fraction(0)   # shared by zero product entries; Fractions are immutable
-
-
-class Matrix:
-    """Small dense matrix, row-major, held as one integer table ``_table``,
-    (N, d) with the matrix N / d, N rows of ints and d a nonzero int.
-
-    A Matrix built from entries, ints or Fractions, forms its table in
-    ``__init__``, through ``_dense_over_lcm``; any other entry raises
-    TypeError.  Products, ``kron``, sums, negation, rational scalings, the
-    transposes, ``apply``, ``inverse``, ``rank`` and ``==`` work on the
-    tables.  ``a``, the entries as rows of reduced Fractions, is a read
-    view, formed on first read and kept.
-
-    A Matrix is never changed once built: ``models`` shares each R(x) and
-    K(x) it builds between all of its callers.
-    """
-
-    __slots__ = ("_table", "a", "rows", "cols")
-
-    def __init__(self, rows_of_entries):
-        try:
-            self._table = N, _ = _dense_over_lcm(rows_of_entries)
-        except AttributeError:   # an entry with no denominator
-            raise TypeError("Matrix entries are ints or Fractions") from None
-        self.rows = len(N)
-        self.cols = len(N[0]) if N else 0
-        if any(len(r) != self.cols for r in N):
-            raise ValueError("ragged matrix")
-
-    @classmethod
-    def _over(cls, table, d):
-        """The Matrix table / d, table a list of int rows."""
-        M = cls.__new__(cls)
-        M._table = table, d
-        M.rows = len(table)
-        M.cols = len(table[0]) if table else 0
-        return M
-
-    def __getattr__(self, name):
-        # the entries are formed from the table on first read, and kept
-        if name != "a":
-            raise AttributeError(name)
-        N, d = self._table
-        self.a = [[Fraction(v, d) if v else _ZERO for v in row] for row in N]
-        return self.a
-
-    @staticmethod
-    def zeros(rows, cols):
-        return Matrix._over([[0] * cols for _ in range(rows)], 1)
-
-    @staticmethod
-    def identity(n):
-        return Matrix._over([[int(i == j) for j in range(n)]
-                             for i in range(n)], 1)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.a[i][j]
-
-    def __mul__(self, other):
-        if not isinstance(other, Matrix):
-            return self._scaled(other)
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        (a, da), (b, db) = self._table, other._table
-        # (A / da)(B / db) = A B / (da db): int dot products, no gcd
-        cols = list(zip(*b))
-        return Matrix._over([[sum(map(mul, row, col)) for col in cols]
-                             for row in a], da * db)
-
-    def __rmul__(self, other):
-        return self._scaled(other)
-
-    def _scaled(self, s):
-        """s M for a rational s: the table times its numerator, over d times
-        its denominator."""
-        if not isinstance(s, (int, Fraction)):
-            return NotImplemented
-        N, d = self._table
-        n = s.numerator
-        return Matrix._over([[v * n for v in row] for row in N],
-                            d * s.denominator)
-
-    def _same_shape(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs "
-                             f"{other.rows}x{other.cols}")
-
-    def __add__(self, other):
-        return self._sum(other, 1)
-
-    def __sub__(self, other):
-        return self._sum(other, -1)
-
-    def _sum(self, other, sign):
-        """self + sign other, over the lcm of the two denominators."""
-        self._same_shape(other)
-        (a, da), (b, db) = self._table, other._table
-        d = math.lcm(da, db)
-        fa, fb = d // da, sign * (d // db)
-        return Matrix._over([[x * fa + y * fb for x, y in zip(r, s)]
-                             for r, s in zip(a, b)], d)
-
-    def __neg__(self):
-        N, d = self._table
-        return Matrix._over([[-v for v in row] for row in N], d)
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and \
-            next(self._mismatches(other), None) is None
-
-    def _mismatches(self, other):
-        """(row, col, self's entry, other's entry) wherever the two differ,
-        in row-major order, the entries read from ``a``.  A / da = B / db
-        where A db = B da, so no Fraction is formed unless they differ."""
-        self._same_shape(other)
-        (ta, da), (tb, db) = self._table, other._table
-        for r, (row_a, row_b) in enumerate(zip(ta, tb)):
-            for c, (x, y) in enumerate(zip(row_a, row_b)):
-                if x * db != y * da:
-                    yield r, c, self.a[r][c], other.a[r][c]
-
-    def transpose(self):
-        N, d = self._table
-        return Matrix._over([list(c) for c in zip(*N)], d)
-
-    def apply(self, vec):
-        """M v for a vector of Fractions or ints, as Fractions: (N / d)(w /
-        e) = N w / (d e), w the ints of ``integer_vector``."""
-        if len(vec) != self.cols:
-            raise ValueError(f"vector length {len(vec)} != {self.cols} columns")
-        N, d = self._table
-        w, e = integer_vector(vec)
-        de = d * e
-        return [Fraction(sum(map(mul, row, w)), de) for row in N]
-
-    def __repr__(self):
-        return f"Matrix({self.a!r})"
-
-
-def kron(A: Matrix, B: Matrix) -> Matrix:
-    """A (x) B: entry (i k, j l) is A[i][j] B[k][l], over the product of
-    the two denominators."""
-    (a, da), (b, db) = A._table, B._table
-    return Matrix._over([[x * y for x in ra for y in rb]
-                         for ra in a for rb in b], da * db)
-
-
-def permutation_op() -> Matrix:
-    """4x4 swap P: P(u (x) v) = v (x) u, P^2 = I."""
-    return Matrix._over([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0],
-                         [0, 0, 0, 1]], 1)
-
-
-def partial_transpose(M: Matrix, leg: int) -> Matrix:
-    """Transpose one tensor leg of a 4x4 two-site operator (leg 1 or 2):
-    entry (2i + j, 2k + l) moves to (2k + j, 2i + l) for leg 1 and to
-    (2i + l, 2k + j) for leg 2."""
-    if M.rows != 4 or M.cols != 4:
-        raise ValueError("partial_transpose expects a 4x4 matrix")
-    if leg not in (1, 2):
-        raise ValueError("leg must be 1 or 2")
-    N, d = M._table
-    if leg == 1:
-        return Matrix._over([[N[c & 2 | r & 1][r & 2 | c & 1]
-                              for c in range(4)] for r in range(4)], d)
-    return Matrix._over([[N[r & 2 | c & 1][c & 2 | r & 1]
-                          for c in range(4)] for r in range(4)], d)
-
-
-def partial_trace_first(M: Matrix) -> Matrix:
-    """Trace out the first 2-dim factor of an operator on 2 (x) 2^n."""
-    if M.rows != M.cols or M.rows % 2:
-        raise ValueError("dimension not even")
-    half = M.rows // 2
-    N, d = M._table
-    return Matrix._over([[N[j][l] + N[half + j][half + l] for l in range(half)]
-                         for j in range(half)], d)
-
-
-def _eliminate(rows, ncols) -> tuple:
-    """Fraction-free Gauss-Jordan elimination of integer rows over their
-    first ncols columns (Bareiss 1968): (the rows, the pivot count, the last
-    pivot p).
-
-    A row r is updated by the pivot row s at column c as (s[c] r - r[c] s)
-    / p_prev, p_prev the pivot before s[c] (1 at the start).  Every entry
-    is then a minor of the input, so the division is exact and no entry
-    outgrows Hadamard's bound.  At the end each pivot row holds p at its
-    pivot column and 0 at the other pivot columns: it is p times the
-    reduced row echelon form's row."""
-    a = list(rows)   # rows are replaced below, never changed in place
-    rank, prev = 0, 1
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        prow = a[rank]
-        p = prow[col]
-        for r in range(len(a)):
-            if r == rank:
-                continue
-            f = a[r][col]
-            if f:
-                a[r] = [(p * e - f * g) // prev for e, g in zip(a[r], prow)]
-            elif prev != p:
-                a[r] = [p * e // prev for e in a[r]]
-        rank, prev = rank + 1, p
-    return a, rank, prev
-
-
-def inverse(M: Matrix) -> Matrix:
-    """Exact inverse of a small dense matrix N / d, eliminated without
-    fractions: [N | d I] reduces to [p I | p (N / d)^-1], so the inverse is
-    the right half over the last pivot p."""
-    n = M.rows
-    if n != M.cols:
-        raise ValueError("inverse of non-square matrix")
-    N, d = M._table
-    rows = [row + [d if i == j else 0 for j in range(n)]
-            for i, row in enumerate(N)]
-    a, rank, p = _eliminate(rows, n)
-    if rank < n:
-        raise PoleError("matrix is singular")
-    return Matrix._over([row[n:] for row in a], p)
-
-
-def rank(M: Matrix) -> int:
-    """Exact rank of a small dense matrix, from its integer table."""
-    return _eliminate(M._table[0], M.cols)[1]
-
-
 class SparseMatrix:
-    """Square sparse matrix N / den, the form of ``Matrix._table``: ``_rows``
-    maps row -> {col: int}, zeros never stored, and den is a positive int.
+    """The exact matrix N / den of shape (rows, cols): ``_rows`` maps row ->
+    {col: int}, zeros and empty rows never stored, and den is a positive
+    int.
 
-    Products are int products over da db, sums and differences work over
-    lcm(da, db), and ``scale(s)`` multiplies the rows by the numerator of s
-    and den by its denominator: no gcd is taken.  ``get``, ``items``,
-    ``apply``, ``apply_left`` and ``==`` read exact rationals; package code
-    reads ``_rows`` and ``den`` as they are.  Comparison and iteration use
-    the deterministic (row, col) ordering, so exact equality is well
-    defined.
+    Built from rows of entries, ints or Fractions, N is taken over the lcm
+    of their denominators; any other entry, a Dual included, raises
+    TypeError.  Products are int products over da db, sums and differences
+    work over lcm(da, db), and a rational scale multiplies the rows by its
+    numerator and den by its denominator: no gcd is taken.  ``get``,
+    ``items``, ``apply``, ``apply_left`` and ``==`` read exact rationals;
+    package code reads ``_rows`` and ``den`` as they are.  Comparison and
+    iteration use the (row, col) order, so exact equality and the first
+    mismatch are well defined.
+
+    A SparseMatrix is never changed once built, and may share row dicts
+    with the matrices it was made from: ``models`` shares each R(x) and K(x)
+    it builds between all of its callers.
     """
 
-    __slots__ = ("dim", "_rows", "den")
+    __slots__ = ("shape", "_rows", "den")
 
-    def __init__(self, dim):
-        self.dim = dim
-        self._rows = {}
-        self.den = 1
+    def __init__(self, entries):
+        try:
+            d = math.lcm(*[v.denominator for row in entries for v in row])
+        except AttributeError:   # an entry with no denominator
+            raise TypeError("matrix entries are ints or Fractions") from None
+        cols = len(entries[0]) if entries else 0
+        rows = {}
+        for r, row in enumerate(entries):
+            if len(row) != cols:
+                raise ValueError("ragged matrix")
+            kept = {}
+            for c, v in enumerate(row):
+                n = v.numerator * (d // v.denominator)
+                if n:
+                    kept[c] = n
+            if kept:
+                rows[r] = kept
+        self.shape = len(entries), cols
+        self._rows, self.den = rows, d
 
     @classmethod
-    def _over(cls, dim, rows, den):
-        """The matrix rows / den, rows {r: {c: int}} holding no zero and den
-        a nonzero int; a negative den moves its sign into the rows."""
-        out = cls(dim)
+    def _over(cls, shape, rows, den):
+        """The matrix rows / den of the given shape, rows {r: {c: int}}
+        holding no zero and no empty row and den a nonzero int; a negative
+        den moves its sign into the rows."""
+        out = cls.__new__(cls)
         if den < 0:
-            rows = {r: {c: -v for c, v in row.items()}
-                    for r, row in rows.items()}
-            den = -den
-        out._rows, out.den = rows, den
+            rows, den = _times(rows, -1), -den
+        out.shape, out._rows, out.den = shape, rows, den
         return out
 
     @staticmethod
-    def identity(dim):
-        return SparseMatrix._over(dim, {i: {i: 1} for i in range(dim)}, 1)
+    def zeros(rows, cols):
+        return SparseMatrix._over((rows, cols), {}, 1)
 
     @staticmethod
-    def from_dense(M: Matrix):
-        """M over the denominator of its table, taken as it is."""
-        if M.rows != M.cols:
-            raise ValueError(f"SparseMatrix is square, got {M.rows}x{M.cols}")
-        N, d = M._table
-        return SparseMatrix._over(
-            M.rows, _kept((i, dict(enumerate(row))) for i, row in enumerate(N)),
-            d)
+    def identity(n):
+        return SparseMatrix._over((n, n), {i: {i: 1} for i in range(n)}, 1)
 
-    def _check_index(self, r, c):
-        if not (0 <= r < self.dim and 0 <= c < self.dim):
-            raise IndexError("coordinate out of range")
-
-    def add(self, r, c, v):
-        """Add the rational v at (r, c), in place: a sum with the one-entry
-        matrix, over the lcm of the two denominators, for small builders."""
-        self._check_index(r, c)
-        one = SparseMatrix._over(self.dim, {r: {c: v.numerator}} if v else {},
-                                 v.denominator)
-        total = self + one
-        self._rows, self.den = total._rows, total.den
+    @property
+    def dim(self):
+        """The side of a square matrix."""
+        n, k = self.shape
+        if n != k:
+            raise ValueError(f"a {n}x{k} matrix has no single dimension")
+        return n
 
     def get(self, r, c):
-        self._check_index(r, c)
-        return Fraction(self._rows.get(r, {}).get(c, 0), self.den)
+        n, k = self.shape
+        if not (0 <= r < n and 0 <= c < k):
+            raise IndexError("coordinate out of range")
+        row = self._rows.get(r)
+        return Fraction(row.get(c, 0) if row else 0, self.den)
 
     def items(self):
         """COO entries sorted by (row, col), as Fractions."""
@@ -339,28 +114,47 @@ class SparseMatrix:
     def __mul__(self, other):
         if not isinstance(other, SparseMatrix):
             return self.scale(other)
-        if self.dim != other.dim:
-            raise ValueError("shape mismatch")
-        # (A / da)(B / db) = A B / (da db): int products, no gcd
+        (n, k), (k2, m) = self.shape, other.shape
+        if k != k2:
+            raise ValueError(f"shape mismatch: {n}x{k} times {k2}x{m}")
+        # (A / da)(B / db) = A B / (da db): int products, no gcd, and an
+        # entry that cancels to zero is dropped as it does
+        right = other._rows
         rows = {}
         for r, row in self._rows.items():
-            acc = rows[r] = {}
-            for k, v in row.items():
-                for c, w in other._rows.get(k, {}).items():
-                    acc[c] = acc.get(c, 0) + v * w
-        return SparseMatrix._over(self.dim, _kept(rows.items()),
-                                  self.den * other.den)
+            acc = {}
+            for j, v in row.items():
+                if j not in right:
+                    continue
+                for c, w in right[j].items():
+                    if c not in acc:
+                        acc[c] = v * w
+                    elif s := acc[c] + v * w:
+                        acc[c] = s
+                    else:
+                        del acc[c]
+            if acc:
+                rows[r] = acc
+        return SparseMatrix._over((n, m), rows, self.den * other.den)
+
+    def __rmul__(self, s):
+        return self.scale(s)
 
     def scale(self, s):
-        """s M for a rational s: the rows times its numerator, over den
-        times its denominator."""
-        n = s.numerator
-        if not n:
-            return SparseMatrix(self.dim)
-        return SparseMatrix._over(
-            self.dim, {r: {c: v * n for c, v in row.items()}
-                       for r, row in self._rows.items()},
-            self.den * s.denominator)
+        """s M for a rational s, an int or a Fraction: the rows times its
+        numerator, over den times its denominator."""
+        if not isinstance(s, (int, Fraction)):
+            raise TypeError(f"a matrix scales by an int or a Fraction, "
+                            f"not {type(s).__name__}")
+        if not s:
+            return SparseMatrix._over(self.shape, {}, 1)
+        return SparseMatrix._over(self.shape, _times(self._rows, s.numerator),
+                                  self.den * s.denominator)
+
+    def _same_shape(self, other):
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch: {}x{} vs {}x{}".format(
+                *self.shape, *other.shape))
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -370,69 +164,92 @@ class SparseMatrix:
 
     def _sum(self, other, sign):
         """self + sign other, over the lcm of the two denominators."""
-        if self.dim != other.dim:
-            raise ValueError(f"shape mismatch: dim {self.dim} vs {other.dim}")
+        self._same_shape(other)
         d = math.lcm(self.den, other.den)
         fa, fb = d // self.den, sign * (d // other.den)
-        rows = {r: {c: v * fa for c, v in row.items()}
-                for r, row in self._rows.items()}
-        for r, row in other._rows.items():
-            acc = rows.setdefault(r, {})
+        rows = {r: dict(row) for r, row in _times(self._rows, fa).items()}
+        for r, row in _times(other._rows, fb).items():
+            if r not in rows:
+                rows[r] = row
+                continue
+            acc = rows[r]
             for c, v in row.items():
-                acc[c] = acc.get(c, 0) + v * fb
-        return SparseMatrix._over(self.dim, _kept(rows.items()), d)
+                if c not in acc:
+                    acc[c] = v
+                elif s := acc[c] + v:
+                    acc[c] = s
+                else:
+                    del acc[c]
+            if not acc:
+                del rows[r]
+        return SparseMatrix._over(self.shape, rows, d)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return self.dim == other.dim and \
+        return self.shape == other.shape and \
             next(self._mismatches(other), None) is None
 
     def _mismatches(self, other):
         """(row, col, self's entry, other's entry) wherever the two differ,
-        in (row, col) order, the entries as Fractions.  Over one den, equal
-        rows are skipped by one dict comparison; otherwise A / da and B / db
-        are compared as A (d / da) and B (d / db), d = lcm(da, db)."""
-        if self.dim != other.dim:
-            raise ValueError(f"shape mismatch: dim {self.dim} vs {other.dim}")
-        da, db = self.den, other.den
-        d = math.lcm(da, db)
-        fa, fb = d // da, d // db
-        rows_a, rows_b = self._rows, other._rows
+        in (row, col) order, the entries as Fractions.  A / da and B / db
+        are compared as A (d / da) and B (d / db), d = lcm(da, db): equal
+        tables are found by one comparison of the rows, and no Fraction is
+        formed unless they differ."""
+        self._same_shape(other)
+        d = math.lcm(self.den, other.den)
+        rows_a = _times(self._rows, d // self.den)
+        rows_b = _times(other._rows, d // other.den)
+        if rows_a == rows_b:
+            return
         for r in sorted(rows_a.keys() | rows_b.keys()):
             row_a, row_b = rows_a.get(r, {}), rows_b.get(r, {})
-            if da == db and row_a == row_b:
+            if row_a == row_b:
                 continue
             for c in sorted(row_a.keys() | row_b.keys()):
                 a, b = row_a.get(c, 0), row_b.get(c, 0)
-                if a * fa != b * fb:
-                    yield r, c, Fraction(a, da), Fraction(b, db)
+                if a != b:
+                    yield r, c, Fraction(a, d), Fraction(b, d)
 
-    def _check_vector(self, vec):
-        if len(vec) != self.dim:
-            raise ValueError(f"vector length {len(vec)} != dim {self.dim}")
+    def transpose(self):
+        rows = {}
+        for r, row in self._rows.items():
+            for c, v in row.items():
+                if c in rows:
+                    rows[c][r] = v
+                else:
+                    rows[c] = {r: v}
+        n, k = self.shape
+        return SparseMatrix._over((k, n), rows, self.den)
 
     def apply(self, vec):
         """M v for a vector of Fractions or ints, as Fractions: (N / d)(w /
         e) = N w / (d e), w the ints of ``integer_vector``."""
-        self._check_vector(vec)
+        n, k = self.shape
+        if len(vec) != k:
+            raise ValueError(f"vector length {len(vec)} != {k} columns")
         w, e = integer_vector(vec)
-        out = [0] * self.dim
+        out = [0] * n
         for r, row in self._rows.items():
-            out[r] = sum(v * w[c] for c, v in row.items())
+            s = 0
+            for c, v in row.items():
+                s += v * w[c]
+            out[r] = s
         de = self.den * e
         return [Fraction(g, de) for g in out]
 
     def apply_left(self, vec):
         """v^T M, as Fractions, the same way."""
-        self._check_vector(vec)
+        if len(vec) != self.shape[0]:
+            raise ValueError(f"vector length {len(vec)} != {self.shape[0]} "
+                             "rows")
         w, e = integer_vector(vec)
         de = self.den * e
         return [Fraction(g, de) for g in self._left(w)]
 
     def _left(self, w):
         """w^T N for a list w of ints: v^T M = w^T N / (e den) for v = w / e."""
-        out = [0] * self.dim
+        out = [0] * self.shape[1]
         for r, row in self._rows.items():
             wr = w[r]
             if not wr:
@@ -442,13 +259,143 @@ class SparseMatrix:
         return out
 
     def __repr__(self):
-        return f"SparseMatrix(dim={self.dim}, nnz={self.nnz})"
+        return "SparseMatrix({}x{}, nnz={})".format(*self.shape, self.nnz)
+
+
+# perfbench/traced_cli.py asks isinstance(M, tensor.Matrix) of the kernel's
+# argument before it counts M.dim and M.nnz: no operator is an instance of
+# the empty tuple of classes
+Matrix = ()
+
+
+def _times(rows, f) -> dict:
+    """The int rows {r: {c: int}} times the nonzero int f: the rows
+    themselves when f is 1."""
+    if f == 1:
+        return rows
+    return {r: {c: v * f for c, v in row.items()} for r, row in rows.items()}
+
+
+def _block(M: SparseMatrix, r0, c0, h, w) -> SparseMatrix:
+    """The h x w block of M whose top left entry is (r0, c0)."""
+    return SparseMatrix._over((h, w), _kept(
+        (r - r0, {c - c0: v for c, v in row.items() if c0 <= c < c0 + w})
+        for r, row in M._rows.items() if r0 <= r < r0 + h), M.den)
+
+
+def kron(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
+    """A (x) B: entry (i k, j l) is A[i][j] B[k][l], over the product of
+    the two denominators."""
+    (n, k), (m, l) = A.shape, B.shape
+    right = [(i, list(row.items())) for i, row in B._rows.items()]
+    rows = {}
+    for i, row in A._rows.items():
+        left = list(row.items())
+        for i2, rb in right:
+            rows[i * m + i2] = {j * l + j2: x * y for j, x in left
+                                for j2, y in rb}
+    return SparseMatrix._over((n * m, k * l), rows, A.den * B.den)
+
+
+def permutation_op() -> SparseMatrix:
+    """4x4 swap P: P(u (x) v) = v (x) u, P^2 = I."""
+    return SparseMatrix._over((4, 4), {0: {0: 1}, 1: {2: 1}, 2: {1: 1},
+                                       3: {3: 1}}, 1)
+
+
+def partial_transpose(M: SparseMatrix, leg: int) -> SparseMatrix:
+    """Transpose one tensor leg of a 4x4 two-site operator (leg 1 or 2):
+    entry (2i + j, 2k + l) moves to (2k + j, 2i + l) for leg 1 and to
+    (2i + l, 2k + j) for leg 2."""
+    if M.shape != (4, 4):
+        raise ValueError("partial_transpose expects a 4x4 matrix")
+    if leg not in (1, 2):
+        raise ValueError("leg must be 1 or 2")
+    rows = {}
+    for r, row in M._rows.items():
+        for c, v in row.items():
+            if leg == 1:
+                r2, c2 = c & 2 | r & 1, r & 2 | c & 1
+            else:
+                r2, c2 = r & 2 | c & 1, c & 2 | r & 1
+            if r2 in rows:
+                rows[r2][c2] = v
+            else:
+                rows[r2] = {c2: v}
+    return SparseMatrix._over((4, 4), rows, M.den)
+
+
+def partial_trace_first(M: SparseMatrix) -> SparseMatrix:
+    """Trace out the first 2-dim factor of an operator on 2 (x) 2^n: the
+    sum of the two diagonal blocks."""
+    n, k = M.shape
+    if n != k or n % 2:
+        raise ValueError("dimension not even")
+    half = n // 2
+    return _block(M, 0, 0, half, half) + _block(M, half, half, half, half)
+
+
+def _eliminate(rows, shape, ncols) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of the int rows {r: {c: int}}
+    of a matrix of the given shape over its first ncols columns (Bareiss
+    1968), on the rows expanded to dense int lists: (those lists reduced,
+    the pivot count, the last pivot p).
+
+    A row r is updated by the pivot row s at column c as (s[c] r - r[c] s)
+    / p_prev, p_prev the pivot before s[c] (1 at the start).  Every entry
+    is then a minor of the input, so the division is exact and no entry
+    outgrows Hadamard's bound.  At the end each pivot row holds p at its
+    pivot column and 0 at the other pivot columns: it is p times the
+    reduced row echelon form's row."""
+    n, k = shape
+    a = [[0] * k for _ in range(n)]
+    for r, row in rows.items():
+        for c, v in row.items():
+            a[r][c] = v
+    rank, prev = 0, 1
+    for col in range(ncols):
+        piv = next((r for r in range(rank, n) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        prow = a[rank]
+        p = prow[col]
+        for r in range(n):
+            if r == rank:
+                continue
+            f = a[r][col]
+            if f:
+                a[r] = [(p * e - f * g) // prev for e, g in zip(a[r], prow)]
+            elif prev != p:
+                a[r] = [p * e // prev for e in a[r]]
+        rank, prev = rank + 1, p
+    return a, rank, prev
+
+
+def inverse(M: SparseMatrix) -> SparseMatrix:
+    """Exact inverse of a small square matrix N / d, eliminated without
+    fractions: [N | d I] reduces to [p I | p (N / d)^-1], so the inverse is
+    the right half over the last pivot p."""
+    n, k = M.shape
+    if n != k:
+        raise ValueError("inverse of non-square matrix")
+    rows = {i: {**M._rows.get(i, {}), n + i: M.den} for i in range(n)}
+    a, rank, p = _eliminate(rows, (n, 2 * n), n)
+    if rank < n:
+        raise PoleError("matrix is singular")
+    return SparseMatrix._over((n, n), _kept(
+        (i, dict(enumerate(row[n:]))) for i, row in enumerate(a)), p)
+
+
+def rank(M: SparseMatrix) -> int:
+    """Exact rank of a small matrix, from its int rows."""
+    return _eliminate(M._rows, M.shape, M.shape[1])[1]
 
 
 def embed_at_positions(terms, n_factors) -> SparseMatrix:
     """Sum of local operators on (C^2)^(x n_factors), each identity off
     its slots.  ``terms`` is a list of (op, positions) pairs: op is a
-    SparseMatrix of dim 2^k acting on k distinct 0-indexed tensor slots,
+    2^k x 2^k SparseMatrix acting on k distinct 0-indexed tensor slots,
     its legs in the order of ``positions``.  A term visits each output row
     once: the row's slot bits pick its local row, and each entry's column
     keeps the row's other bits.  The sum is taken in ints over the lcm of
@@ -458,7 +405,7 @@ def embed_at_positions(terms, n_factors) -> SparseMatrix:
     rows = [{} for _ in range(dim)]
     for op, positions in terms:
         k = len(positions)
-        if op.dim != 1 << k:
+        if op.shape != (1 << k, 1 << k):
             raise ValueError("operator size does not match position count")
         if len(set(positions)) != k or \
                 any(not 0 <= p < n_factors for p in positions):
@@ -479,7 +426,7 @@ def embed_at_positions(terms, n_factors) -> SparseMatrix:
                 for c, v in entries:
                     c |= base
                     row[c] = row.get(c, 0) + v
-    return SparseMatrix._over(dim, _kept(enumerate(rows)), den)
+    return SparseMatrix._over((dim, dim), _kept(enumerate(rows)), den)
 
 
 def _kept(rows) -> dict:
@@ -521,18 +468,19 @@ def exact_nullspace(M: SparseMatrix) -> list:
 
     Returns one length-dim Fraction vector per free column, in column order.
     """
-    rows = [M._rows.get(r, {}) for r in range(M.dim)]
+    dim = M.dim
+    rows = [M._rows.get(r, {}) for r in range(dim)]
     for p in _primes():
-        factors = _eliminate_mod(rows, M.dim, p)
+        factors = _eliminate_mod(rows, dim, p)
         pivot_rows = [ri for ri, _, _, _, _ in factors]
         pivot_cols = [cj for _, cj, _, _, _ in factors]
-        free = sorted(set(range(M.dim)).difference(pivot_cols))
+        free = sorted(set(range(dim)).difference(pivot_cols))
         if not free:
             return []
         # x is 1 at f and 0 at the other free columns; the residual of
         # A[R,P] x = -A[R,f] starts at -A[R,f]
-        solutions = [[0] * M.dim for _ in free]
-        residuals = [[0] * M.dim for _ in free]
+        solutions = [[0] * dim for _ in free]
+        residuals = [[0] * dim for _ in free]
         for f, x, r in zip(free, solutions, residuals):
             x[f] = 1
             for ri in pivot_rows:
@@ -558,16 +506,8 @@ def exact_nullspace(M: SparseMatrix) -> list:
 def integer_vector(vec) -> tuple:
     """(ints, d) with vec = ints / d, d the lcm of the denominators of the
     entries (Fraction or int)."""
-    (row,), d = _dense_over_lcm([vec])
-    return row, d
-
-
-def _dense_over_lcm(rows):
-    """(the rows times d as int lists, d), d the lcm of the denominators of
-    all entries of the rows (lists of Fraction or int)."""
-    d = math.lcm(*[v.denominator for row in rows for v in row])
-    return [[v.numerator * (d // v.denominator) for v in row]
-            for row in rows], d
+    d = math.lcm(*[v.denominator for v in vec])
+    return [v.numerator * (d // v.denominator) for v in vec], d
 
 
 # the share of nonzeros in the block of active rows and live columns at
@@ -795,10 +735,10 @@ def _annihilates(rows, vectors) -> bool:
     return True
 
 
-def derivative_at(f, x0) -> Matrix:
+def derivative_at(f, x0) -> SparseMatrix:
     """Exact derivative of a matrix-valued rational function at x0.  At the
     Dual point x0 + eps, f returns the pair (f(x0), f'(x0)) of rational
-    Matrices, as the R and K caches of ``models`` do, and its second part is
+    matrices, as the R and K caches of ``models`` do, and its second part is
     the derivative.  Poles raise PoleError."""
     from .scalars import Dual
     try:

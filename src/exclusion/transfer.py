@@ -25,8 +25,7 @@ from operator import add, mul
 from . import models as m
 from .models import ModelDescriptor
 from .scalars import Dual
-from .tensor import Matrix, PoleError, SparseMatrix, exact_nullspace, \
-    inverse
+from .tensor import PoleError, SparseMatrix, exact_nullspace, inverse
 from .verifier import CheckReport, compare, skipped
 
 
@@ -123,9 +122,9 @@ def build_transfer(spec: TransferSpec, x):
     Dual point x the pair (t(x), t'(x)): SparseMatrix integer tables N / den
     over one den.
 
-    Each factor F is scaled to integers by the lcm d of its denominators,
+    Each factor F is read as a dense int table over its denominator d,
     and den is the product of the d; at a Dual point the factor is the pair
-    (F, F') of Matrices, and their two tables are read over the lcm of
+    (F, F') of matrices, and their two tables are read over the lcm of
     their denominators.  t(x) is then contracted site by site as
     an operator product of bond dimension 4, without forming any operator
     on the 2^(L+1)-dimensional auxiliary (x) chain space.  The bond state
@@ -143,10 +142,9 @@ def build_transfer(spec: TransferSpec, x):
     L = spec.L
     factors, den = [], 1
     for F in _local_factors(spec, x):
-        tables = [P._table for P in F] if dual else [F._table]
-        d = math.lcm(*(e for _, e in tables))
-        factors.append([N if e == d else [[v * (d // e) for v in row]
-                                          for row in N] for N, e in tables])
+        parts = F if dual else (F,)
+        d = math.lcm(*(P.den for P in parts))
+        factors.append([_table(P, d // P.den) for P in parts])
         den *= d
     Kt, K = factors[0], factors[L + 1]
     O = [[K[0][p][y]] for p, y in _BONDS]
@@ -176,8 +174,18 @@ def build_transfer(spec: TransferSpec, x):
         for r, c, v in zip(rows, cols, table):
             if v:
                 N.setdefault(r, {})[c] = v
-        out.append(SparseMatrix._over(1 << L, N, den))
+        out.append(SparseMatrix._over((1 << L, 1 << L), N, den))
     return tuple(out) if dual else out[0]
+
+
+def _table(P: SparseMatrix, f: int) -> list:
+    """The int rows of P times f, as dense lists."""
+    n, k = P.shape
+    out = [[0] * k for _ in range(n)]
+    for r, row in P._rows.items():
+        for c, v in row.items():
+            out[r][c] = v * f
+    return out
 
 
 def check_commutation(spec: TransferSpec, x, x2) -> CheckReport:
@@ -312,21 +320,21 @@ def ssep_conjugated(spec: TransferSpec, x) -> list:
     al, be, ga, de = model.alpha, model.beta, model.gamma, model.delta
     if be + de == 0:
         raise ValueError("Gamma is singular: beta + delta = 0")
-    Gam = Matrix([[Fraction(-1), be], [Fraction(1), de]])
+    Gam = SparseMatrix([[-1, be], [1, de]])
     Gi = inverse(Gam)
 
     # K and Ktilde first: they raise, naming the expression, at the poles
     # of the closed forms of D and Dtilde
     got = Gi * m.k_matrix(model, "K", x) * Gam
     d = x * (al + ga) + 1
-    want = Matrix([[-(x * (al + ga) - 1) / d, 2 * x * (al * be - de * ga) / d],
-                   [Fraction(0), Fraction(1)]])
+    want = SparseMatrix([[-(x * (al + ga) - 1) / d,
+                          2 * x * (al * be - de * ga) / d], [0, 1]])
     out = [compare(model, "conjugated.D", (x,), got, want)]
 
     got = Gi * m.k_matrix(model, "Ktilde", x) * Gam
     pre = (2 * x + 1) / (2 * (x + 1) * (x * (de + be) + 1))
-    want = Matrix([[pre * (-(x + 1) * (be + de) + 1), Fraction(0)],
-                   [Fraction(0), pre * ((x + 1) * (be + de) + 1)]])
+    want = SparseMatrix([[pre * (-(x + 1) * (be + de) + 1), 0],
+                         [0, pre * ((x + 1) * (be + de) + 1)]])
     out.append(compare(model, "conjugated.Dtilde", (x,), got, want))
 
     # <-| ts(x) |-> with |-> the all-occupied basis vector: contract t
@@ -335,8 +343,8 @@ def ssep_conjugated(spec: TransferSpec, x) -> list:
     row = [Fraction(1)]
     col = [Fraction(1)]
     for _ in range(spec.L):
-        row = [r * g for r in row for g in (Gi.a[1][0], Gi.a[1][1])]
-        col = [c * g for c in col for g in (Gam.a[0][1], Gam.a[1][1])]
+        row = [r * g for r in row for g in (Gi.get(1, 0), Gi.get(1, 1))]
+        col = [c * g for c in col for g in (Gam.get(0, 1), Gam.get(1, 1))]
     got = sum(r * v for r, v in zip(row, t.apply(col)))
     out.append(compare(model, "conjugated.scalar", (x,),
                        [got], [lambda_eigenvalue(model, x, spec.thetas)]))

@@ -25,9 +25,8 @@ from . import models as m
 from .models import ModelDescriptor
 from .sampling import model_safe, pair_safe
 from .scalars import format_rational
-from .tensor import Matrix, SparseMatrix, derivative_at, \
-    embed_at_positions, inverse, kron, partial_transpose, permutation_op, \
-    rank
+from .tensor import SparseMatrix, derivative_at, embed_at_positions, \
+    inverse, kron, partial_transpose, permutation_op, rank
 
 PASS = "Pass"
 FAIL = "Fail"
@@ -52,11 +51,10 @@ def _fmt_points(points) -> tuple:
 def compare(model, check, points, lhs, rhs) -> CheckReport:
     """Pass when lhs equals rhs entry by entry, else Fail with the first
     mismatch in row-major order as the witness, its two entries as reduced
-    rationals.  The operands are two dense Matrix, two SparseMatrix (never
-    densified, their integer tables compared over the lcm of their
-    denominators), two flat sequences, read as row 0, or two 2 x 2 block
-    operators {(i, j): component}, scanned block by block in dict order;
-    differing shapes raise ValueError."""
+    rationals.  The operands are two SparseMatrix (their int rows compared
+    over the lcm of their denominators), two flat sequences, read as row 0,
+    or two 2 x 2 block operators {(i, j): component}, scanned block by
+    block in dict order; differing shapes raise ValueError."""
     for r, c, a, b in _mismatches(lhs, rhs):
         return CheckReport(model.name, check, _fmt_points(points), FAIL,
                            witness={"row": r, "col": c,
@@ -70,8 +68,7 @@ def _mismatches(lhs, rhs):
     entry (r, c) of the h x w component (i, j) of a block operator is at
     row i h + r, column j w + c."""
     if isinstance(lhs, dict):
-        shapes = {(M.dim, M.dim) if isinstance(M, SparseMatrix)
-                  else (M.rows, M.cols) for M in (*lhs.values(), *rhs.values())}
+        shapes = {M.shape for M in (*lhs.values(), *rhs.values())}
         if lhs.keys() != rhs.keys() or len(shapes) != 1:
             raise ValueError(f"block shape mismatch: {sorted(shapes)}")
         (h, w), = shapes
@@ -79,7 +76,7 @@ def _mismatches(lhs, rhs):
             for r, c, a, b in _mismatches(block, rhs[i, j]):
                 yield i * h + r, j * w + c, a, b
         return
-    if isinstance(lhs, (SparseMatrix, Matrix)):
+    if isinstance(lhs, SparseMatrix):
         yield from lhs._mismatches(rhs)
         return
     if len(lhs) != len(rhs):
@@ -113,8 +110,8 @@ def run(model, records) -> list:
     return reports
 
 
-I2 = Matrix.identity(2)
-I4 = Matrix.identity(4)
+I2 = SparseMatrix.identity(2)
+I4 = SparseMatrix.identity(4)
 
 
 # ------------------------------------------------------------- Yang-Baxter
@@ -123,9 +120,9 @@ def yang_baxter(model: ModelDescriptor, x1, x2, x3):
     conv = model.convention
 
     def sides():
-        # R12, R13, R23 as integer tables: both triple products are over
-        # the product of their three denominators
-        rs = [SparseMatrix.from_dense(m.r_matrix(model, conv.compose(a, b)))
+        # R12, R13, R23 embedded: both triple products are over the
+        # product of their three denominators
+        rs = [m.r_matrix(model, conv.compose(a, b))
               for a, b in ((x1, x2), (x1, x3), (x2, x3))]
         r12, r13, r23 = (embed_at_positions([term], 3) for term in
                          zip(rs, ((0, 1), (0, 2), (1, 2))))
@@ -261,8 +258,8 @@ def k_properties(model: ModelDescriptor, kind: str, x, twist=None,
         target = B if kind == "K" else Bbar
         if twist is not None:
             tau = Fraction(twist)
-            target = Matrix([[-model.alpha, model.gamma / tau],
-                             [tau * model.alpha, -model.gamma]])
+            target = SparseMatrix([[-model.alpha, model.gamma / tau],
+                                   [tau * model.alpha, -model.gamma]])
         return derivative_at(kf, idp), (2 * model.rho * eps) * target
 
     yield f"{name}.unitarity", (x,), lambda: (kf(x) * kf(conv.invert(x)), I2)
@@ -300,16 +297,17 @@ def _u_solution_dim(model: ModelDescriptor, kf, points) -> int:
     rows = []
     for p in points:
         K = kf(p)
+        k = [[K.get(r, c) for c in range(2)] for r in range(2)]
         ip = conv.invert(p)
         for comp in range(2):
             row = []
             for bc, mono in basis:
-                val = K.a[comp][bc] * mono(ip)
+                val = k[comp][bc] * mono(ip)
                 if bc == comp:
                     val -= mono(p)
                 row.append(val)
             rows.append(row)
-    return len(basis) - rank(Matrix(rows))
+    return len(basis) - rank(SparseMatrix(rows))
 
 
 # ------------------------------------------------- dual-map consistency
@@ -340,7 +338,7 @@ def named_symmetries(model: ModelDescriptor, x):
 
 
 def _ssep_symmetries(model: ModelDescriptor, x):
-    V = Matrix([[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]])
+    V = SparseMatrix([[0, 1], [-1, 0]])
     Vi = inverse(V)
     R = m.r_matrix(model, x)
 
@@ -372,9 +370,9 @@ def _ssep_symmetries(model: ModelDescriptor, x):
 
 def _asep_symmetries(model: ModelDescriptor, x):
     q = model.q
-    V = Matrix([[Fraction(0), Fraction(-1)], [q, Fraction(0)]])
-    W = Matrix([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
-    Mq = Matrix([[q, Fraction(0)], [Fraction(0), Fraction(1)]])
+    V = SparseMatrix([[0, -1], [q, 0]])
+    W = SparseMatrix([[0, 1], [1, 0]])
+    Mq = SparseMatrix([[q, 0], [0, 1]])
     Vi, Wi, Mi = inverse(V), inverse(W), inverse(Mq)
     R = m.r_matrix(model, x)
     R21 = m.r_matrix_swapped(model, x)

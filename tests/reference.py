@@ -1,8 +1,8 @@
 """Oracles that only the tests use: the entry-by-entry Fraction product,
-Kronecker product and partial transpose that the integer tables of
-``tensor.Matrix`` are checked against, the dense embedding, built from
-``kron`` and a slot permutation, that ``tensor.embed_at_positions`` is
-checked against, the closed-form rows of R and K at a Dual point split
+Kronecker product and partial transpose that the int rows of
+``tensor.SparseMatrix`` are checked against, the dense embedding, op (x) I
+entry by entry and a slot permutation, that ``tensor.embed_at_positions``
+is checked against, the closed-form rows of R and K at a Dual point split
 entry by entry, which the pairs of the R and K caches are checked against,
 the embed-and-multiply products and sums, over Fraction or Dual entries
 held as {row: {col: entry}}, that ``transfer.build_transfer``, the
@@ -15,7 +15,7 @@ from fractions import Fraction
 import exclusion.models as m
 from exclusion.ansatz import rd_closed_forms
 from exclusion.scalars import Dual
-from exclusion.tensor import Matrix, SparseMatrix, kron
+from exclusion.tensor import SparseMatrix
 
 
 def fraction_product(a, b) -> list:
@@ -53,43 +53,42 @@ def fraction_partial_transpose(a, leg: int) -> list:
     return out
 
 
-def dense(M: SparseMatrix) -> Matrix:
-    """M as a dense Matrix."""
-    rows = [[0] * M.dim for _ in range(M.dim)]
-    for r, c, v in M.items():
-        rows[r][c] = v
-    return Matrix(rows)
+def entries(M: SparseMatrix) -> list:
+    """M's entries as rows of Fractions, read one by one through get."""
+    rows, cols = M.shape
+    return [[M.get(r, c) for c in range(cols)] for r in range(rows)]
 
 
-def embed_dense(op: Matrix, positions, length: int) -> Matrix:
+def embed_dense(op: SparseMatrix, positions, length: int) -> SparseMatrix:
     """op on the 0-indexed slots ``positions`` of (C^2)^(x length), its legs
-    in the order of ``positions``, identity elsewhere: kron(op, I) acts on
-    the leading slots, and the permutation P sending slot t to the t-th of
-    positions + (the other slots, ascending) puts it in place, P kron(op, I)
-    P^T.  P e_a = e_b(a), so entry (a, a') of kron(op, I) lands at
-    (b(a), b(a'))."""
+    in the order of ``positions``, identity elsewhere: op (x) I, whose entry
+    (i m + t, j m + t) is op[i][j] for each t < m, acts on the leading
+    slots, and the permutation P sending slot t to the t-th of positions +
+    (the other slots, ascending) puts it in place, P (op (x) I) P^T.  P e_a
+    = e_b(a), so entry (a, a') of op (x) I lands at (b(a), b(a'))."""
     k = len(positions)
-    if op.rows != 1 << k or len(set(positions)) != k or \
+    if op.shape != (1 << k, 1 << k) or len(set(positions)) != k or \
             not all(0 <= p < length for p in positions):
-        raise ValueError(f"{op.rows}x{op.rows} operator at slots {positions} "
-                         f"of {length}")
+        raise ValueError("{}x{} operator at slots {} of {}".format(
+            *op.shape, positions, length))
     order = list(positions) + [p for p in range(length) if p not in positions]
     dim = 1 << length
     b = [sum(((a >> (length - 1 - t)) & 1) << (length - 1 - slot)
              for t, slot in enumerate(order)) for a in range(dim)]
+    m = dim >> k
     rows = [[0] * dim for _ in range(dim)]
-    for a, row in enumerate(kron(op, Matrix.identity(dim >> k)).a):
-        for a2, v in enumerate(row):
-            rows[b[a]][b[a2]] = v
-    return Matrix(rows)
+    for i, j, v in op.items():
+        for t in range(m):
+            rows[b[i * m + t]][b[j * m + t]] = v
+    return SparseMatrix(rows)
 
 
-def embed_local(op: Matrix, first_site: int, length: int) -> SparseMatrix:
+def embed_local(op: SparseMatrix, first_site: int,
+                length: int) -> SparseMatrix:
     """Embed an operator on adjacent sites from first_site on; sites are
     1-indexed, site 1 being the most significant bit."""
-    k = op.rows.bit_length() - 1
-    return SparseMatrix.from_dense(
-        embed_dense(op, range(first_site - 1, first_site - 1 + k), length))
+    k = op.shape[0].bit_length() - 1
+    return embed_dense(op, range(first_site - 1, first_site - 1 + k), length)
 
 
 def embed_rows(op: list, positions, length: int) -> dict:
@@ -194,20 +193,20 @@ def split(rows) -> tuple:
 
 
 def as_cached(rows, x):
-    """Rows taken at x as the R and K caches hand them out: a Matrix at a
-    rational x, the pair (values, derivatives) of Matrices at a Dual x."""
-    return tuple(map(Matrix, split(rows))) if isinstance(x, Dual) \
-        else Matrix(rows)
+    """Rows taken at x as the R and K caches hand them out: a SparseMatrix
+    at a rational x, the pair (values, derivatives) of them at a Dual x."""
+    return tuple(map(SparseMatrix, split(rows))) if isinstance(x, Dual) \
+        else SparseMatrix(rows)
 
 
 def _entries(model, kind: str, x) -> list:
-    """The rows of R or K of kind at x: the entries of the package's Matrix
+    """The rows of R or K of kind at x: the entries of the package's matrix
     at a rational x, so that a test's stand-in for it is seen, and the
     closed-form rows, Dual entries included, at a Dual x."""
     if isinstance(x, Dual):
         return closed_rows(model, kind, x)
-    return (m.r_matrix(model, x) if kind == "R"
-            else m.k_matrix(model, kind, x)).a
+    return entries(m.r_matrix(model, x) if kind == "R"
+                   else m.k_matrix(model, kind, x))
 
 
 def transfer_factors(spec, x) -> list:
@@ -228,7 +227,7 @@ def transfer_factors(spec, x) -> list:
 def transfer_product(spec, x):
     """t(x) as the ordered product of the embedded factors over Fraction (or
     Dual) entries, traced over the auxiliary space: no integer assembly.  A
-    Matrix, or at a Dual x the pair (t, t') split entry by entry."""
+    SparseMatrix, or at a Dual x the pair (t, t') split entry by entry."""
     acc = None
     for positions, f in transfer_factors(spec, x):
         f = embed_rows(f, positions, spec.L + 1)

@@ -11,9 +11,9 @@ import exclusion.markov as mk
 import exclusion.models as mo
 import exclusion.verifier as vf
 from exclusion.scalars import Dual, float_repr, format_rational
-from exclusion.tensor import Matrix
+from exclusion.tensor import SparseMatrix
 from certificates import exact, pins, recorded
-from reference import dense, entry, monodromy_components, \
+from reference import entries, entry, monodromy_components, \
     rd_current_balance, rows_apply, rows_apply_left, rows_product, rows_sum, \
     sparse_rows
 from strategies import MODELS
@@ -32,11 +32,11 @@ def _contract(letters, W, V, word):
 def test_tasep_dehp_relation_on_leading_block():
     rep = an.tasep_representation(F(1, 2), F(1, 3), 6)
     D, E = rep.letters["D"], rep.letters["E"]
-    diff = dense(D * E - D - E)
+    diff = D * E - D - E
     for i in range(5):
         for j in range(5):
-            assert diff.a[i][j] == 0
-    assert diff.a[5][5] != 0  # truncation corner
+            assert diff.get(i, j) == 0
+    assert diff.get(5, 5) != 0  # truncation corner
 
 
 def test_tasep_boundary_relations_interior():
@@ -332,7 +332,8 @@ def test_truncation_rounds_grow_by_a_quarter():
         next(an.truncation_rounds(8, 11))
 
 
-# the rate rows of the "needed N" table in ROADMAP.md: (kappa, rates)
+# (kappa, rates) of the RD chains at which the truncation loop's stop is
+# checked against the exact nullspace, at L = 2, 3 and 4
 NEEDED_N_ROWS = [(3, (1, 1, 0, 0)),
                  (3, (F(1, 2), F(2, 3), F(1, 3), F(1, 5))),
                  (2, (F(1, 2), F(2, 3), F(1, 3), F(1, 5))),
@@ -816,7 +817,7 @@ def test_monodromy_components_equal_the_embedded_product(
         x = Dual.variable(mdl.identity_point)
         got = an.MonodromyRealization(mdl, Lp).components(x)
         assert got == monodromy_components(mdl, Lp, x), mdl.name
-        assert any(e for Xp in got[1] for row in Xp.a for e in row)
+        assert any(Xp.nnz for Xp in got[1])
 
 
 def test_zf_twice_and_c_commutation(asep_model, ssep_model):
@@ -905,7 +906,7 @@ def _doubled(M):
     """2 M, and at a Dual point both parts of the pair doubled."""
     if isinstance(M, tuple):
         return tuple(map(_doubled, M))
-    return Matrix([[2 * v for v in row] for row in M.a])
+    return SparseMatrix([[2 * v for v in row] for row in entries(M)])
 
 
 def _perturb(monkeypatch, target, change):
@@ -943,7 +944,7 @@ def _corner_cancelling(rep, x, target):
     t0, t1 = (rows_apply(_oracle_component(G, j, y), V)[0] if "bar" in target
               else rows_apply_left(_oracle_component(G, j, y), W)[0]
               for j in (0, 1))
-    return lambda M: M + Matrix([[t1, -t0], [t1, -t0]])
+    return lambda M: M + SparseMatrix([[t1, -t0], [t1, -t0]])
 
 def _oracle_gz_residuals(rep, x):
     """{check: residual} of the GZ records on the Fraction oracle: <W| op
@@ -964,7 +965,7 @@ def _oracle_gz_residuals(rep, x):
             ("gz.left_derivative", B, A1, Ap, False),
             ("gz.right_derivative", Bbar, A1, minus_Ap, True)):
         for i in (0, 1):
-            op = rows_sum([(M.a[i][0], A[0]), (M.a[i][1], A[1]),
+            op = rows_sum([(M.get(i, 0), A[0]), (M.get(i, 1), A[1]),
                            (-1, sub[i])])
             out[f"{family}[{i}]"] = rows_apply(op, V) if on_V \
                 else rows_apply_left(op, W)
@@ -1022,7 +1023,8 @@ def test_zf_representation_fails_with_the_oracle_witness(monkeypatch, N):
     dim = N * N
     want = None
     for i, j in product((0, 1), repeat=2):
-        lhs = rows_sum([(R.a[2 * i + j][2 * k + l], rows_product(X1[k], X2[l]))
+        lhs = rows_sum([(R.get(2 * i + j, 2 * k + l),
+                         rows_product(X1[k], X2[l]))
                         for k, l in product((0, 1), repeat=2)])
         rhs = rows_product(X2[j], X1[i])
         want = next(({"row": i * dim + r, "col": j * dim + c,
@@ -1049,28 +1051,33 @@ def test_zf_monodromy_fails_with_the_oracle_witness(monkeypatch, all_models,
     at = mdl.convention.compose(x1, x2)
     if kept:
         r_matrix = mo.r_matrix
-        monkeypatch.setattr(mo, "r_matrix", lambda model, x: Matrix(
-            r_matrix(model, x).a[:kept] +
-            _doubled(Matrix(r_matrix(model, x).a[kept:])).a)
-            if x == at else r_matrix(model, x))
+        def changed(model, x):
+            if x != at:
+                return r_matrix(model, x)
+            rows = entries(r_matrix(model, x))
+            return SparseMatrix(rows[:kept] + [[2 * v for v in row]
+                                               for row in rows[kept:]])
+        monkeypatch.setattr(mo, "r_matrix", changed)
     else:
         _perturb(monkeypatch, "R", _doubled)
     mono = an.MonodromyRealization(mdl, 2)
     report = _zf(mono, x1, x2)["zf.monodromy"]
     R = mo.r_matrix(mdl, at)
-    X1, X2 = mono.components(x1), mono.components(x2)
-    h = X1[0].rows
+    # the R-mixed products on the components' entries, multiplied out by
+    # the reference's row arithmetic
+    X1, X2 = ([sparse_rows(X) for X in mono.components(x)] for x in (x1, x2))
+    h = 1 << 2
     want = None
     for i, j in product((0, 1), repeat=2):
-        lhs = Matrix.zeros(h, h)
-        for k, l in product((0, 1), repeat=2):
-            lhs = lhs + X1[k] * X2[l] * R.a[2 * i + j][2 * k + l]
-        rhs = X2[j] * X1[i]
+        lhs = rows_sum([(R.get(2 * i + j, 2 * k + l),
+                         rows_product(X1[k], X2[l]))
+                        for k, l in product((0, 1), repeat=2)])
+        rhs = rows_product(X2[j], X1[i])
         want = next(({"row": i * h + r, "col": j * h + c,
-                      "lhs": format_rational(lhs[r, c]),
-                      "rhs": format_rational(rhs[r, c])}
+                      "lhs": format_rational(entry(lhs, r, c)),
+                      "rhs": format_rational(entry(rhs, r, c))}
                      for r in range(h) for c in range(h)
-                     if lhs[r, c] != rhs[r, c]), None)
+                     if entry(lhs, r, c) != entry(rhs, r, c)), None)
         if want is not None:
             break
     assert want is not None

@@ -918,6 +918,18 @@ def test_out_with_no_file_name_exits_2(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_out_with_an_empty_file_name_exits_2(tmp_path, monkeypatch, capsys):
+    # --out= and --out "" name no file: refused as --out=-- is, not taken
+    # for stdout, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    for out in (["--out="], ["--out", ""]):
+        code = main(["steady", "--model", "tasep", "--L", "1", *out])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "usage error: --out needs a file name\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 _COMMON_OPTIONS = {"--model", "--alpha", "--beta", "--gamma", "--delta", "--q",
                    "--kappa", "--out"}
 _OWN_OPTIONS = {

@@ -13,11 +13,11 @@ from exclusion.ansatz import rd_closed_forms, rd_profile_rows
 from exclusion.markov import KernelError, build_markov, steady_state_exact
 from exclusion.models import mirror
 from exclusion.scalars import float_repr
-from exclusion.tensor import Matrix, PoleError, SparseMatrix, derivative_at
+from exclusion.tensor import PoleError, SparseMatrix, derivative_at
 from exclusion.transfer import TransferSpec, build_transfer
 from strategies import MODELS, SIGNED_MODELS
 
-J = Matrix([[F(0), F(1)], [F(1), F(0)]])
+J = SparseMatrix([[0, 1], [1, 0]])
 _point = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
 
@@ -28,10 +28,10 @@ def _pi(index: int, L: int) -> int:
 
 def _conjugated(M: SparseMatrix, L: int) -> SparseMatrix:
     """Pi M Pi."""
-    out = SparseMatrix(M.dim)
+    rows = [[0] * M.dim for _ in range(M.dim)]
     for r, c, v in M.items():
-        out.add(_pi(r, L), _pi(c, L), v)
-    return out
+        rows[_pi(r, L)][_pi(c, L)] = v
+    return SparseMatrix(rows)
 
 
 @pytest.mark.filterwarnings("ignore:negative rate")

@@ -10,7 +10,7 @@ import exclusion.verifier as vf
 from exclusion.models import UnsupportedError, r_matrix_swapped
 from exclusion.sampling import sample_points
 from exclusion.scalars import Dual
-from exclusion.tensor import Matrix, PoleError, derivative_at, kron, \
+from exclusion.tensor import PoleError, SparseMatrix, derivative_at, kron, \
     partial_trace_first, permutation_op
 from reference import as_cached, closed_rows, split, twisted_k_rows
 from strategies import SIGNED_MODELS
@@ -18,33 +18,34 @@ from strategies import SIGNED_MODELS
 
 def test_local_operators_ssep_is_swap_minus_identity():
     w, _, _ = ex.local_operators(ex.ssep(1, 1, 1, 1))
-    assert w == permutation_op() - Matrix.identity(4)
+    assert w == permutation_op() - SparseMatrix.identity(4)
 
 
 def test_local_operators_tasep():
     _, B, Bbar = ex.local_operators(ex.tasep(F(1, 2), F(1, 3)))
-    assert B == Matrix([[F(-1, 2), 0], [F(1, 2), 0]])
-    assert Bbar == Matrix([[0, F(1, 3)], [0, F(-1, 3)]])
+    assert B == SparseMatrix([[F(-1, 2), 0], [F(1, 2), 0]])
+    assert Bbar == SparseMatrix([[0, F(1, 3)], [0, F(-1, 3)]])
 
 
 def test_local_operators_rd():
     w, _, _ = ex.local_operators(ex.rd(3, 1, 1, 0, 0))
-    assert w == Matrix([[-1, 0, 0, 1], [0, -9, 9, 0],
-                        [0, 9, -9, 0], [1, 0, 0, -1]])
+    assert w == SparseMatrix([[-1, 0, 0, 1], [0, -9, 9, 0],
+                              [0, 9, -9, 0], [1, 0, 0, -1]])
 
 
 def test_r_matrix_asep_values():
     mdl = ex.asep(2, 1, 1, 1, 1)
     R = ex.r_matrix(mdl, F(3))
-    assert R == Matrix([[1, 0, 0, 0],
-                        [0, F(4, 5), F(3, 5), 0],
-                        [0, F(1, 5), F(2, 5), 0],
-                        [0, 0, 0, 1]])
+    assert R == SparseMatrix([[1, 0, 0, 0],
+                              [0, F(4, 5), F(3, 5), 0],
+                              [0, F(1, 5), F(2, 5), 0],
+                              [0, 0, 0, 1]])
 
 
 def test_r_matrix_tasep_values():
     R = ex.r_matrix(ex.tasep(1, 1), F(2))
-    assert R == Matrix([[1, 0, 0, 0], [0, 0, 2, 0], [0, 1, -1, 0], [0, 0, 0, 1]])
+    assert R == SparseMatrix([[1, 0, 0, 0], [0, 0, 2, 0], [0, 1, -1, 0],
+                              [0, 0, 0, 1]])
 
 
 def test_r_matrix_regularity(all_models):
@@ -64,17 +65,17 @@ def test_r_matrix_pole():
 def test_k_matrix_regularity(all_models):
     for mdl in all_models:
         for kind in ("K", "Kbar"):
-            assert ex.k_matrix(mdl, kind, mdl.identity_point) == Matrix.identity(2)
+            assert ex.k_matrix(mdl, kind, mdl.identity_point) == SparseMatrix.identity(2)
 
 
 def test_k_matrix_ssep_value():
     K = ex.k_matrix(ex.ssep(1, 1, 0, 0), "K", F(1))
-    assert K == Matrix([[0, 0], [1, 1]])
+    assert K == SparseMatrix([[0, 0], [1, 1]])
 
 
 def test_k_matrix_tasep_ktilde_value():
     Kt = ex.k_matrix(ex.tasep(1, F(1, 2)), "Ktilde", F(2))
-    assert Kt == Matrix([[F(1, 3), F(1, 3)], [0, F(2, 3)]])
+    assert Kt == SparseMatrix([[F(1, 3), F(1, 3)], [0, F(2, 3)]])
 
 
 def test_column_sums(all_models):
@@ -83,10 +84,12 @@ def test_column_sums(all_models):
     for mdl in all_models:
         for x in sample_points(mdl, 3, seed=11):
             R = ex.r_matrix(mdl, x)
-            assert [sum(R.a[i][j] for i in range(4)) for j in range(4)] == ones4
+            assert [sum(R.get(i, j) for i in range(4)) for j in range(4)] == \
+                ones4
             for kind in ("K", "Kbar"):
                 K = ex.k_matrix(mdl, kind, x)
-                assert [sum(K.a[i][j] for i in range(2)) for j in range(2)] == ones2
+                assert [sum(K.get(i, j) for i in range(2))
+                        for j in range(2)] == ones2
 
 
 def test_derivative_identities(all_models):
@@ -134,7 +137,7 @@ def test_general_asep_k():
     for x in (F(2), F(5, 3)):
         assert plain(x) == ex.k_matrix(mdl, "K", x)
     twisted = ex.general_asep_k(1, F(1, 2), 2, tau=2)
-    assert twisted(F(1)) == Matrix.identity(2)
+    assert twisted(F(1)) == SparseMatrix.identity(2)
     with pytest.raises(ValueError):
         ex.general_asep_k(1, 1, 2, tau=0)
 
@@ -258,7 +261,7 @@ def test_rd_ktilde_dual_matches_series(rd_model):
     value, deriv = ex.k_matrix(rd_model, "Ktilde", Dual.variable(F(1)))
     plain = ex.k_matrix(rd_model, "Ktilde", F(1))
     assert value == plain
-    assert plain[0, 0] + plain[1, 1] == 1
+    assert plain.get(0, 0) + plain.get(1, 1) == 1
     # sanity-bound the derivative against a secant at nearby points
     x1, x2 = F(99, 100), F(101, 100)
     k1 = ex.k_matrix(rd_model, "Ktilde", x1)
@@ -267,7 +270,8 @@ def test_rd_ktilde_dual_matches_series(rd_model):
     # secant of a smooth rational function brackets the derivative loosely
     for i in range(2):
         for jj in range(2):
-            assert abs(float(slope.a[i][jj]) - float(deriv.a[i][jj])) < 0.05
+            assert abs(float(slope.get(i, jj)) - float(deriv.get(i, jj))) \
+                < 0.05
 
 
 def _rd_ktilde_crossing_form(model, x):
@@ -276,7 +280,7 @@ def _rd_ktilde_crossing_form(model, x):
     defined at regular points, where no factor has a pole and
     lambda(x^2) != 0."""
     xx = x * x
-    big = kron(ex.k_matrix(model, "Kbar", 1 / x), Matrix.identity(2)) * \
+    big = kron(ex.k_matrix(model, "Kbar", 1 / x), SparseMatrix.identity(2)) * \
         r_matrix_swapped(model, 1 / (xx * model.crossing.Q)) * permutation_op()
     lam = model.crossing.lam(xx)
     return partial_trace_first(big) * (1 / lam)
@@ -312,13 +316,14 @@ def test_rd_ktilde_closed_form_matches_crossing_form(kappa, al, be, ga, de, x):
 def test_rd_ktilde_pinned_values(rd_model):
     # values of the series evaluation this closed form replaced
     assert ex.k_matrix(rd_model, "Ktilde", F(1)) == \
-        Matrix([[F(13, 24), F(13, 120)], [F(1, 40), F(11, 24)]])
+        SparseMatrix([[F(13, 24), F(13, 120)], [F(1, 40), F(11, 24)]])
     assert ex.k_matrix(rd_model, "Ktilde", F(-1)) == \
-        Matrix([[F(11, 24), F(1, 40)], [F(13, 120), F(13, 24)]])
+        SparseMatrix([[F(11, 24), F(1, 40)], [F(13, 120), F(13, 24)]])
     got = ex.k_matrix(rd_model, "Ktilde", Dual.variable(F(1)))
-    assert got == (Matrix([[F(13, 24), F(13, 120)], [F(1, 40), F(11, 24)]]),
-                   Matrix([[F(23, 27), F(401, 1350)],
-                           [F(17, 450), F(16, 27)]]))
+    assert got == (SparseMatrix([[F(13, 24), F(13, 120)],
+                                 [F(1, 40), F(11, 24)]]),
+                   SparseMatrix([[F(23, 27), F(401, 1350)],
+                                 [F(17, 450), F(16, 27)]]))
 
 
 def test_rd_ktilde_has_real_pole_at_phi():
@@ -348,7 +353,7 @@ def test_rd_ktilde_vanishes_where_crossing_factors_cancel():
     # product, and so Ktilde, vanishes
     mdl = ex.rd(F(-3, 5), F(1, 2), F(2, 3), F(1, 3), F(1, 5))
     for x in (F(2), F(-2)):
-        assert ex.k_matrix(mdl, "Ktilde", x) == Matrix([[0, 0], [0, 0]])
+        assert ex.k_matrix(mdl, "Ktilde", x) == SparseMatrix([[0, 0], [0, 0]])
 
 
 def test_asep_scaling_limit_to_ssep():
@@ -359,7 +364,7 @@ def test_asep_scaling_limit_to_ssep():
     for k in range(1, 7):
         eps = F(1, 10 ** k)
         R = ex.r_matrix(ex.asep(1 + eps, 1, 1, 1, 1), 1 + x * eps)
-        dist = max(abs(R.a[i][j] - target.a[i][j])
+        dist = max(abs(R.get(i, j) - target.get(i, j))
                    for i in range(4) for j in range(4))
         assert dist == 9 * eps / (16 + 12 * eps)
         assert 0 < dist <= eps
@@ -437,9 +442,9 @@ def test_each_model_gets_its_own_r_and_k():
     x = F(5, 3)
     for _ in range(2):
         for mdl in _VARIANTS:
-            assert ex.r_matrix(mdl, x) == Matrix(m._r_matrix(mdl, x)), mdl
+            assert ex.r_matrix(mdl, x) == SparseMatrix(m._r_matrix(mdl, x)), mdl
             for kind, evaluate in m._K_FORMS.items():
-                assert ex.k_matrix(mdl, kind, x) == Matrix(evaluate(mdl, x)), \
+                assert ex.k_matrix(mdl, kind, x) == SparseMatrix(evaluate(mdl, x)), \
                     (mdl, kind)
     asep_q2 = _VARIANTS[1]
     assert ex.r_matrix(_ASEP, x) != ex.r_matrix(asep_q2, x)
@@ -475,8 +480,8 @@ def test_a_dual_point_and_its_value_get_their_own_entries():
         got = {type(p): (ex.r_matrix(_ASEP, p), ex.k_matrix(_ASEP, "K", p))
                for p in points}
         for M, (value, deriv) in zip(got[F], got[Dual]):
-            assert isinstance(M, Matrix) and value == M
-            assert deriv == Matrix.zeros(M.rows, M.cols)
+            assert isinstance(M, SparseMatrix) and value == M
+            assert deriv == SparseMatrix.zeros(*M.shape)
 
 
 _point = st.fractions(min_value=-5, max_value=5, max_denominator=7)
@@ -503,7 +508,7 @@ def test_dual_points_give_the_split_closed_form(model, x0, tau):
                       lambda: twisted_k_rows(model, tau, x)))
     for f, oracle in cases:
         try:
-            want = tuple(map(Matrix, split(oracle())))
+            want = tuple(map(SparseMatrix, split(oracle())))
         except ZeroDivisionError:
             with pytest.raises(ZeroDivisionError):
                 f(x)
@@ -514,6 +519,28 @@ def test_dual_points_give_the_split_closed_form(model, x0, tau):
         assert isinstance(got, tuple) and got == want
         assert got[0] == f(x0)
         assert derivative_at(f, x0) == want[1]
+
+
+def test_an_int_point_gives_the_fraction_point_values(all_models):
+    # a bare int x makes the closed forms' quotients floats; R and K read it
+    # as its Fraction.  The int call comes first and fills the cache, and the
+    # Fraction call, made on cleared caches, builds its own matrix
+    kinds = ("R", "K", "Kbar", "Ktilde")
+
+    def build(mdl, kind, x):
+        return ex.r_matrix(mdl, x) if kind == "R" else \
+            ex.k_matrix(mdl, kind, x)
+
+    for mdl in all_models:
+        for x in (2, 3, 4, -2):
+            m._r_cached.cache_clear()
+            m._k_cached.cache_clear()
+            got = [build(mdl, kind, x) for kind in kinds]
+            assert [build(mdl, kind, F(x)) for kind in kinds] == got
+            m._r_cached.cache_clear()
+            m._k_cached.cache_clear()
+            assert [build(mdl, kind, F(x)) for kind in kinds] == got, \
+                (mdl.name, x)
 
 
 def test_poles_are_never_cached():

@@ -29,14 +29,22 @@ LIBRARY_ENTRY_POINTS = {
 
 
 def _traced_names() -> set:
-    """Every name the benchmark's tracer wraps: SPANS, and each literal name
-    handed to its _replace."""
+    """Every name the benchmark's tracer wraps or reads: SPANS, each literal
+    name handed to its _replace, and each attribute it reads off a package
+    module (``tensor.Matrix`` in an isinstance test, say)."""
     names = {attr for targets in _load().SPANS.values() for _, attr in targets}
-    for node in ast.walk(ast.parse(TRACED_CLI.read_text())):
+    tree = ast.parse(TRACED_CLI.read_text())
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "exclusion"
+               for alias in node.names}
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call) and \
                 getattr(node.func, "attr", None) == "_replace" and \
                 isinstance(node.args[1], ast.Constant):
             names.add(node.args[1].value)
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and node.value.id in modules:
+            names.add(node.attr)
     return names
 
 

@@ -10,27 +10,27 @@ import exclusion.transfer as tr
 import exclusion.verifier as vf
 from exclusion.markov import KernelError, steady_state_exact
 from exclusion.scalars import format_rational
-from exclusion.tensor import Matrix, PoleError, SparseMatrix, _primes, \
+from exclusion.tensor import PoleError, SparseMatrix, _primes, \
     derivative_at, embed_at_positions, exact_nullspace, integer_vector, \
     inverse, kron, partial_trace_first, partial_transpose, permutation_op, rank
-from reference import as_cached, dense, embed_dense, embed_local, \
+from reference import as_cached, embed_dense, embed_local, entries, \
     fraction_kron, fraction_partial_transpose, fraction_product
 
-I2 = Matrix.identity(2)
-I4 = Matrix.identity(4)
+I2 = SparseMatrix.identity(2)
+I4 = SparseMatrix.identity(4)
 
 
 def basis_proj(i):
-    return Matrix([[int(r == c == i) for c in range(2)] for r in range(2)])
+    return SparseMatrix([[int(r == c == i) for c in range(2)] for r in range(2)])
 
 
 def test_kron_identities():
     assert kron(I2, I2) == I4
-    d = Matrix([[1, 0], [0, 2]])
-    assert kron(d, I2) == Matrix([[1, 0, 0, 0], [0, 1, 0, 0],
+    d = SparseMatrix([[1, 0], [0, 2]])
+    assert kron(d, I2) == SparseMatrix([[1, 0, 0, 0], [0, 1, 0, 0],
                                   [0, 0, 2, 0], [0, 0, 0, 2]])
     out = kron(basis_proj(0), basis_proj(1))
-    expect = Matrix([[int(r == c == 1) for c in range(4)] for r in range(4)])
+    expect = SparseMatrix([[int(r == c == 1) for c in range(4)] for r in range(4)])
     assert out == expect
 
 
@@ -39,7 +39,7 @@ small_entries = st.integers(min_value=-3, max_value=3)
 
 def mat_strategy(n):
     return st.lists(st.lists(small_entries, min_size=n, max_size=n),
-                    min_size=n, max_size=n).map(Matrix)
+                    min_size=n, max_size=n).map(SparseMatrix)
 
 
 @settings(max_examples=25)
@@ -60,10 +60,10 @@ def test_permutation_op():
 
 
 def test_embed_local():
-    assert dense(embed_local(I2, 1, 3)) == Matrix.identity(8)
+    assert embed_local(I2, 1, 3) == SparseMatrix.identity(8)
     w, B, _ = ex.local_operators(ex.ssep(1, 1, F(1, 2), F(1, 3)))
-    assert dense(embed_local(w, 1, 2)) == w
-    assert dense(embed_local(B, 1, 2)) == kron(B, I2)
+    assert embed_local(w, 1, 2) == w
+    assert embed_local(B, 1, 2) == kron(B, I2)
     with pytest.raises(ValueError):
         embed_local(I2, 4, 3)
     with pytest.raises(ValueError):
@@ -72,15 +72,14 @@ def test_embed_local():
 
 def test_embed_sum_adds_the_embeddings():
     w, B, Bbar = ex.local_operators(ex.asep(2, 1, 1, F(1, 2), F(1, 3)))
-    wi, Bi, Bbari = map(SparseMatrix.from_dense, (w, B, Bbar))
-    got = embed_at_positions([(wi, (1, 2)), (Bi, (0,)), (Bbari, (3,)),
-                              (wi, (1, 2))], 4)
+    got = embed_at_positions([(w, (1, 2)), (B, (0,)), (Bbar, (3,)),
+                              (w, (1, 2))], 4)
     want = embed_local(w, 2, 4) + embed_local(B, 1, 4) \
         + embed_local(Bbar, 4, 4) + embed_local(w, 2, 4)
     assert got == want and got.den == 6     # w, B, Bbar over d = 6
     assert all(type(v) is int for row in got._rows.values()
                for v in row.values())
-    for op, positions in ((wi, (3, 4)), (Bi, (4,)), (Bi, (-1,))):
+    for op, positions in ((w, (3, 4)), (B, (4,)), (B, (-1,))):
         with pytest.raises(ValueError):
             embed_at_positions([(op, positions)], 4)
 
@@ -107,11 +106,8 @@ def _local_terms(draw):
         positions = tuple(draw(st.permutations(range(n)))[:k])
         entries = draw(st.sampled_from(
             [small_entries, st.fractions(-3, 3, max_denominator=4)]))
-        op = SparseMatrix(1 << k)
-        for i in range(1 << k):
-            for j in range(1 << k):
-                op.add(i, j, draw(entries))
-        terms.append((op, positions))
+        op = [[draw(entries) for _ in range(1 << k)] for _ in range(1 << k)]
+        terms.append((SparseMatrix(op), positions))
     return n, terms
 
 
@@ -120,10 +116,10 @@ def _local_terms(draw):
 def test_embed_at_positions_sums_the_dense_embeddings(n_terms, data):
     n, terms = n_terms
     got = embed_at_positions(terms, n)
-    want = Matrix.zeros(1 << n, 1 << n)
+    want = SparseMatrix.zeros(1 << n, 1 << n)
     for op, positions in terms:
-        want = want + embed_dense(dense(op), positions, n)
-    assert dense(got) == want
+        want = want + embed_dense(op, positions, n)
+    assert got == want
     assert all(v for _, _, v in got.items())    # zero sums are dropped
     assert got.den == math.lcm(*(op.den for op, _ in terms))
     # a wrong size, a repeated slot or a slot off the chain
@@ -140,15 +136,15 @@ def test_embed_at_positions_sums_the_dense_embeddings(n_terms, data):
 def test_partial_trace_first():
     assert partial_trace_first(I4) == 2 * I2
     assert partial_trace_first(permutation_op()) == I2
-    A = Matrix([[1, 2], [3, 4]])
-    B = Matrix([[5, 6], [7, 8]])
-    assert partial_trace_first(kron(A, B)) == (A[0, 0] + A[1, 1]) * B
+    A = SparseMatrix([[1, 2], [3, 4]])
+    B = SparseMatrix([[5, 6], [7, 8]])
+    assert partial_trace_first(kron(A, B)) == (A.get(0, 0) + A.get(1, 1)) * B
 
 
 def test_partial_transpose():
     assert partial_transpose(I4, 2) == I4
-    A = Matrix([[1, 2], [3, 4]])
-    B = Matrix([[5, 6], [7, 8]])
+    A = SparseMatrix([[1, 2], [3, 4]])
+    B = SparseMatrix([[5, 6], [7, 8]])
     assert partial_transpose(kron(A, B), 2) == kron(A, B.transpose())
     assert partial_transpose(kron(A, B), 1) == kron(A.transpose(), B)
     R = ex.r_matrix(ex.asep(2, 1, 1, 1, 1), F(3))
@@ -156,7 +152,7 @@ def test_partial_transpose():
 
 
 def test_exact_nullspace_small():
-    M = SparseMatrix.from_dense(Matrix([[-1, 1], [1, -1]]))
+    M = SparseMatrix([[-1, 1], [1, -1]])
     ker = exact_nullspace(M)
     assert len(ker) == 1
     v = ker[0]
@@ -182,13 +178,14 @@ def test_exact_nullspace_residual_is_exact():
 
 
 def block_diagonal(*blocks):
-    out = SparseMatrix(sum(b.dim for b in blocks))
+    n = sum(b.dim for b in blocks)
+    rows = [[0] * n for _ in range(n)]
     shift = 0
     for b in blocks:
         for r, c, v in b.items():
-            out.add(shift + r, shift + c, v)
+            rows[shift + r][shift + c] = v
         shift += b.dim
-    return out
+    return SparseMatrix(rows)
 
 
 def residual_is_zero(M, vec):
@@ -199,16 +196,15 @@ def test_exact_nullspace_unlucky_first_prime():
     # an entry equal to the first prime vanishes modulo it, so the rank
     # drops there: the kernel must still come out exact over Q
     p = next(_primes())
-    sparse = SparseMatrix.from_dense
-    assert exact_nullspace(sparse(Matrix([[p, 0], [0, 1]]))) == []
-    assert exact_nullspace(sparse(Matrix([[F(1, p), 0], [0, 1]]))) == []
-    M = sparse(Matrix([[p, -1], [0, 0]]))
+    assert exact_nullspace(SparseMatrix([[p, 0], [0, 1]])) == []
+    assert exact_nullspace(SparseMatrix([[F(1, p), 0], [0, 1]])) == []
+    M = SparseMatrix([[p, -1], [0, 0]])
     (v,) = exact_nullspace(M)
     assert v[1] == p * v[0] != 0
     # modulo p the kernel is 2-dimensional, with free columns {0, 2}
-    M = sparse(Matrix([[p, 0, 0], [0, 1, 1], [0, 0, 0]]))
+    M = SparseMatrix([[p, 0, 0], [0, 1, 1], [0, 0, 0]])
     assert exact_nullspace(M) == [[0, -1, 1]]
-    M = SparseMatrix.from_dense(Matrix([[p, 1, 0], [1, 0, 0], [0, 2, 0]]))
+    M = SparseMatrix([[p, 1, 0], [1, 0, 0], [0, 2, 0]])
     (v,) = exact_nullspace(M)
     assert residual_is_zero(M, v) and v == [0, 0, 1]
 
@@ -225,7 +221,7 @@ def test_exact_nullspace_two_dimensional_kernel():
     (va,), (vb,) = exact_nullspace(a), exact_nullspace(b)
     assert ker[0] == va + [0] * 4
     assert ker[1] == [0] * 4 + vb
-    assert exact_nullspace(SparseMatrix(3)) == [
+    assert exact_nullspace(SparseMatrix.zeros(3, 3)) == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
@@ -449,7 +445,7 @@ def test_exact_nullspace_matches_the_dense_kernel(data):
         if data.draw(st.booleans()):
             row = [p * x for x in row]
         rows.append(row)
-    ker = exact_nullspace(SparseMatrix.from_dense(Matrix(rows)))
+    ker = exact_nullspace(SparseMatrix(rows))
     expected = dense_kernel(rows, n)
     assert len(ker) == len(expected) >= k
     assert rref(ker) == rref(expected)
@@ -509,7 +505,7 @@ def test_steady_state_matches_dense_solve(model, L):
 def test_derivative_at():
     # f returns the pair (f(x0), f'(x0)) at the Dual point x0 + eps
     sq = derivative_at(lambda x: as_cached([[x * x]], x), F(3))
-    assert sq.a[0][0] == 6
+    assert sq.get(0, 0) == 6
     ssep = ex.ssep(1, 1, F(1, 2), F(1, 3))
     w, B, _ = ex.local_operators(ssep)
     rp = derivative_at(lambda x: ex.r_matrix(ssep, x), F(0))
@@ -525,10 +521,10 @@ def test_derivative_at_pole():
 
 
 def test_inverse():
-    A = Matrix([[1, 2], [3, 4]])
+    A = SparseMatrix([[1, 2], [3, 4]])
     assert inverse(A) * A == I2
     with pytest.raises(PoleError):
-        inverse(Matrix([[1, 2], [2, 4]]))
+        inverse(SparseMatrix([[1, 2], [2, 4]]))
 
 
 # rationals with zeros, negatives and denominators up to 2^70
@@ -551,10 +547,10 @@ def test_matrix_product_is_the_entry_product(data):
     # the product on integer forms, entry by entry as Fractions
     a = data.draw(_matrices())
     b = data.draw(_matrices(rows=len(a[0])))
-    got = Matrix(a) * Matrix(b)
+    got = SparseMatrix(a) * SparseMatrix(b)
     want = fraction_product(a, b)
-    assert got.a == want
-    assert all(type(e) is F for row in got.a for e in row)
+    assert entries(got) == want
+    assert got.shape == (len(a), len(b[0]))
 
 
 def _gauss_jordan(rows, ncols):
@@ -587,7 +583,7 @@ def test_rank_and_inverse_match_gauss_jordan(data):
         s, t = data.draw(_rationals), data.draw(_rationals)
         a[i] = [s * x + t * y for x, y in zip(a[j], a[k])]
     n_rank = _gauss_jordan(a, len(a[0]))[1]
-    assert rank(Matrix(a)) == n_rank
+    assert rank(SparseMatrix(a)) == n_rank
     if len(a) != len(a[0]):
         return
     n = len(a)
@@ -596,35 +592,46 @@ def test_rank_and_inverse_match_gauss_jordan(data):
         n)
     if full < n:
         with pytest.raises(PoleError):
-            inverse(Matrix(a))
+            inverse(SparseMatrix(a))
         return
-    assert inverse(Matrix(a)).a == [row[n:] for row in reduced]
+    assert entries(inverse(SparseMatrix(a))) == [row[n:] for row in reduced]
 
 
 def test_rank_and_inverse_on_planted_examples():
-    assert rank(Matrix([[0, 0], [0, 0]])) == 0
-    assert rank(Matrix([[F(1, 3), F(2, 5), 1], [F(2, 3), F(4, 5), 2],
-                        [0, 0, F(7, 2)]])) == 2
+    assert rank(SparseMatrix([[0, 0], [0, 0]])) == 0
+    assert rank(SparseMatrix([[F(1, 3), F(2, 5), 1], [F(2, 3), F(4, 5), 2],
+                              [0, 0, F(7, 2)]])) == 2
     # a zero first column and a pivot that must be swapped in
-    A = Matrix([[0, F(1, 2), 3], [0, 0, F(-4, 7)], [F(5, 9), 1, 0]])
+    A = SparseMatrix([[0, F(1, 2), 3], [0, 0, F(-4, 7)], [F(5, 9), 1, 0]])
     assert rank(A) == 3
-    assert inverse(A) * A == Matrix.identity(3)
+    assert inverse(A) * A == SparseMatrix.identity(3)
     with pytest.raises(PoleError):
-        inverse(Matrix([[F(1, 3), F(2, 5)], [F(-2, 3), F(-4, 5)]]))
+        inverse(SparseMatrix([[F(1, 3), F(2, 5)], [F(-2, 3), F(-4, 5)]]))
 
 
 @st.composite
 def _made(draw, a):
-    """A Matrix of the rows a of Fractions, made in one of the two ways a
-    Matrix is: from entries, its table over the lcm of their denominators,
-    or by products, over a denominator that is not the lcm."""
-    cols = len(a[0])
-    if draw(st.booleans()):
-        return Matrix(a)
+    """A SparseMatrix with the entries a (rows of Fractions), made in one of
+    the ways a matrix is made, most of them over a denominator that is not
+    the lcm of the entries' denominators: from the entries, as a product
+    chain with a scaled diagonal and a scaled identity, from its int rows
+    over a negative denominator, or through a negative rational scale and
+    back."""
+    how = draw(st.sampled_from(["entries", "chain", "negative", "scaled"]))
+    M = SparseMatrix(a)
+    if how == "entries":
+        return M
+    if how == "negative":
+        return SparseMatrix._over(M.shape, {
+            r: {c: -v for c, v in row.items()} for r, row in M._rows.items()},
+            -M.den)
     s = draw(_rationals.filter(bool))
-    scaled, unscaled = ([[v if i == j else F(0) for j in range(cols)]
-                         for i in range(cols)] for v in (s, 1 / s))
-    return Matrix(a) * Matrix(scaled) * Matrix(unscaled)
+    if how == "scaled":
+        return M.scale(-s).scale(-1 / s)
+    cols = len(a[0])
+    diagonal = [[s if i == j else F(0) for j in range(cols)]
+                for i in range(cols)]
+    return M * SparseMatrix(diagonal) * (SparseMatrix.identity(cols) * (1 / s))
 
 
 @st.composite
@@ -636,26 +643,47 @@ def _operands(draw, rows, cols):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_integer_tables_match_the_fraction_entries(data):
-    # every operation on the integer tables gives the entries of the
-    # entry-by-entry Fraction oracle, on operands made in every way
+def test_operations_match_the_fraction_entries(data):
+    # every operation on the int rows of operands made in every way, held
+    # over different, often non-lcm, denominators, gives the entries of the
+    # entry-by-entry Fraction oracle
     dims = data.draw(st.lists(st.integers(1, 4), min_size=4, max_size=5))
     ops = [data.draw(_operands(r, c)) for r, c in zip(dims, dims[1:])]
     (A, a), (B, b) = ops[:2]
-    assert (A * B).a == fraction_product(a, b)
+    n, k = A.shape
+    assert A.den > 0 and (n, k) == (len(a), len(a[0])) and entries(A) == a
+    assert list(A.items()) == [(r, c, x) for r, row in enumerate(a)
+                               for c, x in enumerate(row) if x]
+    assert entries(A * B) == fraction_product(a, b)
     got, want = ops[0]
     for M, m in ops[1:]:   # a chain of 3 or 4 products
         got, want = got * M, fraction_product(want, m)
-    assert got.a == want
-    assert kron(A, B).a == fraction_kron(a, b)
-    assert kron(B, A).a == fraction_kron(b, a)
-    assert all(type(e) is F for row in got.a for e in row)
+    assert entries(got) == want
+    assert entries(kron(A, B)) == fraction_kron(a, b)
+    assert entries(kron(B, A)) == fraction_kron(b, a)
+    # sums, differences, scalings and matvecs
+    C, c = data.draw(_operands(n, k))
+    assert entries(A + C) == [[x + y for x, y in zip(r, s)]
+                              for r, s in zip(a, c)]
+    assert entries(A - C) == [[x - y for x, y in zip(r, s)]
+                              for r, s in zip(a, c)]
+    s = data.draw(_rationals)
+    assert entries(A.scale(s)) == entries(A * s) == entries(s * A) == \
+        [[s * x for x in r] for r in a]
+    v = data.draw(st.lists(_rationals, min_size=k, max_size=k))
+    assert A.apply(v) == [sum((x * y for x, y in zip(row, v)), F(0))
+                          for row in a]
+    u = data.draw(st.lists(_rationals, min_size=n, max_size=n))
+    assert A.apply_left(u) == [sum((a[r][j] * u[r] for r in range(n)), F(0))
+                               for j in range(k)]
+    # the transposes, rank and inverse
     P, p = data.draw(_operands(4, 4))
     for leg in (1, 2):
-        assert partial_transpose(P, leg).a == \
+        assert entries(partial_transpose(P, leg)) == \
             fraction_partial_transpose(p, leg)
-    assert P.transpose().a == [list(col) for col in zip(*p)]
-    assert rank(A) == _gauss_jordan(a, len(a[0]))[1]
+    assert entries(P.transpose()) == [list(col) for col in zip(*p)]
+    assert entries(A.transpose()) == [list(col) for col in zip(*a)]
+    assert rank(A) == _gauss_jordan(a, k)[1]
     reduced, full = _gauss_jordan(
         [row + [F(int(i == j)) for j in range(4)] for i, row in enumerate(p)],
         4)
@@ -663,156 +691,92 @@ def test_integer_tables_match_the_fraction_entries(data):
         with pytest.raises(PoleError):
             inverse(P)
     else:
-        assert inverse(P).a == [row[4:] for row in reduced]
-    # compare: the first differing entry in row-major order, between
-    # operands that may be tables over different denominators
-    bad = [list(row) for row in a]
-    for r, c, v in data.draw(st.lists(st.tuples(
-            st.integers(0, len(a) - 1), st.integers(0, len(a[0]) - 1),
-            _rationals), max_size=2)):
-        bad[r][c] = v
-    want = next(({"row": r, "col": c, "lhs": format_rational(x),
-                  "rhs": format_rational(y)}
-                 for r, (ra, rb) in enumerate(zip(a, bad))
-                 for c, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
-    rep = vf.compare(ex.ssep(1, 1, 1, 1), "c", (), A, data.draw(_made(bad)))
-    assert (rep.status, rep.witness) == \
-        ((vf.PASS, None) if want is None else (vf.FAIL, want))
-
-
-@st.composite
-def _sparse_made(draw, a):
-    """A SparseMatrix with the square entries a, held over a denominator
-    that is often not their lcm: from a Matrix made as _made makes it
-    (product chains included), from a table over a negative denominator,
-    through a negative rational scale and back, or as a product with
-    scaled identities."""
-    how = draw(st.sampled_from(["dense", "negative", "scaled", "chain"]))
-    if how == "dense":
-        return SparseMatrix.from_dense(draw(_made(a)))
-    N, d = Matrix(a)._table
-    if how == "negative":
-        return SparseMatrix.from_dense(
-            Matrix._over([[-v for v in row] for row in N], -d))
-    M = SparseMatrix.from_dense(Matrix(a))
-    s = draw(_rationals.filter(bool))
-    if how == "scaled":
-        return M.scale(-s).scale(-1 / s)
-    one = SparseMatrix.identity(len(a))
-    return M * one.scale(s) * (one * (1 / s))
-
-
-def _got(M: SparseMatrix) -> list:
-    """M's entries, read one by one through get."""
-    return [[M.get(r, c) for c in range(M.dim)] for r in range(M.dim)]
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_sparse_tables_match_the_fraction_entries(data):
-    # every operation on the int tables of SparseMatrix operands held over
-    # different, often non-lcm, denominators gives the entries of the
-    # entry-by-entry Fraction oracle
-    n = data.draw(st.integers(1, 4))
-    a, b = (data.draw(_matrices(n, n)) for _ in range(2))
-    A, B = (data.draw(_sparse_made(x)) for x in (a, b))
-    assert A.den > 0 and _got(A) == a
-    assert list(A.items()) == [(r, c, x) for r, row in enumerate(a)
-                               for c, x in enumerate(row) if x]
-    assert _got(A * B) == fraction_product(a, b)
-    assert _got(A + B) == [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
-    assert _got(A - B) == [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
-    s = data.draw(_rationals)
-    assert _got(A.scale(s)) == _got(A * s) == [[s * x for x in r] for r in a]
-    v = data.draw(st.lists(_rationals, min_size=n, max_size=n))
-    assert A.apply(v) == [sum((x * y for x, y in zip(row, v)), F(0))
-                          for row in a]
-    assert A.apply_left(v) == [sum((a[r][c] * v[r] for r in range(n)), F(0))
-                               for c in range(n)]
+        assert entries(inverse(P)) == [row[4:] for row in reduced]
     # == and compare: the first differing entry in row-major order, against
     # a copy with up to two entries changed, made another way
     bad = [list(row) for row in a]
-    for r, c, x in data.draw(st.lists(st.tuples(
-            st.integers(0, n - 1), st.integers(0, n - 1), _rationals),
+    for r, j, x in data.draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, k - 1), _rationals),
             max_size=2)):
-        bad[r][c] = x
-    want = next(({"row": r, "col": c, "lhs": format_rational(x),
+        bad[r][j] = x
+    want = next(({"row": r, "col": j, "lhs": format_rational(x),
                   "rhs": format_rational(y)}
                  for r, (ra, rb) in enumerate(zip(a, bad))
-                 for c, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
-    other = data.draw(_sparse_made(bad))
+                 for j, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
+    other = data.draw(_made(bad))
     assert (A == other) == (want is None)
     rep = vf.compare(ex.ssep(1, 1, 1, 1), "c", (), A, other)
     assert (rep.status, rep.witness) == \
         ((vf.PASS, None) if want is None else (vf.FAIL, want))
     # the embedding sums terms over different denominators
     e, f = (data.draw(_matrices(2, 2)) for _ in range(2))
-    terms = [(data.draw(_sparse_made(e)), (0,)),
-             (data.draw(_sparse_made(f)), (2,))]
-    if n == 4:
-        terms.append((A, (2, 1)))
-    want = Matrix.zeros(8, 8)
-    for x, (_, positions) in zip((e, f, a), terms):
-        want = want + embed_dense(Matrix(x), positions, 3)
-    assert dense(embed_at_positions(terms, 3)) == want
-    # the kernel of a table over a non-lcm denominator: b with one row
-    # planted as a combination of two others
-    c = [list(row) for row in b]
+    terms = [(data.draw(_made(e)), (0,)), (data.draw(_made(f)), (2,)),
+             (P, (2, 1))]
+    want = SparseMatrix.zeros(8, 8)
+    for x, (_, positions) in zip((e, f, p), terms):
+        want = want + embed_dense(SparseMatrix(x), positions, 3)
+    assert embed_at_positions(terms, 3) == want
+    # the kernel of a table over a non-lcm denominator: a square matrix
+    # with one row planted as a combination of two others
+    c = data.draw(_matrices(n, n))
     if n > 1:
-        i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
-        c[i] = [x + 2 * y for x, y in zip(c[j], c[k])]
-    ker = exact_nullspace(data.draw(_sparse_made(c)))
+        i, j, l = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        c[i] = [x + 2 * y for x, y in zip(c[j], c[l])]
+    ker = exact_nullspace(data.draw(_made(c)))
     assert rref(ker) == rref(dense_kernel(c, n))
 
 
 def test_matrix_rejects_a_dual_entry():
-    # a Matrix is its integer table: an entry with no denominator, a Dual
-    # even with derivative 0, is refused, and so is a Dual scale
+    # a matrix is int rows over one denominator: an entry with no
+    # denominator, a Dual even with derivative 0, is refused, and so is a
+    # Dual scale
     for e in (ex.Dual(1, 1), ex.Dual(F(1, 2)), 0.5):
         with pytest.raises(TypeError):
-            Matrix([[F(1), e]])
+            SparseMatrix([[F(1), e]])
     with pytest.raises(TypeError):
         ex.Dual(1, 1) * I2
     with pytest.raises(TypeError):
         I2 * ex.Dual(1, 1)
 
 
-def test_matrix_equality_forms_no_fraction():
-    # == and compare cross-multiply the tables; entries are formed only
-    # for a witness
-    A = Matrix([[F(1, 2), F(2, 3)], [0, 5]])
-    B = A * Matrix([[3, 0], [0, 3]]) * Matrix([[F(1, 3), 0], [0, F(1, 3)]])
-    assert A == B and B._table[1] == 18
-    for M in (A, B):
-        with pytest.raises(AttributeError):
-            object.__getattribute__(M, "a")
+def test_matrix_equality_forms_no_fraction(monkeypatch):
+    # == and compare compare the int rows over the lcm of the two
+    # denominators; entries are formed only for a witness
+    A = SparseMatrix([[F(1, 2), F(2, 3)], [0, 5]])
+    B = A * SparseMatrix([[3, 0], [0, 3]]) * \
+        SparseMatrix([[F(1, 3), 0], [0, F(1, 3)]])
+    with monkeypatch.context() as patched:
+        patched.setattr(tensor, "Fraction", None)
+        assert A == B and B.den == 18
     assert A != B + I2
     assert list(A._mismatches(B + I2)) == [
         (0, 0, F(1, 2), F(3, 2)), (1, 1, F(5), F(6))]
 
 
 def test_sparse_matrix_contract():
-    m = SparseMatrix(4)
-    m.add(0, 1, F(2))
-    m.add(0, 1, F(-2))
-    assert m.nnz == 0  # no explicit zeros
-    m.add(2, 3, F(1, 2))
-    m.add(1, 0, F(3))
+    m = SparseMatrix([[0, F(2) - F(2), 0, 0], [3, 0, 0, 0],
+                      [0, 0, 0, F(1, 2)], [0, 0, 0, 0]])
+    assert m.nnz == 2  # no explicit zeros
     assert list(m.items()) == [(1, 0, F(3)), (2, 3, F(1, 2))]
-    with pytest.raises(IndexError):
-        m.add(4, 0, F(1))
     assert m.get(3, 3) == 0
     for r, c in ((4, 0), (0, 4), (-1, 0)):
         with pytest.raises(IndexError):
             m.get(r, c)
+    wide = SparseMatrix([[1, 0, F(1, 3)]])
+    assert wide.shape == (1, 3) and wide.get(0, 2) == F(1, 3)
+    with pytest.raises(IndexError):
+        wide.get(1, 0)
+    # no method changes a matrix: the R and K caches share theirs
+    assert not [name for name in vars(SparseMatrix)
+                if name in ("add", "__setitem__", "__iadd__", "__imul__")]
 
 
 def test_embed_at_positions_matches_kron_order():
-    A = Matrix([[1, 2], [3, 4]])
-    B = Matrix([[0, 1], [5, 0]])
-    AB = SparseMatrix.from_dense(kron(A, B))
-    assert dense(embed_at_positions([(AB, (0, 1))], 2)) == kron(A, B)
-    assert dense(embed_at_positions([(AB, (1, 0))], 2)) == kron(B, A)
+    A = SparseMatrix([[1, 2], [3, 4]])
+    B = SparseMatrix([[0, 1], [5, 0]])
+    AB = kron(A, B)
+    assert embed_at_positions([(AB, (0, 1))], 2) == kron(A, B)
+    assert embed_at_positions([(AB, (1, 0))], 2) == kron(B, A)
 
 
 def test_matrix_shape_mismatch_raises():
@@ -821,9 +785,9 @@ def test_matrix_shape_mismatch_raises():
     with pytest.raises(ValueError):
         I4 - I2
     with pytest.raises(ValueError):
-        Matrix([[1, 2]]) + Matrix([[1], [2]])
+        SparseMatrix([[1, 2]]) + SparseMatrix([[1], [2]])
     with pytest.raises(ValueError):
-        Matrix([[1, 2]]).apply([F(1)] * 3)
+        SparseMatrix([[1, 2]]).apply([F(1)] * 3)
 
 
 def test_sparse_shape_mismatch_raises():
@@ -838,8 +802,11 @@ def test_sparse_shape_mismatch_raises():
         a.apply([F(1)] * 3)
     with pytest.raises(ValueError):
         a.apply_left([F(1)] * 3)
-    with pytest.raises(ValueError):  # a tall matrix is not zero-padded
-        SparseMatrix.from_dense(Matrix([[1, 0], [0, 1], [1, 1]]))
+    tall = SparseMatrix([[1, 0], [0, 1], [1, 1]])
+    for use in (lambda: tall.dim, lambda: exact_nullspace(tall),
+                lambda: inverse(tall), lambda: tall * tall):
+        with pytest.raises(ValueError):  # a tall matrix is not zero-padded
+            use()
 
 
 def test_integer_vector_scales_by_the_lcm():
@@ -855,9 +822,9 @@ def test_integer_vector_scales_by_the_lcm():
 def test_integer_matvec_stays_integral():
     # int operands stay ints through apply/apply_left, and the integer forms
     # give the Fraction products over d e
-    M = SparseMatrix.from_dense(Matrix([[F(1, 2), 0, F(2, 3)],
-                                        [0, 0, 0],
-                                        [F(-3, 4), 1, 0]]))
+    M = SparseMatrix([[F(1, 2), 0, F(2, 3)],
+                      [0, 0, 0],
+                      [F(-3, 4), 1, 0]])
     v = [F(1, 5), F(-2, 3), 7]
     vi, e = integer_vector(v)
     got = M._left(vi)

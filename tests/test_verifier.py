@@ -10,8 +10,8 @@ import exclusion.transfer as tr
 import exclusion.verifier as vf
 from exclusion.sampling import model_safe, pair_safe, sample_points
 from exclusion.scalars import Dual, format_rational
-from exclusion.tensor import Matrix, SparseMatrix
-from reference import dense, embed_rows, entry, rows_product
+from exclusion.tensor import SparseMatrix
+from reference import embed_rows, entries, entry, rows_product
 from strategies import MODELS
 
 
@@ -46,7 +46,7 @@ def test_r_properties(asep_model):
 def test_r_unitarity_value(asep_model):
     R = ex.r_matrix(asep_model, F(3))
     from exclusion.models import r_matrix_swapped
-    assert R * r_matrix_swapped(asep_model, F(1, 3)) == Matrix.identity(4)
+    assert R * r_matrix_swapped(asep_model, F(1, 3)) == SparseMatrix.identity(4)
 
 
 def test_r_properties_tasep_crossing_skipped(tasep_model):
@@ -91,7 +91,7 @@ def test_reflection_twisted(asep_model):
 
 
 def test_reflection_identity_k_regression(ssep_model):
-    kf = lambda x: Matrix.identity(2)
+    kf = lambda x: SparseMatrix.identity(2)
     assert vf.run(ssep_model, vf.reflection(
         ssep_model, "K", F(2), F(5), kf))[0].status == vf.PASS
 
@@ -118,7 +118,7 @@ def test_twisted_k_breaks_markov_property(asep_model):
     kf = ex.general_asep_k(asep_model.alpha, asep_model.gamma, asep_model.q, 2)
     K = kf(F(3))
     ones = [F(1), F(1)]
-    got = [K.a[0][j] + K.a[1][j] for j in range(2)]
+    got = [K.get(0, j) + K.get(1, j) for j in range(2)]
     assert got != ones
 
 
@@ -157,38 +157,44 @@ def test_dual_maps(asep_model, tasep_model):
 
 def test_fail_report_carries_witness(ssep_model):
     # deliberately wrong K must produce a Fail with the offending entry
-    bad = lambda x: Matrix([[1 + x, 0], [0, 1]])
+    bad = lambda x: SparseMatrix([[1 + x, 0], [0, 1]])
     rep = vf.run(ssep_model, vf.reflection(ssep_model, "K", F(2), F(5), bad))[0]
     assert rep.status == vf.FAIL
     assert set(rep.witness) == {"row", "col", "lhs", "rhs"}
 
 
+def _over_another_den(M):
+    """M held over a denominator 35 times the lcm of its entries'."""
+    return M.scale(F(5, 7)).scale(F(7, 5))
+
+
 def test_compare_witness_is_the_same_for_dense_sparse_and_row(ssep_model):
-    # one wrong pair, given in each operand form the report core accepts:
-    # the first mismatch in row-major order, in row 0 here
-    good = Matrix([[1, F(1, 2), 0], [0, 3, 0], [F(2, 3), 0, 1]])
-    bad = Matrix([[1, F(5, 2), 0], [0, 3, 7], [F(2, 3), 0, 1]])
+    # one wrong pair, given in each operand form the report core accepts
+    # (a matrix over the lcm of its entries' denominators or over another
+    # one, or a row): the first mismatch in row-major order, in row 0 here
+    good = SparseMatrix([[1, F(1, 2), 0], [0, 3, 0], [F(2, 3), 0, 1]])
+    bad = SparseMatrix([[1, F(5, 2), 0], [0, 3, 7], [F(2, 3), 0, 1]])
     want = {"row": 0, "col": 1, "lhs": "1/2", "rhs": "5/2"}
     for lhs, rhs in ((good, bad),
-                     (SparseMatrix.from_dense(good), SparseMatrix.from_dense(bad)),
-                     (good.a[0], bad.a[0])):
+                     (_over_another_den(good), bad),
+                     (entries(good)[0], entries(bad)[0])):
         rep = vf.compare(ssep_model, "wrong", (F(2),), lhs, rhs)
         assert rep.status == vf.FAIL
         assert rep.witness == want
         assert rep.points == ("2",)
         assert vf.compare(ssep_model, "same", (F(2),), lhs, lhs).status == \
             vf.PASS
-    # below row 0 the dense and sparse witnesses still agree
-    lower = Matrix([[1, F(1, 2), 0], [0, 3, 7], [F(2, 3), 0, 1]])
+    # below row 0 the witnesses over either denominator still agree
+    lower = SparseMatrix([[1, F(1, 2), 0], [0, 3, 7], [F(2, 3), 0, 1]])
     reports = [vf.compare(ssep_model, "wrong", (), a, b).witness
-               for a, b in ((good, lower), (SparseMatrix.from_dense(good),
-                                            SparseMatrix.from_dense(lower)))]
+               for a, b in ((good, lower), (good, _over_another_den(lower)))]
     assert reports == [{"row": 1, "col": 2, "lhs": "0", "rhs": "7"}] * 2
 
 
 def test_compare_shape_mismatch_raises(ssep_model):
     with pytest.raises(ValueError):
-        vf.compare(ssep_model, "c", (), Matrix.identity(2), Matrix.identity(3))
+        vf.compare(ssep_model, "c", (), SparseMatrix([[1, 0]]),
+                   SparseMatrix([[1], [0]]))
     with pytest.raises(ValueError):
         vf.compare(ssep_model, "c", (), [F(1)], [F(1), F(0)])
     with pytest.raises(ValueError):
@@ -293,7 +299,7 @@ def test_run_model_suite_makes_every_report_in_one_run(all_models,
 
 def test_suite_changes_no_cached_matrix(all_models, monkeypatch):
     # every R and K built, at a rational or a Dual point, fills the cache
-    # (a Matrix, or the pair of its two parts); a deep copy is taken as it
+    # (a matrix, or the pair of its two parts); a deep copy is taken as it
     # is built, before any check sees it.  A second run of the suite builds
     # none: it reads the same shared matrices
     built = []
@@ -315,7 +321,7 @@ def test_suite_changes_no_cached_matrix(all_models, monkeypatch):
         assert vf.run_model_suite(mdl, points) == first
         assert len(built) == count
     assert len(built) > 100
-    assert all((P._table, P.a) == (Q._table, Q.a)
+    assert all((P.shape, P._rows, P.den) == (Q.shape, Q._rows, Q.den)
                for parts, copies in built for P, Q in zip(parts, copies))
 
 
@@ -339,22 +345,26 @@ def test_suite_evaluates_r_once_at_the_dual_identity_point(all_models,
 
 
 def test_compare_integer_operands_give_the_fraction_witness(ssep_model):
-    good = Matrix([[1, F(1, 2), 0], [0, F(-3, 4), 0], [F(2, 3), 0, 1]])
-    for bad in (Matrix([[1, F(5, 2), 0], [0, F(-3, 4), 7], [F(2, 3), 0, 1]]),
-                Matrix([[1, F(1, 2), 0], [0, F(-3, 4), 0], [F(2, 3), F(1, 9), 1]]),
-                Matrix([[1, F(1, 2), 0], [0, F(3, 4), 0], [F(2, 3), 0, 1]])):
-        want = vf.compare(ssep_model, "c", (), good, bad)
-        a, b = SparseMatrix.from_dense(good), SparseMatrix.from_dense(bad)
+    good = [[1, F(1, 2), 0], [0, F(-3, 4), 0], [F(2, 3), 0, 1]]
+    for bad in ([[1, F(5, 2), 0], [0, F(-3, 4), 7], [F(2, 3), 0, 1]],
+                [[1, F(1, 2), 0], [0, F(-3, 4), 0], [F(2, 3), F(1, 9), 1]],
+                [[1, F(1, 2), 0], [0, F(3, 4), 0], [F(2, 3), 0, 1]]):
+        row = next(r for r, (x, y) in enumerate(zip(good, bad)) if x != y)
+        want = {"row": row, "col": next(
+            c for c, (x, y) in enumerate(zip(good[row], bad[row])) if x != y)}
+        a, b = SparseMatrix(good), SparseMatrix(bad)
         assert a.den > 1
-        for lhs, rhs in ((a, b), (dense(a), dense(b)),
-                         (list(dense(a).a[want.witness["row"]]),
-                          list(dense(b).a[want.witness["row"]]))):
+        want.update(lhs=format_rational(good[row][want["col"]]),
+                    rhs=format_rational(bad[row][want["col"]]))
+        for lhs, rhs in ((a, b), (_over_another_den(a), b),
+                         (a, _over_another_den(b)),
+                         (entries(a)[row], entries(b)[row])):
             got = vf.compare(ssep_model, "c", (), lhs, rhs)
             assert got.status == vf.FAIL
             if isinstance(lhs, list):   # a flat sequence is row 0
-                assert got.witness == {**want.witness, "row": 0}
+                assert got.witness == {**want, "row": 0}
             else:
-                assert got.witness == want.witness
+                assert got.witness == want
         assert vf.compare(ssep_model, "c", (), a, a).status == vf.PASS
 
 
@@ -364,8 +374,8 @@ def test_yang_baxter_fail_prints_fraction_entries(ssep_model, monkeypatch):
     real = m.r_matrix
 
     def wrong_r(model, x):
-        r = real(model, x)
-        return Matrix([[r[0, 0] + x / 7, *r.a[0][1:]], *r.a[1:]])
+        (r0, *r1), *rest = entries(real(model, x))
+        return SparseMatrix([[r0 + x / 7, *r1], *rest])
 
     monkeypatch.setattr(m, "r_matrix", wrong_r)
     x1, x2, x3 = F(5), F(3, 2), F(-2, 3)
@@ -373,8 +383,8 @@ def test_yang_baxter_fail_prints_fraction_entries(ssep_model, monkeypatch):
     assert rep.status == vf.FAIL
     # the oracle embeds and multiplies Fraction entries itself
     conv = ssep_model.convention
-    r12, r13, r23 = (embed_rows(wrong_r(ssep_model, conv.compose(a, b)).a,
-                                legs, 3)
+    r12, r13, r23 = (embed_rows(entries(wrong_r(ssep_model,
+                                                conv.compose(a, b))), legs, 3)
                      for a, b, legs in ((x1, x2, (0, 1)), (x1, x3, (0, 2)),
                                         (x2, x3, (1, 2))))
     lhs = rows_product(rows_product(r12, r13), r23)
@@ -388,9 +398,9 @@ def test_yang_baxter_fail_prints_fraction_entries(ssep_model, monkeypatch):
         F(rep.witness["rhs"]).denominator > 1
 
 
-def _blocks(rows_by_block, sparse):
-    return {ij: SparseMatrix.from_dense(Matrix(rows)) if sparse
-            else Matrix(rows) for ij, rows in rows_by_block.items()}
+def _blocks(rows_by_block, rescaled):
+    return {ij: _over_another_den(SparseMatrix(rows)) if rescaled
+            else SparseMatrix(rows) for ij, rows in rows_by_block.items()}
 
 
 @settings(max_examples=60, deadline=None)
@@ -415,14 +425,14 @@ def test_compare_block_operands_give_the_first_mismatch_in_block_order(
                   "rhs": format_rational(bad[i, j][r][c])}
                  for i, j in keys for r in range(h) for c in range(h)
                  if good[i, j][r][c] != bad[i, j][r][c]), None)
-    sparse = data.draw(st.booleans())
-    lhs, rhs = _blocks(good, sparse), _blocks(bad, sparse)
+    rescaled = data.draw(st.booleans())
+    lhs, rhs = _blocks(good, rescaled), _blocks(bad, not rescaled)
     rep = vf.compare(ssep_model, "blocks", (F(2),), lhs, rhs)
     assert (rep.status, rep.witness) == \
         ((vf.PASS, None) if want is None else (vf.FAIL, want))
     # one component of another shape raises, wherever the mismatch lies
     ij = data.draw(st.sampled_from(keys))
-    wider = _blocks({ij: [[F(0)] * (h + 1)] * (h + 1)}, sparse)
+    wider = _blocks({ij: [[F(0)] * (h + 1)] * (h + 1)}, rescaled)
     with pytest.raises(ValueError):
         vf.compare(ssep_model, "blocks", (), lhs, {**rhs, **wider})
 
