@@ -643,17 +643,14 @@ def _operands(draw, rows, cols):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_operations_match_the_fraction_entries(data):
-    # every operation on the int rows of operands made in every way, held
-    # over different, often non-lcm, denominators, gives the entries of the
-    # entry-by-entry Fraction oracle
+def test_integer_tables_match_the_fraction_entries(data):
+    # products, kron, the transposes, rank and inverse on the int rows of
+    # operands made in every way, held over different, often non-lcm,
+    # denominators, give the entries of the entry-by-entry Fraction oracle
     dims = data.draw(st.lists(st.integers(1, 4), min_size=4, max_size=5))
     ops = [data.draw(_operands(r, c)) for r, c in zip(dims, dims[1:])]
     (A, a), (B, b) = ops[:2]
-    n, k = A.shape
-    assert A.den > 0 and (n, k) == (len(a), len(a[0])) and entries(A) == a
-    assert list(A.items()) == [(r, c, x) for r, row in enumerate(a)
-                               for c, x in enumerate(row) if x]
+    k = A.shape[1]
     assert entries(A * B) == fraction_product(a, b)
     got, want = ops[0]
     for M, m in ops[1:]:   # a chain of 3 or 4 products
@@ -661,22 +658,6 @@ def test_operations_match_the_fraction_entries(data):
     assert entries(got) == want
     assert entries(kron(A, B)) == fraction_kron(a, b)
     assert entries(kron(B, A)) == fraction_kron(b, a)
-    # sums, differences, scalings and matvecs
-    C, c = data.draw(_operands(n, k))
-    assert entries(A + C) == [[x + y for x, y in zip(r, s)]
-                              for r, s in zip(a, c)]
-    assert entries(A - C) == [[x - y for x, y in zip(r, s)]
-                              for r, s in zip(a, c)]
-    s = data.draw(_rationals)
-    assert entries(A.scale(s)) == entries(A * s) == entries(s * A) == \
-        [[s * x for x in r] for r in a]
-    v = data.draw(st.lists(_rationals, min_size=k, max_size=k))
-    assert A.apply(v) == [sum((x * y for x, y in zip(row, v)), F(0))
-                          for row in a]
-    u = data.draw(st.lists(_rationals, min_size=n, max_size=n))
-    assert A.apply_left(u) == [sum((a[r][j] * u[r] for r in range(n)), F(0))
-                               for j in range(k)]
-    # the transposes, rank and inverse
     P, p = data.draw(_operands(4, 4))
     for leg in (1, 2):
         assert entries(partial_transpose(P, leg)) == \
@@ -692,6 +673,34 @@ def test_operations_match_the_fraction_entries(data):
             inverse(P)
     else:
         assert entries(inverse(P)) == [row[4:] for row in reduced]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sparse_tables_match_the_fraction_entries(data):
+    # sums, scalings, matvecs, ==, compare, the embedding and the kernel on
+    # the int rows of operands made in every way, held over different,
+    # often non-lcm, denominators, give the entries of the entry-by-entry
+    # Fraction oracle
+    n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    A, a = data.draw(_operands(n, k))
+    assert A.den > 0 and A.shape == (n, k) and entries(A) == a
+    assert list(A.items()) == [(r, c, x) for r, row in enumerate(a)
+                               for c, x in enumerate(row) if x]
+    C, c = data.draw(_operands(n, k))
+    assert entries(A + C) == [[x + y for x, y in zip(r, s)]
+                              for r, s in zip(a, c)]
+    assert entries(A - C) == [[x - y for x, y in zip(r, s)]
+                              for r, s in zip(a, c)]
+    s = data.draw(_rationals)
+    assert entries(A.scale(s)) == entries(A * s) == entries(s * A) == \
+        [[s * x for x in r] for r in a]
+    v = data.draw(st.lists(_rationals, min_size=k, max_size=k))
+    assert A.apply(v) == [sum((x * y for x, y in zip(row, v)), F(0))
+                          for row in a]
+    u = data.draw(st.lists(_rationals, min_size=n, max_size=n))
+    assert A.apply_left(u) == [sum((a[r][j] * u[r] for r in range(n)), F(0))
+                               for j in range(k)]
     # == and compare: the first differing entry in row-major order, against
     # a copy with up to two entries changed, made another way
     bad = [list(row) for row in a]
@@ -710,6 +719,7 @@ def test_operations_match_the_fraction_entries(data):
         ((vf.PASS, None) if want is None else (vf.FAIL, want))
     # the embedding sums terms over different denominators
     e, f = (data.draw(_matrices(2, 2)) for _ in range(2))
+    P, p = data.draw(_operands(4, 4))
     terms = [(data.draw(_made(e)), (0,)), (data.draw(_made(f)), (2,)),
              (P, (2, 1))]
     want = SparseMatrix.zeros(8, 8)
