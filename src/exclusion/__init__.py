@@ -18,10 +18,9 @@ _EXPORTS = {
                "tasep"),
     "markov": ("Distribution", "KernelError", "build_markov", "evolve",
                "observables", "steady_state_exact"),
-    "scalars": ("Dual", "format_rational", "parse_rational"),
-    "tensor": ("PoleError", "SparseMatrix", "derivative_at",
-               "exact_nullspace", "kron", "partial_trace_first",
-               "partial_transpose", "permutation_op"),
+    "scalars": ("format_rational", "parse_rational"),
+    "tensor": ("PoleError", "SparseMatrix", "exact_nullspace", "kron",
+               "partial_trace_first", "partial_transpose", "permutation_op"),
     "transfer": ("TransferSpec", "build_transfer", "check_commutation",
                  "check_crossing_symmetry_t", "check_eigenpair",
                  "lambda_eigenvalue", "markov_from_transfer",

@@ -20,7 +20,6 @@ from math import ldexp
 from . import models as m
 from .markov import Distribution
 from .models import ModelDescriptor
-from .scalars import Dual
 from .tensor import PoleError, SparseMatrix, _block, _kept, \
     integer_vector, kron
 
@@ -491,23 +490,22 @@ class MonodromyRealization:
         self.model = model
         self.L = inner_length
 
-    def components(self, x):
-        """(A_0(x), A_1(x)) as operators on the inner chain.  At a
-        Dual point x0 + eps R is the pair (R, R') at x0, and so is the
-        result, ((A_0, A_1), (A_0', A_1')): each site carries the
-        derivatives by the product rule d(X (x) r) = X' (x) r + X (x) r'."""
-        dual = isinstance(x, Dual)
-        R = m.r_matrix(self.model, x)
-        r, rp = map(_blocks, R) if dual else (_blocks(R), None)
-        v = [m._split(e) for e in m.markov_vector(self.model, x)]
-        X, Xp = ([SparseMatrix([[e[k]]]) for e in v] for k in (0, 1))
+    def components(self, x, derivative=False):
+        """(A_0(x), A_1(x)) as operators on the inner chain; with
+        derivative the pair ((A_0, A_1), (A_0', A_1')), from those of R and
+        v by the product rule d(X (x) r) = X' (x) r + X (x) r'."""
+        R = m.r_matrix(self.model, x, derivative)
+        v = m.markov_vector(self.model, x, derivative)
+        (r, rp), (v, vp) = (map(_blocks, R), v) if derivative else \
+            ((_blocks(R), None), (v, ()))
+        X, Xp = ([SparseMatrix([[e]]) for e in u] for u in (v, vp))
         for _ in range(self.L):
-            if dual:
+            if derivative:
                 Xp = [kron(Xp[0], r[i][0]) + kron(Xp[1], r[i][1]) +
                       kron(X[0], rp[i][0]) + kron(X[1], rp[i][1])
                       for i in (0, 1)]
             X = [kron(X[0], r[i][0]) + kron(X[1], r[i][1]) for i in (0, 1)]
-        return (X, Xp) if dual else X
+        return (X, Xp) if derivative else X
 
 
 def _blocks(R: SparseMatrix) -> list:
@@ -577,7 +575,7 @@ def zf_relations(realization, x1, x2):
     idp = model.identity_point
 
     def derivative():
-        X, Xp = components(Dual.variable(idp))
+        X, Xp = components(idp, derivative=True)
         w, _, _ = m.local_operators(model)
         inv_rho = 1 / model.rho
         return _r_mix(w, _products(X, X)), \

@@ -9,12 +9,10 @@ entries are exact rational functions of the rates and the spectral
 parameter, written in closed form, except on the right boundary: ``mirror``
 reflects the chain and exchanges particles and holes, (alpha, beta, gamma,
 delta) -> (beta, alpha, delta, gamma), and Kbar = J K(x^-1) J at the mirror,
-J = [[0, 1], [1, 0]], so ASEP's Kbar is undefined at x = 0.  The closed
-forms are the one place a Dual meets a matrix: they take Fraction or Dual
-arguments alike and return rows of entries (at a Dual argument the
-constant entries stay plain Fractions), and the R and K caches wrap them
-once, as a SparseMatrix at a rational point and as the pair (M(x0),
-M'(x0)) of rational matrices at a Dual point x0 + eps.
+J = [[0, 1], [1, 0]], so ASEP's Kbar is undefined at x = 0.  Each closed
+form is compiled once per model to int polynomial tables (``_Form``), and
+R and K at a rational x, with ``derivative`` the pair (M(x), M'(x)), are
+read off them in ints; at a pole the closed form raises its own PoleError.
 
 Spectral-parameter bookkeeping differs per model: ASEP, TASEP and RD
 compose arguments multiplicatively (x1/x2, identity point 1) while SSEP is
@@ -24,11 +22,14 @@ additive (x1-x2, identity point 0).
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from collections import namedtuple
 from fractions import Fraction
+from itertools import zip_longest
+from operator import mul
 
-from .scalars import Dual, rat
+from .scalars import rat
 from .tensor import PoleError, SparseMatrix, inverse, kron, \
     partial_trace_first, partial_transpose, permutation_op
 
@@ -202,52 +203,15 @@ def local_operators(model: ModelDescriptor):
 # ---------------------------------------------------------------- R-matrix
 
 def _nonzero(denom, what, x):
-    # a Dual with vanishing value part is a pole at the evaluation point
-    bad = (denom.value == 0) if isinstance(denom, Dual) else not denom
-    if bad:
+    if not denom:
         raise PoleError(f"{what} vanishes at x={x}")
     return denom
 
 
-# entries of each bounded cache of R(x) and K(x).  A 5-sample verify
-# builds 145-339 distinct matrices.
-CACHE_SIZE = 1024
-
-
-def r_matrix(model: ModelDescriptor, x) -> SparseMatrix:
-    """The 4x4 R-matrix at spectral parameter x, exact; at a Dual point
-    x0 + eps the pair (R(x0), R'(x0)) of rational matrices.  An int x is
-    read as a Fraction.
-
-    Both come from a bounded cache keyed by (name, q, kappa, x, whether x
-    is a Dual), the constants R reads, so every caller gets the same
-    matrix.  A pole is not cached: it raises PoleError on every call."""
-    # an int x would make the closed form's quotients floats
-    x = Fraction(x) if type(x) is int else x
-    return _r_cached(model.name, model.q, model.kappa, x,
-                     isinstance(x, Dual))
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _r_cached(name, q, kappa, x, dual):
-    # a descriptor of the key's constants alone: R cannot read a rate
-    return _wrapped(_r_matrix(
-        ModelDescriptor(name, None, None, None, None, q, kappa), x), dual)
-
-
-def _wrapped(rows, dual):
-    """Closed-form rows as the caches hand them out: a SparseMatrix, or at
-    a Dual point the pair (values, derivatives) of rational matrices."""
-    if not dual:
-        return SparseMatrix(rows)
-    return tuple(SparseMatrix([[_split(e)[k] for e in row] for row in rows])
-                 for k in (0, 1))
-
-
-def _split(e) -> tuple:
-    """(value, derivative) of a Fraction or Dual scalar, a plain rational
-    having derivative 0."""
-    return (e.value, e.deriv) if isinstance(e, Dual) else (e, 0)
+def r_matrix(model: ModelDescriptor, x, derivative=False):
+    """The 4x4 R-matrix at a rational x, an int or a Fraction, exact; with
+    derivative, the pair (R(x), R'(x)), both read off the compiled form."""
+    return _form(model, "R", _r_matrix)(x, derivative)
 
 
 def _r_matrix(model: ModelDescriptor, x) -> list:
@@ -292,30 +256,19 @@ _SWAP = (0, 2, 1, 3)   # the index of P e_i, and of P^-1 e_i
 
 # ---------------------------------------------------------------- K-matrices
 
-def k_matrix(model: ModelDescriptor, kind: str, x) -> SparseMatrix:
+def k_matrix(model: ModelDescriptor, kind: str, x, derivative=False):
     """Boundary matrix of the requested kind: 'K' (left), 'Kbar' (right)
-    or 'Ktilde' (dual).  K and Ktilde are closed forms.  Kbar(x) is
-    J K(x^-1) J at mirror(model), so ASEP's Kbar is undefined at 0, and a
-    pole of Kbar names Kbar, x and the mirrored rates.
+    or 'Ktilde' (dual), at a rational x, an int or a Fraction; with
+    derivative, the pair (M(x), M'(x)).  K and Ktilde are closed forms.
+    Kbar(x) is J K(x^-1) J at mirror(model), so ASEP's Kbar is undefined at
+    0, and a pole of Kbar names Kbar, x and the mirrored rates.
     The RD Ktilde is the reduced form of the crossing expression
     tr_0(Kbar_0(1/x) R_10(1/(x^2 Q)) P_01) / lambda(x^2), so its removable
     singularities, the identity point included, need no special evaluation;
-    ktilde_from_kbar checks it.
-
-    At a Dual point x0 + eps it is the pair (M(x0), M'(x0)) of rational
-    matrices.  An int x is read as a Fraction.  Both come from a bounded
-    cache keyed by (kind, model, x, whether x is a Dual), so every caller
-    gets the same matrix.  A pole is not cached: it raises PoleError on
-    every call."""
+    ktilde_from_kbar checks it."""
     if kind not in _K_FORMS:
         raise ValueError(f"unknown K-matrix kind {kind!r}")
-    x = Fraction(x) if type(x) is int else x
-    return _k_cached(kind, model, x, isinstance(x, Dual))
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _k_cached(kind, model, x, dual):
-    return _wrapped(_K_FORMS[kind](model, x), dual)
+    return _form(model, kind, _K_FORMS[kind])(x, derivative)
 
 
 def _k_left(model: ModelDescriptor, x) -> list:
@@ -381,8 +334,7 @@ def _k_dual(model: ModelDescriptor, x) -> list:
     # u = kappa+1, v = kappa-1; every entry carries F/(2uvx G) with
     # F = u^2 x^4 - v^2 and G = (beta+delta)(x^2-1) + 2kappa(x^2+1)
     k = model.kappa
-    center = x.value if isinstance(x, Dual) else x
-    if center == 0:
+    if not x:
         raise PoleError("Ktilde undefined at x=0 (argument 1/x)")
     u, v = k + 1, k - 1
     ux, x2 = u * x, x * x
@@ -392,7 +344,7 @@ def _k_dual(model: ModelDescriptor, x) -> list:
         g = _nonzero((be + de) * (x2 - 1) + 2 * k * (x2 + 1),
                      "(beta+delta)(x^2-1) + 2kappa(x^2+1)", x)
     except PoleError as exc:
-        raise PoleError(f"dual boundary matrix has a pole at x={center}: "
+        raise PoleError(f"dual boundary matrix has a pole at x={x}: "
                         f"{exc}") from None
     pre = (ux * ux * x2 - v * v) / (2 * u * v * x * g)
     s = (be - de) * dm
@@ -406,19 +358,185 @@ def _k_dual(model: ModelDescriptor, x) -> list:
 _K_FORMS = {"K": _k_left, "Kbar": _k_right, "Ktilde": _k_dual}
 
 
+# ------------------------------------------------------------ compiled forms
+
+@functools.lru_cache(maxsize=256)
+def _forms(model: ModelDescriptor) -> dict:
+    """The compiled forms of model by kind, kept for the last models."""
+    return {}
+
+
+_last = [None, None]    # the model of the last lookup, and its forms
+
+
+def _form(model: ModelDescriptor, kind, closed) -> "_Form":
+    """The form of kind compiled from closed once per (model, kind); a run
+    of lookups for one descriptor finds it by identity, hashing no rate."""
+    if _last[0] is not model:
+        _last[:] = model, _forms(model)
+    forms = _last[1]
+    if kind not in forms:
+        forms[kind] = _Form(closed, model)
+    return forms[kind]
+
+
+class _Form:
+    """A closed form compiled to int polynomials in x: its entries N_rc(x)
+    over one denominator D(x), and P(x), the product of its divisors.  At
+    x = n/d a polynomial c of degree at most M is read in ints as d^M c(n/d)
+    = sum c_k n^k d^(M - k).  Where P vanishes, a division meets a zero, and
+    the closed form, evaluated at x, raises its own error.  Elsewhere M(x)
+    = N / D and M'(x) = (N' D - N D') / D^2 = d (N' D - N D') / D^2, N' and
+    D' read at degree M - 1, each matrix over the lcm of its entries'
+    reduced denominators by one int gcd, as SparseMatrix puts Fractions."""
+
+    __slots__ = ("closed", "model", "shape", "layout", "degree", "poles",
+                 "den", "nums")
+
+    def __init__(self, closed, model):
+        self.closed, self.model, divisors = closed, model, []
+        x = _Rat((0, 1), _ONE, divisors)
+        try:
+            rows = [list(map(x._lift, row)) for row in closed(model, x)]
+        except ZeroDivisionError:   # a divisor vanishes at every x
+            rows, divisors = [], [()]
+        self.shape = len(rows), len(rows[0]) if rows else 0
+        # D: the product of the distinct entry denominators; N_rc = p D / q
+        qs = list(dict.fromkeys(e.q for row in rows for e in row if e))
+        self.den = functools.reduce(_product, qs, _ONE)
+        self.layout = [(r, c) for r, row in enumerate(rows)
+                       for c, e in enumerate(row) if e]
+        self.nums = [functools.reduce(
+            _product, [q for q in qs if q != rows[r][c].q], rows[r][c].p)
+            for r, c in self.layout]
+        self.poles = functools.reduce(_product, dict.fromkeys(divisors), _ONE)
+        self.degree = max(map(len, (self.poles, self.den, *self.nums))) - 1
+
+    def __call__(self, x, derivative=False):
+        """The matrix at x, an int or a Fraction; with derivative, the pair
+        (M(x), M'(x))."""
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"not an exact rational: {x!r}")
+        n, d, top = x.numerator, x.denominator, self.degree
+        mono = [n ** k * d ** (top - k) for k in range(top + 1)]
+        if not sum(map(mul, self.poles, mono)):
+            self.closed(self.model, Fraction(x))
+            raise AssertionError(f"no error at a pole, x={x}")
+        den = sum(map(mul, self.den, mono))
+        nums = [sum(map(mul, p, mono)) for p in self.nums]
+        value = self._matrix(nums, den)
+        if not derivative:
+            return value
+        mono = [0] + [k * n ** (k - 1) * d ** (top - k)
+                      for k in range(1, top + 1)]
+        den1 = sum(map(mul, self.den, mono))
+        return value, self._matrix(
+            [d * (sum(map(mul, p, mono)) * den - v * den1)
+             for p, v in zip(self.nums, nums)], den * den)
+
+    def _matrix(self, nums, den) -> SparseMatrix:
+        """The table nums / den over the lcm of its entries' reduced
+        denominators."""
+        g = math.gcd(den, *nums) * (1 if den > 0 else -1)
+        rows = {}
+        for (r, c), v in zip(self.layout, nums):
+            if v:
+                rows.setdefault(r, {})[c] = v // g
+        return SparseMatrix._over(self.shape, rows, den // g)
+
+
+class _Rat:
+    """p(x) / q(x), int polynomials as coefficient tuples, lowest degree
+    first (zero is ()): the scalar the closed forms are compiled on.  No
+    polynomial gcd is taken, only shared powers of x and int content
+    cancel, and q leads positive.  A division by a polynomial that is not
+    constant appends it to ``divisors``, shared by one compilation."""
+
+    __slots__ = ("p", "q", "divisors")
+
+    def __init__(self, p, q, divisors):
+        while p and not p[-1]:
+            p = p[:-1]
+        while p and not p[0] and not q[0]:
+            p, q = p[1:], q[1:]
+        g = math.gcd(*p, *q) * (1 if q[-1] > 0 else -1)
+        self.p = tuple(v // g for v in p)
+        self.q, self.divisors = tuple(v // g for v in q), divisors
+
+    def _lift(self, other) -> "_Rat":
+        if isinstance(other, _Rat):
+            return other
+        return _Rat((other.numerator,), (other.denominator,), self.divisors)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        p, r, q = self.p, o.p, self.q
+        if q != o.q:
+            p, r, q = _product(p, o.q), _product(r, q), _product(q, o.q)
+        return _Rat(tuple(map(sum, zip_longest(p, r, fillvalue=0))), q,
+                    self.divisors)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        return _Rat(_product(self.p, o.p), _product(self.q, o.q),
+                    self.divisors)
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if not o:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if len(o.p) > 1:
+            self.divisors.append(o.p)
+        return _Rat(_product(self.p, o.q), _product(self.q, o.p),
+                    self.divisors)
+
+    def __rtruediv__(self, other):
+        return self._lift(other) / self
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __pow__(self, k: int):
+        return functools.reduce(_Rat.__mul__, [self] * k, self._lift(1))
+
+    def __bool__(self):
+        return bool(self.p)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+_ONE = (1,)
+
+
+def _product(a, b) -> tuple:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return tuple(out)
+
+
 def ktilde_from_kbar(model: ModelDescriptor, x) -> SparseMatrix:
-    """Dual-boundary map: Ktilde_1(x) = tr_0(Kbar_0(inv x)
+    """The dual-boundary map: Ktilde_1(x) = tr_0(Kbar_0(inv x)
     ((R_01(rc(x,x))^{t1})^{-1})^{t1} P_01).  Undefined for TASEP."""
     if model.name == TASEP:
         raise UnsupportedError("tasep: partial transpose of R is singular")
-    conv = model.convention
+    conv, x = model.convention, Fraction(x)
     R = r_matrix(model, conv.reflect_compose(x, x))
     Rt1 = partial_transpose(R, 1)
     try:
         inv = partial_transpose(inverse(Rt1), 1)
     except PoleError as exc:
         raise PoleError(f"singular partial transpose at x={x}") from exc
-    kbar = _k_cached("Kbar", model, conv.invert(x), False)
+    kbar = k_matrix(model, "Kbar", conv.invert(x))
     big = kron(kbar, SparseMatrix.identity(2)) * inv * permutation_op()
     return partial_trace_first(big)
 
@@ -427,8 +545,8 @@ def kbar_from_ktilde(model: ModelDescriptor, x) -> SparseMatrix:
     """Inverse map: Kbar_1(x) = tr_0(Ktilde_0(inv x) R_01(inv rc(x,x)) P_01)."""
     if model.name == TASEP:
         raise UnsupportedError("tasep: dual reflection structure undefined")
-    conv = model.convention
-    ktilde = _k_cached("Ktilde", model, conv.invert(x), False)
+    conv, x = model.convention, Fraction(x)
+    ktilde = k_matrix(model, "Ktilde", conv.invert(x))
     big = kron(ktilde, SparseMatrix.identity(2)) * \
         r_matrix(model, conv.invert(conv.reflect_compose(x, x))) * permutation_op()
     return partial_trace_first(big)
@@ -436,24 +554,20 @@ def kbar_from_ktilde(model: ModelDescriptor, x) -> SparseMatrix:
 
 def general_asep_k(alpha, gamma, q, tau):
     """The twisted ASEP left K-matrix D K(x) D^-1, D = diag(1, tau), as a
-    function of x; at a Dual point both parts of the cached pair are
-    twisted.  The exponential twist enters algebraically only, as a free
-    rational parameter tau (tau=1 is the untwisted Markovian matrix)."""
+    function of x and derivative, as k_matrix takes them.  The exponential
+    twist enters algebraically only, as a free rational parameter tau
+    (tau=1 is the untwisted Markovian matrix)."""
     alpha, gamma, q, tau = map(rat, (alpha, gamma, q, tau))
     if tau == 0:
         raise ValueError("twist parameter tau must be nonzero")
     _check_q(q)
     base = ModelDescriptor(ASEP, alpha, Fraction(1), gamma, Fraction(0), q=q)
 
-    D, Di = SparseMatrix([[1, 0], [0, tau]]), \
-        SparseMatrix([[1, 0], [0, 1 / tau]])
+    def twisted(model, x):
+        (a, b), (c, d) = _k_left(model, x)
+        return [[a, b / tau], [tau * c, d]]
 
-    def k(x):
-        K = _k_cached("K", base, x, isinstance(x, Dual))
-        return tuple(D * P * Di for P in K) if isinstance(K, tuple) \
-            else D * K * Di
-
-    return k
+    return _form(base, ("K", tau), twisted)    # one form per rates and tau
 
 
 def boundary_factor(model: ModelDescriptor, x) -> tuple:
@@ -470,11 +584,12 @@ def boundary_factor(model: ModelDescriptor, x) -> tuple:
     raise UnsupportedError(f"{model.name}: no closed-form eigenvalue known")
 
 
-def markov_vector(model: ModelDescriptor, x):
+def markov_vector(model: ModelDescriptor, x, derivative=False):
     """The scalar vector v(x) of the bulk Markovian property, in the gauge
-    v(x) = (x, 1), or (1, 1) for SSEP."""
+    v(x) = (x, 1), or (1, 1) for SSEP; with derivative the pair (v(x),
+    v'(x))."""
     if model.name == RD:
         raise UnsupportedError("rd: no scalar Markovian vector exists")
-    if model.name == SSEP:
-        return (Fraction(1), Fraction(1))
-    return (x, Fraction(1))
+    one = Fraction(1)
+    v, vp = ((one, one), (0, 0)) if model.name == SSEP else ((x, one), (1, 0))
+    return (v, vp) if derivative else v

@@ -9,9 +9,9 @@ scalings, the transposes, ``partial_trace_first``, matvecs, ``==``, the
 embedding and ``exact_nullspace`` work on the int rows and take no gcd per
 entry; ``inverse`` and ``rank`` expand them to dense int lists only inside
 ``_eliminate``.  Fraction entries are formed, reduced, only when they are
-read.  ``integer_vector`` puts a vector in the same form.  These are the
-package's only scaling of rationals to integers.  Every entry is rational:
-a derivative is a pair of these matrices (``derivative_at``).
+read.  ``integer_vector`` puts a vector in the same form.  Every entry is
+rational: a derivative is a pair of these matrices, as the compiled forms
+of ``models`` hand out R and K with their derivatives.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class SparseMatrix:
     int.
 
     Built from rows of entries, ints or Fractions, N is taken over the lcm
-    of their denominators; any other entry, a Dual included, raises
+    of their denominators; any other entry, a float included, raises
     TypeError.  Products are int products over da db, sums and differences
     work over lcm(da, db), and a rational scale multiplies the rows by its
     numerator and den by its denominator: no gcd is taken.  ``get``,
@@ -40,8 +40,7 @@ class SparseMatrix:
     mismatch are well defined.
 
     A SparseMatrix is never changed once built, and may share row dicts
-    with the matrices it was made from: ``models`` shares each R(x) and K(x)
-    it builds between all of its callers.
+    with the matrices it was made from.
     """
 
     __slots__ = ("shape", "_rows", "den")
@@ -733,15 +732,3 @@ def _annihilates(rows, vectors) -> bool:
             if sum(v * w[c] for c, v in row.items()):
                 return False
     return True
-
-
-def derivative_at(f, x0) -> SparseMatrix:
-    """Exact derivative of a matrix-valued rational function at x0.  At the
-    Dual point x0 + eps, f returns the pair (f(x0), f'(x0)) of rational
-    matrices, as the R and K caches of ``models`` do, and its second part is
-    the derivative.  Poles raise PoleError."""
-    from .scalars import Dual
-    try:
-        return f(Dual.variable(x0))[1]
-    except ZeroDivisionError as exc:
-        raise PoleError(f"pole while differentiating at {x0}: {exc}") from exc

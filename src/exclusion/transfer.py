@@ -6,7 +6,9 @@ no operator on the (auxiliary (x) chain) space of dimension 2^(L+1) is
 formed.  The contraction runs in integers: each local factor is scaled by
 the lcm of its denominators, and t(x) is handed out, and checked, as a
 SparseMatrix over the product of those denominators, so no gcd is taken.
-t(x) carries no prefactor: the homogeneous normalization
+With ``derivative`` the factors are the pairs (F, dF/dx) that ``models``
+reads off its compiled forms, and t'(x) is carried along by the product
+rule.  t(x) carries no prefactor: the homogeneous normalization
 1/tr Ktilde(identity) is 1 for every catalogued model.
 
 The checks raise PoleError at a pole, naming the point and the expression
@@ -24,7 +26,6 @@ from operator import add, mul
 
 from . import models as m
 from .models import ModelDescriptor
-from .scalars import Dual
 from .tensor import PoleError, SparseMatrix, exact_nullspace, inverse
 from .verifier import CheckReport, compare, skipped
 
@@ -56,19 +57,30 @@ def _factor(what, thunk):
         raise PoleError(f"transfer factor {what}: {exc}") from exc
 
 
-def _local_factors(spec: TransferSpec, x):
+def _local_factors(spec: TransferSpec, x, derivative=False):
     """The 2L+2 factors of t(x) in product order: Ktilde_0, R_0L...R_01,
-    K_0, R_10...R_L0.  Each is evaluated once, as it is drawn, so a pole
-    is reported for the first factor in that order that has one."""
+    K_0, R_10...R_L0, with derivative the pairs (F, dF/dx).  Each is
+    evaluated once, as it is drawn, so a pole is reported for the first
+    factor in that order that has one."""
     model, conv, L = spec.model, spec.model.convention, spec.L
-    yield _factor("Ktilde_0", lambda: m.k_matrix(model, "Ktilde", x))
-    for j in range(L, 0, -1):
-        arg = conv.compose(x, spec.thetas[j - 1])
-        yield _factor(f"R_0{j}", lambda: m.r_matrix(model, arg))
-    yield _factor("K_0", lambda: m.k_matrix(model, "K", x))
-    for j in range(1, L + 1):
-        arg = conv.reflect_compose(x, spec.thetas[j - 1])
-        yield _factor(f"R_{j}0", lambda: m.r_matrix(model, arg))
+
+    def r(arg, t, power):
+        # R at x t^power (x + power t for SSEP), or the pair (R, R' t^power)
+        F = m.r_matrix(model, arg, derivative)
+        if derivative and conv.kind != "additive" and t != 1:
+            F = F[0], SparseMatrix([[F[1].get(i, k) * t ** power
+                                     for k in range(4)] for i in range(4)])
+        return F
+
+    yield _factor("Ktilde_0", lambda: m.k_matrix(model, "Ktilde", x,
+                                                 derivative))
+    for j, t in zip(range(L, 0, -1), reversed(spec.thetas)):
+        arg = conv.compose(x, t)
+        yield _factor(f"R_0{j}", lambda: r(arg, t, -1))
+    yield _factor("K_0", lambda: m.k_matrix(model, "K", x, derivative))
+    for j, t in enumerate(spec.thetas, 1):
+        arg = conv.reflect_compose(x, t)
+        yield _factor(f"R_{j}0", lambda: r(arg, t, 1))
 
 
 _BONDS = ((0, 0), (0, 1), (1, 0), (1, 1))   # bond state (p, y), at 2p + y
@@ -117,13 +129,13 @@ def _site(O, ops) -> list:
     return out
 
 
-def build_transfer(spec: TransferSpec, x):
-    """t(x) = tr_0( Ktilde_0(x) R_0L...R_01 K_0(x) R_10...R_L0 ), and at a
-    Dual point x the pair (t(x), t'(x)): SparseMatrix integer tables N / den
+def build_transfer(spec: TransferSpec, x, derivative=False):
+    """t(x) = tr_0( Ktilde_0(x) R_0L...R_01 K_0(x) R_10...R_L0 ), and with
+    derivative the pair (t(x), t'(x)): SparseMatrix integer tables N / den
     over one den.
 
     Each factor F is read as a dense int table over its denominator d,
-    and den is the product of the d; at a Dual point the factor is the pair
+    and den is the product of the d; with derivative the factor is the pair
     (F, F') of matrices, and their two tables are read over the lcm of
     their denominators.  t(x) is then contracted site by site as
     an operator product of bond dimension 4, without forming any operator
@@ -136,23 +148,22 @@ def build_transfer(spec: TransferSpec, x):
         O_j[(p', y')] = sum over (p, y) of O_{j-1}[(p, y)] (x) r_p'p rhat_yy',
         N = sum over (p, y) of Ktilde[y][p] O_L[(p, y)],
 
-    with r and rhat the 2 x 2 blocks of R_0j and R_j0 (``_site_ops``).  At
-    a Dual point the pair (O, O') is carried by the product rule."""
-    dual = isinstance(x, Dual)
+    with r and rhat the 2 x 2 blocks of R_0j and R_j0 (``_site_ops``).  With
+    derivative the pair (O, O') is carried by the product rule."""
     L = spec.L
     factors, den = [], 1
-    for F in _local_factors(spec, x):
-        parts = F if dual else (F,)
+    for F in _local_factors(spec, x, derivative):
+        parts = F if derivative else (F,)
         d = math.lcm(*(P.den for P in parts))
         factors.append([_table(P, d // P.den) for P in parts])
         den *= d
     Kt, K = factors[0], factors[L + 1]
     O = [[K[0][p][y]] for p, y in _BONDS]
-    if dual:
+    if derivative:
         Od = [[K[1][p][y]] for p, y in _BONDS]
     for R, Rh in zip(factors[L:0:-1], factors[L + 2:]):
         ops = _site_ops(R[0], Rh[0])
-        if dual:
+        if derivative:
             # (O r rhat)' = O' r rhat + O r' rhat + O r rhat'
             terms = (ops, _site_ops(R[1], Rh[0]), _site_ops(R[0], Rh[1]))
             Od = _site(Od + O + O, [[sum(by_k, ()) for by_k in zip(*by_b2)]
@@ -160,7 +171,7 @@ def build_transfer(spec: TransferSpec, x):
         O = _site(O, ops)
     close = [Kt[0][y][p] for p, y in _BONDS]
     flat = [_combine(O, close)]
-    if dual:
+    if derivative:
         flat.append(_combine(Od + O, close + [Kt[1][y][p] for p, y in _BONDS]))
     # site j's (s, u) are bits 2(L - j) + 1 and 2(L - j) of a flat table's
     # entry index; its row is s_1...s_L and its column u_1...u_L
@@ -175,7 +186,7 @@ def build_transfer(spec: TransferSpec, x):
             if v:
                 N.setdefault(r, {})[c] = v
         out.append(SparseMatrix._over((1 << L, 1 << L), N, den))
-    return tuple(out) if dual else out[0]
+    return tuple(out) if derivative else out[0]
 
 
 def _table(P: SparseMatrix, f: int) -> list:
@@ -198,10 +209,11 @@ def check_commutation(spec: TransferSpec, x, x2) -> CheckReport:
 
 def markov_from_transfer(model: ModelDescriptor, L: int) -> CheckReport:
     """(1/2 rho) t'(identity) = M, with t the homogeneous transfer matrix,
-    differentiated exactly over dual numbers."""
+    differentiated exactly: its factors are pairs (F, F') read off the
+    compiled forms of R and K."""
     from .markov import build_markov
     idp = model.identity_point
-    _, dt = build_transfer(TransferSpec(model, L), Dual.variable(idp))
+    _, dt = build_transfer(TransferSpec(model, L), idp, derivative=True)
     return compare(model, "transfer.markov_derivative", (idp,),
                    dt.scale(1 / (2 * model.rho)), build_markov(model, L))
 

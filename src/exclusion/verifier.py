@@ -25,7 +25,7 @@ from . import models as m
 from .models import ModelDescriptor
 from .sampling import model_safe, pair_safe
 from .scalars import format_rational
-from .tensor import SparseMatrix, derivative_at, embed_at_positions, \
+from .tensor import SparseMatrix, embed_at_positions, \
     inverse, kron, partial_transpose, permutation_op, rank
 
 PASS = "Pass"
@@ -156,7 +156,7 @@ def r_properties(model: ModelDescriptor, x, x2=None):
 
     def local_jump():
         w, _, _ = m.local_operators(model)
-        rp = derivative_at(lambda s: m.r_matrix(model, s), idp)
+        _, rp = m.r_matrix(model, idp, derivative=True)
         return P * rp, model.rho * w
     yield "r.local_jump", (idp,), local_jump
 
@@ -250,7 +250,7 @@ def k_properties(model: ModelDescriptor, kind: str, x, twist=None,
     if twist is not None:
         kf = m.general_asep_k(model.alpha, model.gamma, model.q, twist)
     else:
-        kf = lambda z: m.k_matrix(model, kind, z)
+        kf = lambda z, derivative=False: m.k_matrix(model, kind, z, derivative)
 
     def boundary_jump():
         _, B, Bbar = m.local_operators(model)
@@ -260,7 +260,7 @@ def k_properties(model: ModelDescriptor, kind: str, x, twist=None,
             tau = Fraction(twist)
             target = SparseMatrix([[-model.alpha, model.gamma / tau],
                                    [tau * model.alpha, -model.gamma]])
-        return derivative_at(kf, idp), (2 * model.rho * eps) * target
+        return kf(idp, derivative=True)[1], (2 * model.rho * eps) * target
 
     yield f"{name}.unitarity", (x,), lambda: (kf(x) * kf(conv.invert(x)), I2)
     yield f"{name}.regularity", (idp,), lambda: (kf(idp), I2)

@@ -2,20 +2,83 @@
 Kronecker product and partial transpose that the int rows of
 ``tensor.SparseMatrix`` are checked against, the dense embedding, op (x) I
 entry by entry and a slot permutation, that ``tensor.embed_at_positions``
-is checked against, the closed-form rows of R and K at a Dual point split
-entry by entry, which the pairs of the R and K caches are checked against,
-the embed-and-multiply products and sums, over Fraction or Dual entries
-held as {row: {col: entry}}, that ``transfer.build_transfer``, the
-coproduct of ``MonodromyRealization.components``, the Yang-Baxter sides
-and the RD letters are checked against, and the RD current balance of
-``ansatz.rd_closed_forms``."""
+is checked against, dual numbers, on which the closed-form rows of R and K
+give the derivative pairs of the compiled forms' oracle, the
+embed-and-multiply products and sums, over Fraction or Dual entries held
+as {row: {col: entry}}, that ``transfer.build_transfer``, the coproduct of
+``MonodromyRealization.components``, the Yang-Baxter sides and the RD
+letters are checked against, and the RD current balance of
+``ansatz.rd_closed_forms``.  Dual is used in this module only."""
 
 from fractions import Fraction
 
 import exclusion.models as m
 from exclusion.ansatz import rd_closed_forms
-from exclusion.scalars import Dual
 from exclusion.tensor import SparseMatrix
+
+
+class Dual:
+    """Rational value plus first derivative: (a, a')(b, b') = (ab, a'b +
+    ab').  A division by a Dual whose value part is 0 raises
+    ZeroDivisionError."""
+
+    __slots__ = ("value", "deriv")
+
+    def __init__(self, value, deriv=0):
+        self.value = Fraction(value)
+        self.deriv = Fraction(deriv)
+
+    @staticmethod
+    def _lift(other):
+        return other if isinstance(other, Dual) else Dual(other)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return Dual(self.value + o.value, self.deriv + o.deriv)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Dual(-self.value, -self.deriv)
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        return Dual(self.value * o.value,
+                    self.deriv * o.value + self.value * o.deriv)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o.value == 0:
+            raise ZeroDivisionError("dual division by zero value part")
+        v = self.value / o.value
+        return Dual(v, (self.deriv - v * o.deriv) / o.value)
+
+    def __rtruediv__(self, other):
+        return self._lift(other) / self
+
+    def __pow__(self, n: int):
+        out = Dual(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __bool__(self):
+        return self.value != 0 or self.deriv != 0
+
+
+def dual_parts(f, x0) -> tuple:
+    """(f(x0), f'(x0)) for a scalar rational function f, read from f at the
+    dual point x0 + eps."""
+    out = Dual._lift(f(Dual(x0, 1)))
+    return out.value, out.deriv
 
 
 def fraction_product(a, b) -> list:
@@ -170,8 +233,8 @@ def entry(rows: dict, r: int, c: int):
 
 def closed_rows(model, kind: str, x) -> list:
     """The rows of R (kind "R") or of K, Kbar or Ktilde at x, straight from
-    the closed forms of ``models``, uncached: Fraction entries at a
-    rational x, Dual entries (constants left as Fractions) at a Dual x."""
+    the closed forms of ``models``: Fraction entries at a rational x, Dual
+    entries (constants left as Fractions) at a Dual x."""
     return (m._r_matrix if kind == "R" else m._K_FORMS[kind])(model, x)
 
 
@@ -192,11 +255,13 @@ def split(rows) -> tuple:
              for row in rows])
 
 
-def as_cached(rows, x):
-    """Rows taken at x as the R and K caches hand them out: a SparseMatrix
-    at a rational x, the pair (values, derivatives) of them at a Dual x."""
-    return tuple(map(SparseMatrix, split(rows))) if isinstance(x, Dual) \
-        else SparseMatrix(rows)
+def rows_at(rows_of, x0, derivative=False):
+    """rows_of(x0), a function's rows of entries, as a SparseMatrix; with
+    derivative the pair (M(x0), M'(x0)) of the rows at the dual point
+    x0 + eps, split entry by entry.  A pole raises ZeroDivisionError."""
+    if derivative:
+        return tuple(map(SparseMatrix, split(rows_of(Dual(x0, 1)))))
+    return SparseMatrix(rows_of(x0))
 
 
 def _entries(model, kind: str, x) -> list:
@@ -209,10 +274,12 @@ def _entries(model, kind: str, x) -> list:
                    else m.k_matrix(model, kind, x))
 
 
-def transfer_factors(spec, x) -> list:
+def transfer_factors(spec, x, derivative=False) -> list:
     """(positions, rows) of the 2L + 2 factors of t(x), in product order,
-    slot 0 the auxiliary space."""
+    slot 0 the auxiliary space; with derivative their rows at the dual
+    point x + eps."""
     model, conv, L = spec.model, spec.model.convention, spec.L
+    x = Dual(x, 1) if derivative else x
     factors = [((0,), _entries(model, "Ktilde", x))]
     factors += [((0, j), _entries(model, "R",
                                   conv.compose(x, spec.thetas[j - 1])))
@@ -224,25 +291,30 @@ def transfer_factors(spec, x) -> list:
     return factors
 
 
-def transfer_product(spec, x):
-    """t(x) as the ordered product of the embedded factors over Fraction (or
-    Dual) entries, traced over the auxiliary space: no integer assembly.  A
-    SparseMatrix, or at a Dual x the pair (t, t') split entry by entry."""
+def transfer_product(spec, x, derivative=False):
+    """t(x) as the ordered product of the embedded factors over Fraction
+    entries, traced over the auxiliary space: no integer assembly.  A
+    SparseMatrix, or with derivative the pair (t, t') of the product over
+    Dual entries at x + eps, split entry by entry."""
     acc = None
-    for positions, f in transfer_factors(spec, x):
+    for positions, f in transfer_factors(spec, x, derivative):
         f = embed_rows(f, positions, spec.L + 1)
         acc = f if acc is None else rows_product(acc, f)
     half = 1 << spec.L
-    return as_cached([[entry(acc, j, l) + entry(acc, half + j, half + l)
-                       for l in range(half)] for j in range(half)], x)
+    t = [[entry(acc, j, l) + entry(acc, half + j, half + l)
+          for l in range(half)] for j in range(half)]
+    return tuple(map(SparseMatrix, split(t))) if derivative \
+        else SparseMatrix(t)
 
 
-def monodromy_components(model, inner_length: int, x):
+def monodromy_components(model, inner_length: int, x, derivative=False):
     """(A_0(x), A_1(x)) with A_i = sum over k of T_ik(x) v_k(x), T = R_0L'
     ... R_01 the monodromy matrix multiplied out on the auxiliary (x) inner
-    chain space (slot 0 the auxiliary one), over Fraction (or Dual)
-    entries, and cut into its 2 x 2 blocks of inner-chain operators.  At a
-    Dual x the pair ((A_0, A_1), (A_0', A_1')), split entry by entry."""
+    chain space (slot 0 the auxiliary one), over Fraction entries, and cut
+    into its 2 x 2 blocks of inner-chain operators.  With derivative the
+    pair ((A_0, A_1), (A_0', A_1')) of the product over Dual entries at
+    x + eps, split entry by entry."""
+    x = Dual(x, 1) if derivative else x
     n = inner_length + 1
     acc = None
     for j in range(inner_length, 0, -1):
@@ -250,11 +322,13 @@ def monodromy_components(model, inner_length: int, x):
         acc = f if acc is None else rows_product(acc, f)
     half = 1 << inner_length
     v = m.markov_vector(model, x)
-    out = [as_cached([[entry(acc, i * half + r, c) * v[0] +
-                       entry(acc, i * half + r, half + c) * v[1]
-                       for c in range(half)] for r in range(half)], x)
-           for i in (0, 1)]
-    return tuple(map(list, zip(*out))) if isinstance(x, Dual) else out
+    out = [[[entry(acc, i * half + r, c) * v[0] +
+             entry(acc, i * half + r, half + c) * v[1]
+             for c in range(half)] for r in range(half)] for i in (0, 1)]
+    if derivative:
+        return tuple([SparseMatrix(split(A)[k]) for A in out]
+                     for k in (0, 1))
+    return [SparseMatrix(A) for A in out]
 
 
 def rd_current_balance(kappa, alpha, beta, gamma, delta, L: int, i: int) -> Fraction:

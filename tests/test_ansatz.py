@@ -10,7 +10,7 @@ import exclusion.ansatz as an
 import exclusion.markov as mk
 import exclusion.models as mo
 import exclusion.verifier as vf
-from exclusion.scalars import Dual, float_repr, format_rational
+from exclusion.scalars import float_repr, format_rational
 from exclusion.tensor import SparseMatrix
 from certificates import exact, pins, recorded
 from reference import entries, entry, monodromy_components, \
@@ -808,15 +808,16 @@ def test_zf_monodromy(asep_model, ssep_model, tasep_model):
 def test_monodromy_components_equal_the_embedded_product(
         asep_model, ssep_model, tasep_model, Lp):
     # the coproduct against the monodromy multiplied out on the auxiliary
-    # (x) chain space, entry for entry; at the Dual identity point on the
-    # values and on the derivatives
+    # (x) chain space, entry for entry; at the identity point on the
+    # values and on the derivatives, against the product over dual numbers
     for mdl in (asep_model, ssep_model, tasep_model):
         for x in (F(2), F(3, 7), F(-5, 2), F(1, 3)):
             got = an.MonodromyRealization(mdl, Lp).components(x)
             assert got == monodromy_components(mdl, Lp, x), (mdl.name, x)
-        x = Dual.variable(mdl.identity_point)
-        got = an.MonodromyRealization(mdl, Lp).components(x)
-        assert got == monodromy_components(mdl, Lp, x), mdl.name
+        x = mdl.identity_point
+        got = an.MonodromyRealization(mdl, Lp).components(x, derivative=True)
+        assert got == monodromy_components(mdl, Lp, x, derivative=True), \
+            mdl.name
         assert any(Xp.nnz for Xp in got[1])
 
 
@@ -850,10 +851,15 @@ def test_monodromy_rejects_rd(rd_model):
 
 
 def _gauge(monkeypatch, a, b):
-    """v(x) in the gauge (a v0(x), b), v0 the first entry of the fixed one."""
+    """v(x) in the gauge (a v0(x), b), v0 the first entry of the fixed one,
+    and with derivative the pair (v(x), (a v0'(x), 0))."""
     fixed = mo.markov_vector
-    monkeypatch.setattr(mo, "markov_vector",
-                        lambda model, x: (a * fixed(model, x)[0], b))
+
+    def gauged(model, x, derivative=False):
+        (v0, _), (d0, _) = fixed(model, x, derivative=True)
+        v = (a * v0, b)
+        return (v, (a * d0, 0)) if derivative else v
+    monkeypatch.setattr(mo, "markov_vector", gauged)
 
 
 def test_zf_gauge_constants_are_immaterial(monkeypatch):
@@ -903,7 +909,7 @@ def test_c_derivative_vanishes():
 # ------------------------------------------ RD relation failures and poles
 
 def _doubled(M):
-    """2 M, and at a Dual point both parts of the pair doubled."""
+    """2 M, and of a pair (M, M') both parts doubled."""
     if isinstance(M, tuple):
         return tuple(map(_doubled, M))
     return SparseMatrix([[2 * v for v in row] for row in entries(M)])
@@ -915,8 +921,8 @@ def _perturb(monkeypatch, target, change):
     if target in ("K", "Kbar"):
         k_matrix = mo.k_matrix
 
-        def changed(model, kind, x):
-            K = k_matrix(model, kind, x)
+        def changed(model, kind, x, derivative=False):
+            K = k_matrix(model, kind, x, derivative)
             return change(K) if kind == target else K
         monkeypatch.setattr(mo, "k_matrix", changed)
     elif target in ("B", "Bbar"):
@@ -929,8 +935,8 @@ def _perturb(monkeypatch, target, change):
         monkeypatch.setattr(mo, "local_operators", changed)
     else:
         r_matrix = mo.r_matrix
-        monkeypatch.setattr(mo, "r_matrix",
-                            lambda model, x: change(r_matrix(model, x)))
+        monkeypatch.setattr(mo, "r_matrix", lambda model, x, derivative=False:
+                            change(r_matrix(model, x, derivative)))
 
 
 def _corner_cancelling(rep, x, target):
@@ -1051,9 +1057,9 @@ def test_zf_monodromy_fails_with_the_oracle_witness(monkeypatch, all_models,
     at = mdl.convention.compose(x1, x2)
     if kept:
         r_matrix = mo.r_matrix
-        def changed(model, x):
-            if x != at:
-                return r_matrix(model, x)
+        def changed(model, x, derivative=False):
+            if derivative or x != at:
+                return r_matrix(model, x, derivative)
             rows = entries(r_matrix(model, x))
             return SparseMatrix(rows[:kept] + [[2 * v for v in row]
                                                for row in rows[kept:]])
@@ -1116,8 +1122,8 @@ def test_zf_relations_build_the_components_once_per_point(
     for cls in (an.MonodromyRealization, an.RDRepresentation):
         real = cls.components
         monkeypatch.setattr(cls, "components",
-                            lambda self, x, real=real: calls.append(x) or
-                            real(self, x))
+                            lambda self, x, *args, real=real, **kwargs:
+                            calls.append(x) or real(self, x, *args, **kwargs))
     realizations = (an.MonodromyRealization(asep_model, 2),
                     an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 5))
     runs = []

@@ -1190,7 +1190,7 @@ def test_readme_flag_table_matches_the_parser():
      "transfer factor Ktilde_0: (delta*x+beta)(x-1) + (q-1)x vanishes at "
      "x=1/2"),
     ("markov-derivative", ("--model", "asep", "--q", "-1"),
-     "transfer factor Ktilde_0: q^2 x^2 - 1 vanishes at x=Dual(1, 1)"),
+     "transfer factor Ktilde_0: q^2 x^2 - 1 vanishes at x=1"),
     ("eigenvalue", ("--model", "asep", "--x", "1/2"),
      "eigenvalue lambda has a pole at x=1/2"),
     ("left-eigenvector", ("--model", "ssep", "--x", "-1"),

@@ -2,7 +2,13 @@
 as cProfile counts them, does not depend on the hash seed.  A change in the
 count of a job is then a change in the program, not in the host or the
 interpreter, and counts can be compared across commits where times cannot.
-No absolute count is pinned."""
+No absolute count is pinned.
+
+The count sums cProfile's raw entries, one per function.  ``pstats`` keys
+its table by (file, line, name), so two comprehensions that open on one
+line share a key there, and only one of their counts is kept: which one
+depends on where the interpreter placed them in memory, so a pstats total
+can differ between two runs of the same job."""
 
 import subprocess
 import sys
@@ -15,14 +21,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # one CLI job under cProfile in a fresh process: prints the exit code and
 # the total call count; the job's own output is dropped
 _COUNT = """
-import contextlib, cProfile, io, pstats, sys
+import contextlib, cProfile, io, sys
 from exclusion.cli import main
 profile = cProfile.Profile()
 with contextlib.redirect_stdout(io.StringIO()):
     profile.enable()
     code = main(sys.argv[1:])
     profile.disable()
-print(code, pstats.Stats(profile).total_calls)
+print(code, sum(entry.callcount for entry in profile.getstats()))
 """
 
 
@@ -41,7 +47,11 @@ def _counted(argv, hash_seed) -> list:
 @pytest.mark.parametrize("argv", [
     ["verify", "--model", "asep", "--samples", "2", "--seed", "5"],
     ["steady", "--model", "rd", "--L", "4", "--method", "nullspace",
-     "--exact"]], ids=["verify-asep", "steady-rd-nullspace"])
+     "--exact"],
+    # the derivative pairs, and the form cache keyed by model
+    ["transfer", "--model", "rd", "--L", "3", "--check",
+     "markov-derivative"]],
+    ids=["verify-asep", "steady-rd-nullspace", "transfer-rd-derivative"])
 def test_call_counts_do_not_depend_on_the_hash_seed(argv):
     first, second = (_counted(argv, seed) for seed in (0, 1))
     assert first == second

@@ -9,11 +9,10 @@ import exclusion.models as m
 import exclusion.verifier as vf
 from exclusion.models import UnsupportedError, r_matrix_swapped
 from exclusion.sampling import sample_points
-from exclusion.scalars import Dual
-from exclusion.tensor import PoleError, SparseMatrix, derivative_at, kron, \
+from exclusion.tensor import PoleError, SparseMatrix, kron, \
     partial_trace_first, permutation_op
-from reference import as_cached, closed_rows, split, twisted_k_rows
-from strategies import SIGNED_MODELS
+from reference import closed_rows, rows_at, twisted_k_rows
+from strategies import MODELS, SIGNED_MODELS
 
 
 def test_local_operators_ssep_is_swap_minus_identity():
@@ -98,11 +97,11 @@ def test_derivative_identities(all_models):
     for mdl in all_models:
         w, B, Bbar = ex.local_operators(mdl)
         idp = mdl.identity_point
-        rp = derivative_at(lambda x: ex.r_matrix(mdl, x), idp)
+        _, rp = ex.r_matrix(mdl, idp, derivative=True)
         assert P * rp == mdl.rho * w
-        kp = derivative_at(lambda x: ex.k_matrix(mdl, "K", x), idp)
+        _, kp = ex.k_matrix(mdl, "K", idp, derivative=True)
         assert kp == (2 * mdl.rho) * B
-        kbp = derivative_at(lambda x: ex.k_matrix(mdl, "Kbar", x), idp)
+        _, kbp = ex.k_matrix(mdl, "Kbar", idp, derivative=True)
         assert kbp == (-2 * mdl.rho) * Bbar
 
 
@@ -154,12 +153,13 @@ def test_kbar_roundtrip(ssep_model, rd_model):
             assert ex.kbar_from_ktilde(mdl, x) == ex.k_matrix(mdl, "Kbar", x)
 
 
-def _kbar_oracle(model, x):
+def _kbar_oracle(model, x, derivative=False):
     """Oracle, kept apart from the code it checks: the closed forms of Kbar
     written out per model, as models held them before Kbar was derived from
-    K through the mirror, as the cache hands them out (the pair of the two
-    parts at a Dual x).  A vanishing denominator raises ZeroDivisionError."""
-    return as_cached(_kbar_oracle_rows(model, x), x)
+    K through the mirror, as k_matrix hands them out (with derivative the
+    pair read at the dual point x + eps).  A vanishing denominator raises
+    ZeroDivisionError."""
+    return rows_at(lambda z: _kbar_oracle_rows(model, z), x, derivative)
 
 
 def _kbar_oracle_rows(model, x):
@@ -206,9 +206,9 @@ def _with_a_kbar_pole_at(model, x):
 _SIGNED_MODELS = st.one_of(*SIGNED_MODELS.values())
 
 
-def _kbar_or_pole(f, x):
+def _kbar_or_pole(f, x, derivative):
     try:
-        return f(x)
+        return f(x, derivative)
     except ZeroDivisionError as exc:
         return type(exc)
 
@@ -222,22 +222,23 @@ def test_kbar_is_the_mirrored_k_and_matches_the_oracle(model, data):
         st.sampled_from([F(0), F(1), F(-1)])))
     if data.draw(st.booleans()):
         model = _with_a_kbar_pole_at(model, x)
-    kbar = lambda z: ex.k_matrix(model, "Kbar", z)
-    for z in (x, Dual.variable(x)):
-        got = _kbar_or_pole(kbar, z)
+    kbar = lambda z, derivative: ex.k_matrix(model, "Kbar", z, derivative)
+    for derivative in (False, True):
+        got = _kbar_or_pole(kbar, x, derivative)
         if model.name == "asep" and x == 0:     # 1/x is undefined at 0
             assert got is PoleError
         elif got is PoleError:
-            assert _kbar_or_pole(lambda y: _kbar_oracle(model, y), z) is \
-                ZeroDivisionError
+            assert _kbar_or_pole(lambda y, d: _kbar_oracle(model, y, d), x,
+                                 derivative) is ZeroDivisionError
         else:
-            assert got == _kbar_oracle(model, z)
+            assert got == _kbar_oracle(model, x, derivative)
 
 
 def test_kbar_derivative_at_the_identity_point_matches_the_oracle(all_models):
     for mdl in all_models:
-        x = Dual.variable(mdl.identity_point)
-        assert ex.k_matrix(mdl, "Kbar", x) == _kbar_oracle(mdl, x)
+        x = mdl.identity_point
+        assert ex.k_matrix(mdl, "Kbar", x, derivative=True) == \
+            _kbar_oracle(mdl, x, derivative=True)
 
 
 def test_kbar_pole_names_kbar_x_and_the_mirrored_rates():
@@ -256,9 +257,9 @@ def test_ktilde_map_unsupported_for_tasep():
 
 
 def test_rd_ktilde_dual_matches_series(rd_model):
-    # dual-number evaluation at the identity point, a removable singularity
+    # the derivative pair at the identity point, a removable singularity
     # of the crossing form
-    value, deriv = ex.k_matrix(rd_model, "Ktilde", Dual.variable(F(1)))
+    value, deriv = ex.k_matrix(rd_model, "Ktilde", F(1), derivative=True)
     plain = ex.k_matrix(rd_model, "Ktilde", F(1))
     assert value == plain
     assert plain.get(0, 0) + plain.get(1, 1) == 1
@@ -319,7 +320,7 @@ def test_rd_ktilde_pinned_values(rd_model):
         SparseMatrix([[F(13, 24), F(13, 120)], [F(1, 40), F(11, 24)]])
     assert ex.k_matrix(rd_model, "Ktilde", F(-1)) == \
         SparseMatrix([[F(11, 24), F(1, 40)], [F(13, 120), F(13, 24)]])
-    got = ex.k_matrix(rd_model, "Ktilde", Dual.variable(F(1)))
+    got = ex.k_matrix(rd_model, "Ktilde", F(1), derivative=True)
     assert got == (SparseMatrix([[F(13, 24), F(13, 120)],
                                  [F(1, 40), F(11, 24)]]),
                    SparseMatrix([[F(23, 27), F(401, 1350)],
@@ -341,10 +342,10 @@ def test_rd_ktilde_poles():
         ex.k_matrix(mdl, "Ktilde", F(0))
     phi = (kappa - 1) / (kappa + 1)
     for x in (phi, -phi, F(1, 2), F(-1, 2)):
-        for arg in (x, Dual.variable(x)):
+        for derivative in (False, True):
             with pytest.raises(PoleError,
                                match=rf"^dual boundary matrix has a pole at x={x}"):
-                ex.k_matrix(mdl, "Ktilde", arg)
+                ex.k_matrix(mdl, "Ktilde", x, derivative)
 
 
 def test_rd_ktilde_vanishes_where_crossing_factors_cancel():
@@ -419,7 +420,7 @@ def test_a_descriptor_is_its_name_and_rates():
                                           "delta", "q", "kappa")
 
 
-# ------------------------------------------------------ the R and K caches
+# ------------------------------------------------------ the compiled forms
 
 def _variants(base, **changes):
     """base and one copy per keyword, that constant alone changed."""
@@ -436,9 +437,13 @@ _VARIANTS = (_variants(_ASEP, q=F(2), alpha=F(3, 4), beta=F(5, 7),
                                                     F(1, 3), F(1, 5))])
 
 
+def _table(M):
+    return M.shape, M._rows, M.den
+
+
 def test_each_model_gets_its_own_r_and_k():
-    # all variants at the same x, twice over: a key that missed a constant
-    # would hand one variant another's cached matrix
+    # all variants at the same x, twice over: a form cache whose key
+    # missed a constant would hand one variant another's compiled form
     x = F(5, 3)
     for _ in range(2):
         for mdl in _VARIANTS:
@@ -453,78 +458,75 @@ def test_each_model_gets_its_own_r_and_k():
                    for kind in m._K_FORMS)
 
 
-def test_rational_points_share_one_matrix():
-    for x in (F(5, 3), 4):
-        assert ex.r_matrix(_ASEP, x) is ex.r_matrix(_ASEP, F(x))
-        assert ex.k_matrix(_RD, "Ktilde", x) is ex.k_matrix(_RD, "Ktilde", F(x))
-
-
-def test_dual_points_share_one_matrix():
-    x = Dual.variable(F(7, 4))
-    r = ex.r_matrix(_RD, x)
-    assert r is ex.r_matrix(_RD, Dual.variable(F(7, 4)))
-    assert r == as_cached(m._r_matrix(_RD, x), x)
-    for kind, evaluate in m._K_FORMS.items():
-        k = ex.k_matrix(_RD, kind, x)
-        assert k is ex.k_matrix(_RD, kind, Dual.variable(F(7, 4))), kind
-        assert k == as_cached(evaluate(_RD, x), x), kind
-
-
-def test_a_dual_point_and_its_value_get_their_own_entries():
-    # Dual(v, 0) equals v and hashes like it, yet R and K at it are the pair
-    # of the two parts, whichever point the cache saw first
-    v = F(5, 3)
-    for points in ((v, Dual(v, 0)), (Dual(v, 0), v)):
-        m._r_cached.cache_clear()
-        m._k_cached.cache_clear()
-        got = {type(p): (ex.r_matrix(_ASEP, p), ex.k_matrix(_ASEP, "K", p))
-               for p in points}
-        for M, (value, deriv) in zip(got[F], got[Dual]):
-            assert isinstance(M, SparseMatrix) and value == M
-            assert deriv == SparseMatrix.zeros(*M.shape)
-
-
 _point = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 _twist = st.fractions(min_value=-3, max_value=3,
                       max_denominator=5).filter(bool)
 
 
+def _known_poles(model) -> list:
+    """Points where a closed form of the model divides by zero, at some
+    rates or at all."""
+    if model.name == "asep":
+        q = model.q
+        return [1 / q, -1 / q, F(0)]
+    if model.name == "ssep":
+        return [F(-1), F(-1, 2), F(0)]
+    if model.name == "rd":
+        k = model.kappa
+        return [(1 - k) / (1 + k), (1 + k) / (1 - k), F(0),
+                (k - 1) / (k + 1), -(k - 1) / (k + 1)]
+    return [F(0), F(1)]
+
+
+def _outcome(f):
+    """f() or, where it raises a ZeroDivisionError (PoleError included),
+    the error's class and text."""
+    try:
+        return f()
+    except ZeroDivisionError as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.filterwarnings("ignore:negative rate")
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(*SIGNED_MODELS.values()), _point, _twist)
-def test_dual_points_give_the_split_closed_form(model, x0, tau):
-    # at x0 + eps the caches hand out the closed-form rows evaluated over
-    # Dual entries and split entry by entry, as the pair (M(x0), M'(x0));
-    # derivative_at is its second part.  A pole raises on both sides
-    x = Dual.variable(x0)
-    cases = [(lambda z: ex.r_matrix(model, z),
-              lambda: closed_rows(model, "R", x))]
-    cases += [(lambda z, kind=kind: ex.k_matrix(model, kind, z),
-               lambda kind=kind: closed_rows(model, kind, x))
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(*MODELS.values(), *SIGNED_MODELS.values()), st.data(),
+       _twist)
+def test_dual_points_give_the_split_closed_form(model, data, tau):
+    # the compiled forms of R, K, Kbar, Ktilde and the twisted K are the
+    # closed forms: at a rational x (ints, 0, +-1 and the known poles
+    # drawn too) the same (shape, _rows, den) as SparseMatrix(closed rows),
+    # or the same error class and text; with derivative the pair equals
+    # the closed-form rows at the dual point x + eps, split entry by entry
+    x = data.draw(st.one_of(
+        _point, st.integers(-4, 4), st.sampled_from(_known_poles(model))))
+    cases = [(lambda z, d: ex.r_matrix(model, z, d),
+              lambda z: closed_rows(model, "R", z))]
+    cases += [(lambda z, d, kind=kind: ex.k_matrix(model, kind, z, d),
+               lambda z, kind=kind: closed_rows(model, kind, z))
               for kind in m._K_FORMS]
     if model.name == "asep":
         cases.append((ex.general_asep_k(model.alpha, model.gamma, model.q,
                                         tau),
-                      lambda: twisted_k_rows(model, tau, x)))
-    for f, oracle in cases:
-        try:
-            want = tuple(map(SparseMatrix, split(oracle())))
-        except ZeroDivisionError:
+                      lambda z: twisted_k_rows(model, tau, z)))
+    for f, rows_of in cases:
+        want = _outcome(lambda: SparseMatrix(rows_of(F(x))))
+        got = _outcome(lambda: f(x, False))
+        if isinstance(want, tuple):
+            assert got == want
+            assert _outcome(lambda: f(x, True)) == want
             with pytest.raises(ZeroDivisionError):
-                f(x)
-            with pytest.raises(PoleError):
-                derivative_at(f, x0)
+                rows_at(rows_of, F(x), derivative=True)
             continue
-        got = f(x)
-        assert isinstance(got, tuple) and got == want
-        assert got[0] == f(x0)
-        assert derivative_at(f, x0) == want[1]
+        assert _table(got) == _table(want)
+        pair = f(x, True)
+        assert _table(pair[0]) == _table(want)
+        assert pair == rows_at(rows_of, F(x), derivative=True)
+        assert [_table(P) for P in pair] == \
+            [_table(P) for P in rows_at(rows_of, F(x), derivative=True)]
 
 
 def test_an_int_point_gives_the_fraction_point_values(all_models):
-    # a bare int x makes the closed forms' quotients floats; R and K read it
-    # as its Fraction.  The int call comes first and fills the cache, and the
-    # Fraction call, made on cleared caches, builds its own matrix
+    # a bare int x is read as its Fraction: the same table
     kinds = ("R", "K", "Kbar", "Ktilde")
 
     def build(mdl, kind, x):
@@ -533,35 +535,47 @@ def test_an_int_point_gives_the_fraction_point_values(all_models):
 
     for mdl in all_models:
         for x in (2, 3, 4, -2):
-            m._r_cached.cache_clear()
-            m._k_cached.cache_clear()
-            got = [build(mdl, kind, x) for kind in kinds]
-            assert [build(mdl, kind, F(x)) for kind in kinds] == got
-            m._r_cached.cache_clear()
-            m._k_cached.cache_clear()
-            assert [build(mdl, kind, F(x)) for kind in kinds] == got, \
+            assert [_table(build(mdl, kind, x)) for kind in kinds] == \
+                [_table(build(mdl, kind, F(x))) for kind in kinds], \
                 (mdl.name, x)
 
 
+def test_the_dual_maps_read_an_int_point_as_its_fraction():
+    # at a bare int x the maps invert x themselves: 1/4, not 0.25
+    for mdl in (_ASEP, _RD, ex.ssep(F(1, 2), F(2, 3), F(1, 3), F(1, 5))):
+        for f in (ex.ktilde_from_kbar, ex.kbar_from_ktilde):
+            assert f(mdl, 4) == f(mdl, F(4)), (mdl.name, f.__name__)
+
+
+def test_a_point_that_is_no_rational_is_refused():
+    with pytest.raises(TypeError, match="not an exact rational"):
+        ex.r_matrix(_ASEP, 0.5)
+
+
 def test_poles_are_never_cached():
+    # a pole raises on every call, its value and its derivative alike, and
+    # leaves the compiled form as it was
     ssep = ex.ssep(F(1, 2), F(2, 3), F(1, 3), F(1, 5))
-    caches = m._r_cached, m._k_cached
-    size = [c.cache_info().currsize for c in caches]
+    before = [(ex.r_matrix(ssep, F(2)), ex.k_matrix(_RD, "Ktilde", F(2)))]
     for _ in range(3):
-        with pytest.raises(PoleError, match="x \\+ 1 vanishes"):
-            ex.r_matrix(ssep, F(-1))
-        with pytest.raises(PoleError, match="x \\+ 1 vanishes"):
-            ex.r_matrix(ssep, Dual.variable(F(-1)))
-        with pytest.raises(PoleError):
-            ex.k_matrix(_RD, "Ktilde", F(0))
-        with pytest.raises(PoleError):
-            ex.k_matrix(_RD, "Ktilde", Dual.variable(F(0)))
-    assert [c.cache_info().currsize for c in caches] == size
+        for derivative in (False, True):
+            with pytest.raises(PoleError, match="x \\+ 1 vanishes"):
+                ex.r_matrix(ssep, F(-1), derivative)
+            with pytest.raises(PoleError,
+                               match="^Ktilde undefined at x=0"):
+                ex.k_matrix(_RD, "Ktilde", F(0), derivative)
+    after = [(ex.r_matrix(ssep, F(2)), ex.k_matrix(_RD, "Ktilde", F(2)))]
+    assert [tuple(map(_table, p)) for p in after] == \
+        [tuple(map(_table, p)) for p in before]
 
 
 def test_the_caches_are_bounded():
-    assert m._r_cached.cache_parameters()["maxsize"] == m.CACHE_SIZE
-    assert m._k_cached.cache_parameters()["maxsize"] == m.CACHE_SIZE
-    for i in range(m.CACHE_SIZE + 10):
-        ex.r_matrix(_ASEP, F(2 * i + 3, 2))
-    assert m._r_cached.cache_info().currsize == m.CACHE_SIZE
+    # the compiled forms are kept for the models used last, one per (model,
+    # kind): a model seen again finds its form, and the cache stays bounded
+    size = m._forms.cache_parameters()["maxsize"]
+    forms = m._forms(_ASEP)
+    ex.r_matrix(_ASEP, F(2))
+    assert m._forms(_ASEP) is forms and "R" in forms
+    for i in range(size + 10):
+        ex.r_matrix(_ASEP._replace(q=F(2 * i + 3, 2)), F(5))
+    assert m._forms.cache_info().currsize == size

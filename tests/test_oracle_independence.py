@@ -26,8 +26,9 @@ ALLOWED = {
     "exclusion.models.k_matrix":
         "the K(x) factors, likewise",
     "exclusion.models._r_matrix":
-        "the closed-form rows of R at a Dual point, split entry by entry, "
-        "that the pairs of the R cache are checked against",
+        "the closed-form rows of R, over Fractions and over dual numbers, "
+        "that the compiled form of R and its derivative pair are checked "
+        "against",
     "exclusion.models._K_FORMS":
         "the closed-form rows of K, Kbar and Ktilde, likewise",
     "exclusion.models.markov_vector":

@@ -9,7 +9,7 @@ import exclusion.markov as mk
 import exclusion.models as m
 import exclusion.transfer as tr
 import exclusion.verifier as vf
-from exclusion.scalars import Dual, format_rational
+from exclusion.scalars import format_rational
 from exclusion.tensor import PoleError, SparseMatrix
 from reference import entries, fraction_product, split, transfer_factors, \
     transfer_product
@@ -144,12 +144,14 @@ def test_transfer_pole_names_factor(asep_model):
 
 
 @pytest.mark.parametrize("thetas, x, message", [
-    # both R_0j have the pole; R_02 comes first in the product
-    ((F(6), F(6)), F(3), "transfer factor R_02: q*x - 1 vanishes at x=1/2"),
-    ((F(1, 6), F(1, 6)), F(3),
+    # both R_0j have the pole; R_02 comes first in the product.  x is the
+    # point and whether t'(x) is asked for too
+    ((F(6), F(6)), (F(3), False),
+     "transfer factor R_02: q*x - 1 vanishes at x=1/2"),
+    ((F(1, 6), F(1, 6)), (F(3), False),
      "transfer factor R_10: q*x - 1 vanishes at x=1/2"),
-    ((F(1, 6), F(1, 6)), Dual(3, 1),
-     "transfer factor R_10: q*x - 1 vanishes at x=Dual(1/2, 1/6)"),
+    ((F(1, 6), F(1, 6)), (F(3), True),
+     "transfer factor R_10: q*x - 1 vanishes at x=1/2"),
 ])
 def test_transfer_pole_is_named_in_product_order(asep_model, thetas, x,
                                                  message):
@@ -157,8 +159,19 @@ def test_transfer_pole_is_named_in_product_order(asep_model, thetas, x,
     # with a pole is named
     spec = tr.TransferSpec(asep_model, 2, thetas)
     with pytest.raises(PoleError) as err:
-        tr.build_transfer(spec, x)
+        tr.build_transfer(spec, *x)
     assert str(err.value) == message
+
+
+def test_a_zero_theta_fails_before_its_factor_is_drawn(asep_model):
+    # x / theta is formed before R_0j is evaluated, so the division by a
+    # zero inhomogeneity is not named as a pole of that factor
+    spec = tr.TransferSpec(asep_model, 2, (F(0), F(2)))
+    for derivative in (False, True):
+        with pytest.raises(ZeroDivisionError) as err:
+            tr.build_transfer(spec, F(3), derivative)
+        assert type(err.value) is ZeroDivisionError
+        assert not str(err.value).startswith("transfer factor")
 
 
 def test_lambda_eigenvalue_pole_raises_pole_error(asep_model):
@@ -181,25 +194,25 @@ def test_rd_inhomogeneous_eigenvector(rd_model):
 _point = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
 
 
-def _matches_the_fraction_product(spec, x):
+def _matches_the_fraction_product(spec, x, derivative=False):
     """Assert that the integer tables over their denominator give the same
-    exact t(x), and at a Dual point the same exact derivative, as the
-    Fraction (Dual) product, and that den is the product of the per-factor
-    lcms, so that N itself is pinned, not only N / den.  False where both
-    meet a pole."""
+    exact t(x), and with derivative the same exact t'(x), as the Fraction
+    product (over dual numbers for t'), and that den is the product of the
+    per-factor lcms, so that N itself is pinned, not only N / den.  False
+    where both meet a pole."""
     try:
-        want = transfer_product(spec, x)
-    except PoleError:
+        want = transfer_product(spec, x, derivative)
+    except ZeroDivisionError:
         with pytest.raises(PoleError):
-            tr.build_transfer(spec, x)
+            tr.build_transfer(spec, x, derivative)
         return False
-    got = tr.build_transfer(spec, x)
+    got = tr.build_transfer(spec, x, derivative)
     den = math.prod(
         math.lcm(*(e.denominator for part in split(f)
                    for row in part for e in row))
-        for _, f in transfer_factors(spec, x))
-    tables = got if isinstance(x, Dual) else (got,)
-    parts = want if isinstance(x, Dual) else (want,)
+        for _, f in transfer_factors(spec, x, derivative))
+    tables = got if derivative else (got,)
+    parts = want if derivative else (want,)
     assert len(tables) == len(parts)
     for t, part in zip(tables, parts):
         assert t.den == den
@@ -217,15 +230,16 @@ def test_build_transfer_equals_the_fraction_product(name, data):
     L = data.draw(st.integers(1, 4))
     spec = tr.TransferSpec(mdl, L, data.draw(st.lists(_point, min_size=L,
                                                       max_size=L)))
-    for x in (data.draw(_point), Dual.variable(mdl.identity_point)):
-        _matches_the_fraction_product(spec, x)
+    _matches_the_fraction_product(spec, data.draw(_point))
+    _matches_the_fraction_product(spec, mdl.identity_point, derivative=True)
 
 
 def test_build_transfer_at_l5_equals_the_fraction_product(all_models):
     for mdl in all_models:
         spec = tr.TransferSpec(mdl, 5)
-        for x in (F(2), Dual.variable(mdl.identity_point)):
-            assert _matches_the_fraction_product(spec, x)
+        assert _matches_the_fraction_product(spec, F(2))
+        assert _matches_the_fraction_product(spec, mdl.identity_point,
+                                             derivative=True)
     spec = tr.TransferSpec(all_models[0], 5, (F(2), F(-1, 3), F(5, 2), F(3),
                                               F(3, 7)))
     assert _matches_the_fraction_product(spec, F(3, 5))
@@ -293,8 +307,8 @@ def test_commutation_fail_witness_is_the_fraction_entry(ssep_model,
     # commute; the witness is the first mismatch of the Fraction products
     real = m.k_matrix
 
-    def wrong_k(model, kind, x):
-        k = real(model, kind, x)
+    def wrong_k(model, kind, x, derivative=False):
+        k = real(model, kind, x, derivative)
         if kind != "K":
             return k
         return k + SparseMatrix([[0, 1], [0, 0]])

@@ -9,7 +9,7 @@ import exclusion.models as m
 import exclusion.transfer as tr
 import exclusion.verifier as vf
 from exclusion.sampling import model_safe, pair_safe, sample_points
-from exclusion.scalars import Dual, format_rational
+from exclusion.scalars import format_rational
 from exclusion.tensor import SparseMatrix
 from reference import embed_rows, entries, entry, rows_product
 from strategies import MODELS
@@ -297,51 +297,27 @@ def test_run_model_suite_makes_every_report_in_one_run(all_models,
         assert calls == [mdl.name]
         assert len(reports) > 20
 
-def test_suite_changes_no_cached_matrix(all_models, monkeypatch):
-    # every R and K built, at a rational or a Dual point, fills the cache
-    # (a matrix, or the pair of its two parts); a deep copy is taken as it
-    # is built, before any check sees it.  A second run of the suite builds
-    # none: it reads the same shared matrices
-    built = []
+def test_suite_changes_no_cached_matrix(all_models):
+    # R and K are read off compiled forms, one per (model, kind), the only
+    # tables kept between calls; each call builds its own matrix.  Two runs
+    # of the suite compile no further form, give the same reports, and
+    # leave every form's tables as they were compiled
+    def tables(forms):
+        return {kind: (f.layout, f.poles, f.den, f.nums)
+                for kind, f in forms.items()}
 
-    def build(rows, dual):
-        out = wrap(rows, dual)
-        parts = out if dual else (out,)
-        built.append((parts, copy.deepcopy(parts)))
-        return out
-
-    wrap = m._wrapped
-    monkeypatch.setattr(m, "_wrapped", build)
-    m._r_cached.cache_clear()
-    m._k_cached.cache_clear()
     for mdl in all_models:
+        idp = mdl.identity_point
+        m.r_matrix(mdl, idp)
+        for kind in ("K", "Kbar", "Ktilde"):
+            m.k_matrix(mdl, kind, idp)
+        forms = dict(m._forms(mdl))
+        kept = copy.deepcopy(tables(forms))
         points = sample_points(mdl, 3, seed=4)
         first = vf.run_model_suite(mdl, points)
-        count = len(built)
         assert vf.run_model_suite(mdl, points) == first
-        assert len(built) == count
-    assert len(built) > 100
-    assert all((P.shape, P._rows, P.den) == (Q.shape, Q._rows, Q.den)
-               for parts, copies in built for P, Q in zip(parts, copies))
-
-
-def test_suite_evaluates_r_once_at_the_dual_identity_point(all_models,
-                                                           monkeypatch):
-    # each sample point's r.local_jump differentiates R at the identity
-    # point; the three share one cached R(Dual(identity, 1))
-    duals, evaluate = [], m._r_matrix
-
-    def build(model, x):
-        if isinstance(x, Dual):
-            duals.append((model.name, x))
-        return evaluate(model, x)
-
-    monkeypatch.setattr(m, "_r_matrix", build)
-    m._r_cached.cache_clear()
-    for mdl in all_models:
-        vf.run_model_suite(mdl, sample_points(mdl, 3, seed=4))
-    assert duals == [(mdl.name, Dual.variable(mdl.identity_point))
-                     for mdl in all_models]
+        assert m._forms(mdl) == forms
+        assert tables(forms) == kept
 
 
 def test_compare_integer_operands_give_the_fraction_witness(ssep_model):
