@@ -11,7 +11,8 @@ import exclusion.verifier as vf
 from exclusion.sampling import model_safe, pair_safe, sample_points
 from exclusion.scalars import format_rational
 from exclusion.tensor import SparseMatrix
-from reference import embed_rows, entries, entry, rows_product
+from reference import embed_rows, entries, entry, rows_apply, \
+    rows_apply_left, rows_product, sparse_rows, transfer_product
 from strategies import MODELS
 
 
@@ -411,6 +412,100 @@ def test_compare_block_operands_give_the_first_mismatch_in_block_order(
     wider = _blocks({ij: [[F(0)] * (h + 1)] * (h + 1)}, rescaled)
     with pytest.raises(ValueError):
         vf.compare(ssep_model, "blocks", (), lhs, {**rhs, **wider})
+
+
+def _first_mismatch(lhs, rhs) -> dict:
+    """The witness of two vectors read as row 0: their first differing
+    entry."""
+    c = next(c for c, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    return {"row": 0, "col": c, "lhs": format_rational(lhs[c]),
+            "rhs": format_rational(rhs[c])}
+
+
+def _vector_check(check, asep, ssep):
+    """(report, oracle witness) of one vector check of the suite or of
+    transfer, under the perturbed R and K of the test below.  The oracle
+    applies the Fraction rows of the perturbed matrices and of the Fraction
+    product t(x) to the vectors itself."""
+    x, x2 = F(3), F(5)
+    ones = lambda n: [F(1)] * n
+    if check in ("r.markov_left", "r.markov_vector"):
+        rep = next(r for r in vf.run(asep, vf.r_properties(asep, x, x2))
+                   if r.check == check)
+        if check == "r.markov_left":
+            R = sparse_rows(m.r_matrix(asep, x))
+            return rep, _first_mismatch(rows_apply_left(R, ones(4)), ones(4))
+        R = sparse_rows(m.r_matrix(asep, asep.convention.compose(x, x2)))
+        vv = [a * b for a in m.markov_vector(asep, x)
+              for b in m.markov_vector(asep, x2)]
+        return rep, _first_mismatch(rows_apply(R, vv), vv)
+    if check == "k.K.markov_left":
+        rep = next(r for r in vf.run(asep, vf.k_properties(asep, "K", x))
+                   if r.check == check)
+        K = sparse_rows(m.k_matrix(asep, "K", x))
+        return rep, _first_mismatch(rows_apply_left(K, ones(2)), ones(2))
+    spec = tr.TransferSpec(ssep, 2)
+    T = sparse_rows(transfer_product(spec, x))
+    lam = tr.lambda_eigenvalue(ssep, x, spec.thetas)
+    v = tr.eigenvector_from_nullspace(spec, x2)
+    if check == "transfer.eigen_right":
+        rep = tr.check_right_eigenvector(spec, x, x2)
+        return rep, _first_mismatch(rows_apply(T, v), [lam * e for e in v])
+    if check == "transfer.eigen_left":
+        rep = tr.left_eigen_ones(spec, x)
+        return rep, _first_mismatch(rows_apply_left(T, ones(4)),
+                                    [lam] * 4)
+    if check == "tolerance":
+        # a tolerance that forgives some of the wrong K's residuals, not
+        # all: those entries count as equal, the first other one fails
+        tol = F(2, 5)
+        rep = tr.check_eigenpair(spec, x, v, eigenvalue=lam, tolerance=tol)
+        got, bound = rows_apply(T, v), tol * max(map(abs, v))
+        want = [g if abs(g - lam * e) <= bound else lam * e
+                for g, e in zip(got, v)]
+        assert got != want != [lam * e for e in v]
+        return rep, _first_mismatch(got, want)
+    rep = tr.ssep_conjugated(spec, x)[-1]
+    # the rows of Gamma = [[-1, beta], [1, delta]] and of its inverse
+    det = -ssep.delta - ssep.beta
+    row, col = [F(1)], [F(1)]
+    for _ in range(spec.L):
+        row = [r * g for r in row for g in (-1 / det, -1 / det)]
+        col = [c * g for c in col for g in (ssep.beta, ssep.delta)]
+    got = sum(r * e for r, e in zip(row, rows_apply(T, col)))
+    return rep, {"row": 0, "col": 0, "lhs": format_rational(got),
+                 "rhs": format_rational(lam)}
+
+
+@pytest.mark.parametrize("check", [
+    "r.markov_left", "k.K.markov_left", "r.markov_vector",
+    "transfer.eigen_right", "transfer.eigen_left", "tolerance",
+    "conjugated.scalar"])
+def test_vector_checks_fail_with_the_oracle_witness(check, asep_model,
+                                                    ssep_model, monkeypatch):
+    # R with x/7 added at (2, 1) and K with x/5 added at (1, 0) break the
+    # column sums, the R-invariance of v(x) (x) v(y) and the transfer
+    # eigenpairs; each Fail names the first differing entry of the vector,
+    # at row 0, as the Fraction matvec of the oracle finds it
+    real_r, real_k = m.r_matrix, m.k_matrix
+
+    def plus(M, r, c, e):
+        rows = entries(M)
+        rows[r][c] += e
+        return SparseMatrix(rows)
+
+    def wrong_r(model, x, derivative=False):
+        R = real_r(model, x, derivative)
+        return R if derivative else plus(R, 2, 1, x / 7)
+
+    def wrong_k(model, kind, x, derivative=False):
+        K = real_k(model, kind, x, derivative)
+        return K if derivative or kind != "K" else plus(K, 1, 0, x / 5)
+
+    monkeypatch.setattr(m, "r_matrix", wrong_r)
+    monkeypatch.setattr(m, "k_matrix", wrong_k)
+    rep, want = _vector_check(check, asep_model, ssep_model)
+    assert (rep.status, rep.witness) == (vf.FAIL, want)
 
 
 def test_markov_u_fail_witness_compares_the_capped_dimension(ssep_model,
