@@ -52,7 +52,8 @@ class RDRepresentation:
     A(x) exists only as the stencil _rd_stencil acting on integer rows: the
     contraction, the boundary relations and the operators of the exchange
     relation are all read off it.  (A plain class, not a named tuple like
-    the package's other records: _horner caches on the instance dict.)
+    the package's other records: _horner and model cache on the instance
+    dict.)
     """
     def __init__(self, N, meta, Wn, dW, Cv, Bv, dV, g2, S):
         self.N, self.meta = N, meta
@@ -62,9 +63,10 @@ class RDRepresentation:
         if self._dot_v(Wn) == 0:
             raise ValueError("degenerate representation: <W|V> = 0")
 
-    @property
+    @cached_property
     def model(self) -> ModelDescriptor:
-        """The RD model whose rates the representation carries."""
+        """The RD model whose rates the representation carries, built once:
+        its forms are found by identity, and a negative rate warns once."""
         meta = self.meta
         return m.rd(meta["kappa"], meta["alpha"], meta["beta"], meta["gamma"],
                     meta["delta"])
@@ -530,6 +532,15 @@ def _products(X1, X2) -> dict:
     return {(k, l): X1[k] * X2[l] for k in (0, 1) for l in (0, 1)}
 
 
+def _grid(blocks: dict) -> SparseMatrix:
+    """The 2 x 2 block operator of the h x w blocks {(i, j): B_ij}, the sum
+    of E_ij (x) B_ij with E_ij the 2 x 2 unit matrices: entry (r, c) of
+    B_ij is at row i h + r, column j w + c."""
+    terms = [kron(SparseMatrix._over((2, 2), {i: {j: 1}}, 1), blocks[i, j])
+             for i in (0, 1) for j in (0, 1)]
+    return sum(terms[1:], terms[0])
+
+
 def zf_relations(realization, x1, x2):
     """Records of the Zamolodchikov-Faddeev relations at (x1, x2), for
     ``verifier.run(realization.model, ...)``.  The exchange relation
@@ -544,7 +555,9 @@ def zf_relations(realization, x1, x2):
       A_1 A_2 (R unitarity);
     - zf.derivative, at the identity point e:
       w A_1(e) A_2(e) = (1/rho)(A_1(e) A_2'(e) - A_1'(e) A_2(e));
-    - zf.c_commutation: C(x1) C(x2) = C(x2) C(x1), C = A_+ + A_-."""
+    - zf.c_commutation: C(x1) C(x2) = C(x2) C(x1), C = A_+ + A_-.
+    A side given componentwise is the block operator ``_grid`` of its
+    components, so its witness is that operator's first row-major mismatch."""
     model = realization.model
     conv = model.convention
     x1, x2 = Fraction(x1), Fraction(x2)
@@ -556,8 +569,8 @@ def zf_relations(realization, x1, x2):
         R = m.r_matrix(model, conv.compose(x1, x2))
         X1, X2 = map(components, pts)
         # the components (i, j) of A_2 A_1 are X2[j] X1[i]
-        return _r_mix(R, _products(X1, X2)), \
-            {(i, j): X2[j] * X1[i] for i in (0, 1) for j in (0, 1)}
+        return _grid(_r_mix(R, _products(X1, X2))), \
+            _grid({(i, j): X2[j] * X1[i] for i in (0, 1) for j in (0, 1)})
 
     if isinstance(realization, RDRepresentation):
         yield "zf.representation", pts, exchange
@@ -569,7 +582,7 @@ def zf_relations(realization, x1, x2):
         R12 = m.r_matrix(model, conv.compose(x1, x2))
         R21 = m.r_matrix_swapped(model, conv.compose(x2, x1))
         orig = _products(X1, X2)
-        return _r_mix(R21, _r_mix(R12, orig)), orig
+        return _grid(_r_mix(R21, _r_mix(R12, orig))), _grid(orig)
     yield "zf.twice", pts, twice
 
     idp = model.identity_point
@@ -578,9 +591,9 @@ def zf_relations(realization, x1, x2):
         X, Xp = components(idp, derivative=True)
         w, _, _ = m.local_operators(model)
         inv_rho = 1 / model.rho
-        return _r_mix(w, _products(X, X)), \
-            {(i, j): inv_rho * (X[i] * Xp[j] - Xp[i] * X[j])
-             for i in (0, 1) for j in (0, 1)}
+        return _grid(_r_mix(w, _products(X, X))), \
+            _grid({(i, j): inv_rho * (X[i] * Xp[j] - Xp[i] * X[j])
+                   for i in (0, 1) for j in (0, 1)})
     yield "zf.derivative", (idp,), derivative
 
     def c_commutation():

@@ -264,14 +264,14 @@ def _params_json(model: m.ModelDescriptor) -> dict:
     return {k: format_rational(v) for k, v in model.rates().items()}
 
 
-def _finish_reports(reports, args, model, extra=None) -> int:
+def _finish_reports(reports, args, model, seed, extra=None) -> int:
     from .verifier import FAIL, PASS, SKIPPED
     params = _params_json(model)
     counts = {"pass": sum(r.status == PASS for r in reports),
               "fail": sum(r.status == FAIL for r in reports),
               "skipped": sum(r.status == SKIPPED for r in reports)}
     doc = {"schema": SCHEMA, "model": model.name, "params": params,
-           "seed": args.seed, "counts": counts,
+           "seed": seed, "counts": counts,
            "checks": _report_rows(reports, params)}
     if extra:
         doc.update(extra)
@@ -286,7 +286,7 @@ def cmd_verify(args) -> int:
     with _domain_errors():
         points = sample_points(model, args.samples, args.seed)
         reports = run_model_suite(model, points)
-    return _finish_reports(reports, args, model)
+    return _finish_reports(reports, args, model, args.seed)
 
 
 # the largest L of each steady-state method, for steady and bench alike:
@@ -549,7 +549,8 @@ def cmd_transfer(args) -> int:
             reports = tr.ssep_conjugated(spec, x)
         else:
             reports = tr.check_rd_inhomogeneous_eigenvector(spec, _cap(args))
-    return _finish_reports(reports, args, model, extra=extra)
+    # transfer draws no random points: its report's seed is 0
+    return _finish_reports(reports, args, model, 0, extra=extra)
 
 
 def cmd_bench(args) -> int:
@@ -593,7 +594,7 @@ _COMMANDS = {
     "steady": (cmd_steady, ("--L", "--format", "--exact", "--truncation-cap",
                             "--method")),
     "profile": (cmd_profile, ("--L", "--format", "--exact", "--asymptotics")),
-    "transfer": (cmd_transfer, ("--L", "--theta", "--seed", "--truncation-cap",
+    "transfer": (cmd_transfer, ("--L", "--theta", "--truncation-cap",
                                 "--check", "--x", "--x2")),
     "bench": (cmd_bench, ("--L", "--format")),
 }

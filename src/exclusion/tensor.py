@@ -5,11 +5,11 @@ significant bit of the configuration index, so index 1 is (0,...,0,1).
 All operations are pure.  Every operator of the package, from a 2 x 2 K(x)
 to a 2^L x 2^L transfer matrix, is one SparseMatrix: int rows over one
 positive denominator, with a (rows, cols) shape.  Products, ``kron``, sums,
-scalings, the transposes, ``partial_trace_first``, matvecs, ``==``, the
-embedding and ``exact_nullspace`` work on the int rows and take no gcd per
-entry; ``inverse`` and ``rank`` expand them to dense int lists only inside
-``_eliminate``.  Fraction entries are formed, reduced, only when they are
-read.  ``integer_vector`` puts a vector in the same form.  Every entry is
+scalings, the transposes, ``partial_trace_first``, ``==``, the embedding
+and ``exact_nullspace`` work on the int rows and take no gcd per entry;
+``inverse`` and ``rank`` expand them to dense int lists only inside
+``_eliminate``.  A vector is a 1 x n row, so a matvec is a product.
+Fraction entries are formed, reduced, only when they are read.  ``integer_vector`` puts a vector in the same form.  Every entry is
 rational: a derivative is a pair of these matrices, as the compiled forms
 of ``models`` hand out R and K with their derivatives.
 """
@@ -34,10 +34,10 @@ class SparseMatrix:
     TypeError.  Products are int products over da db, sums and differences
     work over lcm(da, db), and a rational scale multiplies the rows by its
     numerator and den by its denominator: no gcd is taken.  ``get``,
-    ``items``, ``apply``, ``apply_left`` and ``==`` read exact rationals;
-    package code reads ``_rows`` and ``den`` as they are.  Comparison and
-    iteration use the (row, col) order, so exact equality and the first
-    mismatch are well defined.
+    ``items`` and ``==`` read exact rationals; package code reads ``_rows``
+    and ``den`` as they are.  A vector is a 1 x n matrix: v M is a product,
+    and M v^T is v M^T.  Comparison and iteration use the (row, col) order,
+    so exact equality and the first mismatch are well defined.
 
     A SparseMatrix is never changed once built, and may share row dicts
     with the matrices it was made from.
@@ -221,33 +221,9 @@ class SparseMatrix:
         n, k = self.shape
         return SparseMatrix._over((k, n), rows, self.den)
 
-    def apply(self, vec):
-        """M v for a vector of Fractions or ints, as Fractions: (N / d)(w /
-        e) = N w / (d e), w the ints of ``integer_vector``."""
-        n, k = self.shape
-        if len(vec) != k:
-            raise ValueError(f"vector length {len(vec)} != {k} columns")
-        w, e = integer_vector(vec)
-        out = [0] * n
-        for r, row in self._rows.items():
-            s = 0
-            for c, v in row.items():
-                s += v * w[c]
-            out[r] = s
-        de = self.den * e
-        return [Fraction(g, de) for g in out]
-
-    def apply_left(self, vec):
-        """v^T M, as Fractions, the same way."""
-        if len(vec) != self.shape[0]:
-            raise ValueError(f"vector length {len(vec)} != {self.shape[0]} "
-                             "rows")
-        w, e = integer_vector(vec)
-        de = self.den * e
-        return [Fraction(g, de) for g in self._left(w)]
-
     def _left(self, w):
-        """w^T N for a list w of ints: v^T M = w^T N / (e den) for v = w / e."""
+        """w^T N for a list w of ints, the step of the word walk of
+        ``ansatz``: v^T M = w^T N / (e den) for v = w / e."""
         out = [0] * self.shape[1]
         for r, row in self._rows.items():
             wr = w[r]

@@ -26,7 +26,8 @@ from operator import add, mul
 
 from . import models as m
 from .models import ModelDescriptor
-from .tensor import PoleError, SparseMatrix, exact_nullspace, inverse
+from .tensor import PoleError, SparseMatrix, _block, exact_nullspace, \
+    inverse, kron
 from .verifier import CheckReport, compare, skipped
 
 
@@ -248,19 +249,23 @@ def check_eigenpair(spec: TransferSpec, x, vector, side: str = "right",
                     eigenvalue=None,
                     tolerance: Fraction | None = None) -> CheckReport:
     """t(x) v = lambda v (right) or v^T t(x) = lambda v^T (left), exactly,
-    or within a relative residual when a tolerance is given."""
+    or within a relative residual when a tolerance is given.  v is a 1 x 2^L
+    row, and the two sides are v t(x)^T or v t(x), and lambda v."""
     model = spec.model
     if not any(vector):
         raise ValueError("eigenvector must be nonzero")
     lam = eigenvalue if eigenvalue is not None else \
         lambda_eigenvalue(model, x, spec.thetas)
     t = build_transfer(spec, x)
-    got = t.apply(vector) if side == "right" else t.apply_left(vector)
-    want = [lam * v for v in vector]
+    v = SparseMatrix([vector])
+    got = v * t.transpose() if side == "right" else v * t
+    want = v.scale(lam)
     if tolerance is not None:
         # entries within the relative residual count as equal
-        bound = tolerance * max(abs(v) for v in vector)
-        want = [g if abs(g - w) <= bound else w for g, w in zip(got, want)]
+        bound = tolerance * max(abs(e) for e in vector)
+        pairs = [(got.get(0, c), want.get(0, c)) for c in range(len(vector))]
+        want = SparseMatrix([[g if abs(g - w) <= bound else w
+                              for g, w in pairs]])
     return compare(model, f"transfer.eigen_{side}", (x,), got, want)
 
 
@@ -350,14 +355,13 @@ def ssep_conjugated(spec: TransferSpec, x) -> list:
     out.append(compare(model, "conjugated.Dtilde", (x,), got, want))
 
     # <-| ts(x) |-> with |-> the all-occupied basis vector: contract t
-    # against the conjugated boundary vectors instead of conjugating t.
+    # against the conjugated boundary row and column, the L-fold kron of
+    # row 1 of Gamma^-1 and of column 1 of Gamma, instead of conjugating t.
     t = build_transfer(spec, x)
-    row = [Fraction(1)]
-    col = [Fraction(1)]
+    row = col = SparseMatrix.identity(1)
     for _ in range(spec.L):
-        row = [r * g for r in row for g in (Gi.get(1, 0), Gi.get(1, 1))]
-        col = [c * g for c in col for g in (Gam.get(0, 1), Gam.get(1, 1))]
-    got = sum(r * v for r, v in zip(row, t.apply(col)))
-    out.append(compare(model, "conjugated.scalar", (x,),
-                       [got], [lambda_eigenvalue(model, x, spec.thetas)]))
+        row, col = kron(row, _block(Gi, 1, 0, 1, 2)), \
+            kron(col, _block(Gam, 0, 1, 2, 1))
+    lam = SparseMatrix([[lambda_eigenvalue(model, x, spec.thetas)]])
+    out.append(compare(model, "conjugated.scalar", (x,), row * t * col, lam))
     return out

@@ -8,10 +8,11 @@ the gaps stay visible.
 
 Each check is a record (name, points, sides).  sides is either the reason
 of a Skipped or a thunk that evaluates the identity's two sides, the two
-operands of ``compare``.  ``run`` turns records into reports in order; a
-pole met while evaluating the sides makes the report Skipped.  Each
-identity family yields records and runs none: ``run_model_suite`` is one
-``run`` over them all.
+SparseMatrix operands of ``compare``: a vector identity compares 1 x n
+rows, and a ZF relation two block operators.  ``run`` turns records into
+reports in order; a pole met while evaluating the sides makes the report
+Skipped.  Each identity family yields records and runs none:
+``run_model_suite`` is one ``run`` over them all.
 The ZF and GZ families of ``ansatz`` (``zf_relations``, ``gz_relations``)
 yield records of the same form.
 """
@@ -49,41 +50,17 @@ def _fmt_points(points) -> tuple:
 # ------------------------------------------------------------ report core
 
 def compare(model, check, points, lhs, rhs) -> CheckReport:
-    """Pass when lhs equals rhs entry by entry, else Fail with the first
-    mismatch in row-major order as the witness, its two entries as reduced
-    rationals.  The operands are two SparseMatrix (their int rows compared
-    over the lcm of their denominators), two flat sequences, read as row 0,
-    or two 2 x 2 block operators {(i, j): component}, scanned block by
-    block in dict order; differing shapes raise ValueError."""
-    for r, c, a, b in _mismatches(lhs, rhs):
+    """Pass when the SparseMatrix lhs equals rhs entry by entry, else Fail
+    with the first mismatch in row-major order as the witness, its two
+    entries as reduced rationals.  The int rows are compared over the lcm
+    of the two denominators; differing shapes raise ValueError.  A vector
+    is a 1 x n matrix, so its witness is in row 0."""
+    for r, c, a, b in lhs._mismatches(rhs):
         return CheckReport(model.name, check, _fmt_points(points), FAIL,
                            witness={"row": r, "col": c,
                                     "lhs": format_rational(a),
                                     "rhs": format_rational(b)})
     return CheckReport(model.name, check, _fmt_points(points), PASS)
-
-
-def _mismatches(lhs, rhs):
-    """(row, col, lhs entry, rhs entry) wherever the operands differ.  The
-    entry (r, c) of the h x w component (i, j) of a block operator is at
-    row i h + r, column j w + c."""
-    if isinstance(lhs, dict):
-        shapes = {M.shape for M in (*lhs.values(), *rhs.values())}
-        if lhs.keys() != rhs.keys() or len(shapes) != 1:
-            raise ValueError(f"block shape mismatch: {sorted(shapes)}")
-        (h, w), = shapes
-        for (i, j), block in lhs.items():
-            for r, c, a, b in _mismatches(block, rhs[i, j]):
-                yield i * h + r, j * w + c, a, b
-        return
-    if isinstance(lhs, SparseMatrix):
-        yield from lhs._mismatches(rhs)
-        return
-    if len(lhs) != len(rhs):
-        raise ValueError(f"length mismatch: {len(lhs)} vs {len(rhs)}")
-    for c, (a, b) in enumerate(zip(lhs, rhs)):
-        if a != b:
-            yield 0, c, a, b
 
 
 def skipped(model, check, points, reason) -> CheckReport:
@@ -112,6 +89,8 @@ def run(model, records) -> list:
 
 I2 = SparseMatrix.identity(2)
 I4 = SparseMatrix.identity(4)
+ONES2 = SparseMatrix([[1, 1]])          # the rows whose products with a
+ONES4 = SparseMatrix([[1, 1, 1, 1]])    # matrix are its column sums
 
 
 # ------------------------------------------------------------- Yang-Baxter
@@ -160,9 +139,7 @@ def r_properties(model: ModelDescriptor, x, x2=None):
         return P * rp, model.rho * w
     yield "r.local_jump", (idp,), local_jump
 
-    ones = [Fraction(1)] * 4
-    yield "r.markov_left", (x,), lambda: (
-        m.r_matrix(model, x).transpose().apply(ones), ones)
+    yield "r.markov_left", (x,), lambda: (ONES4 * m.r_matrix(model, x), ONES4)
 
     if model.name == m.RD:
         yield "r.markov_vector", (x,), "no scalar Markovian vector for this model"
@@ -170,11 +147,10 @@ def r_properties(model: ModelDescriptor, x, x2=None):
     y = x2 if x2 is not None else _aux_point(model, x)
 
     def markov_vector():
-        v1 = m.markov_vector(model, x)
-        v2 = m.markov_vector(model, y)
-        vv = [v1[0] * v2[0], v1[0] * v2[1], v1[1] * v2[0], v1[1] * v2[1]]
+        vv = kron(SparseMatrix([m.markov_vector(model, x)]),
+                  SparseMatrix([m.markov_vector(model, y)]))
         R = m.r_matrix(model, conv.compose(x, y))
-        return R.apply(vv), vv
+        return vv * R.transpose(), vv
     yield "r.markov_vector", (x, y), markov_vector
 
 
@@ -270,12 +246,11 @@ def k_properties(model: ModelDescriptor, kind: str, x, twist=None,
         yield f"{name}.markov_left", (x,), reason
         yield f"{name}.markov_u", (x,), reason
         return
-    ones = [Fraction(1), Fraction(1)]
-    yield f"{name}.markov_left", (x,), lambda: (
-        kf(x).transpose().apply(ones), ones)
+    yield f"{name}.markov_left", (x,), lambda: (ONES2 * kf(x), ONES2)
     u_dim = lambda: _u_solution_dim(model, kf, u_points or _u_points(model, x))
     # markov_u: a u space of dimension at least 1, so capped at 1 it is 1
-    yield f"{name}.markov_u", (x,), lambda: ([min(u_dim(), 1)], [1])
+    yield f"{name}.markov_u", (x,), lambda: (
+        SparseMatrix([[min(u_dim(), 1)]]), SparseMatrix.identity(1))
 
 
 def _u_points(model: ModelDescriptor, x) -> list:

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction as F
 from itertools import product
 from math import prod
@@ -23,7 +24,7 @@ def _contract(letters, W, V, word):
     """<W| X_1 ... X_k |V> word by word, the letters looked up by name."""
     vec = list(W)
     for letter in word:
-        vec = letters[letter].apply_left(vec)
+        vec = rows_apply_left(sparse_rows(letters[letter]), vec)
     return sum(v * w for v, w in zip(vec, V))
 
 
@@ -43,10 +44,10 @@ def test_tasep_boundary_relations_interior():
     al, be = F(2, 3), F(3, 5)
     rep = an.tasep_representation(al, be, 6)
     E, D = rep.letters["E"], rep.letters["D"]
-    wE = E.apply_left(list(rep.W))
+    wE = rows_apply_left(sparse_rows(E), rep.W)
     for n in range(5):
         assert al * wE[n] == rep.W[n]
-    dV = D.apply(list(rep.V))
+    dV = rows_apply(sparse_rows(D), rep.V)
     for n in range(5):
         assert be * dV[n] == rep.V[n]
 
@@ -388,7 +389,7 @@ def test_rd_ansatz_is_near_stationary():
     mdl = ex.rd(3, 1, 1, F(1, 2), F(1, 3))
     M = ex.build_markov(mdl, 3)
     probs = an.steady_ansatz(mdl, 3).probabilities()
-    resid = M.apply(probs)
+    resid = rows_apply(sparse_rows(M), probs)
     assert max(abs(r) for r in resid) <= F(1, 10 ** 10)
 
 
@@ -796,6 +797,19 @@ def _gz(rep, x) -> list:
     return vf.run(rep.model, an.gz_relations(rep, x))
 
 
+def test_an_rd_representation_builds_its_model_once():
+    # the descriptor is built on first use and kept: a negative rate warns
+    # once for a whole GZ run, and the forms of models find it by identity
+    rep = an.rd_representation(3, F(-1, 2), F(2, 3), F(1, 3), F(1, 5), 6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        reports = _gz(rep, F(2))
+    assert rep.model is rep.model
+    assert [str(w.message).split(":")[0] for w in caught] == \
+        ["negative rate alpha=-1/2"]
+    assert reports and all(r.status == vf.PASS for r in reports)
+
+
 def test_zf_monodromy(asep_model, ssep_model, tasep_model):
     for mdl, pts in ((asep_model, (F(2), F(3))), (ssep_model, (F(5), F(3))),
                      (tasep_model, (F(2), F(3)))):
@@ -1017,6 +1031,26 @@ def test_gz_fails_with_the_oracle_witness(monkeypatch, N, target, family,
             {f"{family}[0]", f"{family}[1]"}
 
 
+def _exchange_witness(R, X1, X2, h):
+    """The first differing entry, row-major, of the two sides of the
+    exchange relation as 2 x 2 block operators of h x h blocks, block (i,
+    j) of the sides sum_kl R[2i+j][2k+l] X1[k] X2[l] and X2[j] X1[i], the
+    components held as rows: entry (r, c) of block (i, j) is at row i h + r,
+    column j h + c."""
+    sides = {(i, j): (rows_sum([(R.get(2 * i + j, 2 * k + l),
+                                 rows_product(X1[k], X2[l]))
+                                for k, l in product((0, 1), repeat=2)]),
+                      rows_product(X2[j], X1[i]))
+             for i, j in product((0, 1), repeat=2)}
+    for row, col in product(range(2 * h), repeat=2):
+        lhs, rhs = sides[row // h, col // h]
+        a, b = entry(lhs, row % h, col % h), entry(rhs, row % h, col % h)
+        if a != b:
+            return {"row": row, "col": col, "lhs": format_rational(a),
+                    "rhs": format_rational(b)}
+    return None
+
+
 @pytest.mark.parametrize("N", [5, 7])
 def test_zf_representation_fails_with_the_oracle_witness(monkeypatch, N):
     rep = an.rd_representation(F(1, 2), F(3, 2), 2, F(1, 3), F(1, 5), N)
@@ -1026,20 +1060,7 @@ def test_zf_representation_fails_with_the_oracle_witness(monkeypatch, N):
     G = _oracle_letters(rep)
     R = mo.r_matrix(rep.model, x1 / x2)
     X1, X2 = ([_oracle_component(G, i, x) for i in (0, 1)] for x in (x1, x2))
-    dim = N * N
-    want = None
-    for i, j in product((0, 1), repeat=2):
-        lhs = rows_sum([(R.get(2 * i + j, 2 * k + l),
-                         rows_product(X1[k], X2[l]))
-                        for k, l in product((0, 1), repeat=2)])
-        rhs = rows_product(X2[j], X1[i])
-        want = next(({"row": i * dim + r, "col": j * dim + c,
-                      "lhs": format_rational(entry(lhs, r, c)),
-                      "rhs": format_rational(entry(rhs, r, c))}
-                     for r in range(dim) for c in range(dim)
-                     if entry(lhs, r, c) != entry(rhs, r, c)), None)
-        if want is not None:
-            break
+    want = _exchange_witness(R, X1, X2, N * N)
     assert want is not None
     assert (report.check, report.status, report.witness) == \
         ("zf.representation", vf.FAIL, want)
@@ -1073,19 +1094,7 @@ def test_zf_monodromy_fails_with_the_oracle_witness(monkeypatch, all_models,
     # the reference's row arithmetic
     X1, X2 = ([sparse_rows(X) for X in mono.components(x)] for x in (x1, x2))
     h = 1 << 2
-    want = None
-    for i, j in product((0, 1), repeat=2):
-        lhs = rows_sum([(R.get(2 * i + j, 2 * k + l),
-                         rows_product(X1[k], X2[l]))
-                        for k, l in product((0, 1), repeat=2)])
-        rhs = rows_product(X2[j], X1[i])
-        want = next(({"row": i * h + r, "col": j * h + c,
-                      "lhs": format_rational(entry(lhs, r, c)),
-                      "rhs": format_rational(entry(rhs, r, c))}
-                     for r in range(h) for c in range(h)
-                     if entry(lhs, r, c) != entry(rhs, r, c)), None)
-        if want is not None:
-            break
+    want = _exchange_witness(R, X1, X2, h)
     assert want is not None
     assert (report.check, report.status, report.witness) == \
         ("zf.monodromy", vf.FAIL, want)

@@ -50,8 +50,11 @@ def _counted(argv, hash_seed) -> list:
      "--exact"],
     # the derivative pairs, and the form cache keyed by model
     ["transfer", "--model", "rd", "--L", "3", "--check",
-     "markov-derivative"]],
-    ids=["verify-asep", "steady-rd-nullspace", "transfer-rd-derivative"])
+     "markov-derivative"],
+    # the kron boundary row and column, and the 1 x 1 compare
+    ["transfer", "--model", "ssep", "--L", "3", "--check", "conjugated"]],
+    ids=["verify-asep", "steady-rd-nullspace", "transfer-rd-derivative",
+         "transfer-ssep-conjugated"])
 def test_call_counts_do_not_depend_on_the_hash_seed(argv):
     first, second = (_counted(argv, seed) for seed in (0, 1))
     assert first == second

@@ -14,7 +14,8 @@ from exclusion.tensor import PoleError, SparseMatrix, _primes, \
     embed_at_positions, exact_nullspace, integer_vector, inverse, kron, \
     partial_trace_first, partial_transpose, permutation_op, rank
 from reference import embed_dense, embed_local, entries, fraction_kron, \
-    fraction_partial_transpose, fraction_product, rows_at
+    fraction_partial_transpose, fraction_product, rows_apply, \
+    rows_apply_left, rows_at, sparse_rows
 
 I2 = SparseMatrix.identity(2)
 I4 = SparseMatrix.identity(4)
@@ -49,11 +50,10 @@ def test_kron_associative(A, B, C):
 
 
 def test_permutation_op():
+    # P (u (x) v) = v (x) u, with the vectors as rows: (u (x) v) P^T
     P = permutation_op()
-    e0, e1 = [F(1), F(0)], [F(0), F(1)]
-    v01 = [a * b for a in e0 for b in e1]
-    v10 = [a * b for a in e1 for b in e0]
-    assert P.apply(v01) == v10
+    e0, e1 = SparseMatrix([[1, 0]]), SparseMatrix([[0, 1]])
+    assert kron(e0, e1) * P.transpose() == kron(e1, e0)
     assert P * P == I4
     w, _, _ = ex.local_operators(ex.ssep(1, 1, 1, 1))
     assert P - I4 == w
@@ -167,14 +167,14 @@ def test_exact_nullspace_tasep_l2():
     v = ker[0]
     scale = v[0]
     assert [x / scale for x in v] == [F(1), F(1), F(2), F(1)]
-    assert all(x == 0 for x in M.apply(v))
+    assert residual_is_zero(M, v)
 
 
 def test_exact_nullspace_residual_is_exact():
     mdl = ex.rd(3, 1, 1, F(1, 2), F(1, 3))
     M = ex.build_markov(mdl, 5)
     (v,) = exact_nullspace(M)
-    assert all(x == 0 for x in M.apply(v))
+    assert residual_is_zero(M, v)
 
 
 def block_diagonal(*blocks):
@@ -189,7 +189,8 @@ def block_diagonal(*blocks):
 
 
 def residual_is_zero(M, vec):
-    return all(x == 0 for x in M.apply(vec))
+    """M vec = 0, by the Fraction matvec of the oracle."""
+    return all(x == 0 for x in rows_apply(sparse_rows(M), vec))
 
 
 def test_exact_nullspace_unlucky_first_prime():
@@ -695,12 +696,13 @@ def test_sparse_tables_match_the_fraction_entries(data):
     s = data.draw(_rationals)
     assert entries(A.scale(s)) == entries(A * s) == entries(s * A) == \
         [[s * x for x in r] for r in a]
-    v = data.draw(st.lists(_rationals, min_size=k, max_size=k))
-    assert A.apply(v) == [sum((x * y for x, y in zip(row, v)), F(0))
-                          for row in a]
-    u = data.draw(st.lists(_rationals, min_size=n, max_size=n))
-    assert A.apply_left(u) == [sum((a[r][j] * u[r] for r in range(n)), F(0))
-                               for j in range(k)]
+    # matvecs are products with a vector's 1 x n row: v A^T and u A
+    V, v = data.draw(_operands(1, k))
+    assert entries(V * A.transpose()) == \
+        [[sum((x * y for x, y in zip(row, v[0])), F(0)) for row in a]]
+    U, u = data.draw(_operands(1, n))
+    assert entries(U * A) == [[sum((a[r][j] * u[0][r] for r in range(n)),
+                                   F(0)) for j in range(k)]]
     # == and compare: the first differing entry in row-major order, against
     # a copy with up to two entries changed, made another way
     bad = [list(row) for row in a]
@@ -796,7 +798,7 @@ def test_matrix_shape_mismatch_raises():
     with pytest.raises(ValueError):
         SparseMatrix([[1, 2]]) + SparseMatrix([[1], [2]])
     with pytest.raises(ValueError):
-        SparseMatrix([[1, 2]]).apply([F(1)] * 3)
+        SparseMatrix([[1, 1, 1]]) * SparseMatrix([[1, 2]]).transpose()
 
 
 def test_sparse_shape_mismatch_raises():
@@ -805,12 +807,10 @@ def test_sparse_shape_mismatch_raises():
         a + b
     with pytest.raises(ValueError):
         b - a
-    with pytest.raises(ValueError):
-        b.apply([F(1)] * 2)
-    with pytest.raises(ValueError):
-        a.apply([F(1)] * 3)
-    with pytest.raises(ValueError):
-        a.apply_left([F(1)] * 3)
+    # a vector is a row, and a row of the wrong length is no operand
+    for row, M in ((2, b.transpose()), (3, a.transpose()), (3, a)):
+        with pytest.raises(ValueError):
+            SparseMatrix([[1] * row]) * M
     tall = SparseMatrix([[1, 0], [0, 1], [1, 1]])
     for use in (lambda: tall.dim, lambda: exact_nullspace(tall),
                 lambda: inverse(tall), lambda: tall * tall):
@@ -829,8 +829,8 @@ def test_integer_vector_scales_by_the_lcm():
 
 
 def test_integer_matvec_stays_integral():
-    # int operands stay ints through apply/apply_left, and the integer forms
-    # give the Fraction products over d e
+    # int operands stay ints through _left, and the integer forms give the
+    # Fraction products over d e
     M = SparseMatrix([[F(1, 2), 0, F(2, 3)],
                       [0, 0, 0],
                       [F(-3, 4), 1, 0]])
@@ -838,4 +838,5 @@ def test_integer_matvec_stays_integral():
     vi, e = integer_vector(v)
     got = M._left(vi)
     assert all(type(g) is int for g in got)
-    assert [F(g, M.den * e) for g in got] == M.apply_left(v)
+    assert [F(g, M.den * e) for g in got] == \
+        rows_apply_left(sparse_rows(M), v)

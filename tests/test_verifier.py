@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exclusion as ex
+import exclusion.ansatz as an
 import exclusion.models as m
 import exclusion.transfer as tr
 import exclusion.verifier as vf
@@ -170,15 +171,16 @@ def _over_another_den(M):
 
 
 def test_compare_witness_is_the_same_for_dense_sparse_and_row(ssep_model):
-    # one wrong pair, given in each operand form the report core accepts
-    # (a matrix over the lcm of its entries' denominators or over another
-    # one, or a row): the first mismatch in row-major order, in row 0 here
+    # one wrong pair, given as a matrix over the lcm of its entries'
+    # denominators or over another one, or as the 1 x n row of a vector:
+    # the first mismatch in row-major order, in row 0 here
     good = SparseMatrix([[1, F(1, 2), 0], [0, 3, 0], [F(2, 3), 0, 1]])
     bad = SparseMatrix([[1, F(5, 2), 0], [0, 3, 7], [F(2, 3), 0, 1]])
     want = {"row": 0, "col": 1, "lhs": "1/2", "rhs": "5/2"}
     for lhs, rhs in ((good, bad),
                      (_over_another_den(good), bad),
-                     (entries(good)[0], entries(bad)[0])):
+                     (SparseMatrix(entries(good)[:1]),
+                      SparseMatrix(entries(bad)[:1]))):
         rep = vf.compare(ssep_model, "wrong", (F(2),), lhs, rhs)
         assert rep.status == vf.FAIL
         assert rep.witness == want
@@ -197,7 +199,8 @@ def test_compare_shape_mismatch_raises(ssep_model):
         vf.compare(ssep_model, "c", (), SparseMatrix([[1, 0]]),
                    SparseMatrix([[1], [0]]))
     with pytest.raises(ValueError):
-        vf.compare(ssep_model, "c", (), [F(1)], [F(1), F(0)])
+        vf.compare(ssep_model, "c", (), SparseMatrix([[1]]),
+                   SparseMatrix([[1, 0]]))
     with pytest.raises(ValueError):
         vf.compare(ssep_model, "c", (), SparseMatrix.identity(2),
                    SparseMatrix.identity(3))
@@ -335,10 +338,10 @@ def test_compare_integer_operands_give_the_fraction_witness(ssep_model):
                     rhs=format_rational(bad[row][want["col"]]))
         for lhs, rhs in ((a, b), (_over_another_den(a), b),
                          (a, _over_another_den(b)),
-                         (entries(a)[row], entries(b)[row])):
+                         (SparseMatrix([good[row]]), SparseMatrix([bad[row]]))):
             got = vf.compare(ssep_model, "c", (), lhs, rhs)
             assert got.status == vf.FAIL
-            if isinstance(lhs, list):   # a flat sequence is row 0
+            if lhs.shape[0] == 1:   # the row of a vector is row 0
                 assert got.witness == {**want, "row": 0}
             else:
                 assert got.witness == want
@@ -380,38 +383,59 @@ def _blocks(rows_by_block, rescaled):
             else SparseMatrix(rows) for ij, rows in rows_by_block.items()}
 
 
+def _grid_witness(good, bad, h, w):
+    """The first differing entry, row-major, of the 2 x 2 block operators
+    whose h x w blocks (i, j) are the rows good[i, j] and bad[i, j]: entry
+    (r, c) of block (i, j) at row i h + r, column j w + c."""
+    return next(({"row": row, "col": col,
+                  "lhs": format_rational(a), "rhs": format_rational(b)}
+                 for row in range(2 * h) for col in range(2 * w)
+                 for a, b in [(good[row // h, col // w][row % h][col % w],
+                               bad[row // h, col // w][row % h][col % w])]
+                 if a != b), None)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_compare_block_operands_give_the_first_mismatch_in_block_order(
-        ssep_model, data):
-    # 2 x 2 block operators {(i, j): h x h component}: the witness is the
-    # first differing entry scanning the blocks in order, then row-major in
-    # each block, at row i h + r and column j h + c of the block operator
-    h = data.draw(st.integers(1, 3))
+def test_grid_witness_is_the_first_row_major_mismatch(ssep_model, data):
+    # a ZF side is the block operator _grid of its 2 x 2 components, each
+    # h x w: the witness is its first differing entry in row-major order,
+    # at row i h + r and column j w + c for entry (r, c) of block (i, j)
+    h, w = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     entry = st.fractions(-3, 3, max_denominator=3)
     keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    good = {ij: data.draw(st.lists(st.lists(entry, min_size=h, max_size=h),
+    good = {ij: data.draw(st.lists(st.lists(entry, min_size=w, max_size=w),
                                    min_size=h, max_size=h)) for ij in keys}
     bad = {ij: [list(row) for row in rows] for ij, rows in good.items()}
     for ij, r, c in data.draw(st.lists(st.tuples(
             st.sampled_from(keys), st.integers(0, h - 1),
-            st.integers(0, h - 1)), max_size=3)):
+            st.integers(0, w - 1)), max_size=3)):
         bad[ij][r][c] += data.draw(entry.filter(bool))
-    want = next(({"row": i * h + r, "col": j * h + c,
-                  "lhs": format_rational(good[i, j][r][c]),
-                  "rhs": format_rational(bad[i, j][r][c])}
-                 for i, j in keys for r in range(h) for c in range(h)
-                 if good[i, j][r][c] != bad[i, j][r][c]), None)
+    want = _grid_witness(good, bad, h, w)
     rescaled = data.draw(st.booleans())
     lhs, rhs = _blocks(good, rescaled), _blocks(bad, not rescaled)
-    rep = vf.compare(ssep_model, "blocks", (F(2),), lhs, rhs)
+    rep = vf.compare(ssep_model, "blocks", (F(2),), an._grid(lhs),
+                     an._grid(rhs))
     assert (rep.status, rep.witness) == \
         ((vf.PASS, None) if want is None else (vf.FAIL, want))
     # one component of another shape raises, wherever the mismatch lies
     ij = data.draw(st.sampled_from(keys))
-    wider = _blocks({ij: [[F(0)] * (h + 1)] * (h + 1)}, rescaled)
+    wider = _blocks({ij: [[F(0)] * (w + 1)] * (h + 1)}, rescaled)
     with pytest.raises(ValueError):
-        vf.compare(ssep_model, "blocks", (), lhs, {**rhs, **wider})
+        an._grid({**rhs, **wider})
+
+
+def test_grid_witness_is_not_the_first_in_block_order(ssep_model):
+    # block (0, 0) differs in its second row and block (0, 1) in its first:
+    # block order would name entry (1, 0), row-major order names (0, 3)
+    zero = [[F(0)] * 2 for _ in range(2)]
+    good = {(i, j): zero for i in (0, 1) for j in (0, 1)}
+    bad = {**good, (0, 0): [[0, 0], [1, 0]], (0, 1): [[0, 3], [0, 0]]}
+    grids = [an._grid({ij: SparseMatrix(rows) for ij, rows in g.items()})
+             for g in (good, bad)]
+    rep = vf.compare(ssep_model, "blocks", (), *grids)
+    assert rep.witness == _grid_witness(good, bad, 2, 2) == \
+        {"row": 0, "col": 3, "lhs": "0", "rhs": "3"}
 
 
 def _first_mismatch(lhs, rhs) -> dict:
