@@ -9,9 +9,10 @@ scalings, the transposes, ``partial_trace_first``, ``==``, the embedding
 and ``exact_nullspace`` work on the int rows and take no gcd per entry;
 ``inverse`` and ``rank`` expand them to dense int lists only inside
 ``_eliminate``.  A vector is a 1 x n row, so a matvec is a product.
-Fraction entries are formed, reduced, only when they are read.  ``integer_vector`` puts a vector in the same form.  Every entry is
-rational: a derivative is a pair of these matrices, as the compiled forms
-of ``models`` hand out R and K with their derivatives.
+Fraction entries are formed, reduced, only when they are read.
+``integer_vector`` puts a list of entries over one denominator.  Every
+entry is rational: a derivative is a pair of these matrices, as the
+compiled forms of ``models`` hand out R and K with their derivatives.
 """
 
 from __future__ import annotations

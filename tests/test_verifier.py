@@ -336,9 +336,9 @@ def test_compare_integer_operands_give_the_fraction_witness(ssep_model):
         assert a.den > 1
         want.update(lhs=format_rational(good[row][want["col"]]),
                     rhs=format_rational(bad[row][want["col"]]))
+        rows = SparseMatrix([good[row]]), SparseMatrix([bad[row]])
         for lhs, rhs in ((a, b), (_over_another_den(a), b),
-                         (a, _over_another_den(b)),
-                         (SparseMatrix([good[row]]), SparseMatrix([bad[row]]))):
+                         (a, _over_another_den(b)), rows):
             got = vf.compare(ssep_model, "c", (), lhs, rhs)
             assert got.status == vf.FAIL
             if lhs.shape[0] == 1:   # the row of a vector is row 0
