@@ -268,6 +268,9 @@ def _check_integer_tables(rep, L, thetas):
                                          for w in words]
     assert an.inhomogeneous_state(rep, thetas) == \
         _oracle_inhomogeneous(G, W, V, thetas)
+    # no sites: the contraction is <W|V> itself
+    assert an.inhomogeneous_state(rep, ()) == \
+        [sum(w * v for w, v in zip(W, V))]
 
 
 RD_RATES = [(F(1, 2), F(2, 3), F(1, 3), F(1, 5)),
@@ -279,8 +282,8 @@ RD_RATES = [(F(1, 2), F(2, 3), F(1, 3), F(1, 5)),
 @pytest.mark.parametrize("rates", RD_RATES)
 def test_rd_integer_tables_match_fraction_oracle(kappa, rates):
     # kappa = 1/2 and 1/3 give phi = -1/3 and -1/2; kappa = 4 gives 3/5
-    thetas = (F(3, 2), F(2), F(-1, 3), F(5))
-    for N, L in ((6, 2), (7, 3), (9, 4)):
+    thetas = (F(3, 2), F(2), F(-1, 3), F(5), F(-2, 7))
+    for N, L in ((6, 2), (7, 3), (9, 4), (11, 5)):
         rep = an.rd_representation(kappa, *rates, N)
         _check_integer_tables(rep, L, thetas[:L])
 
@@ -293,9 +296,9 @@ positive = st.fractions(min_value=F(1, 9), max_value=4, max_denominator=9)
        positive, positive, st.fractions(min_value=0, max_value=4,
                                         max_denominator=9),
        st.fractions(min_value=0, max_value=4, max_denominator=9),
-       st.integers(min_value=2, max_value=5),
+       st.integers(min_value=2, max_value=8),
        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5)
-                .filter(bool), min_size=1, max_size=3))
+                .filter(bool), min_size=1, max_size=5))
 def test_rd_integer_tables_property(kappa, alpha, beta, gamma, delta, N,
                                     thetas):
     rates = (kappa, alpha, beta, gamma, delta)
