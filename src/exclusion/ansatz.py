@@ -4,9 +4,10 @@ TASEP carries the standard DEHP bidiagonal representation with boundary
 data in the first row/column and basis boundary vectors, which makes every
 word of length <= N-1 exact under truncation.  The reaction-diffusion chain
 carries the three-generator shift representation on a truncated N (x) N
-tensor space; its boundary vectors have infinite tails, so steady-state
-evaluation raises the truncation N by max(4, N // 4) per round until two
-successive iterates agree.  The Zamolodchikov relation is also realized
+tensor space, where each product of A(x)'s is normal-ordered and contracted
+through the moments <W| G2^d G1^p G3^q |V>; its boundary vectors have
+infinite tails, so steady-state evaluation raises the truncation N by
+max(4, N // 4) per round until two successive iterates agree.  The Zamolodchikov relation is also realized
 exactly on monodromy matrices for ASEP, SSEP and TASEP.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
-from math import ldexp
+from math import gcd, ldexp, prod
 
 from . import models as m
 from .markov import Distribution
@@ -45,22 +46,24 @@ class RDRepresentation:
     """The RD shift representation on the truncated N (x) N space, held as
     integer tables over common denominators:
 
-        W[n,m] = Wn[n*N+m] / dW,
+        W[n,m] = Cw[n-m+N-1] Aw[m] / dW,
         V[n,m] = Cv[m-n+N-1] Bv[n] / dV,
-        G2[n,m] = g2[n*N+m] / S,   G1, G3 the unit shifts n+1 and m-1.
+        G2[n,m] = g2[n*N+m] / S,   G1, G3 the unit shifts n+1 and m-1,
 
-    A(x) exists only as the stencil _rd_stencil acting on integer rows: the
-    contraction, the boundary relations and the operators of the exchange
-    relation are all read off it.  (A plain class, not a named tuple like
-    the package's other records: _horner and model cache on the instance
-    dict.)
+    with T of rd_representation.  The contraction normal-orders each
+    product of A(x)'s and reads the moments <W| G2^d G1^p G3^q |V> off Aw
+    and Bv (contract, _moments).  As an operator, A(x) exists only as the
+    stencil _rd_stencil on integer rows: the boundary relations and the
+    operators of the exchange relation are read off it.  (A plain class,
+    not a named tuple like the package's other records: Wn and model
+    cache on the instance dict.)
     """
-    def __init__(self, N, meta, Wn, dW, Cv, Bv, dV, g2, S):
+    def __init__(self, N, meta, Cw, Aw, dW, Cv, Bv, dV, T, g2, S):
         self.N, self.meta = N, meta
-        self.Wn, self.dW = Wn, dW
+        self.Cw, self.Aw, self.dW = Cw, Aw, dW
         self.Cv, self.Bv, self.dV = Cv, Bv, dV
-        self.g2, self.S = g2, S
-        if self._dot_v(Wn) == 0:
+        self.T, self.g2, self.S = T, g2, S
+        if self._moments(0)[0] == [0]:
             raise ValueError("degenerate representation: <W|V> = 0")
 
     @cached_property
@@ -72,104 +75,136 @@ class RDRepresentation:
                     meta["delta"])
 
     @cached_property
-    def _horner(self) -> tuple:
-        """Tables of the row recurrences in _dot_v.  Neighbouring entries of
-        Cv differ by small factors, Cv[u+1] g(u) = Cv[u] f(u) with
+    def Wn(self) -> tuple:
+        """dW W as one integer row, W[n,m] at n*N+m."""
+        N, Cw, Aw = self.N, self.Cw, self.Aw
+        return tuple(Cw[n - mm + N - 1] * Aw[mm] for n in range(N)
+                     for mm in range(N))
 
-            (f(u), g(u)) = (dn pn^u, dd pd^u)     for u >= 0,
-                           (dn pd^-u, dd pn^-u)   for u < 0,
+    def _moments(self, L) -> tuple:
+        """([M[h(h+1)/2 + q] for h <= L, q <= h], den): the moments
+        <W| G2^d G1^p G3^q |V> = M / den, p = h - q, d = L - h.
 
-        so sum_u Cv[u] r[u] over u >= 0 (u < 0) is a Horner recurrence
-        that multiplies the running sum by one g(u) (f(u)) per step and
-        each r[u] by a product of f's (g's), times one row factor."""
-        N = self.N
-        dn, dd = self.meta["d"].numerator, self.meta["d"].denominator
-        pn, pd = self.meta["phi"].numerator, self.meta["phi"].denominator
-        emax = N * (N - 1) // 2
-        f_up = [dn ** u * pn ** (u * (u - 1) // 2) for u in range(N)]
-        g_up = [dd * pd ** u for u in range(N)]
-        g_down = [dd ** k * pn ** (k * (k + 1) // 2) for k in range(N)]
-        f_down = [dn * pd ** k for k in range(N)]
-        # Cv[0] over the product of the g (f) steps the recurrence applied
-        k_up = [b * dn ** (N - 1) * dd ** n *
-                pd ** (emax - (N - 1 - n) * (N - 2 - n) // 2)
-                for n, b in enumerate(self.Bv)]
-        k_down = [b * dn ** (N - 1 - n) * dd ** (N - 1) *
-                  pd ** (emax - n * (n + 1) // 2)
-                  for n, b in enumerate(self.Bv)]
-        return f_up, g_up, g_down, f_down, k_up, k_down
+        G1 only lowers n, G3 only raises m and G2 moves neither, so an entry
+        that leaves the box never comes back: a moment is the box sum over
+        p <= n < N, 0 <= m < N - q of phi^(d(n+m)) W[n,m] V[n-p,m+q].  By
+        the closed forms (rd_representation), with k = n - m, that is
 
-    def _dot_v(self, r) -> int:
-        """dV <r|V> = sum_n Bv[n] sum_m Cv[m-n] r[n,m], each row's inner sum
-        split at m = n into two Horner recurrences (see _horner)."""
-        N = self.N
-        f_up, g_up, g_down, f_down, k_up, k_down = self._horner
-        total = 0
+            d^h phi^(h(h-1)/2) sum_n Bv[n-p] phi^(2dn) R[q][n] over
+            (ad bd)^(N-1) T^2,   R[q][n] = sum_(m < N-q) Gam(n-m) Aw[m],
+
+        Gam(k) = (c/d)^k phi^(k^2 - Lk): one pass over the rows serves every
+        d.  Gam(k-1) = Gam(k) a(k) / b(k) with small a, b, and Gam peaks
+        near k = L/2, so each row runs two Horner recurrences outward from
+        k0 = min(L, N-1): up over m >= n - k0 (times b(k+1)), read at each
+        m = N-1-q, and down over m < n - k0 (times a(k)).  A value carries
+        the b's (a's) it passed, so the sums over n are Horner recurrences
+        too: n descending over the up reads, times the b of the next read,
+        and n ascending over the down sums.  <W|V> is the moment at L = 0.
+        """
+        N, meta = self.N, self.meta
+        (cn, cd), (dn, dd), (pn, pd) = ((meta[x].numerator,
+                                         meta[x].denominator)
+                                        for x in ("c", "d", "phi"))
+        k0, o = min(L, N - 1), min(L, N - 1) + N - 1
+        # a(k), b(k) at k + N - 1, k = 2-N .. N-1; b padded for k = N
+        es = [L + 1 - 2 * k for k in range(2 - N, N)]
+        a = [0] + [cd * dn * (pn if e >= 0 else pd) ** abs(e) for e in es]
+        b = [0] + [cn * dd * (pd if e >= 0 else pn) ** abs(e) for e in es]
+        b.append(0)
+        f = [1] * (2 * N - 1)       # Gam(k) / Gam(k0) = f[k] / its scale
+        for i in range(o, 0, -1):
+            f[i - 1] = f[i] * a[i]
+        for i in range(o + 1, 2 * N - 1):
+            f[i] = f[i - 1] * b[i]
+        Aw, fr, br = self.Aw, f[::-1], b[:0:-1]
+        up, down = [[] for _ in range(k0 + 1)], []      # up[q][n], down[n]
         for n in range(N):
-            row = r[n * N:n * N + N]
-            acc = 0                                  # so g_up[-1] multiplies 0
-            for u, x in enumerate(row[n:]):          # m = n + u
-                acc = acc * g_up[u - 1] + x * f_up[u]
-            total += k_up[n] * acc
             acc = 0
-            for k in range(1, n + 1):                # m = n - k
-                acc = acc * f_down[k] + row[n - k] * g_down[k]
-            total += k_down[n] * acc
-        return total
+            for x, g, y in zip(Aw[n - k0 - 1::-1], a[o + 1:], f[o + 1:n + N]):
+                acc = acc * g + x * y
+            down.append(acc)
+            lo = max(0, n - k0)
+            terms = zip(Aw[lo:], fr[N - 1 - n + lo:], br[N - 1 - n + lo:])
+            acc = 0
+            for _, (x, y, g) in zip(range(N - 1 - k0 - lo), terms):
+                acc = acc * g + x * y
+            for row, (x, y, g) in zip(reversed(up), terms):
+                acc = acc * g + x * y
+                row.append(acc)
+        # the up sums end over the b's from h + 2 - N to k0, the down sums
+        # over the a's from k0 + 1 to N - 1: both go over the lcm
+        scale_up, scale_down = prod(b[1:o + 1]), prod(a[o + 1:])
+        g = gcd(scale_up, scale_down)
+        su, sd = scale_up // g, scale_down // g
+        # d^h Gam(k0) phi^e pd^(-2d(N-1)), e = h(h-1)/2 + 2dp, with
+        # Gam(k0) = (c/d)^k0 phi^(k0^2 - L k0), over cd^k0 dn^k0 dd^L
+        # pn^(L^2) pd^B0
+        B0 = L * L + 2 * L * (N - 1)
+        out = [0] * ((L + 1) * (L + 2) // 2)
+        bp = list(self.Bv)              # Bv[j] pn^(2dj) pd^(2d(N-1-j))
+        for h in range(L, -1, -1):
+            d = L - h
+            c = cn ** k0 * dn ** h * dd ** (k0 - h + L)
+            c_up, c_down = c * prod(b[1:h + 1]) * sd, c * su
+            for q in range(max(0, h - N + 1), min(h, k0) + 1):
+                p = h - q
+                s = t = 0
+                for x, r, y in zip(reversed(bp[:N - p]), reversed(up[q][p:]),
+                                   reversed(b[h + 1:N + q + 1])):
+                    s = s * y + x * r
+                for x, r, y in zip(bp, down[p:], a[p + N - 1:]):
+                    t = t * y + x * r
+                e = h * (h - 1) // 2 + 2 * d * p + k0 * k0 - L * k0
+                out[h * (h + 1) // 2 + q] = (c_up * s + c_down * t) * \
+                    pn ** (L * L + e) * pd ** (B0 - e - 2 * d * (N - 1))
+            bp = [v * y for v, y in zip(bp, self.g2[::N + 1])]
+        ad, bd = meta["a"].denominator, meta["b"].denominator
+        return out, (ad * bd) ** (N - 1) * self.T ** 2 * su * scale_down * \
+            cd ** k0 * dn ** k0 * dd ** L * pn ** (L * L) * pd ** B0
 
     def contract(self, thetas) -> list:
         """<W| A_1(th_1) ... A_L(th_L) |V> for every choice of component at
-        each site, site 1 most significant, in integers: A(x) = xn/xd G1 +
-        G2 + xd/xn G3 (second component: the shifts negated) is scaled by
-        S xn xd, so that v A = diag +- shift with the stencil
-
-            diag[n,m] = xn xd g2[n,m] v[n,m],
-            shift[n,m] = S (xn^2 v[n+1,m] + xd^2 v[n,m-1]).
-        """
-        den = self.dW * self.dV
-        sites = []
-        for t in thetas:
-            site, scale = self._site(t)
-            sites.append(site)
-            den *= scale
-        if not sites:
-            return [Fraction(self._dot_v(self.Wn), den)]
-        out = []
-        stack = [(list(self.Wn), 0)]
-        while stack:
-            vec, depth = stack.pop()
-            shift = _rd_stencil(vec, *sites[depth], self.N)
-            if depth + 1 == len(sites):
-                # the last site needs only the two dots
-                dd, ds = self._dot_v(vec), self._dot_v(shift)
-                out += [Fraction(dd + ds, den), Fraction(dd - ds, den)]
-                continue
-            for i, s in enumerate(shift):       # in place: vec + and - shift
-                d = vec[i]
-                vec[i] = d + s
-                shift[i] = d - s
-            stack.append((shift, depth + 1))
-            stack.append((vec, depth + 1))
-        return out
-
-    def _site(self, x) -> tuple:
-        """((g2, s1, s3), S xn xd): the stencil arguments and the scale of
-        A(x), x = xn/xd.  1/x has the same scale, with s1 and s3 swapped."""
-        xn, xd = x.numerator, x.denominator
-        g2 = self.g2 if xn * xd == 1 else [xn * xd * g for g in self.g2]
-        return (g2, self.S * xn * xn, self.S * xd * xd), self.S * xn * xd
+        each site, site 1 most significant, + before -.  xn xd A(x) =
+        xn xd G2 +- (xn^2 G1 + xd^2 G3), x = xn/xd, and G1 G2 = G2 G1 / phi,
+        G3 G2 = phi G2 G3 and G1 G3 = G3 G1 move each G2 to the left: one
+        at site j+1 after p G1's and q G3's gains phi^(q-p), an integer
+        times (pn pd)^j.  So a product is sum c(p, q) G2^d G1^p G3^q, and
+        its weight sum c(p, q) M(p, q) is contracted from the last site
+        back: a table over the (p, q) before a site, two (+, -) after it."""
+        L = len(thetas)
+        M, den = self._moments(L)
+        pn, pd = self.meta["phi"].numerator, self.meta["phi"].denominator
+        tables = [M]
+        for j in range(L - 1, -1, -1):
+            xn, xd = thetas[j].numerator, thetas[j].denominator
+            w = (pn * pd) ** j
+            den *= xn * xd * w
+            s1, s3 = xn * xn * w, xd * xd * w
+            cs = [xn * xd * pn ** (j + 2 * q - h) * pd ** (j + h - 2 * q)
+                  for h in range(j + 1) for q in range(h + 1)]
+            ys = [(h + 1) * (h + 2) // 2 + q      # the index of (p + 1, q)
+                  for h in range(j + 1) for q in range(h + 1)]
+            parts = [([c * t for c, t in zip(cs, T)],       # diag, shift
+                      [s1 * T[y] + s3 * T[y + 1] for y in ys]) for T in tables]
+            tables = [[u + v for u, v in zip(*p)] for p in parts] + \
+                [[u - v for u, v in zip(*p)] for p in parts]
+        return [Fraction(T[0], den) for T in tables]
 
     def _act(self, u, x) -> tuple:
-        """(<u|A_+(x), <u|A_-(x), scale): both components applied to the
-        integer row u, as integer rows over the scale of _site."""
-        site, scale = self._site(x)
+        """(<u|A_+(x), <u|A_-(x), S xn xd): both components of A(x), x =
+        xn/xd, applied to the integer row u, as integer rows over S xn xd
+        (1/x has the same scale, with xn^2 and xd^2 swapped)."""
+        xn, xd = x.numerator, x.denominator
+        g2 = self.g2 if xn * xd == 1 else [xn * xd * g for g in self.g2]
         diag = list(u)
-        shift = _rd_stencil(diag, *site, self.N)
+        shift = _rd_stencil(diag, g2, self.S * xn * xn, self.S * xd * xd,
+                            self.N)
         return ([d + s for d, s in zip(diag, shift)],
-                [d - s for d, s in zip(diag, shift)], scale)
+                [d - s for d, s in zip(diag, shift)], self.S * xn * xd)
 
     def components(self, x) -> list:
-        """[A_+(x), A_-(x)] as integer tables over the scale of _site; row r
+        """[A_+(x), A_-(x)] as integer tables over the scale of _act; row r
         is <e_r|A(x)."""
         if x == 0:
             raise PoleError("A(x) has a 1/x term; x must be nonzero")
@@ -306,14 +341,14 @@ def rd_representation(kappa, alpha, beta, gamma, delta, N: int) -> RDRepresentat
 
     Cw, Aw, sw = side(co["c"], co["a"])
     Cv, Bv, sv = side(co["d"], co["b"])
-    Wn = tuple(Cw[n - mm + N - 1] * Aw[mm] for n in range(N) for mm in range(N))
     g = _power_pairs(pn, pd, 2 * N - 1)     # pn^j pd^(2N-2-j), j = n + m
     g2 = tuple(g[n + mm] for n in range(N) for mm in range(N))
     meta = {"model": "rd", "kappa": kappa, "alpha": Fraction(alpha),
             "beta": Fraction(beta), "gamma": Fraction(gamma),
             "delta": Fraction(delta), **co}
-    return RDRepresentation(N, meta, Wn, sw * pd ** emax * T, tuple(Cv),
-                            tuple(Bv), sv * pd ** emax * T, g2,
+    return RDRepresentation(N, meta, tuple(Cw), tuple(Aw),
+                            sw * pd ** emax * T, tuple(Cv),
+                            tuple(Bv), sv * pd ** emax * T, T, g2,
                             pd ** (2 * N - 2))
 
 
@@ -398,11 +433,11 @@ def truncation_rounds(L: int, cap: int = CAP):
 
 def rd_steady_converged(model, L: int, cap: int = CAP):
     """(Distribution, meta) after raising N over ``truncation_rounds``
-    until two successive iterates agree to relative 1e-12 (rational
-    cross-multiplied comparison).  Every round builds its own
+    until two successive iterates agree to relative 1e-12 (``_close``,
+    cross-multiplied integers).  Every round builds its own
     representation of the RD model's rates."""
     history = []            # (N, Z) of every round, for the error message
-    prev = None
+    prev = None             # the last round's w / Z and Z, as _ratio pairs
     for N in truncation_rounds(L, cap):
         rep = rd_representation(model.kappa, model.alpha, model.beta,
                                 model.gamma, model.delta, N)
@@ -411,15 +446,12 @@ def rd_steady_converged(model, L: int, cap: int = CAP):
                              "conditions at this L")
         weights = ansatz_weights(rep, L)
         Z = sum(weights)
-        prev_N, prev_Z = history[-1] if history else (None, 0)
-        if Z != 0 and prev_Z != 0:
-            probs = [w / Z for w in weights]
-            prev_probs = [w / prev_Z for w in prev]
-            if all(_close(p1, p2) for p1, p2 in zip(prev_probs, probs)) and \
-                    _close(prev_Z, Z):
-                return (Distribution(L=L, weights=tuple(weights), Z=Z),
-                        {"N": N, "N_prev": prev_N, "converged": True})
-        prev = weights
+        probs = [_ratio(w, Z) for w in weights] + [_ratio(Z, 1)] if Z \
+            else None
+        if prev and probs and all(map(_close, prev, probs)):
+            return (Distribution(L=L, weights=tuple(weights), Z=Z),
+                    {"N": N, "N_prev": history[-1][0], "converged": True})
+        prev = probs
         history.append((N, Z))
     raise ValueError(f"no truncation convergence up to N={cap}; "
                      + _last_rounds(history, "Z"))
@@ -435,8 +467,16 @@ def _last_rounds(history, what: str) -> str:
             f"{float(v2)} (N={N2})")
 
 
-def _close(p1: Fraction, p2: Fraction) -> bool:
-    return abs(p1 - p2) <= REL_TOL * abs(p2)
+def _ratio(x, y) -> tuple:
+    """x / y as the unreduced pair (numerator, denominator): no gcd."""
+    return x.numerator * y.denominator, x.denominator * y.numerator
+
+
+def _close(p1: tuple, p2: tuple) -> bool:
+    """|p1 - p2| <= REL_TOL |p2| for two _ratio pairs, cross-multiplied."""
+    (n1, d1), (n2, d2) = p1, p2
+    return abs(n1 * d2 - n2 * d1) * REL_TOL.denominator <= \
+        REL_TOL.numerator * abs(n2 * d1)
 
 
 def inhomogeneous_state(rep: RDRepresentation, thetas) -> list:
@@ -463,10 +503,10 @@ def rd_inhomogeneous_converged(model, thetas, cap: int = CAP):
         norm = max(state, key=abs)
         if norm == 0:
             raise ValueError("inhomogeneous state vanished under truncation")
-        scaled = [s / norm for s in state]
-        if prev is not None and all(_close(p, s) for p, s in zip(prev, scaled)):
-            return scaled, {"N": N, "N_prev": history[-1][0],
-                            "converged": True}
+        scaled = [_ratio(s, norm) for s in state]
+        if prev is not None and all(map(_close, prev, scaled)):
+            return [s / norm for s in state], \
+                {"N": N, "N_prev": history[-1][0], "converged": True}
         prev = scaled
         history.append((N, norm))
     raise ValueError(f"no truncation convergence up to N={cap} for the "

@@ -319,6 +319,25 @@ def test_rd_integer_tables_property(kappa, alpha, beta, gamma, delta, N,
     _check_integer_tables(rep, len(thetas), thetas)
 
 
+@pytest.mark.parametrize("kappa, rates, N", [
+    (3, RD_RATES[0], 6), (F(1, 2), RD_RATES[1], 5), (4, RD_RATES[2], 3),
+    (2, RD_RATES[0], 2)])
+def test_rd_moments_match_the_word_oracle(kappa, rates, N):
+    # every normal-ordered moment on its own, so that a box limit that is
+    # off by one fails with its (L, p, q); N = 2 and 3 put p and q past it
+    rep = an.rd_representation(kappa, *rates, N)
+    G = _oracle_letters(rep)
+    W, V = _boundary_views(rep)
+    for L in range(5):
+        M, den = rep._moments(L)
+        for h in range(L + 1):
+            for q in range(h + 1):
+                p, d = h - q, L - h
+                word = ["G2"] * d + ["G1"] * p + ["G3"] * q
+                assert (L, p, q, F(M[h * (h + 1) // 2 + q], den)) == \
+                    (L, p, q, _oracle_contract(G, W, V, word))
+
+
 def test_rd_steady_matches_nullspace():
     mdl = ex.rd(3, 1, 1, F(1, 2), F(1, 3))
     tol = F(1, 10 ** 10)

@@ -52,9 +52,15 @@ def _counted(argv, hash_seed) -> list:
     ["transfer", "--model", "rd", "--L", "3", "--check",
      "markov-derivative"],
     # the kron boundary row and column, and the 1 x 1 compare
-    ["transfer", "--model", "ssep", "--L", "3", "--check", "conjugated"]],
+    ["transfer", "--model", "ssep", "--L", "3", "--check", "conjugated"],
+    # the RD truncation rounds: moments, normal-ordered contraction and the
+    # integer convergence test (kappa = 3 puts a pole of Ktilde at x = 1/2)
+    ["steady", "--model", "rd", "--L", "4", "--method", "ansatz", "--exact"],
+    ["transfer", "--model", "rd", "--kappa", "2", "--L", "3", "--theta",
+     "2,5,7", "--check", "inhomogeneous-eigenvector"]],
     ids=["verify-asep", "steady-rd-nullspace", "transfer-rd-derivative",
-         "transfer-ssep-conjugated"])
+         "transfer-ssep-conjugated", "steady-rd-ansatz",
+         "transfer-rd-inhomogeneous"])
 def test_call_counts_do_not_depend_on_the_hash_seed(argv):
     first, second = (_counted(argv, seed) for seed in (0, 1))
     assert first == second
