@@ -420,8 +420,8 @@ def steady_ansatz(model: ModelDescriptor, L: int,
 def truncation_rounds(L: int, cap: int = CAP):
     """The truncation Ns of the RD convergence loops at chain length L:
     N = max(L + 4, 6) first, then N -> N + max(4, N // 4) while N <= cap.
-    The stop typically overshoots the N actually needed by about one step,
-    and all rounds together cost 1.1-1.5x the last one."""
+    The stop typically overshoots the N actually needed by about one step;
+    at the rd-truncation cells all rounds cost 2.0-2.7x the last one."""
     N = max(L + 4, 6)
     if N > cap:
         raise ValueError(f"truncation cap {cap} is below the first round's "
