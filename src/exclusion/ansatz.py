@@ -7,8 +7,9 @@ carries the three-generator shift representation on a truncated N (x) N
 tensor space, where each product of A(x)'s is normal-ordered and contracted
 through the moments <W| G2^d G1^p G3^q |V>; its boundary vectors have
 infinite tails, so steady-state evaluation raises the truncation N by
-max(4, N // 4) per round until two successive iterates agree.  The Zamolodchikov relation is also realized
-exactly on monodromy matrices for ASEP, SSEP and TASEP.
+max(4, N // 4) per round until two successive iterates agree.  The
+Zamolodchikov relation is also realized exactly on monodromy matrices for
+ASEP, SSEP and TASEP.
 """
 
 from __future__ import annotations
@@ -50,13 +51,12 @@ class RDRepresentation:
         V[n,m] = Cv[m-n+N-1] Bv[n] / dV,
         G2[n,m] = g2[n*N+m] / S,   G1, G3 the unit shifts n+1 and m-1,
 
-    with T of rd_representation.  The contraction normal-orders each
-    product of A(x)'s and reads the moments <W| G2^d G1^p G3^q |V> off Aw
-    and Bv (contract, _moments).  As an operator, A(x) exists only as the
-    stencil _rd_stencil on integer rows: the boundary relations and the
-    operators of the exchange relation are read off it.  (A plain class,
-    not a named tuple like the package's other records: Wn and model
-    cache on the instance dict.)
+    with T of rd_representation.  The contraction normal-orders products of
+    A(x)'s and reads the moments <W| G2^d G1^p G3^q |V> off Aw and Bv
+    (contract, _moments).  As an operator, A(x) is only the stencil
+    _rd_stencil on integer rows, which the boundary relations and the
+    exchange relation read.  (A plain class, not a named tuple like the
+    package's other records: Wn and model cache on the instance dict.)
     """
     def __init__(self, N, meta, Cw, Aw, dW, Cv, Bv, dV, T, g2, S):
         self.N, self.meta = N, meta
@@ -106,8 +106,9 @@ class RDRepresentation:
         (cn, cd), (dn, dd), (pn, pd) = ((meta[x].numerator,
                                          meta[x].denominator)
                                         for x in ("c", "d", "phi"))
-        k0, o = min(L, N - 1), min(L, N - 1) + N - 1
-        # a(k), b(k) at k + N - 1, k = 2-N .. N-1; b padded for k = N
+        k0 = min(L, N - 1)
+        o = k0 + N - 1
+        # a(k), b(k) at k + N - 1 (k0 at o), k = 2-N .. N-1; b padded for k = N
         es = [L + 1 - 2 * k for k in range(2 - N, N)]
         a = [0] + [cd * dn * (pn if e >= 0 else pd) ** abs(e) for e in es]
         b = [0] + [cn * dd * (pd if e >= 0 else pn) ** abs(e) for e in es]
@@ -120,11 +121,10 @@ class RDRepresentation:
         Aw, fr, br = self.Aw, f[::-1], b[:0:-1]
         up, down = [[] for _ in range(k0 + 1)], []      # up[q][n], down[n]
         for n in range(N):
-            acc = 0
-            for x, g, y in zip(Aw[n - k0 - 1::-1], a[o + 1:], f[o + 1:n + N]):
+            acc, lo = 0, max(0, n - k0)
+            for x, g, y in zip(reversed(Aw[:lo]), a[o + 1:], f[o + 1:]):
                 acc = acc * g + x * y
             down.append(acc)
-            lo = max(0, n - k0)
             terms = zip(Aw[lo:], fr[N - 1 - n + lo:], br[N - 1 - n + lo:])
             acc = 0
             for _, (x, y, g) in zip(range(N - 1 - k0 - lo), terms):
