@@ -1,15 +1,17 @@
-"""Matrix-product representations and records of their algebraic relations.
+"""Matrix-product representations, the exact RD ansatz, and records of their
+algebraic relations.
 
 TASEP carries the standard DEHP bidiagonal representation with boundary
 data in the first row/column and basis boundary vectors, which makes every
 word of length <= N-1 exact under truncation.  The reaction-diffusion chain
-carries the three-generator shift representation on a truncated N (x) N
-tensor space, where each product of A(x)'s is normal-ordered and contracted
-through the moments <W| G2^d G1^p G3^q |V>; its boundary vectors have
-infinite tails, so steady-state evaluation raises the truncation N by
-max(4, N // 4) per round until two successive iterates agree.  The
-Zamolodchikov relation is also realized exactly on monodromy matrices for
-ASEP, SSEP and TASEP.
+is contracted in its algebra, with no representation: the boundary and
+exchange relations take every moment <W| G2^s G1^p G3^q |V> at level
+s + p + q = L to an exact rational multiple of <W| G2^L |V>
+(_moment_ratios), and each product of A(x)'s is normal-ordered into those
+moments (_contract).  The three-generator shift representation on a
+truncated N (x) N tensor space stays for the ZF and GZ records, which it
+satisfies exactly on its interior.  The Zamolodchikov relation is also
+realized exactly on monodromy matrices for ASEP, SSEP and TASEP.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd, ldexp, prod
+from math import lcm, ldexp
 
 from . import models as m
 from .markov import Distribution
@@ -25,8 +27,6 @@ from .models import ModelDescriptor
 from .tensor import PoleError, SparseMatrix, _block, _kept, \
     integer_vector, kron
 
-REL_TOL = Fraction(1, 10 ** 12)   # truncation-convergence threshold
-CAP = 256                         # truncation ceiling
 PROFILE_BITS = 100                # mantissa width of the float profile
 _INF = float("inf")
 
@@ -51,19 +51,20 @@ class RDRepresentation:
         V[n,m] = Cv[m-n+N-1] Bv[n] / dV,
         G2[n,m] = g2[n*N+m] / S,   G1, G3 the unit shifts n+1 and m-1,
 
-    with T of rd_representation.  The contraction normal-orders products of
-    A(x)'s and reads the moments <W| G2^d G1^p G3^q |V> off Aw and Bv
-    (contract, _moments).  As an operator, A(x) is only the stencil
-    _rd_stencil on integer rows, which the boundary relations and the
-    exchange relation read.  (A plain class, not a named tuple like the
-    package's other records: Wn and model cache on the instance dict.)
+    with T of rd_representation.  It serves the ZF and GZ records: as an
+    operator, A(x) is only the stencil _rd_stencil on integer rows, which
+    the boundary relations and the exchange relation read.  The steady and
+    inhomogeneous states do not use it (inhomogeneous_state).  (A plain
+    class, not a named tuple like the package's other records: Wn and
+    model cache on the instance dict.)
     """
     def __init__(self, N, meta, Cw, Aw, dW, Cv, Bv, dV, T, g2, S):
         self.N, self.meta = N, meta
         self.Cw, self.Aw, self.dW = Cw, Aw, dW
         self.Cv, self.Bv, self.dV = Cv, Bv, dV
         self.T, self.g2, self.S = T, g2, S
-        if self._moments(0)[0] == [0]:
+        V = (Cv[mm - n + N - 1] * Bv[n] for n in range(N) for mm in range(N))
+        if sum(w * v for w, v in zip(self.Wn, V)) == 0:
             raise ValueError("degenerate representation: <W|V> = 0")
 
     @cached_property
@@ -80,116 +81,6 @@ class RDRepresentation:
         N, Cw, Aw = self.N, self.Cw, self.Aw
         return tuple(Cw[n - mm + N - 1] * Aw[mm] for n in range(N)
                      for mm in range(N))
-
-    def _moments(self, L) -> tuple:
-        """([M[h(h+1)/2 + q] for h <= L, q <= h], den): the moments
-        <W| G2^d G1^p G3^q |V> = M / den, p = h - q, d = L - h.
-
-        G1 only lowers n, G3 only raises m and G2 moves neither, so an entry
-        that leaves the box never comes back: a moment is the box sum over
-        p <= n < N, 0 <= m < N - q of phi^(d(n+m)) W[n,m] V[n-p,m+q].  By
-        the closed forms (rd_representation), with k = n - m, that is
-
-            d^h phi^(h(h-1)/2) sum_n Bv[n-p] phi^(2dn) R[q][n] over
-            (ad bd)^(N-1) T^2,   R[q][n] = sum_(m < N-q) Gam(n-m) Aw[m],
-
-        Gam(k) = (c/d)^k phi^(k^2 - Lk): one pass over the rows serves every
-        d.  Gam(k-1) = Gam(k) a(k) / b(k) with small a, b, and Gam peaks
-        near k = L/2, so each row runs two Horner recurrences outward from
-        k0 = min(L, N-1): up over m >= n - k0 (times b(k+1)), read at each
-        m = N-1-q, and down over m < n - k0 (times a(k)).  A value carries
-        the b's (a's) it passed, so the sums over n are Horner recurrences
-        too: n descending over the up reads, times the b of the next read,
-        and n ascending over the down sums.  <W|V> is the moment at L = 0.
-        """
-        N, meta = self.N, self.meta
-        (cn, cd), (dn, dd), (pn, pd) = ((meta[x].numerator,
-                                         meta[x].denominator)
-                                        for x in ("c", "d", "phi"))
-        k0 = min(L, N - 1)
-        o = k0 + N - 1
-        # a(k), b(k) at k + N - 1 (k0 at o), k = 2-N .. N-1; b padded for k = N
-        es = [L + 1 - 2 * k for k in range(2 - N, N)]
-        a = [0] + [cd * dn * (pn if e >= 0 else pd) ** abs(e) for e in es]
-        b = [0] + [cn * dd * (pd if e >= 0 else pn) ** abs(e) for e in es]
-        b.append(0)
-        f = [1] * (2 * N - 1)       # Gam(k) / Gam(k0) = f[k] / its scale
-        for i in range(o, 0, -1):
-            f[i - 1] = f[i] * a[i]
-        for i in range(o + 1, 2 * N - 1):
-            f[i] = f[i - 1] * b[i]
-        Aw, fr, br = self.Aw, f[::-1], b[:0:-1]
-        up, down = [[] for _ in range(k0 + 1)], []      # up[q][n], down[n]
-        for n in range(N):
-            acc, lo = 0, max(0, n - k0)
-            for x, g, y in zip(reversed(Aw[:lo]), a[o + 1:], f[o + 1:]):
-                acc = acc * g + x * y
-            down.append(acc)
-            terms = zip(Aw[lo:], fr[N - 1 - n + lo:], br[N - 1 - n + lo:])
-            acc = 0
-            for _, (x, y, g) in zip(range(N - 1 - k0 - lo), terms):
-                acc = acc * g + x * y
-            for row, (x, y, g) in zip(reversed(up), terms):
-                acc = acc * g + x * y
-                row.append(acc)
-        # the up sums end over the b's from h + 2 - N to k0, the down sums
-        # over the a's from k0 + 1 to N - 1: both go over the lcm
-        scale_up, scale_down = prod(b[1:o + 1]), prod(a[o + 1:])
-        g = gcd(scale_up, scale_down)
-        su, sd = scale_up // g, scale_down // g
-        # d^h Gam(k0) phi^e pd^(-2d(N-1)), e = h(h-1)/2 + 2dp, with
-        # Gam(k0) = (c/d)^k0 phi^(k0^2 - L k0), over cd^k0 dn^k0 dd^L
-        # pn^(L^2) pd^B0
-        B0 = L * L + 2 * L * (N - 1)
-        out = [0] * ((L + 1) * (L + 2) // 2)
-        bp = list(self.Bv)              # Bv[j] pn^(2dj) pd^(2d(N-1-j))
-        for h in range(L, -1, -1):
-            d = L - h
-            c = cn ** k0 * dn ** h * dd ** (k0 - h + L)
-            c_up, c_down = c * prod(b[1:h + 1]) * sd, c * su
-            for q in range(max(0, h - N + 1), min(h, k0) + 1):
-                p = h - q
-                s = t = 0
-                for x, r, y in zip(reversed(bp[:N - p]), reversed(up[q][p:]),
-                                   reversed(b[h + 1:N + q + 1])):
-                    s = s * y + x * r
-                for x, r, y in zip(bp, down[p:], a[p + N - 1:]):
-                    t = t * y + x * r
-                e = h * (h - 1) // 2 + 2 * d * p + k0 * k0 - L * k0
-                out[h * (h + 1) // 2 + q] = (c_up * s + c_down * t) * \
-                    pn ** (L * L + e) * pd ** (B0 - e - 2 * d * (N - 1))
-            bp = [v * y for v, y in zip(bp, self.g2[::N + 1])]
-        ad, bd = meta["a"].denominator, meta["b"].denominator
-        return out, (ad * bd) ** (N - 1) * self.T ** 2 * su * scale_down * \
-            cd ** k0 * dn ** k0 * dd ** L * pn ** (L * L) * pd ** B0
-
-    def contract(self, thetas) -> list:
-        """<W| A_1(th_1) ... A_L(th_L) |V> for every choice of component at
-        each site, site 1 most significant, + before -.  xn xd A(x) =
-        xn xd G2 +- (xn^2 G1 + xd^2 G3), x = xn/xd, and G1 G2 = G2 G1 / phi,
-        G3 G2 = phi G2 G3 and G1 G3 = G3 G1 move each G2 to the left: one
-        at site j+1 after p G1's and q G3's gains phi^(q-p), an integer
-        times (pn pd)^j.  So a product is sum c(p, q) G2^d G1^p G3^q, and
-        its weight sum c(p, q) M(p, q) is contracted from the last site
-        back: a table over the (p, q) before a site, two (+, -) after it."""
-        L = len(thetas)
-        M, den = self._moments(L)
-        pn, pd = self.meta["phi"].numerator, self.meta["phi"].denominator
-        tables = [M]
-        for j in range(L - 1, -1, -1):
-            xn, xd = thetas[j].numerator, thetas[j].denominator
-            w = (pn * pd) ** j
-            den *= xn * xd * w
-            s1, s3 = xn * xn * w, xd * xd * w
-            cs = [xn * xd * pn ** (j + 2 * q - h) * pd ** (j + h - 2 * q)
-                  for h in range(j + 1) for q in range(h + 1)]
-            ys = [(h + 1) * (h + 2) // 2 + q      # the index of (p + 1, q)
-                  for h in range(j + 1) for q in range(h + 1)]
-            parts = [([c * t for c, t in zip(cs, T)],       # diag, shift
-                      [s1 * T[y] + s3 * T[y + 1] for y in ys]) for T in tables]
-            tables = [[u + v for u, v in zip(*p)] for p in parts] + \
-                [[u - v for u, v in zip(*p)] for p in parts]
-        return [Fraction(T[0], den) for T in tables]
 
     def _act(self, u, x) -> tuple:
         """(<u|A_+(x), <u|A_-(x), S xn xd): both components of A(x), x =
@@ -352,19 +243,10 @@ def rd_representation(kappa, alpha, beta, gamma, delta, N: int) -> RDRepresentat
                             pd ** (2 * N - 2))
 
 
-def rd_convergence_ok(co: dict, L: int) -> bool:
-    """Stolz-Cesaro convergence conditions of the normalization series, for
-    the boundary coefficients ``co`` (a representation's meta is one)."""
-    a, b, c, d, phi = (co[k] for k in ("a", "b", "c", "d", "phi"))
-    g = 1 - phi * phi
-    return abs(b * c * phi ** L / (g * d)) < 1 and \
-        abs(a * d * phi ** L / (g * c)) < 1
-
-
-def _contract_all_words(rep: MPRepresentation, L: int) -> list:
-    """<W| X_1 ... X_L |V> for every choice of X_k among E and D, sharing
-    prefixes, in integers: W and V over common denominators and the int
-    tables of E and D, each word's denominators divided out once."""
+def ansatz_weights(rep: MPRepresentation, L: int) -> list:
+    """<W| prod_i ((1-tau_i) E + tau_i D) |V> over all 2^L configurations,
+    sharing prefixes, in integers: W and V over common denominators and the
+    int tables of E and D, each word's denominators divided out once."""
     ops = rep.letters["E"], rep.letters["D"]
     W, dW = integer_vector(rep.W)
     V, dV = integer_vector(rep.V)
@@ -379,13 +261,6 @@ def _contract_all_words(rep: MPRepresentation, L: int) -> list:
 
     walk(W, dW * dV, 0)
     return out
-
-
-def ansatz_weights(rep: MPRepresentation | RDRepresentation, L: int) -> list:
-    """<W| prod_i ((1-tau_i) E + tau_i D) |V> over all 2^L configurations."""
-    if isinstance(rep, RDRepresentation):
-        return rep.contract([Fraction(1)] * L)   # E, D = A(1) components
-    return _contract_all_words(rep, L)
 
 
 def steady_from_ansatz(rep: MPRepresentation, L: int) -> Distribution:
@@ -404,113 +279,111 @@ def steady_from_ansatz(rep: MPRepresentation, L: int) -> Distribution:
     return Distribution(L=L, weights=tuple(weights), Z=Z)
 
 
-def steady_ansatz(model: ModelDescriptor, L: int,
-                  cap: int = CAP) -> Distribution:
-    """The matrix-ansatz stationary distribution: TASEP contracts the DEHP
-    representation at N = L + 1, where it is exact; RD runs the truncation
-    loop ``rd_steady_converged`` up to ``cap``."""
+def steady_ansatz(model: ModelDescriptor, L: int) -> Distribution:
+    """The exact matrix-ansatz stationary distribution: TASEP contracts the
+    DEHP representation at N = L + 1, RD its algebra at theta = 1
+    (inhomogeneous_state).  A_+(1) + A_-(1) = 2 G2, so the RD weights, in
+    units of <W| G2^L |V>, sum to Z = 2^L."""
     if model.name == m.TASEP:
         rep = tasep_representation(model.alpha, model.beta, L + 1)
         return steady_from_ansatz(rep, L)
     if model.name == m.RD:
-        return rd_steady_converged(model, L, cap)[0]
+        weights = inhomogeneous_state(model, [1] * L)
+        return Distribution(L=L, weights=tuple(weights), Z=Fraction(1 << L))
     raise m.UnsupportedError("ansatz steady state exists for tasep and rd only")
 
 
-def truncation_rounds(L: int, cap: int = CAP):
-    """The truncation Ns of the RD convergence loops at chain length L:
-    N = max(L + 4, 6) first, then N -> N + max(4, N // 4) while N <= cap.
-    The stop typically overshoots the N actually needed by about one step;
-    at the rd-truncation cells all rounds cost 2.0-2.7x the last one."""
-    N = max(L + 4, 6)
-    if N > cap:
-        raise ValueError(f"truncation cap {cap} is below the first round's "
-                         f"N={N}")
-    while N <= cap:
-        yield N
-        N += max(4, N // 4)
-
-
-def rd_steady_converged(model, L: int, cap: int = CAP):
-    """(Distribution, meta) after raising N over ``truncation_rounds``
-    until two successive iterates agree to relative 1e-12 (``_close``,
-    cross-multiplied integers).  Every round builds its own
-    representation of the RD model's rates."""
-    history = []            # (N, Z) of every round, for the error message
-    prev = None             # the last round's w / Z and Z, as _ratio pairs
-    for N in truncation_rounds(L, cap):
-        rep = rd_representation(model.kappa, model.alpha, model.beta,
-                                model.gamma, model.delta, N)
-        if not history and not rd_convergence_ok(rep.meta, L):
-            raise ValueError("normalization series violates the convergence "
-                             "conditions at this L")
-        weights = ansatz_weights(rep, L)
-        Z = sum(weights)
-        probs = [_ratio(w, Z) for w in weights] + [_ratio(Z, 1)] if Z \
-            else None
-        if prev and probs and all(map(_close, prev, probs)):
-            return (Distribution(L=L, weights=tuple(weights), Z=Z),
-                    {"N": N, "N_prev": history[-1][0], "converged": True})
-        prev = probs
-        history.append((N, Z))
-    raise ValueError(f"no truncation convergence up to N={cap}; "
-                     + _last_rounds(history, "Z"))
-
-
-def _last_rounds(history, what: str) -> str:
-    """The last two rounds' values of a failed convergence loop."""
-    if len(history) == 1:
-        (N, v), = history
-        return f"only one round (N={N}, {what} {float(v)}) fits under the cap"
-    (N1, v1), (N2, v2) = history[-2:]
-    return (f"last two {what} values {float(v1)} (N={N1}) and "
-            f"{float(v2)} (N={N2})")
-
-
-def _ratio(x, y) -> tuple:
-    """x / y as the unreduced pair (numerator, denominator): no gcd."""
-    return x.numerator * y.denominator, x.denominator * y.numerator
-
-
-def _close(p1: tuple, p2: tuple) -> bool:
-    """|p1 - p2| <= REL_TOL |p2| for two _ratio pairs, cross-multiplied."""
-    (n1, d1), (n2, d2) = p1, p2
-    return abs(n1 * d2 - n2 * d1) * REL_TOL.denominator <= \
-        REL_TOL.numerator * abs(n2 * d1)
-
-
-def inhomogeneous_state(rep: RDRepresentation, thetas) -> list:
-    """The 2^L-component contraction <W| A_1(th_1)...A_L(th_L) |V>."""
+def inhomogeneous_state(model: ModelDescriptor, thetas) -> list:
+    """<W| A_1(th_1) ... A_L(th_L) |V> / <W| G2^L |V> for every choice of
+    component at each site, site 1 most significant, + before -: the exact
+    RD ansatz state, from the moment ratios of the model's rates."""
+    if model.name != m.RD:
+        raise m.UnsupportedError("the inhomogeneous ansatz state is RD's")
     thetas = [Fraction(t) for t in thetas]
     if any(t == 0 for t in thetas):
         raise PoleError("inhomogeneity theta = 0 hits the 1/x term")
-    if not isinstance(rep, RDRepresentation):
-        raise ValueError("ansatz vector requires the RD representation")
-    return rep.contract(thetas)
+    co = rd_boundary_coefficients(model.kappa, model.alpha, model.beta,
+                                  model.gamma, model.delta)
+    M, den = _moment_ratios(co, len(thetas))
+    return _contract(M, den, co["phi"], thetas)
 
 
-def rd_inhomogeneous_converged(model, thetas, cap: int = CAP):
-    """(state, meta): the inhomogeneous ansatz state, with N raised over
-    ``truncation_rounds`` until two successive max-normalized iterates
-    agree to relative 1e-12."""
-    thetas = tuple(Fraction(t) for t in thetas)
-    history = []            # (N, max-norm) of every round
-    prev = None
-    for N in truncation_rounds(len(thetas), cap):
-        rep = rd_representation(model.kappa, model.alpha, model.beta,
-                                model.gamma, model.delta, N)
-        state = inhomogeneous_state(rep, thetas)
-        norm = max(state, key=abs)
-        if norm == 0:
-            raise ValueError("inhomogeneous state vanished under truncation")
-        scaled = [_ratio(s, norm) for s in state]
-        if prev is not None and all(map(_close, prev, scaled)):
-            return [s / norm for s in state], \
-                {"N": N, "N_prev": history[-1][0], "converged": True}
-        prev = scaled
-        history.append((N, norm))
-    raise ValueError(f"no truncation convergence up to N={cap} for the "
-                     "inhomogeneous state; " + _last_rounds(history, "norm"))
+def _moment_ratios(co: dict, L: int) -> tuple:
+    """([M[h(h+1)/2 + q] for h <= L, q <= h], den): the moments
+    mu_s(p, q) = <W| G2^s G1^p G3^q |V> = (M / den) <W| G2^L |V>,
+    p = h - q, s = L - h, for the boundary coefficients co.
+
+    Move one G1 to <W| (<W|G1 = <W|(a G3 + c G2)) and the G3 it makes to
+    |V> (G3|V> = (b G1 + d G2)|V>) through G2 G1 = phi G1 G2,
+    G3 G2 = phi G2 G3 and G1 G3 = G3 G1, and the term mu_s(p, q) comes
+    back: with den_s = 1 - a b phi^(2s),
+
+        den_s mu_s(p, q) = (c phi^s + a d phi^(2s+q-p+1)) mu_(s+1)(p-1, q),
+        den_s mu_s(0, q) = (b c phi^s + d phi^(q-1)) mu_(s+1)(0, q-1),
+
+    for p >= 1 and for q >= 1: each moment of the level is a rational
+    multiple of mu_L(0, 0).  Derrida, Evans, Hakim and Pasquier (J. Phys.
+    A 26, 1993) reduce every word to <W|V>; here the reduction stays within
+    the level, since <W|G2|V> / <W|V> is not rational in general."""
+    a, b, c, d, phi = (co[k] for k in ("a", "b", "c", "d", "phi"))
+    r = [Fraction(1)]
+    for h in range(1, L + 1):
+        s = L - h
+        den_s = 1 - a * b * phi ** (2 * s)
+        if den_s == 0:
+            raise ValueError(f"vanishing denominator 1 - a b phi^(2s) at "
+                             f"s = {s}: the RD moment recurrences divide by it")
+        prev = h * (h - 1) // 2     # the index of (h - 1 - q, q) at h - 1
+        r += [(c * phi ** s + a * d * phi ** (2 * s + 2 * q - h + 1)) /
+              den_s * r[prev + q] for q in range(h)]
+        r.append((b * c * phi ** s + d * phi ** (h - 1)) / den_s *
+                 r[prev + h - 1])
+    den = lcm(*(x.denominator for x in r))
+    return [x.numerator * (den // x.denominator) for x in r], den
+
+
+def _contract(M: list, den: int, phi: Fraction, thetas) -> list:
+    """<W| A_1(th_1) ... A_L(th_L) |V> for every choice of component at
+    each site, site 1 most significant, + before -, from the moments M / den
+    of _moment_ratios.  xn xd A(x) = xn xd G2 +- (xn^2 G1 + xd^2 G3),
+    x = xn/xd, and G1 G2 = G2 G1 / phi, G3 G2 = phi G2 G3 and
+    G1 G3 = G3 G1 move each G2 to the left: one at site j+1 after p G1's
+    and q G3's gains phi^(q-p), an integer times (pn pd)^j.  So a product
+    is sum c(p, q) G2^s G1^p G3^q, and its weight sum c(p, q) M(p, q) is
+    contracted from the last site back: a table over the (p, q) before a
+    site, two (+, -) after it."""
+    pn, pd = phi.numerator, phi.denominator
+    tables = [M]
+    for j in range(len(thetas) - 1, -1, -1):
+        xn, xd = thetas[j].numerator, thetas[j].denominator
+        w = (pn * pd) ** j
+        den *= xn * xd * w
+        s1, s3 = xn * xn * w, xd * xd * w
+        cs = [xn * xd * pn ** (j + 2 * q - h) * pd ** (j + h - 2 * q)
+              for h in range(j + 1) for q in range(h + 1)]
+        ys = [(h + 1) * (h + 2) // 2 + q      # the index of (p + 1, q)
+              for h in range(j + 1) for q in range(h + 1)]
+        parts = [([c * t for c, t in zip(cs, T)],       # diag, shift
+                  [s1 * T[y] + s3 * T[y + 1] for y in ys]) for T in tables]
+        tables = [[u + v for u, v in zip(*p)] for p in parts] + \
+            [[u - v for u, v in zip(*p)] for p in parts]
+    return [Fraction(T[0], den) for T in tables]
+
+
+def rd_steady_converged(*_):
+    """Nothing calls this: the RD steady state is exact (steady_ansatz).
+    perfbench/traced_cli.py still wraps the name in its ansatz.truncation
+    span; it goes with that span (ROADMAP item 4)."""
+    raise NotImplementedError("the RD truncation loop is gone: "
+                              "steady_ansatz is exact")
+
+
+def rd_inhomogeneous_converged(*_):
+    """Nothing calls this: the RD inhomogeneous state is exact
+    (inhomogeneous_state).  perfbench/traced_cli.py still wraps the name in
+    its ansatz.truncation span; it goes with that span (ROADMAP item 4)."""
+    raise NotImplementedError("the RD truncation loop is gone: "
+                              "inhomogeneous_state is exact")
 
 
 # ------------------------------------------------------- monodromy realization

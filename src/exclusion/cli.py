@@ -78,8 +78,7 @@ def _rational(text: str) -> Fraction:
 
 # Every option, by flag, read by build_parser and by _parse_plain.  --q and
 # --kappa have no default here: _model applies it for the one model that
-# has the rate.  --truncation-cap has none either, so that steady and
-# transfer can tell when it is given (_cap).
+# has the rate.
 _OPTIONS = {
     "--model": dict(required=True, choices=m.MODEL_NAMES),
     "--alpha": dict(type=_rational, default="1"),
@@ -95,7 +94,6 @@ _OPTIONS = {
     "--samples": dict(type=_positive_int, default=5),
     "--format": dict(default="csv", choices=("csv", "json")),
     "--exact": dict(action="store_true"),
-    "--truncation-cap": dict(type=int),
     "--method": dict(default="nullspace",
                      choices=("nullspace", "ansatz", "both")),
     "--asymptotics": dict(action="store_true"),
@@ -207,11 +205,6 @@ def _model(args) -> m.ModelDescriptor:
         raise UsageError(str(exc)) from None
 
 
-def _cap(args) -> int:
-    from .ansatz import CAP
-    return CAP if args.truncation_cap is None else args.truncation_cap
-
-
 def _emit(text: str, args):
     # argparse reads --out=-- as no value at all, an empty list, and --out=
     # as the empty name
@@ -314,16 +307,12 @@ def _steady_distributions(args, model):
             null_dist = steady_state_exact(build_markov(model, L))
         if "ansatz" in methods:
             from .ansatz import steady_ansatz
-            ansatz_dist = steady_ansatz(model, L, _cap(args))
+            ansatz_dist = steady_ansatz(model, L)
     return null_dist, ansatz_dist
 
 
 def cmd_steady(args) -> int:
     model = _model(args)
-    if args.truncation_cap is not None and \
-            (args.method == "nullspace" or model.name != m.RD):
-        raise UsageError("--truncation-cap is read by the RD ansatz "
-                         "method only")
     null_dist, ansatz_dist = _steady_distributions(args, model)
     primary = null_dist if null_dist is not None else ansatz_dist
     probs = primary.probabilities()
@@ -515,14 +504,12 @@ def cmd_transfer(args) -> int:
     if args.theta is not None and args.check == "markov-derivative":
         raise UsageError("markov-derivative is the homogeneous check: "
                          "it does not take --theta")
-    if args.truncation_cap is not None and \
-            args.check != "inhomogeneous-eigenvector":
-        raise UsageError("--truncation-cap is read by the "
-                         "inhomogeneous-eigenvector check only")
     L = args.L
-    # the slowest check, the RD inhomogeneous eigenvector at the default
-    # rates and theta = 3, 5, ..., 17, takes 2.1 s at L = 6 on 2 vCPU, most
-    # of it the truncation loop
+    # every check builds dense 2^L x 2^L transfer matrices, whose cost grows
+    # about 7x per site: the slowest, RD commutation and the RD
+    # inhomogeneous eigenvector at the default rates and theta = 3, 5, ...,
+    # take about 0.2 s at L = 6 in a fresh process on 2 vCPU, and 0.74 and
+    # 0.46 s in process at L = 7
     if L > 6:
         raise DomainError(f"transfer checks capped at L = 6, got L = {L}")
     if args.theta is not None and len(args.theta) != L:
@@ -548,7 +535,7 @@ def cmd_transfer(args) -> int:
         elif args.check == "conjugated":
             reports = tr.ssep_conjugated(spec, x)
         else:
-            reports = tr.check_rd_inhomogeneous_eigenvector(spec, _cap(args))
+            reports = tr.check_rd_inhomogeneous_eigenvector(spec)
     # transfer draws no random points: its report's seed is 0
     return _finish_reports(reports, args, model, 0, extra=extra)
 
@@ -591,11 +578,9 @@ def cmd_bench(args) -> int:
 # read by build_parser and by _parse_plain
 _COMMANDS = {
     "verify": (cmd_verify, ("--seed", "--samples")),
-    "steady": (cmd_steady, ("--L", "--format", "--exact", "--truncation-cap",
-                            "--method")),
+    "steady": (cmd_steady, ("--L", "--format", "--exact", "--method")),
     "profile": (cmd_profile, ("--L", "--format", "--exact", "--asymptotics")),
-    "transfer": (cmd_transfer, ("--L", "--theta", "--truncation-cap",
-                                "--check", "--x", "--x2")),
+    "transfer": (cmd_transfer, ("--L", "--theta", "--check", "--x", "--x2")),
     "bench": (cmd_bench, ("--L", "--format")),
 }
 

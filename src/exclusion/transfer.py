@@ -246,11 +246,10 @@ def _lambda_closed_form(model: ModelDescriptor, x, thetas) -> Fraction:
 
 
 def check_eigenpair(spec: TransferSpec, x, vector, side: str = "right",
-                    eigenvalue=None,
-                    tolerance: Fraction | None = None) -> CheckReport:
-    """t(x) v = lambda v (right) or v^T t(x) = lambda v^T (left), exactly,
-    or within a relative residual when a tolerance is given.  v is a 1 x 2^L
-    row, and the two sides are v t(x)^T or v t(x), and lambda v."""
+                    eigenvalue=None) -> CheckReport:
+    """t(x) v = lambda v (right) or v^T t(x) = lambda v^T (left), exactly.
+    v is a 1 x 2^L row, and the two sides are v t(x)^T or v t(x), and
+    lambda v."""
     model = spec.model
     if not any(vector):
         raise ValueError("eigenvector must be nonzero")
@@ -259,14 +258,7 @@ def check_eigenpair(spec: TransferSpec, x, vector, side: str = "right",
     t = build_transfer(spec, x)
     v = SparseMatrix([vector])
     got = v * t.transpose() if side == "right" else v * t
-    want = v.scale(lam)
-    if tolerance is not None:
-        # entries within the relative residual count as equal
-        bound = tolerance * max(abs(e) for e in vector)
-        pairs = [(got.get(0, c), want.get(0, c)) for c in range(len(vector))]
-        want = SparseMatrix([[g if abs(g - w) <= bound else w
-                              for g, w in pairs]])
-    return compare(model, f"transfer.eigen_{side}", (x,), got, want)
+    return compare(model, f"transfer.eigen_{side}", (x,), got, v.scale(lam))
 
 
 def left_eigen_ones(spec: TransferSpec, x) -> CheckReport:
@@ -295,19 +287,14 @@ def check_right_eigenvector(spec: TransferSpec, x, x0) -> CheckReport:
     return check_eigenpair(spec, x, eigenvector_from_nullspace(spec, x0))
 
 
-def check_rd_inhomogeneous_eigenvector(spec: TransferSpec,
-                                       cap: int | None = None) -> list:
-    """t(theta_j) S = S and t(1/theta_j) S = S, each within relative 1e-10,
-    for the RD inhomogeneous ansatz state S that the truncation loop
-    converges to, N capped at cap (ansatz.CAP when None)."""
+def check_rd_inhomogeneous_eigenvector(spec: TransferSpec) -> list:
+    """t(theta_j) S = S and t(1/theta_j) S = S, exactly, for the RD
+    inhomogeneous ansatz state S."""
     if spec.model.name != m.RD:
         raise m.UnsupportedError("inhomogeneous-eigenvector is the RD check")
-    from .ansatz import CAP, rd_inhomogeneous_converged
-    state, _ = rd_inhomogeneous_converged(
-        spec.model, spec.thetas, cap=CAP if cap is None else cap)
-    tol = Fraction(1, 10 ** 10)
-    return [check_eigenpair(spec, x, state, eigenvalue=Fraction(1),
-                            tolerance=tol)
+    from .ansatz import inhomogeneous_state
+    state = inhomogeneous_state(spec.model, spec.thetas)
+    return [check_eigenpair(spec, x, state, eigenvalue=Fraction(1))
             for theta in spec.thetas for x in (theta, 1 / theta)]
 
 

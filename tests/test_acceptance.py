@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the summary lines.
 Every equality below is exact rational equality unless a tolerance is part
-of the criterion (truncation-backed RD statements, the float relaxation).
+of the criterion (the float relaxation).
 """
 
 from fractions import Fraction as F
@@ -16,7 +16,6 @@ from exclusion.sampling import sample_points
 from reference import rd_current_balance
 
 RATES = dict(alpha=F(1), beta=F(1), gamma=F(1, 2), delta=F(1, 3))
-REL_10 = F(1, 10 ** 10)
 
 
 def models():
@@ -108,7 +107,8 @@ def test_acceptance_04_eigenvalue_formulas():
 
 def test_acceptance_05_ansatz_vs_oracle():
     bad = []
-    # TASEP: truncated DEHP contraction == nullspace, exactly
+    # TASEP: truncated DEHP contraction == nullspace, and the RD algebra's
+    # contraction too, exactly
     for al, be, Ls in ((F(1), F(1), range(1, 9)),
                        (F(1, 2), F(1, 3), range(1, 7)),
                        (F(2, 3), F(3, 5), range(1, 7))):
@@ -124,7 +124,7 @@ def test_acceptance_05_ansatz_vs_oracle():
         got = an.steady_ansatz(mdl, L).probabilities()
         dist = mk.steady_state_exact(ex.build_markov(mdl, L))
         want = dist.probabilities()
-        if not all(abs(g - w) <= REL_10 * abs(w) for g, w in zip(got, want)):
+        if got != want:
             bad.append(("rd ansatz", L))
         obs = mk.observables(dist, mdl)
         for i in range(1, L + 1):
@@ -134,17 +134,16 @@ def test_acceptance_05_ansatz_vs_oracle():
             if i <= L - 1:
                 pairs += [(cf["current_lat"], obs["current_lat"][i - 1]),
                           (cf["current_eva"], obs["current_eva"][i - 1])]
-            for g, w in pairs:
-                if abs(g - w) > REL_10 * max(abs(w), F(1)):
-                    bad.append(("rd closed form", L, i))
+            if any(g != w for g, w in pairs):
+                bad.append(("rd closed form", L, i))
     for L in (3, 10, 50, 100):
         for i in range(2, L):
             if rd_current_balance(F(3), RATES["alpha"], RATES["beta"],
                                      RATES["gamma"], RATES["delta"], L, i) != 0:
                 bad.append(("rd balance", L, i))
     announce(5, not bad,
-             "TASEP ansatz == nullspace exactly (L<=8); RD ansatz and closed "
-             f"forms within 1e-10; current balance exact to L=100 {bad}")
+             "TASEP and RD ansatz and RD closed forms == nullspace exactly "
+             f"(L<=8, L<=6); current balance exact to L=100 {bad}")
 
 
 def test_acceptance_06_rd_inhomogeneous_eigenvector():
@@ -152,16 +151,15 @@ def test_acceptance_06_rd_inhomogeneous_eigenvector():
     bad = []
     for thetas in ((F(3), F(5)), (F(3), F(5), F(7))):
         L = len(thetas)
-        state, meta = an.rd_inhomogeneous_converged(mdl, thetas)
+        state = an.inhomogeneous_state(mdl, thetas)
         spec = tr.TransferSpec(mdl, L, thetas)
         for t in thetas:
             for x in (t, 1 / t):
-                rep = tr.check_eigenpair(spec, x, state, eigenvalue=F(1),
-                                         tolerance=REL_10)
+                rep = tr.check_eigenpair(spec, x, state, eigenvalue=F(1))
                 if rep.status != vf.PASS:
                     bad.append((L, str(x), rep.status))
     announce(6, not bad,
-             f"t(theta_i)|S> = |S> and t(1/theta_i)|S> = |S> within 1e-10 {bad}")
+             f"t(theta_i)|S> = |S> and t(1/theta_i)|S> = |S> exactly {bad}")
 
 
 def test_acceptance_07_zf_gz():

@@ -10,9 +10,10 @@ import exclusion as ex
 import exclusion.ansatz as an
 import exclusion.markov as mk
 import exclusion.models as mo
+import exclusion.transfer as tr
 import exclusion.verifier as vf
 from exclusion.scalars import float_repr, format_rational
-from exclusion.tensor import SparseMatrix
+from exclusion.tensor import PoleError, SparseMatrix
 from certificates import exact, pins, recorded
 from reference import entries, entry, monodromy_components, \
     rd_current_balance, rows_apply, rows_apply_left, rows_product, rows_sum, \
@@ -244,33 +245,14 @@ def _closed_form_boundary(co, N):
     return W, V
 
 
-def _oracle_inhomogeneous(G, W, V, thetas):
-    """<W| A_1 ... A_L |V> word by word on the Fraction oracle."""
-    comps = [[_oracle_component(G, i, t) for i in (0, 1)] for t in thetas]
-    out = []
-    for word in product((0, 1), repeat=len(thetas)):
-        vec = list(W)
-        for site, i in enumerate(word):
-            vec = rows_apply_left(comps[site][i], vec)
-        out.append(sum(v * w for v, w in zip(vec, V)))
-    return out
-
-
-def _check_integer_tables(rep, L, thetas):
+def _check_integer_tables(rep, thetas):
+    # the tables of W, V and G2, and the stencil's A(x) at each theta
     N, phi = rep.N, rep.meta["phi"]
     W, V = _closed_form_boundary(rep.meta, N)
     assert _boundary_views(rep) == (W, V)
     assert [F(g, rep.S) for g in rep.g2] == [phi ** (n + m) for n in range(N)
                                              for m in range(N)]
-    G = _oracle_letters(rep, thetas)
-    words = ["".join(w) for w in product("ED", repeat=L)]
-    assert an.ansatz_weights(rep, L) == [_oracle_contract(G, W, V, w)
-                                         for w in words]
-    assert an.inhomogeneous_state(rep, thetas) == \
-        _oracle_inhomogeneous(G, W, V, thetas)
-    # no sites: the contraction is <W|V> itself
-    assert an.inhomogeneous_state(rep, ()) == \
-        [sum(w * v for w, v in zip(W, V))]
+    _oracle_letters(rep, thetas)
 
 
 RD_RATES = [(F(1, 2), F(2, 3), F(1, 3), F(1, 5)),
@@ -285,7 +267,7 @@ def test_rd_integer_tables_match_fraction_oracle(kappa, rates):
     thetas = (F(3, 2), F(2), F(-1, 3), F(5), F(-2, 7))
     for N, L in ((6, 2), (7, 3), (9, 4), (11, 5)):
         rep = an.rd_representation(kappa, *rates, N)
-        _check_integer_tables(rep, L, thetas[:L])
+        _check_integer_tables(rep, thetas[:L])
 
 
 positive = st.fractions(min_value=F(1, 9), max_value=4, max_denominator=9)
@@ -316,103 +298,71 @@ def test_rd_integer_tables_property(kappa, alpha, beta, gamma, delta, N,
             an.rd_representation(*rates, N)
         return
     rep = an.rd_representation(*rates, N)
-    _check_integer_tables(rep, len(thetas), thetas)
-
-
-@pytest.mark.parametrize("kappa, rates, N", [
-    (3, RD_RATES[0], 6), (F(1, 2), RD_RATES[1], 5), (4, RD_RATES[2], 3),
-    (2, RD_RATES[0], 2)])
-def test_rd_moments_match_the_word_oracle(kappa, rates, N):
-    # every normal-ordered moment on its own, so that a box limit that is
-    # off by one fails with its (L, p, q); N = 2 and 3 put p and q past it
-    rep = an.rd_representation(kappa, *rates, N)
-    G = _oracle_letters(rep)
-    W, V = _boundary_views(rep)
-    for L in range(5):
-        M, den = rep._moments(L)
-        for h in range(L + 1):
-            for q in range(h + 1):
-                p, d = h - q, L - h
-                word = ["G2"] * d + ["G1"] * p + ["G3"] * q
-                assert (L, p, q, F(M[h * (h + 1) // 2 + q], den)) == \
-                    (L, p, q, _oracle_contract(G, W, V, word))
+    _check_integer_tables(rep, thetas)
 
 
 def test_rd_steady_matches_nullspace():
     mdl = ex.rd(3, 1, 1, F(1, 2), F(1, 3))
-    tol = F(1, 10 ** 10)
     for L in (2, 3, 4):
         got = an.steady_ansatz(mdl, L).probabilities()
         want = mk.steady_state_exact(ex.build_markov(mdl, L)).probabilities()
-        assert all(abs(g - w) <= tol * abs(w) for g, w in zip(got, want))
+        assert got == want
 
 
-def test_truncation_rounds_grow_by_a_quarter():
-    assert list(an.truncation_rounds(2, 60)) == [6, 10, 14, 18, 22, 27, 33,
-                                                 41, 51]
-    assert list(an.truncation_rounds(8, 12)) == [12]
-    with pytest.raises(ValueError, match="truncation cap 11 is below"):
-        next(an.truncation_rounds(8, 11))
-
-
-# (kappa, rates) of the RD chains at which the truncation loop's stop is
-# checked against the exact nullspace, at L = 2, 3 and 4
-NEEDED_N_ROWS = [(3, (1, 1, 0, 0)),
-                 (3, (F(1, 2), F(2, 3), F(1, 3), F(1, 5))),
-                 (2, (F(1, 2), F(2, 3), F(1, 3), F(1, 5))),
-                 (F(1, 2), (F(3, 2), 2, F(1, 3), F(1, 5)))]
-
-
-def _assert_ansatz_within_rel_tol(kappa, rates, L):
-    mdl = ex.rd(kappa, *rates)
-    got = an.steady_ansatz(mdl, L).probabilities()
-    want = mk.steady_state_exact(ex.build_markov(mdl, L)).probabilities()
-    assert all(abs(g - w) <= an.REL_TOL * abs(w) for g, w in zip(got, want))
-
-
-@pytest.mark.parametrize("kappa, rates", NEEDED_N_ROWS)
-def test_rd_steady_stop_is_within_rel_tol_of_nullspace(kappa, rates):
-    # two successive iterates agreeing to REL_TOL is a sound stop only if
-    # the later one is itself that close to the exact weights
-    for L in (2, 3, 4):
-        _assert_ansatz_within_rel_tol(kappa, rates, L)
-
-
-rate = st.fractions(min_value=0, max_value=3, max_denominator=7)
-in_rate = st.fractions(min_value=F(1, 7), max_value=3, max_denominator=7)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=4)
-       .filter(lambda k: k != 1),
-       in_rate, in_rate, rate, rate, st.integers(2, 4))
-def test_rd_steady_stop_is_within_rel_tol_at_random_rates(kappa, alpha, beta,
-                                                          gamma, delta, L):
-    rates = (alpha, beta, gamma, delta)
-    co = an.rd_boundary_coefficients(kappa, *rates)
-    # |a|, |b|, |c|, |d| <= 3/4 bounds the boundary tails, and so the N
-    # reached and the cost of an example
-    assume(0 not in (co["c"], co["d"]))
-    assume(max(abs(co[k]) for k in "abcd") <= F(3, 4))
-    try:
-        rep = an.rd_representation(kappa, *rates, 6)
-    except ValueError:          # <W|V> = 0
-        assume(False)
-    assume(an.rd_convergence_ok(rep.meta, L))
-    _assert_ansatz_within_rel_tol(kappa, rates, L)
-
-
-def test_rd_convergence_conditions():
-    rep = an.rd_representation(3, 1, 1, 0, 0, 6)
-    assert an.rd_convergence_ok(rep.meta, 2)
-
-
-def test_rd_ansatz_is_near_stationary():
+def test_rd_ansatz_is_stationary():
     mdl = ex.rd(3, 1, 1, F(1, 2), F(1, 3))
     M = ex.build_markov(mdl, 3)
     probs = an.steady_ansatz(mdl, 3).probabilities()
-    resid = rows_apply(sparse_rows(M), probs)
-    assert max(abs(r) for r in resid) <= F(1, 10 ** 10)
+    assert rows_apply(sparse_rows(M), probs) == [0] * 8
+
+
+_any_rate = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+def _rd_or_none(kappa, alpha, beta, gamma, delta):
+    """The RD model at these rates, or None where the boundary coefficients
+    divide by zero, which neither the ansatz nor this test can take."""
+    try:
+        an.rd_boundary_coefficients(kappa, alpha, beta, gamma, delta)
+    except ValueError:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # negative rates warn
+        return ex.rd(kappa, alpha, beta, gamma, delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(min_value=-4, max_value=4, max_denominator=4)
+       .filter(lambda k: k not in (0, 1, -1)),
+       _any_rate, _any_rate, _any_rate, _any_rate, st.integers(1, 6))
+def test_rd_weights_equal_the_nullspace_at_random_rates(kappa, alpha, beta,
+                                                        gamma, delta, L):
+    # negative rates and |phi| > 1 (kappa < 0) included: the ansatz needs
+    # no convergent series, and c = 0, d = 0 or an exact zero weight are
+    # no special cases
+    mdl = _rd_or_none(kappa, alpha, beta, gamma, delta)
+    assume(mdl is not None)
+    try:
+        want = mk.steady_state_exact(ex.build_markov(mdl, L))
+    except (ValueError, ZeroDivisionError):     # no unique kernel
+        assume(False)
+    try:
+        got = an.steady_ansatz(mdl, L)
+    except ValueError as exc:
+        assert "vanishing denominator 1 - a b phi^(2s)" in str(exc)
+        return
+    assert got.probabilities() == want.probabilities()
+
+
+def test_a_vanishing_recurrence_factor_names_it():
+    # kappa = 3 (phi = 1/2) and a = b = 2 put 1 - a b phi^2 = 0: the chain
+    # of one site needs only s = 0, two sites need s = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mdl = ex.rd(3, -1, -1, -1, -1)
+    assert sum(an.steady_ansatz(mdl, 1).probabilities()) == 1
+    with pytest.raises(ValueError, match=r"1 - a b phi\^\(2s\) at s = 1:"):
+        an.steady_ansatz(mdl, 2)
 
 
 # --------------------------------------------------------------- closed forms
@@ -786,25 +736,60 @@ def test_rd_friedel_oscillations():
 # ------------------------------------------------------------ inhomogeneous
 
 def test_inhomogeneous_state_reduces_to_steady():
-    rep = an.rd_representation(3, 1, 1, 0, 0, 10)
-    state = an.inhomogeneous_state(rep, (F(1), F(1)))
-    weights = an.ansatz_weights(rep, 2)
-    assert state == weights
+    mdl = ex.rd(3, 1, 1, 0, 0)
+    state = an.inhomogeneous_state(mdl, (F(1), F(1)))
+    assert state == list(an.steady_ansatz(mdl, 2).weights)
+    # no sites: the contraction is <W|V> in units of itself
+    assert an.inhomogeneous_state(mdl, ()) == [1]
 
 
 def test_inhomogeneous_state_theta_zero_rejected():
-    rep = an.rd_representation(3, 1, 1, 0, 0, 6)
-    with pytest.raises(Exception):
-        an.inhomogeneous_state(rep, (F(0), F(1)))
+    with pytest.raises(PoleError, match="theta = 0"):
+        an.inhomogeneous_state(ex.rd(3, 1, 1, 0, 0), (F(0), F(1)))
+
+
+def test_inhomogeneous_state_is_the_rd_state():
+    with pytest.raises(mo.UnsupportedError):
+        an.inhomogeneous_state(ex.ssep(1, 1, 0, 0), (F(2),))
 
 
 def test_partition_function_theta_inversion_invariance():
     # Z_L(theta), the sum of the inhomogeneous state, is unchanged by
-    # theta_j -> 1/theta_j
-    rep = an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 12)
-    z1, z2, z3 = (sum(an.inhomogeneous_state(rep, thetas)) for thetas in
+    # theta_j -> 1/theta_j: A_+(x) + A_-(x) = 2 G2 at every x, so it is 2^L
+    mdl = ex.rd(3, 1, 1, F(1, 2), F(1, 3))
+    z1, z2, z3 = (sum(an.inhomogeneous_state(mdl, thetas)) for thetas in
                   ((F(2), F(3)), (F(1, 2), F(3)), (F(2), F(1, 3))))
-    assert z1 == z2 == z3
+    assert z1 == z2 == z3 == 4
+
+
+_theta = st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(
+    bool)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.fractions(min_value=-4, max_value=4, max_denominator=4)
+       .filter(lambda k: k not in (0, 1, -1)),
+       _any_rate, _any_rate, _any_rate, _any_rate,
+       st.lists(_theta, min_size=1, max_size=4))
+def test_inhomogeneous_state_is_an_exact_eigenpair(kappa, alpha, beta, gamma,
+                                                   delta, thetas):
+    # t(theta_j) S = S and t(1/theta_j) S = S with no tolerance; a pole of
+    # t at a theta is the point's, not the state's
+    mdl = _rd_or_none(kappa, alpha, beta, gamma, delta)
+    assume(mdl is not None)
+    try:
+        state = an.inhomogeneous_state(mdl, thetas)
+    except ValueError as exc:
+        assert "vanishing denominator 1 - a b phi^(2s)" in str(exc)
+        return
+    spec = tr.TransferSpec(mdl, len(thetas), thetas)
+    for theta in thetas:
+        for x in (theta, 1 / theta):
+            try:
+                rep = tr.check_eigenpair(spec, x, state, eigenvalue=1)
+            except ZeroDivisionError:
+                continue
+            assert rep.status == vf.PASS, (x, rep)
 
 
 # --------------------------------------------------------------- ZF relation

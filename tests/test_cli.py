@@ -8,6 +8,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
@@ -81,8 +82,8 @@ def test_steady_both_methods_rd(capsys):
                     "--L", "3", "--method", "both", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert all(float(w["rel_diff"]) <= 1e-10 for w in doc["weights"])
-    assert float(doc["max_rel_diff"]) <= 1e-10
+    assert all(w["rel_diff"] == "0" for w in doc["weights"])
+    assert doc["max_rel_diff"] == "0"
 
 
 def test_steady_ansatz_unsupported_model(capsys):
@@ -173,25 +174,6 @@ def test_transfer_inhomogeneous_eigenvector(capsys, monkeypatch):
     assert built == [F(2), F(1, 2), F(5), F(1, 5)]
 
 
-def test_truncation_cap_nonconvergence_exits_3(capsys):
-    code, _ = run(capsys, "transfer", "--model", "rd", "--kappa", "2",
-                  "--L", "2", "--theta", "2,5",
-                  "--check", "inhomogeneous-eigenvector",
-                  "--truncation-cap", "12")
-    assert code == 3
-
-
-@pytest.mark.parametrize("cap", ["0", "5", "-3"])
-def test_truncation_cap_below_first_round_exits_3(capsys, cap):
-    # at L = 2 the first truncation round is N = 6
-    code = main(["steady", "--model", "rd", "--method", "ansatz", "--L", "2",
-                 f"--truncation-cap={cap}"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert f"truncation cap {cap} is below" in captured.err
-
-
 def test_transfer_theta_pole_collision_exits_3(capsys):
     # at kappa=3 the dual boundary matrix has a genuine pole at x = 1/2
     code, _ = run(capsys, "transfer", "--model", "rd", "--kappa", "3",
@@ -264,13 +246,14 @@ def test_exact_beyond_digit_limit_exits_3(capsys, monkeypatch):
 
 @pytest.mark.parametrize("method", ["ansatz", "both"])
 def test_steady_exact_beyond_digit_limit_exits_3(capsys, method):
-    # the RD ansatz weights at the default rates carry about 1000 digits;
-    # with both methods max_rel_diff is the first cell formatted
+    # at kappa = 2 + 10^-330 the exact RD weights carry 662 digits; with
+    # both methods max_rel_diff, 0, is the first cell formatted
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
         code = main(["steady", "--model", "rd", "--L", "2", "--method",
-                     method, "--exact"])
+                     method, "--exact", f"--kappa={2 * 10 ** 330 + 1}/"
+                     f"{10 ** 330}"])
     finally:
         sys.set_int_max_str_digits(limit)
     captured = capsys.readouterr()
@@ -389,8 +372,6 @@ def test_profile_vanishing_boundary_factor_exits_3(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("--model", "rd", "--alpha", "1", "--gamma", "1"), "c = 0 or d = 0"),
-    (("--model", "rd", "--kappa", "-3"), "|phi| >= 1"),
     (("--model", "asep", "--q", "1/3"),
      "pole collision: transfer factor Ktilde_0"),
     (("--model", "rd", "--kappa=-1/2"), VANISHING_LEFT)])
@@ -444,45 +425,32 @@ def _count_rd_builds(monkeypatch) -> list:
     return builds
 
 
-def _exact_weights_within_rel_tol(out, model, L):
+def _exact_weights_are_the_nullspaces(out, model, L) -> bool:
     # the config,weight block of an --exact steady csv against the nullspace
     got = [F(row[1]) for row in csv.reader(out.splitlines()[1:2 ** L + 1])]
     want = ex.steady_state_exact(ex.build_markov(model, L)).probabilities()
-    return all(abs(g - w) <= an.REL_TOL * abs(w) for g, w in zip(got, want))
+    return got == want
 
 
-def test_rd_ansatz_steady_reuses_the_rates_representation(capsys, monkeypatch):
-    # the representation steady builds for its rates serves the first
-    # truncation round
+def test_rd_ansatz_builds_no_representation(capsys, monkeypatch):
+    # the exact RD state is contracted in the algebra: steady and bench
+    # build no truncated representation
     builds = _count_rd_builds(monkeypatch)
     code, out = run(capsys, "steady", "--model", "rd", "--L", "3",
                     "--method", "ansatz", "--exact")
     assert code == 0
-    assert builds == [7, 11, 15, 19]  # one build per round, none extra
-    assert _exact_weights_within_rel_tol(out, ex.rd(3, 1, 1, 0, 0), 3)
+    assert _exact_weights_are_the_nullspaces(out, ex.rd(3, 1, 1, 0, 0), 3)
     assert _sha256(out) == \
-        "dfa57a4d1a922624cdc32b9deefb6d5d63d1e6e5383c746144077283808035c9"
-
-
-def test_rd_truncation_builds_only_its_rounds(capsys, monkeypatch):
-    # the loop builds every round's representation itself, and nothing
-    # outside it builds one: the library call and bench alike build exactly
-    # truncation_rounds(L) up to the stop
-    builds = _count_rd_builds(monkeypatch)
-    _, meta = an.rd_steady_converged(ex.rd(3, 1, 1, 0, 0), 3)
-    rounds = list(an.truncation_rounds(3))
-    assert builds == rounds[:rounds.index(meta["N"]) + 1] == [7, 11, 15, 19]
-    builds.clear()
+        "9eb5a33552439bcd2d8dc83302c01f9c97b0eb3595767267cda211071b6b496c"
     code, _ = run(capsys, "bench", "--model", "rd", "--L", "3")
     assert code == 0
-    assert builds == [7, 11, 15, 19]
+    assert builds == []
 
 
-def test_rd_ansatz_exact_at_the_defaults_fits_the_digit_limit(capsys,
-                                                              monkeypatch):
-    # kappa = 3, L = 2 needs N near 32; a stop at N = 96 gives Z a
-    # 5601-digit denominator, past the limit of an --exact cell
-    builds = _count_rd_builds(monkeypatch)
+def test_rd_ansatz_exact_at_the_defaults_fits_the_digit_limit(capsys):
+    # the truncation loop stopped at N = 41 here, and an --exact cell of
+    # its approximant needed more than 4300 digits; the exact weights are
+    # rationals of two digits
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
@@ -491,20 +459,63 @@ def test_rd_ansatz_exact_at_the_defaults_fits_the_digit_limit(capsys,
     finally:
         sys.set_int_max_str_digits(limit)
     assert code == 0
-    assert builds[-1] == 41
-    assert _exact_weights_within_rel_tol(out, ex.rd(3, 1, 1, 0, 0), 2)
+    assert _exact_weights_are_the_nullspaces(out, ex.rd(3, 1, 1, 0, 0), 2)
 
 
-@pytest.mark.parametrize("cap, rounds", [
-    ("12", "3.2617043950943287 (N=6) and 3.2617043828476113 (N=10)"),
-    ("9", "only one round (N=6, Z 3.2617043950943287) fits under the cap")])
-def test_rd_ansatz_nonconvergence_names_the_last_rounds(capsys, cap, rounds):
-    code = main(["steady", "--model", "rd", "--method", "ansatz", "--L", "2",
-                 "--truncation-cap", cap])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert f"no truncation convergence up to N={cap}; " in err
-    assert rounds in err
+# RD rates that the truncation loop could not take: an exact zero weight
+# never converged, two rate sets ran every round to N = 235 and exited 3,
+# c = 0 and |phi| >= 1 had no closed-form boundary vectors
+_RD_FOUND_STEADY = [
+    ("--beta=0", "--delta=1", "--kappa", "2", "--L", "1"),
+    ("--alpha=-1", "--beta=1/2", "--gamma=-2/3", "--kappa=3/2", "--exact")]
+_RD_FOUND_BENCH = [
+    ("--alpha=-1/2", "--kappa=3", "--L", "2"),
+    ("--alpha=1/2", "--beta=3/2", "--gamma=100", "--delta=-3"),
+    ("--alpha", "1", "--gamma", "1", "--L", "2"),
+    ("--kappa", "-3", "--L", "2")]
+
+
+@pytest.mark.parametrize("argv", _RD_FOUND_STEADY, ids=["zero-weight",
+                                                        "negative-rates"])
+def test_rd_ansatz_takes_the_rates_the_loop_could_not(capsys, argv):
+    for method in ("ansatz", "both"):
+        t0 = time.monotonic()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # negative rates warn
+            code, out = run(capsys, "steady", "--model", "rd", *argv,
+                            "--method", method)
+        assert (code, method) == (0, method)
+        assert time.monotonic() - t0 < 1
+    assert _max_rel_diff(out) == 0
+
+
+@pytest.mark.parametrize("argv", _RD_FOUND_BENCH, ids=[
+    "negative-alpha", "negative-delta", "c0", "phi2"])
+def test_rd_bench_takes_the_rates_the_loop_could_not(capsys, monkeypatch,
+                                                     argv):
+    clock = (7.0 ** k * 1e-7 for k in itertools.count())
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: next(clock))
+    t0 = time.monotonic()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out = run(capsys, "bench", "--model", "rd", *argv)
+    assert code == 0
+    assert time.monotonic() - t0 < 1
+    assert "steady_ansatz,rd," in out
+
+
+def test_a_vanishing_rd_recurrence_factor_exits_3(capsys):
+    # kappa = 3 (phi = 1/2) and a = b = 2 put 1 - a b phi^2 = 0 at s = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["steady", "--model", "rd", "--alpha=-1", "--beta=-1",
+                     "--gamma=-1", "--delta=-1", "--L", "2", "--method",
+                     "ansatz"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (
+        "domain error: vanishing denominator 1 - a b phi^(2s) at s = 1: "
+        "the RD moment recurrences divide by it\n")
 
 
 _R = ("--alpha", "1/2", "--beta", "2/3", "--gamma", "1/3", "--delta", "1/5")
@@ -574,9 +585,9 @@ _RD = ("--model", "rd", "--kappa", "2", "--alpha", "3/2", "--beta", "2",
       "--check", "eigenvalue", "--x", "3", "--x2", "5"),
      "0d150e555ebd08287c76c6c738f1b3199ab32acd40331067f8877a5993402968"),
     (("steady", *_RD, "--format", "csv"),
-     "c2e327e1c16f221a0fa64ee0ee5eea6f2f87c1a3bf79d17e44f7334528c14a7d"),
+     "c11f19e7a47ff3f4133b1313acfe8fb7ae3590a2fa76719547996da81f2330ba"),
     (("steady", *_RD, "--format", "json"),
-     "c88869e95d67d4642e9f7a2d10f6558040670cffc38a99cc28d5f316e804a506"),
+     "15276d0072eb0477cb77633ac36cf4c12f8492615dfde0fdbed2ee33c20a10c3"),
     # float cells of the nullspace weights and observables
     (("steady", "--model", "asep", "--q", "3", *_R, "--L", "6",
       "--format", "csv"),
@@ -668,8 +679,8 @@ def test_output_bytes_are_pinned(capsys, argv, digest):
     # how a check becomes a report or a row becomes a cell shows here
     code, out = run(capsys, *argv)
     assert code == 0
-    if "both" in argv:      # the RD ansatz stop stays within REL_TOL
-        assert _max_rel_diff(out) <= an.REL_TOL
+    if "both" in argv:      # the RD ansatz is exact
+        assert _max_rel_diff(out) == 0
     assert _sha256(out) == digest
 
 
@@ -934,13 +945,13 @@ _COMMON_OPTIONS = {"--model", "--alpha", "--beta", "--gamma", "--delta", "--q",
                    "--kappa", "--out"}
 _OWN_OPTIONS = {
     "verify": {"--seed", "--samples"},
-    "steady": {"--L", "--format", "--exact", "--truncation-cap", "--method"},
+    "steady": {"--L", "--format", "--exact", "--method"},
     "profile": {"--L", "--format", "--exact", "--asymptotics"},
-    "transfer": {"--L", "--theta", "--truncation-cap", "--check", "--x",
-                 "--x2"},
+    "transfer": {"--L", "--theta", "--check", "--x", "--x2"},
     "bench": {"--L", "--format"},
 }
-# the options every subcommand took before each got only those it reads
+# the options every subcommand took before each got only those it reads;
+# --truncation-cap is read by none since the RD ansatz is exact
 _FORMERLY_SHARED = _COMMON_OPTIONS | {"--L", "--theta", "--seed", "--samples",
                                       "--format", "--exact", "--truncation-cap"}
 _REMOVED = [(command, flag) for command, own in _OWN_OPTIONS.items()
@@ -961,10 +972,11 @@ def _parser_options() -> dict:
 def test_each_subcommand_takes_exactly_the_options_it_reads():
     assert _parser_options() == {name: _COMMON_OPTIONS | own
                                  for name, own in _OWN_OPTIONS.items()}
-    # 5 x 15 shared options plus 5 subcommand-specific ones before; 59 now,
-    # transfer's --seed, which drew nothing, gone too
-    assert len(_REMOVED) == 21
-    assert sum(map(len, _parser_options().values())) == 59
+    # 5 x 15 shared options plus 5 subcommand-specific ones before; 57 now,
+    # transfer's --seed, which drew nothing, gone too, and --truncation-cap
+    # from steady and transfer
+    assert len(_REMOVED) == 23
+    assert sum(map(len, _parser_options().values())) == 57
 
 
 def _captured(call, *args):
@@ -1216,11 +1228,11 @@ def test_a_transfer_pole_exits_3_with_its_message(capsys, check, argv, line):
 
 
 # (check, option) pairs the check does not read; --x and --x2 stay
-# accepted by every check
+# accepted by every check, and --truncation-cap by none
 _UNREAD_BY_CHECK = [("markov-derivative", "--theta")] + \
     [(check, "--truncation-cap") for check in (
         "commutation", "markov-derivative", "eigenvalue", "left-eigenvector",
-        "crossing", "conjugated")]
+        "crossing", "conjugated", "inhomogeneous-eigenvector")]
 
 
 @pytest.mark.parametrize("check, flag", _UNREAD_BY_CHECK,
@@ -1233,22 +1245,27 @@ def test_an_option_the_transfer_check_does_not_read_exits_2(capsys, check,
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("usage error: ")
+    if flag == "--theta":
+        assert captured.err.startswith("usage error: ")
+    else:       # argparse's own error: no subcommand takes the option
+        assert captured.err.endswith(
+            "error: unrecognized arguments: --truncation-cap 64\n")
 
 
 @pytest.mark.parametrize("argv", [
     ("--model", "asep", "--L", "2"),
     ("--model", "tasep", "--method", "ansatz"),
     ("--model", "ssep", "--method", "both"),
-    ("--model", "rd", "--method", "nullspace")])
+    ("--model", "rd", "--method", "nullspace"),
+    ("--model", "rd", "--method", "ansatz")])
 def test_a_truncation_cap_steady_does_not_read_exits_2(capsys, argv):
-    # steady reads the cap only in the RD ansatz
+    # the RD ansatz is exact, so steady reads no cap: argparse refuses it
     code = main(["steady", *argv, "--truncation-cap", "64"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == ("usage error: --truncation-cap is read by the RD "
-                            "ansatz method only\n")
+    assert captured.err.endswith(
+        "error: unrecognized arguments: --truncation-cap 64\n")
 
 
 def test_more_samples_than_the_pool_holds_exit_3(capsys, monkeypatch):

@@ -53,8 +53,9 @@ def _counted(argv, hash_seed) -> list:
      "markov-derivative"],
     # the kron boundary row and column, and the 1 x 1 compare
     ["transfer", "--model", "ssep", "--L", "3", "--check", "conjugated"],
-    # the RD truncation rounds: moments, normal-ordered contraction and the
-    # integer convergence test (kappa = 3 puts a pole of Ktilde at x = 1/2)
+    # the exact RD ansatz: the moment ratios and the normal-ordered
+    # contraction, then the exact eigenpair check (kappa = 3 puts a pole of
+    # Ktilde at x = 1/2)
     ["steady", "--model", "rd", "--L", "4", "--method", "ansatz", "--exact"],
     ["transfer", "--model", "rd", "--kappa", "2", "--L", "3", "--theta",
      "2,5,7", "--check", "inhomogeneous-eigenvector"]],

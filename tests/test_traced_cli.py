@@ -5,6 +5,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from exclusion import ansatz, tensor
 
 TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
@@ -57,32 +59,38 @@ def test_transfer_trace_keeps_its_layers(monkeypatch, capsys):
     assert calls["models.k_matrix"] == 4
 
 
-def test_rd_steady_trace_sees_every_build_in_the_loop(monkeypatch, capsys):
-    # every representation is built inside the truncation span, so
-    # final_round_s starts at the last round's build
+@pytest.mark.parametrize("argv", [
+    ["steady", "--model", "rd", "--L", "3", "--method", "ansatz"],
+    ["transfer", "--model", "rd", "--kappa", "2", "--L", "2", "--theta",
+     "2,5", "--check", "inhomogeneous-eigenvector"]],
+    ids=["steady-ansatz", "inhomogeneous-eigenvector"])
+def test_rd_ansatz_trace_records_one_contraction(monkeypatch, capsys, argv):
+    # the exact RD state is one contraction under ansatz.contract; the
+    # truncation span's two names are stubs that nothing calls, so its
+    # counters, which read a round's N, stay at zero
     traced = _load()
     _undo_on_exit(monkeypatch)
-    builds = []
-    real = ansatz.rd_representation
-
-    def recorded(*args):
-        builds.append(args[-1])
-        return real(*args)
-
-    monkeypatch.setattr(ansatz, "rd_representation", recorded)
     tracer = traced.Tracer()
     tracer.install()
-    code = traced.exclusion.cli.main(["steady", "--model", "rd", "--L", "3",
-                                      "--method", "ansatz"])
+    code = traced.exclusion.cli.main(argv)
     assert code == 0
     capsys.readouterr()
     calls = {name: agg[0] for name, agg in tracer.names.items()}
-    edges = {edge: agg[0] for edge, agg in tracer.edges.items()}
-    assert calls["ansatz.truncation"] == 1
-    assert tracer.counters["N_final_sum"] == builds[-1]
-    assert edges["ansatz.truncation>ansatz.rd_representation"] == \
-        calls["ansatz.rd_representation"] == len(builds)
-    assert "cli>ansatz.rd_representation" not in edges
+    assert calls["ansatz.contract"] == 1
+    assert "ansatz.truncation" not in calls
+    assert "ansatz.rd_representation" not in calls
+    assert tracer.counters["truncation_runs"] == 0
+
+
+def test_the_truncation_span_names_are_distinct_stubs():
+    # the tracer swaps every binding that is the wrapped function, so an
+    # alias of a live function would put the truncation span on it
+    stubs = ansatz.rd_steady_converged, ansatz.rd_inhomogeneous_converged
+    assert stubs[0] is not stubs[1]
+    assert not {ansatz.steady_ansatz, ansatz.inhomogeneous_state} & set(stubs)
+    for stub in stubs:
+        with pytest.raises(NotImplementedError):
+            stub()
 
 
 def test_steady_trace_records_the_generator_build(monkeypatch, capsys):
