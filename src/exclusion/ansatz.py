@@ -51,18 +51,18 @@ class RDRepresentation:
         V[n,m] = Cv[m-n+N-1] Bv[n] / dV,
         G2[n,m] = g2[n*N+m] / S,   G1, G3 the unit shifts n+1 and m-1,
 
-    with T of rd_representation.  It serves the ZF and GZ records: as an
-    operator, A(x) is only the stencil _rd_stencil on integer rows, which
-    the boundary relations and the exchange relation read.  The steady and
-    inhomogeneous states do not use it (inhomogeneous_state).  (A plain
-    class, not a named tuple like the package's other records: Wn and
-    model cache on the instance dict.)
+    as rd_representation builds them.  It serves the ZF and GZ records: as
+    an operator, A(x) is only the stencil _rd_stencil on integer rows,
+    which the boundary relations and the exchange relation read.  The
+    steady and inhomogeneous states do not use it (inhomogeneous_state).
+    (A plain class, not a named tuple like the package's other records: Wn
+    and model cache on the instance dict.)
     """
-    def __init__(self, N, meta, Cw, Aw, dW, Cv, Bv, dV, T, g2, S):
+    def __init__(self, N, meta, Cw, Aw, dW, Cv, Bv, dV, g2, S):
         self.N, self.meta = N, meta
         self.Cw, self.Aw, self.dW = Cw, Aw, dW
         self.Cv, self.Bv, self.dV = Cv, Bv, dV
-        self.T, self.g2, self.S = T, g2, S
+        self.g2, self.S = g2, S
         V = (Cv[mm - n + N - 1] * Bv[n] for n in range(N) for mm in range(N))
         if sum(w * v for w, v in zip(self.Wn, V)) == 0:
             raise ValueError("degenerate representation: <W|V> = 0")
@@ -239,7 +239,7 @@ def rd_representation(kappa, alpha, beta, gamma, delta, N: int) -> RDRepresentat
             "delta": Fraction(delta), **co}
     return RDRepresentation(N, meta, tuple(Cw), tuple(Aw),
                             sw * pd ** emax * T, tuple(Cv),
-                            tuple(Bv), sv * pd ** emax * T, T, g2,
+                            tuple(Bv), sv * pd ** emax * T, g2,
                             pd ** (2 * N - 2))
 
 
