@@ -163,14 +163,6 @@ def _oracle_derivative(G, i):
     return rows_sum([(sign, G["G1"]), (-sign, G["G3"])])
 
 
-def _oracle_contract(G, W, V, word):
-    """<W| X_1 ... X_k |V> word by word on the oracle's letters."""
-    vec = list(W)
-    for letter in word:
-        vec = rows_apply_left(G[letter], vec)
-    return sum(v * w for v, w in zip(vec, V))
-
-
 def _boundary_views(rep):
     """The package's W and V as Fractions, read off its integer tables."""
     N = rep.N
