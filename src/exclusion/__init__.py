@@ -25,10 +25,9 @@ _EXPORTS = {
                  "check_crossing_symmetry_t", "check_eigenpair",
                  "lambda_eigenvalue", "markov_from_transfer",
                  "ssep_conjugated"),
-    "ansatz": ("MPRepresentation", "MonodromyRealization", "RDRepresentation",
-               "gz_relations", "inhomogeneous_state", "rd_closed_forms",
-               "rd_representation", "steady_ansatz", "steady_from_ansatz",
-               "tasep_representation", "zf_relations"),
+    "ansatz": ("MPRepresentation", "MonodromyRealization", "gz_relations",
+               "inhomogeneous_state", "rd_closed_forms", "steady_ansatz",
+               "steady_from_ansatz", "tasep_representation", "zf_relations"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

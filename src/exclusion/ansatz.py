@@ -8,24 +8,24 @@ is contracted in its algebra, with no representation: the boundary and
 exchange relations take every moment <W| G2^s G1^p G3^q |V> at level
 s + p + q = L to an exact rational multiple of <W| G2^L |V>
 (_moment_ratios), and each product of A(x)'s is normal-ordered into those
-moments (_contract).  The three-generator shift representation on a
-truncated N (x) N tensor space stays for the ZF and GZ records, which it
-satisfies exactly on its interior.  The Zamolodchikov relation is also
-realized exactly on monodromy matrices for ASEP, SSEP and TASEP.
+moments (_contract).  Its ZF and GZ records compare normal-ordered words
+G2^s G1^p G3^q (_word_product), so each Pass is an identity of the algebra
+itself.  The Zamolodchikov relation is also realized exactly on monodromy
+matrices for ASEP, SSEP and TASEP.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, partial
 from math import lcm, ldexp
+from operator import mul
 
 from . import models as m
 from .markov import Distribution
 from .models import ModelDescriptor
-from .tensor import PoleError, SparseMatrix, _block, _kept, \
-    integer_vector, kron
+from .tensor import PoleError, SparseMatrix, _block, integer_vector, kron
 
 PROFILE_BITS = 100                # mantissa width of the float profile
 _INF = float("inf")
@@ -41,99 +41,6 @@ class MPRepresentation(namedtuple("MPRepresentation", "letters W V N meta")):
             raise ValueError("degenerate representation: <W|V> = 0")
         return super().__new__(cls, letters, W, V, N,
                                {} if meta is None else meta)
-
-
-class RDRepresentation:
-    """The RD shift representation on the truncated N (x) N space, held as
-    integer tables over common denominators:
-
-        W[n,m] = Cw[n-m+N-1] Aw[m] / dW,
-        V[n,m] = Cv[m-n+N-1] Bv[n] / dV,
-        G2[n,m] = g2[n*N+m] / S,   G1, G3 the unit shifts n+1 and m-1,
-
-    as rd_representation builds them.  It serves the ZF and GZ records: as
-    an operator, A(x) is only the stencil _rd_stencil on integer rows,
-    which the boundary relations and the exchange relation read.  The
-    steady and inhomogeneous states do not use it (inhomogeneous_state).
-    (A plain class, not a named tuple like the package's other records: Wn
-    and model cache on the instance dict.)
-    """
-    def __init__(self, N, meta, Cw, Aw, dW, Cv, Bv, dV, g2, S):
-        self.N, self.meta = N, meta
-        self.Cw, self.Aw, self.dW = Cw, Aw, dW
-        self.Cv, self.Bv, self.dV = Cv, Bv, dV
-        self.g2, self.S = g2, S
-        V = (Cv[mm - n + N - 1] * Bv[n] for n in range(N) for mm in range(N))
-        if sum(w * v for w, v in zip(self.Wn, V)) == 0:
-            raise ValueError("degenerate representation: <W|V> = 0")
-
-    @cached_property
-    def model(self) -> ModelDescriptor:
-        """The RD model whose rates the representation carries, built once:
-        its forms are found by identity, and a negative rate warns once."""
-        meta = self.meta
-        return m.rd(meta["kappa"], meta["alpha"], meta["beta"], meta["gamma"],
-                    meta["delta"])
-
-    @cached_property
-    def Wn(self) -> tuple:
-        """dW W as one integer row, W[n,m] at n*N+m."""
-        N, Cw, Aw = self.N, self.Cw, self.Aw
-        return tuple(Cw[n - mm + N - 1] * Aw[mm] for n in range(N)
-                     for mm in range(N))
-
-    def _act(self, u, x) -> tuple:
-        """(<u|A_+(x), <u|A_-(x), S xn xd): both components of A(x), x =
-        xn/xd, applied to the integer row u, as integer rows over S xn xd
-        (1/x has the same scale, with xn^2 and xd^2 swapped)."""
-        xn, xd = x.numerator, x.denominator
-        g2 = self.g2 if xn * xd == 1 else [xn * xd * g for g in self.g2]
-        diag = list(u)
-        shift = _rd_stencil(diag, g2, self.S * xn * xn, self.S * xd * xd,
-                            self.N)
-        return ([d + s for d, s in zip(diag, shift)],
-                [d - s for d, s in zip(diag, shift)], self.S * xn * xd)
-
-    def components(self, x) -> list:
-        """[A_+(x), A_-(x)] as integer tables over the scale of _act; row r
-        is <e_r|A(x)."""
-        if x == 0:
-            raise PoleError("A(x) has a 1/x term; x must be nonzero")
-        dim = self.N * self.N
-        out = [[], []]
-        for r in range(dim):
-            e = [0] * dim
-            e[r] = 1
-            *rows, scale = self._act(e, x)
-            for X, row in zip(out, rows):
-                X.append((r, dict(enumerate(row))))
-        return [SparseMatrix._over((dim, dim), _kept(X), scale) for X in out]
-
-
-def _rd_stencil(vec, g2, s1, s3, N) -> list:
-    """One scaled site: returns shift and turns vec into diag in place, so
-    that vec A = diag + shift (first component) or diag - shift."""
-    up = vec[N:] + [0] * N                       # v[n+1, m]
-    left = []                                    # v[n, m-1]
-    for row in range(0, N * N, N):
-        left.append(0)
-        left += vec[row:row + N - 1]
-    if s1 == s3:
-        shift = [s1 * (u + v) for u, v in zip(up, left)]
-    else:
-        shift = [s1 * u + s3 * v for u, v in zip(up, left)]
-    for i, g in enumerate(g2):
-        vec[i] *= g
-    return shift
-
-
-def _power_pairs(x: int, y: int, n: int) -> list:
-    """[x^j y^(n-1-j) for j in range(n)], from two power tables."""
-    xs, ys = [1], [1]
-    for _ in range(n - 1):
-        xs.append(xs[-1] * x)
-        ys.append(ys[-1] * y)
-    return [xs[j] * ys[n - 1 - j] for j in range(n)]
 
 
 def tasep_representation(alpha, beta, N: int) -> MPRepresentation:
@@ -178,71 +85,6 @@ def rd_boundary_coefficients(kappa, alpha, beta, gamma, delta) -> dict:
     }
 
 
-def rd_representation(kappa, alpha, beta, gamma, delta, N: int) -> RDRepresentation:
-    """Three-generator representation G1 = g1 (x) 1, G2 = g2 (x) g2,
-    G3 = 1 (x) g3 on a truncated N^2-dimensional tensor space, with the
-    closed-form boundary vectors
-
-        W[n,m] = c^k a^m phi^(k(k-1)/2) / tail[m],   k = n - m,
-        V[n,m] = d^u b^n phi^(u(u-1)/2) / tail[n],   u = m - n,
-        tail[m] = prod_{1<=j<=m} (1 - phi^(2j)).
-
-    With phi = pn/pd (a, b, c, d alike), tail[m] = T[m] / pd^(m(m+1)) for
-    T[m] = prod_{j<=m} (pd^(2j) - pn^(2j)), and U[m] = T[N-1] / T[m] is a
-    product of the last factors.  So W[n,m] = Cw[k] Aw[m] / dW with
-
-        Cw[k] = cn^(N-1+k) cd^(N-1-k) pn^e pd^(emax-e),   e = k(k-1)/2,
-        Aw[m] = an^m ad^(N-1-m) pd^(m(m+1)) U[m],
-        dW = cn^(N-1) cd^(N-1) ad^(N-1) pd^emax T[N-1],
-
-    emax = N(N-1)/2, and V is the mirror image built from d and b: each
-    table entry is one integer product, with no gcd.
-    """
-    kappa = Fraction(kappa)
-    if kappa in (0, 1, -1):
-        raise ValueError("rd representation needs kappa not in {0, 1, -1}")
-    co = rd_boundary_coefficients(kappa, alpha, beta, gamma, delta)
-    phi = co["phi"]
-    if abs(phi) >= 1:
-        raise ValueError("|phi| >= 1: boundary vectors diverge; replace "
-                         "kappa by -kappa (the chain is invariant)")
-    if co["c"] == 0 or co["d"] == 0:
-        raise ValueError("c = 0 or d = 0: the closed-form boundary vectors "
-                         "degenerate (alpha = gamma or beta = delta)")
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    pn, pd = phi.numerator, phi.denominator
-    emax = N * (N - 1) // 2
-    # pn^e pd^(emax-e) for e = k(k-1)/2, k = 1-N .. N-1; shared by W and V
-    ph = [pn ** e * pd ** (emax - e)
-          for e in (k * (k - 1) // 2 for k in range(1 - N, N))]
-    U = [1] * N
-    for j in range(N - 1, 0, -1):
-        U[j - 1] = U[j] * (pd ** (2 * j) - pn ** (2 * j))
-    T = U[0]
-    tails = [pd ** (j * (j + 1)) * u for j, u in enumerate(U)]
-
-    def side(x, y):
-        # (C[k + N - 1], A[j], dx^(N-1) dy^(N-1)) for x = c or d, y = a or b
-        C = [h * p for h, p in zip(_power_pairs(x.numerator, x.denominator,
-                                                2 * N - 1), ph)]
-        A = [h * t for h, t in zip(_power_pairs(y.numerator, y.denominator, N),
-                                   tails)]
-        return C, A, (x.numerator * x.denominator * y.denominator) ** (N - 1)
-
-    Cw, Aw, sw = side(co["c"], co["a"])
-    Cv, Bv, sv = side(co["d"], co["b"])
-    g = _power_pairs(pn, pd, 2 * N - 1)     # pn^j pd^(2N-2-j), j = n + m
-    g2 = tuple(g[n + mm] for n in range(N) for mm in range(N))
-    meta = {"model": "rd", "kappa": kappa, "alpha": Fraction(alpha),
-            "beta": Fraction(beta), "gamma": Fraction(gamma),
-            "delta": Fraction(delta), **co}
-    return RDRepresentation(N, meta, tuple(Cw), tuple(Aw),
-                            sw * pd ** emax * T, tuple(Cv),
-                            tuple(Bv), sv * pd ** emax * T, g2,
-                            pd ** (2 * N - 2))
-
-
 def ansatz_weights(rep: MPRepresentation, L: int) -> list:
     """<W| prod_i ((1-tau_i) E + tau_i D) |V> over all 2^L configurations,
     sharing prefixes, in integers: W and V over common denominators and the
@@ -264,11 +106,7 @@ def ansatz_weights(rep: MPRepresentation, L: int) -> list:
 
 
 def steady_from_ansatz(rep: MPRepresentation, L: int) -> Distribution:
-    """Stationary distribution contracted from a TASEP representation.  An
-    RD representation is truncated: its steady state is steady_ansatz's."""
-    if isinstance(rep, RDRepresentation):
-        raise TypeError("steady_from_ansatz contracts a TASEP representation; "
-                        "the RD steady state is steady_ansatz(model, L)")
+    """Stationary distribution contracted from a TASEP representation."""
     if L > rep.N - 1:
         raise ValueError(f"truncation N={rep.N} is exact only up to "
                          f"words of length {rep.N - 1}")
@@ -386,6 +224,15 @@ def rd_inhomogeneous_converged(*_):
                               "inhomogeneous_state is exact")
 
 
+def rd_representation(*_):
+    """Nothing calls this: the ZF and GZ records of RD are checked on
+    normal-ordered words (_word_product).  perfbench/traced_cli.py still
+    wraps the name in its ansatz.rd_representation span; it goes with that
+    span (ROADMAP item 4)."""
+    raise NotImplementedError("the truncated RD representation is gone: "
+                              "zf_relations and gz_relations take the model")
+
+
 # ------------------------------------------------------- monodromy realization
 
 class MonodromyRealization:
@@ -441,8 +288,8 @@ def _r_mix(R: SparseMatrix, prods: dict) -> dict:
     return out
 
 
-def _products(X1, X2) -> dict:
-    return {(k, l): X1[k] * X2[l] for k in (0, 1) for l in (0, 1)}
+def _products(X1, X2, times=mul) -> dict:
+    return {(k, l): times(X1[k], X2[l]) for k in (0, 1) for l in (0, 1)}
 
 
 def _grid(blocks: dict) -> SparseMatrix:
@@ -454,15 +301,43 @@ def _grid(blocks: dict) -> SparseMatrix:
     return sum(terms[1:], terms[0])
 
 
+# ------------------------------------------------------------------ RD words
+#
+# A normal-ordered RD word of degree d is a (d+1) x (d+1) SparseMatrix whose
+# entry (p, q) is the coefficient of G2^(d-p-q) G1^p G3^q.
+
+def _a_words(x) -> list:
+    """[A_+(x), A_-(x)], A_+-(x) = G2 +- (x G1 + G3/x), as words of
+    degree 1."""
+    if x == 0:
+        raise PoleError("A(x) has a 1/x term; x must be nonzero")
+    return [SparseMatrix([[1, s / x], [s * x, 0]]) for s in (1, -1)]
+
+
+def _word_product(u: SparseMatrix, v: SparseMatrix,
+                  phi: Fraction) -> SparseMatrix:
+    """The word u v, normal-ordered by G1 G2 = G2 G1 / phi,
+    G3 G2 = phi G2 G3 and G1 G3 = G3 G1:
+
+        G2^s G1^p G3^q G2^t G1^p' G3^q'
+            = phi^(t(q-p)) G2^(s+t) G1^(p+p') G3^(q+q')."""
+    d = v.dim - 1                               # the degree of v
+    out = [[0] * (u.dim + d) for _ in range(u.dim + d)]
+    for p, q, a in u.items():
+        for p2, q2, b in v.items():
+            out[p + p2][q + q2] += a * b * phi ** ((d - p2 - q2) * (q - p))
+    return SparseMatrix(out)
+
+
 def zf_relations(realization, x1, x2):
-    """Records of the Zamolodchikov-Faddeev relations at (x1, x2), for
-    ``verifier.run(realization.model, ...)``.  The exchange relation
+    """Records of the Zamolodchikov-Faddeev relations at (x1, x2) of the RD
+    model or of a monodromy realization, for ``verifier.run(model, ...)``.
+    The exchange relation
 
         R_12(c(x1,x2)) A_1(x1) A_2(x2) = A_2(x2) A_1(x1), componentwise,
 
-    is zf.representation for the RD representation, whose truncated
-    stencil operators satisfy it exactly on every stored entry (the shift
-    generators never re-enter the truncated block), and zf.monodromy for
+    is zf.representation for the RD model, an identity between the
+    normal-ordered words of degree 2 of its algebra, and zf.monodromy for
     the monodromy realization, which also yields
     - zf.twice: R_21 mixes the components of A_2 A_1 back into those of
       A_1 A_2 (R unitarity);
@@ -470,22 +345,35 @@ def zf_relations(realization, x1, x2):
       w A_1(e) A_2(e) = (1/rho)(A_1(e) A_2'(e) - A_1'(e) A_2(e));
     - zf.c_commutation: C(x1) C(x2) = C(x2) C(x1), C = A_+ + A_-.
     A side given componentwise is the block operator ``_grid`` of its
-    components, so its witness is that operator's first row-major mismatch."""
-    model = realization.model
+    components, so its witness is that operator's first row-major mismatch:
+    for RD, the entry (p, q) of the word in block (i, j) is at row 3i + p,
+    column 3j + q."""
+    rd = isinstance(realization, ModelDescriptor)
+    model = realization if rd else realization.model
+    if rd and model.name != m.RD:
+        raise m.UnsupportedError("a model's ZF records are rd's; other "
+                                 "models take a MonodromyRealization")
     conv = model.convention
     x1, x2 = Fraction(x1), Fraction(x2)
     pts = (x1, x2)
     # the records share the components at each point; a pole is not kept
-    components = cache(realization.components)
+    if rd:
+        phi = (model.kappa - 1) / (model.kappa + 1)
+        components = cache(_a_words)
+        times = partial(_word_product, phi=phi)
+    else:
+        components = cache(realization.components)
+        times = mul
 
     def exchange():
         R = m.r_matrix(model, conv.compose(x1, x2))
         X1, X2 = map(components, pts)
         # the components (i, j) of A_2 A_1 are X2[j] X1[i]
-        return _grid(_r_mix(R, _products(X1, X2))), \
-            _grid({(i, j): X2[j] * X1[i] for i in (0, 1) for j in (0, 1)})
+        return _grid(_r_mix(R, _products(X1, X2, times))), \
+            _grid({(i, j): times(X2[j], X1[i]) for i in (0, 1)
+                   for j in (0, 1)})
 
-    if isinstance(realization, RDRepresentation):
+    if rd:
         yield "zf.representation", pts, exchange
         return
     yield "zf.monodromy", pts, exchange
@@ -517,71 +405,64 @@ def zf_relations(realization, x1, x2):
 
 # --------------------------------------------------------------- GZ relations
 
-def gz_relations(rep: RDRepresentation, x):
-    """Records of the boundary reflection relations of the RD
-    representation on interior truncation indices, plus their derivative
-    consequences, for ``verifier.run(rep.model, ...)``: one record per
-    relation row, or the one Skipped record ``gz`` when K or Kbar has a
-    pole at x.
+def _at_boundary(word: SparseMatrix, co: dict, left: bool) -> SparseMatrix:
+    """<W|word (left) or word|V> for a word of degree 1 and the boundary
+    coefficients co: <W|G1 = <W|(a G3 + c G2) leaves the entries (0, 0) and
+    (0, 1), the coefficients of <W|G2 and <W|G3, and
+    G3|V> = (b G1 + d G2)|V> leaves (0, 0) and (1, 0), those of G2|V> and
+    G1|V>."""
+    g2, g3, g1 = word.get(0, 0), word.get(0, 1), word.get(1, 0)
+    if left:
+        return SparseMatrix([[g2 + co["c"] * g1, g3 + co["a"] * g1], [0, 0]])
+    return SparseMatrix([[g2 + co["d"] * g3, 0], [g1 + co["b"] * g3, 0]])
 
-    Each residual is an integer row over one scale.  A right relation on
-    |V> is the left one at 1/x on the mirror <V'|, V'[n,m] = V[m,n], read
-    back transposed: the swap exchanges G1 and G3 and keeps G2 (g2[n,m]
-    depends on n + m only), so (A(y)|V>)[n,m] = (<V'|A(1/y))[m,n], and
-    A'(1) flips sign."""
+
+def gz_relations(model: ModelDescriptor, x):
+    """Records of the RD boundary reflection relations at x, plus their
+    derivative consequences, for ``verifier.run(model, ...)``: one record
+    per relation row, or the one Skipped record ``gz`` when K or Kbar has a
+    pole at x.  Row i of the left relation is
+
+        K[i][0] <W|A_+(1/x) + K[i][1] <W|A_-(1/x) = <W|A_i(x),
+
+    the right one is the same with Kbar on |V>, and the derivative ones mix
+    A(1) by B and Bbar against A_i'(1) / rho and -A_i'(1) / rho, with
+    A_+'(1) = G1 - G3 = -A_-'(1).  Each side is a word of degree 1 reduced
+    at its boundary (_at_boundary).  The two vectors left at a boundary are
+    independent in a representation, so a Pass is the relation itself, and
+    a Fail's witness is the entry (p, q) of the reduced words."""
+    if model.name != m.RD:
+        raise m.UnsupportedError("the GZ records are rd's")
     x = Fraction(x)
-    model = rep.model
     pts = (x,)
     try:
         K, Kb = m.k_matrix(model, "K", x), m.k_matrix(model, "Kbar", x)
     except ZeroDivisionError as exc:
         yield "gz", pts, f"pole: {exc}"
         return
-    N, S = rep.N, rep.S
-    cut = N - 1
-    mirror = [rep.Cv[n - mm + N - 1] * rep.Bv[mm]
-              for n in range(N) for mm in range(N)]
-
-    def interior(row, scale, transposed=False):
-        # the residual row must vanish on the interior indices n, m < N - 1
-        got = SparseMatrix._over((cut, cut), _kept(
-            (n, dict(enumerate(row[n * N:n * N + cut]))) for n in range(cut)),
-            scale)
-        return got.transpose() if transposed else got, \
-            SparseMatrix.zeros(cut, cut)
-
-    def relation(family, M, c, mix, sub, scale, transposed):
-        # rows i of M[i][0] mix[0] + M[i][1] mix[1] - c sub[i], over scale
-        (*k, kc), den = integer_vector(
-            [*(M.get(i, j) for i in (0, 1) for j in (0, 1)), c])
-        for i in (0, 1):
-            yield f"{family}[{i}]", pts, lambda i=i: interior(
-                [k[2 * i] * p + k[2 * i + 1] * q - kc * s
-                 for p, q, s in zip(*mix, sub[i])], scale * den, transposed)
-
-    # each relation's rows are drawn after its rows of A(y) are evaluated
-    ends = (("left", rep.Wn, rep.dW, x, False),
-            ("right", mirror, rep.dV, 1 / x, True))
-    for (side, u, du, y, transposed), Km in zip(ends, (K, Kb)):
-        # K-mix of <u|A(1/y) minus <u|A(y), both over the scale of y
-        *sub, scale = rep._act(u, y)
-        *mix, _ = rep._act(u, 1 / y)
-        yield from relation(f"gz.{side}", Km, 1, mix, sub, du * scale,
-                            transposed)
+    co = rd_boundary_coefficients(model.kappa, model.alpha, model.beta,
+                                  model.gamma, model.delta)
+    A_x, A_inv, A_one = map(_a_words, (x, 1 / x, Fraction(1)))
+    r = 1 / model.rho
+    # A_+'(1) / rho = (G1 - G3) / rho = -A_-'(1) / rho
+    dA = [SparseMatrix([[0, -r], [r, 0]]), SparseMatrix([[0, r], [-r, 0]])]
     _, B, Bbar = m.local_operators(model)
-    for (side, u, du, _, transposed), Bm in zip(ends, (B, Bbar)):
-        # B-mix of <u|A(1) minus <u|A'(1) / rho, over S
-        *at_one, _ = rep._act(u, Fraction(1))
-        d = _rd_stencil(list(u), rep.g2, S, -S, N)     # S <u|A_+'(1)
-        yield from relation(f"gz.{side}_derivative", Bm, 1 / model.rho,
-                            at_one, [d, [-v for v in d]], du * S,
-                            transposed)
-    # C(x) = A1 + A2 = 2 G2 carries no x-dependence, so the boundary
+
+    def relation(family, M, mix, sub, left):
+        # rows i of M[i][0] mix[0] + M[i][1] mix[1] against sub[i]
+        for i in (0, 1):
+            yield f"{family}[{i}]", pts, lambda i=i: tuple(
+                _at_boundary(w, co, left) for w in
+                (mix[0] * M.get(i, 0) + mix[1] * M.get(i, 1), sub[i]))
+
+    yield from relation("gz.left", K, A_inv, A_x, True)
+    yield from relation("gz.right", Kb, A_inv, A_x, False)
+    yield from relation("gz.left_derivative", B, A_one, dA, True)
+    yield from relation("gz.right_derivative", Bbar, A_one, dA[::-1], False)
+    # C(x) = A_+ + A_- = 2 G2 carries no x-dependence, so the boundary
     # symmetry <W|C(x) = <W|C(1/x) holds identically; assert it anyway.
-    *cx, scale = rep._act(rep.Wn, x)
-    *cinv, _ = rep._act(rep.Wn, 1 / x)
-    yield "gz.c_symmetry[0]", pts, lambda: interior(
-        [a + b - c - d for a, b, c, d in zip(*cx, *cinv)], rep.dW * scale)
+    yield "gz.c_symmetry[0]", pts, lambda: tuple(
+        _at_boundary(A[0] + A[1], co, True) for A in (A_x, A_inv))
 
 
 # ----------------------------------------------------------- RD closed forms

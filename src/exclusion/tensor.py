@@ -78,10 +78,6 @@ class SparseMatrix:
         return out
 
     @staticmethod
-    def zeros(rows, cols):
-        return SparseMatrix._over((rows, cols), {}, 1)
-
-    @staticmethod
     def identity(n):
         return SparseMatrix._over((n, n), {i: {i: 1} for i in range(n)}, 1)
 

@@ -14,7 +14,7 @@ reports in order; a pole met while evaluating the sides makes the report
 Skipped.  Each identity family yields records and runs none:
 ``run_model_suite`` is one ``run`` over them all.
 The ZF and GZ families of ``ansatz`` (``zf_relations``, ``gz_relations``)
-yield records of the same form.
+yield such records; an RD side is a word, its witness an entry (p, q).
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ give the derivative pairs of the compiled forms' oracle, the
 embed-and-multiply products and sums, over Fraction or Dual entries held
 as {row: {col: entry}}, that ``transfer.build_transfer``, the coproduct of
 ``MonodromyRealization.components``, the Yang-Baxter sides and the RD
-letters are checked against, and the RD current balance of
-``ansatz.rd_closed_forms``.  Dual is used in this module only."""
+letters are checked against, the RD word product, and the RD current
+balance of ``ansatz.rd_closed_forms``.  Dual is used in this module
+only."""
 
 from fractions import Fraction
 
@@ -229,6 +230,27 @@ def sparse_rows(M: SparseMatrix) -> dict:
 
 def entry(rows: dict, r: int, c: int):
     return rows.get(r, {}).get(c, 0)
+
+
+def word_product(u: dict, v: dict, phi) -> dict:
+    """u v for RD words held as {(s, p, q): Fraction}, the coefficients of
+    G2^s G1^p G3^q, normal-ordered one letter at a time by the exchange
+    rules: each G2 of v moves left past the q G3's of u, gaining phi at
+    each (G3 G2 = phi G2 G3), and past its p G1's, gaining 1/phi at each
+    (G1 G2 = G2 G1 / phi); G1 and G3 commute."""
+    phi = Fraction(phi)
+    out = {}
+    for (s, p, q), a in u.items():
+        for (t, p2, q2), b in v.items():
+            c = a * b
+            for _ in range(t):
+                for _ in range(q):
+                    c *= phi
+                for _ in range(p):
+                    c /= phi
+            key = (s + t, p + p2, q + q2)
+            out[key] = out.get(key, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
 def closed_rows(model, kind: str, x) -> list:

@@ -171,18 +171,17 @@ def test_acceptance_07_zf_gz():
             for rep in vf.run(mdl, an.zf_relations(mono, x1, x2)):
                 if rep.status != vf.PASS:
                     bad.append((mdl.name, Lp, rep.check, rep.status))
-    rdrep = an.rd_representation(F(3), RATES["alpha"], RATES["beta"],
-                                 RATES["gamma"], RATES["delta"], 7)
-    for rep in vf.run(rdrep.model, an.zf_relations(rdrep, F(2), F(3))):
+    rd = ex.rd(F(3), **RATES)
+    for rep in vf.run(rd, an.zf_relations(rd, F(2), F(3))):
         if rep.status != vf.PASS:
             bad.append(("rd", rep.check))
     for x in (F(2), F(5, 2)):
-        for rep in vf.run(rdrep.model, an.gz_relations(rdrep, x)):
+        for rep in vf.run(rd, an.gz_relations(rd, x)):
             if rep.status != vf.PASS:
                 bad.append(("rd", rep.check, str(x)))
     announce(7, not bad,
-             "monodromy ZF exact (L'<=3); RD GZ and derivative consequences "
-             f"exact on interior indices {bad}")
+             "monodromy ZF exact (L'<=3); RD ZF, GZ and derivative "
+             f"consequences exact as normal-ordered words {bad}")
 
 
 def test_acceptance_08_ssep_conjugated():

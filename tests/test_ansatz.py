@@ -1,10 +1,10 @@
 import warnings
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import exclusion as ex
 import exclusion.ansatz as an
@@ -17,7 +17,7 @@ from exclusion.tensor import PoleError, SparseMatrix
 from certificates import exact, pins, recorded
 from reference import entries, entry, monodromy_components, \
     rd_current_balance, rows_apply, rows_apply_left, rows_product, rows_sum, \
-    sparse_rows
+    sparse_rows, word_product
 from strategies import MODELS
 
 
@@ -105,12 +105,6 @@ def test_steady_ansatz_exists_for_tasep_and_rd_only(asep_model, ssep_model):
             an.steady_ansatz(mdl, 2)
 
 
-def test_steady_from_ansatz_takes_a_tasep_representation_only():
-    rep = an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 7)
-    with pytest.raises(TypeError, match="steady_ansatz"):
-        an.steady_from_ansatz(rep, 3)
-
-
 def test_tasep_rep_validation():
     with pytest.raises(ValueError):
         an.tasep_representation(0, 1, 4)
@@ -118,19 +112,26 @@ def test_tasep_rep_validation():
         an.tasep_representation(1, 1, 1)
 
 
-# ----------------------------------------------------------------- RD rep
+# ---------------------------------------------------------------- RD words
 #
-# The package holds the RD representation only as integer tables and the
-# stencil; the tests keep a Fraction oracle written entry by entry, its
-# operators held as {row: {col: Fraction}} and combined by reference's
-# rows_sum and rows_product, never by SparseMatrix arithmetic.  It is bound
-# to the package by _oracle_letters, which asserts that the oracle A(x)
-# equals the package's stencil operators.
+# The package holds the RD algebra as normal-ordered words: the entry
+# (p, q) of a word of degree d, a SparseMatrix, is the coefficient of
+# G2^(d-p-q) G1^p G3^q.  The tests keep two oracles of it, neither a
+# package representation.  reference.word_product multiplies words held
+# as {(s, p, q): Fraction} letter by letter.  _oracle_letters writes the
+# shift representation on the truncated N (x) N space entry by entry from
+# phi and N, its operators held as {row: {col: Fraction}} and combined by
+# reference's rows_sum and rows_product, never by SparseMatrix arithmetic.
+# The exchange rules hold in it on every entry, so a word is one operator
+# there (_oracle_word) and a product of words the product of operators.
+# Its boundary vectors, the closed forms of _closed_form_boundary, obey the
+# boundary rules on the interior indices n, m < N - 1, where <W|G2, <W|G3
+# and G2|V>, G1|V> are independent: a word residual vanishes there only if
+# it is zero, so the package's word verdicts are the representation's.
 
-def _oracle_letters(rep, xs=(F(1), F(2), F(-1, 3))):
+def _oracle_letters(phi, N):
     """G1, G2, G3 of the RD representation entry by entry: G2[n,m] =
-    phi^(n+m), G1 and G3 the unit shifts n+1 and m-1; E, D = A(1)."""
-    N, phi = rep.N, rep.meta["phi"]
+    phi^(n+m), G1 and G3 the unit shifts n+1 and m-1."""
     G1, G2, G3 = {}, {}, {}
     for n in range(N):
         for m in range(N):
@@ -140,15 +141,7 @@ def _oracle_letters(rep, xs=(F(1), F(2), F(-1, 3))):
                 G1[(n + 1) * N + m] = {p: F(1)}
             if m >= 1:
                 G3[n * N + m - 1] = {p: F(1)}
-    G = {"G1": G1, "G2": G2, "G3": G3,
-         "E": rows_sum([(1, G2), (1, G1), (1, G3)]),
-         "D": rows_sum([(1, G2), (-1, G1), (-1, G3)])}
-    # A_+(x) + A_-(x) = 2 G2 and A_+(x) - A_-(x) = 2 (x G1 + G3/x) at two
-    # points fix G1, G2 and G3
-    for x in xs:
-        assert [sparse_rows(A) for A in rep.components(x)] == \
-            [_oracle_component(G, i, x) for i in (0, 1)]
-    return G
+    return {"G1": G1, "G2": G2, "G3": G3}
 
 
 def _oracle_component(G, i, x):
@@ -163,29 +156,75 @@ def _oracle_derivative(G, i):
     return rows_sum([(sign, G["G1"]), (-sign, G["G3"])])
 
 
-def _boundary_views(rep):
-    """The package's W and V as Fractions, read off its integer tables."""
-    N = rep.N
-    W = [F(w, rep.dW) for w in rep.Wn]
-    V = [F(rep.Cv[m - n + N - 1] * rep.Bv[n], rep.dV)
+def _oracle_word(G, word):
+    """The operator sum c G2^s G1^p G3^q of the word {(s, p, q): c}."""
+    terms = []
+    for (s, p, q), c in word.items():
+        op = {r: {r: F(1)} for r in range(len(G["G2"]))}
+        for letter in ["G2"] * s + ["G1"] * p + ["G3"] * q:
+            op = rows_product(op, G[letter])
+        terms.append((c, op))
+    return rows_sum(terms)
+
+
+def _word(w: SparseMatrix) -> dict:
+    """A package word as {(s, p, q): Fraction}, read through items."""
+    d = w.dim - 1
+    return {(d - p - q, p, q): c for p, q, c in w.items()}
+
+
+def _closed_form_boundary(co, N):
+    """W[n,m] and V[n,m] entry by entry from the closed forms, for the
+    boundary coefficients co of the rates:
+
+        W[n,m] = c^k a^m phi^(k(k-1)/2) / tail[m],   k = n - m,
+        V[n,m] = d^u b^n phi^(u(u-1)/2) / tail[n],   u = m - n,
+        tail[m] = prod_{1<=j<=m} (1 - phi^(2j))."""
+    a, b, c, d, phi = (co[k] for k in ("a", "b", "c", "d", "phi"))
+    tail = [prod((1 - phi ** (2 * j) for j in range(1, k + 1)), start=F(1))
+            for k in range(N)]
+    W = [c ** (n - m) * a ** m * phi ** ((n - m) * (n - m - 1) // 2) / tail[m]
+         for n in range(N) for m in range(N)]
+    V = [d ** (m - n) * b ** n * phi ** ((m - n) * (m - n - 1) // 2) / tail[n]
          for n in range(N) for m in range(N)]
     return W, V
 
 
+def _boundary_basis(G, W, V):
+    """(<W|G2, <W|G3) and (G2|V>, G1|V>), each keyed by the entry (p, q)
+    of a reduced word."""
+    return ({(0, 0): rows_apply_left(G["G2"], W),
+             (0, 1): rows_apply_left(G["G3"], W)},
+            {(0, 0): rows_apply(G["G2"], V), (1, 0): rows_apply(G["G1"], V)})
+
+
+def _oracle_coefficients(vec, basis, N):
+    """{(p, q): c} with vec = sum c basis[(p, q)] on the interior indices
+    n, m < N - 1: solved by Cramer's rule at the entries (0, 0) and (0, 1)
+    or (1, 0) and asserted at every other."""
+    (k0, u), (k1, v) = sorted(basis.items())
+    i, j = 0, k1[0] * N + k1[1]          # the indices (0, 0) and k1
+    det = u[i] * v[j] - u[j] * v[i]
+    alpha = (vec[i] * v[j] - vec[j] * v[i]) / det
+    beta = (u[i] * vec[j] - u[j] * vec[i]) / det
+    assert all(vec[n * N + m] == alpha * u[n * N + m] + beta * v[n * N + m]
+               for n in range(N - 1) for m in range(N - 1))
+    return {k0: alpha, k1: beta}
+
+
 def test_rd_exchange_relations_exact_on_truncation():
-    rep = an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 5)
-    G1, G2, G3 = (_oracle_letters(rep)[k] for k in ("G1", "G2", "G3"))
-    phi = rep.meta["phi"]
+    phi = F(1, 2)
+    G1, G2, G3 = (_oracle_letters(phi, 5)[k] for k in ("G1", "G2", "G3"))
     assert rows_product(G1, G2) == rows_sum([(1 / phi, rows_product(G2, G1))])
     assert rows_product(G1, G3) == rows_product(G3, G1)
     assert rows_product(G2, G3) == rows_sum([(1 / phi, rows_product(G3, G2))])
 
 
 def test_rd_boundary_vectors_satisfy_recursions():
-    rep = an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 6)
-    N = rep.N
-    a, b, c, d, phi = (rep.meta[k] for k in ("a", "b", "c", "d", "phi"))
-    W, V = _boundary_views(rep)
+    co = an.rd_boundary_coefficients(3, 1, 1, F(1, 2), F(1, 3))
+    N = 6
+    a, b, c, d, phi = (co[k] for k in ("a", "b", "c", "d", "phi"))
+    W, V = _closed_form_boundary(co, N)
     for n in range(1, N - 1):
         for mm in range(N - 1):
             assert V[n * N + mm + 1] == b * V[(n - 1) * N + mm] + \
@@ -201,12 +240,12 @@ def test_rd_boundary_vectors_satisfy_recursions():
 
 
 def test_rd_boundary_recursion_operators_interior():
-    rep = an.rd_representation(3, 1, 1, 0, 0, 6)
-    G1, G2, G3 = (_oracle_letters(rep)[k] for k in ("G1", "G2", "G3"))
-    a, b, c, d = (rep.meta[k] for k in ("a", "b", "c", "d"))
-    W, V = _boundary_views(rep)
+    co = an.rd_boundary_coefficients(3, 1, 1, 0, 0)
+    N = 6
+    G1, G2, G3 = (_oracle_letters(co["phi"], N)[k] for k in ("G1", "G2", "G3"))
+    a, b, c, d = (co[k] for k in ("a", "b", "c", "d"))
+    W, V = _closed_form_boundary(co, N)
     lhs = rows_apply_left(rows_sum([(1, G1), (-c, G2), (-a, G3)]), W)
-    N = rep.N
     for n in range(N - 1):
         for mm in range(N - 1):
             assert lhs[n * N + mm] == 0
@@ -216,81 +255,112 @@ def test_rd_boundary_recursion_operators_interior():
             assert rhs[n * N + mm] == 0
 
 
-def test_rd_rep_validation():
-    with pytest.raises(ValueError):
-        an.rd_representation(1, 1, 1, 0, 0, 4)
-    with pytest.raises(ValueError):
-        an.rd_representation(F(-3), 1, 1, 0, 0, 4)  # |phi| = 2 >= 1
-    with pytest.raises(ValueError):
-        an.rd_representation(3, 1, 1, 1, 0, 4)  # c = 0 (alpha = gamma)
-
-
-def _closed_form_boundary(co, N):
-    """W[n,m] and V[n,m] entry by entry from the closed forms."""
-    a, b, c, d, phi = (co[k] for k in ("a", "b", "c", "d", "phi"))
-    tail = [prod((1 - phi ** (2 * j) for j in range(1, k + 1)), start=F(1))
-            for k in range(N)]
-    W = [c ** (n - m) * a ** m * phi ** ((n - m) * (n - m - 1) // 2) / tail[m]
-         for n in range(N) for m in range(N)]
-    V = [d ** (m - n) * b ** n * phi ** ((m - n) * (m - n - 1) // 2) / tail[n]
-         for n in range(N) for m in range(N)]
-    return W, V
-
-
-def _check_integer_tables(rep, thetas):
-    # the tables of W, V and G2, and the stencil's A(x) at each theta
-    N, phi = rep.N, rep.meta["phi"]
-    W, V = _closed_form_boundary(rep.meta, N)
-    assert _boundary_views(rep) == (W, V)
-    assert [F(g, rep.S) for g in rep.g2] == [phi ** (n + m) for n in range(N)
-                                             for m in range(N)]
-    _oracle_letters(rep, thetas)
-
-
 RD_RATES = [(F(1, 2), F(2, 3), F(1, 3), F(1, 5)),
             (F(3, 2), F(2), F(1, 2), F(1, 3)),
             (F(1), F(1), F(0), F(0))]
 
 
+@pytest.mark.parametrize("rates", RD_RATES)
+@pytest.mark.parametrize("kappa", [3, F(1, 2), F(-1, 3), -3])
+def test_rd_boundary_vectors_are_independent_on_the_interior(kappa, rates):
+    # a nonzero 2 x 2 minor of <W|G2, <W|G3 and of G2|V>, G1|V> on the
+    # interior indices: <W|G2 and G2|V> are 1 at (0, 0), where <W|G3 and
+    # G1|V> are 0, and <W|G3 is 1 at (0, 1), G1|V> at (1, 0)
+    co = an.rd_boundary_coefficients(kappa, *rates)
+    for N in (3, 5, 7):
+        G = _oracle_letters(co["phi"], N)
+        W, V = _closed_form_boundary(co, N)
+        interior = [n * N + m for n in range(N - 1) for m in range(N - 1)]
+        for basis in _boundary_basis(G, W, V):
+            u, v = basis.values()
+            assert any(u[i] * v[j] != u[j] * v[i]
+                       for i, j in combinations(interior, 2))
+
+
+def _check_words(co, N, thetas):
+    # the package's words A_+-(theta), their products site by site and, where
+    # the closed-form boundary vectors exist (c and d nonzero), their
+    # boundary reductions, against the reference product and the oracle
+    # representation
+    phi = co["phi"]
+    G = _oracle_letters(phi, N)
+    ends = []
+    if co["c"] and co["d"]:
+        W, V = _closed_form_boundary(co, N)
+        bases = _boundary_basis(G, W, V)
+        ends = [(True, lambda op: rows_apply_left(op, W), bases[0]),
+                (False, lambda op: rows_apply(op, V), bases[1])]
+    got, want = SparseMatrix([[1]]), {(0, 0, 0): F(1)}
+    op = {r: {r: F(1)} for r in range(N * N)}
+    for j, theta in enumerate(thetas):
+        A = an._a_words(theta)
+        for i in (0, 1):
+            Ai = _oracle_component(G, i, theta)
+            assert _oracle_word(G, _word(A[i])) == Ai
+            for left, end, basis in ends:
+                reduced = an._at_boundary(A[i], co, left)
+                assert {(p, q) for p, q, _ in reduced.items()} <= basis.keys()
+                assert _oracle_coefficients(end(Ai), basis, N) == \
+                    {k: reduced.get(*k) for k in basis}
+        got = an._word_product(got, A[j % 2], phi)
+        want = word_product(want, _word(A[j % 2]), phi)
+        op = rows_product(op, _oracle_component(G, j % 2, theta))
+        assert _word(got) == want
+    assert _oracle_word(G, want) == op
+
+
 @pytest.mark.parametrize("kappa", [3, 2, F(1, 2), F(1, 3), 4])
 @pytest.mark.parametrize("rates", RD_RATES)
 def test_rd_integer_tables_match_fraction_oracle(kappa, rates):
-    # kappa = 1/2 and 1/3 give phi = -1/3 and -1/2; kappa = 4 gives 3/5
+    # the package's RD words, int tables over one denominator, against the
+    # Fraction oracles; kappa = 1/2 and 1/3 give phi = -1/3 and -1/2, and
+    # kappa = 4 gives 3/5
     thetas = (F(3, 2), F(2), F(-1, 3), F(5), F(-2, 7))
-    for N, L in ((6, 2), (7, 3), (9, 4), (11, 5)):
-        rep = an.rd_representation(kappa, *rates, N)
-        _check_integer_tables(rep, thetas[:L])
+    co = an.rd_boundary_coefficients(kappa, *rates)
+    for N, L in ((4, 3), (5, 5)):
+        _check_words(co, N, thetas[:L])
 
 
-positive = st.fractions(min_value=F(1, 9), max_value=4, max_denominator=9)
+_rate = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.fractions(min_value=-4, max_value=4, max_denominator=6),
-       positive, positive, st.fractions(min_value=0, max_value=4,
-                                        max_denominator=9),
-       st.fractions(min_value=0, max_value=4, max_denominator=9),
-       st.integers(min_value=2, max_value=8),
-       st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5)
-                .filter(bool), min_size=1, max_size=5))
+@given(st.fractions(min_value=-4, max_value=4, max_denominator=6)
+       .filter(lambda k: k not in (0, 1, -1)),
+       _rate, _rate, _rate, _rate, st.integers(min_value=3, max_value=5),
+       st.lists(_rate.filter(bool), min_size=1, max_size=5))
 def test_rd_integer_tables_property(kappa, alpha, beta, gamma, delta, N,
                                     thetas):
-    rates = (kappa, alpha, beta, gamma, delta)
+    # any sign of kappa (|phi| > 1 included) and of the rates, c = 0 and
+    # d = 0 included: a word reads phi only, a reduction any a, b, c, d
     try:
-        co = an.rd_boundary_coefficients(*rates)
+        co = an.rd_boundary_coefficients(kappa, alpha, beta, gamma, delta)
     except ValueError:
-        return              # kappa = -1, or 2 kappa + alpha + gamma = 0
-    if kappa in (0, 1) or abs(co["phi"]) >= 1 or 0 in (co["c"], co["d"]):
-        with pytest.raises(ValueError):
-            an.rd_representation(*rates, N)
-        return
-    W, V = _closed_form_boundary(co, N)
-    if sum(w * v for w, v in zip(W, V)) == 0:
-        with pytest.raises(ValueError, match=r"<W\|V> = 0"):
-            an.rd_representation(*rates, N)
-        return
-    rep = an.rd_representation(*rates, N)
-    _check_integer_tables(rep, thetas)
+        assume(False)
+    _check_words(co, N, thetas)
+
+
+_words_of_degree = st.integers(0, 3).flatmap(lambda d: st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    min_size=(d + 1) * (d + 2) // 2, max_size=(d + 1) * (d + 2) // 2))
+
+
+def _drawn_word(cs) -> SparseMatrix:
+    """The word of degree d whose entries (p, q), p + q <= d, are cs in
+    row-major order, len(cs) = (d + 1)(d + 2)/2."""
+    d = round(((8 * len(cs) + 1) ** 0.5 - 3) / 2)
+    it = iter(cs)
+    return SparseMatrix([[next(it) if p + q <= d else 0 for q in range(d + 1)]
+                         for p in range(d + 1)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(min_value=-4, max_value=4, max_denominator=6)
+       .filter(bool), _words_of_degree, _words_of_degree)
+def test_rd_word_product_is_the_reference(phi, cu, cv):
+    u, v = _drawn_word(cu), _drawn_word(cv)
+    assert _word(an._word_product(u, v, phi)) == \
+        word_product(_word(u), _word(v), phi)
 
 
 def test_rd_steady_matches_nullspace():
@@ -787,26 +857,15 @@ def test_inhomogeneous_state_is_an_exact_eigenpair(kappa, alpha, beta, gamma,
 # --------------------------------------------------------------- ZF relation
 
 def _zf(realization, x1, x2) -> dict:
-    """{check: report} of the ZF records at (x1, x2)."""
+    """{check: report} of the ZF records at (x1, x2) of the RD model or of
+    a monodromy realization."""
+    model = getattr(realization, "model", realization)
     return {r.check: r for r in vf.run(
-        realization.model, an.zf_relations(realization, x1, x2))}
+        model, an.zf_relations(realization, x1, x2))}
 
 
-def _gz(rep, x) -> list:
-    return vf.run(rep.model, an.gz_relations(rep, x))
-
-
-def test_an_rd_representation_builds_its_model_once():
-    # the descriptor is built on first use and kept: a negative rate warns
-    # once for a whole GZ run, and the forms of models find it by identity
-    rep = an.rd_representation(3, F(-1, 2), F(2, 3), F(1, 3), F(1, 5), 6)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        reports = _gz(rep, F(2))
-    assert rep.model is rep.model
-    assert [str(w.message).split(":")[0] for w in caught] == \
-        ["negative rate alpha=-1/2"]
-    assert reports and all(r.status == vf.PASS for r in reports)
+def _gz(model, x) -> list:
+    return vf.run(model, an.gz_relations(model, x))
 
 
 def test_zf_monodromy(asep_model, ssep_model, tasep_model):
@@ -852,10 +911,19 @@ def test_zf_derivative_consequence(all_models):
 
 
 def test_zf_rd_representation():
-    # the RD representation yields the exchange relation only
-    rep = an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 5)
-    assert [(r.check, r.status) for r in _zf(rep, F(2), F(3)).values()] == \
+    # the RD model yields the exchange relation only
+    mdl = ex.rd(3, 1, 1, F(1, 2), F(1, 3))
+    assert [(r.check, r.status) for r in _zf(mdl, F(2), F(3)).values()] == \
         [("zf.representation", vf.PASS)]
+
+
+def test_the_word_records_are_rd_s(asep_model):
+    # another model's ZF records come from a MonodromyRealization, and it
+    # has no GZ records
+    for records in (an.zf_relations(asep_model, 2, 3),
+                    an.gz_relations(asep_model, 2)):
+        with pytest.raises(ex.UnsupportedError):
+            next(records)
 
 
 def test_monodromy_rejects_rd(rd_model):
@@ -893,30 +961,52 @@ def test_zf_gauge_constants_are_immaterial(monkeypatch):
 # --------------------------------------------------------------- GZ relation
 
 def test_gz_identity_point_trivial():
-    rep = an.rd_representation(3, 1, 1, 0, 0, 5)
-    reports = _gz(rep, F(1))
+    reports = _gz(ex.rd(3, 1, 1, 0, 0), F(1))
     assert all(r.status == vf.PASS for r in reports)
 
 
 def test_gz_interior(rd_model):
-    rep = an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 7)
-    reports = _gz(rep, F(2))
+    # the relations hold as words; on the interior of the oracle
+    # representation that is the same verdict
+    reports = _gz(rd_model, F(2))
+    assert len(reports) == 9
     assert all(r.status == vf.PASS for r in reports), \
         [(r.check, r.witness) for r in reports if r.status != vf.PASS]
 
 
 def test_gz_with_zero_extraction_rates():
-    rep = an.rd_representation(3, 1, 1, 0, 0, 7)
-    reports = _gz(rep, F(2))
+    reports = _gz(ex.rd(3, 1, 1, 0, 0), F(2))
     assert all(r.status == vf.PASS for r in reports)
 
 
 def test_c_derivative_vanishes():
     # C(x) = 2 G2 for the RD ansatz: C'(1) = 0 identically
-    rep = an.rd_representation(3, 1, 1, 0, 0, 5)
-    G = _oracle_letters(rep)
+    G = _oracle_letters(F(1, 2), 5)
     Cp = rows_sum([(1, _oracle_derivative(G, i)) for i in (0, 1)])
     assert Cp == {}
+
+
+_kappa = st.fractions(min_value=-4, max_value=4, max_denominator=6) \
+    .filter(lambda k: k not in (0, 1, -1))
+_point = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kappa, _rate, _rate, _rate, _rate, _point, _point, _point)
+@example(F(-3), F(1, 2), F(2), F(1, 2), F(2), F(2), F(3), F(5, 2))  # c = d = 0
+@example(F(3), F(1), F(1, 2), F(1), F(1, 3), F(-1, 2), F(2), F(-3))  # c = 0
+def test_rd_relations_pass_or_meet_a_pole_at_random_rates(
+        kappa, alpha, beta, gamma, delta, x1, x2, x):
+    # kappa of both signs (|phi| > 1 for kappa < 0), any sign of the rates,
+    # c = 0 (alpha = gamma) and d = 0 (beta = delta) included: no relation
+    # of the algebra fails, and a Skipped is a pole
+    mdl = _rd_or_none(kappa, alpha, beta, gamma, delta)
+    assume(mdl is not None)
+    reports = vf.run(mdl, an.zf_relations(mdl, x1, x2)) + _gz(mdl, x)
+    assert reports
+    for r in reports:
+        assert r.status == vf.PASS or \
+            (r.status == vf.SKIPPED and r.reason.startswith("pole: ")), r
 
 
 # ------------------------------------------ RD relation failures and poles
@@ -952,25 +1042,31 @@ def _perturb(monkeypatch, target, change):
                             change(r_matrix(model, x, derivative)))
 
 
-def _corner_cancelling(rep, x, target):
-    """change(M) = M + E, with E chosen so that the residuals of the
-    target's relations vanish at the interior corner (0, 0) but not next to
-    it: the witness then lies off the diagonal, where a transposed read of
-    a right relation would show."""
-    G = _oracle_letters(rep)
-    W, V = _closed_form_boundary(rep.meta, rep.N)
+RD_FAIL_RATES = (3, F(1, 2), F(2, 3), F(1, 3), F(1, 5))
+
+
+def _corner_cancelling(co, N, x, target):
+    """change(M) = M + E, with E chosen so that the coefficient (0, 0) of
+    the target's relations, at the index (0, 0) of the oracle's boundary
+    vectors, still agrees, but not the other: the witness then lies off
+    the diagonal, at (0, 1) on the left and (1, 0) on the right, where a
+    transposed read would show."""
+    G = _oracle_letters(co["phi"], N)
+    W, V = _closed_form_boundary(co, N)
     y = 1 / x if target in ("K", "Kbar") else F(1)
     t0, t1 = (rows_apply(_oracle_component(G, j, y), V)[0] if "bar" in target
               else rows_apply_left(_oracle_component(G, j, y), W)[0]
               for j in (0, 1))
     return lambda M: M + SparseMatrix([[t1, -t0], [t1, -t0]])
 
-def _oracle_gz_residuals(rep, x):
-    """{check: residual} of the GZ records on the Fraction oracle: <W| op
-    for the left relations, op |V> for the right ones."""
-    model = rep.model
-    G = _oracle_letters(rep)
-    W, V = _closed_form_boundary(rep.meta, rep.N)
+
+def _oracle_gz_sides(model, co, N, x):
+    """{check: (lhs, rhs)} of the GZ records on the Fraction oracle, each
+    side the coefficients of its vector, <W| op on the left and op |V> on
+    the right, on the boundary basis."""
+    G = _oracle_letters(co["phi"], N)
+    W, V = _closed_form_boundary(co, N)
+    left, right = _boundary_basis(G, W, V)
     K, Kb = mo.k_matrix(model, "K", x), mo.k_matrix(model, "Kbar", x)
     _, B, Bbar = mo.local_operators(model)
     Ax, Ainv, A1 = ([_oracle_component(G, i, y) for i in (0, 1)]
@@ -978,28 +1074,32 @@ def _oracle_gz_residuals(rep, x):
     Ap = [rows_sum([(1 / model.rho, _oracle_derivative(G, i))])
           for i in (0, 1)]
     minus_Ap = [rows_sum([(-1, a)]) for a in Ap]
+
+    def side(op, on_V):
+        vec = rows_apply(op, V) if on_V else rows_apply_left(op, W)
+        return _oracle_coefficients(vec, right if on_V else left, N)
+
     out = {}   # in report order
     for family, M, A, sub, on_V in (
             ("gz.left", K, Ainv, Ax, False), ("gz.right", Kb, Ainv, Ax, True),
             ("gz.left_derivative", B, A1, Ap, False),
             ("gz.right_derivative", Bbar, A1, minus_Ap, True)):
         for i in (0, 1):
-            op = rows_sum([(M.get(i, 0), A[0]), (M.get(i, 1), A[1]),
-                           (-1, sub[i])])
-            out[f"{family}[{i}]"] = rows_apply(op, V) if on_V \
-                else rows_apply_left(op, W)
-    out["gz.c_symmetry[0]"] = rows_apply_left(rows_sum(
-        [(1, Ax[0]), (1, Ax[1]), (-1, Ainv[0]), (-1, Ainv[1])]), W)
+            mix = rows_sum([(M.get(i, 0), A[0]), (M.get(i, 1), A[1])])
+            out[f"{family}[{i}]"] = side(mix, on_V), side(sub[i], on_V)
+    out["gz.c_symmetry[0]"] = tuple(
+        side(rows_sum([(1, A[0]), (1, A[1])]), False) for A in (Ax, Ainv))
     return out
 
 
-def _first_interior_nonzero(residual, N):
-    for n in range(N - 1):
-        for m in range(N - 1):
-            if residual[n * N + m] != 0:
-                return {"row": n, "col": m,
-                        "lhs": format_rational(residual[n * N + m]),
-                        "rhs": "0"}
+def _first_mismatch(lhs: dict, rhs: dict):
+    """The first (p, q), row-major, where two {(p, q): coefficient} differ,
+    as a witness."""
+    for p, q in sorted(lhs.keys() | rhs.keys()):
+        a, b = lhs.get((p, q), 0), rhs.get((p, q), 0)
+        if a != b:
+            return {"row": p, "col": q, "lhs": format_rational(a),
+                    "rhs": format_rational(b)}
     return None
 
 
@@ -1010,36 +1110,39 @@ def _first_interior_nonzero(residual, N):
     ("Bbar", "gz.right_derivative")])
 def test_gz_fails_with_the_oracle_witness(monkeypatch, N, target, family,
                                           corner):
-    rep = an.rd_representation(3, F(1, 2), F(2, 3), F(1, 3), F(1, 5), N)
+    # the oracle's sides at the truncation N, read as coefficients on the
+    # boundary basis; the package's witness is the first differing entry
+    # (p, q) of the reduced words
+    mdl = ex.rd(*RD_FAIL_RATES)
+    co = an.rd_boundary_coefficients(*RD_FAIL_RATES)
     for x in (F(2), F(-1, 3)):
         with monkeypatch.context() as mp:
-            _perturb(mp, target, _corner_cancelling(rep, x, target)
+            _perturb(mp, target, _corner_cancelling(co, N, x, target)
                      if corner else _doubled)
-            residuals = _oracle_gz_residuals(rep, x)
-            reports = _gz(rep, x)
-        assert [r.check for r in reports] == list(residuals)
+            sides = _oracle_gz_sides(mdl, co, N, x)
+            reports = _gz(mdl, x)
+        assert [r.check for r in reports] == list(sides)
         for r in reports:
-            want = _first_interior_nonzero(residuals[r.check], N)
+            want = _first_mismatch(*sides[r.check])
             assert r.status == (vf.PASS if want is None else vf.FAIL)
             assert r.witness == want
             if corner and want is not None:
-                n, m = want["row"], want["col"]
-                assert residuals[r.check][n * N + m] != \
-                    residuals[r.check][m * N + n]
+                assert (want["row"], want["col"]) == \
+                    ((1, 0) if "right" in family else (0, 1))
         assert {r.check for r in reports if r.status == vf.FAIL} == \
             {f"{family}[0]", f"{family}[1]"}
 
 
-def _exchange_witness(R, X1, X2, h):
+def _exchange_witness(R, X1, X2, h, times=rows_product):
     """The first differing entry, row-major, of the two sides of the
     exchange relation as 2 x 2 block operators of h x h blocks, block (i,
     j) of the sides sum_kl R[2i+j][2k+l] X1[k] X2[l] and X2[j] X1[i], the
-    components held as rows: entry (r, c) of block (i, j) is at row i h + r,
-    column j h + c."""
+    components held as rows and multiplied by times: entry (r, c) of block
+    (i, j) is at row i h + r, column j h + c."""
     sides = {(i, j): (rows_sum([(R.get(2 * i + j, 2 * k + l),
-                                 rows_product(X1[k], X2[l]))
+                                 times(X1[k], X2[l]))
                                 for k, l in product((0, 1), repeat=2)]),
-                      rows_product(X2[j], X1[i]))
+                      times(X2[j], X1[i]))
              for i, j in product((0, 1), repeat=2)}
     for row, col in product(range(2 * h), repeat=2):
         lhs, rhs = sides[row // h, col // h]
@@ -1050,19 +1153,50 @@ def _exchange_witness(R, X1, X2, h):
     return None
 
 
+def _word_rows(word: dict) -> dict:
+    """The word {(s, p, q): c} as rows {p: {q: c}}, the package's layout."""
+    out = {}
+    for (_, p, q), c in word.items():
+        out.setdefault(p, {})[q] = c
+    return out
+
+
+def _rows_word(rows: dict, d: int) -> dict:
+    """Rows {p: {q: c}} as the word {(s, p, q): c} of degree d."""
+    return {(d - p - q, p, q): c for p, row in rows.items()
+            for q, c in row.items()}
+
+
 @pytest.mark.parametrize("N", [5, 7])
 def test_zf_representation_fails_with_the_oracle_witness(monkeypatch, N):
-    rep = an.rd_representation(F(1, 2), F(3, 2), 2, F(1, 3), F(1, 5), N)
+    # the witness is the entry (p, q) of the word in block (i, j), at row
+    # 3i + p, column 3j + q, of the sides multiplied by reference's word
+    # product; the oracle representation at the truncation N maps each of
+    # those products to the product of its operators
+    mdl = ex.rd(F(1, 2), F(3, 2), 2, F(1, 3), F(1, 5))
     x1, x2 = F(2), F(5, 2)
     _perturb(monkeypatch, "R", _doubled)
-    report, = vf.run(rep.model, an.zf_relations(rep, x1, x2))
-    G = _oracle_letters(rep)
-    R = mo.r_matrix(rep.model, x1 / x2)
-    X1, X2 = ([_oracle_component(G, i, x) for i in (0, 1)] for x in (x1, x2))
-    want = _exchange_witness(R, X1, X2, N * N)
+    report, = vf.run(mdl, an.zf_relations(mdl, x1, x2))
+    phi = (mdl.kappa - 1) / (mdl.kappa + 1)
+
+    def times(a, b):
+        return _word_rows(word_product(_rows_word(a, 1), _rows_word(b, 1),
+                                       phi))
+
+    R = mo.r_matrix(mdl, x1 / x2)
+    X1, X2 = ([_word_rows({(1, 0, 0): F(1), (0, 1, 0): sign * x,
+                           (0, 0, 1): sign / x}) for sign in (1, -1)]
+              for x in (x1, x2))
+    want = _exchange_witness(R, X1, X2, 3, times)
     assert want is not None
     assert (report.check, report.status, report.witness) == \
         ("zf.representation", vf.FAIL, want)
+    G = _oracle_letters(phi, N)
+    ops = {x: [_oracle_component(G, i, x) for i in (0, 1)] for x in (x1, x2)}
+    for (x, X), (y, Y) in product(((x1, X1), (x2, X2)), repeat=2):
+        for k, l in product((0, 1), repeat=2):
+            assert _oracle_word(G, _rows_word(times(X[k], Y[l]), 2)) == \
+                rows_product(ops[x][k], ops[y][l])
 
 
 @pytest.mark.parametrize("kept", [0, 1, 2])
@@ -1102,15 +1236,15 @@ def test_zf_monodromy_fails_with_the_oracle_witness(monkeypatch, all_models,
 
 
 def test_rd_relation_pole_reasons():
-    rep = an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 5)
-    reports = _gz(rep, 0)
+    mdl = ex.rd(3, 1, 1, F(1, 2), F(1, 3))
+    reports = _gz(mdl, 0)
     assert [(r.check, r.status, r.reason) for r in reports] == [
         ("gz", vf.SKIPPED,
          "pole: 2x*((x^2-1)(alpha+gamma) + 2kappa(x^2+1)) vanishes at x=0")]
     for pts, reason in (((0, 3), "pole: A(x) has a 1/x term; x must be "
                                  "nonzero"),
                         ((2, 0), "pole: Fraction(1, 0)")):
-        r, = vf.run(rep.model, an.zf_relations(rep, *pts))
+        r, = vf.run(mdl, an.zf_relations(mdl, *pts))
         assert (r.check, r.status, r.reason) == \
             ("zf.representation", vf.SKIPPED, reason)
 
@@ -1124,22 +1258,23 @@ def test_rd_relation_pole_reasons():
     ((F(1, 2), F(3)), 4 + 2, 4 + 2),
 ])
 def test_zf_relations_build_the_components_once_per_point(
-        asep_model, pts, once, per_record, monkeypatch):
-    # the reports are those of the per-record builds
+        asep_model, rd_model, pts, once, per_record, monkeypatch):
+    # the reports are those of the per-record builds; the RD components are
+    # the words of _a_words
     calls = []
-    for cls in (an.MonodromyRealization, an.RDRepresentation):
-        real = cls.components
-        monkeypatch.setattr(cls, "components",
-                            lambda self, x, *args, real=real, **kwargs:
-                            calls.append(x) or real(self, x, *args, **kwargs))
-    realizations = (an.MonodromyRealization(asep_model, 2),
-                    an.rd_representation(3, 1, 1, F(1, 2), F(1, 3), 5))
+    real = an.MonodromyRealization.components
+    monkeypatch.setattr(an.MonodromyRealization, "components",
+                        lambda self, x, *args, **kwargs:
+                        calls.append(x) or real(self, x, *args, **kwargs))
+    words = an._a_words
+    monkeypatch.setattr(an, "_a_words", lambda x: calls.append(x) or words(x))
+    realizations = (an.MonodromyRealization(asep_model, 2), rd_model)
     runs = []
     for cached in (True, False):
         if not cached:
             monkeypatch.setattr(an, "cache", lambda f: f)
         calls.clear()
-        runs.append(([vf.run(r.model, an.zf_relations(r, *pts))
+        runs.append(([vf.run(getattr(r, "model", r), an.zf_relations(r, *pts))
                       for r in realizations], len(calls)))
     (reports, n_once), (per_record_reports, n_per_record) = runs
     assert reports == per_record_reports

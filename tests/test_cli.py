@@ -375,7 +375,10 @@ def test_profile_vanishing_boundary_factor_exits_3(capsys):
     (("--model", "asep", "--q", "1/3"),
      "pole collision: transfer factor Ktilde_0"),
     (("--model", "rd", "--kappa=-1/2"), VANISHING_LEFT)])
-def test_bench_domain_errors_exit_3(capsys, argv, message):
+def test_bench_domain_errors_exit_3(capsys, monkeypatch, argv, message):
+    # bench's transfer points pinned at the pole x = 3 of ASEP's Ktilde at
+    # q = 1/3, which _bench_points steps around
+    monkeypatch.setattr(cli, "_bench_points", lambda model: (F(3), F(5)))
     code = main(["bench", *argv, "--L", "2"])
     captured = capsys.readouterr()
     assert code == 3
@@ -412,19 +415,6 @@ def test_rd_output_bytes_are_pinned(capsys, argv, digest):
     assert _sha256(out) == digest
 
 
-def _count_rd_builds(monkeypatch) -> list:
-    """The N of every rd_representation built from now on."""
-    builds = []
-    real = an.rd_representation
-
-    def counted(*args):
-        builds.append(args[-1])
-        return real(*args)
-
-    monkeypatch.setattr(an, "rd_representation", counted)
-    return builds
-
-
 def _exact_weights_are_the_nullspaces(out, model, L) -> bool:
     # the config,weight block of an --exact steady csv against the nullspace
     got = [F(row[1]) for row in csv.reader(out.splitlines()[1:2 ** L + 1])]
@@ -432,10 +422,9 @@ def _exact_weights_are_the_nullspaces(out, model, L) -> bool:
     return got == want
 
 
-def test_rd_ansatz_builds_no_representation(capsys, monkeypatch):
+def test_rd_ansatz_builds_no_representation(capsys):
     # the exact RD state is contracted in the algebra: steady and bench
-    # build no truncated representation
-    builds = _count_rd_builds(monkeypatch)
+    # build no truncated representation (rd_representation only raises)
     code, out = run(capsys, "steady", "--model", "rd", "--L", "3",
                     "--method", "ansatz", "--exact")
     assert code == 0
@@ -444,7 +433,6 @@ def test_rd_ansatz_builds_no_representation(capsys, monkeypatch):
         "9eb5a33552439bcd2d8dc83302c01f9c97b0eb3595767267cda211071b6b496c"
     code, _ = run(capsys, "bench", "--model", "rd", "--L", "3")
     assert code == 0
-    assert builds == []
 
 
 def test_rd_ansatz_exact_at_the_defaults_fits_the_digit_limit(capsys):
@@ -876,6 +864,29 @@ def test_bench_bytes_are_pinned_under_a_fake_clock(capsys, monkeypatch, name,
     assert _sha256(out) == _BENCH_DIGESTS[name, L, fmt]
 
 
+@pytest.mark.parametrize("argv, x", [
+    (("--model", "rd", "--kappa=-2"), (5, 7)),
+    (("--model", "rd", "--kappa=-3/2"), (3, 7)),
+    (("--model", "asep", "--q", "1/3"), (5, 7))],
+    ids=["rd-kappa-2", "rd-kappa-3/2", "asep-q-1/3"])
+def test_bench_steps_around_a_pole_at_3_or_5(capsys, argv, x):
+    # K~ has a pole at x = 3 or 5 here: bench takes the first pole-free
+    # pair of its candidates for the transfer rows, and prints every row
+    model = cli._model(cli.build_parser().parse_args(["bench", *argv]))
+    assert cli._bench_points(model) == tuple(map(F, x))
+    code, out = run(capsys, "bench", *argv, "--L", "3")
+    assert code == 0
+    tasks = [line.split(",")[0] for line in out.splitlines()[1:]]
+    assert tasks == ["build_markov", "steady_nullspace",
+                     *(["steady_ansatz"] if "rd" in argv else []),
+                     "transfer_build", "transfer_commutation"]
+
+
+def test_bench_keeps_3_and_5_where_they_are_pole_free(all_models):
+    for model in all_models:
+        assert cli._bench_points(model) == (3, 5), model.name
+
+
 @pytest.mark.parametrize("model, L, line", [
     ("asep", "11", "domain error: nullspace method capped at L = 10\n"),
     ("tasep", "9", "domain error: ansatz method capped at L = 8\n")])
@@ -890,9 +901,11 @@ def test_bench_obeys_the_steady_caps(capsys, monkeypatch, model, L, line):
         assert (code, captured.out, captured.err) == (3, "", line), command
 
 
-def test_transfer_pole_prints_the_bench_message(capsys):
+def test_transfer_pole_prints_the_bench_message(capsys, monkeypatch):
     # a pole met as a Skipped report and one raised while building t(x)
-    # print the same line
+    # print the same line; bench's points are pinned at the pole x = 3,
+    # which _bench_points steps around
+    monkeypatch.setattr(cli, "_bench_points", lambda model: (F(3), F(5)))
     errs = []
     for command in ("transfer", "bench"):
         code = main([command, "--model", "asep", "--q", "1/3", "--L", "2"])

@@ -113,7 +113,7 @@ def test_rd_density_matches_closed_form(rd_model):
 
 def test_kernel_error_on_reducible_chain():
     with pytest.raises(mk.KernelError):  # zero generator: kernel dim 4
-        mk.steady_state_exact(SparseMatrix.zeros(4, 4))
+        mk.steady_state_exact(SparseMatrix([[0] * 4] * 4))
 
 
 def test_evolve_t0_is_identity(ssep_model):

@@ -116,7 +116,7 @@ def _local_terms(draw):
 def test_embed_at_positions_sums_the_dense_embeddings(n_terms, data):
     n, terms = n_terms
     got = embed_at_positions(terms, n)
-    want = SparseMatrix.zeros(1 << n, 1 << n)
+    want = SparseMatrix([[0] * (1 << n)] * (1 << n))
     for op, positions in terms:
         want = want + embed_dense(op, positions, n)
     assert got == want
@@ -222,7 +222,7 @@ def test_exact_nullspace_two_dimensional_kernel():
     (va,), (vb,) = exact_nullspace(a), exact_nullspace(b)
     assert ker[0] == va + [0] * 4
     assert ker[1] == [0] * 4 + vb
-    assert exact_nullspace(SparseMatrix.zeros(3, 3)) == [
+    assert exact_nullspace(SparseMatrix([[0] * 3] * 3)) == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
@@ -724,7 +724,7 @@ def test_sparse_tables_match_the_fraction_entries(data):
     P, p = data.draw(_operands(4, 4))
     terms = [(data.draw(_made(e)), (0,)), (data.draw(_made(f)), (2,)),
              (P, (2, 1))]
-    want = SparseMatrix.zeros(8, 8)
+    want = SparseMatrix([[0] * 8] * 8)
     for x, (_, positions) in zip((e, f, p), terms):
         want = want + embed_dense(SparseMatrix(x), positions, 3)
     assert embed_at_positions(terms, 3) == want

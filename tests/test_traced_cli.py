@@ -84,11 +84,16 @@ def test_rd_ansatz_trace_records_one_contraction(monkeypatch, capsys, argv):
 
 def test_the_truncation_span_names_are_distinct_stubs():
     # the tracer swaps every binding that is the wrapped function, so an
-    # alias of a live function would put the truncation span on it
-    stubs = ansatz.rd_steady_converged, ansatz.rd_inhomogeneous_converged
-    assert stubs[0] is not stubs[1]
-    assert not {ansatz.steady_ansatz, ansatz.inhomogeneous_state} & set(stubs)
+    # alias of a live function would put the truncation span, or the
+    # rd_representation span, on it: each stub is bound to its own name only
+    stubs = (ansatz.rd_steady_converged, ansatz.rd_inhomogeneous_converged,
+             ansatz.rd_representation)
+    assert len(set(stubs)) == 3
+    assert not {ansatz.steady_ansatz, ansatz.inhomogeneous_state,
+                ansatz.zf_relations, ansatz.gz_relations} & set(stubs)
     for stub in stubs:
+        assert [name for name, value in vars(ansatz).items()
+                if value is stub] == [stub.__name__]
         with pytest.raises(NotImplementedError):
             stub()
 
