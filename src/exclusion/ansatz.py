@@ -14,8 +14,6 @@ itself.  The Zamolodchikov relation is also realized exactly on monodromy
 matrices for ASEP, SSEP and TASEP.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
@@ -31,16 +29,14 @@ PROFILE_BITS = 100                # mantissa width of the float profile
 _INF = float("inf")
 
 
-class MPRepresentation(namedtuple("MPRepresentation", "letters W V N meta")):
-    """Letters-to-matrix map with boundary row/column vectors; meta defaults
-    to a new empty dict."""
+class MPRepresentation(namedtuple("MPRepresentation", "letters W V N")):
+    """Letters-to-matrix map with boundary row/column vectors."""
     __slots__ = ()
 
-    def __new__(cls, letters, W, V, N, meta=None):
+    def __new__(cls, letters, W, V, N):
         if sum(w * v for w, v in zip(W, V)) == 0:
             raise ValueError("degenerate representation: <W|V> = 0")
-        return super().__new__(cls, letters, W, V, N,
-                               {} if meta is None else meta)
+        return super().__new__(cls, letters, W, V, N)
 
 
 def tasep_representation(alpha, beta, N: int) -> MPRepresentation:
@@ -62,8 +58,7 @@ def tasep_representation(alpha, beta, N: int) -> MPRepresentation:
     E[0][0] = 1 / alpha
     D, E = SparseMatrix(D), SparseMatrix(E)
     basis0 = tuple(Fraction(1 if n == 0 else 0) for n in range(N))
-    return MPRepresentation({"E": E, "D": D}, basis0, basis0, N,
-                            meta={"model": "tasep", "alpha": alpha, "beta": beta})
+    return MPRepresentation({"E": E, "D": D}, basis0, basis0, N)
 
 
 def rd_boundary_coefficients(kappa, alpha, beta, gamma, delta) -> dict:
@@ -511,9 +506,15 @@ def rd_closed_forms(kappa, alpha, beta, gamma, delta, L: int, i: int) -> dict:
                             "current_eva": asym_eva}}
 
 
+PROFILE_COLUMNS = ("site", "density", "current_lat", "current_eva",
+                   "density_asymptotic")
+
+
 def rd_profile_rows(kappa, alpha, beta, gamma, delta, L: int,
                     asymptotics: bool = False, exact: bool = True):
-    """All L sites of the closed-form profile, as dicts of its columns.
+    """All L sites of the closed-form profile, drawn lazily, each a tuple of
+    PROFILE_COLUMNS (density_asymptotic only with ``asymptotics``); the
+    last site's currents are None.
 
     With den = 1 - a b phi^(2L-2), U = (c + a d phi^(L-1)) / den and
     V = (d + b c phi^(L-1)) / den, every cell is a signed combination of
@@ -632,13 +633,9 @@ def rd_profile_rows(kappa, alpha, beta, gamma, delta, L: int,
                 v1 = v * pd // pn
             else:               # phi = 0: v_(i+1) = xv 0^(L-i-1)
                 v1 = xv if i == L - 1 else 0
-            pairs = cells(u, v, v1)
-            row = {"density": Fraction(*pairs[0]),
-                   "current_lat": Fraction(*pairs[1]) if i < L else None,
-                   "current_eva": Fraction(*pairs[2]) if i < L else None}
-            if asymptotics:
-                row["density_asymptotic"] = asymptotic(i)
-            yield row
+            rho, j_lat, j_eva = (Fraction(*pair) for pair in cells(u, v, v1))
+            row = (i, rho, j_lat, j_eva) if i < L else (i, rho, None, None)
+            yield (*row, asymptotic(i)) if asymptotics else row
             u, v = u * pn // pd, v1
         return
 
@@ -664,22 +661,22 @@ def rd_profile_rows(kappa, alpha, beta, gamma, delta, L: int,
     for i in range(1, L + 1):
         t_up, e_up = U * P[i - 1], Ue + Pe[i - 1]
         f = cell(_HALF, 1, -t_up, e_up, -t_down, e_down)[0]
-        row = {"density": exact_cell(i, 0) if f is None else f}
+        row = [i, exact_cell(i, 0) if f is None else f]
         if i < L:
             # V phi^(L-i-1): this bond's term, and the next site's density's
             t_down, e_down = V * P[L - i - 1], Ve + Pe[L - i - 1]
             f = cell(lat, 0, t_down, e_down, -t_up, e_up)[0]
-            row["current_lat"] = exact_cell(i, 1) if f is None else f
+            row.append(exact_cell(i, 1) if f is None else f)
             f = cell(eva, 0, t_up, e_up, t_down, e_down)[0]
-            row["current_eva"] = exact_cell(i, 2) if f is None else f
+            row.append(exact_cell(i, 2) if f is None else f)
         else:
-            row["current_lat"] = row["current_eva"] = None
+            row += (None, None)
         if asymptotics:
             j, k = side(i)
             amp, e_amp = amps_[j]
             f = cell(_HALF, 1, amp * P[k], e_amp + Pe[k], 0, _NO_EXP)[0]
-            row["density_asymptotic"] = exact_cell(i, 3) if f is None else f
-        yield row
+            row.append(exact_cell(i, 3) if f is None else f)
+        yield tuple(row)
 
 
 _NO_EXP = -(1 << 60)    # the exponent of a zero: below any a term reaches

@@ -8,10 +8,7 @@ output (bench excepted: it reports wall times).
 Exit codes: 0 pass, 1 check failure, 2 usage error, 3 domain error.
 """
 
-from __future__ import annotations
-
 import contextlib
-import io
 import re
 import sys
 import time
@@ -19,7 +16,6 @@ import types
 import warnings
 from fractions import Fraction
 from itertools import islice, zip_longest
-from operator import itemgetter
 
 # parsing and every subcommand need these; each command imports the rest of
 # the library where it calls it, so a process loads only what it runs
@@ -350,26 +346,26 @@ def _write(doc: dict, args) -> int:
     '%.17g') and each row a tuple, printed by one %-template of its table.
     In JSON a '%d' or '%r' cell is a number and the others are strings;
     None prints empty ("" in JSON).  No cell holds a comma, quote or
-    newline, and a table has two columns or more (csv.writer prints a lone
-    empty field as "").
+    newline, and a table has two columns or more.
     JSON writes each table as a list of dicts keyed by its header, the bytes
     of json.dumps(indent=2); CSV writes only the tables, in document order,
-    separated by a blank row.  Rows may be drawn lazily: nothing is emitted
+    separated by a blank line, in the bytes that csv.writer prints with
+    lineterminator "\n".  Rows may be drawn lazily: nothing is emitted
     until every row is formatted."""
     if args.format == "json":
         _emit(_json(doc) + "\n", args)
         return 0
-    import csv
-    buf = io.StringIO()
-    wcsv = csv.writer(buf, lineterminator="\n")
-    tables = [v for v in doc.values() if isinstance(v, tuple)]
-    for n, (header, rows, convs) in enumerate(tables):
-        if n:
-            wcsv.writerow([])
-        wcsv.writerow(header)
-        buf.writelines(_typed_rows(lambda cs: ",".join(cs) + "\n", convs,
-                                   rows))
-    _emit(buf.getvalue(), args)
+    lines = []
+    for header, rows, convs in (v for v in doc.values()
+                                if isinstance(v, tuple)):
+        if lines:
+            lines.append("\n")
+        # csv.writer quotes a name with a comma, a quote or a newline
+        lines.append(",".join('"%s"' % h.replace('"', '""')
+                              if "," in h or '"' in h or "\n" in h else h
+                              for h in header) + "\n")
+        lines += _typed_rows(lambda cs: ",".join(cs) + "\n", convs, rows)
+    _emit("".join(lines), args)
     return 0
 
 
@@ -468,23 +464,19 @@ def cmd_profile(args) -> int:
     L = args.L
     if L < 2 or L > 10 ** 4:
         raise DomainError("profile needs 2 <= L <= 10^4")
-    from .ansatz import rd_boundary_coefficients
+    from .ansatz import PROFILE_COLUMNS, rd_boundary_coefficients
     with _domain_errors():
         co = rd_boundary_coefficients(model.kappa, model.alpha, model.beta,
                                       model.gamma, model.delta)
     if co["c"] == 0 or co["d"] == 0:
         raise DomainError("degenerate boundary coefficients: alpha = gamma "
                           "or beta = delta makes c or d vanish")
-    header = ["site", "density", "current_lat", "current_eva"]
-    if args.asymptotics:
-        header.append("density_asymptotic")
-    get = itemgetter(*header[1:])
-    rows = ((i, *get(r)) for i, r in enumerate(_profile_rows(model, L, args),
-                                              start=1))
+    header = PROFILE_COLUMNS[:5 if args.asymptotics else 4]
     convs = ("%d",) + (_number(args),) * (len(header) - 1)
     return _write({"schema": SCHEMA, "model": model.name,
                    "params": _params_json(model), "L": L,
-                   "profile": (header, rows, convs)}, args)
+                   "profile": (header, _profile_rows(model, L, args),
+                               convs)}, args)
 
 
 def _profile_rows(model, L, args):

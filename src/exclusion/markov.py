@@ -6,8 +6,6 @@ significant bit, matching the probability-vector layout (0...00, 0...01,
 quarantined floating-point routine, returned as an ApproxDistribution.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -42,7 +40,8 @@ def build_markov(model: ModelDescriptor, L: int) -> SparseMatrix:
 
 
 def steady_state_exact(M: SparseMatrix) -> Distribution:
-    """Normalized exact stationary distribution from the kernel of M."""
+    """Exact stationary distribution from the kernel of M: the weights are
+    its primitive integer vector, signed so that their sum Z is positive."""
     L = M.dim.bit_length() - 1
     if 1 << L != M.dim:
         raise ValueError("dimension is not a power of two")
@@ -50,20 +49,20 @@ def steady_state_exact(M: SparseMatrix) -> Distribution:
     if len(kernel) != 1:
         raise KernelError(f"kernel dimension {len(kernel)} != 1: "
                           "reducible or mis-built chain")
-    vec = kernel[0]
-    total = sum(vec)
+    ints, _ = integer_vector(kernel[0])
+    total = sum(ints)
     if total == 0:
         raise KernelError("kernel vector sums to zero")
-    probs = [v / total for v in vec]
+    g = math.gcd(*ints) if total > 0 else -math.gcd(*ints)
+    weights = [v // g for v in ints]
     # the signs of M are those of its int rows: den > 0
     nonneg_rates = all(v >= 0 for r, row in M._rows.items()
                        for c, v in row.items() if r != c)
-    if nonneg_rates and any(p < 0 for p in probs):
+    if nonneg_rates and any(w < 0 for w in weights):
         raise KernelError("internal error: negative stationary weight "
                           "with nonnegative rates")
-    ints, den = integer_vector(probs)
-    return Distribution(L=L, weights=tuple(map(Fraction, ints)),
-                        Z=Fraction(den))
+    return Distribution(L=L, weights=tuple(map(Fraction, weights)),
+                        Z=Fraction(total // g))
 
 
 def observables(dist: Distribution, model: ModelDescriptor) -> dict:

@@ -19,8 +19,6 @@ compose arguments multiplicatively (x1/x2, identity point 1) while SSEP is
 additive (x1-x2, identity point 0).
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import warnings

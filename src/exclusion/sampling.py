@@ -6,8 +6,6 @@ the composed arguments a check will form.  Exactness at any non-pole point
 is all the verifier needs; small rationals keep intermediate blow-up down.
 """
 
-from __future__ import annotations
-
 import random
 from fractions import Fraction
 

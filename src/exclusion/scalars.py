@@ -4,8 +4,6 @@ Everything on the correctness path is a ``fractions.Fraction``; floats only
 appear when formatting output.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 

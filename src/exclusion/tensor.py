@@ -15,8 +15,6 @@ entry is rational: a derivative is a pair of these matrices, as the
 compiled forms of ``models`` hand out R and K with their derivatives.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 
@@ -425,8 +423,9 @@ def exact_nullspace(M: SparseMatrix) -> list:
     of A[R,P] x = -A[R,f] is lifted one p-adic digit at a time: the digit is
     solved modulo p with the stored factors, and the residual is updated by
     one exact integer matvec over the pivot rows.  After each lift the
-    vectors (1 at f, x on P) are recovered by rational reconstruction and
-    returned once an exact integer matvec shows M v = 0 for every one.
+    vectors (1 at f, x on P) are recovered by rational reconstruction as
+    ints over one denominator each, and once an exact integer matvec of the
+    ints shows M v = 0 for every one, they are returned as Fractions.
 
     The result is exact: rank mod p <= rank over Q, so the kernel over Q is
     never larger than the kernel mod p.  The k certified vectors each carry
@@ -472,7 +471,8 @@ def exact_nullspace(M: SparseMatrix) -> list:
             modulus *= p
             candidate = _reconstruct(solutions, modulus)
             if candidate is not None and _annihilates(rows, candidate):
-                return candidate
+                return [[Fraction(n, d) for n in ints]
+                        for ints, d in candidate]
 
 
 def integer_vector(vec) -> tuple:
@@ -678,29 +678,50 @@ def _markowitz(work, shortest, col_count):
 
 
 def _reconstruct(residues, modulus):
-    """Rational vectors with the given residues, or None if an entry has no
-    reconstruction with numerator and denominator below sqrt(modulus/2)."""
+    """Each residue vector as (ints, d), ints / d congruent to it with
+    numerators and denominators at most B = isqrt(modulus/2), d their lcm;
+    None if an entry has no such value (2 B^2 < modulus: it has at most
+    one).  An entry u is w / d if w, u d reduced into [-B, modulus - B),
+    and the reduced denominator of w / d are at most B; only an entry that
+    brings a new factor of d runs the extended Euclid of ``_rational``."""
     bound = math.isqrt(modulus >> 1)
     out = []
     for vec in residues:
-        rat = []
+        ints, d = [], 1
         for u in vec:
-            r0, r1, t0, t1 = modulus, u, 0, 1
-            while r1 > bound:
-                q = r0 // r1
-                r0, r1 = r1, r0 - q * r1
-                t0, t1 = t1, t0 - q * t1
-            if abs(t1) > bound or math.gcd(r1, t1) != 1:
+            w = (u * d + bound) % modulus - bound
+            # w / d reduces over d / gcd(w, d), above B only once the lcm d is
+            if w <= bound and d // math.gcd(w, d) <= bound:
+                ints.append(w)
+                continue
+            x = _rational(u, modulus, bound)
+            if x is None:
                 return None
-            rat.append(Fraction(r1, t1))
-        out.append(rat)
+            grown = math.lcm(d, x.denominator)
+            ints = [v * (grown // d) for v in ints]
+            ints.append(x.numerator * (grown // x.denominator))
+            d = grown
+        out.append((ints, d))
     return out
 
 
+def _rational(u, modulus, bound):
+    """The Fraction n / q = u modulo modulus with |n|, |q| <= bound, by the
+    extended Euclid of (modulus, u) stopped at the first remainder <= bound
+    (Wang 1981); None if there is none."""
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
 def _annihilates(rows, vectors) -> bool:
-    """Exact check that every integer row is orthogonal to every vector."""
-    for vec in vectors:
-        w, _ = integer_vector(vec)
+    """Exact check that each int row is orthogonal to each vector's ints."""
+    for w, _ in vectors:
         for row in rows:
             if sum(v * w[c] for c, v in row.items()):
                 return False

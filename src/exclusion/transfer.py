@@ -16,8 +16,6 @@ that vanishes there.  A Skipped report means that the model lacks the
 structure checked.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from fractions import Fraction

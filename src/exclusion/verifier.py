@@ -17,8 +17,6 @@ The ZF and GZ families of ``ansatz`` (``zf_relations``, ``gz_relations``)
 yield such records; an RD side is a word, its witness an entry (p, q).
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 

@@ -1,9 +1,11 @@
-"""Record the certificate behind each float profile cell.
+"""Read the rows of the RD profile, and record the certificate behind each
+float profile cell.
 
-``rd_profile_rows`` draws each float cell through one seam,
-``ansatz._Enclosure.cell``, which pins it by one of two certificates: a
-binary bracket [lo 2^e, hi 2^e], or saturation at 1/2.  A cell that neither
-pins is the exact quotient of its site.
+``rd_profile_rows`` yields one tuple per site; ``profile`` checks its shape
+and hands the tests each row's cells keyed by column.  It draws each float
+cell through one seam, ``ansatz._Enclosure.cell``, which pins it by one of
+two certificates: a binary bracket [lo 2^e, hi 2^e], or saturation at 1/2.
+A cell that neither pins is the exact quotient of its site.
 """
 
 import contextlib
@@ -51,3 +53,14 @@ def pins(lo, hi) -> bool:
     except OverflowError:
         return False
     return (lo > 0 or hi < 0) and f == g and abs(f) < float("inf")
+
+
+def profile(*args, **kwargs):
+    """The rows of ``rd_profile_rows(*args, **kwargs)``, drawn lazily, each
+    the dict of its cells keyed by ``PROFILE_COLUMNS`` after the site.  Each
+    row must be a tuple of those columns, the asymptotic one only when
+    asked for, that starts at its own site number."""
+    width = 5 if kwargs.get("asymptotics") else 4
+    for i, row in enumerate(an.rd_profile_rows(*args, **kwargs), start=1):
+        assert type(row) is tuple and len(row) == width and row[0] == i
+        yield dict(zip(an.PROFILE_COLUMNS[1:], row[1:]))

@@ -7,10 +7,12 @@ give the derivative pairs of the compiled forms' oracle, the
 embed-and-multiply products and sums, over Fraction or Dual entries held
 as {row: {col: entry}}, that ``transfer.build_transfer``, the coproduct of
 ``MonodromyRealization.components``, the Yang-Baxter sides and the RD
-letters are checked against, the RD word product, and the RD current
-balance of ``ansatz.rd_closed_forms``.  Dual is used in this module
-only."""
+letters are checked against, the RD word product, the RD current
+balance of ``ansatz.rd_closed_forms``, and the entry-by-entry rational
+reconstruction that ``tensor._reconstruct`` is checked against.  Dual is
+used in this module only."""
 
+import math
 from fractions import Fraction
 
 import exclusion.models as m
@@ -362,3 +364,24 @@ def rd_current_balance(kappa, alpha, beta, gamma, delta, L: int, i: int) -> Frac
     right = rd_closed_forms(kappa, alpha, beta, gamma, delta, L, i)
     return left["current_lat"] - right["current_lat"] \
         - left["current_eva"] - right["current_eva"]
+
+
+def reconstruct(residues, modulus):
+    """Rational vectors with the given residues, or None if an entry has no
+    reconstruction with numerator and denominator at most isqrt(modulus/2):
+    one extended Euclid per entry, each entry its own Fraction."""
+    bound = math.isqrt(modulus >> 1)
+    out = []
+    for vec in residues:
+        rat = []
+        for u in vec:
+            r0, r1, t0, t1 = modulus, u, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1 = r1, r0 - q * r1
+                t0, t1 = t1, t0 - q * t1
+            if abs(t1) > bound or math.gcd(r1, t1) != 1:
+                return None
+            rat.append(Fraction(r1, t1))
+        out.append(rat)
+    return out

@@ -14,7 +14,7 @@ import exclusion.transfer as tr
 import exclusion.verifier as vf
 from exclusion.scalars import float_repr, format_rational
 from exclusion.tensor import PoleError, SparseMatrix
-from certificates import exact, pins, recorded
+from certificates import exact, pins, profile, recorded
 from reference import entries, entry, monodromy_components, \
     rd_current_balance, rows_apply, rows_apply_left, rows_product, rows_sum, \
     sparse_rows, word_product
@@ -463,9 +463,8 @@ def _printed(row):
 def test_rd_profile_rows_match_closed_forms(kappa, rates):
     # kappa = 1/2 gives phi = -1/3 < 0
     for L in (2, 3, 7, 40):
-        exact = an.rd_profile_rows(kappa, *rates, L, asymptotics=True)
-        floats = an.rd_profile_rows(kappa, *rates, L, asymptotics=True,
-                                    exact=False)
+        exact = profile(kappa, *rates, L, asymptotics=True)
+        floats = profile(kappa, *rates, L, asymptotics=True, exact=False)
         for i, (row, frow) in enumerate(zip(exact, floats), start=1):
             cf = an.rd_closed_forms(kappa, *rates, L, i)
             want = {"density": cf["density"],
@@ -488,12 +487,11 @@ def test_float_profile_cells_are_certified(model, L):
     assume(model.alpha != model.gamma and model.beta != model.delta)
     rates = (model.kappa, model.alpha, model.beta, model.gamma, model.delta)
     try:
-        exact = list(an.rd_profile_rows(*rates, L, asymptotics=True))
+        exact = list(profile(*rates, L, asymptotics=True))
     except ValueError:      # den = 0, or a vanishing boundary factor
         assume(False)
     with recorded() as certificates:
-        floats = list(an.rd_profile_rows(*rates, L, asymptotics=True,
-                                         exact=False))
+        floats = list(profile(*rates, L, asymptotics=True, exact=False))
     cells = [(k, row[k], frow[k]) for row, frow in zip(exact, floats)
              for k in _COLUMNS if row[k] is not None]
     assert len(floats) == L and len(certificates) == len(cells)
@@ -513,8 +511,7 @@ def test_an_exact_zero_current_takes_the_exact_quotient():
     # At L = 1500 both ends of that bracket round to a zero float
     for L in (40, 1500):
         with recorded() as certificates:
-            rows = list(an.rd_profile_rows(F(1, 2), *PROFILE_RATES[2], L,
-                                           exact=False))
+            rows = list(profile(F(1, 2), *PROFILE_RATES[2], L, exact=False))
         misses = [(lo, hi) for kind, lo, hi in certificates
                   if kind == "bracket" and not pins(lo, hi)]
         assert len(misses) == 1, L
@@ -527,10 +524,9 @@ _TWO_TO_MINUS_54 = F(1, 2 ** 54)
 
 def _certified(kappa, rates, L):
     """(column, exact value, float, certificate) of every float cell."""
-    exact = an.rd_profile_rows(kappa, *rates, L, asymptotics=True)
+    exact = profile(kappa, *rates, L, asymptotics=True)
     with recorded() as certificates:
-        floats = list(an.rd_profile_rows(kappa, *rates, L, asymptotics=True,
-                                         exact=False))
+        floats = list(profile(kappa, *rates, L, asymptotics=True, exact=False))
     cells = [(k, row[k], frow[k]) for row, frow in zip(exact, floats)
              for k in _COLUMNS if row[k] is not None]
     assert len(certificates) == len(cells)
@@ -584,8 +580,7 @@ def test_saturation_keeps_its_margin_at_low_precision(monkeypatch):
     # 2^-54 may stand for an exact one above 2^-54, so saturation asks each
     # computed term to lie below 2^-56
     rates = PROFILE_RATES[1]
-    want = list(an.rd_profile_rows(3, *rates, 300, asymptotics=True,
-                                   exact=False))
+    want = list(profile(3, *rates, 300, asymptotics=True, exact=False))
     monkeypatch.setattr(an, "PROFILE_BITS", 12)
     enc = an._Enclosure(60)
     n_u = F(2 * 60 + 3, 2 ** 11)
@@ -627,7 +622,7 @@ def test_float_profile_brackets_hold_at_low_width(model, L, width):
     assume(model.alpha != model.gamma and model.beta != model.delta)
     rates = (model.kappa, model.alpha, model.beta, model.gamma, model.delta)
     try:
-        rows = list(an.rd_profile_rows(*rates, L, asymptotics=True))
+        rows = list(profile(*rates, L, asymptotics=True))
     except ValueError:
         assume(False)
     cells = [(k, row[k]) for row in rows for k in _COLUMNS
@@ -636,8 +631,8 @@ def test_float_profile_brackets_hold_at_low_width(model, L, width):
         mp.setattr(an, "PROFILE_BITS", width)
         with recorded() as certificates:
             try:
-                floats = list(an.rd_profile_rows(*rates, L, asymptotics=True,
-                                                 exact=False))
+                floats = list(profile(*rates, L, asymptotics=True,
+                                      exact=False))
             except OverflowError:   # a cell beyond the float range
                 assume(False)
     printed = [row[k] for row in floats for k in _COLUMNS
@@ -663,11 +658,10 @@ def test_float_profile_zero_terms_take_no_exact_quotient(kappa, rates, L):
     # a term that is exactly 0 (U = 0, V = 0, the asymptotic column's
     # second term) sits below every other exponent, so only an
     # exact zero cell is left to the exact quotient
-    rows = an.rd_profile_rows(kappa, *rates, L, asymptotics=True)
+    rows = profile(kappa, *rates, L, asymptotics=True)
     cells = [row[k] for row in rows for k in _COLUMNS if row[k] is not None]
     with recorded() as certificates:
-        floats = list(an.rd_profile_rows(kappa, *rates, L, asymptotics=True,
-                                         exact=False))
+        floats = list(profile(kappa, *rates, L, asymptotics=True, exact=False))
     printed = [row[k] for row in floats for k in _COLUMNS
                if row[k] is not None]
     assert [format(f, ".17g") for f in printed] == \
@@ -681,8 +675,7 @@ def test_float_profile_at_phi_0():
     # kappa = 1, which the rd model refuses: phi^k = 0 for k >= 1, and the
     # middle currents have two zero terms
     L = 12
-    floats = an.rd_profile_rows(1, *PROFILE_RATES[0], L, asymptotics=True,
-                                exact=False)
+    floats = profile(1, *PROFILE_RATES[0], L, asymptotics=True, exact=False)
     for i, row in enumerate(floats, start=1):
         cf = an.rd_closed_forms(1, *PROFILE_RATES[0], L, i)
         want = {"density": cf["density"], "current_lat": cf["current_lat"],
@@ -696,8 +689,7 @@ def test_float_profile_at_phi_0():
 def test_exact_profile_at_phi_0_rounds_to_the_float_one(L, asymptotics):
     # kappa = 1: phi = 0, so v_(i+1) is not v_i / phi; every exact cell
     # rounds to the float cell
-    rows = [an.rd_profile_rows(1, *rates, L, asymptotics=asymptotics,
-                               exact=exact)
+    rows = [profile(1, *rates, L, asymptotics=asymptotics, exact=exact)
             for rates in PROFILE_RATES for exact in (True, False)]
     for exact, floats in zip(rows[::2], rows[1::2]):
         for i, (want, got) in enumerate(zip(exact, floats, strict=True), 1):

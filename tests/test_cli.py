@@ -814,6 +814,40 @@ def test_typed_writer_matches_the_per_cell_path(doc, fmt):
     assert out.getvalue() == want
 
 
+def _csv_writer_bytes(text: str) -> str:
+    """text read by csv.reader and written again by csv.writer."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        csv.reader(io.StringIO(text)))
+    return buf.getvalue()
+
+
+_SITES = ["site", "density", "current_lat", "current_eva"]
+
+
+@pytest.mark.parametrize("argv, headers", [
+    (("steady", "--model", "asep", "--L", "3"),
+     [["config", "weight"], _SITES]),
+    (("steady", "--model", "rd", "--L", "3", "--method", "both", "--exact"),
+     [["config", "weight", "weight_ansatz", "rel_diff"], _SITES]),
+    (("steady", "--model", "tasep", "--L", "4", "--method", "ansatz"),
+     [["config", "weight"], _SITES]),
+    (("profile", "--model", "rd", "--L", "6"), [list(an.PROFILE_COLUMNS[:4])]),
+    (("profile", "--model", "rd", "--L", "6", "--asymptotics", "--exact"),
+     [list(an.PROFILE_COLUMNS[:5])]),
+    (("bench", "--model", "asep", "--L", "2"),
+     [["task", "model", "L", "seconds"]])])
+def test_csv_output_is_the_bytes_of_csv_writer(capsys, argv, headers):
+    # every header a command prints, the blank line between steady's two
+    # tables and each row are what csv.writer prints for the cells that
+    # csv.reader reads back; verify and transfer print JSON only
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == _csv_writer_bytes(out)
+    assert [next(csv.reader(table.splitlines()))
+            for table in out.split("\n\n")] == headers
+
+
 def test_bench_json_keys_and_row_order(capsys):
     # wall times vary; the document's shape must not.  The transfer rows run
     # at min(L, 4) and say so
@@ -1389,8 +1423,8 @@ def test_import_leaves_out_class_generation_modules():
     # tensor, and reads a well-formed argv from the option table; argparse,
     # and the gettext and locale it loads, only prints help and usage
     # errors.  Each subcommand, and each transfer check, loads the rest of
-    # the library where it calls it.  The writer loads csv for a CSV table
-    # and never json: JSON is written by the writer's own encoder.  The
+    # the library where it calls it.  The writer loads neither csv nor
+    # json: it writes CSV lines and JSON with its own encoder.  The
     # package's records are named tuples, so neither dataclasses nor what it
     # pulls in is loaded
     parsing = ["cli", "exclusion", "models", "scalars", "tensor"]
@@ -1403,11 +1437,11 @@ def test_import_leaves_out_class_generation_modules():
         parsing
     assert _fresh_modules("steady", "--model", "asep", "--L", "3",
                           "--method", "nullspace") == \
-        ["cli", "csv", "exclusion", "markov", "models", "scalars", "tensor"]
+        ["cli", "exclusion", "markov", "models", "scalars", "tensor"]
     # the matrix ansatz runs no identity check, so neither the checker nor
     # its sampler is loaded
-    ansatz = ["ansatz", "cli", "csv", "exclusion", "markov", "models",
-              "scalars", "tensor"]
+    ansatz = ["ansatz", "cli", "exclusion", "markov", "models", "scalars",
+              "tensor"]
     assert _fresh_modules("profile", "--model", "rd", "--L", "6") == ansatz
     for model, L in (("rd", "2"), ("tasep", "3")):
         assert _fresh_modules("steady", "--model", model, "--L", L,

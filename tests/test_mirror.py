@@ -9,12 +9,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import exclusion as ex
-from exclusion.ansatz import rd_closed_forms, rd_profile_rows
+from exclusion.ansatz import rd_closed_forms
 from exclusion.markov import KernelError, build_markov, steady_state_exact
 from exclusion.models import mirror
 from exclusion.scalars import float_repr
 from exclusion.tensor import PoleError, SparseMatrix
 from exclusion.transfer import TransferSpec, build_transfer
+from certificates import profile
 from strategies import MODELS, SIGNED_MODELS
 
 J = SparseMatrix([[0, 1], [1, 0]])
@@ -103,8 +104,8 @@ _RD_RATES = [(F(3), F(1, 2), F(2, 3), F(1, 3), F(1, 5)),
 @pytest.mark.parametrize("rates", _RD_RATES)
 def test_the_rd_profile_of_the_mirror_is_the_reflected_profile(rates, L):
     kappa, al, be, ga, de = rates
-    rows = list(rd_profile_rows(kappa, al, be, ga, de, L, exact=False))
-    mirrored = list(rd_profile_rows(kappa, be, al, de, ga, L, exact=False))
+    rows = list(profile(kappa, al, be, ga, de, L, exact=False))
+    mirrored = list(profile(kappa, be, al, de, ga, L, exact=False))
     # bond i is bond L - i of the mirror; the evaporation current changes
     # sign with particles and holes
     for i in range(L - 1):

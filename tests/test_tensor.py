@@ -14,7 +14,7 @@ from exclusion.tensor import PoleError, SparseMatrix, _primes, \
     embed_at_positions, exact_nullspace, integer_vector, inverse, kron, \
     partial_trace_first, partial_transpose, permutation_op, rank
 from reference import embed_dense, embed_local, entries, fraction_kron, \
-    fraction_partial_transpose, fraction_product, rows_apply, \
+    fraction_partial_transpose, fraction_product, reconstruct, rows_apply, \
     rows_apply_left, rows_at, sparse_rows
 
 I2 = SparseMatrix.identity(2)
@@ -450,6 +450,61 @@ def test_exact_nullspace_matches_the_dense_kernel(data):
     expected = dense_kernel(rows, n)
     assert len(ker) == len(expected) >= k
     assert rref(ker) == rref(expected)
+
+
+def _residue(x, modulus) -> int:
+    return x.numerator * pow(x.denominator, -1, modulus) % modulus
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reconstruction_over_one_denominator_matches_the_per_entry_one(data):
+    # zeros, and entries n / d over one d, whose reduced denominators are
+    # its divisors: some of these, or the lcm of those before them, exceed
+    # the bound (2 to 49 for the moduli below 11^4).  Half the examples
+    # also draw residues at random, most of which have no reconstruction
+    p = data.draw(st.sampled_from([11, 13, 17, next(_primes())]))
+    modulus = p ** data.draw(st.integers(min_value=1, max_value=5))
+    d = data.draw(st.sampled_from([20, 30, 60, 120, 210]))
+    over_d = st.integers(min_value=-d, max_value=d).map(
+        lambda n: _residue(F(n, d), modulus))
+    clean = st.one_of(over_d, over_d, st.just(0))
+    entries = data.draw(st.sampled_from([
+        clean, clean | st.integers(min_value=0, max_value=modulus - 1)]))
+    residues = data.draw(st.lists(st.lists(entries, min_size=2, max_size=8),
+                                  max_size=3))
+    want = reconstruct(residues, modulus)
+    assert tensor._reconstruct(residues, modulus) == \
+        (None if want is None else [integer_vector(v) for v in want])
+
+
+def test_a_shared_denominator_runs_the_euclid_once(monkeypatch):
+    calls = []
+    rational = tensor._rational
+
+    def counted(u, modulus, bound):
+        calls.append(u)
+        return rational(u, modulus, bound)
+
+    monkeypatch.setattr(tensor, "_rational", counted)
+    modulus = next(_primes()) ** 4
+    shared = [F(3, 7), 0, F(-2, 7), 1, F(5, 7), F(-9, 7)]
+    residues = [[_residue(F(x), modulus) for x in shared]]
+    assert tensor._reconstruct(residues, modulus) == \
+        [([3, 0, -2, 7, 5, -9], 7)]
+    assert len(calls) == 1
+    # an entry with a new factor 5 runs it once more, and puts the entries
+    # before it over 35
+    calls.clear()
+    residues[0].append(_residue(F(4, 5), modulus))
+    assert tensor._reconstruct(residues, modulus) == \
+        [([15, 0, -10, 35, 25, -45, 28], 35)]
+    assert len(calls) == 2
+    # at 7^3 the bound is 13: 1/20 has no reconstruction, though u d = 1
+    # over the lcm d = 20 of the entries before it
+    residues = [[_residue(x, 7 ** 3) for x in (F(1, 4), F(1, 5), F(1, 20))]]
+    assert tensor._reconstruct(residues, 7 ** 3) is None
+    assert reconstruct(residues, 7 ** 3) is None
 
 
 def test_reducible_chain_raises_kernel_error():
